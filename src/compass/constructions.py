@@ -42,18 +42,6 @@ MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
 
 
 @dataclass(frozen=True, slots=True)
-class LineByPoints:
-    """A line given by two distinct points. It is specified, never drawn."""
-
-    a: Point
-    b: Point
-
-    def __post_init__(self):
-        if distance(self.a, self.b) <= DEFAULT_TOL.eps_degenerate:
-            raise DegenerateCircle("a line needs two distinct points")
-
-
-@dataclass(frozen=True, slots=True)
 class CircleByCenterAndPoint:
     """A compass circle: a center and a point it passes through."""
 
@@ -196,8 +184,12 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     """Inversion of any point p != center.
 
     Exterior points invert directly; points on the circle are their own
-    image; interior points are pushed out by an integer factor large enough
-    to clear the circle, inverted there, and pulled back by the same factor.
+    image. An interior point at distance d from the center needs an integer
+    ratio n > r/d to clear the circle (the paper's rule takes
+    n = floor(r/d) + 2). Inversion turns scaling by any integer m into
+    scaling by 1/m, so the point is pushed out by the power of two
+    2^k >= n, with k doublings about the center, inverted there, and the
+    image pulled back by k more doublings: O(log r/d) circles in all.
     """
     eps = b.tol.eps_degenerate
     po, pd, pp = b.point(o), b.point(d), b.point(p)
@@ -213,9 +205,14 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     if n > MAX_SCALE:
         raise ScaleOverflow(
             f"interior point needs ratio {n}, beyond {MAX_SCALE}")
-    q = build_nth_point(b, o, p, n)
+    doublings = (n - 1).bit_length()  # smallest k with 2**k >= n
+    q = p
+    for _ in range(doublings):
+        q = build_extend(b, o, q)
     j = build_invert_exterior(b, o, d, q)
-    return build_nth_point(b, o, j, n)
+    for _ in range(doublings):
+        j = build_extend(b, o, j)
+    return j
 
 
 # --- intersections through inversion -----------------------------------------

@@ -8,6 +8,12 @@ means replaying b's witness with (0, a) as its starting points; addition
 replays a's witness on (1, 2) to get a+1 and then b's on (a, a+1). The
 orientation-based pick selectors make those replays land on exactly the
 similarity images the argument needs.
+
+Each operation resumes a ``Builder`` from the trace its left operand
+already carries and inlines the replays into it, so no earlier step is
+resolved twice; the value is read from the builder. A final ``compact``
+keeps only the seeds and the ancestors of the result, so a witness holds
+live steps only and its size tracks the work the value needs.
 """
 
 from __future__ import annotations
@@ -18,39 +24,63 @@ from dataclasses import dataclass
 from .constructions import extend_program
 from .errors import MalformedProgram
 from .geom import DEFAULT_TOL, Point, Tolerance
-from .program import Builder, Program, Selector, empty_program, execute, rebase
+from .program import (
+    Builder,
+    Program,
+    Selector,
+    Trace,
+    compact,
+    empty_program,
+    execute,
+    rebase,
+)
 
 CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))
 
 
 @dataclass(frozen=True, slots=True)
 class ConstructibleValue:
-    """A constructible point carried with its two-seed witness program.
+    """A constructible point carried with its resolved two-seed witness.
 
-    ``value`` caches the execution of the witness on the canonical seeds
-    0 and 1. ``collapsed`` marks a product that was short-circuited because
-    its left factor resolved to zero (the replay basis would have collapsed).
+    ``trace`` is the witness program resolved on the canonical seeds 0 and
+    1, as the builder that grew it resolved it; ``value`` is read from it.
+    Witnesses made by the ring operations hold live steps only: every step
+    is a seed or an ancestor of the output. ``collapsed`` marks a product
+    that was short-circuited because its left factor resolved to zero (the
+    replay basis would have collapsed).
     """
 
-    program: Program
-    value: Point
+    trace: Trace
     collapsed: bool = False
 
     @property
+    def program(self) -> Program:
+        return self.trace.program
+
+    @property
     def primary_output(self) -> int:
-        return self.program.outputs[0]
+        return self.trace.program.outputs[0]
+
+    @property
+    def value(self) -> Point:
+        return self.trace.resolved[self.primary_output]
 
 
-def _make(program: Program, tol: Tolerance, collapsed: bool = False) -> ConstructibleValue:
+def _make(program: Program, tol: Tolerance) -> ConstructibleValue:
+    """Resolve a bare witness program; the only place values are executed."""
     if program.seed_count != 2 or len(program.outputs) != 1:
         raise MalformedProgram("a constructible value needs 2 seeds and 1 output")
-    trace = execute(program, CANONICAL_SEEDS, tol)
-    return ConstructibleValue(program, trace.output_points()[0], collapsed)
+    return ConstructibleValue(compact(execute(program, CANONICAL_SEEDS, tol)))
+
+
+def _finish(builder: Builder, out: int) -> ConstructibleValue:
+    return ConstructibleValue(compact(builder.finish([out])[1]))
 
 
 def value_from_program(program: Program,
                        tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    """Wrap a two-seed witness, executing it on the canonical seeds."""
+    """Wrap a two-seed witness, executing it on the canonical seeds and
+    keeping its live steps only."""
     return _make(program, tol)
 
 
@@ -75,8 +105,7 @@ def alpha(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
     m1 = b.inline(extend_program(), (1, 0))[0]
     big = b.circle(m1, 1)
     small = b.circle(1, 0)
-    out = b.pick(big, small, Selector.LEFT)
-    return _make(b.finish([out])[0], tol)
+    return _finish(b, b.pick(big, small, Selector.LEFT))
 
 
 def mul(a: ConstructibleValue, b: ConstructibleValue,
@@ -87,9 +116,10 @@ def mul(a: ConstructibleValue, b: ConstructibleValue,
     short-circuits to the zero seed and is flagged.
     """
     if math.hypot(a.value.x, a.value.y) <= tol.eps_degenerate:
-        return _make(empty_program(2, (0,)), tol, collapsed=True)
-    program = rebase(a.program, b.program, (0, a.primary_output))
-    return _make(program, tol)
+        return ConstructibleValue(zero(tol).trace, collapsed=True)
+    builder = Builder.resume(a.trace, tol)
+    out = builder.inline(b.program, (0, a.primary_output))[0]
+    return _finish(builder, out)
 
 
 def neg(a: ConstructibleValue, tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
@@ -101,30 +131,27 @@ def add(a: ConstructibleValue, b: ConstructibleValue,
         tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
     """a + b by the double replay: build 2, replay a's witness on (1, 2)
     to construct a + 1, then replay b's witness on (a, a + 1)."""
-    host = rebase(a.program, extend_program(), (0, 1))  # appends 2 = 2*1 - 0
-    two_node = host.outputs[0]
-    host = rebase(Program(2, host.steps, (a.primary_output,)), a.program,
-                  (1, two_node))
-    a_plus_1 = host.outputs[0]
-    program = rebase(host, b.program, (a.primary_output, a_plus_1))
-    return _make(program, tol)
+    builder = Builder.resume(a.trace, tol)
+    two = builder.inline(extend_program(), (0, 1))[0]  # 2 = 2*1 - 0
+    a_plus_1 = builder.inline(a.program, (1, two))[0]
+    out = builder.inline(b.program, (a.primary_output, a_plus_1))[0]
+    return _finish(builder, out)
 
 
 def conj(a: ConstructibleValue, tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
     """Complex conjugate: cut the circles centered 0 and 1 through a and
     take the point that is not a. On the real axis the circles are tangent
     at a and the value is its own conjugate; at 0 and 1 the circles would
-    degenerate, so those fixed points are returned as-is."""
+    degenerate, so those fixed points return ``a`` itself."""
     eps = tol.eps_degenerate
     v = a.value
     if math.hypot(v.x, v.y) <= eps or math.hypot(v.x - 1.0, v.y) <= eps:
-        return _make(a.program, tol)
-    b = Builder(CANONICAL_SEEDS, tol)
-    a_node = b.inline(a.program, (0, 1))[0]
-    c0 = b.circle(0, a_node)
-    c1 = b.circle(1, a_node)
-    out = b.pick_other(c0, c1, avoid=a_node)
-    return _make(b.finish([out])[0], tol)
+        return a
+    builder = Builder.resume(a.trace, tol)
+    a_node = a.primary_output
+    c0 = builder.circle(0, a_node)
+    c1 = builder.circle(1, a_node)
+    return _finish(builder, builder.pick_other(c0, c1, avoid=a_node))
 
 
 def demo_half(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:

@@ -39,8 +39,9 @@ class Tolerance:
     eps_degenerate: float = 1e-12
 
     def __post_init__(self):
-        if not (self.eps_abs > 0 and self.eps_degenerate > 0):
-            raise ValueError("tolerances must be positive")
+        for eps in (self.eps_abs, self.eps_degenerate):
+            if not (eps > 0 and math.isfinite(eps)):
+                raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -254,6 +254,59 @@ def swap_selectors(program: Program) -> Program:
     return Program(program.seed_count, steps, program.outputs)
 
 
+def compact(trace: Trace) -> Trace:
+    """Drop every step that is neither a seed nor an ancestor of an output.
+
+    Kept steps stay in their order and resolve from the same operands, so
+    their resolved values carry over as they are and nothing is executed
+    again.
+    """
+    program = trace.program
+    steps = program.steps
+    keep = [i < program.seed_count for i in range(len(steps))]
+    for out in program.outputs:
+        keep[out] = True
+    for i in range(len(steps) - 1, program.seed_count - 1, -1):
+        if keep[i]:
+            step = steps[i]
+            if isinstance(step, CircleStep):
+                keep[step.center] = keep[step.through] = True
+            else:
+                keep[step.c1] = keep[step.c2] = True
+    if all(keep):
+        return trace
+    compacted, kept = _restrict(program, keep, program.seed_count, program.outputs)
+    resolved = trace.resolved
+    return Trace(compacted, trace.seed_values, tuple(resolved[i] for i in kept),
+                 compacted.circle_count())
+
+
+def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
+              outputs: Sequence[int]) -> tuple[Program, list[int]]:
+    """The steps marked in ``keep``, in order and with references renumbered,
+    as a program over the first ``seed_count`` seeds; also the old index of
+    each kept step. Every reference of a kept step must itself be kept."""
+    remap = [-1] * len(program.steps)
+    kept: list[int] = []
+    new_steps: list[Step] = []
+    for i, step in enumerate(program.steps):
+        if not keep[i]:
+            continue
+        if isinstance(step, CircleStep):
+            center, through = remap[step.center], remap[step.through]
+            if center != step.center or through != step.through:
+                step = CircleStep(center, through)
+        elif isinstance(step, PickStep):
+            c1, c2 = remap[step.c1], remap[step.c2]
+            if c1 != step.c1 or c2 != step.c2:
+                step = PickStep(c1, c2, step.which)
+        remap[i] = len(new_steps)
+        kept.append(i)
+        new_steps.append(step)
+    return (Program(seed_count, tuple(new_steps), tuple(remap[o] for o in outputs)),
+            kept)
+
+
 def ancestors(program: Program, node: int) -> set[int]:
     """All nodes the given node depends on, itself included."""
     if not 0 <= node < len(program.steps):
@@ -288,18 +341,8 @@ def slice_to_pair_basis(program: Program, node: int) -> Program:
             f"node {node} depends on seeds {sorted(used_slots)}, not just 0 and 1")
     if program.seed_count < 2:
         raise InvalidNodeId("pair-basis slice needs a program with at least 2 seeds")
-    remap = {0: 0, 1: 1}
-    steps: list[Step] = [Seed(0), Seed(1)]
-    for i in range(program.seed_count, len(program.steps)):
-        if i not in need:
-            continue
-        step = program.steps[i]
-        if isinstance(step, CircleStep):
-            steps.append(CircleStep(remap[step.center], remap[step.through]))
-        else:
-            steps.append(PickStep(remap[step.c1], remap[step.c2], step.which))
-        remap[i] = len(steps) - 1
-    return Program(2, tuple(steps), (remap[node],))
+    keep = [i < 2 or i in need for i in range(len(program.steps))]
+    return _restrict(program, keep, 2, (node,))[0]
 
 
 def similarity_transport_check(program: Program, seeds: Sequence[Point],
@@ -375,6 +418,10 @@ class Builder:
     Drawing the same (center, through) node pair twice reuses the existing
     circle node, which is what keeps e.g. the segment-bisection figure at
     its canonical circle count.
+
+    ``Builder.resume`` continues from a finished trace: its steps and
+    resolved values are taken over as they are, so growing a program
+    further never resolves the existing steps again.
     """
 
     def __init__(self, seeds: Sequence[Point], tol: Tolerance = DEFAULT_TOL):
@@ -389,6 +436,21 @@ class Builder:
             self._steps.append(Seed(i))
             self._values.append(p)
         self.seed_count = len(self._steps)
+
+    @classmethod
+    def resume(cls, trace: Trace, tol: Tolerance = DEFAULT_TOL) -> "Builder":
+        """A builder holding ``trace``'s program and resolved values."""
+        builder = cls(trace.seed_values, tol)
+        steps = trace.program.steps
+        builder._steps[:] = steps
+        builder._values[:] = trace.resolved
+        cache = builder._circle_cache
+        for i in range(builder.seed_count, len(steps)):
+            step = steps[i]
+            if isinstance(step, CircleStep):
+                cache.setdefault((step.center, step.through), i)
+        builder._circle_count = trace.circle_count
+        return builder
 
     def __len__(self) -> int:
         return len(self._steps)

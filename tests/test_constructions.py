@@ -188,15 +188,32 @@ def test_invert_general_examples():
     close(invert_general(UNIT, Point(1, 0)), 1.0, 0.0)
     with pytest.raises(CenterInversion):
         invert_general(UNIT, Point(1e-15, 0))
+    with pytest.raises(ScaleOverflow):  # ratio 10**7 + 2 is beyond MAX_SCALE
+        invert_general(UNIT, Point(1e-7, 0))
 
 
 def test_invert_interior_ratio_rule():
-    # dist 0.5 in the unit circle: ratio floor(1/0.5) + 2 = 4
+    # dist 0.5 in the unit circle: ratio floor(1/0.5) + 2 = 4 = 2**2
     b = Builder([Point(0, 0), Point(1, 0), Point(0.5, 0)])
     cons.build_invert_general(b, 0, 1, 2)
     program, _ = b.finish([])
-    # 2 * (4 - 1) reflections plus the exterior core
-    assert program.circle_count() == 2 * 3 * 4 + 25
+    # 2 doublings out and 2 back, 4 circles each, plus the exterior core
+    assert program.circle_count() == 2 * 2 * 4 + 25
+
+
+@pytest.mark.parametrize("ratio, budget", [(1e-3, 105), (1e-4, 137), (1e-6, 185)])
+def test_invert_interior_log_budget(ratio, budget):
+    b = Builder([Point(0, 0), Point(1, 0), Point(ratio, 0)])
+    node = cons.build_invert_general(b, 0, 1, 2)
+    program, _ = b.finish([node])
+    assert program.circle_count() <= budget
+
+
+def test_invert_interior_deep_precision():
+    b = Builder([Point(0, 0), Point(1, 0), Point(1e-6, 0)])
+    got = b.point(cons.build_invert_general(b, 0, 1, 2))
+    want = oracle_invert(ResolvedCircle(Point(0, 0), 1.0), Point(1e-6, 0))
+    assert math.hypot(got.x - want.x, got.y - want.y) <= 1e-14 * want.x
 
 
 def test_inversion_involution():

@@ -11,7 +11,7 @@ from compass.oracle import (
     oracle_complex_conj,
     oracle_complex_mul,
 )
-from compass.program import execute, purity_audit
+from compass.program import ancestors, execute, purity_audit
 
 SQRT15_4 = math.sqrt(15.0) / 4.0
 
@@ -72,8 +72,9 @@ def test_conj_examples():
 
 def test_conj_near_seeds_short_circuits():
     # conjugating 0 or 1 would degenerate the circles; fixed points return as-is
-    assert F.conj(F.zero()).value == Point(0.0, 0.0)
-    assert F.conj(F.one()).value == Point(1.0, 0.0)
+    zero, one = F.zero(), F.one()
+    assert F.conj(zero) is zero
+    assert F.conj(one) is one
 
 
 def test_demo_half():
@@ -145,3 +146,38 @@ def test_random_values_match_complex_oracle():
         got = F.conj(a).value
         want = oracle_complex_conj(a.value)
         assert math.hypot(got.x - want.x, got.y - want.y) <= 1e-6
+
+
+def _assert_live_only(v):
+    live = ancestors(v.program, v.primary_output) | set(range(v.program.seed_count))
+    assert live == set(range(len(v.program.steps)))
+
+
+def test_witnesses_hold_live_steps_only():
+    a = F.alpha()
+    for v in (F.add(a, F.one()), F.mul(a, a), F.conj(a), F.neg(a), F.demo_half()):
+        _assert_live_only(v)
+
+
+def test_add_chain_witness_budgets():
+    one = F.one()
+    v = one
+    for _ in range(9):
+        v = F.add(v, one)
+        _assert_live_only(v)
+    assert len(v.program.steps) <= 65
+    assert v.value == Point(10.0, 0.0)
+    v = one
+    for _ in range(6):
+        v = F.add(v, v)
+        _assert_live_only(v)
+    assert len(v.program.steps) <= 2308
+
+
+def test_carried_value_is_the_executed_witness():
+    from compass.geom import DEFAULT_TOL
+    pool = _ValuePool(DEFAULT_TOL)
+    rng = SplitMix64(37)
+    for _ in range(60):
+        v = pool.draw(rng, 2)
+        assert v.value == execute(v.program, F.CANONICAL_SEEDS).output_points()[0]
