@@ -4,6 +4,12 @@ The one physical operation of the whole engine lives here: intersecting two
 circles. Everything else in the package reduces to it. Radii are never free
 numbers; a circle is always resolved from a center point and a through
 point, which is what makes the layer above compass-only by construction.
+
+This module holds the only copy of the circle and intersection arithmetic:
+``circle_from`` resolves a circle and ``cut`` intersects two circles given
+as bare floats. ``circle_circle_intersect`` wraps ``cut`` in outcome objects
+for callers that want to inspect an intersection; the step kernel in
+``program`` calls ``cut`` directly and builds only the point it keeps.
 """
 
 from __future__ import annotations
@@ -106,55 +112,96 @@ def orientation_sign(a: Point, b: Point, c: Point, tol: Tolerance = DEFAULT_TOL)
 
 def circle_from(center: Point, through: Point, tol: Tolerance = DEFAULT_TOL) -> ResolvedCircle:
     """Resolve a compass circle from its center and a point it passes through."""
-    r = distance(center, through)
+    cx, cy, tx, ty = center.x, center.y, through.x, through.y
+    if not (math.isfinite(cx) and math.isfinite(cy)
+            and math.isfinite(tx) and math.isfinite(ty)):
+        raise NonFiniteInput(f"non-finite coordinate in {center} / {through}")
+    r = math.hypot(tx - cx, ty - cy)
     if r <= tol.eps_degenerate:
         raise DegenerateCircle(
             f"circle through its own center: {center} / {through}")
     return ResolvedCircle(center, r)
 
 
-def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle,
-                            tol: Tolerance = DEFAULT_TOL) -> IntersectionOutcome:
-    """Intersect two circles.
+# ``cut`` results other than points
+CUT_NONE = "none"
+CUT_COINCIDENT = "coincident"
+
+
+def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float,
+        eps: float):
+    """Intersect the circle (x1, y1; r1) with the circle (x2, y2; r2).
+
+    Returns ``CUT_NONE`` when the circles do not meet (concentric circles
+    included), ``CUT_COINCIDENT`` for two copies of one circle, ``(x, y)``
+    for a tangency, and otherwise ``(mx, my, h*uy, h*ux)``: the foot of the
+    chord on the center axis and the half-chord h times the axis direction
+    (ux, uy), so that
+
+        left  = (mx - h*uy, my + h*ux)
+        right = (mx + h*uy, my - h*ux)
+
+    ``left`` is the point p with cross(c2 - c1, p - c1) > 0.
 
     Uses the radical-line form: project the crossing point onto the center
     axis, then solve for the perpendicular half-chord. This stays stable
     near tangency, where the naive simultaneous quadratics lose digits.
+    Tangency is declared when the center distance sits within ``eps`` of
+    r1 + r2 (external) or |r1 - r2| (internal); the tangent point satisfies
+    both selectors.
 
-    Classification: tangency is declared when the center distance sits
-    within eps_degenerate of r1 + r2 (external) or |r1 - r2| (internal);
-    the tangent point is reported once and satisfies both selectors
-    downstream.
+    Plain arithmetic only: the inputs are taken as finite with radii above
+    ``eps``, and the callers check that the point they keep is finite.
     """
-    _require_finite(c1.center, c2.center)
-    eps = tol.eps_degenerate
-    if c1.radius <= eps or c2.radius <= eps:
-        raise DegenerateCircle("intersection of a degenerate circle")
-
-    dx = c2.center.x - c1.center.x
-    dy = c2.center.y - c1.center.y
+    dx = x2 - x1
+    dy = y2 - y1
     d = math.hypot(dx, dy)
 
     if d <= eps:
-        if abs(c1.radius - c2.radius) <= eps:
-            return Coincident()
-        return NoIntersection()  # concentric
+        if abs(r1 - r2) <= eps:
+            return CUT_COINCIDENT
+        return CUT_NONE  # concentric
 
-    outer = d - (c1.radius + c2.radius)
-    inner = d - abs(c1.radius - c2.radius)
+    outer = d - (r1 + r2)
+    inner = d - abs(r1 - r2)
     if abs(outer) <= eps or abs(inner) <= eps:
         # Tangent: the touch point lies on the center axis.
-        a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
-        return Tangent(Point(c1.center.x + a * dx / d, c1.center.y + a * dy / d))
+        a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+        return (x1 + a * dx / d, y1 + a * dy / d)
     if outer > 0.0 or inner < 0.0:
-        return NoIntersection()
+        return CUT_NONE
 
-    a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
-    h = math.sqrt(max(c1.radius * c1.radius - a * a, 0.0))
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
     ux, uy = dx / d, dy / d
-    mx = c1.center.x + a * ux
-    my = c1.center.y + a * uy
     # +90 degree normal of (ux, uy) is (-uy, ux); that side is "left".
-    left = Point(mx - h * uy, my + h * ux)
-    right = Point(mx + h * uy, my - h * ux)
+    return (x1 + a * ux, y1 + a * uy, h * uy, h * ux)
+
+
+def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle,
+                            tol: Tolerance = DEFAULT_TOL) -> IntersectionOutcome:
+    """Intersect two circles and wrap the result of ``cut`` in an outcome.
+
+    Checks what ``cut`` takes for granted: finite centers, radii above
+    eps_degenerate, and finite intersection points (``NonFiniteInput`` when
+    the arithmetic overflows). A tangency is reported once as ``Tangent``.
+    """
+    o1, o2 = c1.center, c2.center
+    _require_finite(o1, o2)
+    eps = tol.eps_degenerate
+    if c1.radius <= eps or c2.radius <= eps:
+        raise DegenerateCircle("intersection of a degenerate circle")
+    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
+    if got == CUT_NONE:
+        return NoIntersection()
+    if got == CUT_COINCIDENT:
+        return Coincident()
+    if len(got) == 2:
+        point = Point(*got)
+        _require_finite(point)
+        return Tangent(point)
+    mx, my, hy, hx = got
+    left = Point(mx - hy, my + hx)
+    right = Point(mx + hy, my - hx)
+    _require_finite(left, right)
     return TwoPoints(left, right)

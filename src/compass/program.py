@@ -13,6 +13,16 @@ intersection point p with orientation_sign(center1, center2, p) >= 0.
 Orientation is preserved by every orientation-preserving similarity, which
 is exactly what makes rewired programs land on the similarity image of
 their original outputs.
+
+Every step is resolved by one kernel. ``Builder._resolve`` is the only step
+loop: ``Builder.inline`` runs it on rewired guest steps, and ``execute``
+runs it on a fresh builder with the program's steps kept as they are.
+``Builder.circle`` and the loop draw circles with ``geom.circle_from``;
+``Builder.pick``, ``both``, ``pick_other`` and the loop cut circles with
+``geom.cut`` on bare floats and build only the points they keep. The
+intersection arithmetic itself lives in ``geom`` alone; the outcome objects
+of ``circle_circle_intersect`` serve only ``Builder.outcome_of``, a peek
+that appends nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from typing import Sequence, Union
 
 from .errors import (
     CoincidentCircles,
+    CompassError,
     DegenerateCircle,
     InvalidNodeId,
     MalformedProgram,
@@ -32,16 +43,14 @@ from .errors import (
     NonFiniteInput,
 )
 from .geom import (
+    CUT_COINCIDENT,
     DEFAULT_TOL,
-    Coincident,
-    NoIntersection,
     Point,
     ResolvedCircle,
-    Tangent,
     Tolerance,
-    TwoPoints,
     circle_circle_intersect,
     circle_from,
+    cut,
 )
 
 
@@ -51,6 +60,11 @@ class Selector(enum.Enum):
 
     def other(self) -> "Selector":
         return Selector.RIGHT if self is Selector.LEFT else Selector.LEFT
+
+
+# A module-level name for the kernel: looking an enum member up through its
+# class costs several times the rest of a selector test.
+_LEFT = Selector.LEFT
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,51 +171,63 @@ def execute(program: Program, seeds: Sequence[Point],
             tol: Tolerance = DEFAULT_TOL) -> Trace:
     """Run a program on concrete seed points, resolving every node in order.
 
-    Execution is a pure function of its arguments; identical inputs give
-    bit-identical traces.
+    This is the step loop of ``Builder.inline`` run on a fresh builder with
+    every step kept as it is (no circle sharing), so the trace has one
+    resolved value per program step. Execution is a pure function of its
+    arguments; identical inputs give bit-identical traces.
     """
     if len(seeds) != program.seed_count:
         raise MalformedProgram(
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
-    for p in seeds:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise NonFiniteInput(f"non-finite seed {p}")
-
-    resolved: list[Point | ResolvedCircle] = []
-    circles = 0
-    for i, step in enumerate(program.steps):
-        if isinstance(step, Seed):
-            if i != step.slot or i >= program.seed_count:
-                raise MalformedProgram(f"step {i}: misplaced seed")
-            resolved.append(seeds[step.slot])
-        elif isinstance(step, CircleStep):
-            center = resolved[step.center]
-            through = resolved[step.through]
-            if not (isinstance(center, Point) and isinstance(through, Point)):
-                raise MalformedProgram(f"step {i}: circle over non-point nodes")
-            resolved.append(circle_from(center, through, tol))
-            circles += 1
-        elif isinstance(step, PickStep):
-            c1 = resolved[step.c1]
-            c2 = resolved[step.c2]
-            if not (isinstance(c1, ResolvedCircle) and isinstance(c2, ResolvedCircle)):
-                raise MalformedProgram(f"step {i}: pick over non-circle nodes")
-            resolved.append(_select(circle_circle_intersect(c1, c2, tol), step.which, i))
-        else:
-            raise MalformedProgram(f"step {i}: unknown step kind {step!r}")
-    return Trace(program, tuple(seeds), tuple(resolved), circles)
+    b = Builder(seeds, tol)
+    b._resolve(program, list(range(program.seed_count)), None)
+    return Trace(program, tuple(seeds), tuple(b._values), b._circle_count)
 
 
-def _select(outcome, which: Selector, at_step: int) -> Point:
-    if isinstance(outcome, TwoPoints):
-        return outcome.left if which is Selector.LEFT else outcome.right
-    if isinstance(outcome, Tangent):
-        return outcome.point  # a tangency satisfies both selectors
-    if isinstance(outcome, NoIntersection):
-        raise NoSuchIntersection(f"step {at_step}: circles do not meet")
-    if isinstance(outcome, Coincident):
-        raise CoincidentCircles(f"step {at_step}: pick on coincident circles")
-    raise MalformedProgram(f"step {at_step}: unknown outcome {outcome!r}")
+def _cut(c1: ResolvedCircle, c2: ResolvedCircle, eps: float, at: int):
+    """``geom.cut`` of two resolved circles for the pick at step ``at``;
+    raises when there is no point to pick."""
+    o1 = c1.center
+    o2 = c2.center
+    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
+    if type(got) is str:
+        raise _no_point(got, at)
+    return got
+
+
+def _no_point(got: str, at: int) -> CompassError:
+    if got == CUT_COINCIDENT:
+        return CoincidentCircles(f"step {at}: pick on coincident circles")
+    return NoSuchIntersection(f"step {at}: circles do not meet")
+
+
+def _point(x: float, y: float, at: int) -> Point:
+    if math.isfinite(x) and math.isfinite(y):
+        return Point(x, y)
+    raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
+
+
+def _pick(c1: ResolvedCircle, c2: ResolvedCircle, which: Selector, eps: float,
+          at: int) -> Point:
+    """The step kernel's pick: the selected intersection point of two circles,
+    the only object it builds. A tangency satisfies both selectors. This is
+    ``_point`` of ``_cut``, written out because every pick runs it."""
+    o1 = c1.center
+    o2 = c2.center
+    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
+    if type(got) is str:
+        raise _no_point(got, at)
+    if len(got) == 2:
+        x, y = got
+    elif which is _LEFT:
+        mx, my, hy, hx = got
+        x, y = mx - hy, my + hx
+    else:
+        mx, my, hy, hx = got
+        x, y = mx + hy, my - hx
+    if math.isfinite(x) and math.isfinite(y):
+        return Point(x, y)
+    return _point(x, y, at)
 
 
 def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
@@ -419,6 +445,12 @@ class Builder:
     circle node, which is what keeps e.g. the segment-bisection figure at
     its canonical circle count.
 
+    Every resolving method goes through the module's step kernel (see the
+    module docstring), so a step gives the same bits whether it is appended
+    by a method, inlined from a program or replayed by ``execute``. Node
+    arguments outside the builder raise ``InvalidNodeId``; a failing call
+    appends nothing, and a failing ``inline`` keeps the steps it completed.
+
     ``Builder.resume`` continues from a finished trace: its steps and
     resolved values are taken over as they are, so growing a program
     further never resolves the existing steps again.
@@ -456,12 +488,16 @@ class Builder:
         return len(self._steps)
 
     def point(self, node: int) -> Point:
+        if not 0 <= node < len(self._values):
+            raise InvalidNodeId(f"node {node} outside the builder")
         value = self._values[node]
         if not isinstance(value, Point):
             raise MalformedProgram(f"node {node} is not a point")
         return value
 
     def circle_value(self, node: int) -> ResolvedCircle:
+        if not 0 <= node < len(self._values):
+            raise InvalidNodeId(f"node {node} outside the builder")
         value = self._values[node]
         if not isinstance(value, ResolvedCircle):
             raise MalformedProgram(f"node {node} is not a circle")
@@ -491,15 +527,21 @@ class Builder:
         return len(self._steps) - 1
 
     def pick(self, c1: int, c2: int, which: Selector) -> int:
-        outcome = self.outcome_of(c1, c2)
-        value = _select(outcome, which, len(self._steps))
+        value = _pick(self.circle_value(c1), self.circle_value(c2), which,
+                      self.tol.eps_degenerate, len(self._values))
         return self._append_pick(c1, c2, which, value)
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a tangency yields the same point twice."""
-        outcome = self.outcome_of(c1, c2)
-        left = _select(outcome, Selector.LEFT, len(self._steps))
-        right = _select(outcome, Selector.RIGHT, len(self._steps))
+        at = len(self._values)
+        got = _cut(self.circle_value(c1), self.circle_value(c2),
+                   self.tol.eps_degenerate, at)
+        if len(got) == 2:
+            left = right = _point(got[0], got[1], at)
+        else:
+            mx, my, hy, hx = got
+            left = _point(mx - hy, my + hx, at)
+            right = _point(mx + hy, my - hx, at + 1)
         return (self._append_pick(c1, c2, Selector.LEFT, left),
                 self._append_pick(c1, c2, Selector.RIGHT, right))
 
@@ -509,16 +551,17 @@ class Builder:
         On tangency there is only one point and it is returned regardless,
         per the both-selectors rule.
         """
-        outcome = self.outcome_of(c1, c2)
+        circle1, circle2 = self.circle_value(c1), self.circle_value(c2)
         a = self.point(avoid)
-        if isinstance(outcome, TwoPoints):
-            d_left = math.hypot(outcome.left.x - a.x, outcome.left.y - a.y)
-            d_right = math.hypot(outcome.right.x - a.x, outcome.right.y - a.y)
-            which = Selector.LEFT if d_left >= d_right else Selector.RIGHT
-            value = outcome.left if which is Selector.LEFT else outcome.right
-            return self._append_pick(c1, c2, which, value)
-        value = _select(outcome, Selector.LEFT, len(self._steps))
-        return self._append_pick(c1, c2, Selector.LEFT, value)
+        at = len(self._values)
+        got = _cut(circle1, circle2, self.tol.eps_degenerate, at)
+        if len(got) == 2:
+            return self._append_pick(c1, c2, Selector.LEFT, _point(got[0], got[1], at))
+        mx, my, hy, hx = got
+        lx, ly, rx, ry = mx - hy, my + hx, mx + hy, my - hx
+        if math.hypot(lx - a.x, ly - a.y) >= math.hypot(rx - a.x, ry - a.y):
+            return self._append_pick(c1, c2, Selector.LEFT, _point(lx, ly, at))
+        return self._append_pick(c1, c2, Selector.RIGHT, _point(rx, ry, at))
 
     def inline(self, guest: Program, seed_map: Sequence[int]) -> tuple[int, ...]:
         """Append a program's non-seed steps, rewiring its seeds onto existing
@@ -526,19 +569,76 @@ class Builder:
         if len(seed_map) != guest.seed_count:
             raise InvalidNodeId(
                 f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
-        mapping: dict[int, int] = {}
-        for i, step in enumerate(guest.steps):
-            if isinstance(step, Seed):
-                node = seed_map[step.slot]
-                self.point(node)  # kind + range check
-                mapping[i] = node
-            elif isinstance(step, CircleStep):
-                mapping[i] = self.circle(mapping[step.center], mapping[step.through])
-            elif isinstance(step, PickStep):
-                mapping[i] = self.pick(mapping[step.c1], mapping[step.c2], step.which)
+        for node in seed_map:
+            self.point(node)
+        return self._resolve(guest, list(seed_map), self._circle_cache)
+
+    def _resolve(self, program: Program, node: list[int],
+                 cache: dict[tuple[int, int], int] | None) -> tuple[int, ...]:
+        """The step loop behind ``inline`` and ``execute``.
+
+        ``node`` holds the builder nodes of ``program``'s seeds and grows to
+        map every program step to its node. Each non-seed step is rewired
+        through it, resolved and appended; with a ``cache``, a circle on the
+        same (center, through) nodes as an existing one is that node. Every
+        reference is checked to point backwards and at a node of the right
+        kind, and every error names the step it happened at.
+        """
+        steps = program.steps
+        count = len(steps)
+        seed_count = program.seed_count
+        for out in program.outputs:
+            if not 0 <= out < count:
+                raise MalformedProgram(f"output {out} outside the {count} steps")
+        for i in range(seed_count):
+            step = steps[i] if i < count else None
+            if type(step) is not Seed or step.slot != i:
+                raise MalformedProgram(
+                    f"step {i}: expected Seed(slot={i}) before all other steps")
+        values = self._values
+        record = self._steps.append
+        keep = values.append
+        mapped = node.append
+        tol = self.tol
+        eps = tol.eps_degenerate
+        for i in range(seed_count, count):
+            step = steps[i]
+            kind = type(step)
+            at = len(values)
+            if kind is PickStep:
+                c1, c2 = step.c1, step.c2
+                if not (0 <= c1 < i and 0 <= c2 < i):
+                    raise MalformedProgram(f"step {i}: reference outside [0, {i})")
+                n1, n2 = node[c1], node[c2]
+                v1, v2 = values[n1], values[n2]
+                if type(v1) is not ResolvedCircle or type(v2) is not ResolvedCircle:
+                    raise MalformedProgram(f"step {at}: pick over non-circle nodes")
+                keep(_pick(v1, v2, step.which, eps, at))
+                record(step if n1 == c1 and n2 == c2 else PickStep(n1, n2, step.which))
+            elif kind is CircleStep:
+                c, t = step.center, step.through
+                if not (0 <= c < i and 0 <= t < i):
+                    raise MalformedProgram(f"step {i}: reference outside [0, {i})")
+                nc, nt = node[c], node[t]
+                if cache is not None:
+                    hit = cache.get((nc, nt))
+                    if hit is not None:
+                        mapped(hit)
+                        continue
+                center, through = values[nc], values[nt]
+                if type(center) is not Point or type(through) is not Point:
+                    raise MalformedProgram(f"step {at}: circle over non-point nodes")
+                keep(circle_from(center, through, tol))
+                record(step if nc == c and nt == t else CircleStep(nc, nt))
+                if cache is not None:
+                    cache[(nc, nt)] = at
+                self._circle_count += 1
+            elif kind is Seed:
+                raise MalformedProgram(f"step {i}: misplaced seed")
             else:
-                raise MalformedProgram(f"guest step {i}: unknown step kind {step!r}")
-        return tuple(mapping[o] for o in guest.outputs)
+                raise MalformedProgram(f"step {i}: unknown step kind {step!r}")
+            mapped(at)
+        return tuple(node[out] for out in program.outputs)
 
     def mark(self) -> tuple[int, int]:
         """Checkpoint for speculative building (see ``rollback``)."""

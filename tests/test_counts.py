@@ -1,0 +1,64 @@
+"""Exact step budgets: (steps, circles, picks) of the canonical programs and
+of every demo. The counts are deterministic and hardware-independent, so a
+change that alters any construction's program fails here. A change that
+lowers a count re-pins it at the new value."""
+
+import pytest
+
+from compass import dsl
+from compass.constructions import (
+    apex_program,
+    extend_program,
+    midpoint_program,
+    nth_point_program,
+)
+from compass.demos import DEMOS
+from compass.program import Selector
+
+
+def counts(program):
+    return len(program.steps), program.circle_count(), program.pick_count()
+
+
+CANONICAL = {
+    "apex-left": (lambda: apex_program(Selector.LEFT), (5, 2, 1)),
+    "apex-right": (lambda: apex_program(Selector.RIGHT), (5, 2, 1)),
+    "extend": (extend_program, (9, 4, 3)),
+    "midpoint": (midpoint_program, (15, 7, 6)),
+    "nth-1": (lambda: nth_point_program(1), (2, 0, 0)),
+    "nth-2": (lambda: nth_point_program(2), (9, 4, 3)),
+    "nth-3": (lambda: nth_point_program(3), (16, 8, 6)),
+    "nth-4": (lambda: nth_point_program(4), (23, 12, 9)),
+    "nth-5": (lambda: nth_point_program(5), (30, 16, 12)),
+    "nth-6": (lambda: nth_point_program(6), (37, 20, 15)),
+    "nth-7": (lambda: nth_point_program(7), (44, 24, 18)),
+    "nth-8": (lambda: nth_point_program(8), (51, 28, 21)),
+}
+
+DEMO_COUNTS = {
+    "add": (9, 4, 3),
+    "conjugate": (24, 12, 10),
+    "extend": (14, 6, 6),
+    "half": (56, 30, 24),
+    "invert": (49, 25, 21),
+    "line-circle": (123, 65, 54),
+    "line-circle-diameter": (294, 159, 132),
+    "line-line": (341, 186, 151),
+    "midpoint": (15, 7, 6),
+    "mul": (21, 10, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_program_counts(name):
+    make, expected = CANONICAL[name]
+    assert counts(make()) == expected
+
+
+def test_every_demo_is_pinned():
+    assert set(DEMO_COUNTS) == set(DEMOS)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_COUNTS))
+def test_demo_counts(name):
+    assert counts(dsl.run_source(DEMOS[name]).trace.program) == DEMO_COUNTS[name]

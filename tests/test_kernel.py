@@ -1,0 +1,272 @@
+"""The step kernel: ``execute`` and every ``Builder`` resolving method must
+agree bit for bit with ``circle_circle_intersect`` and with each other, and
+must reject bad node references with typed errors."""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from compass import dsl
+from compass.constructions import (
+    apex_program,
+    build_apex,
+    build_midpoint,
+    build_nth_point,
+    extend_program,
+    midpoint_program,
+    nth_point_program,
+)
+from compass.demos import DEMOS
+from compass.errors import (
+    CoincidentCircles,
+    CompassError,
+    InvalidNodeId,
+    MalformedProgram,
+    NoSuchIntersection,
+    NonFiniteInput,
+)
+from compass.geom import (
+    Coincident,
+    NoIntersection,
+    Point,
+    Tangent,
+    TwoPoints,
+    circle_circle_intersect,
+    circle_from,
+)
+from compass.program import (
+    Builder,
+    CircleStep,
+    PickStep,
+    Program,
+    Seed,
+    Selector,
+    execute,
+)
+
+O = Point(0.0, 0.0)
+U = Point(1.0, 0.0)
+LEFT, RIGHT = Selector.LEFT, Selector.RIGHT
+
+# seeds whose cut overflows: the center distance squared is not finite
+FAR = (Point(-1e200, 0.0), Point(1e200, 0.0))
+
+
+# --- node references ----------------------------------------------------------
+
+@pytest.mark.parametrize("steps, outputs", [
+    ((Seed(0), Seed(1), CircleStep(0, -1)), ()),           # negative reference
+    ((Seed(0), Seed(1), CircleStep(0, 2)), ()),            # reference to itself
+    ((Seed(0), Seed(1), CircleStep(0, 3), CircleStep(1, 0)), ()),  # forward
+    ((Seed(0), Seed(1), CircleStep(0, 1), CircleStep(1, 0),
+      PickStep(2, -1, LEFT)), ()),
+    ((Seed(0), Seed(1), CircleStep(0, 1), CircleStep(1, 0),
+      PickStep(2, 5, LEFT)), ()),
+    ((Seed(0), Seed(1)), (2,)),                              # output past the end
+    ((Seed(0), Seed(1)), (-1,)),
+    ((Seed(0), CircleStep(0, 0)), ()),                       # missing seed
+    ((Seed(0), Seed(1), CircleStep(0, 1), Seed(1)), ()),     # misplaced seed
+])
+def test_execute_rejects_bad_references(steps, outputs):
+    program = Program(2, steps, outputs)
+    with pytest.raises(MalformedProgram):
+        program.validate()
+    with pytest.raises(MalformedProgram):
+        execute(program, (O, U))
+    with pytest.raises(MalformedProgram):
+        Builder([O, U]).inline(program, (0, 1))
+
+
+def test_builder_rejects_nodes_outside_it():
+    b = Builder([O, U])
+    c = b.circle(0, 1)
+    for bad in (-1, 7):
+        with pytest.raises(InvalidNodeId):
+            b.point(bad)
+        with pytest.raises(InvalidNodeId):
+            b.circle_value(bad)
+        with pytest.raises(InvalidNodeId):
+            b.circle(0, bad)
+        with pytest.raises(InvalidNodeId):
+            b.pick(c, bad, LEFT)
+        with pytest.raises(InvalidNodeId):
+            b.both(bad, c)
+        with pytest.raises(InvalidNodeId):
+            b.pick_other(c, b.circle(1, 0), avoid=bad)
+        with pytest.raises(InvalidNodeId):
+            b.inline(extend_program(), (0, bad))
+    # nothing was appended by the failed calls
+    assert len(b) == 4
+    assert b.finish([])[0].steps == (Seed(0), Seed(1), CircleStep(0, 1),
+                                     CircleStep(1, 0))
+
+
+def test_inline_failure_leaves_completed_steps():
+    # the guest's second pick cuts the unit circle with itself, drawn through
+    # the apex; the steps before it stay, counted, as they did when each step
+    # was appended on its own
+    guest = Program(2, (Seed(0), Seed(1), CircleStep(0, 1), CircleStep(1, 0),
+                        PickStep(2, 3, LEFT), CircleStep(0, 4),
+                        PickStep(2, 5, LEFT)), (6,))
+    b = Builder([O, U])
+    mark = b.mark()
+    with pytest.raises(CoincidentCircles):
+        b.inline(guest, (0, 1))
+    assert b.mark() == (6, 3)
+    b.rollback(mark)
+    assert b.mark() == mark and b.circle(0, 1) == 2
+
+
+# --- overflow -----------------------------------------------------------------
+
+def test_overflowing_pick_raises():
+    b = Builder(list(FAR))
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    with pytest.raises(NonFiniteInput):
+        b.pick(c1, c2, LEFT)
+    with pytest.raises(NonFiniteInput):
+        b.both(c1, c2)
+    with pytest.raises(NonFiniteInput):
+        b.pick_other(c1, c2, avoid=0)
+    with pytest.raises(NonFiniteInput):
+        circle_circle_intersect(b.circle_value(c1), b.circle_value(c2))
+    with pytest.raises(NonFiniteInput):
+        execute(apex_program(LEFT), FAR)
+    assert len(b) == 4
+
+
+# --- parity with circle_circle_intersect ---------------------------------------
+
+coord = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
+radius = st.floats(min_value=0.01, max_value=20)
+
+
+@st.composite
+def circle_pairs(draw):
+    """Seeds (center1, through1, center2, through2) of two circles, drawn
+    from every configuration a cut distinguishes."""
+    x, y, r1 = draw(coord), draw(coord), draw(radius)
+    kind = draw(st.sampled_from(["random", "crossing", "outer", "inner", "nested",
+                                 "concentric", "coincident", "overflow"]))
+    c1, t1 = Point(x, y), Point(x + r1, y)
+    if kind == "random":
+        c2, t2 = Point(draw(coord), draw(coord)), Point(draw(coord), draw(coord))
+    elif kind == "crossing":  # both circles pass through t1
+        c2, t2 = Point(draw(coord), draw(coord)), t1
+    elif kind == "outer":  # touching from outside at t1
+        r2 = draw(radius)
+        c2, t2 = Point(x + r1 + r2, y), t1
+    elif kind == "inner":  # touching from inside at t1
+        c2, t2 = Point(x + r1 * draw(st.floats(0.05, 0.95)), y), t1
+    elif kind == "nested":
+        c2 = Point(x + r1 * 0.1, y)
+        t2 = Point(c2.x, y + r1 * draw(st.floats(0.05, 0.8)))
+    elif kind == "concentric":
+        c2, t2 = c1, Point(x, y + r1 * draw(st.floats(0.05, 0.95)))
+    elif kind == "coincident":
+        c2, t2 = c1, Point(x - r1, y)
+    else:
+        return FAR + FAR[::-1]
+    if c2 == t2:
+        t2 = Point(t2.x + 1.0, t2.y)
+    return c1, t1, c2, t2
+
+
+def reference(seeds):
+    """What each selector must give, from the outcome objects: a point per
+    selector, or the error class every resolving path must raise."""
+    try:
+        out = circle_circle_intersect(circle_from(seeds[0], seeds[1]),
+                                      circle_from(seeds[2], seeds[3]))
+    except CompassError as err:
+        return type(err)
+    if isinstance(out, TwoPoints):
+        return {LEFT: out.left, RIGHT: out.right}
+    if isinstance(out, Tangent):
+        return {LEFT: out.point, RIGHT: out.point}
+    if isinstance(out, NoIntersection):
+        return NoSuchIntersection
+    assert isinstance(out, Coincident)
+    return CoincidentCircles
+
+
+def resolved(fn):
+    try:
+        return fn()
+    except CompassError as err:
+        return type(err)
+
+
+def builder_with_circles(seeds):
+    b = Builder(list(seeds))
+    return b, b.circle(0, 1), b.circle(2, 3)
+
+
+@given(circle_pairs())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_outcomes_bit_for_bit(seeds):
+    want = reference(seeds)
+
+    def one(which):
+        b, c1, c2 = builder_with_circles(seeds)
+        return b.point(b.pick(c1, c2, which))
+
+    def both():
+        b, c1, c2 = builder_with_circles(seeds)
+        return tuple(b.point(n) for n in b.both(c1, c2))
+
+    def other(avoid):
+        b, c1, c2 = builder_with_circles(seeds)
+        return b.point(b.pick_other(c1, c2, avoid))
+
+    def executed():
+        program = Program(4, (Seed(0), Seed(1), Seed(2), Seed(3), CircleStep(0, 1),
+                              CircleStep(2, 3), PickStep(4, 5, LEFT),
+                              PickStep(4, 5, RIGHT)), (6, 7))
+        return execute(program, seeds).output_points()
+
+    if isinstance(want, type):
+        for got in (resolved(lambda: one(LEFT)), resolved(lambda: one(RIGHT)),
+                    resolved(both), resolved(lambda: other(0)), resolved(executed)):
+            assert got is want
+        return
+    assert one(LEFT) == want[LEFT]
+    assert one(RIGHT) == want[RIGHT]
+    assert both() == (want[LEFT], want[RIGHT])
+    assert executed() == (want[LEFT], want[RIGHT])
+    for avoid in range(4):
+        a = seeds[avoid]
+        far_left = (math.hypot(want[LEFT].x - a.x, want[LEFT].y - a.y)
+                    >= math.hypot(want[RIGHT].x - a.x, want[RIGHT].y - a.y))
+        assert other(avoid) == want[LEFT if far_left else RIGHT]
+
+
+# --- execute reproduces the builder's trace -------------------------------------
+
+def canonical_traces():
+    def built(routine):
+        b = Builder([O, U])
+        return b.finish([routine(b)])
+
+    yield "apex-left", built(lambda b: build_apex(b, 0, 1, LEFT)), apex_program(LEFT)
+    yield "apex-right", built(lambda b: build_apex(b, 0, 1, RIGHT)), apex_program(RIGHT)
+    yield "extend", built(lambda b: b.inline(extend_program(), (0, 1))[0]), extend_program()
+    yield "midpoint", built(lambda b: build_midpoint(b, 0, 1)), midpoint_program()
+    for n in range(1, 9):
+        yield (f"nth-{n}", built(lambda b, n=n: build_nth_point(b, 0, 1, n)),
+               nth_point_program(n))
+
+
+@pytest.mark.parametrize("name, built, canonical", list(canonical_traces()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_execute_equals_builder_trace_canonical(name, built, canonical):
+    program, trace = built
+    assert program == canonical
+    assert execute(program, trace.seed_values) == trace
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_execute_equals_builder_trace_demos(demo):
+    trace = dsl.run_source(DEMOS[demo]).trace
+    assert execute(trace.program, trace.seed_values) == trace
