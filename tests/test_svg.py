@@ -1,9 +1,12 @@
-import math
+import dataclasses
+
+import pytest
 
 from compass.constructions import midpoint_program
 from compass.dsl import run_source
+from compass.errors import MalformedTrace
 from compass.geom import Point
-from compass.program import execute
+from compass.program import CircleStep, PickStep, execute
 from compass.svg import render_trace
 
 
@@ -60,3 +63,18 @@ def test_svg_is_well_formed_enough():
     assert len(circles) == 7
     for c in circles:
         assert float(c.get("r")) > 0
+
+
+@pytest.mark.parametrize("kind, stand_in", [(PickStep, CircleStep),
+                                             (CircleStep, PickStep)])
+def test_resolved_kind_mismatch_raises(kind, stand_in):
+    """A value of the wrong kind is a MalformedTrace, also under -O."""
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    steps = trace.program.steps
+    at = next(i for i, s in enumerate(steps) if type(s) is kind)
+    source = next(i for i, s in enumerate(steps) if type(s) is stand_in)
+    resolved = list(trace.resolved)
+    resolved[at] = resolved[source]
+    bad = dataclasses.replace(trace, resolved=tuple(resolved))
+    with pytest.raises(MalformedTrace, match=rf"^step {at}:"):
+        render_trace(bad)

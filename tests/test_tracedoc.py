@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ from compass.constructions import midpoint_program
 from compass.dsl import run_source
 from compass.errors import MalformedTrace
 from compass.geom import Point
-from compass.program import execute, purity_audit
+from compass.program import PickStep, execute, purity_audit
 
 
 def sample_doc():
@@ -130,3 +131,64 @@ def test_degenerate_circle_in_document():
     doc = tracedoc.loads(doc_text)
     with pytest.raises(MalformedTrace):
         tracedoc.trace_from_document(doc)
+
+
+@pytest.mark.parametrize("text", [
+    '{"version":1,"seeds":[{"id":0,"x":1' + "0" * 400 + ',"y":0}],'
+    '"steps":[],"outputs":[]}',
+    '{"version":1,"seeds":[{"id":0,"x":1' + "0" * 5000 + ',"y":0}],'
+    '"steps":[],"outputs":[]}',
+    "[" * 200000,
+], ids=["integer-beyond-float-range", "integer-beyond-digit-limit",
+        "nested-too-deep"])
+def test_loads_rejects_what_python_cannot_hold(text):
+    with pytest.raises(MalformedTrace):
+        tracedoc.loads(text)
+
+
+def _replace_step(doc, index, **changes):
+    steps = list(doc.steps)
+    steps[index] = dataclasses.replace(steps[index], **changes)
+    return dataclasses.replace(doc, steps=tuple(steps))
+
+
+def _replace_seed(doc, index, **changes):
+    seeds = list(doc.seeds)
+    seeds[index] = dataclasses.replace(seeds[index], **changes)
+    return dataclasses.replace(doc, seeds=tuple(seeds))
+
+
+# The midpoint sample's records: circles at nodes 2 and 3, a pick at 4.
+HAND_BUILT = {
+    "circle-over-circle": (lambda d: _replace_step(d, 1, center=2), 3),
+    "forward-reference": (lambda d: _replace_step(d, 0, center=5), 2),
+    "negative-reference": (lambda d: _replace_step(d, 1, center=-1), 3),
+    "pick-over-point": (lambda d: _replace_step(d, 2, c2=0), 4),
+    "unknown-selector": (lambda d: _replace_step(d, 2, selector="up"), 4),
+    "nan-pick": (lambda d: _replace_step(d, 2, x=math.nan), 4),
+    "nan-seed": (lambda d: _replace_seed(d, 1, y=math.nan), 1),
+    "non-dense-id": (lambda d: _replace_step(d, 2, id=40), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_document_is_checked(name):
+    """trace_from_document re-checks a document that did not come through
+    loads, and names the offending step."""
+    change, node = HAND_BUILT[name]
+    doc = sample_doc()
+    assert [type(s).__name__ for s in doc.steps[:3]] == [
+        "CircleRecord", "CircleRecord", "PickRecord"]
+    with pytest.raises(MalformedTrace, match=rf"^step {node}:"):
+        tracedoc.trace_from_document(change(doc))
+
+
+def test_document_rejects_resolved_kind_mismatch():
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    pick = next(i for i, s in enumerate(trace.program.steps)
+                if isinstance(s, PickStep))
+    resolved = list(trace.resolved)
+    resolved[pick] = resolved[pick - 1]  # a circle where a point belongs
+    bad = dataclasses.replace(trace, resolved=tuple(resolved))
+    with pytest.raises(MalformedTrace, match=rf"^step {pick}:"):
+        tracedoc.document_from_trace(bad)
