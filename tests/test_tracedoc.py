@@ -146,28 +146,23 @@ def test_loads_rejects_what_python_cannot_hold(text):
         tracedoc.loads(text)
 
 
-def _replace_step(doc, index, **changes):
-    steps = list(doc.steps)
-    steps[index] = dataclasses.replace(steps[index], **changes)
-    return dataclasses.replace(doc, steps=tuple(steps))
+def _replace(doc, field, index, **changes):
+    records = list(getattr(doc, field))
+    records[index] = dataclasses.replace(records[index], **changes)
+    return dataclasses.replace(doc, **{field: tuple(records)})
 
 
-def _replace_seed(doc, index, **changes):
-    seeds = list(doc.seeds)
-    seeds[index] = dataclasses.replace(seeds[index], **changes)
-    return dataclasses.replace(doc, seeds=tuple(seeds))
-
-
-# The midpoint sample's records: circles at nodes 2 and 3, a pick at 4.
+# (field, index, changes, node named in the error). The midpoint sample's
+# step records are circles at nodes 2 and 3, then a pick at node 4.
 HAND_BUILT = {
-    "circle-over-circle": (lambda d: _replace_step(d, 1, center=2), 3),
-    "forward-reference": (lambda d: _replace_step(d, 0, center=5), 2),
-    "negative-reference": (lambda d: _replace_step(d, 1, center=-1), 3),
-    "pick-over-point": (lambda d: _replace_step(d, 2, c2=0), 4),
-    "unknown-selector": (lambda d: _replace_step(d, 2, selector="up"), 4),
-    "nan-pick": (lambda d: _replace_step(d, 2, x=math.nan), 4),
-    "nan-seed": (lambda d: _replace_seed(d, 1, y=math.nan), 1),
-    "non-dense-id": (lambda d: _replace_step(d, 2, id=40), 4),
+    "circle-over-circle": ("steps", 1, {"center": 2}, 3),
+    "forward-reference": ("steps", 0, {"center": 5}, 2),
+    "negative-reference": ("steps", 1, {"center": -1}, 3),
+    "pick-over-point": ("steps", 2, {"c2": 0}, 4),
+    "unknown-selector": ("steps", 2, {"selector": "up"}, 4),
+    "nan-pick": ("steps", 2, {"x": math.nan}, 4),
+    "nan-seed": ("seeds", 1, {"y": math.nan}, 1),
+    "non-dense-id": ("steps", 2, {"id": 40}, 4),
 }
 
 
@@ -175,12 +170,12 @@ HAND_BUILT = {
 def test_hand_built_document_is_checked(name):
     """trace_from_document re-checks a document that did not come through
     loads, and names the offending step."""
-    change, node = HAND_BUILT[name]
+    field, index, changes, node = HAND_BUILT[name]
     doc = sample_doc()
     assert [type(s).__name__ for s in doc.steps[:3]] == [
         "CircleRecord", "CircleRecord", "PickRecord"]
     with pytest.raises(MalformedTrace, match=rf"^step {node}:"):
-        tracedoc.trace_from_document(change(doc))
+        tracedoc.trace_from_document(_replace(doc, field, index, **changes))
 
 
 def test_document_rejects_resolved_kind_mismatch():
