@@ -58,9 +58,6 @@ class Selector(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
 
-    def other(self) -> "Selector":
-        return Selector.RIGHT if self is Selector.LEFT else Selector.LEFT
-
 
 # A module-level name for the kernel: looking an enum member up through its
 # class costs several times the rest of a selector test.
@@ -104,47 +101,10 @@ class Program:
                      for s in self.steps)
 
     def circle_count(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, CircleStep))
+        return sum(1 for s in self.steps if type(s) is CircleStep)
 
     def pick_count(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, PickStep))
-
-    def validate(self) -> None:
-        """Check the structural invariants; raise MalformedProgram on failure."""
-        if self.seed_count < 1:
-            raise MalformedProgram("a program needs at least one seed")
-        if len(self.steps) < self.seed_count:
-            raise MalformedProgram("fewer steps than declared seeds")
-        kinds = []
-        for i, step in enumerate(self.steps):
-            if i < self.seed_count:
-                if not isinstance(step, Seed) or step.slot != i:
-                    raise MalformedProgram(
-                        f"step {i}: expected Seed(slot={i}) before all other steps")
-                kinds.append(POINT)
-            elif isinstance(step, Seed):
-                raise MalformedProgram(f"step {i}: seed after non-seed steps")
-            elif isinstance(step, CircleStep):
-                for ref in (step.center, step.through):
-                    if not 0 <= ref < i:
-                        raise MalformedProgram(f"step {i}: forward or bad reference {ref}")
-                    if kinds[ref] != POINT:
-                        raise MalformedProgram(f"step {i}: circle over non-point node {ref}")
-                kinds.append(CIRCLE)
-            elif isinstance(step, PickStep):
-                for ref in (step.c1, step.c2):
-                    if not 0 <= ref < i:
-                        raise MalformedProgram(f"step {i}: forward or bad reference {ref}")
-                    if kinds[ref] != CIRCLE:
-                        raise MalformedProgram(f"step {i}: pick over non-circle node {ref}")
-                kinds.append(POINT)
-            else:
-                raise MalformedProgram(f"step {i}: unknown step kind {step!r}")
-        for out in self.outputs:
-            if not 0 <= out < len(self.steps):
-                raise MalformedProgram(f"output {out} out of range")
-            if kinds[out] != POINT:
-                raise MalformedProgram(f"output {out} is not a point node")
+        return sum(1 for s in self.steps if type(s) is PickStep)
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,14 +232,6 @@ def empty_program(seed_count: int, outputs: Sequence[int] = ()) -> Program:
     return Program(seed_count, steps, tuple(outputs))
 
 
-def swap_selectors(program: Program) -> Program:
-    """Flip every pick's selector. On a program whose seeds all lie on a
-    mirror axis, this produces the mirror-image (complex-conjugate) outputs."""
-    steps = tuple(PickStep(s.c1, s.c2, s.which.other()) if isinstance(s, PickStep) else s
-                  for s in program.steps)
-    return Program(program.seed_count, steps, program.outputs)
-
-
 def compact(trace: Trace) -> Trace:
     """Drop every step that is neither a seed nor an ancestor of an output.
 
@@ -288,23 +240,34 @@ def compact(trace: Trace) -> Trace:
     again.
     """
     program = trace.program
-    steps = program.steps
-    keep = [i < program.seed_count for i in range(len(steps))]
-    for out in program.outputs:
-        keep[out] = True
-    for i in range(len(steps) - 1, program.seed_count - 1, -1):
-        if keep[i]:
-            step = steps[i]
-            if isinstance(step, CircleStep):
-                keep[step.center] = keep[step.through] = True
-            else:
-                keep[step.c1] = keep[step.c2] = True
+    keep = _live(program, [*range(program.seed_count), *program.outputs])
     if all(keep):
         return trace
     compacted, kept = _restrict(program, keep, program.seed_count, program.outputs)
     resolved = trace.resolved
     return Trace(compacted, trace.seed_values, tuple(resolved[i] for i in kept),
                  compacted.circle_count())
+
+
+def _live(program: Program, roots: Sequence[int]) -> list[bool]:
+    """Which steps the ``roots`` depend on, the roots included, as one flag
+    per step. Every step refers only to earlier ones, so one sweep down from
+    the last root marks them all."""
+    steps = program.steps
+    keep = [False] * len(steps)
+    for node in roots:
+        if not 0 <= node < len(steps):
+            raise InvalidNodeId(f"node {node} outside program")
+        keep[node] = True
+    for i in range(max(roots, default=-1), -1, -1):
+        if keep[i]:
+            step = steps[i]
+            kind = type(step)
+            if kind is CircleStep:
+                keep[step.center] = keep[step.through] = True
+            elif kind is PickStep:
+                keep[step.c1] = keep[step.c2] = True
+    return keep
 
 
 def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
@@ -318,11 +281,12 @@ def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
     for i, step in enumerate(program.steps):
         if not keep[i]:
             continue
-        if isinstance(step, CircleStep):
+        kind = type(step)
+        if kind is CircleStep:
             center, through = remap[step.center], remap[step.through]
             if center != step.center or through != step.through:
                 step = CircleStep(center, through)
-        elif isinstance(step, PickStep):
+        elif kind is PickStep:
             c1, c2 = remap[step.c1], remap[step.c2]
             if c1 != step.c1 or c2 != step.c2:
                 step = PickStep(c1, c2, step.which)
@@ -335,21 +299,7 @@ def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
 
 def ancestors(program: Program, node: int) -> set[int]:
     """All nodes the given node depends on, itself included."""
-    if not 0 <= node < len(program.steps):
-        raise InvalidNodeId(f"node {node} outside program")
-    need: set[int] = set()
-    stack = [node]
-    while stack:
-        i = stack.pop()
-        if i in need:
-            continue
-        need.add(i)
-        step = program.steps[i]
-        if isinstance(step, CircleStep):
-            stack.extend((step.center, step.through))
-        elif isinstance(step, PickStep):
-            stack.extend((step.c1, step.c2))
-    return need
+    return {i for i, live in enumerate(_live(program, [node])) if live}
 
 
 def slice_to_pair_basis(program: Program, node: int) -> Program:
@@ -359,15 +309,16 @@ def slice_to_pair_basis(program: Program, node: int) -> Program:
     become the new slots 0 and 1. Used to lift a point out of a larger
     construction so it can be rewired onto another basis.
     """
-    need = ancestors(program, node)
-    used_slots = {program.steps[i].slot for i in need
-                  if isinstance(program.steps[i], Seed)}
+    keep = _live(program, [node])
+    steps = program.steps
+    used_slots = {steps[i].slot for i in range(node + 1)
+                  if keep[i] and type(steps[i]) is Seed}
     if not used_slots <= {0, 1}:
         raise InvalidNodeId(
             f"node {node} depends on seeds {sorted(used_slots)}, not just 0 and 1")
     if program.seed_count < 2:
         raise InvalidNodeId("pair-basis slice needs a program with at least 2 seeds")
-    keep = [i < 2 or i in need for i in range(len(program.steps))]
+    keep[0] = keep[1] = True
     return _restrict(program, keep, 2, (node,))[0]
 
 
@@ -402,8 +353,9 @@ def similarity_transport_check(program: Program, seeds: Sequence[Point],
 def purity_audit(trace: Trace) -> AuditReport:
     """Validate that a trace is made of compass steps only and report counts.
 
-    Traces built by ``execute`` pass by construction; the audit exists so
-    records deserialized from files can be checked mechanically.
+    Traces built by ``execute`` pass by construction, and ``tracedoc.loads``
+    checks the traces it reads while building them; the audit checks a
+    trace that came from anywhere else.
     """
     program = trace.program
     if len(trace.resolved) != len(program.steps):
@@ -479,7 +431,7 @@ class Builder:
         cache = builder._circle_cache
         for i in range(builder.seed_count, len(steps)):
             step = steps[i]
-            if isinstance(step, CircleStep):
+            if type(step) is CircleStep:
                 cache.setdefault((step.center, step.through), i)
         builder._circle_count = trace.circle_count
         return builder

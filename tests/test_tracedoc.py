@@ -23,9 +23,7 @@ def test_round_trip_is_byte_identical():
     assert tracedoc.dumps(doc) == text
     # and once more through a rebuilt trace
     trace = tracedoc.trace_from_document(doc)
-    again = tracedoc.document_from_trace(
-        trace, tuple(s.name for s in doc.seeds),
-        tuple(o.name for o in doc.outputs))
+    again = tracedoc.document_from_trace(trace, doc.seed_names, doc.output_names)
     assert tracedoc.dumps(again) == text
 
 
@@ -71,6 +69,10 @@ def test_malformed_documents_rejected():
         tracedoc.loads("not json at all {")
     with pytest.raises(MalformedTrace):
         tracedoc.loads(_mutate(text, version=99))
+    # equal to 1 under ==, but not the integer 1
+    for version in (True, 1.0):
+        with pytest.raises(MalformedTrace, match="unsupported version"):
+            tracedoc.loads(_mutate(text, version=version))
     with pytest.raises(MalformedTrace):
         tracedoc.loads(_mutate(text, seeds=[]))
 
@@ -128,9 +130,8 @@ def test_degenerate_circle_in_document():
                 '{"id":1,"x":0,"y":0}],'
                 '"steps":[{"id":2,"op":"circle","center":0,"through":1}],'
                 '"outputs":[]}')
-    doc = tracedoc.loads(doc_text)
-    with pytest.raises(MalformedTrace):
-        tracedoc.trace_from_document(doc)
+    with pytest.raises(MalformedTrace, match="^step 2: degenerate circle"):
+        tracedoc.loads(doc_text)
 
 
 @pytest.mark.parametrize("text", [
@@ -146,14 +147,9 @@ def test_loads_rejects_what_python_cannot_hold(text):
         tracedoc.loads(text)
 
 
-def _replace(doc, field, index, **changes):
-    records = list(getattr(doc, field))
-    records[index] = dataclasses.replace(records[index], **changes)
-    return dataclasses.replace(doc, **{field: tuple(records)})
-
-
-# (field, index, changes, node named in the error). The midpoint sample's
-# step records are circles at nodes 2 and 3, then a pick at node 4.
+# (array, index, changes, node named in the error). The midpoint sample's
+# steps array holds circles at nodes 2 and 3, then a pick at node 4; json
+# writes and reads a float NaN as a bare NaN.
 HAND_BUILT = {
     "circle-over-circle": ("steps", 1, {"center": 2}, 3),
     "forward-reference": ("steps", 0, {"center": 5}, 2),
@@ -168,14 +164,13 @@ HAND_BUILT = {
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_document_is_checked(name):
-    """trace_from_document re-checks a document that did not come through
-    loads, and names the offending step."""
+    """loads checks a hand-edited document and names the offending node."""
     field, index, changes, node = HAND_BUILT[name]
-    doc = sample_doc()
-    assert [type(s).__name__ for s in doc.steps[:3]] == [
-        "CircleRecord", "CircleRecord", "PickRecord"]
+    data = json.loads(tracedoc.dumps(sample_doc()))
+    assert [s["op"] for s in data["steps"][:3]] == ["circle", "circle", "pick"]
+    data[field][index].update(changes)
     with pytest.raises(MalformedTrace, match=rf"^step {node}:"):
-        tracedoc.trace_from_document(_replace(doc, field, index, **changes))
+        tracedoc.loads(json.dumps(data))
 
 
 def test_document_rejects_resolved_kind_mismatch():
@@ -186,4 +181,4 @@ def test_document_rejects_resolved_kind_mismatch():
     resolved[pick] = resolved[pick - 1]  # a circle where a point belongs
     bad = dataclasses.replace(trace, resolved=tuple(resolved))
     with pytest.raises(MalformedTrace, match=rf"^step {pick}:"):
-        tracedoc.document_from_trace(bad)
+        tracedoc.dumps(tracedoc.document_from_trace(bad))
