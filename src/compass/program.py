@@ -15,21 +15,20 @@ is exactly what makes rewired programs land on the similarity image of
 their original outputs.
 
 Every step is resolved by one kernel. ``Builder._resolve`` is the only step
-loop: ``Builder.inline`` runs it on rewired guest steps, and ``execute``
-runs it on a fresh builder with the program's steps kept as they are.
-``Builder.circle`` and the loop draw circles with ``geom.circle_from``;
-``Builder.pick``, ``both``, ``pick_other`` and the loop cut circles with
-``geom.cut`` on bare floats and build only the points they keep. The
-intersection arithmetic itself lives in ``geom`` alone; the outcome objects
-of ``circle_circle_intersect`` serve only ``Builder.outcome_of``, a peek
-that appends nothing.
+loop: ``Builder.inline`` runs it on rewired guest steps, sharing by
+structure every step the builder already holds (hash-consing, see
+``Builder``), and ``execute`` runs it on a fresh builder with the steps
+kept as they are. Builders and the loop draw circles with
+``geom.circle_from`` and cut them with ``geom.cut`` on bare floats. The
+intersection arithmetic lives in ``geom`` alone; the outcome objects of
+``circle_circle_intersect`` serve only ``Builder.outcome_of``, a peek.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import (
@@ -84,9 +83,6 @@ class PickStep:
 
 Step = Union[Seed, CircleStep, PickStep]
 
-POINT = "point"
-CIRCLE = "circle"
-
 
 @dataclass(frozen=True, slots=True)
 class Program:
@@ -95,10 +91,6 @@ class Program:
     seed_count: int
     steps: tuple[Step, ...]
     outputs: tuple[int, ...]
-
-    def node_kinds(self) -> tuple[str, ...]:
-        return tuple(POINT if isinstance(s, (Seed, PickStep)) else CIRCLE
-                     for s in self.steps)
 
     def circle_count(self) -> int:
         return sum(1 for s in self.steps if type(s) is CircleStep)
@@ -132,7 +124,7 @@ def execute(program: Program, seeds: Sequence[Point],
     """Run a program on concrete seed points, resolving every node in order.
 
     This is the step loop of ``Builder.inline`` run on a fresh builder with
-    every step kept as it is (no circle sharing), so the trace has one
+    every step kept as it is (no hash-consing), so the trace has one
     resolved value per program step. Execution is a pure function of its
     arguments; identical inputs give bit-identical traces.
     """
@@ -144,34 +136,33 @@ def execute(program: Program, seeds: Sequence[Point],
     return Trace(program, tuple(seeds), tuple(b._values), b._circle_count)
 
 
-def _cut(c1: ResolvedCircle, c2: ResolvedCircle, eps: float, at: int):
-    """``geom.cut`` of two resolved circles for the pick at step ``at``;
-    raises when there is no point to pick."""
-    o1 = c1.center
-    o2 = c2.center
-    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
-    if type(got) is str:
-        raise _no_point(got, at)
-    return got
-
-
 def _no_point(got: str, at: int) -> CompassError:
     if got == CUT_COINCIDENT:
         return CoincidentCircles(f"step {at}: pick on coincident circles")
     return NoSuchIntersection(f"step {at}: circles do not meet")
 
 
-def _point(x: float, y: float, at: int) -> Point:
-    if math.isfinite(x) and math.isfinite(y):
-        return Point(x, y)
-    raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
+def _cut(c1: ResolvedCircle, c2: ResolvedCircle, eps: float, at: int):
+    """Left and right cut points of two circles (a tangency's one point twice)."""
+    o1 = c1.center
+    o2 = c2.center
+    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
+    if type(got) is str:
+        raise _no_point(got, at)
+    if len(got) == 2:
+        lx, ly = rx, ry = got
+    else:
+        mx, my, hy, hx = got
+        lx, ly, rx, ry = mx - hy, my + hx, mx + hy, my - hx
+    if all(map(math.isfinite, (lx, ly, rx, ry))):
+        return Point(lx, ly), Point(rx, ry)
+    raise NonFiniteInput(f"step {at}: an intersection point is not finite")
 
 
 def _pick(c1: ResolvedCircle, c2: ResolvedCircle, which: Selector, eps: float,
           at: int) -> Point:
     """The step kernel's pick: the selected intersection point of two circles,
-    the only object it builds. A tangency satisfies both selectors. This is
-    ``_point`` of ``_cut``, written out because every pick runs it."""
+    the only object it builds. A tangency satisfies both selectors."""
     o1 = c1.center
     o2 = c2.center
     got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
@@ -187,7 +178,7 @@ def _pick(c1: ResolvedCircle, c2: ResolvedCircle, which: Selector, eps: float,
         x, y = mx + hy, my - hx
     if math.isfinite(x) and math.isfinite(y):
         return Point(x, y)
-    return _point(x, y, at)
+    raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
 
 
 def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
@@ -202,11 +193,10 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
     if len(seed_map) != guest.seed_count:
         raise InvalidNodeId(
             f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
-    host_kinds = host.node_kinds()
     for ref in seed_map:
         if not 0 <= ref < len(host.steps):
             raise InvalidNodeId(f"seed_map entry {ref} outside host program")
-        if host_kinds[ref] != POINT:
+        if not isinstance(host.steps[ref], (Seed, PickStep)):
             raise InvalidNodeId(f"seed_map entry {ref} is not a point node")
 
     steps = list(host.steps)
@@ -232,21 +222,23 @@ def empty_program(seed_count: int, outputs: Sequence[int] = ()) -> Program:
     return Program(seed_count, steps, tuple(outputs))
 
 
-def compact(trace: Trace) -> Trace:
+def compact(trace: Trace, table: dict | None = None) -> tuple[Trace, dict]:
     """Drop every step that is neither a seed nor an ancestor of an output.
 
     Kept steps stay in their order and resolve from the same operands, so
     their resolved values carry over as they are and nothing is executed
-    again.
+    again. Also returns the hash-cons table of the kept steps: ``table``,
+    that of ``trace``, if given and nothing is dropped, else a new one.
     """
     program = trace.program
     keep = _live(program, [*range(program.seed_count), *program.outputs])
-    if all(keep):
-        return trace
-    compacted, kept = _restrict(program, keep, program.seed_count, program.outputs)
+    if table is not None and all(keep):
+        return trace, table
+    compacted, kept, table = _restrict(program, keep, program.seed_count,
+                                       program.outputs)
     resolved = trace.resolved
-    return Trace(compacted, trace.seed_values, tuple(resolved[i] for i in kept),
-                 compacted.circle_count())
+    return (Trace(compacted, trace.seed_values, tuple([resolved[i] for i in kept]),
+                  compacted.circle_count()), table)
 
 
 def _live(program: Program, roots: Sequence[int]) -> list[bool]:
@@ -271,30 +263,34 @@ def _live(program: Program, roots: Sequence[int]) -> list[bool]:
 
 
 def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
-              outputs: Sequence[int]) -> tuple[Program, list[int]]:
+              outputs: Sequence[int]) -> tuple[Program, list[int], dict[tuple, int]]:
     """The steps marked in ``keep``, in order and with references renumbered,
     as a program over the first ``seed_count`` seeds; also the old index of
-    each kept step. Every reference of a kept step must itself be kept."""
+    each kept step, and the hash-cons table of the new program (see
+    ``Builder``). Every reference of a kept step must itself be kept."""
     remap = [-1] * len(program.steps)
     kept: list[int] = []
     new_steps: list[Step] = []
+    table: dict[tuple, int] = {}
     for i, step in enumerate(program.steps):
         if not keep[i]:
             continue
+        at = remap[i] = len(new_steps)
         kind = type(step)
         if kind is CircleStep:
             center, through = remap[step.center], remap[step.through]
             if center != step.center or through != step.through:
                 step = CircleStep(center, through)
+            table.setdefault((center, through), at)
         elif kind is PickStep:
             c1, c2 = remap[step.c1], remap[step.c2]
             if c1 != step.c1 or c2 != step.c2:
                 step = PickStep(c1, c2, step.which)
-        remap[i] = len(new_steps)
+            table.setdefault((c1, c2, step.which is _LEFT), at)
         kept.append(i)
         new_steps.append(step)
     return (Program(seed_count, tuple(new_steps), tuple(remap[o] for o in outputs)),
-            kept)
+            kept, table)
 
 
 def ancestors(program: Program, node: int) -> set[int]:
@@ -393,26 +389,25 @@ class Builder:
     pure compass program; the coordinates only informed which program got
     built.
 
-    Drawing the same (center, through) node pair twice reuses the existing
-    circle node, which is what keeps e.g. the segment-bisection figure at
-    its canonical circle count.
-
     Every resolving method goes through the module's step kernel (see the
     module docstring), so a step gives the same bits whether it is appended
     by a method, inlined from a program or replayed by ``execute``. Node
     arguments outside the builder raise ``InvalidNodeId``; a failing call
     appends nothing, and a failing ``inline`` keeps the steps it completed.
 
-    ``Builder.resume`` continues from a finished trace: its steps and
-    resolved values are taken over as they are, so growing a program
-    further never resolves the existing steps again.
+    Steps are hash-consed in ``table``: a circle on the same (center,
+    through) nodes, or a pick on the same circle nodes and selector, is the
+    existing node, with the same bits since execution is deterministic.
+    ``Builder.resume`` takes over a finished trace and its table as they
+    are, so growing a program never resolves or walks its steps again.
     """
 
     def __init__(self, seeds: Sequence[Point], tol: Tolerance = DEFAULT_TOL):
         self.tol = tol
         self._steps: list[Step] = []
         self._values: list[Point | ResolvedCircle] = []
-        self._circle_cache: dict[tuple[int, int], int] = {}
+        # picks key on ``which is _LEFT``: hashing an enum member runs Python code
+        self.table: dict[tuple, int] = {}
         self._circle_count = 0
         for i, p in enumerate(seeds):
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
@@ -422,17 +417,13 @@ class Builder:
         self.seed_count = len(self._steps)
 
     @classmethod
-    def resume(cls, trace: Trace, tol: Tolerance = DEFAULT_TOL) -> "Builder":
-        """A builder holding ``trace``'s program and resolved values."""
+    def resume(cls, trace: Trace, table: dict[tuple, int],
+               tol: Tolerance = DEFAULT_TOL) -> "Builder":
+        """A builder holding ``trace`` and a copy of its hash-cons ``table``."""
         builder = cls(trace.seed_values, tol)
-        steps = trace.program.steps
-        builder._steps[:] = steps
+        builder._steps[:] = trace.program.steps
         builder._values[:] = trace.resolved
-        cache = builder._circle_cache
-        for i in range(builder.seed_count, len(steps)):
-            step = steps[i]
-            if type(step) is CircleStep:
-                cache.setdefault((step.center, step.through), i)
+        builder.table = dict(table)
         builder._circle_count = trace.circle_count
         return builder
 
@@ -456,46 +447,39 @@ class Builder:
         return value
 
     def circle(self, center: int, through: int) -> int:
-        key = (center, through)
-        hit = self._circle_cache.get(key)
+        hit = self.table.get((center, through))
         if hit is not None:
             return hit
         value = circle_from(self.point(center), self.point(through), self.tol)
-        self._steps.append(CircleStep(center, through))
-        self._values.append(value)
-        node = len(self._steps) - 1
-        self._circle_cache[key] = node
         self._circle_count += 1
-        return node
+        return self._keep((center, through), CircleStep(center, through), value)
 
     def outcome_of(self, c1: int, c2: int):
         """Peek at the intersection outcome without appending a pick."""
         return circle_circle_intersect(self.circle_value(c1), self.circle_value(c2),
                                        self.tol)
 
-    def _append_pick(self, c1: int, c2: int, which: Selector, value: Point) -> int:
-        self._steps.append(PickStep(c1, c2, which))
+    def _keep(self, key: tuple, step: Step, value: Point | ResolvedCircle) -> int:
+        """The node hash-consed under ``key``, appending ``step`` if new."""
+        hit = self.table.get(key)
+        if hit is not None:
+            return hit
+        self._steps.append(step)
         self._values.append(value)
-        return len(self._steps) - 1
+        node = self.table[key] = len(self._steps) - 1
+        return node
 
     def pick(self, c1: int, c2: int, which: Selector) -> int:
         value = _pick(self.circle_value(c1), self.circle_value(c2), which,
                       self.tol.eps_degenerate, len(self._values))
-        return self._append_pick(c1, c2, which, value)
+        return self._keep((c1, c2, which is _LEFT), PickStep(c1, c2, which), value)
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a tangency yields the same point twice."""
-        at = len(self._values)
-        got = _cut(self.circle_value(c1), self.circle_value(c2),
-                   self.tol.eps_degenerate, at)
-        if len(got) == 2:
-            left = right = _point(got[0], got[1], at)
-        else:
-            mx, my, hy, hx = got
-            left = _point(mx - hy, my + hx, at)
-            right = _point(mx + hy, my - hx, at + 1)
-        return (self._append_pick(c1, c2, Selector.LEFT, left),
-                self._append_pick(c1, c2, Selector.RIGHT, right))
+        left, right = _cut(self.circle_value(c1), self.circle_value(c2),
+                           self.tol.eps_degenerate, len(self._values))
+        return (self._keep((c1, c2, True), PickStep(c1, c2, _LEFT), left),
+                self._keep((c1, c2, False), PickStep(c1, c2, Selector.RIGHT), right))
 
     def pick_other(self, c1: int, c2: int, avoid: int) -> int:
         """The intersection point that is not the point at node ``avoid``.
@@ -505,15 +489,10 @@ class Builder:
         """
         circle1, circle2 = self.circle_value(c1), self.circle_value(c2)
         a = self.point(avoid)
-        at = len(self._values)
-        got = _cut(circle1, circle2, self.tol.eps_degenerate, at)
-        if len(got) == 2:
-            return self._append_pick(c1, c2, Selector.LEFT, _point(got[0], got[1], at))
-        mx, my, hy, hx = got
-        lx, ly, rx, ry = mx - hy, my + hx, mx + hy, my - hx
-        if math.hypot(lx - a.x, ly - a.y) >= math.hypot(rx - a.x, ry - a.y):
-            return self._append_pick(c1, c2, Selector.LEFT, _point(lx, ly, at))
-        return self._append_pick(c1, c2, Selector.RIGHT, _point(rx, ry, at))
+        p, q = _cut(circle1, circle2, self.tol.eps_degenerate, len(self._values))
+        if math.hypot(p.x - a.x, p.y - a.y) >= math.hypot(q.x - a.x, q.y - a.y):
+            return self._keep((c1, c2, True), PickStep(c1, c2, _LEFT), p)
+        return self._keep((c1, c2, False), PickStep(c1, c2, Selector.RIGHT), q)
 
     def inline(self, guest: Program, seed_map: Sequence[int]) -> tuple[int, ...]:
         """Append a program's non-seed steps, rewiring its seeds onto existing
@@ -523,16 +502,16 @@ class Builder:
                 f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
         for node in seed_map:
             self.point(node)
-        return self._resolve(guest, list(seed_map), self._circle_cache)
+        return self._resolve(guest, list(seed_map), self.table)
 
     def _resolve(self, program: Program, node: list[int],
-                 cache: dict[tuple[int, int], int] | None) -> tuple[int, ...]:
+                 table: dict[tuple, int] | None) -> tuple[int, ...]:
         """The step loop behind ``inline`` and ``execute``.
 
         ``node`` holds the builder nodes of ``program``'s seeds and grows to
         map every program step to its node. Each non-seed step is rewired
-        through it, resolved and appended; with a ``cache``, a circle on the
-        same (center, through) nodes as an existing one is that node. Every
+        through it, resolved and appended; with a hash-cons ``table``, a
+        step whose rewired key is in it is that node instead. Every
         reference is checked to point backwards and at a node of the right
         kind, and every error names the step it happened at.
         """
@@ -562,18 +541,26 @@ class Builder:
                 if not (0 <= c1 < i and 0 <= c2 < i):
                     raise MalformedProgram(f"step {i}: reference outside [0, {i})")
                 n1, n2 = node[c1], node[c2]
+                if table is not None:
+                    key = (n1, n2, step.which is _LEFT)
+                    hit = table.get(key)
+                    if hit is not None:
+                        mapped(hit)
+                        continue
                 v1, v2 = values[n1], values[n2]
                 if type(v1) is not ResolvedCircle or type(v2) is not ResolvedCircle:
                     raise MalformedProgram(f"step {at}: pick over non-circle nodes")
                 keep(_pick(v1, v2, step.which, eps, at))
                 record(step if n1 == c1 and n2 == c2 else PickStep(n1, n2, step.which))
+                if table is not None:
+                    table[key] = at
             elif kind is CircleStep:
                 c, t = step.center, step.through
                 if not (0 <= c < i and 0 <= t < i):
                     raise MalformedProgram(f"step {i}: reference outside [0, {i})")
                 nc, nt = node[c], node[t]
-                if cache is not None:
-                    hit = cache.get((nc, nt))
+                if table is not None:
+                    hit = table.get((nc, nt))
                     if hit is not None:
                         mapped(hit)
                         continue
@@ -582,8 +569,8 @@ class Builder:
                     raise MalformedProgram(f"step {at}: circle over non-point nodes")
                 keep(circle_from(center, through, tol))
                 record(step if nc == c and nt == t else CircleStep(nc, nt))
-                if cache is not None:
-                    cache[(nc, nt)] = at
+                if table is not None:
+                    table[(nc, nt)] = at
                 self._circle_count += 1
             elif kind is Seed:
                 raise MalformedProgram(f"step {i}: misplaced seed")
@@ -597,12 +584,12 @@ class Builder:
         return (len(self._steps), self._circle_count)
 
     def rollback(self, mark: tuple[int, int]) -> None:
-        """Discard steps appended after ``mark``; used by retrying routines."""
+        """Discard steps appended after ``mark``, table keys included."""
         n, circles = mark
         del self._steps[n:]
         del self._values[n:]
         self._circle_count = circles
-        self._circle_cache = {k: v for k, v in self._circle_cache.items() if v < n}
+        self.table = {k: v for k, v in self.table.items() if v < n}
 
     def finish(self, outputs: Sequence[int]) -> tuple[Program, Trace]:
         program = Program(self.seed_count, tuple(self._steps), tuple(outputs))

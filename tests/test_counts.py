@@ -37,15 +37,15 @@ CANONICAL = {
 
 DEMO_COUNTS = {
     "add": (9, 4, 3),
-    "conjugate": (24, 12, 10),
+    "conjugate": (15, 8, 5),
     "extend": (14, 6, 6),
-    "half": (56, 30, 24),
+    "half": (43, 23, 18),
     "invert": (49, 25, 21),
     "line-circle": (123, 65, 54),
     "line-circle-diameter": (294, 159, 132),
     "line-line": (341, 186, 151),
     "midpoint": (15, 7, 6),
-    "mul": (21, 10, 9),
+    "mul": (16, 8, 6),
 }
 
 

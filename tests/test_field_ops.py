@@ -3,15 +3,15 @@ import math
 import pytest
 
 from compass import field_ops as F
-from compass.constructions import midpoint
+from compass.constructions import build_extend, midpoint
 from compass.fuzz import SplitMix64, _ValuePool
-from compass.geom import Point
+from compass.geom import DEFAULT_TOL, Point
 from compass.oracle import (
     oracle_complex_add,
     oracle_complex_conj,
     oracle_complex_mul,
 )
-from compass.program import ancestors, execute, purity_audit
+from compass.program import Builder, ancestors, compact, execute, purity_audit
 
 SQRT15_4 = math.sqrt(15.0) / 4.0
 
@@ -108,7 +108,6 @@ def _depth_tol(*values):
 
 
 def test_ring_axioms_numerically():
-    from compass.geom import DEFAULT_TOL
     pool = _ValuePool(DEFAULT_TOL)
     rng = SplitMix64(31)
     for _ in range(40):
@@ -131,7 +130,6 @@ def test_ring_axioms_numerically():
 
 
 def test_random_values_match_complex_oracle():
-    from compass.geom import DEFAULT_TOL
     pool = _ValuePool(DEFAULT_TOL)
     rng = SplitMix64(37)
     for _ in range(60):
@@ -171,13 +169,66 @@ def test_add_chain_witness_budgets():
     for _ in range(6):
         v = F.add(v, v)
         _assert_live_only(v)
-    assert len(v.program.steps) <= 2308
+    assert len(v.program.steps) <= 44
+    assert v.value == Point(64.0, 0.0)
+
+
+def paper_add(a, b):
+    """The paper's argument for a + b, kept as the reference for ``add``:
+    build 2 = 2*1 - 0, replay a's witness on (1, 2) to construct a + 1, then
+    replay b's witness on (a, a + 1)."""
+    builder = Builder.resume(a.trace, a.table)
+    two = build_extend(builder, 0, 1)
+    a_plus_1 = builder.inline(a.program, (1, two))[0]
+    out = builder.inline(b.program, (a.primary_output, a_plus_1))[0]
+    return F.ConstructibleValue(*compact(builder.finish([out])[1]))
+
+
+def _gap(u, v):
+    return math.hypot(u.value.x - v.value.x, u.value.y - v.value.y)
+
+
+def test_add_agrees_with_the_paper_double_replay():
+    pool = _ValuePool(DEFAULT_TOL)
+    rng = SplitMix64(37)
+    for _ in range(60):
+        a = pool.draw(rng, 2)
+        b = pool.draw(rng, 2)
+        got, want = F.add(a, b), paper_add(a, b)
+        assert _gap(got, want) <= _depth_tol(got, want)
+
+
+def test_fibonacci_chain_is_linear_and_exact():
+    # p, q = p + q, p from (alpha, 1), beside the exact complex chain
+    p, q = F.alpha(), F.one()
+    want_p, want_q = Point(0.75, SQRT15_4), Point(1.0, 0.0)
+    for _ in range(10):
+        got, ref = F.add(p, q), paper_add(p, q)
+        assert _gap(got, ref) <= _depth_tol(got, ref)
+        p, q = got, p
+        want_p, want_q = oracle_complex_add(want_p, want_q), want_p
+    assert len(p.program.steps) <= 220
+    _assert_live_only(p)
+    close(p.value, want_p.x, want_p.y, tol=1e-12)
+
+
+def test_doubling_chain_is_linear():
+    v = F.alpha()
+    for _ in range(20):
+        v = F.add(v, v)
+    assert v.trace.circle_count <= 4 * 20 + 30
+    scale = 2.0 ** 20
+    close(v.value, 0.75 * scale, SQRT15_4 * scale, tol=1e-12 * scale)
 
 
 def test_carried_value_is_the_executed_witness():
-    from compass.geom import DEFAULT_TOL
     pool = _ValuePool(DEFAULT_TOL)
     rng = SplitMix64(37)
     for _ in range(60):
         v = pool.draw(rng, 2)
-        assert v.value == execute(v.program, F.CANONICAL_SEEDS).output_points()[0]
+        executed, table = compact(execute(v.program, F.CANONICAL_SEEDS))
+        assert v.value == executed.output_points()[0]
+        # the carried hash-cons table is the one a walk of the witness builds,
+        # and the witness holds no two steps under one key
+        assert v.table == table
+        assert len(table) == len(v.program.steps) - v.program.seed_count

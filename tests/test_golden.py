@@ -1,8 +1,8 @@
 """Golden bytes: the trace JSON and the SVG of every demo, pinned by sha256.
 
-A change to the serializer or the renderer that alters one byte of either
-output fails here. Re-pin only for a deliberate change of the output format,
-and say so in CHANGES.md.
+A change to the serializer, the renderer or a demo's program that alters
+one byte of either output fails here. Re-pin only for a deliberate change of
+the output format or of the steps a demo builds, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -18,14 +18,14 @@ GOLDEN = {
         "aad1ecf8dd3d5604a945ec732af5cac80f1a33e5fc050040f41c42512361a63c",
         "d365eae72d5b42461155d99d4642b0f9126be0a8860eb4ac94b44622ae6f5f40"),
     "conjugate": (
-        "1ffa152d690e11bf0d80ae3bcebe9d7207222b7d17cc33ae2ca4d16c064cc2fa",
-        "289211e1cc897f53e3198b0a3860cda7035b71e80c50fce8c59d5af8e4e84d50"),
+        "696ebe14b0b5ea66cad9c6c8f22e4093675a0ed2dc2295e6d28c4a8da0462459",
+        "d92846b6eddb1c44145871985cdac84e0cc180faf0d503839e0460cd98265423"),
     "extend": (
         "ea73668ac0f98984a8b1038f81630f89446fd0a8d75341406204a5aefc9ff5b4",
         "92b280625d75a08886e0e511d661cbe31fa55c50ae878145ca97dc383a4f4594"),
     "half": (
-        "22f5f11e01200758d49bbd2381bb3027ba9755ee5a339e1133ff99567f665748",
-        "0ace24b49b0f08627bc6f05d22b2baadb66b81826773f1edba91daffa1b358a5"),
+        "28053494f1ab38c4a0bfdbd579a86cc9b90c7557f89cb193dfaad8112e0f8202",
+        "8c0dc3b62c92ead4c450fa54c0b1f7ec6025769899b5eb2767c254d28b1d7b3e"),
     "invert": (
         "4cf7b51a649d246b7fa3e4961b923b21b7507f2b5ff1a13a3e8a992f0c542e2b",
         "255a650f0a2695744d4f4675ff6ae854ee7f4051ae03b1c64f5a33a9f4ff117f"),
@@ -42,8 +42,8 @@ GOLDEN = {
         "3054a031f3175811419d7250e62d614ac780adb70f855a8a28a46bfca8a4bfd4",
         "7bd349300021097ce44f77a734d60878fc30d0e1ecd31a9629efea0545f64b8e"),
     "mul": (
-        "05ddab0e7561dc36ca00b73f8403895ba2e6d7783509033f5f000c66e0fa4b04",
-        "d39a0864030f5626075fb604df453f65530ea9b1401cf516cd7ab68258cd2de8"),
+        "82c54a186f4b885f15c921923a77b8df4b03f6d188998d7449f7018200acb5ee",
+        "a743e8d0c63c57c2dab82594125cd8f59079f101314ddd19d71ad68e1bb29668"),
 }
 
 

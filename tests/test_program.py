@@ -16,7 +16,6 @@ from compass.errors import (
 from compass.geom import Point, ResolvedCircle
 from compass.program import (
     Builder,
-    CircleStep,
     PickStep,
     Program,
     Seed,
@@ -180,26 +179,43 @@ def test_selector_complementation(program):
         assert q.y == pytest.approx(-p.y, abs=1e-9)
 
 
+SEEDS = (O, U, Point(0.3, 0.7))
+
+
+def _gap(p, q):
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def _crossing(a, b):
+    d = _gap(a.center, b.center)
+    return d > 0.1 and abs(a.radius - b.radius) + 0.1 < d < a.radius + b.radius - 0.1
+
+
 @st.composite
 def valid_programs(draw):
+    """Programs grown on a builder over ``SEEDS``: each circle's center and
+    through point are distinct nodes at least 0.1 apart, and each pick cuts
+    two circles that cross well clear of tangency, so most programs execute
+    to the end."""
     seed_count = draw(st.integers(min_value=1, max_value=3))
-    steps = [Seed(i) for i in range(seed_count)]
-    kinds = ["point"] * seed_count
+    b = Builder(SEEDS[:seed_count])
+    points, circles, drawn = list(range(seed_count)), [], set()
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        points = [i for i, k in enumerate(kinds) if k == "point"]
-        circles = [i for i, k in enumerate(kinds) if k == "circle"]
-        make_circle = draw(st.booleans()) or len(circles) < 2
-        if make_circle:
-            steps.append(CircleStep(draw(st.sampled_from(points)),
-                                    draw(st.sampled_from(points))))
-            kinds.append("circle")
+        spans = [(c, t) for c in points for t in points if (c, t) not in drawn
+                 and _gap(b.point(c), b.point(t)) > 0.1]
+        cuts = [(c1, c2, which) for c1 in circles for c2 in circles
+                for which in Selector if (c1, c2, which) not in drawn
+                and _crossing(b.circle_value(c1), b.circle_value(c2))]
+        if cuts and (not spans or draw(st.booleans())):
+            step = draw(st.sampled_from(cuts))
+            points.append(b.pick(*step))
+        elif spans:
+            step = draw(st.sampled_from(spans))
+            circles.append(b.circle(*step))
         else:
-            steps.append(PickStep(draw(st.sampled_from(circles)),
-                                  draw(st.sampled_from(circles)),
-                                  draw(st.sampled_from(list(Selector)))))
-            kinds.append("point")
-    outputs = [i for i, k in enumerate(kinds) if k == "point"]
-    return Program(seed_count, tuple(steps), tuple(outputs))
+            break
+        drawn.add(step)
+    return b.finish(points)[0]
 
 
 @given(valid_programs())
@@ -208,7 +224,7 @@ def test_topological_integrity(program):
     # the resolve loop accepts every well-formed program: execution may fail
     # on the geometry, never on the structure
     try:
-        execute(program, (O, U, Point(0.3, 0.7))[:program.seed_count])
+        execute(program, SEEDS[:program.seed_count])
     except MalformedProgram:
         raise
     except CompassError:
@@ -226,6 +242,25 @@ def test_builder_circle_cache_and_rollback():
     assert len(b) == mark[0]
     c2_again = b.circle(1, 0)
     assert c2_again == c2  # same slot after rollback
+
+
+def test_builder_hash_conses_picks_and_rollback_forgets_them():
+    b = Builder([O, U])
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    mark = b.mark()
+    left = b.pick(c1, c2, Selector.LEFT)
+    assert b.pick(c1, c2, Selector.LEFT) == left  # structural reuse
+    assert b.both(c1, c2)[0] == left and b.pick_other(c1, c2, avoid=left) == left + 1
+    assert len(b) == left + 2
+    # inlining a program whose steps are all present appends nothing
+    assert b.inline(apex_program(Selector.LEFT), (0, 1)) == (left,)
+    assert len(b) == left + 2
+    b.rollback(mark)
+    right = b.pick(c1, c2, Selector.RIGHT)
+    assert right == left  # the rolled-back slot, now holding the right point
+    again = b.pick(c1, c2, Selector.LEFT)
+    assert again == right + 1
+    assert b.point(again).y > 0 > b.point(right).y
 
 
 def test_slice_to_pair_basis():
