@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import constructions as cons
 from .errors import MalformedProgram
@@ -89,8 +90,10 @@ def one(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
     return value_from_program(empty_program(2, (1,)), tol)
 
 
+@lru_cache(maxsize=16)
 def minus_one(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    """-1, by reflecting seed 1 through seed 0."""
+    """-1, by reflecting seed 1 through seed 0. Built once per tolerance and
+    shared, so its table is only ever copied (``Builder.resume`` does)."""
     guest = cons.extend_program()
     return value_from_program(rebase(empty_program(2), guest, (1, 0)), tol)
 

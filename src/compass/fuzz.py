@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import constructions as cons
 from . import field_ops
@@ -350,8 +351,11 @@ class _ValuePool:
         return field_ops.neg(self.draw(rng, depth - 1), self.tol)
 
 
+_pool = lru_cache(maxsize=16)(_ValuePool)  # one pool, so one set of atoms, per tolerance
+
+
 def _run_field(run: _Run, rng: SplitMix64, tol: Tolerance, op: str):
-    pool = _ValuePool(tol)
+    pool = _pool(tol)
     for _ in range(run.cases):
         a = pool.draw(rng, 2)
         if op == "conj":

@@ -6,10 +6,10 @@ numbers; a circle is always resolved from a center point and a through
 point, which is what makes the layer above compass-only by construction.
 
 This module holds the only copy of the circle and intersection arithmetic:
-``circle_from`` resolves a circle and ``cut`` intersects two circles given
-as bare floats. ``circle_circle_intersect`` wraps ``cut`` in outcome objects
-for callers that want to inspect an intersection; the step kernel in
-``program`` calls ``cut`` directly and builds only the point it keeps.
+``radius`` resolves a circle and ``cut`` intersects two circles, both on
+bare floats. ``circle_from`` wraps ``radius`` and ``circle_circle_intersect``
+wraps ``cut`` in value objects for callers that want them; the step kernel
+in ``program`` calls ``radius`` and ``cut`` directly and builds no object.
 """
 
 from __future__ import annotations
@@ -110,17 +110,23 @@ def orientation_sign(a: Point, b: Point, c: Point, tol: Tolerance = DEFAULT_TOL)
     return 1 if cross > 0 else -1
 
 
-def circle_from(center: Point, through: Point, tol: Tolerance = DEFAULT_TOL) -> ResolvedCircle:
-    """Resolve a compass circle from its center and a point it passes through."""
-    cx, cy, tx, ty = center.x, center.y, through.x, through.y
+def radius(cx: float, cy: float, tx: float, ty: float, eps: float) -> float:
+    """The radius of the compass circle centered (cx, cy) through (tx, ty):
+    all four coordinates finite, the radius above ``eps``."""
     if not (math.isfinite(cx) and math.isfinite(cy)
             and math.isfinite(tx) and math.isfinite(ty)):
-        raise NonFiniteInput(f"non-finite coordinate in {center} / {through}")
+        raise NonFiniteInput(f"non-finite coordinate in ({cx}, {cy}) / ({tx}, {ty})")
     r = math.hypot(tx - cx, ty - cy)
-    if r <= tol.eps_degenerate:
+    if r <= eps:
         raise DegenerateCircle(
-            f"circle through its own center: {center} / {through}")
-    return ResolvedCircle(center, r)
+            f"circle through its own center: ({cx}, {cy}) / ({tx}, {ty})")
+    return r
+
+
+def circle_from(center: Point, through: Point, tol: Tolerance = DEFAULT_TOL) -> ResolvedCircle:
+    """Resolve a compass circle from its center and a point it passes through."""
+    return ResolvedCircle(center, radius(center.x, center.y, through.x, through.y,
+                                         tol.eps_degenerate))
 
 
 # ``cut`` results other than points

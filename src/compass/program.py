@@ -14,22 +14,25 @@ Orientation is preserved by every orientation-preserving similarity, which
 is exactly what makes rewired programs land on the similarity image of
 their original outputs.
 
-Every step is resolved by one kernel. ``Builder._resolve`` is the only step
-loop: ``Builder.inline`` runs it on rewired guest steps, sharing by
-structure every step the builder already holds (hash-consing, see
-``Builder``), and ``execute`` runs it on a fresh builder with the steps
-kept as they are. Builders and the loop draw circles with
-``geom.circle_from`` and cut them with ``geom.cut`` on bare floats. The
-intersection arithmetic lives in ``geom`` alone; the outcome objects of
-``circle_circle_intersect`` serve only ``Builder.outcome_of``, a peek.
+Storage is columnar. A program is three int columns: each step's op
+(``OP_SEED``, ``OP_CIRCLE``, ``OP_LEFT`` or ``OP_RIGHT``; the selector is
+part of the op) and its two operands. A trace adds float columns for x, y
+and the radius (``None`` for a point). ``Builder._resolve``, the only step
+loop, reads and appends numbers only, through ``geom.radius`` and
+``geom.cut``. Value objects (``Seed``, ``CircleStep``, ``PickStep``,
+``Point``, ``ResolvedCircle``) exist only at the API edge:
+``Program.steps`` and ``Trace.resolved`` are views that build one object
+per index, ``Builder.point`` and ``Trace.output_points`` build what they
+return, and ``Program(seed_count, steps, outputs)`` or a ``Trace`` given a
+tuple of values encodes objects into columns.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .errors import (
     CoincidentCircles,
@@ -41,7 +44,9 @@ from .errors import (
     NoSuchIntersection,
     NonFiniteInput,
 )
-from .geom import (
+# circle_from stays importable from this module: perfbench's tracer wraps it
+# here.
+from .geom import (  # noqa: F401
     CUT_COINCIDENT,
     DEFAULT_TOL,
     Point,
@@ -50,6 +55,7 @@ from .geom import (
     circle_circle_intersect,
     circle_from,
     cut,
+    radius,
 )
 
 
@@ -58,9 +64,13 @@ class Selector(enum.Enum):
     RIGHT = "right"
 
 
-# A module-level name for the kernel: looking an enum member up through its
-# class costs several times the rest of a selector test.
-_LEFT = Selector.LEFT
+# Module-level names: looking an enum member up through its class costs
+# several times the rest of a selector test.
+_LEFT, _RIGHT = Selector.LEFT, Selector.RIGHT
+
+OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT = range(4)
+OP_OF_SELECTOR = {Selector.LEFT: OP_LEFT, Selector.RIGHT: OP_RIGHT}
+SELECTOR_OF_OP = {OP_LEFT: Selector.LEFT, OP_RIGHT: Selector.RIGHT}
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,32 +91,178 @@ class PickStep:
     which: Selector
 
 
-Step = Union[Seed, CircleStep, PickStep]
+Step = Seed | CircleStep | PickStep
 
 
-@dataclass(frozen=True, slots=True)
+class _View(Sequence):
+    """A read-only sequence over columns: ``len`` is O(1), an index builds
+    one object, a slice gives a tuple. Equal to a tuple or a view with the
+    same items."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._at, range(len(self))[i]))
+        return self._at(range(len(self))[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _View)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class Steps(_View):
+    """The steps of a program, as step objects."""
+
+    __slots__ = ("_program",)
+
+    def __init__(self, program: Program):
+        self._program = program
+
+    def __len__(self) -> int:
+        return len(self._program.ops)
+
+    def _at(self, i: int) -> Step:
+        p = self._program
+        op = p.ops[i]
+        if op == OP_CIRCLE:
+            return CircleStep(p.first[i], p.second[i])
+        if op == OP_SEED:
+            return Seed(p.first[i])
+        return PickStep(p.first[i], p.second[i], SELECTOR_OF_OP[op])
+
+
+class Resolved(_View):
+    """The resolved value of every step, as ``Point`` or ``ResolvedCircle``,
+    over the float columns ``xs``, ``ys`` and ``rs`` (``None`` for a point)."""
+
+    __slots__ = ("xs", "ys", "rs")
+
+    def __init__(self, xs: tuple, ys: tuple, rs: tuple):
+        self.xs, self.ys, self.rs = xs, ys, rs
+
+    @classmethod
+    def of_values(cls, values) -> Resolved:
+        """Encode points and circles as they are, whatever step they stand for."""
+        rows = []
+        for i, v in enumerate(values):
+            if type(v) is Point:
+                rows.append((v.x, v.y, None))
+            elif type(v) is ResolvedCircle:
+                rows.append((v.center.x, v.center.y, v.radius))
+            else:
+                raise MalformedTrace(f"step {i}: {v!r} is not a point or a circle")
+        return cls(*zip(*rows)) if rows else cls((), (), ())
+
+    def __len__(self) -> int:
+        return len(self.rs)
+
+    def _at(self, i: int) -> Point | ResolvedCircle:
+        r = self.rs[i]
+        if r is None:
+            return Point(self.xs[i], self.ys[i])
+        return ResolvedCircle(Point(self.xs[i], self.ys[i]), r)
+
+    def __hash__(self) -> int:
+        return hash((self.xs, self.ys, self.rs))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Program:
-    """An executable compass construction over ``seed_count`` seed slots."""
+    """An executable compass construction over ``seed_count`` seed slots:
+    the int columns ``ops``, ``first`` and ``second``, and the outputs."""
 
     seed_count: int
-    steps: tuple[Step, ...]
+    ops: tuple[int, ...]
+    first: tuple[int, ...]
+    second: tuple[int, ...]
     outputs: tuple[int, ...]
+    _checked: bool = field(compare=False, repr=False)
+
+    def __init__(self, seed_count: int, steps: Sequence[Step], outputs: Sequence[int]):
+        """Encode step objects; anything else raises MalformedProgram."""
+        rows = []
+        for i, step in enumerate(steps):
+            kind = type(step)
+            if kind is CircleStep:
+                rows.append((OP_CIRCLE, step.center, step.through))
+            elif kind is PickStep and step.which in OP_OF_SELECTOR:
+                rows.append((OP_OF_SELECTOR[step.which], step.c1, step.c2))
+            elif kind is Seed:
+                rows.append((OP_SEED, step.slot, -1))
+            else:
+                raise MalformedProgram(f"step {i}: unknown step kind {step!r}")
+        _fill(self, seed_count, *(zip(*rows) if rows else ((), (), ())), tuple(outputs))
+
+    @classmethod
+    def of_columns(cls, seed_count: int, ops: tuple, first: tuple, second: tuple,
+                   outputs: tuple) -> Program:
+        program = cls.__new__(cls)
+        _fill(program, seed_count, ops, first, second, outputs)
+        return program
+
+    def check(self) -> None:
+        """Raise MalformedProgram, naming the step, unless the seeds come
+        first in slot order, every other step refers to earlier steps of the
+        right kind and every output is a step; run once per program."""
+        if self._checked:
+            return
+        ops, first, second = self.ops, self.first, self.second
+        count = len(ops)
+        for out in self.outputs:
+            if not 0 <= out < count:
+                raise MalformedProgram(f"output {out} outside the {count} steps")
+        for i in range(self.seed_count):
+            if i >= count or ops[i] != OP_SEED or first[i] != i:
+                raise MalformedProgram(
+                    f"step {i}: expected Seed(slot={i}) before all other steps")
+        for i in range(self.seed_count, count):
+            op, u, v = ops[i], first[i], second[i]
+            if op == OP_SEED:
+                raise MalformedProgram(f"step {i}: misplaced seed")
+            if not (0 <= u < i and 0 <= v < i):
+                raise MalformedProgram(f"step {i}: reference outside [0, {i})")
+            if op == OP_CIRCLE and OP_CIRCLE in (ops[u], ops[v]):
+                raise MalformedProgram(f"step {i}: circle over non-point nodes")
+            if op != OP_CIRCLE and not ops[u] == ops[v] == OP_CIRCLE:
+                raise MalformedProgram(f"step {i}: pick over non-circle nodes")
+        object.__setattr__(self, "_checked", True)
+
+    @property
+    def steps(self) -> Steps:
+        return Steps(self)
 
     def circle_count(self) -> int:
-        return sum(1 for s in self.steps if type(s) is CircleStep)
+        return self.ops.count(OP_CIRCLE)
 
     def pick_count(self) -> int:
-        return sum(1 for s in self.steps if type(s) is PickStep)
+        return self.ops.count(OP_LEFT) + self.ops.count(OP_RIGHT)
+
+
+def _fill(program: Program, *columns) -> None:
+    """Set a new program's fields (seed count, columns, outputs) in order."""
+    for name, value in zip(("seed_count", "ops", "first", "second", "outputs"), columns):
+        object.__setattr__(program, name, value)
+    object.__setattr__(program, "_checked", False)
 
 
 @dataclass(frozen=True, slots=True)
 class Trace:
-    """A fully resolved execution record of a program on concrete seeds."""
+    """A fully resolved execution record of a program on concrete seeds;
+    a tuple given for ``resolved`` is encoded (``Resolved.of_values``)."""
 
     program: Program
     seed_values: tuple[Point, ...]
-    resolved: tuple[Point | ResolvedCircle, ...]
+    resolved: Resolved
     circle_count: int
+
+    def __post_init__(self):
+        if type(self.resolved) is not Resolved:
+            object.__setattr__(self, "resolved", Resolved.of_values(self.resolved))
 
     def output_points(self) -> tuple[Point, ...]:
         return tuple(self.resolved[i] for i in self.program.outputs)
@@ -133,7 +289,8 @@ def execute(program: Program, seeds: Sequence[Point],
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
     b = Builder(seeds, tol)
     b._resolve(program, list(range(program.seed_count)), None)
-    return Trace(program, tuple(seeds), tuple(b._values), b._circle_count)
+    return Trace(program, b.seed_values, Resolved(tuple(b.xs), tuple(b.ys), tuple(b.rs)),
+                 program.circle_count())
 
 
 def _no_point(got: str, at: int) -> CompassError:
@@ -142,43 +299,18 @@ def _no_point(got: str, at: int) -> CompassError:
     return NoSuchIntersection(f"step {at}: circles do not meet")
 
 
-def _cut(c1: ResolvedCircle, c2: ResolvedCircle, eps: float, at: int):
-    """Left and right cut points of two circles (a tangency's one point twice)."""
-    o1 = c1.center
-    o2 = c2.center
-    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
-    if type(got) is str:
-        raise _no_point(got, at)
-    if len(got) == 2:
-        lx, ly = rx, ry = got
-    else:
-        mx, my, hy, hx = got
-        lx, ly, rx, ry = mx - hy, my + hx, mx + hy, my - hx
-    if all(map(math.isfinite, (lx, ly, rx, ry))):
-        return Point(lx, ly), Point(rx, ry)
-    raise NonFiniteInput(f"step {at}: an intersection point is not finite")
-
-
-def _pick(c1: ResolvedCircle, c2: ResolvedCircle, which: Selector, eps: float,
-          at: int) -> Point:
-    """The step kernel's pick: the selected intersection point of two circles,
-    the only object it builds. A tangency satisfies both selectors."""
-    o1 = c1.center
-    o2 = c2.center
-    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
-    if type(got) is str:
-        raise _no_point(got, at)
-    if len(got) == 2:
-        x, y = got
-    elif which is _LEFT:
-        mx, my, hy, hx = got
-        x, y = mx - hy, my + hx
-    else:
-        mx, my, hy, hx = got
-        x, y = mx + hy, my - hx
-    if math.isfinite(x) and math.isfinite(y):
-        return Point(x, y)
-    raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
+def check_kinds(trace: Trace) -> None:
+    """Raise MalformedTrace, naming the step, unless every circle step
+    resolved to a circle and every other step to a point."""
+    ops = trace.program.ops
+    rs = trace.resolved.rs
+    if len(rs) != len(ops):
+        raise MalformedTrace("resolved values do not cover the steps")
+    if [r is None for r in rs] != [op != OP_CIRCLE for op in ops]:
+        i = next(i for i, op in enumerate(ops) if (rs[i] is None) is (op == OP_CIRCLE))
+        kind, want = (("seed", "point"), ("circle", "circle"), ("pick", "point"),
+                      ("pick", "point"))[ops[i]]
+        raise MalformedTrace(f"step {i}: {kind} resolved to non-{want}")
 
 
 def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
@@ -194,32 +326,29 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
         raise InvalidNodeId(
             f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
     for ref in seed_map:
-        if not 0 <= ref < len(host.steps):
+        if not 0 <= ref < len(host.ops):
             raise InvalidNodeId(f"seed_map entry {ref} outside host program")
-        if not isinstance(host.steps[ref], (Seed, PickStep)):
+        if host.ops[ref] == OP_CIRCLE:
             raise InvalidNodeId(f"seed_map entry {ref} is not a point node")
 
-    steps = list(host.steps)
-    mapping: dict[int, int] = {}
-    for i, step in enumerate(guest.steps):
-        if isinstance(step, Seed):
-            mapping[i] = seed_map[step.slot]
-        elif isinstance(step, CircleStep):
-            steps.append(CircleStep(mapping[step.center], mapping[step.through]))
-            mapping[i] = len(steps) - 1
-        elif isinstance(step, PickStep):
-            steps.append(PickStep(mapping[step.c1], mapping[step.c2], step.which))
-            mapping[i] = len(steps) - 1
-        else:
-            raise MalformedProgram(f"guest step {i}: unknown step kind {step!r}")
-    outputs = tuple(mapping[o] for o in guest.outputs)
-    return Program(host.seed_count, tuple(steps), outputs)
+    guest.check()
+    ops, first, second = list(host.ops), list(host.first), list(host.second)
+    mapping = list(seed_map)
+    start = guest.seed_count
+    for op, u, v in zip(guest.ops[start:], guest.first[start:], guest.second[start:]):
+        mapping.append(len(ops))
+        ops.append(op)
+        first.append(mapping[u])
+        second.append(mapping[v])
+    return Program.of_columns(host.seed_count, tuple(ops), tuple(first), tuple(second),
+                              tuple(mapping[o] for o in guest.outputs))
 
 
 def empty_program(seed_count: int, outputs: Sequence[int] = ()) -> Program:
     """A program that draws nothing and outputs (some of) its seeds."""
-    steps = tuple(Seed(i) for i in range(seed_count))
-    return Program(seed_count, steps, tuple(outputs))
+    return Program.of_columns(seed_count, (OP_SEED,) * seed_count,
+                              tuple(range(seed_count)), (-1,) * seed_count,
+                              tuple(outputs))
 
 
 def compact(trace: Trace, table: dict | None = None) -> tuple[Trace, dict]:
@@ -236,29 +365,26 @@ def compact(trace: Trace, table: dict | None = None) -> tuple[Trace, dict]:
         return trace, table
     compacted, kept, table = _restrict(program, keep, program.seed_count,
                                        program.outputs)
-    resolved = trace.resolved
-    return (Trace(compacted, trace.seed_values, tuple([resolved[i] for i in kept]),
-                  compacted.circle_count()), table)
+    old = trace.resolved
+    resolved = Resolved(*(tuple([column[i] for i in kept])
+                          for column in (old.xs, old.ys, old.rs)))
+    return (Trace(compacted, trace.seed_values, resolved, compacted.circle_count()),
+            table)
 
 
 def _live(program: Program, roots: Sequence[int]) -> list[bool]:
     """Which steps the ``roots`` depend on, the roots included, as one flag
     per step. Every step refers only to earlier ones, so one sweep down from
     the last root marks them all."""
-    steps = program.steps
-    keep = [False] * len(steps)
+    ops, first, second = program.ops, program.first, program.second
+    keep = [False] * len(ops)
     for node in roots:
-        if not 0 <= node < len(steps):
+        if not 0 <= node < len(ops):
             raise InvalidNodeId(f"node {node} outside program")
         keep[node] = True
     for i in range(max(roots, default=-1), -1, -1):
-        if keep[i]:
-            step = steps[i]
-            kind = type(step)
-            if kind is CircleStep:
-                keep[step.center] = keep[step.through] = True
-            elif kind is PickStep:
-                keep[step.c1] = keep[step.c2] = True
+        if keep[i] and ops[i] != OP_SEED:
+            keep[first[i]] = keep[second[i]] = True
     return keep
 
 
@@ -268,28 +394,23 @@ def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
     as a program over the first ``seed_count`` seeds; also the old index of
     each kept step, and the hash-cons table of the new program (see
     ``Builder``). Every reference of a kept step must itself be kept."""
-    remap = [-1] * len(program.steps)
+    remap = [-1] * len(program.ops)
     kept: list[int] = []
-    new_steps: list[Step] = []
+    ops, first, second = [], [], []
     table: dict[tuple, int] = {}
-    for i, step in enumerate(program.steps):
+    for i, (op, u, v) in enumerate(zip(program.ops, program.first, program.second)):
         if not keep[i]:
             continue
-        at = remap[i] = len(new_steps)
-        kind = type(step)
-        if kind is CircleStep:
-            center, through = remap[step.center], remap[step.through]
-            if center != step.center or through != step.through:
-                step = CircleStep(center, through)
-            table.setdefault((center, through), at)
-        elif kind is PickStep:
-            c1, c2 = remap[step.c1], remap[step.c2]
-            if c1 != step.c1 or c2 != step.c2:
-                step = PickStep(c1, c2, step.which)
-            table.setdefault((c1, c2, step.which is _LEFT), at)
+        at = remap[i] = len(kept)
+        if op != OP_SEED:
+            u, v = remap[u], remap[v]
+            table.setdefault((u, v) if op == OP_CIRCLE else (u, v, op), at)
         kept.append(i)
-        new_steps.append(step)
-    return (Program(seed_count, tuple(new_steps), tuple(remap[o] for o in outputs)),
+        ops.append(op)
+        first.append(u)
+        second.append(v)
+    return (Program.of_columns(seed_count, tuple(ops), tuple(first), tuple(second),
+                               tuple(remap[o] for o in outputs)),
             kept, table)
 
 
@@ -306,9 +427,9 @@ def slice_to_pair_basis(program: Program, node: int) -> Program:
     construction so it can be rewired onto another basis.
     """
     keep = _live(program, [node])
-    steps = program.steps
-    used_slots = {steps[i].slot for i in range(node + 1)
-                  if keep[i] and type(steps[i]) is Seed}
+    ops = program.ops
+    used_slots = {program.first[i] for i in range(node + 1)
+                  if keep[i] and ops[i] == OP_SEED}
     if not used_slots <= {0, 1}:
         raise InvalidNodeId(
             f"node {node} depends on seeds {sorted(used_slots)}, not just 0 and 1")
@@ -353,133 +474,146 @@ def purity_audit(trace: Trace) -> AuditReport:
     checks the traces it reads while building them; the audit checks a
     trace that came from anywhere else.
     """
+    check_kinds(trace)
     program = trace.program
-    if len(trace.resolved) != len(program.steps):
-        raise MalformedTrace("resolved values do not cover the steps")
-    seeds = circles = picks = 0
-    for i, step in enumerate(program.steps):
-        value = trace.resolved[i]
-        if isinstance(step, Seed):
-            seeds += 1
-            if not isinstance(value, Point):
-                raise MalformedTrace(f"step {i}: seed resolved to non-point")
-        elif isinstance(step, CircleStep):
-            circles += 1
-            if not isinstance(value, ResolvedCircle):
-                raise MalformedTrace(f"step {i}: circle resolved to non-circle")
-        elif isinstance(step, PickStep):
-            picks += 1
-            if not isinstance(value, Point):
-                raise MalformedTrace(f"step {i}: pick resolved to non-point")
-        else:
-            raise MalformedTrace(f"step {i}: non-compass step kind {step!r}")
+    seeds = program.ops.count(OP_SEED)
+    circles = program.circle_count()
     if seeds != program.seed_count:
         raise MalformedTrace("seed step count disagrees with seed_count")
     if circles != trace.circle_count:
         raise MalformedTrace("circle_count disagrees with the steps")
-    return AuditReport(seeds=seeds, circles=circles, picks=picks)
+    return AuditReport(seeds=seeds, circles=circles,
+                       picks=len(program.ops) - seeds - circles)
 
 
 class Builder:
-    """Grows a program and its trace together.
+    """Grows a program and its trace together, as the six columns ``ops``,
+    ``first``, ``second``, ``xs``, ``ys`` and ``rs`` (see the module
+    docstring); nodes are ints. Construction routines need coordinates while
+    they build (to choose selectors, scaling factors, retry poles), so each
+    step is resolved as it is appended; ``point`` and ``circle_value`` build
+    the value object of one node, and ``finish`` hands the columns over.
 
-    Construction routines need the resolved coordinates while they build
-    (to choose selectors, scaling factors, retry poles), so the builder
-    resolves each step as it is appended. The finished object is still a
-    pure compass program; the coordinates only informed which program got
-    built.
+    Every resolving method goes through ``geom.radius`` and ``geom.cut``,
+    so a step gives the same bits however it is appended. Node arguments
+    outside the builder raise ``InvalidNodeId``; a failing call appends
+    nothing, and a failing ``inline`` keeps the steps it completed.
 
-    Every resolving method goes through the module's step kernel (see the
-    module docstring), so a step gives the same bits whether it is appended
-    by a method, inlined from a program or replayed by ``execute``. Node
-    arguments outside the builder raise ``InvalidNodeId``; a failing call
-    appends nothing, and a failing ``inline`` keeps the steps it completed.
-
-    Steps are hash-consed in ``table``: a circle on the same (center,
-    through) nodes, or a pick on the same circle nodes and selector, is the
-    existing node, with the same bits since execution is deterministic.
-    ``Builder.resume`` takes over a finished trace and its table as they
-    are, so growing a program never resolves or walks its steps again.
+    Steps are hash-consed in ``table``: a circle keyed on its (center,
+    through) nodes, or a pick on its (circle, circle, op), is the existing
+    node, looked up before anything is resolved. ``Builder.resume`` takes
+    over a finished trace and its table, so growing a program never
+    resolves or walks its steps again.
     """
 
     def __init__(self, seeds: Sequence[Point], tol: Tolerance = DEFAULT_TOL):
         self.tol = tol
-        self._steps: list[Step] = []
-        self._values: list[Point | ResolvedCircle] = []
-        # picks key on ``which is _LEFT``: hashing an enum member runs Python code
-        self.table: dict[tuple, int] = {}
-        self._circle_count = 0
-        for i, p in enumerate(seeds):
+        self.seed_values = tuple(seeds)
+        n = self.seed_count = len(self.seed_values)
+        for p in self.seed_values:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise NonFiniteInput(f"non-finite seed {p}")
-            self._steps.append(Seed(i))
-            self._values.append(p)
-        self.seed_count = len(self._steps)
+        self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
+        self.xs, self.ys = [p.x for p in self.seed_values], [p.y for p in self.seed_values]
+        self.rs: list[float | None] = [None] * n
+        self.table: dict[tuple, int] = {}
 
     @classmethod
     def resume(cls, trace: Trace, table: dict[tuple, int],
                tol: Tolerance = DEFAULT_TOL) -> "Builder":
         """A builder holding ``trace`` and a copy of its hash-cons ``table``."""
         builder = cls(trace.seed_values, tol)
-        builder._steps[:] = trace.program.steps
-        builder._values[:] = trace.resolved
+        p, r = trace.program, trace.resolved
+        builder.ops, builder.first, builder.second = list(p.ops), list(p.first), list(p.second)
+        builder.xs, builder.ys, builder.rs = list(r.xs), list(r.ys), list(r.rs)
         builder.table = dict(table)
-        builder._circle_count = trace.circle_count
         return builder
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return len(self.ops)
+
+    def _node(self, node: int, circle: bool) -> None:
+        """Raise unless ``node`` is a circle node (or a point node)."""
+        if not 0 <= node < len(self.rs):
+            raise InvalidNodeId(f"node {node} outside the builder")
+        if (self.rs[node] is None) is circle:
+            raise MalformedProgram(f"node {node} is not a {'circle' if circle else 'point'}")
 
     def point(self, node: int) -> Point:
-        if not 0 <= node < len(self._values):
-            raise InvalidNodeId(f"node {node} outside the builder")
-        value = self._values[node]
-        if not isinstance(value, Point):
-            raise MalformedProgram(f"node {node} is not a point")
-        return value
+        self._node(node, False)
+        return Point(self.xs[node], self.ys[node])
 
     def circle_value(self, node: int) -> ResolvedCircle:
-        if not 0 <= node < len(self._values):
-            raise InvalidNodeId(f"node {node} outside the builder")
-        value = self._values[node]
-        if not isinstance(value, ResolvedCircle):
-            raise MalformedProgram(f"node {node} is not a circle")
-        return value
+        self._node(node, True)
+        return ResolvedCircle(Point(self.xs[node], self.ys[node]), self.rs[node])
+
+    def _keep(self, op: int, u: int, v: int, x: float, y: float,
+              r: float | None = None) -> int:
+        """The node hash-consed as step (op, u, v), appending it if new."""
+        key = (u, v) if op == OP_CIRCLE else (u, v, op)
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = len(self.ops)
+            for column, item in zip((self.ops, self.first, self.second, self.xs, self.ys,
+                                     self.rs), (op, u, v, x, y, r)):
+                column.append(item)
+        return node
 
     def circle(self, center: int, through: int) -> int:
         hit = self.table.get((center, through))
         if hit is not None:
             return hit
-        value = circle_from(self.point(center), self.point(through), self.tol)
-        self._circle_count += 1
-        return self._keep((center, through), CircleStep(center, through), value)
+        self._node(center, False)
+        self._node(through, False)
+        x, y = self.xs[center], self.ys[center]
+        r = radius(x, y, self.xs[through], self.ys[through], self.tol.eps_degenerate)
+        return self._keep(OP_CIRCLE, center, through, x, y, r)
 
     def outcome_of(self, c1: int, c2: int):
         """Peek at the intersection outcome without appending a pick."""
         return circle_circle_intersect(self.circle_value(c1), self.circle_value(c2),
                                        self.tol)
 
-    def _keep(self, key: tuple, step: Step, value: Point | ResolvedCircle) -> int:
-        """The node hash-consed under ``key``, appending ``step`` if new."""
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        self._steps.append(step)
-        self._values.append(value)
-        node = self.table[key] = len(self._steps) - 1
-        return node
+    def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
+        """Left and right cut points of two circle nodes (a tangency's one
+        point twice), both checked to be finite."""
+        self._node(c1, True)
+        self._node(c2, True)
+        xs, ys, rs = self.xs, self.ys, self.rs
+        at = len(rs)
+        got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2], self.tol.eps_degenerate)
+        if type(got) is str:
+            raise _no_point(got, at)
+        if len(got) == 2:
+            lx, ly = rx, ry = got
+        else:
+            mx, my, hy, hx = got
+            lx, ly, rx, ry = mx - hy, my + hx, mx + hy, my - hx
+        if all(map(math.isfinite, (lx, ly, rx, ry))):
+            return lx, ly, rx, ry
+        raise NonFiniteInput(f"step {at}: an intersection point is not finite")
 
     def pick(self, c1: int, c2: int, which: Selector) -> int:
-        value = _pick(self.circle_value(c1), self.circle_value(c2), which,
-                      self.tol.eps_degenerate, len(self._values))
-        return self._keep((c1, c2, which is _LEFT), PickStep(c1, c2, which), value)
+        op = OP_LEFT if which is _LEFT else OP_RIGHT if which is _RIGHT else None
+        if op is None:
+            raise MalformedProgram(f"bad selector {which!r}")
+        hit = self.table.get((c1, c2, op))
+        if hit is not None:
+            return hit
+        lx, ly, rx, ry = self._cut(c1, c2)
+        if op == OP_LEFT:
+            return self._keep(op, c1, c2, lx, ly)
+        return self._keep(op, c1, c2, rx, ry)
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a tangency yields the same point twice."""
-        left, right = _cut(self.circle_value(c1), self.circle_value(c2),
-                           self.tol.eps_degenerate, len(self._values))
-        return (self._keep((c1, c2, True), PickStep(c1, c2, _LEFT), left),
-                self._keep((c1, c2, False), PickStep(c1, c2, Selector.RIGHT), right))
+        left = self.table.get((c1, c2, OP_LEFT))
+        right = self.table.get((c1, c2, OP_RIGHT))
+        if left is None or right is None:
+            lx, ly, rx, ry = self._cut(c1, c2)
+            left = self._keep(OP_LEFT, c1, c2, lx, ly)
+            right = self._keep(OP_RIGHT, c1, c2, rx, ry)
+        return left, right
 
     def pick_other(self, c1: int, c2: int, avoid: int) -> int:
         """The intersection point that is not the point at node ``avoid``.
@@ -487,12 +621,12 @@ class Builder:
         On tangency there is only one point and it is returned regardless,
         per the both-selectors rule.
         """
-        circle1, circle2 = self.circle_value(c1), self.circle_value(c2)
-        a = self.point(avoid)
-        p, q = _cut(circle1, circle2, self.tol.eps_degenerate, len(self._values))
-        if math.hypot(p.x - a.x, p.y - a.y) >= math.hypot(q.x - a.x, q.y - a.y):
-            return self._keep((c1, c2, True), PickStep(c1, c2, _LEFT), p)
-        return self._keep((c1, c2, False), PickStep(c1, c2, Selector.RIGHT), q)
+        lx, ly, rx, ry = self._cut(c1, c2)
+        self._node(avoid, False)
+        ax, ay = self.xs[avoid], self.ys[avoid]
+        if math.hypot(lx - ax, ly - ay) >= math.hypot(rx - ax, ry - ay):
+            return self._keep(OP_LEFT, c1, c2, lx, ly)
+        return self._keep(OP_RIGHT, c1, c2, rx, ry)
 
     def inline(self, guest: Program, seed_map: Sequence[int]) -> tuple[int, ...]:
         """Append a program's non-seed steps, rewiring its seeds onto existing
@@ -501,7 +635,7 @@ class Builder:
             raise InvalidNodeId(
                 f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
         for node in seed_map:
-            self.point(node)
+            self._node(node, False)
         return self._resolve(guest, list(seed_map), self.table)
 
     def _resolve(self, program: Program, node: list[int],
@@ -511,88 +645,68 @@ class Builder:
         ``node`` holds the builder nodes of ``program``'s seeds and grows to
         map every program step to its node. Each non-seed step is rewired
         through it, resolved and appended; with a hash-cons ``table``, a
-        step whose rewired key is in it is that node instead. Every
-        reference is checked to point backwards and at a node of the right
-        kind, and every error names the step it happened at.
+        step whose rewired key is in it is that node instead. The structure
+        was checked once (``Program.check``); errors name their step.
         """
-        steps = program.steps
-        count = len(steps)
-        seed_count = program.seed_count
-        for out in program.outputs:
-            if not 0 <= out < count:
-                raise MalformedProgram(f"output {out} outside the {count} steps")
-        for i in range(seed_count):
-            step = steps[i] if i < count else None
-            if type(step) is not Seed or step.slot != i:
-                raise MalformedProgram(
-                    f"step {i}: expected Seed(slot={i}) before all other steps")
-        values = self._values
-        record = self._steps.append
-        keep = values.append
+        program.check()
+        start = program.seed_count
+        xs, ys, rs = self.xs, self.ys, self.rs
+        add_x, add_y, add_r = xs.append, ys.append, rs.append
+        add_op, add_first, add_second = self.ops.append, self.first.append, self.second.append
         mapped = node.append
-        tol = self.tol
-        eps = tol.eps_degenerate
-        for i in range(seed_count, count):
-            step = steps[i]
-            kind = type(step)
-            at = len(values)
-            if kind is PickStep:
-                c1, c2 = step.c1, step.c2
-                if not (0 <= c1 < i and 0 <= c2 < i):
-                    raise MalformedProgram(f"step {i}: reference outside [0, {i})")
-                n1, n2 = node[c1], node[c2]
-                if table is not None:
-                    key = (n1, n2, step.which is _LEFT)
-                    hit = table.get(key)
-                    if hit is not None:
-                        mapped(hit)
-                        continue
-                v1, v2 = values[n1], values[n2]
-                if type(v1) is not ResolvedCircle or type(v2) is not ResolvedCircle:
-                    raise MalformedProgram(f"step {at}: pick over non-circle nodes")
-                keep(_pick(v1, v2, step.which, eps, at))
-                record(step if n1 == c1 and n2 == c2 else PickStep(n1, n2, step.which))
-                if table is not None:
-                    table[key] = at
-            elif kind is CircleStep:
-                c, t = step.center, step.through
-                if not (0 <= c < i and 0 <= t < i):
-                    raise MalformedProgram(f"step {i}: reference outside [0, {i})")
-                nc, nt = node[c], node[t]
-                if table is not None:
-                    hit = table.get((nc, nt))
-                    if hit is not None:
-                        mapped(hit)
-                        continue
-                center, through = values[nc], values[nt]
-                if type(center) is not Point or type(through) is not Point:
-                    raise MalformedProgram(f"step {at}: circle over non-point nodes")
-                keep(circle_from(center, through, tol))
-                record(step if nc == c and nt == t else CircleStep(nc, nt))
-                if table is not None:
-                    table[(nc, nt)] = at
-                self._circle_count += 1
-            elif kind is Seed:
-                raise MalformedProgram(f"step {i}: misplaced seed")
+        isfinite = math.isfinite
+        eps = self.tol.eps_degenerate
+        for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
+            nu, nv = node[u], node[v]
+            if table is not None:
+                key = (nu, nv) if op == OP_CIRCLE else (nu, nv, op)
+                hit = table.get(key)
+                if hit is not None:
+                    mapped(hit)
+                    continue
+            at = len(rs)
+            if op == OP_CIRCLE:
+                x, y = xs[nu], ys[nu]
+                r = radius(x, y, xs[nv], ys[nv], eps)
             else:
-                raise MalformedProgram(f"step {i}: unknown step kind {step!r}")
+                got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv], eps)
+                if type(got) is str:
+                    raise _no_point(got, at)
+                if len(got) == 2:
+                    x, y = got
+                elif op == OP_LEFT:
+                    mx, my, hy, hx = got
+                    x, y = mx - hy, my + hx
+                else:
+                    mx, my, hy, hx = got
+                    x, y = mx + hy, my - hx
+                if not (isfinite(x) and isfinite(y)):
+                    raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
+                r = None
+            add_x(x)
+            add_y(y)
+            add_r(r)
+            add_op(op)
+            add_first(nu)
+            add_second(nv)
+            if table is not None:
+                table[key] = at
             mapped(at)
         return tuple(node[out] for out in program.outputs)
 
     def mark(self) -> tuple[int, int]:
-        """Checkpoint for speculative building (see ``rollback``)."""
-        return (len(self._steps), self._circle_count)
+        """Step and circle counts, a checkpoint for ``rollback``."""
+        return (len(self.ops), self.ops.count(OP_CIRCLE))
 
     def rollback(self, mark: tuple[int, int]) -> None:
         """Discard steps appended after ``mark``, table keys included."""
-        n, circles = mark
-        del self._steps[n:]
-        del self._values[n:]
-        self._circle_count = circles
+        n = mark[0]
+        for column in (self.ops, self.first, self.second, self.xs, self.ys, self.rs):
+            del column[n:]
         self.table = {k: v for k, v in self.table.items() if v < n}
 
     def finish(self, outputs: Sequence[int]) -> tuple[Program, Trace]:
-        program = Program(self.seed_count, tuple(self._steps), tuple(outputs))
-        trace = Trace(program, tuple(self._values[:self.seed_count]),
-                      tuple(self._values), self._circle_count)
-        return program, trace
+        program = Program.of_columns(self.seed_count, tuple(self.ops), tuple(self.first),
+                                     tuple(self.second), tuple(outputs))
+        resolved = Resolved(tuple(self.xs), tuple(self.ys), tuple(self.rs))
+        return program, Trace(program, self.seed_values, resolved, program.circle_count())

@@ -14,13 +14,11 @@ zero turns -0.0 into 0.0 and leaves every other double as it is.
 
 from __future__ import annotations
 
-from .errors import MalformedTrace
-from .geom import Point, ResolvedCircle
-from .program import CircleStep, PickStep, Seed, Selector, Trace
+from .program import OP_CIRCLE, OP_SEED, SELECTOR_OF_OP, Trace, check_kinds
 
 _GIVEN_COLOR = "#000000"
 _BUILT_COLOR = "#cc0000"
-_SELECTOR_NAMES = {s: s.value for s in Selector}
+_SELECTOR_NAMES = {op: s.value for op, s in SELECTOR_OF_OP.items()}
 
 
 def _n(x: float) -> str:
@@ -35,38 +33,28 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
     step, so a hand-built trace fails the same way with or without ``-O``.
     """
     names = names or {}
-    steps = trace.program.steps
-    resolved = trace.resolved
-    if len(resolved) != len(steps):
-        raise MalformedTrace("resolved values do not cover the steps")
+    check_kinds(trace)
+    program = trace.program
+    ops, first, second = program.ops, program.first, program.second
+    xs, ys, rs = trace.resolved.xs, trace.resolved.ys, trace.resolved.rs
 
     # bounding box of every point and every circle, in step order
-    xs: list[float] = []
-    ys: list[float] = []
-    for i, step in enumerate(steps):
-        value = resolved[i]
-        kind = type(step)
-        if kind is CircleStep:
-            if type(value) is not ResolvedCircle:
-                raise MalformedTrace(f"step {i}: circle resolved to non-circle")
-            c = value.center
-            r = value.radius
-            xs += (c.x - r, c.x + r)
-            ys += (c.y - r, c.y + r)
-        elif kind is PickStep or kind is Seed:
-            if type(value) is not Point:
-                raise MalformedTrace(f"step {i}: point step resolved to non-point")
-            xs.append(value.x)
-            ys.append(value.y)
+    box_x: list[float] = []
+    box_y: list[float] = []
+    for x, y, r in zip(xs, ys, rs):
+        if r is None:
+            box_x.append(x)
+            box_y.append(y)
         else:
-            raise MalformedTrace(f"step {i}: unknown step kind {step!r}")
-    if not xs:
-        xs = ys = [0.0]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-6)
+            box_x += (x - r, x + r)
+            box_y += (y - r, y + r)
+    if not box_x:
+        box_x = box_y = [0.0]
+    span = max(max(box_x) - min(box_x), max(box_y) - min(box_y), 1e-6)
     margin = 0.1 * span
-    x0 = min(xs) - margin
-    width = (max(xs) - min(xs)) + 2 * margin
-    height = (max(ys) - min(ys)) + 2 * margin
+    x0 = min(box_x) - margin
+    width = (max(box_x) - min(box_x)) + 2 * margin
+    height = (max(box_y) - min(box_y)) + 2 * margin
     dot_r = 0.009 * span
     font = _n(0.035 * span)
     # everything of a dot's path after its start point is the same for all dots
@@ -78,25 +66,22 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
     # SVG y grows downward; y is mirrored so the figure reads the usual way up
     circles: list[str] = []
     dots: list[str] = []
-    for i, step in enumerate(steps):
-        value = resolved[i]
-        kind = type(step)
-        if kind is CircleStep:
-            c = value.center
+    for i, op in enumerate(ops):
+        x = xs[i]
+        y = -ys[i]
+        if op == OP_CIRCLE:
             circles.append(
-                f'  <circle cx="{c.x + 0.0:.10g}" cy="{-c.y + 0.0:.10g}" '
-                f'r="{value.radius + 0.0:.10g}{circle_tail}{i}: circle(center '
-                f'n{step.center}, through n{step.through})</title></circle>\n')
+                f'  <circle cx="{x + 0.0:.10g}" cy="{y + 0.0:.10g}" '
+                f'r="{rs[i] + 0.0:.10g}{circle_tail}{i}: circle(center '
+                f'n{first[i]}, through n{second[i]})</title></circle>\n')
             continue
-        if kind is Seed:
+        if op == OP_SEED:
             color = _GIVEN_COLOR
-            title = f"step {i}: seed {step.slot}"
+            title = f"step {i}: seed {first[i]}"
         else:
             color = _BUILT_COLOR
-            title = (f"step {i}: pick({_SELECTOR_NAMES[step.which]} of "
-                     f"n{step.c1}, n{step.c2})")
-        x = value.x
-        y = -value.y
+            title = (f"step {i}: pick({_SELECTOR_NAMES[op]} of "
+                     f"n{first[i]}, n{second[i]})")
         dots.append(f'  <path class="dot" d="M {x - dot_r + 0.0:.10g} {y + 0.0:.10g}'
                     f'{arcs}" fill="{color}"><title>{title}</title></path>\n')
         label = names.get(i)
@@ -104,7 +89,7 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
             dots.append(f'  <text x="{_n(x + 1.6 * dot_r)}" y="{_n(y - 1.6 * dot_r)}" '
                         f'font-size="{font}" fill="{color}">{label}</text>\n')
 
-    view = f"{_n(x0)} {_n(-(max(ys) + margin))} {_n(width)} {_n(height)}"
+    view = f"{_n(x0)} {_n(-(max(box_y) + margin))} {_n(width)} {_n(height)}"
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">\n'

@@ -15,12 +15,11 @@ Where each check lives:
   schema (field types, dense ids, known step kinds and selectors), the
   references (each to an earlier node of the right kind, outputs on point
   nodes), the finiteness of every coordinate and the radius of every
-  circle, while it builds the trace's steps and resolved values. Every
-  error about a node names it (``step <id>: ...``).
-- ``dumps`` checks the kind of each resolved value it walks, so a
-  hand-built ``Trace`` whose values disagree with its steps raises
-  MalformedTrace, with or without ``-O``. ``svg.render_trace`` checks the
-  values it draws the same way.
+  circle, while it builds the trace's columns. Every error about a node
+  names it (``step <id>: ...``).
+- ``dumps``, like ``svg.render_trace``, runs ``program.check_kinds`` on the
+  columns first, so a hand-built ``Trace`` whose values disagree with its
+  steps raises MalformedTrace, with or without ``-O``.
 - ``document_from_trace`` checks only that the output names match the
   outputs, and ``trace_from_document`` checks nothing: the trace it
   returns was built by ``loads`` or given by the caller.
@@ -32,24 +31,25 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import MalformedTrace
-from .geom import DEFAULT_TOL, Point, ResolvedCircle
+from .errors import DegenerateCircle, MalformedTrace
+from .geom import DEFAULT_TOL, Point, radius
 # purity_audit stays importable from this module: perfbench's tracer wraps it
 # here.
 from .program import (  # noqa: F401
-    CircleStep,
-    PickStep,
+    OP_CIRCLE,
+    OP_SEED,
+    SELECTOR_OF_OP,
     Program,
-    Seed,
-    Selector,
+    Resolved,
     Trace,
+    check_kinds,
     purity_audit,
 )
 
 VERSION = 1
 
-_SELECTOR_NAMES = {s: s.value for s in Selector}
-_SELECTORS = {s.value: s for s in Selector}
+_SELECTOR_NAMES = {op: s.value for op, s in SELECTOR_OF_OP.items()}
+_SELECTORS = {s.value: op for op, s in SELECTOR_OF_OP.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,39 +83,30 @@ def dumps(doc: TraceDocument) -> str:
     Raises MalformedTrace, naming the step, when a resolved value is not of
     its step's kind.
     """
-    program = doc.trace.program
-    steps = program.steps
-    resolved = doc.trace.resolved
-    if len(resolved) != len(steps):
-        raise MalformedTrace("resolved values do not cover the steps")
+    trace = doc.trace
+    check_kinds(trace)
+    program = trace.program
+    ops, first, second = program.ops, program.first, program.second
+    xs, ys = trace.resolved.xs, trace.resolved.ys
     seed_count = program.seed_count
     chunks = []
     for i in range(seed_count):
-        value = resolved[i]
-        if type(value) is not Point:
-            raise MalformedTrace(f"step {i}: seed resolved to non-point")
         name = doc.seed_names[i]
         named = f',"name":{json.dumps(name)}' if name is not None else ""
-        chunks.append(f'{{"id":{i}{named},"x":{value.x:.17g},"y":{value.y:.17g}}}')
+        chunks.append(f'{{"id":{i}{named},"x":{xs[i]:.17g},"y":{ys[i]:.17g}}}')
     parts = [f'{{"version":{VERSION},"seeds":[', ",".join(chunks), '],"steps":[']
     chunks = []
-    for i in range(seed_count, len(steps)):
-        step = steps[i]
-        kind = type(step)
-        value = resolved[i]
-        if kind is CircleStep:
-            if type(value) is not ResolvedCircle:
-                raise MalformedTrace(f"step {i}: circle resolved to non-circle")
-            chunks.append(f'{{"id":{i},"op":"circle","center":{step.center},'
-                          f'"through":{step.through}}}')
-        elif kind is PickStep:
-            if type(value) is not Point:
-                raise MalformedTrace(f"step {i}: pick resolved to non-point")
-            chunks.append(f'{{"id":{i},"op":"pick","c1":{step.c1},"c2":{step.c2},'
-                          f'"selector":"{_SELECTOR_NAMES[step.which]}",'
-                          f'"x":{value.x:.17g},"y":{value.y:.17g}}}')
+    for i in range(seed_count, len(ops)):
+        op = ops[i]
+        if op == OP_CIRCLE:
+            chunks.append(f'{{"id":{i},"op":"circle","center":{first[i]},'
+                          f'"through":{second[i]}}}')
+        elif op == OP_SEED:
+            raise MalformedTrace(f"step {i}: misplaced seed")
         else:
-            raise MalformedTrace(f"step {i}: unknown step kind {step!r}")
+            chunks.append(f'{{"id":{i},"op":"pick","c1":{first[i]},"c2":{second[i]},'
+                          f'"selector":"{_SELECTOR_NAMES[op]}",'
+                          f'"x":{xs[i]:.17g},"y":{ys[i]:.17g}}}')
     parts.append(",".join(chunks))
     parts.append('],"outputs":[')
     parts.append(",".join(f'{{"name":{json.dumps(name)},"id":{node}}}'
@@ -143,14 +134,14 @@ def _coordinate(obj: dict, key: str, at: int) -> float:
     return value
 
 
-def _reference(obj: dict, key: str, at: int, resolved: list, kind: type) -> int:
-    """Field ``key`` of node ``at`` as the id of an earlier node whose
-    resolved value is a ``kind``, or MalformedTrace."""
+def _reference(obj: dict, key: str, at: int, rows: list, circle: bool) -> int:
+    """Field ``key`` of node ``at`` as the id of an earlier node, a circle
+    node if ``circle`` else a point node, or MalformedTrace."""
     ref = obj.get(key)
     if type(ref) is not int:
         raise MalformedTrace(f"step {at}: {key!r} must be an integer")
-    if not (0 <= ref < at and type(resolved[ref]) is kind):
-        noun = "point" if kind is Point else "circle"
+    if not (0 <= ref < at and (rows[ref][5] is None) is not circle):
+        noun = "circle" if circle else "point"
         raise MalformedTrace(f"step {at}: bad {noun} reference {ref}")
     return ref
 
@@ -195,8 +186,7 @@ def loads(text: str) -> TraceDocument:
     if not raw_seeds:
         raise MalformedTrace("a trace needs at least one seed")
 
-    steps: list = []
-    resolved: list[Point | ResolvedCircle] = []
+    rows: list[tuple] = []  # (op, first, second, x, y, r) of every node
     seed_names = []
     for i, obj in enumerate(raw_seeds):
         _check_node(obj, i)
@@ -204,34 +194,29 @@ def loads(text: str) -> TraceDocument:
         if name is not None and type(name) is not str:
             raise MalformedTrace(f"step {i}: name must be a string")
         seed_names.append(name)
-        steps.append(Seed(i))
-        resolved.append(Point(_coordinate(obj, "x", i), _coordinate(obj, "y", i)))
+        rows.append((OP_SEED, i, -1, _coordinate(obj, "x", i), _coordinate(obj, "y", i), None))
 
     eps = DEFAULT_TOL.eps_degenerate
-    circles = 0
     for at, obj in enumerate(raw_steps, len(raw_seeds)):
         _check_node(obj, at)
         op = obj.get("op")
         if op == "circle":
-            c = _reference(obj, "center", at, resolved, Point)
-            t = _reference(obj, "through", at, resolved, Point)
-            center = resolved[c]
-            through = resolved[t]
-            radius = math.hypot(through.x - center.x, through.y - center.y)
-            if radius <= eps:
-                raise MalformedTrace(f"step {at}: degenerate circle")
-            steps.append(CircleStep(c, t))
-            resolved.append(ResolvedCircle(center, radius))
-            circles += 1
+            u = _reference(obj, "center", at, rows, False)
+            v = _reference(obj, "through", at, rows, False)
+            x, y = rows[u][3:5]
+            try:
+                r = radius(x, y, *rows[v][3:5], eps)
+            except DegenerateCircle:
+                raise MalformedTrace(f"step {at}: degenerate circle") from None
+            rows.append((OP_CIRCLE, u, v, x, y, r))
         elif op == "pick":
-            c1 = _reference(obj, "c1", at, resolved, ResolvedCircle)
-            c2 = _reference(obj, "c2", at, resolved, ResolvedCircle)
+            u = _reference(obj, "c1", at, rows, True)
+            v = _reference(obj, "c2", at, rows, True)
             selector = obj.get("selector")
-            which = _SELECTORS.get(selector) if type(selector) is str else None
-            if which is None:
+            op = _SELECTORS.get(selector) if type(selector) is str else None
+            if op is None:
                 raise MalformedTrace(f"step {at}: bad selector {selector!r}")
-            steps.append(PickStep(c1, c2, which))
-            resolved.append(Point(_coordinate(obj, "x", at), _coordinate(obj, "y", at)))
+            rows.append((op, u, v, _coordinate(obj, "x", at), _coordinate(obj, "y", at), None))
         else:
             raise MalformedTrace(f"step {at}: unknown step kind {op!r}")
 
@@ -243,14 +228,16 @@ def loads(text: str) -> TraceDocument:
         ident = obj.get("id")
         if type(ident) is not int:
             raise MalformedTrace(f"output {k}: 'id' must be an integer")
-        if not (0 <= ident < len(resolved) and type(resolved[ident]) is Point):
+        if not (0 <= ident < len(rows) and rows[ident][5] is None):
             raise MalformedTrace(f"output {k}: id {ident} is not a point node")
         outputs.append(ident)
         output_names.append(obj["name"])
 
     seed_count = len(raw_seeds)
-    trace = Trace(Program(seed_count, tuple(steps), tuple(outputs)),
-                  tuple(resolved[:seed_count]), tuple(resolved), circles)
+    ops, first, second, xs, ys, rs = zip(*rows)
+    program = Program.of_columns(seed_count, ops, first, second, tuple(outputs))
+    seed_values = tuple(Point(row[3], row[4]) for row in rows[:seed_count])
+    trace = Trace(program, seed_values, Resolved(xs, ys, rs), program.circle_count())
     return TraceDocument(trace, tuple(seed_names), tuple(output_names))
 
 

@@ -5,7 +5,7 @@ import pytest
 from compass import field_ops as F
 from compass.constructions import build_extend, midpoint
 from compass.fuzz import SplitMix64, _ValuePool
-from compass.geom import DEFAULT_TOL, Point
+from compass.geom import DEFAULT_TOL, Point, Tolerance
 from compass.oracle import (
     oracle_complex_add,
     oracle_complex_conj,
@@ -36,6 +36,28 @@ def test_neg_examples():
     close(F.neg(F.zero()).value, 0.0, 0.0)
     a = F.alpha()
     close(F.neg(a).value, -0.75, -SQRT15_4, tol=1e-7)
+
+
+def test_second_neg_executes_nothing(monkeypatch):
+    """-1 is built once per tolerance: only the first neg executes it."""
+    tol = Tolerance(eps_abs=3e-9)  # a tolerance no other test builds -1 for
+    calls = []
+    real = F.execute
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(F, "execute", counting)
+    a = F.alpha(tol)
+    first = F.neg(a, tol)
+    assert calls
+    calls.clear()
+    second = F.neg(a, tol)
+    assert calls == []
+    assert (second.value.x.hex(), second.value.y.hex()) == (
+        first.value.x.hex(), first.value.y.hex())
+    assert second.trace == first.trace
 
 
 def test_add_examples():

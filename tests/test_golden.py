@@ -1,16 +1,20 @@
-"""Golden bytes: the trace JSON and the SVG of every demo, pinned by sha256.
+"""Golden bytes: the trace JSON and the SVG of every demo, and the traces
+every fuzz op audits, pinned by sha256.
 
 A change to the serializer, the renderer or a demo's program that alters
-one byte of either output fails here. Re-pin only for a deliberate change of
-the output format or of the steps a demo builds, and say so in CHANGES.md.
+one byte of either output fails here, and so does a change to one bit of a
+coordinate any fuzz op resolves. Re-pin only for a deliberate change of the
+output format or of the steps a demo or a construction builds, and say so in
+CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
-from compass import dsl, svg, tracedoc
+from compass import dsl, fuzz, svg, tracedoc
 from compass.demos import DEMOS
+from compass.geom import Point
 
 # name: (sha256 of the trace JSON, sha256 of the SVG)
 GOLDEN = {
@@ -70,3 +74,49 @@ def test_demo_bytes_are_pinned(name):
     rebuilt = tracedoc.trace_from_document(tracedoc.loads(text))
     assert rebuilt.program == result.trace.program
     assert rebuilt.resolved == result.trace.resolved
+
+
+# op: sha256 over the traces ``fuzz.run_op(op, 120, seed=1)`` audits; 120
+# cases reach every sampler stratum
+FUZZ_GOLDEN = {
+    "apex": "41e7c495973d73914706383531d0fd10c2813aa74ee1204376fb57c4f14fab7e",
+    "extend": "2da56d2a938785032264b8926b01bc95eba3331d7ee9c2bc244c0fd52cc770a2",
+    "nth": "e96b16275826049751ed68f18abd53ad459653b41a6f21a7a409e5ddf24e1ba5",
+    "midpoint": "83c8468058652d447bff2137d48f0c4bd1c91a9a8a5f9717bb09c4407ffba8da",
+    "foot": "dab6308e00d520e97f2978a846cbb8ee78c5f6aaed98c0f0bc6a21cc4f02d59c",
+    "invert": "f54831e1ccc488e3ed8fc3d5eb353aa87dc86a13f38870caaf18d10c37565769",
+    "line-line": "ae269fac0d54c86dfeccbeb3e8d640b0958d1c8371681e87b27d0e810fd5c197",
+    "line-circle": "48928deb0c2622666de0cced0d54ec9f8ffb1f0a0b1062ff32057b9916e9870e",
+    "line-circle-diameter":
+        "e0023e9ee75bb8babd9b955e68255de8d1bba26113f445c8f6e92d3d17ede6b0",
+    "mul": "f93bb3fb49999982af1ca23ee005be71051141ea444732b6d82fa5adea13926b",
+    "add": "647770c3877e39a47d3611ecb18f14d4ab8fc61ee13b13f0b4d99e314a48b57b",
+    "conj": "939c4f8d86325982b238200b8b43ebd878093b1b00814cae81b9bca459b84439",
+}
+
+
+def test_every_fuzz_op_is_pinned():
+    assert set(FUZZ_GOLDEN) == set(fuzz.OPS)
+
+
+@pytest.mark.parametrize("op", fuzz.OPS)
+def test_fuzz_traces_are_pinned(op, monkeypatch):
+    """Each audited trace's (steps, circles, picks) and the ``float.hex`` of
+    every resolved coordinate: bit-exactness far past the demos."""
+    h = hashlib.sha256()
+
+    def audit(trace):
+        program = trace.program
+        h.update(f"{len(program.steps)} {program.circle_count()} "
+                 f"{program.pick_count()}|".encode())
+        for v in trace.resolved:
+            if type(v) is Point:
+                h.update(f"{v.x.hex()} {v.y.hex()};".encode())
+            else:
+                h.update(f"{v.center.x.hex()} {v.center.y.hex()} "
+                         f"{v.radius.hex()};".encode())
+
+    monkeypatch.setattr(fuzz, "purity_audit", audit)
+    report = fuzz.run_op(op, 120, 1)
+    assert report.failures == 0
+    assert h.hexdigest() == FUZZ_GOLDEN[op]

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl
+from compass import dsl, program as program_module
 from compass.constructions import (
     apex_program,
     build_apex,
@@ -116,6 +116,30 @@ def test_inline_failure_leaves_completed_steps():
     assert b.mark() == (6, 3)
     b.rollback(mark)
     assert b.mark() == mark and b.circle(0, 1) == 2
+
+
+def test_repeated_picks_make_no_new_cut(monkeypatch):
+    """A pick already in the hash-cons table is looked up before any cut."""
+    calls = []
+    real = program_module.cut
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(program_module, "cut", counting)
+    b = Builder([O, U])
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    left = b.pick(c1, c2, LEFT)
+    pair = b.both(c1, c2)
+    assert pair[0] == left and len(calls) == 2
+    size = len(b)
+    assert b.pick(c1, c2, LEFT) == left
+    assert b.pick(c1, c2, RIGHT) == pair[1]
+    assert b.both(c1, c2) == pair
+    assert len(calls) == 2
+    assert b.pick_other(c1, c2, avoid=0) in pair  # chooses by the cut points
+    assert len(b) == size
 
 
 # --- overflow -----------------------------------------------------------------

@@ -16,6 +16,7 @@ from compass.errors import (
 from compass.geom import Point, ResolvedCircle
 from compass.program import (
     Builder,
+    CircleStep,
     PickStep,
     Program,
     Seed,
@@ -152,10 +153,13 @@ def test_purity_audit_empty_program():
 
 
 def test_purity_audit_rejects_forged_step():
-    forged = Program(1, (Seed(0), "ruler-step"), ())
-    trace = Trace(forged, (O,), (O, O), 0)
-    with pytest.raises(MalformedTrace):
-        purity_audit(trace)
+    # a non-compass step cannot be encoded into a program's columns
+    with pytest.raises(MalformedProgram, match="^step 1: unknown step kind"):
+        Program(1, (Seed(0), "ruler-step"), ())
+    # a circle step that resolved to a point fails the audit
+    program = Program(2, (Seed(0), Seed(1), CircleStep(0, 1)), ())
+    with pytest.raises(MalformedTrace, match="^step 2:"):
+        purity_audit(Trace(program, (O, U), (O, U, O), 1))
 
 
 def test_purity_audit_rejects_inconsistent_counts():
@@ -286,3 +290,20 @@ def test_ancestors():
     assert 0 in closure and 1 in closure
     with pytest.raises(InvalidNodeId):
         ancestors(program, 999)
+
+
+def test_steps_and_resolved_are_views_over_columns():
+    trace = execute(midpoint_program(), (O, U))
+    steps, resolved = trace.program.steps, trace.resolved
+    assert len(steps) == len(resolved) == len(trace.program.ops)
+    assert steps[:2] == (Seed(0), Seed(1)) and type(steps[:2]) is tuple
+    assert resolved[:2] == (O, U) and resolved[-1] == resolved[len(resolved) - 1]
+    assert steps == tuple(steps) and resolved == tuple(resolved)
+    with pytest.raises(IndexError):
+        steps[len(steps)]
+    # objects given at the edge encode into the same columns
+    assert Program(2, tuple(steps), trace.program.outputs) == trace.program
+    again = Trace(trace.program, trace.seed_values, tuple(resolved), trace.circle_count)
+    assert again == trace and again.resolved.xs == resolved.xs
+    with pytest.raises(MalformedTrace, match="^step 1:"):
+        Trace(empty_program(2), (O, U), (O, "ruler-point"), 0)
