@@ -27,15 +27,7 @@ from .errors import (
     ParallelLines,
     ScaleOverflow,
 )
-from .geom import (
-    DEFAULT_TOL,
-    NoIntersection,
-    Point,
-    Tangent,
-    Tolerance,
-    TwoPoints,
-    distance,
-)
+from .geom import DEFAULT_TOL, Point, Tolerance, distance
 from .program import Builder, Program, Selector
 
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
@@ -288,12 +280,10 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     h = build_perp_foot(b, a, bn, o)
     k = build_invert_general(b, o, d, h)
     diam = build_diameter_circle(b, o, k)
-    outcome = b.outcome_of(diam, omega)
-    if isinstance(outcome, TwoPoints):
-        return b.both(diam, omega)
-    if isinstance(outcome, Tangent):
-        return (b.pick(diam, omega, Selector.LEFT),)
-    raise NoSuchIntersection("the line misses the circle")
+    try:
+        return b.meet(diam, omega)
+    except NoSuchIntersection:
+        raise NoSuchIntersection("the line misses the circle") from None
 
 
 def build_line_circle_center_on_line(b: Builder, o: int, a: int,

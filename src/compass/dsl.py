@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from . import constructions as cons
 from . import field_ops
-from .errors import CompassError
+from .errors import CenterOnLine, CompassError
 from .geom import DEFAULT_TOL, Point, Tolerance
 from .program import Builder, Selector, Trace, slice_to_pair_basis
 
@@ -600,17 +600,13 @@ class _Interpreter:
     def line_circle(self, args: list) -> tuple[int, ...]:
         a, bn, o, d = args
         b = self.builder
-        pa, pb, po = b.point(a), b.point(bn), b.point(o)
-        eps = self.tol.eps_degenerate
-        ux, uy = pb.x - pa.x, pb.y - pa.y
-        norm = math.hypot(ux, uy)
-        if norm > eps:
-            dist = abs(ux * (po.y - pa.y) - uy * (po.x - pa.x)) / norm
-            if dist <= eps:
-                # the center sits on the line: use the diameter route
-                anchor = a if math.hypot(pa.x - po.x, pa.y - po.y) > eps else bn
-                return cons.build_line_circle_center_on_line(b, o, anchor, d)
-        return cons.build_line_circle_off_center(b, a, bn, o, d)
+        try:
+            return cons.build_line_circle_off_center(b, a, bn, o, d)
+        except CenterOnLine:
+            # nothing was appended; anchor on a line point apart from the center
+            pa, po = b.point(a), b.point(o)
+            far = math.hypot(pa.x - po.x, pa.y - po.y) > self.tol.eps_degenerate
+            return cons.build_line_circle_center_on_line(b, o, a if far else bn, d)
 
     def field_op(self, op: str, args: list, line: int) -> int:
         b = self.builder

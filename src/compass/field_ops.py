@@ -26,7 +26,8 @@ from functools import lru_cache
 from . import constructions as cons
 from .errors import MalformedProgram
 from .geom import DEFAULT_TOL, Point, Tolerance
-from .program import (
+# rebase is unused here but stays importable: perfbench's tracer wraps it here.
+from .program import (  # noqa: F401
     Builder,
     Program,
     Selector,
@@ -94,8 +95,8 @@ def one(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
 def minus_one(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
     """-1, by reflecting seed 1 through seed 0. Built once per tolerance and
     shared, so its table is only ever copied (``Builder.resume`` does)."""
-    guest = cons.extend_program()
-    return value_from_program(rebase(empty_program(2), guest, (1, 0)), tol)
+    b = Builder(CANONICAL_SEEDS, tol)
+    return _finish(b, cons.build_extend(b, 1, 0))
 
 
 def alpha(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:

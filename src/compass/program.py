@@ -14,17 +14,17 @@ Orientation is preserved by every orientation-preserving similarity, which
 is exactly what makes rewired programs land on the similarity image of
 their original outputs.
 
-Storage is columnar. A program is three int columns: each step's op
-(``OP_SEED``, ``OP_CIRCLE``, ``OP_LEFT`` or ``OP_RIGHT``; the selector is
-part of the op) and its two operands. A trace adds float columns for x, y
-and the radius (``None`` for a point). ``Builder._resolve``, the only step
-loop, reads and appends numbers only, through ``geom.radius`` and
-``geom.cut``. Value objects (``Seed``, ``CircleStep``, ``PickStep``,
-``Point``, ``ResolvedCircle``) exist only at the API edge:
-``Program.steps`` and ``Trace.resolved`` are views that build one object
-per index, ``Builder.point`` and ``Trace.output_points`` build what they
-return, and ``Program(seed_count, steps, outputs)`` or a ``Trace`` given a
-tuple of values encodes objects into columns.
+Storage is columnar, with one constructor per type. A ``Program`` is three
+int columns, each step's op (``OP_SEED``, ``OP_CIRCLE``, ``OP_LEFT`` or
+``OP_RIGHT``: the selector is part of the op) and its two operands, plus
+the outputs. A ``Trace`` is its program plus float columns x, y and radius
+(``None`` for a point); its seed values and circle count are derived.
+``Program.check`` is the one rulebook of what a program is, and
+``Trace.check`` adds that each value is of its step's kind; every consumer
+runs them, and a program is checked once. ``Builder._resolve``, the only
+step loop, reads and appends numbers only. Value objects (``Seed``,
+``CircleStep``, ``PickStep``, ``Point``, ``ResolvedCircle``) exist only at
+the API edge: ``Program.steps`` and ``Trace.resolved`` are views.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .errors import (
     NoSuchIntersection,
     NonFiniteInput,
 )
-# circle_from stays importable from this module: perfbench's tracer wraps it
-# here.
+# circle_from and circle_circle_intersect stay importable from this module:
+# perfbench's tracer wraps them here.
 from .geom import (  # noqa: F401
     CUT_COINCIDENT,
     DEFAULT_TOL,
@@ -69,7 +69,6 @@ class Selector(enum.Enum):
 _LEFT, _RIGHT = Selector.LEFT, Selector.RIGHT
 
 OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT = range(4)
-OP_OF_SELECTOR = {Selector.LEFT: OP_LEFT, Selector.RIGHT: OP_RIGHT}
 SELECTOR_OF_OP = {OP_LEFT: Selector.LEFT, OP_RIGHT: Selector.RIGHT}
 
 
@@ -171,7 +170,7 @@ class Resolved(_View):
         return hash((self.xs, self.ys, self.rs))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Program:
     """An executable compass construction over ``seed_count`` seed slots:
     the int columns ``ops``, ``first`` and ``second``, and the outputs."""
@@ -181,41 +180,19 @@ class Program:
     first: tuple[int, ...]
     second: tuple[int, ...]
     outputs: tuple[int, ...]
-    _checked: bool = field(compare=False, repr=False)
-
-    def __init__(self, seed_count: int, steps: Sequence[Step], outputs: Sequence[int]):
-        """Encode step objects; anything else raises MalformedProgram."""
-        rows = []
-        for i, step in enumerate(steps):
-            kind = type(step)
-            if kind is CircleStep:
-                rows.append((OP_CIRCLE, step.center, step.through))
-            elif kind is PickStep and step.which in OP_OF_SELECTOR:
-                rows.append((OP_OF_SELECTOR[step.which], step.c1, step.c2))
-            elif kind is Seed:
-                rows.append((OP_SEED, step.slot, -1))
-            else:
-                raise MalformedProgram(f"step {i}: unknown step kind {step!r}")
-        _fill(self, seed_count, *(zip(*rows) if rows else ((), (), ())), tuple(outputs))
-
-    @classmethod
-    def of_columns(cls, seed_count: int, ops: tuple, first: tuple, second: tuple,
-                   outputs: tuple) -> Program:
-        program = cls.__new__(cls)
-        _fill(program, seed_count, ops, first, second, outputs)
-        return program
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def check(self) -> None:
-        """Raise MalformedProgram, naming the step, unless the seeds come
-        first in slot order, every other step refers to earlier steps of the
-        right kind and every output is a step; run once per program."""
+        """Raise MalformedProgram, naming the step or output, unless the
+        seeds come first in slot order, every other step is a circle over
+        two earlier point steps or a pick of two earlier circle steps, and
+        every output is a point step; run once per program."""
         if self._checked:
             return
         ops, first, second = self.ops, self.first, self.second
         count = len(ops)
-        for out in self.outputs:
-            if not 0 <= out < count:
-                raise MalformedProgram(f"output {out} outside the {count} steps")
+        if not len(first) == len(second) == count:
+            raise MalformedProgram("the op and operand columns differ in length")
         for i in range(self.seed_count):
             if i >= count or ops[i] != OP_SEED or first[i] != i:
                 raise MalformedProgram(
@@ -224,12 +201,25 @@ class Program:
             op, u, v = ops[i], first[i], second[i]
             if op == OP_SEED:
                 raise MalformedProgram(f"step {i}: misplaced seed")
+            if op not in (OP_CIRCLE, OP_LEFT, OP_RIGHT):
+                raise MalformedProgram(f"step {i}: unknown op {op!r}")
             if not (0 <= u < i and 0 <= v < i):
                 raise MalformedProgram(f"step {i}: reference outside [0, {i})")
             if op == OP_CIRCLE and OP_CIRCLE in (ops[u], ops[v]):
                 raise MalformedProgram(f"step {i}: circle over non-point nodes")
             if op != OP_CIRCLE and not ops[u] == ops[v] == OP_CIRCLE:
                 raise MalformedProgram(f"step {i}: pick over non-circle nodes")
+        self._check_outputs()
+
+    def _check_outputs(self) -> None:
+        """The output rule of ``check``, for a program whose steps are known
+        to be well formed; marks the program checked."""
+        ops = self.ops
+        for k, out in enumerate(self.outputs):
+            if not 0 <= out < len(ops):
+                raise MalformedProgram(f"output {k}: id {out} outside the {len(ops)} steps")
+            if ops[out] == OP_CIRCLE:
+                raise MalformedProgram(f"output {k}: id {out} is not a point node")
         object.__setattr__(self, "_checked", True)
 
     @property
@@ -243,26 +233,41 @@ class Program:
         return self.ops.count(OP_LEFT) + self.ops.count(OP_RIGHT)
 
 
-def _fill(program: Program, *columns) -> None:
-    """Set a new program's fields (seed count, columns, outputs) in order."""
-    for name, value in zip(("seed_count", "ops", "first", "second", "outputs"), columns):
-        object.__setattr__(program, name, value)
-    object.__setattr__(program, "_checked", False)
-
-
 @dataclass(frozen=True, slots=True)
 class Trace:
     """A fully resolved execution record of a program on concrete seeds;
     a tuple given for ``resolved`` is encoded (``Resolved.of_values``)."""
 
     program: Program
-    seed_values: tuple[Point, ...]
     resolved: Resolved
-    circle_count: int
 
     def __post_init__(self):
         if type(self.resolved) is not Resolved:
             object.__setattr__(self, "resolved", Resolved.of_values(self.resolved))
+
+    @property
+    def seed_values(self) -> tuple[Point, ...]:
+        n, r = self.program.seed_count, self.resolved
+        return tuple(map(Point, r.xs[:n], r.ys[:n]))
+
+    @property
+    def circle_count(self) -> int:
+        return self.program.circle_count()
+
+    def check(self) -> None:
+        """Run ``Program.check``, then raise MalformedTrace, naming the step,
+        unless every circle step resolved to a circle and every other step
+        to a point."""
+        self.program.check()
+        ops = self.program.ops
+        rs = self.resolved.rs
+        if len(rs) != len(ops):
+            raise MalformedTrace("resolved values do not cover the steps")
+        if [r is None for r in rs] != [op != OP_CIRCLE for op in ops]:
+            i = next(i for i, op in enumerate(ops) if (rs[i] is None) is (op == OP_CIRCLE))
+            kind, want = (("seed", "point"), ("circle", "circle"), ("pick", "point"),
+                          ("pick", "point"))[ops[i]]
+            raise MalformedTrace(f"step {i}: {kind} resolved to non-{want}")
 
     def output_points(self) -> tuple[Point, ...]:
         return tuple(self.resolved[i] for i in self.program.outputs)
@@ -289,28 +294,13 @@ def execute(program: Program, seeds: Sequence[Point],
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
     b = Builder(seeds, tol)
     b._resolve(program, list(range(program.seed_count)), None)
-    return Trace(program, b.seed_values, Resolved(tuple(b.xs), tuple(b.ys), tuple(b.rs)),
-                 program.circle_count())
+    return Trace(program, Resolved(tuple(b.xs), tuple(b.ys), tuple(b.rs)))
 
 
 def _no_point(got: str, at: int) -> CompassError:
     if got == CUT_COINCIDENT:
         return CoincidentCircles(f"step {at}: pick on coincident circles")
     return NoSuchIntersection(f"step {at}: circles do not meet")
-
-
-def check_kinds(trace: Trace) -> None:
-    """Raise MalformedTrace, naming the step, unless every circle step
-    resolved to a circle and every other step to a point."""
-    ops = trace.program.ops
-    rs = trace.resolved.rs
-    if len(rs) != len(ops):
-        raise MalformedTrace("resolved values do not cover the steps")
-    if [r is None for r in rs] != [op != OP_CIRCLE for op in ops]:
-        i = next(i for i, op in enumerate(ops) if (rs[i] is None) is (op == OP_CIRCLE))
-        kind, want = (("seed", "point"), ("circle", "circle"), ("pick", "point"),
-                      ("pick", "point"))[ops[i]]
-        raise MalformedTrace(f"step {i}: {kind} resolved to non-{want}")
 
 
 def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
@@ -340,15 +330,14 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
         ops.append(op)
         first.append(mapping[u])
         second.append(mapping[v])
-    return Program.of_columns(host.seed_count, tuple(ops), tuple(first), tuple(second),
-                              tuple(mapping[o] for o in guest.outputs))
+    return Program(host.seed_count, tuple(ops), tuple(first), tuple(second),
+                   tuple(mapping[o] for o in guest.outputs))
 
 
 def empty_program(seed_count: int, outputs: Sequence[int] = ()) -> Program:
     """A program that draws nothing and outputs (some of) its seeds."""
-    return Program.of_columns(seed_count, (OP_SEED,) * seed_count,
-                              tuple(range(seed_count)), (-1,) * seed_count,
-                              tuple(outputs))
+    return Program(seed_count, (OP_SEED,) * seed_count, tuple(range(seed_count)),
+                   (-1,) * seed_count, tuple(outputs))
 
 
 def compact(trace: Trace, table: dict | None = None) -> tuple[Trace, dict]:
@@ -368,8 +357,7 @@ def compact(trace: Trace, table: dict | None = None) -> tuple[Trace, dict]:
     old = trace.resolved
     resolved = Resolved(*(tuple([column[i] for i in kept])
                           for column in (old.xs, old.ys, old.rs)))
-    return (Trace(compacted, trace.seed_values, resolved, compacted.circle_count()),
-            table)
+    return Trace(compacted, resolved), table
 
 
 def _live(program: Program, roots: Sequence[int]) -> list[bool]:
@@ -409,9 +397,11 @@ def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
         ops.append(op)
         first.append(u)
         second.append(v)
-    return (Program.of_columns(seed_count, tuple(ops), tuple(first), tuple(second),
-                               tuple(remap[o] for o in outputs)),
-            kept, table)
+    restricted = Program(seed_count, tuple(ops), tuple(first), tuple(second),
+                         tuple(remap[o] for o in outputs))
+    if program._checked:
+        restricted._check_outputs()
+    return restricted, kept, table
 
 
 def ancestors(program: Program, node: int) -> set[int]:
@@ -474,14 +464,9 @@ def purity_audit(trace: Trace) -> AuditReport:
     checks the traces it reads while building them; the audit checks a
     trace that came from anywhere else.
     """
-    check_kinds(trace)
+    trace.check()
     program = trace.program
-    seeds = program.ops.count(OP_SEED)
-    circles = program.circle_count()
-    if seeds != program.seed_count:
-        raise MalformedTrace("seed step count disagrees with seed_count")
-    if circles != trace.circle_count:
-        raise MalformedTrace("circle_count disagrees with the steps")
+    seeds, circles = program.seed_count, program.circle_count()
     return AuditReport(seeds=seeds, circles=circles,
                        picks=len(program.ops) - seeds - circles)
 
@@ -508,13 +493,13 @@ class Builder:
 
     def __init__(self, seeds: Sequence[Point], tol: Tolerance = DEFAULT_TOL):
         self.tol = tol
-        self.seed_values = tuple(seeds)
-        n = self.seed_count = len(self.seed_values)
-        for p in self.seed_values:
+        seeds = tuple(seeds)
+        n = self.seed_count = len(seeds)
+        for p in seeds:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise NonFiniteInput(f"non-finite seed {p}")
         self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
-        self.xs, self.ys = [p.x for p in self.seed_values], [p.y for p in self.seed_values]
+        self.xs, self.ys = [p.x for p in seeds], [p.y for p in seeds]
         self.rs: list[float | None] = [None] * n
         self.table: dict[tuple, int] = {}
 
@@ -522,6 +507,7 @@ class Builder:
     def resume(cls, trace: Trace, table: dict[tuple, int],
                tol: Tolerance = DEFAULT_TOL) -> "Builder":
         """A builder holding ``trace`` and a copy of its hash-cons ``table``."""
+        trace.program.check()
         builder = cls(trace.seed_values, tol)
         p, r = trace.program, trace.resolved
         builder.ops, builder.first, builder.second = list(p.ops), list(p.first), list(p.second)
@@ -569,14 +555,10 @@ class Builder:
         r = radius(x, y, self.xs[through], self.ys[through], self.tol.eps_degenerate)
         return self._keep(OP_CIRCLE, center, through, x, y, r)
 
-    def outcome_of(self, c1: int, c2: int):
-        """Peek at the intersection outcome without appending a pick."""
-        return circle_circle_intersect(self.circle_value(c1), self.circle_value(c2),
-                                       self.tol)
-
-    def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
-        """Left and right cut points of two circle nodes (a tangency's one
-        point twice), both checked to be finite."""
+    def _cut(self, c1: int, c2: int) -> tuple[float, ...]:
+        """The cut of two circle nodes, its points checked to be finite:
+        ``(x, y)`` for a tangency, else ``(lx, ly, rx, ry)``. Either way
+        ``[:2]`` is the left point and ``[-2:]`` the right one."""
         self._node(c1, True)
         self._node(c2, True)
         xs, ys, rs = self.xs, self.ys, self.rs
@@ -584,13 +566,11 @@ class Builder:
         got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2], self.tol.eps_degenerate)
         if type(got) is str:
             raise _no_point(got, at)
-        if len(got) == 2:
-            lx, ly = rx, ry = got
-        else:
+        if len(got) == 4:
             mx, my, hy, hx = got
-            lx, ly, rx, ry = mx - hy, my + hx, mx + hy, my - hx
-        if all(map(math.isfinite, (lx, ly, rx, ry))):
-            return lx, ly, rx, ry
+            got = (mx - hy, my + hx, mx + hy, my - hx)
+        if all(map(math.isfinite, got)):
+            return got
         raise NonFiniteInput(f"step {at}: an intersection point is not finite")
 
     def pick(self, c1: int, c2: int, which: Selector) -> int:
@@ -600,28 +580,37 @@ class Builder:
         hit = self.table.get((c1, c2, op))
         if hit is not None:
             return hit
-        lx, ly, rx, ry = self._cut(c1, c2)
-        if op == OP_LEFT:
-            return self._keep(op, c1, c2, lx, ly)
-        return self._keep(op, c1, c2, rx, ry)
+        got = self._cut(c1, c2)
+        return self._keep(op, c1, c2, *(got[:2] if op == OP_LEFT else got[-2:]))
 
-    def both(self, c1: int, c2: int) -> tuple[int, int]:
-        """Left and right picks; a tangency yields the same point twice."""
+    def _points(self, c1: int, c2: int) -> tuple[float, float, float, float]:
+        """Left and right points of two circle nodes (a tangency's one point
+        twice): stored, when both picks are in the table, else cut."""
         left = self.table.get((c1, c2, OP_LEFT))
         right = self.table.get((c1, c2, OP_RIGHT))
         if left is None or right is None:
-            lx, ly, rx, ry = self._cut(c1, c2)
-            left = self._keep(OP_LEFT, c1, c2, lx, ly)
-            right = self._keep(OP_RIGHT, c1, c2, rx, ry)
-        return left, right
+            got = self._cut(c1, c2)
+            return (*got[:2], *got[-2:])
+        return self.xs[left], self.ys[left], self.xs[right], self.ys[right]
+
+    def both(self, c1: int, c2: int) -> tuple[int, int]:
+        """Left and right picks; a tangency yields the same point twice."""
+        lx, ly, rx, ry = self._points(c1, c2)
+        return self._keep(OP_LEFT, c1, c2, lx, ly), self._keep(OP_RIGHT, c1, c2, rx, ry)
+
+    def meet(self, c1: int, c2: int) -> tuple[int, ...]:
+        """The points where two circle nodes meet: the left and right picks,
+        or the left pick alone where they touch."""
+        got = self._cut(c1, c2)
+        left = self._keep(OP_LEFT, c1, c2, *got[:2])
+        if len(got) == 2:
+            return (left,)
+        return left, self._keep(OP_RIGHT, c1, c2, *got[2:])
 
     def pick_other(self, c1: int, c2: int, avoid: int) -> int:
-        """The intersection point that is not the point at node ``avoid``.
-
-        On tangency there is only one point and it is returned regardless,
-        per the both-selectors rule.
-        """
-        lx, ly, rx, ry = self._cut(c1, c2)
+        """The intersection point that is not the point at node ``avoid``;
+        on tangency the one point, per the both-selectors rule."""
+        lx, ly, rx, ry = self._points(c1, c2)
         self._node(avoid, False)
         ax, ay = self.xs[avoid], self.ys[avoid]
         if math.hypot(lx - ax, ly - ay) >= math.hypot(rx - ax, ry - ay):
@@ -706,7 +695,8 @@ class Builder:
         self.table = {k: v for k, v in self.table.items() if v < n}
 
     def finish(self, outputs: Sequence[int]) -> tuple[Program, Trace]:
-        program = Program.of_columns(self.seed_count, tuple(self.ops), tuple(self.first),
-                                     tuple(self.second), tuple(outputs))
-        resolved = Resolved(tuple(self.xs), tuple(self.ys), tuple(self.rs))
-        return program, Trace(program, self.seed_values, resolved, program.circle_count())
+        """The program and trace so far; every step is well formed as built."""
+        program = Program(self.seed_count, tuple(self.ops), tuple(self.first),
+                          tuple(self.second), tuple(outputs))
+        program._check_outputs()
+        return program, Trace(program, Resolved(tuple(self.xs), tuple(self.ys), tuple(self.rs)))

@@ -14,7 +14,7 @@ zero turns -0.0 into 0.0 and leaves every other double as it is.
 
 from __future__ import annotations
 
-from .program import OP_CIRCLE, OP_SEED, SELECTOR_OF_OP, Trace, check_kinds
+from .program import OP_CIRCLE, OP_SEED, SELECTOR_OF_OP, Trace
 
 _GIVEN_COLOR = "#000000"
 _BUILT_COLOR = "#cc0000"
@@ -29,11 +29,11 @@ def _n(x: float) -> str:
 def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
     """Render a trace: every circle step, every picked point, every seed.
 
-    Raises MalformedTrace when a resolved value's kind disagrees with its
-    step, so a hand-built trace fails the same way with or without ``-O``.
+    Runs ``Trace.check`` first, so a hand-built trace that ``tracedoc.loads``
+    would refuse raises a typed error, with or without ``-O``.
     """
     names = names or {}
-    check_kinds(trace)
+    trace.check()
     program = trace.program
     ops, first, second = program.ops, program.first, program.second
     xs, ys, rs = trace.resolved.xs, trace.resolved.ys, trace.resolved.rs

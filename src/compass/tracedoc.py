@@ -11,15 +11,14 @@ outputs; there is no second representation of the steps.
 
 Where each check lives:
 
-- ``loads`` is the one walk over a document read from text. It checks the
-  schema (field types, dense ids, known step kinds and selectors), the
-  references (each to an earlier node of the right kind, outputs on point
-  nodes), the finiteness of every coordinate and the radius of every
-  circle, while it builds the trace's columns. Every error about a node
-  names it (``step <id>: ...``).
-- ``dumps``, like ``svg.render_trace``, runs ``program.check_kinds`` on the
-  columns first, so a hand-built ``Trace`` whose values disagree with its
-  steps raises MalformedTrace, with or without ``-O``.
+- ``Program.check`` holds every structural rule; nothing here repeats one.
+- ``loads`` checks the format only (JSON types, dense ids, step-kind and
+  selector names, finite coordinates), builds the program's columns, runs
+  ``Program.check`` on them, and then resolves each circle's radius,
+  rejecting a degenerate one. Every error is a MalformedTrace, and every
+  error about a node names it (``step <id>: ...`` or ``output <k>: ...``).
+- ``dumps``, like ``svg.render_trace`` and ``purity_audit``, runs
+  ``Trace.check`` first, so each refuses what ``loads`` refuses.
 - ``document_from_trace`` checks only that the output names match the
   outputs, and ``trace_from_document`` checks nothing: the trace it
   returns was built by ``loads`` or given by the caller.
@@ -31,8 +30,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateCircle, MalformedTrace
-from .geom import DEFAULT_TOL, Point, radius
+from .errors import DegenerateCircle, MalformedProgram, MalformedTrace
+from .geom import DEFAULT_TOL, radius
 # purity_audit stays importable from this module: perfbench's tracer wraps it
 # here.
 from .program import (  # noqa: F401
@@ -42,7 +41,6 @@ from .program import (  # noqa: F401
     Program,
     Resolved,
     Trace,
-    check_kinds,
     purity_audit,
 )
 
@@ -80,11 +78,12 @@ def document_from_trace(trace: Trace,
 def dumps(doc: TraceDocument) -> str:
     """Serialize with fixed key order and 17-significant-digit coordinates.
 
-    Raises MalformedTrace, naming the step, when a resolved value is not of
+    Raises what ``Trace.check`` raises: MalformedProgram for a malformed
+    program, MalformedTrace, naming the step, when a resolved value is not of
     its step's kind.
     """
     trace = doc.trace
-    check_kinds(trace)
+    trace.check()
     program = trace.program
     ops, first, second = program.ops, program.first, program.second
     xs, ys = trace.resolved.xs, trace.resolved.ys
@@ -101,8 +100,6 @@ def dumps(doc: TraceDocument) -> str:
         if op == OP_CIRCLE:
             chunks.append(f'{{"id":{i},"op":"circle","center":{first[i]},'
                           f'"through":{second[i]}}}')
-        elif op == OP_SEED:
-            raise MalformedTrace(f"step {i}: misplaced seed")
         else:
             chunks.append(f'{{"id":{i},"op":"pick","c1":{first[i]},"c2":{second[i]},'
                           f'"selector":"{_SELECTOR_NAMES[op]}",'
@@ -134,36 +131,29 @@ def _coordinate(obj: dict, key: str, at: int) -> float:
     return value
 
 
-def _reference(obj: dict, key: str, at: int, rows: list, circle: bool) -> int:
-    """Field ``key`` of node ``at`` as the id of an earlier node, a circle
-    node if ``circle`` else a point node, or MalformedTrace."""
-    ref = obj.get(key)
-    if type(ref) is not int:
-        raise MalformedTrace(f"step {at}: {key!r} must be an integer")
-    if not (0 <= ref < at and (rows[ref][5] is None) is not circle):
-        noun = "circle" if circle else "point"
-        raise MalformedTrace(f"step {at}: bad {noun} reference {ref}")
-    return ref
+def _integer(obj: dict, key: str, at: int, noun: str = "step") -> int:
+    """Field ``key`` of node (or output) ``at`` as an integer, or
+    MalformedTrace; a boolean is not an integer."""
+    value = obj.get(key)
+    if type(value) is not int:
+        raise MalformedTrace(f"{noun} {at}: {key!r} must be an integer")
+    return value
 
 
 def _check_node(obj, at: int) -> None:
     """Check that node ``at`` is a JSON object whose id is ``at``."""
     if type(obj) is not dict:
         raise MalformedTrace(f"step {at}: must be an object")
-    ident = obj.get("id")
-    if type(ident) is not int:
-        raise MalformedTrace(f"step {at}: 'id' must be an integer")
-    if ident != at:
+    if _integer(obj, "id", at) != at:
         raise MalformedTrace(f"step {at}: ids must be dense and in order")
 
 
 def loads(text: str) -> TraceDocument:
-    """Parse a document and rebuild its trace in one checked walk.
+    """Parse a document and rebuild its trace, checked.
 
     Raises MalformedTrace on anything off-schema: a field of the wrong type,
-    non-dense ids, a reference that is not to an earlier node of the right
-    kind, an unknown step kind or selector, a non-finite coordinate, a
-    degenerate circle, or an output that is not a point node.
+    non-dense ids, an unknown step kind or selector, a non-finite coordinate,
+    a program that ``Program.check`` rejects, or a degenerate circle.
     """
     try:
         data = json.loads(text)
@@ -186,7 +176,7 @@ def loads(text: str) -> TraceDocument:
     if not raw_seeds:
         raise MalformedTrace("a trace needs at least one seed")
 
-    rows: list[tuple] = []  # (op, first, second, x, y, r) of every node
+    rows: list[tuple] = []  # (op, first, second, x, y) of every node
     seed_names = []
     for i, obj in enumerate(raw_seeds):
         _check_node(obj, i)
@@ -194,50 +184,50 @@ def loads(text: str) -> TraceDocument:
         if name is not None and type(name) is not str:
             raise MalformedTrace(f"step {i}: name must be a string")
         seed_names.append(name)
-        rows.append((OP_SEED, i, -1, _coordinate(obj, "x", i), _coordinate(obj, "y", i), None))
+        rows.append((OP_SEED, i, -1, _coordinate(obj, "x", i), _coordinate(obj, "y", i)))
 
-    eps = DEFAULT_TOL.eps_degenerate
     for at, obj in enumerate(raw_steps, len(raw_seeds)):
         _check_node(obj, at)
-        op = obj.get("op")
-        if op == "circle":
-            u = _reference(obj, "center", at, rows, False)
-            v = _reference(obj, "through", at, rows, False)
-            x, y = rows[u][3:5]
-            try:
-                r = radius(x, y, *rows[v][3:5], eps)
-            except DegenerateCircle:
-                raise MalformedTrace(f"step {at}: degenerate circle") from None
-            rows.append((OP_CIRCLE, u, v, x, y, r))
-        elif op == "pick":
-            u = _reference(obj, "c1", at, rows, True)
-            v = _reference(obj, "c2", at, rows, True)
+        kind = obj.get("op")
+        if kind == "circle":
+            # x and y are the center's, read once the program is checked
+            rows.append((OP_CIRCLE, _integer(obj, "center", at), _integer(obj, "through", at),
+                         None, None))
+        elif kind == "pick":
+            u, v = _integer(obj, "c1", at), _integer(obj, "c2", at)
             selector = obj.get("selector")
             op = _SELECTORS.get(selector) if type(selector) is str else None
             if op is None:
                 raise MalformedTrace(f"step {at}: bad selector {selector!r}")
-            rows.append((op, u, v, _coordinate(obj, "x", at), _coordinate(obj, "y", at), None))
+            rows.append((op, u, v, _coordinate(obj, "x", at), _coordinate(obj, "y", at)))
         else:
-            raise MalformedTrace(f"step {at}: unknown step kind {op!r}")
+            raise MalformedTrace(f"step {at}: unknown step kind {kind!r}")
 
-    outputs = []
-    output_names = []
+    outputs, output_names = [], []
     for k, obj in enumerate(raw_outputs):
         if type(obj) is not dict or type(obj.get("name")) is not str:
             raise MalformedTrace(f"output {k}: must be an object with a name")
-        ident = obj.get("id")
-        if type(ident) is not int:
-            raise MalformedTrace(f"output {k}: 'id' must be an integer")
-        if not (0 <= ident < len(rows) and rows[ident][5] is None):
-            raise MalformedTrace(f"output {k}: id {ident} is not a point node")
-        outputs.append(ident)
+        outputs.append(_integer(obj, "id", k, "output"))
         output_names.append(obj["name"])
 
-    seed_count = len(raw_seeds)
-    ops, first, second, xs, ys, rs = zip(*rows)
-    program = Program.of_columns(seed_count, ops, first, second, tuple(outputs))
-    seed_values = tuple(Point(row[3], row[4]) for row in rows[:seed_count])
-    trace = Trace(program, seed_values, Resolved(xs, ys, rs), program.circle_count())
+    ops, first, second, xs, ys = zip(*rows)
+    program = Program(len(raw_seeds), ops, first, second, tuple(outputs))
+    try:
+        program.check()
+    except MalformedProgram as err:
+        raise MalformedTrace(str(err)) from None
+
+    xs, ys, rs = list(xs), list(ys), [None] * len(ops)
+    eps = DEFAULT_TOL.eps_degenerate
+    for at in range(program.seed_count, len(ops)):
+        if ops[at] == OP_CIRCLE:
+            u, v = first[at], second[at]
+            xs[at], ys[at] = xs[u], ys[u]
+            try:
+                rs[at] = radius(xs[u], ys[u], xs[v], ys[v], eps)
+            except DegenerateCircle:
+                raise MalformedTrace(f"step {at}: degenerate circle") from None
+    trace = Trace(program, Resolved(tuple(xs), tuple(ys), tuple(rs)))
     return TraceDocument(trace, tuple(seed_names), tuple(output_names))
 
 

@@ -30,7 +30,7 @@ from compass.errors import (
 from compass.fuzz import SplitMix64, run_op
 from compass.geom import Point, ResolvedCircle, distance
 from compass.oracle import oracle_invert
-from compass.program import Builder, Selector
+from compass.program import OP_CIRCLE, OP_LEFT, Builder, Selector
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 UNIT = CircleByCenterAndPoint(Point(0, 0), Point(1, 0))
@@ -280,6 +280,10 @@ def test_line_circle_exact_tangent_single_point():
     pts = line_circle_off_center(Point(-2, 1), Point(2, 1), UNIT)
     assert len(pts) == 1
     close(pts[0], 0.0, 1.0, tol=1e-6)
+    # the tangency appends one left pick, right after the diameter circle
+    b = Builder([Point(-2, 1), Point(2, 1), UNIT.center, UNIT.through])
+    assert cons.build_line_circle_off_center(b, 0, 1, 2, 3) == (48,)
+    assert len(b) == 49 and b.ops[-2:] == [OP_CIRCLE, OP_LEFT]
 
 
 def test_line_circle_center_on_line_examples():

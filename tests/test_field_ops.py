@@ -39,19 +39,19 @@ def test_neg_examples():
 
 
 def test_second_neg_executes_nothing(monkeypatch):
-    """-1 is built once per tolerance: only the first neg executes it."""
+    """-1 is built once per tolerance: only the first neg builds its steps."""
     tol = Tolerance(eps_abs=3e-9)  # a tolerance no other test builds -1 for
+    a = F.alpha(tol)
     calls = []
-    real = F.execute
+    real = F.cons.build_extend
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(F, "execute", counting)
-    a = F.alpha(tol)
+    monkeypatch.setattr(F.cons, "build_extend", counting)
     first = F.neg(a, tol)
-    assert calls
+    assert len(calls) == 1
     calls.clear()
     second = F.neg(a, tol)
     assert calls == []

@@ -36,9 +36,12 @@ from compass.geom import (
     circle_from,
 )
 from compass.program import (
+    OP_CIRCLE,
+    OP_LEFT,
+    OP_RIGHT,
+    OP_SEED,
     Builder,
     CircleStep,
-    PickStep,
     Program,
     Seed,
     Selector,
@@ -55,27 +58,60 @@ FAR = (Point(-1e200, 0.0), Point(1e200, 0.0))
 
 # --- node references ----------------------------------------------------------
 
+# step rows (op, first, second) of hand-built programs
+S, C, L, R = OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT
+
+
+def program_of(seed_count, rows, outputs):
+    """A program from its step rows, stored as given (checked when used)."""
+    ops, first, second = zip(*rows)
+    return Program(seed_count, ops, first, second, tuple(outputs))
+
+
 @pytest.mark.parametrize("steps, outputs", [
-    ((Seed(0), Seed(1), CircleStep(0, -1)), ()),           # negative reference
-    ((Seed(0), Seed(1), CircleStep(0, 2)), ()),            # reference to itself
-    ((Seed(0), Seed(1), CircleStep(0, 3), CircleStep(1, 0)), ()),  # forward
-    ((Seed(0), Seed(1), CircleStep(0, 1), CircleStep(1, 0),
-      PickStep(2, -1, LEFT)), ()),
-    ((Seed(0), Seed(1), CircleStep(0, 1), CircleStep(1, 0),
-      PickStep(2, 5, LEFT)), ()),
-    ((Seed(0), Seed(1)), (2,)),                              # output past the end
-    ((Seed(0), Seed(1)), (-1,)),
-    ((Seed(0), CircleStep(0, 0)), ()),                       # missing seed
-    ((Seed(0), Seed(1), CircleStep(0, 1), Seed(1)), ()),     # misplaced seed
-    ((Seed(0), Seed(1), PickStep(0, 0, LEFT)), ()),          # pick over a point
-    ((Seed(0), Seed(1), CircleStep(0, 1), CircleStep(2, 0)), ()),  # circle over a circle
+    (((S, 0, -1), (S, 1, -1), (C, 0, -1)), ()),                # negative reference
+    (((S, 0, -1), (S, 1, -1), (C, 0, 2)), ()),                 # reference to itself
+    (((S, 0, -1), (S, 1, -1), (C, 0, 3), (C, 1, 0)), ()),      # forward
+    (((S, 0, -1), (S, 1, -1), (C, 0, 1), (C, 1, 0), (L, 2, -1)), ()),
+    (((S, 0, -1), (S, 1, -1), (C, 0, 1), (C, 1, 0), (L, 2, 5)), ()),
+    (((S, 0, -1), (S, 1, -1)), (2,)),                          # output past the end
+    (((S, 0, -1), (S, 1, -1)), (-1,)),
+    (((S, 0, -1), (C, 0, 0)), ()),                             # missing seed
+    (((S, 0, -1), (S, 1, -1), (C, 0, 1), (S, 1, -1)), ()),     # misplaced seed
+    (((S, 0, -1), (S, 1, -1), (L, 0, 0)), ()),                 # pick over a point
+    (((S, 0, -1), (S, 1, -1), (C, 0, 1), (C, 2, 0)), ()),      # circle over a circle
 ])
 def test_execute_rejects_bad_references(steps, outputs):
-    program = Program(2, steps, outputs)
+    program = program_of(2, steps, outputs)
     with pytest.raises(MalformedProgram):
         execute(program, (O, U))
     with pytest.raises(MalformedProgram):
         Builder([O, U]).inline(program, (0, 1))
+
+
+APEX_ROWS = ((S, 0, -1), (S, 1, -1), (C, 0, 1), (C, 1, 0), (L, 2, 3))
+
+
+@pytest.mark.parametrize("program, error", [
+    (program_of(2, APEX_ROWS[:4] + ((7, 2, 3),), (4,)), "^step 4: unknown op 7"),
+    (Program(2, (S, S, C), (0, 1, 0), (-1, -1), ()), "columns differ in length"),
+], ids=["unknown-op", "ragged-columns"])
+def test_malformed_columns(program, error):
+    with pytest.raises(MalformedProgram, match=error):
+        execute(program, (O, U))
+    with pytest.raises(MalformedProgram, match=error):
+        Builder([O, U]).inline(program, (0, 1))
+
+
+def test_output_on_a_circle_is_a_malformed_program():
+    with pytest.raises(MalformedProgram, match="^output 1: id 2 is not a point"):
+        execute(program_of(2, APEX_ROWS, (4, 2)), (O, U))
+    b = Builder([O, U])
+    c = b.circle(0, 1)
+    with pytest.raises(MalformedProgram, match="^output 1: id 2 is not a point"):
+        b.finish([0, c])
+    with pytest.raises(MalformedProgram, match="^output 0: id 3 outside"):
+        b.finish([3])
 
 
 def test_builder_rejects_nodes_outside_it():
@@ -106,9 +142,7 @@ def test_inline_failure_leaves_completed_steps():
     # the guest's second pick cuts the unit circle with itself, drawn through
     # the apex; the steps before it stay, counted, as they did when each step
     # was appended on its own
-    guest = Program(2, (Seed(0), Seed(1), CircleStep(0, 1), CircleStep(1, 0),
-                        PickStep(2, 3, LEFT), CircleStep(0, 4),
-                        PickStep(2, 5, LEFT)), (6,))
+    guest = program_of(2, APEX_ROWS + ((C, 0, 4), (L, 2, 5)), (6,))
     b = Builder([O, U])
     mark = b.mark()
     with pytest.raises(CoincidentCircles):
@@ -138,7 +172,10 @@ def test_repeated_picks_make_no_new_cut(monkeypatch):
     assert b.pick(c1, c2, RIGHT) == pair[1]
     assert b.both(c1, c2) == pair
     assert len(calls) == 2
-    assert b.pick_other(c1, c2, avoid=0) in pair  # chooses by the cut points
+    # both picks are stored, so pick_other chooses between them
+    assert b.pick_other(c1, c2, avoid=pair[0]) == pair[1]
+    assert b.pick_other(c1, c2, avoid=pair[1]) == pair[0]
+    assert len(calls) == 2
     assert len(b) == size
 
 
@@ -245,9 +282,8 @@ def test_kernel_matches_outcomes_bit_for_bit(seeds):
         return b.point(b.pick_other(c1, c2, avoid))
 
     def executed():
-        program = Program(4, (Seed(0), Seed(1), Seed(2), Seed(3), CircleStep(0, 1),
-                              CircleStep(2, 3), PickStep(4, 5, LEFT),
-                              PickStep(4, 5, RIGHT)), (6, 7))
+        program = program_of(4, ((S, 0, -1), (S, 1, -1), (S, 2, -1), (S, 3, -1),
+                                 (C, 0, 1), (C, 2, 3), (L, 4, 5), (R, 4, 5)), (6, 7))
         return execute(program, seeds).output_points()
 
     if isinstance(want, type):

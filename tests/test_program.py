@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,11 +14,13 @@ from compass.errors import (
     MalformedTrace,
     NoSuchIntersection,
 )
-from compass.geom import Point, ResolvedCircle
+from compass.geom import Point
 from compass.program import (
+    OP_CIRCLE,
+    OP_LEFT,
+    OP_RIGHT,
+    OP_SEED,
     Builder,
-    CircleStep,
-    PickStep,
     Program,
     Seed,
     Selector,
@@ -153,31 +156,26 @@ def test_purity_audit_empty_program():
 
 
 def test_purity_audit_rejects_forged_step():
-    # a non-compass step cannot be encoded into a program's columns
-    with pytest.raises(MalformedProgram, match="^step 1: unknown step kind"):
-        Program(1, (Seed(0), "ruler-step"), ())
+    # a non-compass step is a malformed program, whoever runs it
+    forged = Program(1, (OP_SEED, 9), (0, 0), (-1, 0), ())
+    with pytest.raises(MalformedProgram, match="^step 1: unknown op"):
+        execute(forged, (O,))
+    with pytest.raises(MalformedProgram, match="^step 1: unknown op"):
+        purity_audit(Trace(forged, (O, O)))
     # a circle step that resolved to a point fails the audit
-    program = Program(2, (Seed(0), Seed(1), CircleStep(0, 1)), ())
+    program = Program(2, (OP_SEED, OP_SEED, OP_CIRCLE), (0, 1, 0), (-1, -1, 1), ())
     with pytest.raises(MalformedTrace, match="^step 2:"):
-        purity_audit(Trace(program, (O, U), (O, U, O), 1))
-
-
-def test_purity_audit_rejects_inconsistent_counts():
-    trace = execute(midpoint_program(), (O, U))
-    broken = Trace(trace.program, trace.seed_values, trace.resolved, 99)
-    with pytest.raises(MalformedTrace):
-        purity_audit(broken)
+        purity_audit(Trace(program, (O, U, O)))
 
 
 @pytest.mark.parametrize("program", [
     apex_program(Selector.LEFT), extend_program(), midpoint_program()])
 def test_selector_complementation(program):
     # seeds on the mirror axis: swapping all picks conjugates the outputs
-    other = {Selector.LEFT: Selector.RIGHT, Selector.RIGHT: Selector.LEFT}
-    swapped = tuple(PickStep(s.c1, s.c2, other[s.which]) if type(s) is PickStep else s
-                    for s in program.steps)
+    other = {OP_LEFT: OP_RIGHT, OP_RIGHT: OP_LEFT}
+    swapped = dataclasses.replace(program, ops=tuple(other.get(op, op) for op in program.ops))
     base = out_of(program, (O, U))
-    flipped = out_of(Program(program.seed_count, swapped, program.outputs), (O, U))
+    flipped = out_of(swapped, (O, U))
     for p, q in zip(base, flipped):
         assert q.x == pytest.approx(p.x, abs=1e-9)
         assert q.y == pytest.approx(-p.y, abs=1e-9)
@@ -301,9 +299,8 @@ def test_steps_and_resolved_are_views_over_columns():
     assert steps == tuple(steps) and resolved == tuple(resolved)
     with pytest.raises(IndexError):
         steps[len(steps)]
-    # objects given at the edge encode into the same columns
-    assert Program(2, tuple(steps), trace.program.outputs) == trace.program
-    again = Trace(trace.program, trace.seed_values, tuple(resolved), trace.circle_count)
+    # values given at the edge encode into the same columns
+    again = Trace(trace.program, tuple(resolved))
     assert again == trace and again.resolved.xs == resolved.xs
     with pytest.raises(MalformedTrace, match="^step 1:"):
-        Trace(empty_program(2), (O, U), (O, "ruler-point"), 0)
+        Trace(empty_program(2), (O, "ruler-point"))

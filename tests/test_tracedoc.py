@@ -4,12 +4,21 @@ import math
 
 import pytest
 
-from compass import tracedoc
+from compass import svg, tracedoc
 from compass.constructions import midpoint_program
 from compass.dsl import run_source
-from compass.errors import MalformedTrace
-from compass.geom import Point
-from compass.program import PickStep, execute, purity_audit
+from compass.errors import MalformedProgram, MalformedTrace
+from compass.geom import Point, ResolvedCircle
+from compass.program import (
+    OP_CIRCLE,
+    OP_LEFT,
+    OP_SEED,
+    PickStep,
+    Program,
+    Trace,
+    execute,
+    purity_audit,
+)
 
 
 def sample_doc():
@@ -182,3 +191,26 @@ def test_document_rejects_resolved_kind_mismatch():
     bad = dataclasses.replace(trace, resolved=tuple(resolved))
     with pytest.raises(MalformedTrace, match=rf"^step {pick}:"):
         tracedoc.dumps(tracedoc.document_from_trace(bad))
+
+
+# op and second columns of the apex program on (0, 0), (1, 0), made malformed
+S, C, L = OP_SEED, OP_CIRCLE, OP_LEFT
+MALFORMED_PROGRAMS = {
+    "forward-reference": ((S, S, C, C, L), (-1, -1, 3, 0, 3), "^step 2:"),
+    "unknown-op": ((S, S, C, C, 7), (-1, -1, 1, 0, 3), "^step 4: unknown op"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PROGRAMS))
+def test_consumers_refuse_what_loads_refuses(name):
+    """A hand-built trace whose values fit its steps' kinds but whose
+    program is malformed is refused by the audit, dumps and the SVG."""
+    ops, second, error = MALFORMED_PROGRAMS[name]
+    program = Program(2, ops, (0, 1, 0, 1, 2), second, (4,))
+    o, u = Point(0.0, 0.0), Point(1.0, 0.0)
+    trace = Trace(program, (o, u, ResolvedCircle(o, 1.0), ResolvedCircle(u, 1.0),
+                            Point(0.5, math.sqrt(3) / 2)))
+    for consume in (purity_audit, svg.render_trace,
+                    lambda t: tracedoc.dumps(tracedoc.document_from_trace(t))):
+        with pytest.raises(MalformedProgram, match=error):
+            consume(trace)
