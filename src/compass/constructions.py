@@ -157,19 +157,17 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
 # --- inversion ---------------------------------------------------------------
 
 def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
-    """Inversion of an exterior point p in the circle centered o through d.
-
-    Cuts the circle with the one on diameter op, then drops the
-    perpendicular from the center onto the chord.
-    """
+    """Inversion of p in the circle omega centered o through d, by three
+    circles: the circle centered p through o cuts omega at m and n, and the
+    circles centered m and n through o meet again at the image. Valid for
+    |op| > r/2 (4 circles); the contract asks |op| > r (``NotExterior``)."""
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = distance(po, pd)
     if distance(po, pp) <= r + b.tol.eps_degenerate:
         raise NotExterior(f"{pp} is not strictly outside radius {r}")
     omega = b.circle(o, d)
-    theta = build_diameter_circle(b, o, p)
-    m, n = b.both(theta, omega)
-    return build_perp_foot(b, m, n, o)
+    m, n = b.both(b.circle(p, o), omega)
+    return b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o)
 
 
 def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
@@ -181,7 +179,9 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     n = floor(r/d) + 2). Inversion turns scaling by any integer m into
     scaling by 1/m, so the point is pushed out by the power of two
     2^k >= n, with k doublings about the center, inverted there, and the
-    image pulled back by k more doublings: O(log r/d) circles in all.
+    image pulled back by k more doublings: 8k + 4 circles, 4 per doubling
+    and 4 for the core. The pushed-out point lies beyond r, so twice clear
+    of the core's limit r/2, where its first circle only touches omega.
     """
     eps = b.tol.eps_degenerate
     po, pd, pp = b.point(o), b.point(d), b.point(p)

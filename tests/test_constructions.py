@@ -180,7 +180,7 @@ def test_invert_exterior_circle_budget():
     b = Builder([Point(0, 0), Point(1, 0), Point(4, 0)])
     node = cons.build_invert_exterior(b, 0, 1, 2)
     program, _ = b.finish([node])
-    assert program.circle_count() == 25
+    assert program.circle_count() == 4
 
 
 def test_invert_general_examples():
@@ -197,16 +197,51 @@ def test_invert_interior_ratio_rule():
     b = Builder([Point(0, 0), Point(1, 0), Point(0.5, 0)])
     cons.build_invert_general(b, 0, 1, 2)
     program, _ = b.finish([])
-    # 2 doublings out and 2 back, 4 circles each, plus the exterior core
-    assert program.circle_count() == 2 * 2 * 4 + 25
+    # 2 doublings out and 2 back, 4 circles each, plus the 4-circle core:
+    # 8k + 4 with k = 2
+    assert program.circle_count() == 2 * 2 * 4 + 4
 
 
-@pytest.mark.parametrize("ratio, budget", [(1e-3, 105), (1e-4, 137), (1e-6, 185)])
+@pytest.mark.parametrize("ratio, budget", [(1e-3, 84), (1e-4, 116), (1e-6, 164)])
 def test_invert_interior_log_budget(ratio, budget):
     b = Builder([Point(0, 0), Point(1, 0), Point(ratio, 0)])
     node = cons.build_invert_general(b, 0, 1, 2)
     program, _ = b.finish([node])
-    assert program.circle_count() <= budget
+    assert program.circle_count() == budget
+
+
+def test_inverting_back_draws_omega_once():
+    # p and then its image, in one builder: the second core finds omega in
+    # the hash-cons table
+    b = Builder([Point(0.2, -0.1), Point(1.2, -0.1), Point(2.3, 1.1)])
+    image = cons.build_invert_general(b, 0, 1, 2)
+    back = cons.build_invert_general(b, 0, 1, image)
+    omegas = [i for i, op in enumerate(b.ops)
+              if op == OP_CIRCLE and (b.first[i], b.second[i]) == (0, 1)]
+    assert len(omegas) == 1
+    close(b.point(back), 2.3, 1.1)
+
+
+@pytest.mark.parametrize("ratio, bound", [(100, 1.5e-11), (1000, 1.8e-9)])
+def test_invert_far_exterior_relative_error(ratio, bound):
+    """Worst error over seeded draws at distance ``ratio * r``, relative to
+    the image's distance r / ratio from the center. The three-circle core
+    reads 8.9e-12 and 1.0e-9; the diameter-circle-and-foot core it replaced
+    read 2.4e-11 and 3.0e-9."""
+    rng = SplitMix64(7)
+    worst = 0.0
+    for _ in range(200):
+        o = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        r = rng.uniform(0.5, 2.5)
+        t = rng.uniform(0, 2 * math.pi)
+        omega = CircleByCenterAndPoint(
+            o, Point(o.x + r * math.cos(t), o.y + r * math.sin(t)))
+        s = rng.uniform(0, 2 * math.pi)
+        p = Point(o.x + ratio * r * math.cos(s), o.y + ratio * r * math.sin(s))
+        got = invert_general(omega, p)
+        want = oracle_invert(ResolvedCircle(o, r), p)
+        worst = max(worst, distance(got, want) / distance(want, o))
+    assert worst <= bound
 
 
 def test_invert_interior_deep_precision():

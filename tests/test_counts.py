@@ -40,10 +40,10 @@ DEMO_COUNTS = {
     "conjugate": (15, 8, 5),
     "extend": (14, 6, 6),
     "half": (43, 23, 18),
-    "invert": (49, 25, 21),
-    "line-circle": (123, 65, 54),
-    "line-circle-diameter": (294, 159, 132),
-    "line-line": (341, 186, 151),
+    "invert": (10, 4, 3),
+    "line-circle": (84, 44, 36),
+    "line-circle-diameter": (177, 96, 78),
+    "line-line": (224, 123, 97),
     "midpoint": (15, 7, 6),
     "mul": (16, 8, 6),
 }

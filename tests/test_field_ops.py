@@ -129,6 +129,13 @@ def _depth_tol(*values):
     return 1e-9 * (1 + steps)
 
 
+def _relative_depth_tol(*values):
+    """The ``_depth_tol`` budget times max(1, |value|): an absolute bound
+    cannot compare values far from the unit disk."""
+    size = max(math.hypot(v.value.x, v.value.y) for v in values)
+    return _depth_tol(*values) * max(1.0, size)
+
+
 def test_ring_axioms_numerically():
     pool = _ValuePool(DEFAULT_TOL)
     rng = SplitMix64(31)
@@ -237,7 +244,9 @@ def test_fibonacci_chain_is_linear_and_exact():
 def test_doubling_chain_is_linear():
     v = F.alpha()
     for _ in range(20):
-        v = F.add(v, v)
+        got, ref = F.add(v, v), paper_add(v, v)
+        assert _gap(got, ref) <= _relative_depth_tol(got, ref)
+        v = got
     assert v.trace.circle_count <= 4 * 20 + 30
     scale = 2.0 ** 20
     close(v.value, 0.75 * scale, SQRT15_4 * scale, tol=1e-12 * scale)

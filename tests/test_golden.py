@@ -31,17 +31,17 @@ GOLDEN = {
         "28053494f1ab38c4a0bfdbd579a86cc9b90c7557f89cb193dfaad8112e0f8202",
         "8c0dc3b62c92ead4c450fa54c0b1f7ec6025769899b5eb2767c254d28b1d7b3e"),
     "invert": (
-        "4cf7b51a649d246b7fa3e4961b923b21b7507f2b5ff1a13a3e8a992f0c542e2b",
-        "255a650f0a2695744d4f4675ff6ae854ee7f4051ae03b1c64f5a33a9f4ff117f"),
+        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
+        "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393"),
     "line-circle": (
-        "b1b2365235006f177124cfeb06f40b00a7f7dcb9f8bcda89566f034042d663b1",
-        "f7f5044641968b820459f6632c02d679d1fe3647a98078f2f798c0c657e73c91"),
+        "923d460024a71a41285f4938304887895c48bb364e04cc63ec8597cee7f47d19",
+        "28f5d622444d21747c38c969e50aaa77c26ea2e73ab3b94601a2014961572221"),
     "line-circle-diameter": (
-        "7186b7e29497deafb32369322a90be5791f68193be83f6bf01478b64b7572735",
-        "84aaf1b8de0d1eb7b9849868ca7376ff378532e2f72138c3e9ba65a79bbe24d8"),
+        "9a82baf4f1ff8c5ca211894911b9c4524d2b723d1b9b155dd8e016423a9e5426",
+        "77784c71a80ebc32eddf5ce5b62b8cc966069b181c9f8c0355f0b85e7df0420c"),
     "line-line": (
-        "f54600d1dfb07f0ec7fdf1ec2b8229391bd1e018509821065760dbee63860ed4",
-        "1e20be316bd0f7057308f211ec1b52499979eb259c1681111831007ece44798e"),
+        "c4b3f17e8868ceddda1eabb27440d8b9c29062e3c9a3eccce2cda2b46ab05db0",
+        "49c1f51b804bff1641a3d2c29df697ba1b41f6ecfe72480723bb9e2fe3155055"),
     "midpoint": (
         "3054a031f3175811419d7250e62d614ac780adb70f855a8a28a46bfca8a4bfd4",
         "7bd349300021097ce44f77a734d60878fc30d0e1ecd31a9629efea0545f64b8e"),
@@ -84,11 +84,11 @@ FUZZ_GOLDEN = {
     "nth": "e96b16275826049751ed68f18abd53ad459653b41a6f21a7a409e5ddf24e1ba5",
     "midpoint": "83c8468058652d447bff2137d48f0c4bd1c91a9a8a5f9717bb09c4407ffba8da",
     "foot": "dab6308e00d520e97f2978a846cbb8ee78c5f6aaed98c0f0bc6a21cc4f02d59c",
-    "invert": "f54831e1ccc488e3ed8fc3d5eb353aa87dc86a13f38870caaf18d10c37565769",
-    "line-line": "ae269fac0d54c86dfeccbeb3e8d640b0958d1c8371681e87b27d0e810fd5c197",
-    "line-circle": "48928deb0c2622666de0cced0d54ec9f8ffb1f0a0b1062ff32057b9916e9870e",
+    "invert": "cd7d6aa3805ed951e805d146188e852acec18dfe0f960f2fe1c2cbd2066b3c71",
+    "line-line": "13bb79fecaa71e29aec89842ef26023ed60437aa0e71095d63bcf9f036c965f2",
+    "line-circle": "a15876ea88bc783a7b51d673231d0f9d4c446e6683785edb3f4bbcbfea11028a",
     "line-circle-diameter":
-        "e0023e9ee75bb8babd9b955e68255de8d1bba26113f445c8f6e92d3d17ede6b0",
+        "8273653370d379af5df641ab79bd02501bdfcf9c95097772656f14666107eb03",
     "mul": "f93bb3fb49999982af1ca23ee005be71051141ea444732b6d82fa5adea13926b",
     "add": "647770c3877e39a47d3611ecb18f14d4ab8fc61ee13b13f0b4d99e314a48b57b",
     "conj": "939c4f8d86325982b238200b8b43ebd878093b1b00814cae81b9bca459b84439",
