@@ -24,6 +24,7 @@ from .errors import (
     NoSuchIntersection,
     NotExterior,
     NotOnCircle,
+    OnMirrorLine,
     ParallelLines,
     ScaleOverflow,
 )
@@ -31,6 +32,7 @@ from .geom import DEFAULT_TOL, Point, Tolerance, distance
 from .program import Builder, Program, Selector
 
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
+_SIN60 = math.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,9 +52,16 @@ class CircleByCenterAndPoint:
 
 
 def _point_line_distance(p: Point, a: Point, b: Point) -> float:
-    # degeneracy pre-checks only; verification formulas live in oracle.py
+    # pre-checks and choices only; verification formulas live in oracle.py
     ux, uy = b.x - a.x, b.y - a.y
     return abs(ux * (p.y - a.y) - uy * (p.x - a.x)) / math.hypot(ux, uy)
+
+
+def _apex_xy(a: Point, b: Point, side: Selector) -> tuple[float, float]:
+    """Where ``build_apex`` will land: b turned 60 degrees about a."""
+    ux, uy = b.x - a.x, b.y - a.y
+    sin = _SIN60 if side is Selector.LEFT else -_SIN60
+    return a.x + 0.5 * ux - sin * uy, a.y + 0.5 * uy + sin * ux
 
 
 # --- elementary pieces ------------------------------------------------------
@@ -137,11 +146,27 @@ def build_diameter_circle(b: Builder, a: int, bn: int) -> int:
     return b.circle(build_midpoint(b, a, bn), a)
 
 
-def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
-    """Foot of the perpendicular from c onto line ab.
+def build_reflect(b: Builder, a: int, bn: int, c: int) -> int:
+    """Mirror image of c in line ab: the circles centered a and b through c
+    meet again there. Two circles and one pick.
 
-    The circles with diameters ac and bc meet at c and at the foot; when c
-    is on the line they are tangent there and the foot is c itself.
+    Where c lies on the line, to within the kernel's tangency band, the
+    circles only touch, at the foot of c, and there is no mirror image to
+    pick: that raises ``OnMirrorLine`` and appends nothing.
+    """
+    mark = b.mark()
+    image = b.pick_other(b.circle(a, c), b.circle(bn, c), avoid=c, strict=True)
+    if image is None:
+        b.rollback(mark)
+        raise OnMirrorLine(f"{b.point(c)} lies on the mirror line")
+    return image
+
+
+def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
+    """Foot of the perpendicular from c onto line ab: the midpoint of c and
+    its mirror image, 9 circles and 7 picks. When c is on the line the
+    mirror circles touch at the foot, which is then the answer: 2 circles
+    and 1 pick.
     """
     eps = b.tol.eps_degenerate
     pa, pb, pc = b.point(a), b.point(bn), b.point(c)
@@ -149,9 +174,11 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
         raise DegenerateCircle("foot on a degenerate line")
     if distance(pc, pa) <= eps or distance(pc, pb) <= eps:
         raise DegenerateCircle("foot construction needs c distinct from a and b")
-    d1 = build_diameter_circle(b, a, c)
-    d2 = build_diameter_circle(b, bn, c)
-    return b.pick_other(d1, d2, avoid=c)
+    around_a, around_b = b.circle(a, c), b.circle(bn, c)
+    mirror = b.pick_other(around_a, around_b, avoid=c, strict=True)
+    if mirror is None:
+        return b.pick(around_a, around_b, Selector.LEFT)
+    return build_midpoint(b, c, mirror)
 
 
 # --- inversion ---------------------------------------------------------------
@@ -159,15 +186,24 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
 def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
     """Inversion of p in the circle omega centered o through d, by three
     circles: the circle centered p through o cuts omega at m and n, and the
-    circles centered m and n through o meet again at the image. Valid for
-    |op| > r/2 (4 circles); the contract asks |op| > r (``NotExterior``)."""
+    image is the mirror image of o in the chord mn, where the circles
+    centered m and n through o meet again. Valid for |op| > r/2 (4 circles
+    and 3 picks); the contract asks |op| > r (``NotExterior``).
+
+    Far outside, the chord mn nears a diameter and the rounding of m and n
+    grows with |op|; at about |op| = 1e6 r the circles about m and n only
+    touch, at o, and that raises ``ScaleOverflow``.
+    """
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = distance(po, pd)
     if distance(po, pp) <= r + b.tol.eps_degenerate:
         raise NotExterior(f"{pp} is not strictly outside radius {r}")
     omega = b.circle(o, d)
     m, n = b.both(b.circle(p, o), omega)
-    return b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o)
+    image = b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o, strict=True)
+    if image is None:
+        raise ScaleOverflow(f"{pp} is too far outside radius {r} to invert")
+    return image
 
 
 def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
@@ -212,12 +248,19 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
 def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     """Intersection of lines ab and cd.
 
-    Pick a pole off both lines (an apex of one of the segments), invert the
-    two perpendicular feet in a circle around the pole, cut the circles on
-    the inverted diameters, and invert the cut back. The pole is retried
-    over the four apex choices: first demanding practical clearance from
-    both lines (which bounds the interior-inversion ratio), then accepting
-    anything non-degenerate.
+    Pick a pole off both lines (an apex of a segment between the four
+    points) and invert in the circle around it through a. Each line
+    inverts to the circle through the pole centered on the inverse of the
+    pole's mirror image in the line; those two circles meet again at the
+    inverse of the sought point, which is inverted back. That is 18
+    circles (fewer where steps coincide) when both mirror images and the
+    cut point lie outside the pole circle, and 8 more for each doubling an
+    interior one takes, two at least.
+
+    The pole is retried over the twelve apexes, rolling back each that
+    fails: first demanding practical clearance from both lines (which
+    bounds the interior-inversion ratio), then accepting anything
+    non-degenerate.
     """
     eps = b.tol.eps_degenerate
     pa, pb, pc, pd = b.point(a), b.point(bn), b.point(c), b.point(d)
@@ -248,13 +291,10 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
                 floor = 1e-3 * radius if strict else eps
                 if radius <= eps or clearance <= floor:
                     raise DegenerateCircle("pole too close to a line")
-                n_foot = build_perp_foot(b, a, bn, pole)
-                m_foot = build_perp_foot(b, c, d, pole)
-                i = build_invert_general(b, pole, a, n_foot)
-                j = build_invert_general(b, pole, a, m_foot)
-                di = build_diameter_circle(b, i, pole)
-                dj = build_diameter_circle(b, j, pole)
-                k = b.pick_other(di, dj, avoid=pole)
+                images = [b.circle(build_invert_general(
+                    b, pole, a, build_reflect(b, e, f, pole)), pole)
+                    for e, f in ((a, bn), (c, d))]
+                k = b.pick_other(*images, avoid=pole)
                 return build_invert_general(b, pole, a, k)
             except CompassError as err:
                 last_error = err
@@ -262,39 +302,98 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     raise last_error if last_error is not None else ParallelLines("no usable pole")
 
 
+def _clear_of_line(b: Builder, o: int, d: int, a: int, bn: int,
+                   floor: float) -> int:
+    """A point of the circle centered o through d that keeps clear of line
+    ab: d itself when it lies ``floor`` or more from the line, else the apex
+    of (o, d) farther from it, which takes the circle centered d through o
+    and one pick beside the circle itself. The apexes turn d by 60 degrees
+    either way about o, so when d lies within r/4 of the line the farther
+    one lies at least r/4 from it."""
+    po, pd, pa, pb = b.point(o), b.point(d), b.point(a), b.point(bn)
+    if _point_line_distance(pd, pa, pb) >= floor:
+        return d
+    left, right = (_point_line_distance(Point(*_apex_xy(po, pd, side)), pa, pb)
+                   for side in (Selector.LEFT, Selector.RIGHT))
+    return build_apex(b, o, d, Selector.LEFT if left >= right else Selector.RIGHT)
+
+
 def build_line_circle_off_center(b: Builder, a: int, bn: int,
                                  o: int, d: int) -> tuple[int, ...]:
-    """Points of line ab on the circle centered o through d, center off the line.
+    """Points of line ab on the circle omega centered o through d, center
+    off the line.
 
-    Inversion sends the line to the circle on diameter o-K, where K inverts
-    the foot of the center; cutting that against the given circle lands
-    exactly on the line. Returns two nodes, or one on tangency.
+    The line meets omega where omega meets its own mirror image in the
+    line: the circle centered on o's mirror image through the mirror image
+    of a point t of omega. t is d, or, where d lies within r/4 of the line
+    (its mirror image is then poorly conditioned), the apex of (o, d)
+    farther from it. 6 circles and 4 picks, one circle and pick more for
+    the apex; returns two nodes, or one on tangency.
+
+    The mirror image meets omega at an angle of about 2h/r for a center h
+    from the line, and o's own mirror circles cross at an angle of order h
+    too, so the error grows as 1/h^2. A center within r/64 of the line, or
+    whose mirror circles only touch, takes the inversion route of
+    ``build_line_circle_center_on_line`` instead, whose circles cross at
+    the angle the line makes with omega, nearly a right angle there. A
+    center on the line (to within
+    ``eps_degenerate``) raises ``CenterOnLine`` with nothing appended.
     """
     eps = b.tol.eps_degenerate
-    pa, pb, po = b.point(a), b.point(bn), b.point(o)
+    pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
     if distance(pa, pb) <= eps:
         raise DegenerateCircle("line-circle needs a proper line")
-    if _point_line_distance(po, pa, pb) <= eps:
+    h, r = _point_line_distance(po, pa, pb), distance(po, pd)
+    if h <= eps:
         raise CenterOnLine("center lies on the line; use the diameter variant")
+    o_mirror = None
+    if 64.0 * h >= r:
+        try:
+            o_mirror = build_reflect(b, a, bn, o)
+        except OnMirrorLine:
+            pass
+    if o_mirror is None:
+        return _line_circle_by_inversion(b, a, bn, o, d)
     omega = b.circle(o, d)
-    h = build_perp_foot(b, a, bn, o)
-    k = build_invert_general(b, o, d, h)
-    diam = build_diameter_circle(b, o, k)
+    t = _clear_of_line(b, o, d, a, bn, r / 4.0)
+    mirror = b.circle(o_mirror, build_reflect(b, a, bn, t))
     try:
-        return b.meet(diam, omega)
+        return b.meet(mirror, omega)
     except NoSuchIntersection:
         raise NoSuchIntersection("the line misses the circle") from None
+
+
+def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
+                              d: int) -> tuple[int, int]:
+    """Points of line ab on the circle centered o through d, for a center
+    on or near the line, by inversion.
+
+    Take C on the circle and off the line: d, or, where d lies within r/3
+    of the line, the apex of (o, d) farther from it. Lay out O, C, P, Q
+    equally spaced and invert in the circle Lambda around Q through C
+    (radius 2r). It sends the circle to sigma, the circle on diameter CP,
+    and the line to the circle through Q centered on the inverse of Q's
+    mirror image in the line. Inverting the two cuts of those circles back
+    lands on the sought points.
+    """
+    c = _clear_of_line(b, o, d, a, bn, distance(b.point(o), b.point(d)) / 3.0)
+    p = build_extend(b, o, c)
+    q = build_extend(b, c, p)
+    pi_circle = b.circle(build_invert_general(b, q, c, build_reflect(b, a, bn, q)), q)
+    sigma = build_diameter_circle(b, c, p)
+    s1, s2 = b.both(sigma, pi_circle)
+    return build_invert_general(b, q, c, s1), build_invert_general(b, q, c, s2)
 
 
 def build_line_circle_center_on_line(b: Builder, o: int, a: int,
                                      d: int) -> tuple[int, int]:
     """Points of line oa on the circle centered o through d.
 
-    With C = d off the line, lay out O, C, P, Q equally spaced, work in the
-    doubled circle around Q through C, invert the foot of Q, and cut the
-    circles on diameters QI and CP; inverting the cut back lands on the two
-    sought points. When d is already on the line the answer is d and its
-    antipode, directly.
+    When d is on the line the answer is d and its antipode, directly.
+    Otherwise invert (``_line_circle_by_inversion``): with the center on
+    the line, Q's mirror image lies at least 2r from Q, outside Lambda,
+    and the two cuts lie inside it, between r and 2r from Q, so each takes
+    two doublings: 59 circles and 48 picks, 61 and 49 with the apex.
 
     Outputs are ordered with the point on a's side of the center first.
     """
@@ -306,18 +405,7 @@ def build_line_circle_center_on_line(b: Builder, o: int, a: int,
     if _point_line_distance(pdd, po, pa) <= eps:
         x1, x2 = d, build_antipode(b, o, d, d)
     else:
-        c = d
-        p = build_extend(b, o, c)
-        q = build_extend(b, c, p)
-        lam_center, lam_through = q, c  # radius 2r circle
-        b.circle(lam_center, lam_through)
-        h = build_perp_foot(b, o, a, q)
-        i = build_invert_general(b, lam_center, lam_through, h)
-        pi_circle = build_diameter_circle(b, q, i)
-        sigma = build_diameter_circle(b, c, p)
-        s1, s2 = b.both(sigma, pi_circle)
-        x1 = build_invert_general(b, lam_center, lam_through, s1)
-        x2 = build_invert_general(b, lam_center, lam_through, s2)
+        x1, x2 = _line_circle_by_inversion(b, o, a, o, d)
 
     ux, uy = pa.x - po.x, pa.y - po.y
     v1 = b.point(x1)

@@ -57,5 +57,10 @@ class CenterOnLine(CompassError):
     """The off-center line-circle routine was given a line through the center."""
 
 
+class OnMirrorLine(CompassError):
+    """A point to be reflected in a line lies on it: the circles about two
+    points of the line through it only touch."""
+
+
 class NotOnCircle(CompassError):
     """Antipode of a point that does not lie on the circle."""

@@ -607,10 +607,14 @@ class Builder:
             return (left,)
         return left, self._keep(OP_RIGHT, c1, c2, *got[2:])
 
-    def pick_other(self, c1: int, c2: int, avoid: int) -> int:
+    def pick_other(self, c1: int, c2: int, avoid: int, *,
+                   strict: bool = False) -> int | None:
         """The intersection point that is not the point at node ``avoid``;
-        on tangency the one point, per the both-selectors rule."""
+        on tangency the one point, per the both-selectors rule, or, with
+        ``strict``, None and no pick."""
         lx, ly, rx, ry = self._points(c1, c2)
+        if strict and lx == rx and ly == ry:
+            return None
         self._node(avoid, False)
         ax, ay = self.xs[avoid], self.ys[avoid]
         if math.hypot(lx - ax, ly - ay) >= math.hypot(rx - ax, ry - ay):

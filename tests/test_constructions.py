@@ -25,12 +25,20 @@ from compass.errors import (
     NoSuchIntersection,
     NotExterior,
     NotOnCircle,
+    OnMirrorLine,
     ScaleOverflow,
 )
 from compass.fuzz import SplitMix64, run_op
 from compass.geom import Point, ResolvedCircle, distance
-from compass.oracle import oracle_invert
-from compass.program import OP_CIRCLE, OP_LEFT, Builder, Selector
+from compass.oracle import oracle_foot, oracle_invert, oracle_line_circle
+from compass.program import (
+    OP_CIRCLE,
+    OP_LEFT,
+    Builder,
+    Selector,
+    ancestors,
+    similarity_transport_check,
+)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 UNIT = CircleByCenterAndPoint(Point(0, 0), Point(1, 0))
@@ -109,6 +117,37 @@ def test_midpoint_circle_budget():
     assert cons.midpoint_program().pick_count() == 6
 
 
+# --- reflection ------------------------------------------------------------------
+
+def test_reflect_matches_the_oracle_under_similarities():
+    rng = SplitMix64(19)
+    checked = 0
+    for _ in range(40):
+        a = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        b_ = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        c = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        if min(distance(a, b_), distance(c, a), distance(c, b_)) < 0.2:
+            continue
+        b = Builder([a, b_, c])
+        node = cons.build_reflect(b, 0, 1, 2)
+        assert len(b) == 3 + 3
+        foot = oracle_foot(a, b_, c)
+        assert distance(b.point(node), Point(2 * foot.x - c.x, 2 * foot.y - c.y)) <= 1e-12
+        program, _ = b.finish([node])
+        for p, q in ((Point(0, 0), Point(1, 0)), (Point(1.5, -2), Point(1.5, 1)),
+                     (Point(-3, 7), Point(2e3, -1e3)), (Point(0.25, 0.5), Point(0.25, 0.5001))):
+            assert similarity_transport_check(program, (a, b_, c), p, q)
+        checked += 1
+    assert checked >= 30
+
+
+def test_reflect_refuses_a_point_on_the_line():
+    b = Builder([Point(0, 0), Point(3, 0), Point(1, 1e-7)])
+    with pytest.raises(OnMirrorLine):
+        cons.build_reflect(b, 0, 1, 2)
+    assert len(b) == 3
+
+
 # --- diameter circle / foot ----------------------------------------------------
 
 def test_diameter_circle_examples():
@@ -153,10 +192,21 @@ def test_perp_foot_degenerate_inputs():
 
 
 def test_perp_foot_circle_budget():
+    # the mirror image (2 circles) and its midpoint with c (7)
     b = Builder([Point(0, 0), Point(3, 0), Point(1, 2)])
     node = cons.build_perp_foot(b, 0, 1, 2)
     program, _ = b.finish([node])
-    assert program.circle_count() == 16
+    assert program.circle_count() == 9
+
+
+def test_perp_foot_of_a_point_on_the_line_is_the_touch_point():
+    # the mirror circles touch at c: two circles and one pick, no midpoint
+    a, b_, t = Point(0.3, 0.7), Point(2.1, -1.3), 0.37
+    c = Point(a.x + t * (b_.x - a.x), a.y + t * (b_.y - a.y))
+    b = Builder([a, b_, c])
+    got = b.point(cons.build_perp_foot(b, 0, 1, 2))
+    assert len(b) == 3 + 3
+    assert distance(got, c) <= 1e-15
 
 
 # --- inversion -------------------------------------------------------------------
@@ -244,6 +294,16 @@ def test_invert_far_exterior_relative_error(ratio, bound):
     assert worst <= bound
 
 
+def test_invert_far_exterior_refuses_touching_circles():
+    # at 1e6 r the circles about m and n only touch, at o; the touch point
+    # (3e-7, 4e-7) is half the image (6e-7, 8e-7)
+    b = Builder([Point(0, 0), Point(1, 0), Point(6e5, 8e5)])
+    with pytest.raises(ScaleOverflow):
+        cons.build_invert_exterior(b, 0, 1, 2)
+    with pytest.raises(ScaleOverflow):
+        invert_general(UNIT, Point(6e5, 8e5))
+
+
 def test_invert_interior_deep_precision():
     b = Builder([Point(0, 0), Point(1, 0), Point(1e-6, 0)])
     got = b.point(cons.build_invert_general(b, 0, 1, 2))
@@ -282,6 +342,35 @@ def test_line_line_axis_cross():
     close(s, 0.5, 0.0, tol=1e-6)
 
 
+def test_line_line_worst_error():
+    """Worst error over 200 draws sampled as ``compass fuzz`` samples them.
+    Inverting the pole's mirror images reads 6.6e-13; inverting the
+    perpendicular feet, under the same pole rule, read 1.5e-11."""
+    report = run_op("line-line", 200, seed=7)
+    assert report.failures == 0
+    assert report.max_err <= 2e-12
+
+
+def test_line_line_refused_pole_leaves_no_step(monkeypatch):
+    """A pole whose mirror image the circles cannot pick is rolled back and
+    the next pole tried: every step of the result is one of its ancestors."""
+    real, refused = cons.build_reflect, []
+
+    def touching_first(b, a, bn, c):
+        if not refused:
+            refused.append(c)
+            raise OnMirrorLine("the mirror circles touch")
+        return real(b, a, bn, c)
+
+    monkeypatch.setattr(cons, "build_reflect", touching_first)
+    b = Builder([Point(-0.4, -0.4), Point(2.3, 2.3), Point(0.2, 1.8), Point(2.7, -0.7)])
+    node = cons.build_line_line(b, 0, 1, 2, 3)
+    close(b.point(node), 1.0, 1.0, tol=1e-12)
+    program, _ = b.finish([node])
+    assert refused
+    assert len(ancestors(program, node)) == len(program.steps)
+
+
 def test_line_line_rejects_parallel():
     from compass.errors import ParallelLines
     with pytest.raises(ParallelLines):
@@ -315,10 +404,64 @@ def test_line_circle_exact_tangent_single_point():
     pts = line_circle_off_center(Point(-2, 1), Point(2, 1), UNIT)
     assert len(pts) == 1
     close(pts[0], 0.0, 1.0, tol=1e-6)
-    # the tangency appends one left pick, right after the diameter circle
+    # the tangency appends one left pick, right after the mirror circle
     b = Builder([Point(-2, 1), Point(2, 1), UNIT.center, UNIT.through])
-    assert cons.build_line_circle_off_center(b, 0, 1, 2, 3) == (48,)
-    assert len(b) == 49 and b.ops[-2:] == [OP_CIRCLE, OP_LEFT]
+    assert cons.build_line_circle_off_center(b, 0, 1, 2, 3) == (12,)
+    assert len(b) == 13 and b.ops[-2:] == [OP_CIRCLE, OP_LEFT]
+
+
+@pytest.mark.parametrize("height", [1e-3, 1e-6, 1e-9, 1e-11])
+def test_line_circle_center_near_the_line(height):
+    """Near the line the mirror route loses digits as 1/h^2, and within the
+    tangency band o has no mirror image at all: a mirror circle centered on
+    the touch point cuts the circle about 1.0 away from the answer at
+    1e-6. Such a center takes the inversion route, exact to 1e-12."""
+    a, b_ = Point(-2, height), Point(3, height)
+    pts = line_circle_off_center(a, b_, UNIT)
+    want = oracle_line_circle(a, b_, ResolvedCircle(UNIT.center, 1.0))
+    as_set(pts, [(w.x, w.y) for w in want], tol=1e-12)
+
+
+def test_line_circle_small_circle_whose_center_touches():
+    # r/h = 50 asks for the mirror route, but the line's points lie so far
+    # off that o's mirror circles only touch: the inversion route answers,
+    # to 2.1e-11 at the scale of those points (the perpendicular foot's
+    # route, before mirror images, was 1.0e-7 off)
+    r, h = 1e-5, 2e-7
+    a, b_ = Point(-2.5, h), Point(3.5, h)
+    omega = CircleByCenterAndPoint(Point(0, 0), Point(0.6 * r, 0.8 * r))
+    b = Builder([a, b_, omega.center, omega.through])
+    with pytest.raises(OnMirrorLine):
+        cons.build_reflect(b, 0, 1, 2)
+    pts = line_circle_off_center(a, b_, omega)
+    want = oracle_line_circle(a, b_, ResolvedCircle(omega.center, r))
+    as_set(pts, [(w.x, w.y) for w in want], tol=1e-10)
+
+
+def test_line_circle_center_on_the_line_appends_nothing():
+    # within eps_degenerate of the line: CenterOnLine before any step, so
+    # the script interpreter's fallback to the diameter route starts clean
+    b = Builder([Point(-2, 1e-13), Point(3, 1e-13), UNIT.center, UNIT.through])
+    with pytest.raises(CenterOnLine):
+        cons.build_line_circle_off_center(b, 0, 1, 2, 3)
+    assert len(b) == 4
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-7, 1e-9])
+def test_line_circle_datum_point_on_or_near_the_line(offset):
+    """With d on the line, or nearly so, the mirror image of d is out of
+    reach or poorly conditioned; the apex of (o, d) farther from the line
+    stands in for it."""
+    o, r, h, angle = Point(0.3, -0.4), 1.7, 0.6, 0.7
+    nx, ny = math.cos(angle), math.sin(angle)
+    foot = Point(o.x + h * nx, o.y + h * ny)
+    a = Point(foot.x - 2.0 * ny, foot.y + 2.0 * nx)
+    b_ = Point(foot.x + 3.0 * ny, foot.y - 3.0 * nx)
+    half = math.sqrt(r * r - (h + offset) ** 2)
+    d = Point(o.x + (h + offset) * nx + half * ny, o.y + (h + offset) * ny - half * nx)
+    pts = line_circle_off_center(a, b_, CircleByCenterAndPoint(o, d))
+    want = oracle_line_circle(a, b_, ResolvedCircle(o, distance(o, d)))
+    as_set(pts, [(w.x, w.y) for w in want], tol=1e-12)
 
 
 def test_line_circle_center_on_line_examples():
@@ -342,6 +485,21 @@ def test_line_circle_center_on_line_paper_intermediates():
         and math.hypot(v.center.x - q[0], v.center.y - q[1]) < 1e-6
         and abs(v.radius - 2.0) < 1e-6
         for v in trace.resolved)
+
+
+@pytest.mark.parametrize("offset", [1e-5, 1e-9])
+def test_line_circle_center_on_line_datum_near_the_line(offset):
+    # Q = 3d would lie within 3 * offset of the line, its mirror image out
+    # of reach or poorly conditioned: the apex of (o, d) stands in for d
+    o, a = Point(0.4, -0.3), Point(2.9, 1.2)
+    ux, uy = (a.x - o.x) / distance(o, a), (a.y - o.y) / distance(o, a)
+    r = 1.3
+    along = math.sqrt(r * r - offset * offset)
+    d = Point(o.x + along * ux - offset * uy, o.y + along * uy + offset * ux)
+    x, y = line_circle_center_on_line(o, a, CircleByCenterAndPoint(o, d))
+    want = oracle_line_circle(o, a, ResolvedCircle(o, distance(o, d)))
+    as_set((x, y), [(w.x, w.y) for w in want], tol=1e-12)
+    assert (x.x - o.x) * ux + (x.y - o.y) * uy > 0  # a's side first
 
 
 def test_line_circle_center_on_line_datum_on_line():

@@ -41,9 +41,9 @@ DEMO_COUNTS = {
     "extend": (14, 6, 6),
     "half": (43, 23, 18),
     "invert": (10, 4, 3),
-    "line-circle": (84, 44, 36),
-    "line-circle-diameter": (177, 96, 78),
-    "line-line": (224, 123, 97),
+    "line-circle": (14, 6, 4),
+    "line-circle-diameter": (110, 59, 48),
+    "line-line": (105, 58, 43),
     "midpoint": (15, 7, 6),
     "mul": (16, 8, 6),
 }

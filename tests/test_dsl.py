@@ -25,6 +25,8 @@ from compass.dsl import (
     run_source,
     tokenize,
 )
+from compass.geom import Point, ResolvedCircle
+from compass.oracle import oracle_line_circle
 from compass.program import Selector, purity_audit
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -289,6 +291,25 @@ def test_emit_requests_in_order():
                         "emit trace \"b.json\"\n")
     assert [(e.target, e.path) for e in result.emits] == [
         ("points", "a.txt"), ("trace", "b.json")]
+
+
+@pytest.mark.parametrize("height", [1e-6, 1e-9, 1e-13])
+def test_linexcircle_with_the_center_near_the_line(height):
+    # 1e-6 and 1e-9 lie inside the tangency band of o's mirror circles, so
+    # the off-center routine inverts instead; 1e-13 is on the line to within
+    # eps_degenerate, and the script falls back to the diameter route on
+    # line OA, which is off line AB by no more than that
+    given = (f"given A = (-2, {height!r})\ngiven B = (3, {height!r})\n"
+             "given O = (0, 0)\ngiven D = (0.6, 0.8)\n")
+    result = run_source(given + "let X, Y = linexcircle(A, B, O, D)\n")
+    want = oracle_line_circle(Point(-2, height), Point(3, height),
+                              ResolvedCircle(Point(0, 0), 1.0))
+    got = sorted((result.point("X"), result.point("Y")), key=lambda p: p.x)
+    for p, w in zip(got, sorted(want, key=lambda p: p.x)):
+        assert math.hypot(p.x - w.x, p.y - w.y) <= 1e-12, (p, w)
+    direct = run_source(given + "let X, Y = linexcircle(O, A, O, D)\n")
+    fell_back = result.trace.program.steps == direct.trace.program.steps
+    assert fell_back == (height < 1e-12)
 
 
 def test_linexcircle_dispatches_on_center():

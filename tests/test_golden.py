@@ -34,14 +34,14 @@ GOLDEN = {
         "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
         "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393"),
     "line-circle": (
-        "923d460024a71a41285f4938304887895c48bb364e04cc63ec8597cee7f47d19",
-        "28f5d622444d21747c38c969e50aaa77c26ea2e73ab3b94601a2014961572221"),
+        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
+        "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf"),
     "line-circle-diameter": (
-        "9a82baf4f1ff8c5ca211894911b9c4524d2b723d1b9b155dd8e016423a9e5426",
-        "77784c71a80ebc32eddf5ce5b62b8cc966069b181c9f8c0355f0b85e7df0420c"),
+        "ca2230c9650ca5e30ba786c080e1b7fd62864994bbbd888d6ff8c66f84b1dc16",
+        "c6e7182bad78858480b91f023ee9e6dbbb1a8eccc7d85b50a4fcd2801f26a814"),
     "line-line": (
-        "c4b3f17e8868ceddda1eabb27440d8b9c29062e3c9a3eccce2cda2b46ab05db0",
-        "49c1f51b804bff1641a3d2c29df697ba1b41f6ecfe72480723bb9e2fe3155055"),
+        "a057847c6b7d9afaf3dcd4d43822c27f3f9dafba44c9dc11649c7fa631ddfd36",
+        "c067926702cec83f010dd763859d3a4825408b8bb3be9373e0c1aebbda904562"),
     "midpoint": (
         "3054a031f3175811419d7250e62d614ac780adb70f855a8a28a46bfca8a4bfd4",
         "7bd349300021097ce44f77a734d60878fc30d0e1ecd31a9629efea0545f64b8e"),
@@ -83,12 +83,12 @@ FUZZ_GOLDEN = {
     "extend": "2da56d2a938785032264b8926b01bc95eba3331d7ee9c2bc244c0fd52cc770a2",
     "nth": "e96b16275826049751ed68f18abd53ad459653b41a6f21a7a409e5ddf24e1ba5",
     "midpoint": "83c8468058652d447bff2137d48f0c4bd1c91a9a8a5f9717bb09c4407ffba8da",
-    "foot": "dab6308e00d520e97f2978a846cbb8ee78c5f6aaed98c0f0bc6a21cc4f02d59c",
+    "foot": "d8ef23904cd3e6b76dfc907253115930d19adc9dbf5752913745cc321b457648",
     "invert": "cd7d6aa3805ed951e805d146188e852acec18dfe0f960f2fe1c2cbd2066b3c71",
-    "line-line": "13bb79fecaa71e29aec89842ef26023ed60437aa0e71095d63bcf9f036c965f2",
-    "line-circle": "a15876ea88bc783a7b51d673231d0f9d4c446e6683785edb3f4bbcbfea11028a",
+    "line-line": "68969daa08dcdb999811a75738e33076fd82060dfd942950c9e2fbd8d3b79635",
+    "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
-        "8273653370d379af5df641ab79bd02501bdfcf9c95097772656f14666107eb03",
+        "dfbafac263dec542e1b825630aaa8a5c39ee985c8c04f75d7b87012bc5e0388a",
     "mul": "f93bb3fb49999982af1ca23ee005be71051141ea444732b6d82fa5adea13926b",
     "add": "647770c3877e39a47d3611ecb18f14d4ab8fc61ee13b13f0b4d99e314a48b57b",
     "conj": "939c4f8d86325982b238200b8b43ebd878093b1b00814cae81b9bca459b84439",
