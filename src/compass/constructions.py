@@ -18,7 +18,6 @@ from functools import lru_cache
 
 from .errors import (
     CenterInversion,
-    CenterOnLine,
     CompassError,
     DegenerateCircle,
     NoSuchIntersection,
@@ -320,8 +319,7 @@ def _clear_of_line(b: Builder, o: int, d: int, a: int, bn: int,
 
 def build_line_circle_off_center(b: Builder, a: int, bn: int,
                                  o: int, d: int) -> tuple[int, ...]:
-    """Points of line ab on the circle omega centered o through d, center
-    off the line.
+    """Points of line ab on the circle omega centered o through d.
 
     The line meets omega where omega meets its own mirror image in the
     line: the circle centered on o's mirror image through the mirror image
@@ -333,11 +331,13 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     The mirror image meets omega at an angle of about 2h/r for a center h
     from the line, and o's own mirror circles cross at an angle of order h
     too, so the error grows as 1/h^2. A center within r/64 of the line, or
-    whose mirror circles only touch, takes the inversion route of
-    ``build_line_circle_center_on_line`` instead, whose circles cross at
-    the angle the line makes with omega, nearly a right angle there. A
-    center on the line (to within
-    ``eps_degenerate``) raises ``CenterOnLine`` with nothing appended.
+    whose mirror circles only touch, takes the inversion route
+    (``_line_circle_by_inversion``) instead, whose circles cross at the
+    angle the line makes with omega, nearly a right angle there.
+
+    A center on the line (to within ``eps_degenerate``) has no mirror image:
+    the answer is d and its antipode, or where d is off the line the
+    inversion route's, ordered along a -> bn: bn's side of the center first.
     """
     eps = b.tol.eps_degenerate
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
@@ -345,7 +345,13 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
         raise DegenerateCircle("line-circle needs a proper line")
     h, r = _point_line_distance(po, pa, pb), distance(po, pd)
     if h <= eps:
-        raise CenterOnLine("center lies on the line; use the diameter variant")
+        if _point_line_distance(pd, pa, pb) <= eps:
+            x1, x2 = d, build_antipode(b, o, d, d)
+        else:
+            x1, x2 = _line_circle_by_inversion(b, a, bn, o, d)
+        v1 = b.point(x1)
+        ahead = (v1.x - po.x) * (pb.x - pa.x) + (v1.y - po.y) * (pb.y - pa.y) >= 0
+        return (x1, x2) if ahead else (x2, x1)
     o_mirror = None
     if 64.0 * h >= r:
         try:
@@ -374,7 +380,9 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     (radius 2r). It sends the circle to sigma, the circle on diameter CP,
     and the line to the circle through Q centered on the inverse of Q's
     mirror image in the line. Inverting the two cuts of those circles back
-    lands on the sought points.
+    lands on the sought points. With the center on the line, Q's mirror
+    image lies outside Lambda and each cut inside, between r and 2r from Q,
+    at two doublings: 59 circles and 48 picks, 61 and 49 with the apex.
     """
     c = _clear_of_line(b, o, d, a, bn, distance(b.point(o), b.point(d)) / 3.0)
     p = build_extend(b, o, c)
@@ -387,31 +395,10 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
 
 def build_line_circle_center_on_line(b: Builder, o: int, a: int,
                                      d: int) -> tuple[int, int]:
-    """Points of line oa on the circle centered o through d.
-
-    When d is on the line the answer is d and its antipode, directly.
-    Otherwise invert (``_line_circle_by_inversion``): with the center on
-    the line, Q's mirror image lies at least 2r from Q, outside Lambda,
-    and the two cuts lie inside it, between r and 2r from Q, so each takes
-    two doublings: 59 circles and 48 picks, 61 and 49 with the apex.
-
-    Outputs are ordered with the point on a's side of the center first.
-    """
-    eps = b.tol.eps_degenerate
-    po, pa, pdd = b.point(o), b.point(a), b.point(d)
-    if distance(po, pa) <= eps:
-        raise DegenerateCircle("the line needs a point distinct from the center")
-
-    if _point_line_distance(pdd, po, pa) <= eps:
-        x1, x2 = d, build_antipode(b, o, d, d)
-    else:
-        x1, x2 = _line_circle_by_inversion(b, o, a, o, d)
-
-    ux, uy = pa.x - po.x, pa.y - po.y
-    v1 = b.point(x1)
-    if (v1.x - po.x) * ux + (v1.y - po.y) * uy >= 0:
-        return x1, x2
-    return x2, x1
+    """Points of line oa on the circle centered o through d, the one on a's
+    side of the center first: ``build_line_circle_off_center`` with o on
+    the line."""
+    return build_line_circle_off_center(b, o, a, o, d)
 
 
 def build_antipode(b: Builder, o: int, d: int, p: int) -> int:

@@ -24,9 +24,11 @@ Grammar (EBNF):
 `#` comments run to end of line. The interpreter performs no I/O: emit
 statements come back as requests for the caller to act on.
 
-The field operations (mul, add, neg, conj, half) act relative to the first
-two given points, which play the roles of 0 and 1; their operands must have
-been constructed from those two points alone.
+The field operations (mul, add, neg, conj, half) are constructions like the
+others, grown on the script's one builder (``field_ops.build_*``). They act
+relative to the first two given points, which play the roles of 0 and 1 and
+must lie apart; their operands must have been constructed from those two
+points alone. ``linexcircle`` takes any line, through the center or not.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from dataclasses import dataclass, field
 
 from . import constructions as cons
 from . import field_ops
-from .errors import CenterOnLine, CompassError
+from .errors import CompassError, InvalidNodeId
 from .geom import DEFAULT_TOL, Point, Tolerance
-from .program import Builder, Selector, Trace, slice_to_pair_basis
+from .program import Builder, Selector, Trace
 
 KEYWORDS = frozenset({"given", "let", "emit", "svg", "trace", "points",
                       "left", "right"})
@@ -594,47 +596,27 @@ class _Interpreter:
         if op == "linexline":
             return (cons.build_line_line(b, args[0], args[1], args[2], args[3]),)
         if op == "linexcircle":
-            return self.line_circle(args)
+            return cons.build_line_circle_off_center(b, *args)
         return (self.field_op(op, args, line),)
-
-    def line_circle(self, args: list) -> tuple[int, ...]:
-        a, bn, o, d = args
-        b = self.builder
-        try:
-            return cons.build_line_circle_off_center(b, a, bn, o, d)
-        except CenterOnLine:
-            # nothing was appended; anchor on a line point apart from the center
-            pa, po = b.point(a), b.point(o)
-            far = math.hypot(pa.x - po.x, pa.y - po.y) > self.tol.eps_degenerate
-            return cons.build_line_circle_center_on_line(b, o, a if far else bn, d)
 
     def field_op(self, op: str, args: list, line: int) -> int:
         b = self.builder
-        if b.seed_count < 2:
+        try:
+            witnesses = [b.witness(node) for node in args]
+            if op == "half":
+                return b.inline(field_ops.demo_half(self.tol).program, (0, 1))[0]
+        except InvalidNodeId:
             raise ScriptTypeError(
-                line, 1, "field operations need at least two given points")
-
-        def as_value(node: int) -> field_ops.ConstructibleValue:
-            program, _ = b.finish([node])
-            try:
-                sliced = slice_to_pair_basis(program, node)
-            except CompassError:
-                raise ScriptTypeError(
-                    line, 1, "field operands must be constructed from the "
-                    "first two given points") from None
-            return field_ops.value_from_program(sliced, self.tol)
-
-        if op == "half":
-            result = field_ops.demo_half(self.tol)
-        elif op == "neg":
-            result = field_ops.neg(as_value(args[0]), self.tol)
-        elif op == "conj":
-            result = field_ops.conj(as_value(args[0]), self.tol)
-        elif op == "mul":
-            result = field_ops.mul(as_value(args[0]), as_value(args[1]), self.tol)
-        else:
-            result = field_ops.add(as_value(args[0]), as_value(args[1]), self.tol)
-        return b.inline(result.program, (0, 1))[0]
+                line, 1, "field operations need two given points, and operands "
+                "constructed from those two alone") from None
+        if op == "neg":
+            return field_ops.build_neg(b, args[0])
+        if op == "conj":
+            return field_ops.build_conj(b, args[0])
+        if op == "mul":
+            return field_ops.build_mul(b, args[0], witnesses[1])
+        return field_ops.build_add(b, args[0], *witnesses,
+                                   field_ops.relative(b, args[1]))
 
 
 def interpret(statements: list[Statement],

@@ -53,10 +53,6 @@ class ParallelLines(CompassError):
     """Line-line intersection of (near-)parallel lines."""
 
 
-class CenterOnLine(CompassError):
-    """The off-center line-circle routine was given a line through the center."""
-
-
 class OnMirrorLine(CompassError):
     """A point to be reflected in a line lies on it: the circles about two
     points of the line through it only touch."""

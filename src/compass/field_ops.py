@@ -1,30 +1,31 @@
 """Ring operations on constructible points, built by rewiring witnesses.
 
-A constructible value is not a coordinate pair: it is a two-seed program
-(the witness that the point can be reached from 0 and 1 by compass alone)
-together with the node holding the result. Multiplying by a replays b's
-witness with (0, a) as its starting points; the orientation-based pick
-selectors make that replay land on exactly the similarity image needed.
+``build_add``, ``build_mul``, ``build_neg`` and ``build_conj`` are
+constructions like any other: they grow the caller's builder and read its
+seeds 0 and 1 as the numbers 0 and 1, so a point's value is ``relative``,
+(p - z0) / (z1 - z0), and seeds within ``eps_degenerate`` raise
+``DegenerateCircle``. Multiplying by a replays b's witness
+(``Builder.witness``) on (0, a); the orientation-based pick selectors
+make that replay land on exactly the similarity image needed.
+``build_add`` doubles, reflects 0 through the midpoint of a and b, or runs
+the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
+(a, a + 1) a + b), by a rule on the operands' values and witness sizes.
 
-``add`` doubles, reflects 0 through the midpoint of a and b, or runs the
-paper's double replay (a's witness on (1, 2) gives a + 1, b's on (a, a + 1)
-a + b), by a rule on the operands' values and witness sizes alone.
-
-Each operation resumes a ``Builder`` from the trace and hash-cons table of
-its left operand and inlines into it, sharing every step already there, so
-no step is resolved twice and witnesses grow linearly along chains of
-additions (the double replay alone grows them exponentially). A final
-``compact`` keeps only the seeds and the ancestors of the result.
+``ConstructibleValue`` and its functions are the API edge: a value is its
+witness resolved on the canonical seeds; an operation resumes a ``Builder``
+from its left operand, calls the ``build_*`` routine and keeps the result's
+ancestors (``compact``). Sharing the steps already there, witnesses grow
+linearly along chains of additions, not exponentially.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import constructions as cons
-from .errors import MalformedProgram
+from .errors import DegenerateCircle, MalformedProgram
 from .geom import DEFAULT_TOL, Point, Tolerance
 # rebase is unused here but stays importable: perfbench's tracer wraps it here.
 from .program import (  # noqa: F401
@@ -41,21 +42,95 @@ from .program import (  # noqa: F401
 CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))
 
 
+# --- ring operations on a builder -------------------------------------------
+
+def relative(b: Builder, node: int) -> complex:
+    """The value of point ``node`` in the frame of the builder's seeds 0
+    and 1, (p - z0) / (z1 - z0); bit-exact on the canonical seeds."""
+    z0 = complex(b.xs[0], b.ys[0])
+    unit = complex(b.xs[1], b.ys[1]) - z0
+    if abs(unit) <= b.tol.eps_degenerate:
+        raise DegenerateCircle("seeds 0 and 1 coincide: no frame for field values")
+    p = b.point(node)
+    return (complex(p.x, p.y) - z0) / unit
+
+
+def _size(v: complex) -> float:
+    """|v| by math.hypot, as the routes always measured: abs() rounds apart."""
+    return math.hypot(v.real, v.imag)
+
+
+def build_mul(b: Builder, a: int, wb: Program) -> int:
+    """a * b: replay b's witness ``wb`` on (0, a). A left factor at 0
+    collapses that basis, and the product is seed 0."""
+    if _size(relative(b, a)) <= b.tol.eps_degenerate:
+        return 0
+    return b.inline(wb, (0, a))[0]
+
+
+def build_neg(b: Builder, a: int) -> int:
+    """-a, as the product (-1) * a; -0 is seed 0, with nothing appended."""
+    relative(b, a)  # raises where seeds 0 and 1 coincide
+    if a == 0:
+        return 0
+    return build_mul(b, cons.build_extend(b, 1, 0), b.witness(a))
+
+
+def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
+    """a + b, from a's node and witness ``wa`` and b's witness ``wb`` and
+    value ``vb``, by one of three routes, with C a witness's circle count:
+
+    - a == b, farther than eps from 0: reflect 0 through a (4 circles);
+    - |a - b| and |a + b| above eps, C(a) > 7 and C(b) >= 1: place b's
+      witness on (0, 1) beside a's, sharing their common steps, and reflect
+      0 through the midpoint of a and b (at most C(b) + 11 circles);
+    - otherwise the paper's double replay, re-running up to C(a) + 4
+      circles: fewer when a is shallow or b is a bare seed.
+
+    Seed 0 is the identity: 0 + b is b's witness on (0, 1), a + 0 is a,
+    and neither appends a step the result does not use.
+    """
+    eps = b.tol.eps_degenerate
+    va = relative(b, a)
+    if a == 0:
+        return b.inline(wb, (0, 1))[0]
+    if wb.outputs[0] == 0:
+        return a
+    if va == vb and _size(va) > eps:
+        return cons.build_extend(b, 0, a)
+    if (wa.circle_count() > 7 and wb.circle_count() >= 1
+            and _size(va - vb) > eps and _size(va + vb) > eps):
+        b_node = b.inline(wb, (0, 1))[0]
+        return cons.build_extend(b, 0, cons.build_midpoint(b, a, b_node))
+    two = cons.build_extend(b, 0, 1)  # 2 = 2*1 - 0
+    a_plus_1 = b.inline(wa, (1, two))[0]
+    return b.inline(wb, (a, a_plus_1))[0]
+
+
+def build_conj(b: Builder, a: int) -> int:
+    """Complex conjugate: a's mirror image in line 01, where the circles
+    centered 0 and 1 through a meet again (``build_reflect`` without its
+    mark and rollback). On that line they touch, at a's own conjugate; at 0
+    and 1 they would degenerate, and those fixed points return a itself."""
+    eps = b.tol.eps_degenerate
+    v = relative(b, a)
+    if _size(v) <= eps or _size(v - 1.0) <= eps:
+        return a
+    return b.pick_other(b.circle(0, a), b.circle(1, a), avoid=a)
+
+
+# --- values: the API edge ----------------------------------------------------
+
 @dataclass(frozen=True, slots=True)
 class ConstructibleValue:
-    """A constructible point carried with its resolved two-seed witness.
-
-    ``trace`` is the witness program resolved on the canonical seeds 0 and
-    1, as the builder that grew it resolved it; ``value`` is read from it,
-    and ``table`` is its hash-cons table, for ``Builder.resume``. Witnesses
-    made by the ring operations hold live steps only: every step is a seed
-    or an ancestor of the output. ``collapsed`` marks a product that was
-    short-circuited because its left factor resolved to zero.
-    """
+    """A constructible point carried with its two-seed witness ``trace``,
+    resolved on the canonical seeds 0 and 1 as the builder that grew it
+    resolved it, and that trace's hash-cons ``table``, for
+    ``Builder.resume``. Witnesses made by the ring operations hold only
+    seeds and ancestors of the output."""
 
     trace: Trace
     table: dict = field(compare=False, repr=False)
-    collapsed: bool = False
 
     @property
     def program(self) -> Program:
@@ -110,16 +185,9 @@ def alpha(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
 
 def mul(a: ConstructibleValue, b: ConstructibleValue,
         tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    """a * b: replay b's witness treating (0, a) as its starting points.
-
-    A left factor at zero collapses the replay basis, so the product
-    short-circuits to the zero seed and is flagged.
-    """
-    if math.hypot(a.value.x, a.value.y) <= tol.eps_degenerate:
-        return replace(zero(tol), collapsed=True)
+    """a * b (``build_mul``)."""
     builder = Builder.resume(a.trace, a.table, tol)
-    out = builder.inline(b.program, (0, a.primary_output))[0]
-    return _finish(builder, out)
+    return _finish(builder, build_mul(builder, a.primary_output, b.program))
 
 
 def neg(a: ConstructibleValue, tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
@@ -129,50 +197,23 @@ def neg(a: ConstructibleValue, tol: Tolerance = DEFAULT_TOL) -> ConstructibleVal
 
 def add(a: ConstructibleValue, b: ConstructibleValue,
         tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    """a + b by one of three routes, with C a witness's circle count:
-
-    - a == b, farther than eps from 0: reflect 0 through a (4 circles);
-    - |a - b| and |a + b| above eps, C(a) > 7 and C(b) >= 1: inline b's
-      witness on (0, 1) beside a's, sharing their common steps, and reflect
-      0 through the midpoint of a and b (at most C(b) + 11 circles);
-    - otherwise the paper's double replay, re-running up to C(a) + 4
-      circles: fewer when a is shallow or b is a bare seed.
-    """
-    eps = tol.eps_degenerate
-    va, vb = a.value, b.value
-    builder = Builder.resume(a.trace, a.table, tol)
-    a_node = a.primary_output
-    if va == vb and math.hypot(va.x, va.y) > eps:
-        return _finish(builder, cons.build_extend(builder, 0, a_node))
-    if (a.trace.circle_count > 7 and b.trace.circle_count >= 1
-            and math.hypot(va.x - vb.x, va.y - vb.y) > eps
-            and math.hypot(va.x + vb.x, va.y + vb.y) > eps):
-        b_node = builder.inline(b.program, (0, 1))[0]
-        return _finish(builder, cons.build_extend(
-            builder, 0, cons.build_midpoint(builder, a_node, b_node)))
-    two = cons.build_extend(builder, 0, 1)  # 2 = 2*1 - 0
-    a_plus_1 = builder.inline(a.program, (1, two))[0]
-    return _finish(builder, builder.inline(b.program, (a_node, a_plus_1))[0])
+    """a + b (``build_add``): b's witness joins a's builder only if replayed."""
+    builder, vb = Builder.resume(a.trace, a.table, tol), b.value
+    return _finish(builder, build_add(builder, a.primary_output, a.program,
+                                      b.program, complex(vb.x, vb.y)))
 
 
 def conj(a: ConstructibleValue, tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    """Complex conjugate: cut the circles centered 0 and 1 through a and
-    take the point that is not a. On the real axis the circles are tangent
-    at a and the value is its own conjugate; at 0 and 1 the circles would
-    degenerate, so those fixed points return ``a`` itself."""
-    eps = tol.eps_degenerate
-    v = a.value
-    if math.hypot(v.x, v.y) <= eps or math.hypot(v.x - 1.0, v.y) <= eps:
-        return a
+    """The complex conjugate (``build_conj``)."""
     builder = Builder.resume(a.trace, a.table, tol)
-    a_node = a.primary_output
-    c0 = builder.circle(0, a_node)
-    c1 = builder.circle(1, a_node)
-    return _finish(builder, builder.pick_other(c0, c1, avoid=a_node))
+    out = build_conj(builder, a.primary_output)
+    return a if out == a.primary_output else _finish(builder, out)
 
 
+@lru_cache(maxsize=16)
 def demo_half(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
     """1/2, the paper-chase: |alpha|^2 = 3/2 is constructible, so adding -1
-    lands on 1/2. Two independent compass routes to the segment midpoint."""
+    lands on 1/2. Two independent compass routes to the segment midpoint.
+    Built once per tolerance, like ``minus_one``."""
     al = alpha(tol)
     return add(mul(al, conj(al, tol), tol), neg(one(tol), tol), tol)

@@ -354,16 +354,18 @@ def compact(trace: Trace, table: dict | None = None) -> tuple[Trace, dict]:
         return trace, table
     compacted, kept, table = _restrict(program, keep, program.seed_count,
                                        program.outputs)
+    if program._checked:
+        compacted._check_outputs()
     old = trace.resolved
     resolved = Resolved(*(tuple([column[i] for i in kept])
                           for column in (old.xs, old.ys, old.rs)))
     return Trace(compacted, resolved), table
 
 
-def _live(program: Program, roots: Sequence[int]) -> list[bool]:
-    """Which steps the ``roots`` depend on, the roots included, as one flag
-    per step. Every step refers only to earlier ones, so one sweep down from
-    the last root marks them all."""
+def _live(program: Program | Builder, roots: Sequence[int]) -> list[bool]:
+    """Which steps of a program or builder the ``roots`` depend on, the roots
+    included, as one flag per step. Every step refers only to earlier ones,
+    so one sweep down from the last root marks them all."""
     ops, first, second = program.ops, program.first, program.second
     keep = [False] * len(ops)
     for node in roots:
@@ -376,11 +378,11 @@ def _live(program: Program, roots: Sequence[int]) -> list[bool]:
     return keep
 
 
-def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
+def _restrict(program: Program | Builder, keep: Sequence[bool], seed_count: int,
               outputs: Sequence[int]) -> tuple[Program, list[int], dict[tuple, int]]:
-    """The steps marked in ``keep``, in order and with references renumbered,
-    as a program over the first ``seed_count`` seeds; also the old index of
-    each kept step, and the hash-cons table of the new program (see
+    """The steps of a program or builder marked in ``keep``, in order and
+    renumbered, as a program over the first ``seed_count`` seeds; also the
+    old index of each kept step, and the new program's hash-cons table (see
     ``Builder``). Every reference of a kept step must itself be kept."""
     remap = [-1] * len(program.ops)
     kept: list[int] = []
@@ -399,34 +401,12 @@ def _restrict(program: Program, keep: Sequence[bool], seed_count: int,
         second.append(v)
     restricted = Program(seed_count, tuple(ops), tuple(first), tuple(second),
                          tuple(remap[o] for o in outputs))
-    if program._checked:
-        restricted._check_outputs()
     return restricted, kept, table
 
 
 def ancestors(program: Program, node: int) -> set[int]:
     """All nodes the given node depends on, itself included."""
     return {i for i, live in enumerate(_live(program, [node])) if live}
-
-
-def slice_to_pair_basis(program: Program, node: int) -> Program:
-    """Extract the sub-construction of ``node`` as a two-seed program.
-
-    The slice must depend only on the program's first two seeds; those
-    become the new slots 0 and 1. Used to lift a point out of a larger
-    construction so it can be rewired onto another basis.
-    """
-    keep = _live(program, [node])
-    ops = program.ops
-    used_slots = {program.first[i] for i in range(node + 1)
-                  if keep[i] and ops[i] == OP_SEED}
-    if not used_slots <= {0, 1}:
-        raise InvalidNodeId(
-            f"node {node} depends on seeds {sorted(used_slots)}, not just 0 and 1")
-    if program.seed_count < 2:
-        raise InvalidNodeId("pair-basis slice needs a program with at least 2 seeds")
-    keep[0] = keep[1] = True
-    return _restrict(program, keep, 2, (node,))[0]
 
 
 def similarity_transport_check(program: Program, seeds: Sequence[Point],
@@ -687,16 +667,29 @@ class Builder:
             mapped(at)
         return tuple(node[out] for out in program.outputs)
 
-    def mark(self) -> tuple[int, int]:
-        """Step and circle counts, a checkpoint for ``rollback``."""
-        return (len(self.ops), self.ops.count(OP_CIRCLE))
+    def mark(self) -> tuple[int]:
+        """The step count, a checkpoint for ``rollback``; a one-tuple, as
+        perfbench's tracer reads it as ``mark[0]``."""
+        return (len(self.ops),)
 
-    def rollback(self, mark: tuple[int, int]) -> None:
+    def rollback(self, mark: tuple[int]) -> None:
         """Discard steps appended after ``mark``, table keys included."""
         n = mark[0]
         for column in (self.ops, self.first, self.second, self.xs, self.ys, self.rs):
             del column[n:]
         self.table = {k: v for k, v in self.table.items() if v < n}
+
+    def witness(self, node: int) -> Program:
+        """The steps point ``node`` depends on, as a program over seeds 0
+        and 1 with ``node`` its output: the witness that the ring operations
+        replay. Raises InvalidNodeId if it depends on any other seed."""
+        keep = _live(self, [node])
+        if self.seed_count < 2 or any(keep[2:self.seed_count]):
+            raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
+        keep[0] = keep[1] = True
+        witness = _restrict(self, keep, 2, (node,))[0]
+        witness._check_outputs()
+        return witness
 
     def finish(self, outputs: Sequence[int]) -> tuple[Program, Trace]:
         """The program and trace so far; every step is well formed as built."""

@@ -20,7 +20,6 @@ from compass.constructions import (
 )
 from compass.errors import (
     CenterInversion,
-    CenterOnLine,
     DegenerateCircle,
     NoSuchIntersection,
     NotExterior,
@@ -396,8 +395,10 @@ def test_line_circle_near_tangent():
 def test_line_circle_miss_and_center_on_line():
     with pytest.raises(NoSuchIntersection):
         line_circle_off_center(Point(-2, 2), Point(2, 2), UNIT)
-    with pytest.raises(CenterOnLine):
-        line_circle_off_center(Point(-2, 0), Point(2, 0), UNIT)
+    # a center on the line is answered too, d and its antipode, b's side first
+    pts = line_circle_off_center(Point(-2, 0), Point(2, 0), UNIT)
+    assert pts[0] == Point(1, 0)
+    close(pts[1], -1.0, 0.0, tol=1e-12)
 
 
 def test_line_circle_exact_tangent_single_point():
@@ -438,13 +439,17 @@ def test_line_circle_small_circle_whose_center_touches():
     as_set(pts, [(w.x, w.y) for w in want], tol=1e-10)
 
 
-def test_line_circle_center_on_the_line_appends_nothing():
-    # within eps_degenerate of the line: CenterOnLine before any step, so
-    # the script interpreter's fallback to the diameter route starts clean
-    b = Builder([Point(-2, 1e-13), Point(3, 1e-13), UNIT.center, UNIT.through])
-    with pytest.raises(CenterOnLine):
-        cons.build_line_circle_off_center(b, 0, 1, 2, 3)
-    assert len(b) == 4
+def test_line_circle_center_on_the_line():
+    # within eps_degenerate of the line the center has no mirror image: a d
+    # on the line too gives d and its antipode, any other d the inversion
+    # route on line ab itself; either way b's side of the center comes first
+    a, b_ = Point(-2, 1e-13), Point(3, 1e-13)
+    want = oracle_line_circle(a, b_, ResolvedCircle(UNIT.center, 1.0))
+    for d in (UNIT.through, Point(0.6, 0.8)):
+        b = Builder([a, b_, UNIT.center, d])
+        x, y = (b.point(n) for n in cons.build_line_circle_off_center(b, 0, 1, 2, 3))
+        as_set((x, y), [(w.x, w.y) for w in want], tol=1e-12)
+        assert x.x > 0 > y.x
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-7, 1e-9])

@@ -296,9 +296,8 @@ def test_emit_requests_in_order():
 @pytest.mark.parametrize("height", [1e-6, 1e-9, 1e-13])
 def test_linexcircle_with_the_center_near_the_line(height):
     # 1e-6 and 1e-9 lie inside the tangency band of o's mirror circles, so
-    # the off-center routine inverts instead; 1e-13 is on the line to within
-    # eps_degenerate, and the script falls back to the diameter route on
-    # line OA, which is off line AB by no more than that
+    # the line-circle routine inverts instead; 1e-13 is on the line to within
+    # eps_degenerate, and it inverts on line AB itself, not on line OA
     given = (f"given A = (-2, {height!r})\ngiven B = (3, {height!r})\n"
              "given O = (0, 0)\ngiven D = (0.6, 0.8)\n")
     result = run_source(given + "let X, Y = linexcircle(A, B, O, D)\n")
@@ -307,9 +306,8 @@ def test_linexcircle_with_the_center_near_the_line(height):
     got = sorted((result.point("X"), result.point("Y")), key=lambda p: p.x)
     for p, w in zip(got, sorted(want, key=lambda p: p.x)):
         assert math.hypot(p.x - w.x, p.y - w.y) <= 1e-12, (p, w)
-    direct = run_source(given + "let X, Y = linexcircle(O, A, O, D)\n")
-    fell_back = result.trace.program.steps == direct.trace.program.steps
-    assert fell_back == (height < 1e-12)
+    through_o = run_source(given + "let X, Y = linexcircle(O, A, O, D)\n")
+    assert result.trace.program.steps != through_o.trace.program.steps
 
 
 def test_linexcircle_dispatches_on_center():
@@ -320,3 +318,47 @@ def test_linexcircle_dispatches_on_center():
     xs = sorted((result.point("X").x, result.point("Y").x))
     assert xs[0] == pytest.approx(-1.0, abs=1e-6)
     assert xs[1] == pytest.approx(1.0, abs=1e-6)
+
+
+# --- field operations on the script's own builder ---------------------------------
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13])
+@pytest.mark.parametrize("call", ["conj(U)", "add(Z, U)", "mul(U, U)", "add(U, U)",
+                                  "neg(Z)", "neg(U)", "half()"])
+def test_field_ops_on_a_coincident_basis_raise(call, gap):
+    # seeds 0 and 1 within eps_degenerate give no frame for field values
+    with pytest.raises(ScriptRuntimeError) as err:
+        run_source(f"given Z = (1, 1)\ngiven U = (1, {1 + gap!r})\n"
+                   f"let W = {call}\n")
+    assert err.value.line == 3
+    assert "DegenerateCircle" in str(err.value)
+
+
+@pytest.mark.parametrize("call, same_as", [("neg(Z)", "Z"), ("add(X, Z)", "X"),
+                                           ("add(Z, X)", "X")])
+def test_field_identities_append_no_step(call, same_as):
+    source = "given Z = (0, 0)\ngiven U = (1, 0)\nlet X = apex(Z, U)\n"
+    before = run_source(source).trace.program
+    result = run_source(source + f"let W = {call}\n")
+    assert result.trace.program.ops == before.ops
+    nodes = {"Z": 0, **dict(result.named_points)}  # Z is seed node 0
+    assert nodes["W"] == nodes[same_as]
+
+
+def test_field_corpus_off_the_canonical_seeds():
+    # the ring operations read the first two givens as 0 and 1: moved by the
+    # similarity z -> z0 + w z, the script builds the same steps, on the image
+    # points; conj(U) and mul(Z, F) decide on U's and Z's values in that frame
+    source = (CORPUS / "good" / "12-field.compass").read_text()
+    source += "let C = conj(U)\nlet P = mul(Z, F)\n"
+    moved = source.replace("given Z = (0, 0)", "given Z = (2, -1)").replace(
+        "given U = (1, 0)", "given U = (2.5, 3)")
+    assert moved != source
+    base, result = run_source(source).trace, run_source(moved).trace
+    p, q = base.program, result.program
+    assert (q.ops, q.first, q.second) == (p.ops, p.first, p.second)
+    z0, w = complex(2, -1), complex(0.5, 4)
+    for v, got in zip(base.resolved, result.resolved):
+        if isinstance(v, Point):
+            want = z0 + w * complex(v.x, v.y)
+            assert abs(complex(got.x, got.y) - want) <= 1e-9 * abs(w), (v, got)

@@ -78,7 +78,7 @@ def test_mul_examples():
 
 def test_mul_zero_basis_short_circuits():
     product = F.mul(F.zero(), F.alpha())
-    assert product.collapsed
+    assert product.primary_output == 0  # the zero seed itself
     assert product.value == Point(0.0, 0.0)
     assert product.program.circle_count() == 0  # no collapsed replay executed
 

@@ -147,7 +147,7 @@ def test_inline_failure_leaves_completed_steps():
     mark = b.mark()
     with pytest.raises(CoincidentCircles):
         b.inline(guest, (0, 1))
-    assert b.mark() == (6, 3)
+    assert b.mark() == (6,) and b.ops.count(OP_CIRCLE) == 3
     b.rollback(mark)
     assert b.mark() == mark and b.circle(0, 1) == 2
 

@@ -31,7 +31,6 @@ from compass.program import (
     purity_audit,
     rebase,
     similarity_transport_check,
-    slice_to_pair_basis,
 )
 
 O = Point(0.0, 0.0)
@@ -265,20 +264,18 @@ def test_builder_hash_conses_picks_and_rollback_forgets_them():
     assert b.point(again).y > 0 > b.point(right).y
 
 
-def test_slice_to_pair_basis():
+def test_builder_witness():
     b = Builder([O, U, Point(4.0, 4.0)])
+    b.circle(2, 0)  # a step the witness does not need
     w = b.inline(extend_program(), (0, 1))[0]
-    full, _ = b.finish([w])
-    sliced = slice_to_pair_basis(full, w)
-    assert sliced.seed_count == 2
-    (value,) = out_of(sliced, (O, U))
+    witness = b.witness(w)
+    assert witness == extend_program()  # seeds 0 and 1 and w's ancestors, in order
+    (value,) = out_of(witness, (O, U))
     assert value.x == pytest.approx(2.0, abs=1e-9)
-    # a node that depends on the third seed cannot be sliced
-    b2 = Builder([O, U, Point(4.0, 4.0)])
-    w2 = b2.inline(extend_program(), (0, 2))[0]
-    full2, _ = b2.finish([w2])
+    # a node that depends on the third seed has no witness
+    w2 = b.inline(extend_program(), (0, 2))[0]
     with pytest.raises(InvalidNodeId):
-        slice_to_pair_basis(full2, w2)
+        b.witness(w2)
 
 
 def test_ancestors():
