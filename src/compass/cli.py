@@ -6,32 +6,21 @@ and fuzz-verify every construction against the analytic oracles.
     compass fuzz --op all --cases 1000 --seed 42
 
 Exit codes: 0 success, 1 I/O failure, 2 script or construction error
-(one-line diagnostic with line:column), 3 fuzz mismatch. COMPASS_TOL
-overrides the default coordinate tolerance; --tol wins over it.
+(one-line diagnostic with line:column), 3 fuzz mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import demos, dsl, fuzz, svg, tracedoc
 from .errors import CompassError
-from .geom import Point, Tolerance
+from .geom import Point
 
 
 def _diag(message: str) -> None:
     print(f"compass: {message}", file=sys.stderr)
-
-
-def _tolerance(tol_flag: float | None) -> Tolerance:
-    if tol_flag is not None:
-        return Tolerance(eps_abs=tol_flag)
-    env = os.environ.get("COMPASS_TOL")
-    if env is not None:
-        return Tolerance(eps_abs=float(env))
-    return Tolerance()
 
 
 def _points_text(result: dsl.ScriptResult) -> str:
@@ -88,7 +77,7 @@ def _emit_all(result: dsl.ScriptResult, args) -> int:
 
 def _run_script(source: str, args, always_points: bool = False) -> int:
     try:
-        result = dsl.run_source(source, _tolerance(args.tol))
+        result = dsl.run_source(source)
     except dsl.ScriptError as err:
         _diag(str(err))
         return 2
@@ -131,7 +120,7 @@ def cmd_fuzz(args) -> int:
         _diag(f"unknown construction {args.op!r}; available: all, "
               + ", ".join(fuzz.OPS))
         return 2
-    reports = fuzz.run_fuzz(ops, args.cases, args.seed, _tolerance(args.tol))
+    reports = fuzz.run_fuzz(ops, args.cases, args.seed)
     sys.stdout.write(fuzz.format_reports(reports, args.cases, args.seed))
     return 3 if any(r.failures for r in reports) else 0
 
@@ -147,8 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", metavar="PATH", help="write a JSON trace")
         p.add_argument("--points", action="store_true",
                        help="print NAME x y per constructed point")
-        p.add_argument("--tol", type=float, metavar="EPS",
-                       help="absolute coordinate tolerance (default 1e-9)")
 
     run_p = sub.add_parser("run", help="run a construction script")
     run_p.add_argument("script", help="path to a .compass script")
@@ -165,19 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--seed", type=int, default=42, metavar="S")
     fuzz_p.add_argument("--op", default="all", metavar="NAME",
                         help="construction name or 'all'")
-    fuzz_p.add_argument("--tol", type=float, metavar="EPS")
     fuzz_p.set_defaults(func=cmd_fuzz)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        tol_probe = _tolerance(getattr(args, "tol", None))
-    except ValueError:
-        _diag("invalid tolerance (flag --tol or COMPASS_TOL)")
-        return 2
-    del tol_probe
     return args.func(args)
 
 

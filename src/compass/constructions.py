@@ -13,7 +13,6 @@ pair of distinct points, per the compass-only rules of the game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -27,27 +26,11 @@ from .errors import (
     ParallelLines,
     ScaleOverflow,
 )
-from .geom import DEFAULT_TOL, Point, Tolerance, distance
+from .geom import EPS, Point, ResolvedCircle, distance
 from .program import Builder, Program, Selector
 
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
 _SIN60 = math.sqrt(3.0) / 2.0
-
-
-@dataclass(frozen=True, slots=True)
-class CircleByCenterAndPoint:
-    """A compass circle: a center and a point it passes through."""
-
-    center: Point
-    through: Point
-
-    def __post_init__(self):
-        if distance(self.center, self.through) <= DEFAULT_TOL.eps_degenerate:
-            raise DegenerateCircle("circle through its own center")
-
-    @property
-    def radius(self) -> float:
-        return distance(self.center, self.through)
 
 
 def _point_line_distance(p: Point, a: Point, b: Point) -> float:
@@ -70,7 +53,7 @@ def build_apex(b: Builder, a: int, bn: int, side: Selector = Selector.LEFT) -> i
 
     Two circles, one pick; LEFT is the counterclockwise apex.
     """
-    if distance(b.point(a), b.point(bn)) <= b.tol.eps_degenerate:
+    if distance(b.point(a), b.point(bn)) <= EPS:
         raise DegenerateCircle("apex of a degenerate segment")
     return b.pick(b.circle(a, bn), b.circle(bn, a), side)
 
@@ -167,11 +150,10 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
     mirror circles touch at the foot, which is then the answer: 2 circles
     and 1 pick.
     """
-    eps = b.tol.eps_degenerate
     pa, pb, pc = b.point(a), b.point(bn), b.point(c)
-    if distance(pa, pb) <= eps:
+    if distance(pa, pb) <= EPS:
         raise DegenerateCircle("foot on a degenerate line")
-    if distance(pc, pa) <= eps or distance(pc, pb) <= eps:
+    if distance(pc, pa) <= EPS or distance(pc, pb) <= EPS:
         raise DegenerateCircle("foot construction needs c distinct from a and b")
     around_a, around_b = b.circle(a, c), b.circle(bn, c)
     mirror = b.pick_other(around_a, around_b, avoid=c, strict=True)
@@ -195,7 +177,7 @@ def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
     """
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = distance(po, pd)
-    if distance(po, pp) <= r + b.tol.eps_degenerate:
+    if distance(po, pp) <= r + EPS:
         raise NotExterior(f"{pp} is not strictly outside radius {r}")
     omega = b.circle(o, d)
     m, n = b.both(b.circle(p, o), omega)
@@ -218,15 +200,14 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     and 4 for the core. The pushed-out point lies beyond r, so twice clear
     of the core's limit r/2, where its first circle only touches omega.
     """
-    eps = b.tol.eps_degenerate
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = distance(po, pd)
     dist = distance(po, pp)
-    if dist <= eps:
+    if dist <= EPS:
         raise CenterInversion("inversion is undefined at the center")
-    if abs(dist - r) <= eps:
+    if abs(dist - r) <= EPS:
         return p
-    if dist > r + eps:
+    if dist > r + EPS:
         return build_invert_exterior(b, o, d, p)
     n = math.floor(r / dist) + 2
     if n > MAX_SCALE:
@@ -261,13 +242,12 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     bounds the interior-inversion ratio), then accepting anything
     non-degenerate.
     """
-    eps = b.tol.eps_degenerate
     pa, pb, pc, pd = b.point(a), b.point(bn), b.point(c), b.point(d)
-    if distance(pa, pb) <= eps or distance(pc, pd) <= eps:
+    if distance(pa, pb) <= EPS or distance(pc, pd) <= EPS:
         raise DegenerateCircle("line-line needs two proper lines")
     ux, uy = pb.x - pa.x, pb.y - pa.y
     vx, vy = pd.x - pc.x, pd.y - pc.y
-    if abs(ux * vy - uy * vx) <= eps * math.hypot(ux, uy) * math.hypot(vx, vy):
+    if abs(ux * vy - uy * vx) <= EPS * math.hypot(ux, uy) * math.hypot(vx, vy):
         raise ParallelLines("line directions agree within tolerance")
 
     # Apexes of ab and cd first, per the deterministic rule; apexes of the
@@ -287,8 +267,8 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
                 radius = distance(pp, pa)  # the pole circle goes through a
                 clearance = min(_point_line_distance(pp, pa, pb),
                                 _point_line_distance(pp, pc, pd))
-                floor = 1e-3 * radius if strict else eps
-                if radius <= eps or clearance <= floor:
+                floor = 1e-3 * radius if strict else EPS
+                if radius <= EPS or clearance <= floor:
                     raise DegenerateCircle("pole too close to a line")
                 images = [b.circle(build_invert_general(
                     b, pole, a, build_reflect(b, e, f, pole)), pole)
@@ -335,17 +315,16 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     (``_line_circle_by_inversion``) instead, whose circles cross at the
     angle the line makes with omega, nearly a right angle there.
 
-    A center on the line (to within ``eps_degenerate``) has no mirror image:
+    A center on the line (to within ``EPS``) has no mirror image:
     the answer is d and its antipode, or where d is off the line the
     inversion route's, ordered along a -> bn: bn's side of the center first.
     """
-    eps = b.tol.eps_degenerate
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
-    if distance(pa, pb) <= eps:
+    if distance(pa, pb) <= EPS:
         raise DegenerateCircle("line-circle needs a proper line")
     h, r = _point_line_distance(po, pa, pb), distance(po, pd)
-    if h <= eps:
-        if _point_line_distance(pd, pa, pb) <= eps:
+    if h <= EPS:
+        if _point_line_distance(pd, pa, pb) <= EPS:
             x1, x2 = d, build_antipode(b, o, d, d)
         else:
             x1, x2 = _line_circle_by_inversion(b, a, bn, o, d)
@@ -404,81 +383,70 @@ def build_line_circle_center_on_line(b: Builder, o: int, a: int,
 def build_antipode(b: Builder, o: int, d: int, p: int) -> int:
     """Diametrically opposite point of p on the circle centered o through d."""
     po, pd, pp = b.point(o), b.point(d), b.point(p)
-    if abs(distance(po, pp) - distance(po, pd)) > b.tol.eps_degenerate:
+    if abs(distance(po, pp) - distance(po, pd)) > EPS:
         raise NotOnCircle(f"{pp} does not lie on the circle")
     return build_extend(b, p, o)
 
 
 # --- plain functional surface -------------------------------------------------
+# A circle is given as its center o and a point d it passes through.
 
-def apex(a: Point, b: Point, side: Selector = Selector.LEFT,
-         tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([a, b], tol)
+def apex(a: Point, b: Point, side: Selector = Selector.LEFT) -> Point:
+    bld = Builder([a, b])
     return bld.point(build_apex(bld, 0, 1, side))
 
 
-def extend(x: Point, y: Point, tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([x, y], tol)
+def extend(x: Point, y: Point) -> Point:
+    bld = Builder([x, y])
     return bld.point(build_extend(bld, 0, 1))
 
 
-def nth_point(o: Point, p: Point, n: int, tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([o, p], tol)
+def nth_point(o: Point, p: Point, n: int) -> Point:
+    bld = Builder([o, p])
     return bld.point(build_nth_point(bld, 0, 1, n))
 
 
-def midpoint(a: Point, b: Point, tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([a, b], tol)
+def midpoint(a: Point, b: Point) -> Point:
+    bld = Builder([a, b])
     return bld.point(build_midpoint(bld, 0, 1))
 
 
-def diameter_circle(a: Point, b: Point,
-                    tol: Tolerance = DEFAULT_TOL) -> CircleByCenterAndPoint:
-    bld = Builder([a, b], tol)
-    node = build_diameter_circle(bld, 0, 1)
-    return CircleByCenterAndPoint(bld.circle_value(node).center, a)
+def diameter_circle(a: Point, b: Point) -> ResolvedCircle:
+    bld = Builder([a, b])
+    return bld.circle_value(build_diameter_circle(bld, 0, 1))
 
 
-def perp_foot(a: Point, b: Point, c: Point, tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([a, b, c], tol)
+def perp_foot(a: Point, b: Point, c: Point) -> Point:
+    bld = Builder([a, b, c])
     return bld.point(build_perp_foot(bld, 0, 1, 2))
 
 
-def invert_exterior(omega: CircleByCenterAndPoint, p: Point,
-                    tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([omega.center, omega.through, p], tol)
+def invert_exterior(o: Point, d: Point, p: Point) -> Point:
+    bld = Builder([o, d, p])
     return bld.point(build_invert_exterior(bld, 0, 1, 2))
 
 
-def invert_general(omega: CircleByCenterAndPoint, p: Point,
-                   tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([omega.center, omega.through, p], tol)
+def invert_general(o: Point, d: Point, p: Point) -> Point:
+    bld = Builder([o, d, p])
     return bld.point(build_invert_general(bld, 0, 1, 2))
 
 
-def line_line(a: Point, b: Point, c: Point, d: Point,
-              tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([a, b, c, d], tol)
+def line_line(a: Point, b: Point, c: Point, d: Point) -> Point:
+    bld = Builder([a, b, c, d])
     return bld.point(build_line_line(bld, 0, 1, 2, 3))
 
 
-def line_circle_off_center(a: Point, b: Point, omega: CircleByCenterAndPoint,
-                           tol: Tolerance = DEFAULT_TOL) -> tuple[Point, ...]:
-    bld = Builder([a, b, omega.center, omega.through], tol)
-    nodes = build_line_circle_off_center(bld, 0, 1, 2, 3)
-    return tuple(bld.point(n) for n in nodes)
+def line_circle_off_center(a: Point, b: Point, o: Point, d: Point) -> tuple[Point, ...]:
+    bld = Builder([a, b, o, d])
+    return tuple(map(bld.point, build_line_circle_off_center(bld, 0, 1, 2, 3)))
 
 
-def line_circle_center_on_line(o: Point, a: Point, omega: CircleByCenterAndPoint,
-                               tol: Tolerance = DEFAULT_TOL) -> tuple[Point, Point]:
-    if distance(omega.center, o) > tol.eps_degenerate:
-        raise ValueError("omega must be centered at o")
-    bld = Builder([o, a, omega.through], tol)
+def line_circle_center_on_line(o: Point, a: Point, d: Point) -> tuple[Point, Point]:
+    bld = Builder([o, a, d])
     n1, n2 = build_line_circle_center_on_line(bld, 0, 1, 2)
     return bld.point(n1), bld.point(n2)
 
 
-def antipode(omega: CircleByCenterAndPoint, p: Point,
-             tol: Tolerance = DEFAULT_TOL) -> Point:
-    bld = Builder([omega.center, omega.through, p], tol)
+def antipode(o: Point, d: Point, p: Point) -> Point:
+    bld = Builder([o, d, p])
     return bld.point(build_antipode(bld, 0, 1, 2))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from . import constructions as cons
 from . import field_ops
 from .errors import CompassError, InvalidNodeId
-from .geom import DEFAULT_TOL, Point, Tolerance
+from .geom import Point
 from .program import Builder, Selector, Trace
 
 KEYWORDS = frozenset({"given", "let", "emit", "svg", "trace", "points",
@@ -454,11 +454,10 @@ class ScriptResult:
 
 
 class _Interpreter:
-    def __init__(self, statements: list[Statement], tol: Tolerance):
+    def __init__(self, statements: list[Statement]):
         self.statements = statements
-        self.tol = tol
         givens = [s for s in statements if isinstance(s, Given)]
-        self.builder = Builder([Point(g.x, g.y) for g in givens], tol)
+        self.builder = Builder([Point(g.x, g.y) for g in givens])
         self.seed_slot = {id(g): i for i, g in enumerate(givens)}
         self.env: dict[str, tuple[str, int]] = {}
         self.point_order: list[tuple[str, int]] = []
@@ -604,13 +603,13 @@ class _Interpreter:
         try:
             witnesses = [b.witness(node) for node in args]
             if op == "half":
-                return b.inline(field_ops.demo_half(self.tol).program, (0, 1))[0]
+                return b.inline(field_ops.demo_half().program, (0, 1))[0]
         except InvalidNodeId:
             raise ScriptTypeError(
                 line, 1, "field operations need two given points, and operands "
                 "constructed from those two alone") from None
         if op == "neg":
-            return field_ops.build_neg(b, args[0])
+            return field_ops.build_neg(b, args[0], witnesses[0])
         if op == "conj":
             return field_ops.build_conj(b, args[0])
         if op == "mul":
@@ -619,11 +618,10 @@ class _Interpreter:
                                    field_ops.relative(b, args[1]))
 
 
-def interpret(statements: list[Statement],
-              tol: Tolerance = DEFAULT_TOL) -> ScriptResult:
+def interpret(statements: list[Statement]) -> ScriptResult:
     """Execute a parsed script; pure apart from the returned emit requests."""
-    return _Interpreter(statements, tol).run()
+    return _Interpreter(statements).run()
 
 
-def run_source(source: str, tol: Tolerance = DEFAULT_TOL) -> ScriptResult:
-    return interpret(parse_source(source), tol)
+def run_source(source: str) -> ScriptResult:
+    return interpret(parse_source(source))

@@ -3,7 +3,7 @@
 ``build_add``, ``build_mul``, ``build_neg`` and ``build_conj`` are
 constructions like any other: they grow the caller's builder and read its
 seeds 0 and 1 as the numbers 0 and 1, so a point's value is ``relative``,
-(p - z0) / (z1 - z0), and seeds within ``eps_degenerate`` raise
+(p - z0) / (z1 - z0), and seeds within ``geom.EPS`` raise
 ``DegenerateCircle``. Multiplying by a replays b's witness
 (``Builder.witness``) on (0, a); the orientation-based pick selectors
 make that replay land on exactly the similarity image needed.
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import constructions as cons
 from .errors import DegenerateCircle, MalformedProgram
-from .geom import DEFAULT_TOL, Point, Tolerance
+from .geom import EPS, Point
 # rebase is unused here but stays importable: perfbench's tracer wraps it here.
 from .program import (  # noqa: F401
     Builder,
@@ -49,7 +49,7 @@ def relative(b: Builder, node: int) -> complex:
     and 1, (p - z0) / (z1 - z0); bit-exact on the canonical seeds."""
     z0 = complex(b.xs[0], b.ys[0])
     unit = complex(b.xs[1], b.ys[1]) - z0
-    if abs(unit) <= b.tol.eps_degenerate:
+    if abs(unit) <= EPS:
         raise DegenerateCircle("seeds 0 and 1 coincide: no frame for field values")
     p = b.point(node)
     return (complex(p.x, p.y) - z0) / unit
@@ -63,25 +63,26 @@ def _size(v: complex) -> float:
 def build_mul(b: Builder, a: int, wb: Program) -> int:
     """a * b: replay b's witness ``wb`` on (0, a). A left factor at 0
     collapses that basis, and the product is seed 0."""
-    if _size(relative(b, a)) <= b.tol.eps_degenerate:
+    if _size(relative(b, a)) <= EPS:
         return 0
     return b.inline(wb, (0, a))[0]
 
 
-def build_neg(b: Builder, a: int) -> int:
-    """-a, as the product (-1) * a; -0 is seed 0, with nothing appended."""
+def build_neg(b: Builder, a: int, wa: Program) -> int:
+    """-a, as the product (-1) * a, from a's node and witness ``wa``; -0 is
+    seed 0, with nothing appended."""
     relative(b, a)  # raises where seeds 0 and 1 coincide
     if a == 0:
         return 0
-    return build_mul(b, cons.build_extend(b, 1, 0), b.witness(a))
+    return build_mul(b, cons.build_extend(b, 1, 0), wa)
 
 
 def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
     """a + b, from a's node and witness ``wa`` and b's witness ``wb`` and
     value ``vb``, by one of three routes, with C a witness's circle count:
 
-    - a == b, farther than eps from 0: reflect 0 through a (4 circles);
-    - |a - b| and |a + b| above eps, C(a) > 7 and C(b) >= 1: place b's
+    - a == b, farther than EPS from 0: reflect 0 through a (4 circles);
+    - |a - b| and |a + b| above EPS, C(a) > 7 and C(b) >= 1: place b's
       witness on (0, 1) beside a's, sharing their common steps, and reflect
       0 through the midpoint of a and b (at most C(b) + 11 circles);
     - otherwise the paper's double replay, re-running up to C(a) + 4
@@ -90,16 +91,15 @@ def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
     Seed 0 is the identity: 0 + b is b's witness on (0, 1), a + 0 is a,
     and neither appends a step the result does not use.
     """
-    eps = b.tol.eps_degenerate
     va = relative(b, a)
     if a == 0:
         return b.inline(wb, (0, 1))[0]
     if wb.outputs[0] == 0:
         return a
-    if va == vb and _size(va) > eps:
+    if va == vb and _size(va) > EPS:
         return cons.build_extend(b, 0, a)
     if (wa.circle_count() > 7 and wb.circle_count() >= 1
-            and _size(va - vb) > eps and _size(va + vb) > eps):
+            and _size(va - vb) > EPS and _size(va + vb) > EPS):
         b_node = b.inline(wb, (0, 1))[0]
         return cons.build_extend(b, 0, cons.build_midpoint(b, a, b_node))
     two = cons.build_extend(b, 0, 1)  # 2 = 2*1 - 0
@@ -112,9 +112,8 @@ def build_conj(b: Builder, a: int) -> int:
     centered 0 and 1 through a meet again (``build_reflect`` without its
     mark and rollback). On that line they touch, at a's own conjugate; at 0
     and 1 they would degenerate, and those fixed points return a itself."""
-    eps = b.tol.eps_degenerate
     v = relative(b, a)
-    if _size(v) <= eps or _size(v - 1.0) <= eps:
+    if _size(v) <= EPS or _size(v - 1.0) <= EPS:
         return a
     return b.pick_other(b.circle(0, a), b.circle(1, a), avoid=a)
 
@@ -149,71 +148,68 @@ def _finish(builder: Builder, out: int) -> ConstructibleValue:
     return ConstructibleValue(*compact(builder.finish([out])[1], builder.table))
 
 
-def value_from_program(program: Program,
-                       tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
+def value_from_program(program: Program) -> ConstructibleValue:
     """Wrap a two-seed witness, executing it on the canonical seeds and
     keeping its live steps only; the only place values are executed."""
     if program.seed_count != 2 or len(program.outputs) != 1:
         raise MalformedProgram("a constructible value needs 2 seeds and 1 output")
-    return ConstructibleValue(*compact(execute(program, CANONICAL_SEEDS, tol)))
+    return ConstructibleValue(*compact(execute(program, CANONICAL_SEEDS)))
 
 
-def zero(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    return value_from_program(empty_program(2, (0,)), tol)
+def zero() -> ConstructibleValue:
+    return value_from_program(empty_program(2, (0,)))
 
 
-def one(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    return value_from_program(empty_program(2, (1,)), tol)
+def one() -> ConstructibleValue:
+    return value_from_program(empty_program(2, (1,)))
 
 
-@lru_cache(maxsize=16)
-def minus_one(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
-    """-1, by reflecting seed 1 through seed 0. Built once per tolerance and
-    shared, so its table is only ever copied (``Builder.resume`` does)."""
-    b = Builder(CANONICAL_SEEDS, tol)
+@lru_cache(maxsize=None)
+def minus_one() -> ConstructibleValue:
+    """-1, by reflecting seed 1 through seed 0. Built once and shared, so
+    its table is only ever copied (``Builder.resume`` does)."""
+    b = Builder(CANONICAL_SEEDS)
     return _finish(b, cons.build_extend(b, 1, 0))
 
 
-def alpha(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
+def alpha() -> ConstructibleValue:
     """(3 + i sqrt(15)) / 4: the upper cut of the circles centered -1 and 1
     with radii 2 and 1."""
-    b = Builder(CANONICAL_SEEDS, tol)
+    b = Builder(CANONICAL_SEEDS)
     big = b.circle(cons.build_extend(b, 1, 0), 1)  # centered -1
     small = b.circle(1, 0)
     return _finish(b, b.pick(big, small, Selector.LEFT))
 
 
-def mul(a: ConstructibleValue, b: ConstructibleValue,
-        tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
+def mul(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a * b (``build_mul``)."""
-    builder = Builder.resume(a.trace, a.table, tol)
+    builder = Builder.resume(a.trace, a.table)
     return _finish(builder, build_mul(builder, a.primary_output, b.program))
 
 
-def neg(a: ConstructibleValue, tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
+def neg(a: ConstructibleValue) -> ConstructibleValue:
     """-a, as the product (-1) * a."""
-    return mul(minus_one(tol), a, tol)
+    return mul(minus_one(), a)
 
 
-def add(a: ConstructibleValue, b: ConstructibleValue,
-        tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
+def add(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a + b (``build_add``): b's witness joins a's builder only if replayed."""
-    builder, vb = Builder.resume(a.trace, a.table, tol), b.value
+    builder, vb = Builder.resume(a.trace, a.table), b.value
     return _finish(builder, build_add(builder, a.primary_output, a.program,
                                       b.program, complex(vb.x, vb.y)))
 
 
-def conj(a: ConstructibleValue, tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
+def conj(a: ConstructibleValue) -> ConstructibleValue:
     """The complex conjugate (``build_conj``)."""
-    builder = Builder.resume(a.trace, a.table, tol)
+    builder = Builder.resume(a.trace, a.table)
     out = build_conj(builder, a.primary_output)
     return a if out == a.primary_output else _finish(builder, out)
 
 
-@lru_cache(maxsize=16)
-def demo_half(tol: Tolerance = DEFAULT_TOL) -> ConstructibleValue:
+@lru_cache(maxsize=None)
+def demo_half() -> ConstructibleValue:
     """1/2, the paper-chase: |alpha|^2 = 3/2 is constructible, so adding -1
     lands on 1/2. Two independent compass routes to the segment midpoint.
-    Built once per tolerance, like ``minus_one``."""
-    al = alpha(tol)
-    return add(mul(al, conj(al, tol), tol), neg(one(tol), tol), tol)
+    Built once, like ``minus_one``."""
+    al = alpha()
+    return add(mul(al, conj(al)), neg(one()))

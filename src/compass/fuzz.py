@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import constructions as cons
 from . import field_ops
 from .errors import NoSuchIntersection
-from .geom import DEFAULT_TOL, Point, ResolvedCircle, Tolerance
+from .geom import Point, ResolvedCircle
 from .oracle import (
     oracle_complex_add,
     oracle_complex_conj,
@@ -142,13 +142,13 @@ class _Run:
                         self.audited, tuple(self.details))
 
 
-def _run_apex(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_apex(run: _Run, rng: SplitMix64):
     w = complex(0.5, math.sqrt(3.0) / 2.0)
     for i in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
         side = Selector.LEFT if i % 2 == 0 else Selector.RIGHT
-        trace = execute(cons.apex_program(side), (a, b), tol)
+        trace = execute(cons.apex_program(side), (a, b))
         run.audit(trace)
         out = trace.output_points()[0]
         factor = w if side is Selector.LEFT else w.conjugate()
@@ -157,42 +157,42 @@ def _run_apex(run: _Run, rng: SplitMix64, tol: Tolerance):
                    f"apex{_fmt_pt(a)}{_fmt_pt(b)} {side.value}")
 
 
-def _run_extend(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_extend(run: _Run, rng: SplitMix64):
     program = cons.extend_program()
     for _ in range(run.cases):
         x = _point(rng)
         y = _point_away(rng, [x])
-        trace = execute(program, (x, y), tol)
+        trace = execute(program, (x, y))
         run.audit(trace)
         want = Point(2 * y.x - x.x, 2 * y.y - x.y)
         run.record(_err(trace.output_points()[0], want),
                    f"extend{_fmt_pt(x)}{_fmt_pt(y)}")
 
 
-def _run_nth(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_nth(run: _Run, rng: SplitMix64):
     for _ in range(run.cases):
         o = _point(rng)
         p = _point_away(rng, [o])
         n = rng.randint(1, 8)
-        trace = execute(cons.nth_point_program(n), (o, p), tol)
+        trace = execute(cons.nth_point_program(n), (o, p))
         run.audit(trace)
         want = Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y))
         run.record(_err(trace.output_points()[0], want),
                    f"nth{_fmt_pt(o)}{_fmt_pt(p)} n={n}")
 
 
-def _run_midpoint(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_midpoint(run: _Run, rng: SplitMix64):
     program = cons.midpoint_program()
     for _ in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
-        trace = execute(program, (a, b), tol)
+        trace = execute(program, (a, b))
         run.audit(trace)
         run.record(_err(trace.output_points()[0], oracle_midpoint(a, b)),
                    f"midpoint{_fmt_pt(a)}{_fmt_pt(b)}")
 
 
-def _run_foot(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_foot(run: _Run, rng: SplitMix64):
     for i in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
@@ -202,7 +202,7 @@ def _run_foot(run: _Run, rng: SplitMix64, tol: Tolerance):
             c = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         else:
             c = _point_away(rng, [a, b])
-        builder = Builder([a, b, c], tol)
+        builder = Builder([a, b, c])
         node = cons.build_perp_foot(builder, 0, 1, 2)
         _, trace = builder.finish([node])
         run.audit(trace)
@@ -210,7 +210,7 @@ def _run_foot(run: _Run, rng: SplitMix64, tol: Tolerance):
                    f"foot{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}")
 
 
-def _run_invert(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_invert(run: _Run, rng: SplitMix64):
     for i in range(run.cases):
         o = _point(rng)
         r = rng.uniform(0.5, 3.0)
@@ -225,7 +225,7 @@ def _run_invert(run: _Run, rng: SplitMix64, tol: Tolerance):
         else:
             dist = rng.uniform(0.05 * r, 0.95 * r)
         p = Point(o.x + dist * px, o.y + dist * py)
-        builder = Builder([o, d, p], tol)
+        builder = Builder([o, d, p])
         node = cons.build_invert_general(builder, 0, 1, 2)
         back = cons.build_invert_general(builder, 0, 1, node)
         _, trace = builder.finish([node, back])
@@ -238,7 +238,7 @@ def _run_invert(run: _Run, rng: SplitMix64, tol: Tolerance):
             run.fail("involution " + detail)
 
 
-def _run_line_line(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_line_line(run: _Run, rng: SplitMix64):
     min_sin = math.sin(0.1)
     for _ in range(run.cases):
         while True:
@@ -251,8 +251,8 @@ def _run_line_line(run: _Run, rng: SplitMix64, tol: Tolerance):
             sin = abs(ux * vy - uy * vx) / (math.hypot(ux, uy) * math.hypot(vx, vy))
             if sin >= min_sin:
                 break
-        want = oracle_line_line(a, b, c, d, tol)
-        builder = Builder([a, b, c, d], tol)
+        want = oracle_line_line(a, b, c, d)
+        builder = Builder([a, b, c, d])
         node = cons.build_line_line(builder, 0, 1, 2, 3)
         _, trace = builder.finish([node])
         run.audit(trace)
@@ -270,7 +270,7 @@ def _sample_line_at_distance(rng: SplitMix64, o: Point,
             Point(foot.x - ny * t2, foot.y + nx * t2))
 
 
-def _run_line_circle(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_line_circle(run: _Run, rng: SplitMix64):
     for i in range(run.cases):
         o = _point(rng)
         r = rng.uniform(0.5, 3.0)
@@ -282,8 +282,8 @@ def _run_line_circle(run: _Run, rng: SplitMix64, tol: Tolerance):
             dist = rng.uniform(0.05, r - 0.05)
         a, b = _sample_line_at_distance(rng, o, dist)
         detail = f"linexcircle{_fmt_pt(a)}{_fmt_pt(b)} o={_fmt_pt(o)} r={r:.17g}"
-        want = oracle_line_circle(a, b, ResolvedCircle(o, r), tol)
-        builder = Builder([a, b, o, d], tol)
+        want = oracle_line_circle(a, b, ResolvedCircle(o, r))
+        builder = Builder([a, b, o, d])
         try:
             nodes = cons.build_line_circle_off_center(builder, 0, 1, 2, 3)
         except NoSuchIntersection:
@@ -296,7 +296,7 @@ def _run_line_circle(run: _Run, rng: SplitMix64, tol: Tolerance):
         run.record(_pair_err(got, want), detail)
 
 
-def _run_line_circle_diameter(run: _Run, rng: SplitMix64, tol: Tolerance):
+def _run_line_circle_diameter(run: _Run, rng: SplitMix64):
     for i in range(run.cases):
         o = _point(rng)
         a = _point_away(rng, [o])
@@ -312,12 +312,12 @@ def _run_line_circle_diameter(run: _Run, rng: SplitMix64, tol: Tolerance):
                 if abs(dx * uy - dy * ux) * r >= 0.05:
                     break
             d = Point(o.x + r * dx, o.y + r * dy)
-        builder = Builder([o, a, d], tol)
+        builder = Builder([o, a, d])
         n1, n2 = cons.build_line_circle_center_on_line(builder, 0, 1, 2)
         _, trace = builder.finish([n1, n2])
         run.audit(trace)
         got = (builder.point(n1), builder.point(n2))
-        want = oracle_line_circle(o, a, ResolvedCircle(o, r), tol)
+        want = oracle_line_circle(o, a, ResolvedCircle(o, r))
         run.record(_pair_err(got, want),
                    f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
 
@@ -325,15 +325,14 @@ def _run_line_circle_diameter(run: _Run, rng: SplitMix64, tol: Tolerance):
 class _ValuePool:
     """Random constructible values composed from a fixed atom set."""
 
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
-        one = field_ops.one(tol)
+    def __init__(self):
+        one = field_ops.one()
         self.atoms = (
             one,
-            field_ops.minus_one(tol),
-            field_ops.add(one, one, tol),
-            field_ops.alpha(tol),
-            field_ops.value_from_program(cons.apex_program(Selector.LEFT), tol),
+            field_ops.minus_one(),
+            field_ops.add(one, one),
+            field_ops.alpha(),
+            field_ops.value_from_program(cons.apex_program(Selector.LEFT)),
         )
 
     def draw(self, rng: SplitMix64, depth: int) -> field_ops.ConstructibleValue:
@@ -342,40 +341,40 @@ class _ValuePool:
         k = rng.randint(0, 3)
         if k == 0:
             return field_ops.add(self.draw(rng, depth - 1),
-                                 self.draw(rng, depth - 1), self.tol)
+                                 self.draw(rng, depth - 1))
         if k == 1:
             return field_ops.mul(self.draw(rng, depth - 1),
-                                 self.draw(rng, depth - 1), self.tol)
+                                 self.draw(rng, depth - 1))
         if k == 2:
-            return field_ops.conj(self.draw(rng, depth - 1), self.tol)
-        return field_ops.neg(self.draw(rng, depth - 1), self.tol)
+            return field_ops.conj(self.draw(rng, depth - 1))
+        return field_ops.neg(self.draw(rng, depth - 1))
 
 
-_pool = lru_cache(maxsize=16)(_ValuePool)  # one pool, so one set of atoms, per tolerance
+_pool = lru_cache(maxsize=None)(_ValuePool)  # one pool, so one set of atoms
 
 
-def _run_field(run: _Run, rng: SplitMix64, tol: Tolerance, op: str):
-    pool = _pool(tol)
+def _run_field(run: _Run, rng: SplitMix64, op: str):
+    pool = _pool()
     for _ in range(run.cases):
         a = pool.draw(rng, 2)
         if op == "conj":
-            result = field_ops.conj(a, tol)
+            result = field_ops.conj(a)
             want = oracle_complex_conj(a.value)
             detail = f"conj a={_fmt_pt(a.value)}"
         else:
             b = pool.draw(rng, 2)
             if op == "mul":
-                result = field_ops.mul(a, b, tol)
+                result = field_ops.mul(a, b)
                 want = oracle_complex_mul(a.value, b.value)
             else:
-                result = field_ops.add(a, b, tol)
+                result = field_ops.add(a, b)
                 want = oracle_complex_add(a.value, b.value)
             detail = f"{op} a={_fmt_pt(a.value)} b={_fmt_pt(b.value)}"
-        trace = execute(result.program, field_ops.CANONICAL_SEEDS, tol)
+        trace = execute(result.program, field_ops.CANONICAL_SEEDS)
         run.audit(trace)
         run.record(_err(trace.output_points()[0], want), detail)
         if op == "conj":
-            twice = field_ops.conj(result, tol)
+            twice = field_ops.conj(result)
             if _err(twice.value, a.value) > FUZZ_TOL:
                 run.fail("involution " + detail)
 
@@ -393,22 +392,20 @@ _RUNNERS = {
 }
 
 
-def run_op(name: str, cases: int, seed: int,
-           tol: Tolerance = DEFAULT_TOL) -> OpReport:
+def run_op(name: str, cases: int, seed: int) -> OpReport:
     if name not in OPS:
         raise ValueError(f"unknown construction {name!r}")
     run = _Run(name, cases)
     rng = rng_for(seed, name)
     if name in ("mul", "add", "conj"):
-        _run_field(run, rng, tol, name)
+        _run_field(run, rng, name)
     else:
-        _RUNNERS[name](run, rng, tol)
+        _RUNNERS[name](run, rng)
     return run.report()
 
 
-def run_fuzz(ops: list[str], cases: int, seed: int,
-             tol: Tolerance = DEFAULT_TOL) -> list[OpReport]:
-    return [run_op(name, cases, seed, tol) for name in ops]
+def run_fuzz(ops: list[str], cases: int, seed: int) -> list[OpReport]:
+    return [run_op(name, cases, seed) for name in ops]
 
 
 def format_reports(reports: list[OpReport], cases: int, seed: int) -> str:

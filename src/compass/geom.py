@@ -10,6 +10,11 @@ This module holds the only copy of the circle and intersection arithmetic:
 bare floats. ``circle_from`` wraps ``radius`` and ``circle_circle_intersect``
 wraps ``cut`` in value objects for callers that want them; the step kernel
 in ``program`` calls ``radius`` and ``cut`` directly and builds no object.
+
+``EPS`` is the one degeneracy band: a circle no larger, two centers no
+farther apart, or a tangency gap no wider is taken as collapsed. Every
+pre-check, the oracles and trace loading read it. Constructions commute with
+similarities, so the band is the kernel's, not a caller's setting.
 """
 
 from __future__ import annotations
@@ -36,21 +41,7 @@ class ResolvedCircle:
     radius: float
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
-    """Numeric thresholds: eps_abs for coordinate agreement, eps_degenerate
-    for deciding that a configuration has collapsed."""
-
-    eps_abs: float = 1e-9
-    eps_degenerate: float = 1e-12
-
-    def __post_init__(self):
-        for eps in (self.eps_abs, self.eps_degenerate):
-            if not (eps > 0 and math.isfinite(eps)):
-                raise ValueError("tolerances must be positive and finite")
-
-
-DEFAULT_TOL = Tolerance()
+EPS = 1e-12
 
 
 # --- intersection outcomes -------------------------------------------------
@@ -94,7 +85,7 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
 
-def orientation_sign(a: Point, b: Point, c: Point, tol: Tolerance = DEFAULT_TOL) -> int:
+def orientation_sign(a: Point, b: Point, c: Point) -> int:
     """Sign of cross(b - a, c - a): +1 counterclockwise, -1 clockwise, 0 collinear.
 
     The zero band scales with the operand magnitudes so that far-apart
@@ -105,28 +96,27 @@ def orientation_sign(a: Point, b: Point, c: Point, tol: Tolerance = DEFAULT_TOL)
     vx, vy = c.x - a.x, c.y - a.y
     cross = ux * vy - uy * vx
     scale = max(1.0, math.hypot(ux, uy) * math.hypot(vx, vy))
-    if abs(cross) <= tol.eps_degenerate * scale:
+    if abs(cross) <= EPS * scale:
         return 0
     return 1 if cross > 0 else -1
 
 
-def radius(cx: float, cy: float, tx: float, ty: float, eps: float) -> float:
+def radius(cx: float, cy: float, tx: float, ty: float) -> float:
     """The radius of the compass circle centered (cx, cy) through (tx, ty):
-    all four coordinates finite, the radius above ``eps``."""
+    all four coordinates finite, the radius above ``EPS``."""
     if not (math.isfinite(cx) and math.isfinite(cy)
             and math.isfinite(tx) and math.isfinite(ty)):
         raise NonFiniteInput(f"non-finite coordinate in ({cx}, {cy}) / ({tx}, {ty})")
     r = math.hypot(tx - cx, ty - cy)
-    if r <= eps:
+    if r <= EPS:
         raise DegenerateCircle(
             f"circle through its own center: ({cx}, {cy}) / ({tx}, {ty})")
     return r
 
 
-def circle_from(center: Point, through: Point, tol: Tolerance = DEFAULT_TOL) -> ResolvedCircle:
+def circle_from(center: Point, through: Point) -> ResolvedCircle:
     """Resolve a compass circle from its center and a point it passes through."""
-    return ResolvedCircle(center, radius(center.x, center.y, through.x, through.y,
-                                         tol.eps_degenerate))
+    return ResolvedCircle(center, radius(center.x, center.y, through.x, through.y))
 
 
 # ``cut`` results other than points
@@ -134,8 +124,7 @@ CUT_NONE = "none"
 CUT_COINCIDENT = "coincident"
 
 
-def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float,
-        eps: float):
+def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     """Intersect the circle (x1, y1; r1) with the circle (x2, y2; r2).
 
     Returns ``CUT_NONE`` when the circles do not meet (concentric circles
@@ -152,25 +141,25 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float,
     Uses the radical-line form: project the crossing point onto the center
     axis, then solve for the perpendicular half-chord. This stays stable
     near tangency, where the naive simultaneous quadratics lose digits.
-    Tangency is declared when the center distance sits within ``eps`` of
+    Tangency is declared when the center distance sits within ``EPS`` of
     r1 + r2 (external) or |r1 - r2| (internal); the tangent point satisfies
     both selectors.
 
     Plain arithmetic only: the inputs are taken as finite with radii above
-    ``eps``, and the callers check that the point they keep is finite.
+    ``EPS``, and the callers check that the point they keep is finite.
     """
     dx = x2 - x1
     dy = y2 - y1
     d = math.hypot(dx, dy)
 
-    if d <= eps:
-        if abs(r1 - r2) <= eps:
+    if d <= EPS:
+        if abs(r1 - r2) <= EPS:
             return CUT_COINCIDENT
         return CUT_NONE  # concentric
 
     outer = d - (r1 + r2)
     inner = d - abs(r1 - r2)
-    if abs(outer) <= eps or abs(inner) <= eps:
+    if abs(outer) <= EPS or abs(inner) <= EPS:
         # Tangent: the touch point lies on the center axis.
         a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
         return (x1 + a * dx / d, y1 + a * dy / d)
@@ -184,20 +173,18 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float,
     return (x1 + a * ux, y1 + a * uy, h * uy, h * ux)
 
 
-def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle,
-                            tol: Tolerance = DEFAULT_TOL) -> IntersectionOutcome:
+def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle) -> IntersectionOutcome:
     """Intersect two circles and wrap the result of ``cut`` in an outcome.
 
     Checks what ``cut`` takes for granted: finite centers, radii above
-    eps_degenerate, and finite intersection points (``NonFiniteInput`` when
+    ``EPS``, and finite intersection points (``NonFiniteInput`` when
     the arithmetic overflows). A tangency is reported once as ``Tangent``.
     """
     o1, o2 = c1.center, c2.center
     _require_finite(o1, o2)
-    eps = tol.eps_degenerate
-    if c1.radius <= eps or c2.radius <= eps:
+    if c1.radius <= EPS or c2.radius <= EPS:
         raise DegenerateCircle("intersection of a degenerate circle")
-    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius, eps)
+    got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius)
     if got == CUT_NONE:
         return NoIntersection()
     if got == CUT_COINCIDENT:

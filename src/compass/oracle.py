@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .geom import DEFAULT_TOL, Point, ResolvedCircle, Tolerance
+from .geom import EPS, Point, ResolvedCircle
 
 
 class Parallel:
@@ -24,14 +24,13 @@ class Parallel:
         return "Parallel()"
 
 
-def oracle_line_line(a: Point, b: Point, c: Point, d: Point,
-                     tol: Tolerance = DEFAULT_TOL) -> Point | Parallel:
+def oracle_line_line(a: Point, b: Point, c: Point, d: Point) -> Point | Parallel:
     """Intersection of lines ab and cd by a 2x2 linear solve."""
     ux, uy = b.x - a.x, b.y - a.y
     vx, vy = d.x - c.x, d.y - c.y
     det = ux * vy - uy * vx
     scale = max(1.0, math.hypot(ux, uy) * math.hypot(vx, vy))
-    if abs(det) <= tol.eps_degenerate * scale:
+    if abs(det) <= EPS * scale:
         return Parallel()
     t = ((c.x - a.x) * vy - (c.y - a.y) * vx) / det
     return Point(a.x + t * ux, a.y + t * uy)
@@ -44,17 +43,16 @@ def oracle_foot(a: Point, b: Point, c: Point) -> Point:
     return Point(a.x + t * ux, a.y + t * uy)
 
 
-def oracle_line_circle(a: Point, b: Point, omega: ResolvedCircle,
-                       tol: Tolerance = DEFAULT_TOL) -> list[Point]:
+def oracle_line_circle(a: Point, b: Point, omega: ResolvedCircle) -> list[Point]:
     """Points of line ab on the circle: zero, one (tangent), or two.
 
     Projects the center onto the line, then walks the half-chord out along
     the line direction. Tangency is declared when the center-to-line
-    distance is within eps_degenerate of the radius.
+    distance is within ``EPS`` of the radius.
     """
     foot = oracle_foot(a, b, omega.center)
     dist = math.hypot(foot.x - omega.center.x, foot.y - omega.center.y)
-    if abs(dist - omega.radius) <= tol.eps_degenerate:
+    if abs(dist - omega.radius) <= EPS:
         return [foot]
     if dist > omega.radius:
         return []
@@ -65,8 +63,7 @@ def oracle_line_circle(a: Point, b: Point, omega: ResolvedCircle,
             Point(foot.x - half * ux, foot.y - half * uy)]
 
 
-def oracle_circle_circle(c1: ResolvedCircle, c2: ResolvedCircle,
-                         tol: Tolerance = DEFAULT_TOL) -> list[Point]:
+def oracle_circle_circle(c1: ResolvedCircle, c2: ResolvedCircle) -> list[Point]:
     """Circle pair intersection by eliminating the quadratic terms.
 
     Subtracting the two circle equations gives the radical line; that line
@@ -79,7 +76,7 @@ def oracle_circle_circle(c1: ResolvedCircle, c2: ResolvedCircle,
          - (c1.center.x ** 2 - c2.center.x ** 2)
          - (c1.center.y ** 2 - c2.center.y ** 2))
     # Radical line: ex * x + ey * y = k. Pick two points on it.
-    if abs(ex) < tol.eps_degenerate and abs(ey) < tol.eps_degenerate:
+    if abs(ex) < EPS and abs(ey) < EPS:
         return []  # concentric (or coincident: no isolated points)
     if abs(ey) >= abs(ex):
         p = Point(0.0, k / ey)
@@ -87,7 +84,7 @@ def oracle_circle_circle(c1: ResolvedCircle, c2: ResolvedCircle,
     else:
         p = Point(k / ex, 0.0)
         q = Point((k - ey) / ex, 1.0)
-    return oracle_line_circle(p, q, c1, tol)
+    return oracle_line_circle(p, q, c1)
 
 
 def oracle_invert(omega: ResolvedCircle, p: Point) -> Point:

@@ -48,10 +48,8 @@ from .errors import (
 # perfbench's tracer wraps them here.
 from .geom import (  # noqa: F401
     CUT_COINCIDENT,
-    DEFAULT_TOL,
     Point,
     ResolvedCircle,
-    Tolerance,
     circle_circle_intersect,
     circle_from,
     cut,
@@ -280,8 +278,7 @@ class AuditReport:
     picks: int
 
 
-def execute(program: Program, seeds: Sequence[Point],
-            tol: Tolerance = DEFAULT_TOL) -> Trace:
+def execute(program: Program, seeds: Sequence[Point]) -> Trace:
     """Run a program on concrete seed points, resolving every node in order.
 
     This is the step loop of ``Builder.inline`` run on a fresh builder with
@@ -292,7 +289,7 @@ def execute(program: Program, seeds: Sequence[Point],
     if len(seeds) != program.seed_count:
         raise MalformedProgram(
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
-    b = Builder(seeds, tol)
+    b = Builder(seeds)
     b._resolve(program, list(range(program.seed_count)), None)
     return Trace(program, Resolved(tuple(b.xs), tuple(b.ys), tuple(b.rs)))
 
@@ -410,14 +407,13 @@ def ancestors(program: Program, node: int) -> set[int]:
 
 
 def similarity_transport_check(program: Program, seeds: Sequence[Point],
-                               p: Point, q: Point,
-                               tol: Tolerance = DEFAULT_TOL) -> bool:
+                               p: Point, q: Point) -> bool:
     """Check that the program commutes with the orientation-preserving
     similarity z -> p + (q - p) z.
 
     Executes once on ``seeds`` and once on the similarity images of the
     seeds, then compares outputs against the similarity images of the
-    original outputs, within eps_abs * max(1, |q - p|).
+    original outputs, within 1e-9 * max(1, |q - p|).
     """
     w = complex(q.x - p.x, q.y - p.y)
     if w == 0:
@@ -427,9 +423,9 @@ def similarity_transport_check(program: Program, seeds: Sequence[Point],
         z = complex(p.x, p.y) + w * complex(pt.x, pt.y)
         return Point(z.real, z.imag)
 
-    base = execute(program, seeds, tol)
-    moved = execute(program, [sim(s) for s in seeds], tol)
-    limit = tol.eps_abs * max(1.0, abs(w))
+    base = execute(program, seeds)
+    moved = execute(program, [sim(s) for s in seeds])
+    limit = 1e-9 * max(1.0, abs(w))
     for out, expect_src in zip(moved.output_points(), base.output_points()):
         expect = sim(expect_src)
         if math.hypot(out.x - expect.x, out.y - expect.y) > limit:
@@ -471,8 +467,7 @@ class Builder:
     resolves or walks its steps again.
     """
 
-    def __init__(self, seeds: Sequence[Point], tol: Tolerance = DEFAULT_TOL):
-        self.tol = tol
+    def __init__(self, seeds: Sequence[Point]):
         seeds = tuple(seeds)
         n = self.seed_count = len(seeds)
         for p in seeds:
@@ -484,11 +479,10 @@ class Builder:
         self.table: dict[tuple, int] = {}
 
     @classmethod
-    def resume(cls, trace: Trace, table: dict[tuple, int],
-               tol: Tolerance = DEFAULT_TOL) -> "Builder":
+    def resume(cls, trace: Trace, table: dict[tuple, int]) -> "Builder":
         """A builder holding ``trace`` and a copy of its hash-cons ``table``."""
         trace.program.check()
-        builder = cls(trace.seed_values, tol)
+        builder = cls(trace.seed_values)
         p, r = trace.program, trace.resolved
         builder.ops, builder.first, builder.second = list(p.ops), list(p.first), list(p.second)
         builder.xs, builder.ys, builder.rs = list(r.xs), list(r.ys), list(r.rs)
@@ -532,7 +526,7 @@ class Builder:
         self._node(center, False)
         self._node(through, False)
         x, y = self.xs[center], self.ys[center]
-        r = radius(x, y, self.xs[through], self.ys[through], self.tol.eps_degenerate)
+        r = radius(x, y, self.xs[through], self.ys[through])
         return self._keep(OP_CIRCLE, center, through, x, y, r)
 
     def _cut(self, c1: int, c2: int) -> tuple[float, ...]:
@@ -543,7 +537,7 @@ class Builder:
         self._node(c2, True)
         xs, ys, rs = self.xs, self.ys, self.rs
         at = len(rs)
-        got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2], self.tol.eps_degenerate)
+        got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])
         if type(got) is str:
             raise _no_point(got, at)
         if len(got) == 4:
@@ -628,7 +622,6 @@ class Builder:
         add_op, add_first, add_second = self.ops.append, self.first.append, self.second.append
         mapped = node.append
         isfinite = math.isfinite
-        eps = self.tol.eps_degenerate
         for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
             nu, nv = node[u], node[v]
             if table is not None:
@@ -640,9 +633,9 @@ class Builder:
             at = len(rs)
             if op == OP_CIRCLE:
                 x, y = xs[nu], ys[nu]
-                r = radius(x, y, xs[nv], ys[nv], eps)
+                r = radius(x, y, xs[nv], ys[nv])
             else:
-                got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv], eps)
+                got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv])
                 if type(got) is str:
                     raise _no_point(got, at)
                 if len(got) == 2:

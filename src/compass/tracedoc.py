@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateCircle, MalformedProgram, MalformedTrace
-from .geom import DEFAULT_TOL, radius
+from .geom import radius
 # purity_audit stays importable from this module: perfbench's tracer wraps it
 # here.
 from .program import (  # noqa: F401
@@ -218,13 +218,12 @@ def loads(text: str) -> TraceDocument:
         raise MalformedTrace(str(err)) from None
 
     xs, ys, rs = list(xs), list(ys), [None] * len(ops)
-    eps = DEFAULT_TOL.eps_degenerate
     for at in range(program.seed_count, len(ops)):
         if ops[at] == OP_CIRCLE:
             u, v = first[at], second[at]
             xs[at], ys[at] = xs[u], ys[u]
             try:
-                rs[at] = radius(xs[u], ys[u], xs[v], ys[v], eps)
+                rs[at] = radius(xs[u], ys[u], xs[v], ys[v])
             except DegenerateCircle:
                 raise MalformedTrace(f"step {at}: degenerate circle") from None
     trace = Trace(program, Resolved(tuple(xs), tuple(ys), tuple(rs)))

@@ -4,7 +4,6 @@ import pytest
 
 from compass import constructions as cons
 from compass.constructions import (
-    CircleByCenterAndPoint,
     antipode,
     apex,
     diameter_circle,
@@ -40,21 +39,22 @@ from compass.program import (
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
-UNIT = CircleByCenterAndPoint(Point(0, 0), Point(1, 0))
+ORIGIN = Point(0, 0)
+UNIT = (ORIGIN, Point(1, 0))  # the unit circle: its center and a point on it
 
 
-def close(p, x, y, tol=1e-9):
-    assert p.x == pytest.approx(x, abs=tol), p
-    assert p.y == pytest.approx(y, abs=tol), p
+def close(p, x, y, within=1e-9):
+    assert p.x == pytest.approx(x, abs=within), p
+    assert p.y == pytest.approx(y, abs=within), p
 
 
-def as_set(points, expect, tol=1e-9):
+def as_set(points, expect, within=1e-9):
     assert len(points) == len(expect)
     remaining = list(expect)
     for p in points:
         hit = min(remaining,
                   key=lambda q: math.hypot(p.x - q[0], p.y - q[1]))
-        assert math.hypot(p.x - hit[0], p.y - hit[1]) <= tol, (p, expect)
+        assert math.hypot(p.x - hit[0], p.y - hit[1]) <= within, (p, expect)
         remaining.remove(hit)
 
 
@@ -151,6 +151,7 @@ def test_reflect_refuses_a_point_on_the_line():
 
 def test_diameter_circle_examples():
     c = diameter_circle(Point(0, 0), Point(2, 0))
+    assert type(c) is ResolvedCircle
     close(c.center, 1.0, 0.0)
     assert c.radius == pytest.approx(1.0, abs=1e-9)
     c = diameter_circle(Point(0, 0), Point(0, 3))
@@ -211,18 +212,17 @@ def test_perp_foot_of_a_point_on_the_line_is_the_touch_point():
 # --- inversion -------------------------------------------------------------------
 
 def test_invert_exterior_examples():
-    omega = CircleByCenterAndPoint(
-        Point(0, 0), Point(1.5 / math.sqrt(2), 1.5 / math.sqrt(2)))
-    close(invert_exterior(omega, Point(1.5, 1.5)), 0.75, 0.75, tol=1e-9)
-    close(invert_exterior(UNIT, Point(4, 0)), 0.25, 0.0)
-    close(invert_exterior(UNIT, Point(2, 0)), 0.5, 0.0)
+    d = Point(1.5 / math.sqrt(2), 1.5 / math.sqrt(2))
+    close(invert_exterior(ORIGIN, d, Point(1.5, 1.5)), 0.75, 0.75, within=1e-9)
+    close(invert_exterior(*UNIT, Point(4, 0)), 0.25, 0.0)
+    close(invert_exterior(*UNIT, Point(2, 0)), 0.5, 0.0)
 
 
 def test_invert_exterior_rejects_non_exterior():
     with pytest.raises(NotExterior):
-        invert_exterior(UNIT, Point(0.5, 0))
+        invert_exterior(*UNIT, Point(0.5, 0))
     with pytest.raises(NotExterior):
-        invert_exterior(UNIT, Point(1, 0))
+        invert_exterior(*UNIT, Point(1, 0))
 
 
 def test_invert_exterior_circle_budget():
@@ -233,12 +233,12 @@ def test_invert_exterior_circle_budget():
 
 
 def test_invert_general_examples():
-    close(invert_general(UNIT, Point(0.5, 0)), 2.0, 0.0, tol=1e-8)
-    close(invert_general(UNIT, Point(1, 0)), 1.0, 0.0)
+    close(invert_general(*UNIT, Point(0.5, 0)), 2.0, 0.0, within=1e-8)
+    close(invert_general(*UNIT, Point(1, 0)), 1.0, 0.0)
     with pytest.raises(CenterInversion):
-        invert_general(UNIT, Point(1e-15, 0))
+        invert_general(*UNIT, Point(1e-15, 0))
     with pytest.raises(ScaleOverflow):  # ratio 10**7 + 2 is beyond MAX_SCALE
-        invert_general(UNIT, Point(1e-7, 0))
+        invert_general(*UNIT, Point(1e-7, 0))
 
 
 def test_invert_interior_ratio_rule():
@@ -283,11 +283,10 @@ def test_invert_far_exterior_relative_error(ratio, bound):
         o = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
         r = rng.uniform(0.5, 2.5)
         t = rng.uniform(0, 2 * math.pi)
-        omega = CircleByCenterAndPoint(
-            o, Point(o.x + r * math.cos(t), o.y + r * math.sin(t)))
+        d = Point(o.x + r * math.cos(t), o.y + r * math.sin(t))
         s = rng.uniform(0, 2 * math.pi)
         p = Point(o.x + ratio * r * math.cos(s), o.y + ratio * r * math.sin(s))
-        got = invert_general(omega, p)
+        got = invert_general(o, d, p)
         want = oracle_invert(ResolvedCircle(o, r), p)
         worst = max(worst, distance(got, want) / distance(want, o))
     assert worst <= bound
@@ -300,7 +299,7 @@ def test_invert_far_exterior_refuses_touching_circles():
     with pytest.raises(ScaleOverflow):
         cons.build_invert_exterior(b, 0, 1, 2)
     with pytest.raises(ScaleOverflow):
-        invert_general(UNIT, Point(6e5, 8e5))
+        invert_general(*UNIT, Point(6e5, 8e5))
 
 
 def test_invert_interior_deep_precision():
@@ -316,15 +315,14 @@ def test_inversion_involution():
         o = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
         r = rng.uniform(0.5, 2.5)
         t = rng.uniform(0, 2 * math.pi)
-        omega = CircleByCenterAndPoint(
-            o, Point(o.x + r * math.cos(t), o.y + r * math.sin(t)))
-        d = rng.uniform(0.05 * r, 3.0 * r)
+        d = Point(o.x + r * math.cos(t), o.y + r * math.sin(t))
+        dist = rng.uniform(0.05 * r, 3.0 * r)
         s = rng.uniform(0, 2 * math.pi)
-        p = Point(o.x + d * math.cos(s), o.y + d * math.sin(s))
-        i = invert_general(omega, p)
+        p = Point(o.x + dist * math.cos(s), o.y + dist * math.sin(s))
+        i = invert_general(o, d, p)
         want = oracle_invert(ResolvedCircle(o, r), p)
         assert math.hypot(i.x - want.x, i.y - want.y) <= 1e-6
-        back = invert_general(omega, i)
+        back = invert_general(o, d, i)
         assert math.hypot(back.x - p.x, back.y - p.y) <= 1e-5
 
 
@@ -333,12 +331,12 @@ def test_inversion_involution():
 def test_line_line_paper_figure():
     s = line_line(Point(-0.4, -0.4), Point(2.3, 2.3),
                   Point(0.2, 1.8), Point(2.7, -0.7))
-    close(s, 1.0, 1.0, tol=1e-6)
+    close(s, 1.0, 1.0, within=1e-6)
 
 
 def test_line_line_axis_cross():
     s = line_line(Point(0, 0), Point(1, 0), Point(0.5, -1), Point(0.5, 1))
-    close(s, 0.5, 0.0, tol=1e-6)
+    close(s, 0.5, 0.0, within=1e-6)
 
 
 def test_line_line_worst_error():
@@ -364,7 +362,7 @@ def test_line_line_refused_pole_leaves_no_step(monkeypatch):
     monkeypatch.setattr(cons, "build_reflect", touching_first)
     b = Builder([Point(-0.4, -0.4), Point(2.3, 2.3), Point(0.2, 1.8), Point(2.7, -0.7)])
     node = cons.build_line_line(b, 0, 1, 2, 3)
-    close(b.point(node), 1.0, 1.0, tol=1e-12)
+    close(b.point(node), 1.0, 1.0, within=1e-12)
     program, _ = b.finish([node])
     assert refused
     assert len(ancestors(program, node)) == len(program.steps)
@@ -381,32 +379,32 @@ def test_line_line_rejects_parallel():
 # --- line-circle -----------------------------------------------------------------
 
 def test_line_circle_off_center_figure():
-    pts = line_circle_off_center(Point(-2.5, 0.5), Point(-1.5, 0.5), UNIT)
-    as_set(pts, [(math.sqrt(0.75), 0.5), (-math.sqrt(0.75), 0.5)], tol=1e-6)
+    pts = line_circle_off_center(Point(-2.5, 0.5), Point(-1.5, 0.5), *UNIT)
+    as_set(pts, [(math.sqrt(0.75), 0.5), (-math.sqrt(0.75), 0.5)], within=1e-6)
 
 
 def test_line_circle_near_tangent():
-    pts = line_circle_off_center(Point(-2, 0.999999), Point(2, 0.999999), UNIT)
+    pts = line_circle_off_center(Point(-2, 0.999999), Point(2, 0.999999), *UNIT)
     assert len(pts) == 2
     half = math.sqrt(1 - 0.999999 ** 2)
-    as_set(pts, [(half, 0.999999), (-half, 0.999999)], tol=1e-6)
+    as_set(pts, [(half, 0.999999), (-half, 0.999999)], within=1e-6)
 
 
 def test_line_circle_miss_and_center_on_line():
     with pytest.raises(NoSuchIntersection):
-        line_circle_off_center(Point(-2, 2), Point(2, 2), UNIT)
+        line_circle_off_center(Point(-2, 2), Point(2, 2), *UNIT)
     # a center on the line is answered too, d and its antipode, b's side first
-    pts = line_circle_off_center(Point(-2, 0), Point(2, 0), UNIT)
+    pts = line_circle_off_center(Point(-2, 0), Point(2, 0), *UNIT)
     assert pts[0] == Point(1, 0)
-    close(pts[1], -1.0, 0.0, tol=1e-12)
+    close(pts[1], -1.0, 0.0, within=1e-12)
 
 
 def test_line_circle_exact_tangent_single_point():
-    pts = line_circle_off_center(Point(-2, 1), Point(2, 1), UNIT)
+    pts = line_circle_off_center(Point(-2, 1), Point(2, 1), *UNIT)
     assert len(pts) == 1
-    close(pts[0], 0.0, 1.0, tol=1e-6)
+    close(pts[0], 0.0, 1.0, within=1e-6)
     # the tangency appends one left pick, right after the mirror circle
-    b = Builder([Point(-2, 1), Point(2, 1), UNIT.center, UNIT.through])
+    b = Builder([Point(-2, 1), Point(2, 1), *UNIT])
     assert cons.build_line_circle_off_center(b, 0, 1, 2, 3) == (12,)
     assert len(b) == 13 and b.ops[-2:] == [OP_CIRCLE, OP_LEFT]
 
@@ -418,9 +416,9 @@ def test_line_circle_center_near_the_line(height):
     the touch point cuts the circle about 1.0 away from the answer at
     1e-6. Such a center takes the inversion route, exact to 1e-12."""
     a, b_ = Point(-2, height), Point(3, height)
-    pts = line_circle_off_center(a, b_, UNIT)
-    want = oracle_line_circle(a, b_, ResolvedCircle(UNIT.center, 1.0))
-    as_set(pts, [(w.x, w.y) for w in want], tol=1e-12)
+    pts = line_circle_off_center(a, b_, *UNIT)
+    want = oracle_line_circle(a, b_, ResolvedCircle(ORIGIN, 1.0))
+    as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
 
 
 def test_line_circle_small_circle_whose_center_touches():
@@ -430,25 +428,25 @@ def test_line_circle_small_circle_whose_center_touches():
     # route, before mirror images, was 1.0e-7 off)
     r, h = 1e-5, 2e-7
     a, b_ = Point(-2.5, h), Point(3.5, h)
-    omega = CircleByCenterAndPoint(Point(0, 0), Point(0.6 * r, 0.8 * r))
-    b = Builder([a, b_, omega.center, omega.through])
+    o, d = Point(0, 0), Point(0.6 * r, 0.8 * r)
+    b = Builder([a, b_, o, d])
     with pytest.raises(OnMirrorLine):
         cons.build_reflect(b, 0, 1, 2)
-    pts = line_circle_off_center(a, b_, omega)
-    want = oracle_line_circle(a, b_, ResolvedCircle(omega.center, r))
-    as_set(pts, [(w.x, w.y) for w in want], tol=1e-10)
+    pts = line_circle_off_center(a, b_, o, d)
+    want = oracle_line_circle(a, b_, ResolvedCircle(o, r))
+    as_set(pts, [(w.x, w.y) for w in want], within=1e-10)
 
 
 def test_line_circle_center_on_the_line():
-    # within eps_degenerate of the line the center has no mirror image: a d
+    # within geom.EPS of the line the center has no mirror image: a d
     # on the line too gives d and its antipode, any other d the inversion
     # route on line ab itself; either way b's side of the center comes first
     a, b_ = Point(-2, 1e-13), Point(3, 1e-13)
-    want = oracle_line_circle(a, b_, ResolvedCircle(UNIT.center, 1.0))
-    for d in (UNIT.through, Point(0.6, 0.8)):
-        b = Builder([a, b_, UNIT.center, d])
+    want = oracle_line_circle(a, b_, ResolvedCircle(ORIGIN, 1.0))
+    for d in (UNIT[1], Point(0.6, 0.8)):
+        b = Builder([a, b_, ORIGIN, d])
         x, y = (b.point(n) for n in cons.build_line_circle_off_center(b, 0, 1, 2, 3))
-        as_set((x, y), [(w.x, w.y) for w in want], tol=1e-12)
+        as_set((x, y), [(w.x, w.y) for w in want], within=1e-12)
         assert x.x > 0 > y.x
 
 
@@ -464,24 +462,22 @@ def test_line_circle_datum_point_on_or_near_the_line(offset):
     b_ = Point(foot.x + 3.0 * ny, foot.y - 3.0 * nx)
     half = math.sqrt(r * r - (h + offset) ** 2)
     d = Point(o.x + (h + offset) * nx + half * ny, o.y + (h + offset) * ny - half * nx)
-    pts = line_circle_off_center(a, b_, CircleByCenterAndPoint(o, d))
+    pts = line_circle_off_center(a, b_, o, d)
     want = oracle_line_circle(a, b_, ResolvedCircle(o, distance(o, d)))
-    as_set(pts, [(w.x, w.y) for w in want], tol=1e-12)
+    as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
 
 
 def test_line_circle_center_on_line_examples():
-    omega = CircleByCenterAndPoint(Point(0, 0), Point(0, 1))
-    pts = line_circle_center_on_line(Point(0, 0), Point(2, 0), omega)
-    as_set(pts, [(1.0, 0.0), (-1.0, 0.0)], tol=1e-6)
+    pts = line_circle_center_on_line(Point(0, 0), Point(2, 0), Point(0, 1))
+    as_set(pts, [(1.0, 0.0), (-1.0, 0.0)], within=1e-6)
     # ordering: the point on a's side of the center comes first
     assert pts[0].x > 0
 
 
 def test_line_circle_center_on_line_paper_intermediates():
-    omega = CircleByCenterAndPoint(Point(0, 0), Point(SQRT3_2, 0.5))
     b = Builder([Point(0, 0), Point(2, 0), Point(SQRT3_2, 0.5)])
     n1, n2 = cons.build_line_circle_center_on_line(b, 0, 1, 2)
-    as_set((b.point(n1), b.point(n2)), [(1.0, 0.0), (-1.0, 0.0)], tol=1e-6)
+    as_set((b.point(n1), b.point(n2)), [(1.0, 0.0), (-1.0, 0.0)], within=1e-6)
     # the doubled circle around Q = 3C shows up in the trace
     _, trace = b.finish([n1, n2])
     q = (3 * SQRT3_2, 1.5)
@@ -501,31 +497,26 @@ def test_line_circle_center_on_line_datum_near_the_line(offset):
     r = 1.3
     along = math.sqrt(r * r - offset * offset)
     d = Point(o.x + along * ux - offset * uy, o.y + along * uy + offset * ux)
-    x, y = line_circle_center_on_line(o, a, CircleByCenterAndPoint(o, d))
+    x, y = line_circle_center_on_line(o, a, d)
     want = oracle_line_circle(o, a, ResolvedCircle(o, distance(o, d)))
-    as_set((x, y), [(w.x, w.y) for w in want], tol=1e-12)
+    as_set((x, y), [(w.x, w.y) for w in want], within=1e-12)
     assert (x.x - o.x) * ux + (x.y - o.y) * uy > 0  # a's side first
 
 
 def test_line_circle_center_on_line_datum_on_line():
     # the given radius point already sits on the line: answered directly
-    omega = CircleByCenterAndPoint(Point(0, 0), Point(-1, 0))
-    pts = line_circle_center_on_line(Point(0, 0), Point(2, 0), omega)
-    as_set(pts, [(1.0, 0.0), (-1.0, 0.0)], tol=1e-9)
-    with pytest.raises(ValueError):
-        line_circle_center_on_line(Point(0, 0), Point(2, 0),
-                                   CircleByCenterAndPoint(Point(5, 5), Point(6, 5)))
+    pts = line_circle_center_on_line(Point(0, 0), Point(2, 0), Point(-1, 0))
+    as_set(pts, [(1.0, 0.0), (-1.0, 0.0)], within=1e-9)
 
 
 # --- antipode --------------------------------------------------------------------
 
 def test_antipode_examples():
-    close(antipode(UNIT, Point(1, 0)), -1.0, 0.0)
-    close(antipode(UNIT, Point(0, 1)), 0.0, -1.0)
-    c = CircleByCenterAndPoint(Point(1, 1), Point(2, 1))
-    close(antipode(c, Point(2, 1)), 0.0, 1.0)
+    close(antipode(*UNIT, Point(1, 0)), -1.0, 0.0)
+    close(antipode(*UNIT, Point(0, 1)), 0.0, -1.0)
+    close(antipode(Point(1, 1), Point(2, 1), Point(2, 1)), 0.0, 1.0)
     with pytest.raises(NotOnCircle):
-        antipode(UNIT, Point(3, 0))
+        antipode(*UNIT, Point(3, 0))
 
 
 # --- the master property: oracle equivalence, spot-checked here -----------------

@@ -27,7 +27,7 @@ from compass.dsl import (
 )
 from compass.geom import Point, ResolvedCircle
 from compass.oracle import oracle_line_circle
-from compass.program import Selector, purity_audit
+from compass.program import Builder, Selector, purity_audit
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -297,7 +297,7 @@ def test_emit_requests_in_order():
 def test_linexcircle_with_the_center_near_the_line(height):
     # 1e-6 and 1e-9 lie inside the tangency band of o's mirror circles, so
     # the line-circle routine inverts instead; 1e-13 is on the line to within
-    # eps_degenerate, and it inverts on line AB itself, not on line OA
+    # geom.EPS, and it inverts on line AB itself, not on line OA
     given = (f"given A = (-2, {height!r})\ngiven B = (3, {height!r})\n"
              "given O = (0, 0)\ngiven D = (0.6, 0.8)\n")
     result = run_source(given + "let X, Y = linexcircle(A, B, O, D)\n")
@@ -326,7 +326,7 @@ def test_linexcircle_dispatches_on_center():
 @pytest.mark.parametrize("call", ["conj(U)", "add(Z, U)", "mul(U, U)", "add(U, U)",
                                   "neg(Z)", "neg(U)", "half()"])
 def test_field_ops_on_a_coincident_basis_raise(call, gap):
-    # seeds 0 and 1 within eps_degenerate give no frame for field values
+    # seeds 0 and 1 within geom.EPS give no frame for field values
     with pytest.raises(ScriptRuntimeError) as err:
         run_source(f"given Z = (1, 1)\ngiven U = (1, {1 + gap!r})\n"
                    f"let W = {call}\n")
@@ -343,6 +343,22 @@ def test_field_identities_append_no_step(call, same_as):
     assert result.trace.program.ops == before.ops
     nodes = {"Z": 0, **dict(result.named_points)}  # Z is seed node 0
     assert nodes["W"] == nodes[same_as]
+
+
+@pytest.mark.parametrize("call, operands", [("neg(X)", 1), ("conj(X)", 1),
+                                            ("mul(X, U)", 2), ("add(X, U)", 2)])
+def test_field_op_builds_each_witness_once(call, operands, monkeypatch):
+    calls = []
+    witness = Builder.witness
+
+    def counting(self, node):
+        calls.append(node)
+        return witness(self, node)
+
+    monkeypatch.setattr(Builder, "witness", counting)
+    run_source("given Z = (0, 0)\ngiven U = (1, 0)\nlet X = apex(Z, U)\n"
+               f"let W = {call}\n")
+    assert len(calls) == operands
 
 
 def test_field_corpus_off_the_canonical_seeds():

@@ -5,7 +5,7 @@ import pytest
 from compass import field_ops as F
 from compass.constructions import build_extend, midpoint
 from compass.fuzz import SplitMix64, _ValuePool
-from compass.geom import DEFAULT_TOL, Point, Tolerance
+from compass.geom import Point
 from compass.oracle import (
     oracle_complex_add,
     oracle_complex_conj,
@@ -16,9 +16,9 @@ from compass.program import Builder, ancestors, compact, execute, purity_audit
 SQRT15_4 = math.sqrt(15.0) / 4.0
 
 
-def close(p, x, y, tol=1e-9):
-    assert p.x == pytest.approx(x, abs=tol), p
-    assert p.y == pytest.approx(y, abs=tol), p
+def close(p, x, y, within=1e-9):
+    assert p.x == pytest.approx(x, abs=within), p
+    assert p.y == pytest.approx(y, abs=within), p
 
 
 def test_seeds_and_minus_one():
@@ -28,20 +28,20 @@ def test_seeds_and_minus_one():
 
 
 def test_alpha_value():
-    close(F.alpha().value, 0.75, SQRT15_4, tol=1e-12)
+    close(F.alpha().value, 0.75, SQRT15_4, within=1e-12)
 
 
 def test_neg_examples():
     close(F.neg(F.one()).value, -1.0, 0.0)
     close(F.neg(F.zero()).value, 0.0, 0.0)
     a = F.alpha()
-    close(F.neg(a).value, -0.75, -SQRT15_4, tol=1e-7)
+    close(F.neg(a).value, -0.75, -SQRT15_4, within=1e-7)
 
 
 def test_second_neg_executes_nothing(monkeypatch):
-    """-1 is built once per tolerance: only the first neg builds its steps."""
-    tol = Tolerance(eps_abs=3e-9)  # a tolerance no other test builds -1 for
-    a = F.alpha(tol)
+    """-1 is built once: only the first neg builds its steps."""
+    F.minus_one.cache_clear()  # whatever ran before, -1 is not built yet
+    a = F.alpha()
     calls = []
     real = F.cons.build_extend
 
@@ -50,10 +50,10 @@ def test_second_neg_executes_nothing(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(F.cons, "build_extend", counting)
-    first = F.neg(a, tol)
+    first = F.neg(a)
     assert len(calls) == 1
     calls.clear()
-    second = F.neg(a, tol)
+    second = F.neg(a)
     assert calls == []
     assert (second.value.x.hex(), second.value.y.hex()) == (
         first.value.x.hex(), first.value.y.hex())
@@ -73,7 +73,7 @@ def test_mul_examples():
     close(F.mul(two, two).value, 4.0, 0.0)
     a = F.alpha()
     close(F.mul(a, F.one()).value, a.value.x, a.value.y)
-    close(F.mul(a, F.conj(a)).value, 1.5, 0.0, tol=1e-7)
+    close(F.mul(a, F.conj(a)).value, 1.5, 0.0, within=1e-7)
 
 
 def test_mul_zero_basis_short_circuits():
@@ -85,11 +85,11 @@ def test_mul_zero_basis_short_circuits():
 
 def test_conj_examples():
     a = F.alpha()
-    close(F.conj(a).value, 0.75, -SQRT15_4, tol=1e-9)
+    close(F.conj(a).value, 0.75, -SQRT15_4, within=1e-9)
     h = F.demo_half()
-    close(F.conj(h).value, 0.5, 0.0, tol=1e-7)  # real axis is fixed, via tangency
+    close(F.conj(h).value, 0.5, 0.0, within=1e-7)  # real axis is fixed, via tangency
     back = F.conj(F.conj(a))
-    close(back.value, a.value.x, a.value.y, tol=1e-8)
+    close(back.value, a.value.x, a.value.y, within=1e-8)
 
 
 def test_conj_near_seeds_short_circuits():
@@ -101,11 +101,11 @@ def test_conj_near_seeds_short_circuits():
 
 def test_demo_half():
     h = F.demo_half()
-    close(h.value, 0.5, 0.0, tol=1e-7)
+    close(h.value, 0.5, 0.0, within=1e-7)
     # transported to arbitrary seeds it lands on their midpoint
     p, q = Point(1, 1), Point(3, 1)
     trace = execute(h.program, (p, q))
-    close(trace.output_points()[0], 2.0, 1.0, tol=1e-7)
+    close(trace.output_points()[0], 2.0, 1.0, within=1e-7)
     report = purity_audit(trace)
     assert report.circles == trace.circle_count
 
@@ -137,29 +137,29 @@ def _relative_depth_tol(*values):
 
 
 def test_ring_axioms_numerically():
-    pool = _ValuePool(DEFAULT_TOL)
+    pool = _ValuePool()
     rng = SplitMix64(31)
     for _ in range(40):
         a = pool.draw(rng, 3)
         b = pool.draw(rng, 3)
         c = pool.draw(rng, 3)
         comm_add = (F.add(a, b), F.add(b, a))
-        tol = _depth_tol(*comm_add)
+        bound = _depth_tol(*comm_add)
         assert math.hypot(comm_add[0].value.x - comm_add[1].value.x,
-                          comm_add[0].value.y - comm_add[1].value.y) <= tol
+                          comm_add[0].value.y - comm_add[1].value.y) <= bound
         comm_mul = (F.mul(a, b), F.mul(b, a))
-        tol = _depth_tol(*comm_mul)
+        bound = _depth_tol(*comm_mul)
         assert math.hypot(comm_mul[0].value.x - comm_mul[1].value.x,
-                          comm_mul[0].value.y - comm_mul[1].value.y) <= tol
+                          comm_mul[0].value.y - comm_mul[1].value.y) <= bound
         left = F.mul(a, F.add(b, c))
         right = F.add(F.mul(a, b), F.mul(a, c))
-        tol = _depth_tol(left, right)
+        bound = _depth_tol(left, right)
         assert math.hypot(left.value.x - right.value.x,
-                          left.value.y - right.value.y) <= tol
+                          left.value.y - right.value.y) <= bound
 
 
 def test_random_values_match_complex_oracle():
-    pool = _ValuePool(DEFAULT_TOL)
+    pool = _ValuePool()
     rng = SplitMix64(37)
     for _ in range(60):
         a = pool.draw(rng, 2)
@@ -218,7 +218,7 @@ def _gap(u, v):
 
 
 def test_add_agrees_with_the_paper_double_replay():
-    pool = _ValuePool(DEFAULT_TOL)
+    pool = _ValuePool()
     rng = SplitMix64(37)
     for _ in range(60):
         a = pool.draw(rng, 2)
@@ -238,7 +238,7 @@ def test_fibonacci_chain_is_linear_and_exact():
         want_p, want_q = oracle_complex_add(want_p, want_q), want_p
     assert len(p.program.steps) <= 220
     _assert_live_only(p)
-    close(p.value, want_p.x, want_p.y, tol=1e-12)
+    close(p.value, want_p.x, want_p.y, within=1e-12)
 
 
 def test_doubling_chain_is_linear():
@@ -249,11 +249,11 @@ def test_doubling_chain_is_linear():
         v = got
     assert v.trace.circle_count <= 4 * 20 + 30
     scale = 2.0 ** 20
-    close(v.value, 0.75 * scale, SQRT15_4 * scale, tol=1e-12 * scale)
+    close(v.value, 0.75 * scale, SQRT15_4 * scale, within=1e-12 * scale)
 
 
 def test_carried_value_is_the_executed_witness():
-    pool = _ValuePool(DEFAULT_TOL)
+    pool = _ValuePool()
     rng = SplitMix64(37)
     for _ in range(60):
         v = pool.draw(rng, 2)

@@ -10,7 +10,6 @@ from compass.geom import (
     Point,
     ResolvedCircle,
     Tangent,
-    Tolerance,
     TwoPoints,
     circle_circle_intersect,
     circle_from,
@@ -140,7 +139,7 @@ def test_symmetry_and_membership(x1, y1, x2, y2, r1, r2):
         for p in (out_a.left, out_a.right):
             for c in (c1, c2):
                 err = abs(distance(p, c.center) - c.radius)
-                assert err <= 10 * Tolerance().eps_abs
+                assert err <= 1e-8
 
 
 @given(x2=finite_coord, y2=finite_coord,
@@ -167,7 +166,6 @@ def test_mirror_symmetry(x2, y2, r1, r2):
 
 def test_oracle_equivalence_thousand_pairs():
     rng = SplitMix64(20240901)
-    tol = Tolerance()
     checked = 0
     while checked < 1000:
         c1 = ResolvedCircle(Point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
@@ -180,14 +178,14 @@ def test_oracle_equivalence_thousand_pairs():
            abs(d - abs(c1.radius - c2.radius)) < 1e-6 or d < 1e-6:
             continue
         checked += 1
-        ours = circle_circle_intersect(c1, c2, tol)
-        ref = oracle_circle_circle(c1, c2, tol)
+        ours = circle_circle_intersect(c1, c2)
+        ref = oracle_circle_circle(c1, c2)
         if isinstance(ours, TwoPoints):
             got = sorted([(ours.left.x, ours.left.y),
                           (ours.right.x, ours.right.y)])
             want = sorted([(p.x, p.y) for p in ref])
             assert len(want) == 2
             for g, w in zip(got, want):
-                assert math.hypot(g[0] - w[0], g[1] - w[1]) <= tol.eps_abs
+                assert math.hypot(g[0] - w[0], g[1] - w[1]) <= 1e-9
         else:
             assert ref == []

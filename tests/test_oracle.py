@@ -16,8 +16,8 @@ from compass.oracle import (
 )
 
 
-def close_to(p, x, y, tol=1e-12):
-    assert p.x == pytest.approx(x, abs=tol) and p.y == pytest.approx(y, abs=tol)
+def close_to(p, x, y, within=1e-12):
+    assert p.x == pytest.approx(x, abs=within) and p.y == pytest.approx(y, abs=within)
 
 
 def test_line_line():
@@ -51,7 +51,7 @@ def test_line_circle_diameter_self_consistency():
     pts = oracle_line_circle(Point(1, -2), Point(4, 2), circle)
     assert len(pts) == 2
     mid = oracle_midpoint(pts[0], pts[1])
-    close_to(mid, 1.0, -2.0, tol=1e-9)
+    close_to(mid, 1.0, -2.0, within=1e-9)
     assert math.hypot(pts[0].x - pts[1].x, pts[0].y - pts[1].y) == \
         pytest.approx(5.0, abs=1e-9)
 
