@@ -59,20 +59,7 @@ def _write(path: str, content: str) -> int:
     return 0
 
 
-def _emit_all(result: dsl.ScriptResult, args) -> int:
-    renderers = {"points": _points_text, "svg": _svg_text, "trace": _trace_text}
-    if args.points:
-        sys.stdout.write(_points_text(result))
-    if args.svg:
-        if _write(args.svg, _svg_text(result)):
-            return 1
-    if args.trace:
-        if _write(args.trace, _trace_text(result)):
-            return 1
-    for request in result.emits:
-        if _write(request.path, renderers[request.target](result)):
-            return 1
-    return 0
+_RENDERERS = {"points": _points_text, "svg": _svg_text, "trace": _trace_text}
 
 
 def _run_script(source: str, args, always_points: bool = False) -> int:
@@ -84,9 +71,14 @@ def _run_script(source: str, args, always_points: bool = False) -> int:
     except CompassError as err:
         _diag(f"construction failed: {type(err).__name__}: {err}")
         return 2
-    if always_points and not args.points:
-        sys.stdout.write(_points_text(result))
-    return _emit_all(result, args)
+    requests = [("points", "-")] if args.points or always_points else []
+    flags = (("svg", args.svg), ("trace", args.trace))
+    requests += [(target, path) for target, path in flags if path]
+    requests += [(request.target, request.path) for request in result.emits]
+    for target, path in requests:
+        if _write(path, _RENDERERS[target](result)):
+            return 1
+    return 0
 
 
 def cmd_run(args) -> int:

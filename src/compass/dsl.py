@@ -24,11 +24,14 @@ Grammar (EBNF):
 `#` comments run to end of line. The interpreter performs no I/O: emit
 statements come back as requests for the caller to act on.
 
-The field operations (mul, add, neg, conj, half) are constructions like the
-others, grown on the script's one builder (``field_ops.build_*``). They act
+Each operation is one row of ``_OPS``: its parameter kinds and the routine
+that builds it on the script's one builder. The kinds are P a point, C a
+circle, N a positive integer, F a field operand, S an optional last
+selector (left when absent) and B one that, absent from a two-name let,
+binds both points. The field operations (mul, add, neg, conj, half) act
 relative to the first two given points, which play the roles of 0 and 1 and
-must lie apart; their operands must have been constructed from those two
-points alone. ``linexcircle`` takes any line, through the center or not.
+must lie apart; an F operand is a point constructed from those two alone.
+``linexcircle`` takes any line, through the center or not.
 """
 
 from __future__ import annotations
@@ -44,11 +47,6 @@ from .program import Builder, Selector, Trace
 
 KEYWORDS = frozenset({"given", "let", "emit", "svg", "trace", "points",
                       "left", "right"})
-
-OP_NAMES = frozenset({"circle", "intersect", "apex", "extend", "nth",
-                      "midpoint", "diam", "foot", "invert", "linexline",
-                      "linexcircle", "mul", "add", "neg", "conj", "half"})
-
 
 # --- errors -------------------------------------------------------------------
 
@@ -402,36 +400,65 @@ def format_script(statements: list[Statement]) -> str:
 
 # --- interpreter ----------------------------------------------------------------
 
-POINT_KIND = "point"
-CIRCLE_KIND = "circle"
+_PAIR_BASIS = ("field operations need two given points, and operands "
+               "constructed from those two alone")
 
-# op -> (parameter kinds, result shape); "S?" is an optional trailing
-# selector; shapes: "P" one point, "C" one circle, "P2" up to two points.
-_SIGNATURES = {
-    "circle": ("PP", "C"),
-    "intersect": ("CCS?", "P2"),
-    "apex": ("PPS?", "P"),
-    "extend": ("PP", "P"),
-    "nth": ("PPN", "P"),
-    "midpoint": ("PP", "P"),
-    "diam": ("PP", "C"),
-    "foot": ("PPP", "P"),
-    "invert": ("PPP", "P"),
-    "linexline": ("PPPP", "P"),
-    "linexcircle": ("PPPP", "P2"),
-    "mul": ("PP", "P"),
-    "add": ("PP", "P"),
-    "neg": ("P", "P"),
-    "conj": ("P", "P"),
-    "half": ("", "P"),
+
+def _late(module, name: str):
+    """``module.<name>``, looked up at each call, so a wrapper set on the
+    module at run time (perfbench's tracer) sees the script's calls too."""
+    return lambda b, *args: getattr(module, name)(b, *args)
+
+
+def _intersect(b: Builder, c1: int, c2: int, which: Selector | None) -> int | tuple[int, ...]:
+    """The selected pick, or with None (a two-name let) both picks."""
+    return b.both(c1, c2) if which is None else b.pick(c1, c2, which)
+
+
+def _invert(b: Builder, p: int, o: int, d: int) -> int:
+    """invert(P, O, D): P inverted in the circle centered O through D."""
+    return cons.build_invert_general(b, o, d, p)
+
+
+def _mul(b: Builder, a: int, c: int) -> int:
+    return field_ops.build_mul(b, a, b.witness(c))
+
+
+def _add(b: Builder, a: int, c: int) -> int:
+    return field_ops.build_add(b, a, b.witness(a), b.witness(c), field_ops.relative(b, c))
+
+
+def _neg(b: Builder, a: int) -> int:
+    return field_ops.build_neg(b, a, b.witness(a))
+
+
+def _half(b: Builder) -> int:
+    """1/2 (``field_ops.demo_half``) on the first two givens."""
+    return b.inline(field_ops.demo_half().program, (0, 1))[0]
+
+
+# op -> (parameter kinds, routine); the routine takes the builder and the
+# checked arguments and returns a node, or a tuple of nodes (see ``let``).
+_OPS = {
+    "circle": ("PP", Builder.circle),
+    "intersect": ("CCB", _intersect),
+    "apex": ("PPS", _late(cons, "build_apex")),
+    "extend": ("PP", _late(cons, "build_extend")),
+    "nth": ("PPN", _late(cons, "build_nth_point")),
+    "midpoint": ("PP", _late(cons, "build_midpoint")),
+    "diam": ("PP", _late(cons, "build_diameter_circle")),
+    "foot": ("PPP", _late(cons, "build_perp_foot")),
+    "invert": ("PPP", _invert),
+    "linexline": ("PPPP", _late(cons, "build_line_line")),
+    "linexcircle": ("PPPP", _late(cons, "build_line_circle_off_center")),
+    "mul": ("FF", _mul),
+    "add": ("FF", _add),
+    "neg": ("F", _neg),
+    "conj": ("F", _late(field_ops, "build_conj")),
+    "half": ("", _half),
 }
 
-
-@dataclass(frozen=True, slots=True)
-class EmitRequest:
-    target: str
-    path: str
-    line: int
+OP_NAMES = frozenset(_OPS)
 
 
 @dataclass(slots=True)
@@ -442,7 +469,7 @@ class ScriptResult:
     seed_names: tuple[str, ...]
     named_points: tuple[tuple[str, int], ...]  # let-bound points, bind order
     named_circles: tuple[tuple[str, int], ...]
-    emits: tuple[EmitRequest, ...]
+    emits: tuple[Emit, ...]  # the emit statements, for the caller to act on
 
     def point(self, name: str) -> Point:
         for n, node in self.named_points:
@@ -454,168 +481,104 @@ class ScriptResult:
 
 
 class _Interpreter:
+    """Binds each name to its builder node; a node's kind is the builder's
+    (``rs[node]`` is None for a point)."""
+
     def __init__(self, statements: list[Statement]):
         self.statements = statements
         givens = [s for s in statements if isinstance(s, Given)]
         self.builder = Builder([Point(g.x, g.y) for g in givens])
-        self.seed_slot = {id(g): i for i, g in enumerate(givens)}
-        self.env: dict[str, tuple[str, int]] = {}
-        self.point_order: list[tuple[str, int]] = []
-        self.circle_order: list[tuple[str, int]] = []
+        self.env: dict[str, int] = {}
+        self.points: list[tuple[str, int]] = []
+        self.circles: list[tuple[str, int]] = []
         self.seed_names = tuple(g.name for g in givens)
-        self.emits: list[EmitRequest] = []
+        self.emits: list[Emit] = []
 
     def run(self) -> ScriptResult:
+        seeds = iter(range(self.builder.seed_count))
         for stmt in self.statements:
             if isinstance(stmt, Given):
-                # seeds go to the env but not to the constructed-point order
-                if stmt.name in self.env:
-                    raise ScriptNameError(
-                        stmt.line, 1, f"name {stmt.name!r} is already bound")
-                self.env[stmt.name] = (POINT_KIND, self.seed_slot[id(stmt)])
+                # a seed is bound, but not listed among the constructed points
+                self.bind(stmt.name, next(seeds), stmt.line)
             elif isinstance(stmt, Let):
                 self.let(stmt)
             else:
-                self.emits.append(EmitRequest(stmt.target, stmt.path, stmt.line))
-        _, trace = self.builder.finish([node for _, node in self.point_order])
-        return ScriptResult(trace, self.seed_names, tuple(self.point_order),
-                            tuple(self.circle_order), tuple(self.emits))
+                self.emits.append(stmt)
+        _, trace = self.builder.finish([node for _, node in self.points])
+        return ScriptResult(trace, self.seed_names, tuple(self.points),
+                            tuple(self.circles), tuple(self.emits))
 
-    def bind(self, name: str, kind: str, node: int, line: int):
+    def bind(self, name: str, node: int, line: int):
         if name in self.env:
             raise ScriptNameError(line, 1, f"name {name!r} is already bound")
-        self.env[name] = (kind, node)
-        if kind == POINT_KIND:
-            self.point_order.append((name, node))
-        else:
-            self.circle_order.append((name, node))
-
-    def lookup(self, name: str, line: int) -> tuple[str, int]:
-        try:
-            return self.env[name]
-        except KeyError:
-            raise ScriptNameError(line, 1, f"name {name!r} is not bound") from None
+        self.env[name] = node
 
     def let(self, stmt: Let):
-        call, line = stmt.call, stmt.line
-        if call.op not in _SIGNATURES:
+        call, line, names = stmt.call, stmt.line, stmt.names
+        if call.op not in _OPS:
             raise ScriptNameError(line, 1, f"unknown operation {call.op!r}")
-        params, shape = _SIGNATURES[call.op]
-        args = self.check_args(call, params, line)
+        params, routine = _OPS[call.op]
+        args = self.check_args(call, params, len(names), line)
         try:
-            nodes = self.apply(call.op, args, stmt)
+            result = routine(self.builder, *args)
+        except InvalidNodeId:  # half() without two givens
+            raise ScriptTypeError(line, 1, _PAIR_BASIS) from None
         except CompassError as err:
             raise ScriptRuntimeError(
                 line, 1, f"{call.op}: {type(err).__name__}: {err}") from err
-        if shape == "P2":
-            if len(stmt.names) == 2 and len(nodes) == 1:
-                nodes = (nodes[0], nodes[0])  # tangency satisfies both names
-            elif len(stmt.names) == 1 and len(nodes) == 2:
-                nodes = nodes[:1]
-        if len(stmt.names) != len(nodes):
+        if type(result) is int:
+            nodes = (result,)
+        elif len(result) < len(names):
+            nodes = result * 2  # tangency satisfies both names
+        else:
+            nodes = result[:len(names)]
+        if len(names) != len(nodes):
             raise ScriptArityError(
-                line, 1,
-                f"{call.op} binds {len(nodes)} name(s), got {len(stmt.names)}")
-        kind = CIRCLE_KIND if shape == "C" else POINT_KIND
-        for name, node in zip(stmt.names, nodes):
-            self.bind(name, kind, node, line)
+                line, 1, f"{call.op} binds {len(nodes)} name(s), got {len(names)}")
+        for name, node in zip(names, nodes):
+            self.bind(name, node, line)
+            (self.points if self.builder.rs[node] is None else self.circles).append((name, node))
 
-    def check_args(self, call: CallExpr, params: str, line: int) -> list:
-        kinds: list[str] = []
-        k = 0
-        while k < len(params):
-            if k + 1 < len(params) and params[k + 1] == "?":
-                kinds.append(params[k] + "?")
-                k += 2
-            else:
-                kinds.append(params[k])
-                k += 1
-        required = sum(1 for kk in kinds if not kk.endswith("?"))
-        if not required <= len(call.args) <= len(kinds):
-            wanted = (str(required) if required == len(kinds)
-                      else f"{required} to {len(kinds)}")
+    def check_args(self, call: CallExpr, params: str, names: int, line: int) -> list:
+        """The arguments as the routine takes them, checked against the
+        parameter kinds (see the module docstring); an absent B is None."""
+        optional = params.endswith(("S", "B"))
+        required = len(params) - optional
+        if not required <= len(call.args) <= len(params):
+            wanted = f"{required} to {len(params)}" if optional else str(required)
             raise ScriptArityError(
-                line, 1,
-                f"{call.op} takes {wanted} argument(s), got {len(call.args)}")
+                line, 1, f"{call.op} takes {wanted} argument(s), got {len(call.args)}")
         out = []
-        for arg, kind in zip(call.args, kinds):
-            want = kind[0]
-            if want in ("P", "C"):
+        for arg, kind in zip(call.args, params):
+            if kind in "PCF":
                 if not isinstance(arg, NameArg):
+                    raise ScriptTypeError(line, 1, f"{call.op} expects a bound name here")
+                if arg.name not in self.env:
+                    raise ScriptNameError(line, 1, f"name {arg.name!r} is not bound")
+                node = self.env[arg.name]
+                want = "circle" if kind == "C" else "point"
+                got = "point" if self.builder.rs[node] is None else "circle"
+                if got != want:
                     raise ScriptTypeError(
-                        line, 1, f"{call.op} expects a bound name here")
-                bound_kind, node = self.lookup(arg.name, line)
-                want_kind = POINT_KIND if want == "P" else CIRCLE_KIND
-                if bound_kind != want_kind:
-                    raise ScriptTypeError(
-                        line, 1, f"{call.op} expects a {want_kind}, but "
-                        f"{arg.name!r} is a {bound_kind}")
+                        line, 1, f"{call.op} expects a {want}, but {arg.name!r} is a {got}")
                 out.append(node)
-            elif want == "N":
+            elif kind == "N":
                 if not isinstance(arg, NumberArg):
                     raise ScriptTypeError(line, 1, f"{call.op} expects a number")
-                out.append(arg.value)
+                if arg.value != int(arg.value) or arg.value < 1:
+                    raise ScriptTypeError(
+                        line, 1, f"{call.op} needs a positive integer ratio")
+                out.append(int(arg.value))
             else:
                 if not isinstance(arg, SelectorArg):
-                    raise ScriptTypeError(
-                        line, 1, f"{call.op} expects 'left' or 'right'")
+                    raise ScriptTypeError(line, 1, f"{call.op} expects 'left' or 'right'")
                 out.append(arg.which)
+        if len(out) < len(params):
+            out.append(None if params[-1] == "B" and names == 2 else Selector.LEFT)
+        if any(kind == "F" and not self.builder.pair_based(node)
+               for node, kind in zip(out, params)):
+            raise ScriptTypeError(line, 1, _PAIR_BASIS)
         return out
-
-    def apply(self, op: str, args: list, stmt: Let) -> tuple[int, ...]:
-        b = self.builder
-        line = stmt.line
-        if op == "circle":
-            return (b.circle(args[0], args[1]),)
-        if op == "intersect":
-            if len(args) == 3:
-                return (b.pick(args[0], args[1], args[2]),)
-            if len(stmt.names) == 2:
-                return b.both(args[0], args[1])
-            return (b.pick(args[0], args[1], Selector.LEFT),)
-        if op == "apex":
-            side = args[2] if len(args) == 3 else Selector.LEFT
-            return (cons.build_apex(b, args[0], args[1], side),)
-        if op == "extend":
-            return (cons.build_extend(b, args[0], args[1]),)
-        if op == "nth":
-            n = args[2]
-            if n != int(n) or int(n) < 1:
-                raise ScriptTypeError(line, 1, "nth needs a positive integer ratio")
-            return (cons.build_nth_point(b, args[0], args[1], int(n)),)
-        if op == "midpoint":
-            return (cons.build_midpoint(b, args[0], args[1]),)
-        if op == "diam":
-            return (cons.build_diameter_circle(b, args[0], args[1]),)
-        if op == "foot":
-            return (cons.build_perp_foot(b, args[0], args[1], args[2]),)
-        if op == "invert":
-            # invert(P, O, D): the circle as center + through point
-            return (cons.build_invert_general(b, args[1], args[2], args[0]),)
-        if op == "linexline":
-            return (cons.build_line_line(b, args[0], args[1], args[2], args[3]),)
-        if op == "linexcircle":
-            return cons.build_line_circle_off_center(b, *args)
-        return (self.field_op(op, args, line),)
-
-    def field_op(self, op: str, args: list, line: int) -> int:
-        b = self.builder
-        try:
-            witnesses = [b.witness(node) for node in args]
-            if op == "half":
-                return b.inline(field_ops.demo_half().program, (0, 1))[0]
-        except InvalidNodeId:
-            raise ScriptTypeError(
-                line, 1, "field operations need two given points, and operands "
-                "constructed from those two alone") from None
-        if op == "neg":
-            return field_ops.build_neg(b, args[0], witnesses[0])
-        if op == "conj":
-            return field_ops.build_conj(b, args[0])
-        if op == "mul":
-            return field_ops.build_mul(b, args[0], witnesses[1])
-        return field_ops.build_add(b, args[0], *witnesses,
-                                   field_ops.relative(b, args[1]))
 
 
 def interpret(statements: list[Statement]) -> ScriptResult:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import constructions as cons
 from . import field_ops
@@ -56,10 +56,6 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi]; modulo bias is irrelevant here."""
         return lo + self.next64() % (hi - lo + 1)
-
-
-OPS = ("apex", "extend", "nth", "midpoint", "foot", "invert", "line-line",
-       "line-circle", "line-circle-diameter", "mul", "add", "conj")
 
 
 def rng_for(seed: int, op: str) -> SplitMix64:
@@ -389,7 +385,11 @@ _RUNNERS = {
     "line-line": _run_line_line,
     "line-circle": _run_line_circle,
     "line-circle-diameter": _run_line_circle_diameter,
+    "mul": partial(_run_field, op="mul"),
+    "add": partial(_run_field, op="add"),
+    "conj": partial(_run_field, op="conj"),
 }
+OPS = tuple(_RUNNERS)  # in this order: rng_for streams and the golden pins depend on it
 
 
 def run_op(name: str, cases: int, seed: int) -> OpReport:
@@ -397,10 +397,7 @@ def run_op(name: str, cases: int, seed: int) -> OpReport:
         raise ValueError(f"unknown construction {name!r}")
     run = _Run(name, cases)
     rng = rng_for(seed, name)
-    if name in ("mul", "add", "conj"):
-        _run_field(run, rng, name)
-    else:
-        _RUNNERS[name](run, rng)
+    _RUNNERS[name](run, rng)
     return run.report()
 
 

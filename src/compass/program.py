@@ -672,13 +672,19 @@ class Builder:
             del column[n:]
         self.table = {k: v for k, v in self.table.items() if v < n}
 
+    def pair_based(self, node: int) -> bool:
+        """Whether point ``node`` depends on no seed but 0 and 1, as the
+        operands of the ring operations must."""
+        keep = _live(self, [node])
+        return self.seed_count >= 2 and not any(keep[2:self.seed_count])
+
     def witness(self, node: int) -> Program:
         """The steps point ``node`` depends on, as a program over seeds 0
         and 1 with ``node`` its output: the witness that the ring operations
-        replay. Raises InvalidNodeId if it depends on any other seed."""
-        keep = _live(self, [node])
-        if self.seed_count < 2 or any(keep[2:self.seed_count]):
+        replay. Raises InvalidNodeId unless ``pair_based``."""
+        if not self.pair_based(node):
             raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
+        keep = _live(self, [node])
         keep[0] = keep[1] = True
         witness = _restrict(self, keep, 2, (node,))[0]
         witness._check_outputs()

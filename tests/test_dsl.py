@@ -237,6 +237,10 @@ def test_arity_mismatch():
     with pytest.raises(ScriptArityError):
         run_source("given A = (0, 0)\ngiven B = (1, 0)\n"
                    "let M, N = midpoint(A, B)\n")
+    with pytest.raises(ScriptArityError) as err:  # the left apex, one point
+        run_source("given A = (0, 0)\ngiven B = (1, 0)\n"
+                   "let M, N = apex(A, B)\n")
+    assert err.value.message == "apex binds 1 name(s), got 2"
 
 
 def test_type_mismatch_point_vs_circle():
@@ -267,6 +271,63 @@ def test_intersect_selector_defaults():
     explicit = run_source(src + "let X = intersect(c1, c2, left)\n")
     assert left_only.point("X") == explicit.point("X")
     assert left_only.point("X").y > 0
+
+
+def test_a_selector_pick_binds_one_name():
+    # the unit-apex circles cross twice: a selected pick is one point, so a
+    # second name is an arity error, as for midpoint
+    src = ("given A = (-1, 0)\ngiven B = (1, 0)\n"
+           "let c1 = circle(A, B)\nlet c2 = circle(B, A)\n")
+    with pytest.raises(ScriptArityError) as err:
+        run_source(src + "let X, Y = intersect(c1, c2, right)\n")
+    assert err.value.line == 5
+    assert err.value.message == "intersect binds 1 name(s), got 2"
+    both = run_source(src + "let X, Y = intersect(c1, c2)\n")
+    assert both.point("X") != both.point("Y")
+
+
+# a valid call of every op over these names; W is built with the third given
+TABLE_SCRIPT = ("given Z = (0, 0)\ngiven U = (1, 0)\ngiven V = (0.25, 1.5)\n"
+                "given T = (1.5, 2)\nlet c = circle(Z, U)\nlet k = circle(U, Z)\n"
+                "let W = extend(V, U)\n")
+TABLE_CALLS = {
+    "circle": ["Z", "U"], "intersect": ["c", "k", "left"], "apex": ["Z", "U", "right"],
+    "extend": ["Z", "U"], "nth": ["Z", "U", "3"], "midpoint": ["Z", "U"],
+    "diam": ["Z", "U"], "foot": ["Z", "U", "V"], "invert": ["V", "Z", "U"],
+    "linexline": ["Z", "U", "V", "T"], "linexcircle": ["Z", "V", "Z", "U"],
+    "mul": ["U", "U"], "add": ["U", "Z"], "neg": ["U"], "conj": ["U"], "half": [],
+}
+FIELD_OPS = ("mul", "add", "neg", "conj")
+
+
+def _table_call(op, args):
+    return TABLE_SCRIPT + f"let X = {op}({', '.join(args)})\n"
+
+
+@pytest.mark.parametrize("op", sorted(dsl.OP_NAMES))
+def test_every_op_checks_its_arguments(op):
+    assert set(TABLE_CALLS) == dsl.OP_NAMES
+    args = TABLE_CALLS[op]
+    run_source(_table_call(op, args))
+    with pytest.raises(ScriptArityError) as err:
+        run_source(_table_call(op, args + ["Z"]))
+    assert err.value.line == 8
+    assert err.value.message.startswith(f"{op} takes ")
+    assert err.value.message.endswith(f" argument(s), got {len(args) + 1}")
+    # a circle where a point is wanted, or for intersect a point for a circle
+    if args:
+        wrong = ["Z" if args[0] == "c" else "c"] + args[1:]
+        with pytest.raises(ScriptTypeError) as err:
+            run_source(_table_call(op, wrong))
+        assert err.value.line == 8 and "expects a" in err.value.message
+    # every field operand must be built from the first two givens alone
+    if op in FIELD_OPS:
+        for at in range(len(args)):
+            third = args[:at] + ["W"] + args[at + 1:]
+            with pytest.raises(ScriptTypeError) as err:
+                run_source(_table_call(op, third))
+            assert err.value.line == 8
+            assert err.value.message.startswith("field operations need two given points")
 
 
 def test_field_op_needs_pair_basis():
@@ -310,6 +371,14 @@ def test_linexcircle_with_the_center_near_the_line(height):
     assert result.trace.program.steps != through_o.trace.program.steps
 
 
+def test_linexcircle_tangency_binds_both_names_to_the_touch_point():
+    result = run_source("given A = (-2, 1)\ngiven B = (2, 1)\ngiven O = (0, 0)\n"
+                        "given D = (1, 0)\nlet X, Y = linexcircle(A, B, O, D)\n")
+    assert result.named_points[0][1] == result.named_points[1][1]
+    x = result.point("X")
+    assert math.hypot(x.x, x.y - 1.0) <= 1e-6
+
+
 def test_linexcircle_dispatches_on_center():
     # same op name covers both cases; the center-on-line variant kicks in
     result = run_source(
@@ -345,9 +414,11 @@ def test_field_identities_append_no_step(call, same_as):
     assert nodes["W"] == nodes[same_as]
 
 
-@pytest.mark.parametrize("call, operands", [("neg(X)", 1), ("conj(X)", 1),
-                                            ("mul(X, U)", 2), ("add(X, U)", 2)])
-def test_field_op_builds_each_witness_once(call, operands, monkeypatch):
+@pytest.mark.parametrize("call, replayed", [("neg(X)", 1), ("conj(X)", 0),
+                                            ("mul(X, U)", 1), ("add(X, U)", 2)])
+def test_field_op_builds_each_witness_once(call, replayed, monkeypatch):
+    # a ring operation builds only the witnesses it replays: conj none, mul
+    # its right factor's
     calls = []
     witness = Builder.witness
 
@@ -358,7 +429,7 @@ def test_field_op_builds_each_witness_once(call, operands, monkeypatch):
     monkeypatch.setattr(Builder, "witness", counting)
     run_source("given Z = (0, 0)\ngiven U = (1, 0)\nlet X = apex(Z, U)\n"
                f"let W = {call}\n")
-    assert len(calls) == operands
+    assert len(calls) == replayed
 
 
 def test_field_corpus_off_the_canonical_seeds():
