@@ -137,7 +137,7 @@ def build_reflect(b: Builder, a: int, bn: int, c: int) -> int:
     pick: that raises ``OnMirrorLine`` and appends nothing.
     """
     mark = b.mark()
-    image = b.pick_other(b.circle(a, c), b.circle(bn, c), avoid=c, strict=True)
+    image = b.pick_other(b.circle(a, c), b.circle(bn, c), avoid=c)
     if image is None:
         b.rollback(mark)
         raise OnMirrorLine(f"{b.point(c)} lies on the mirror line")
@@ -156,7 +156,7 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
     if distance(pc, pa) <= EPS or distance(pc, pb) <= EPS:
         raise DegenerateCircle("foot construction needs c distinct from a and b")
     around_a, around_b = b.circle(a, c), b.circle(bn, c)
-    mirror = b.pick_other(around_a, around_b, avoid=c, strict=True)
+    mirror = b.pick_other(around_a, around_b, avoid=c)
     if mirror is None:
         return b.pick(around_a, around_b, Selector.LEFT)
     return build_midpoint(b, c, mirror)
@@ -181,7 +181,7 @@ def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
         raise NotExterior(f"{pp} is not strictly outside radius {r}")
     omega = b.circle(o, d)
     m, n = b.both(b.circle(p, o), omega)
-    image = b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o, strict=True)
+    image = b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o)
     if image is None:
         raise ScaleOverflow(f"{pp} is too far outside radius {r} to invert")
     return image
@@ -274,6 +274,8 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
                     b, pole, a, build_reflect(b, e, f, pole)), pole)
                     for e, f in ((a, bn), (c, d))]
                 k = b.pick_other(*images, avoid=pole)
+                if k is None:
+                    raise DegenerateCircle("the inverted lines only touch at the pole")
                 return build_invert_general(b, pole, a, k)
             except CompassError as err:
                 last_error = err

@@ -411,8 +411,8 @@ def _late(module, name: str):
 
 
 def _intersect(b: Builder, c1: int, c2: int, which: Selector | None) -> int | tuple[int, ...]:
-    """The selected pick, or with None (a two-name let) both picks."""
-    return b.both(c1, c2) if which is None else b.pick(c1, c2, which)
+    """The selected pick, or with None the points where the circles meet."""
+    return b.meet(c1, c2) if which is None else b.pick(c1, c2, which)
 
 
 def _invert(b: Builder, p: int, o: int, d: int) -> int:

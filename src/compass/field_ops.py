@@ -13,15 +13,15 @@ the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
 
 ``ConstructibleValue`` and its functions are the API edge: a value is its
 witness resolved on the canonical seeds; an operation resumes a ``Builder``
-from its left operand, calls the ``build_*`` routine and keeps the result's
-ancestors (``compact``). Sharing the steps already there, witnesses grow
-linearly along chains of additions, not exponentially.
+on its left operand's rows, calls the ``build_*`` routine and keeps the
+result's ancestors (``compact``). Sharing the steps already there,
+witnesses grow linearly along chains of additions, not exponentially.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import constructions as cons
@@ -115,7 +115,9 @@ def build_conj(b: Builder, a: int) -> int:
     v = relative(b, a)
     if _size(v) <= EPS or _size(v - 1.0) <= EPS:
         return a
-    return b.pick_other(b.circle(0, a), b.circle(1, a), avoid=a)
+    around_0, around_1 = b.circle(0, a), b.circle(1, a)
+    image = b.pick_other(around_0, around_1, avoid=a)
+    return b.pick(around_0, around_1, Selector.LEFT) if image is None else image
 
 
 # --- values: the API edge ----------------------------------------------------
@@ -124,12 +126,10 @@ def build_conj(b: Builder, a: int) -> int:
 class ConstructibleValue:
     """A constructible point carried with its two-seed witness ``trace``,
     resolved on the canonical seeds 0 and 1 as the builder that grew it
-    resolved it, and that trace's hash-cons ``table``, for
-    ``Builder.resume``. Witnesses made by the ring operations hold only
-    seeds and ancestors of the output."""
+    resolved it; ``Builder.resume`` grows it further. Witnesses made by the
+    ring operations hold only seeds and ancestors of the output."""
 
     trace: Trace
-    table: dict = field(compare=False, repr=False)
 
     @property
     def program(self) -> Program:
@@ -145,7 +145,7 @@ class ConstructibleValue:
 
 
 def _finish(builder: Builder, out: int) -> ConstructibleValue:
-    return ConstructibleValue(*compact(builder.finish([out])[1], builder.table))
+    return ConstructibleValue(compact(builder.finish([out])[1]))
 
 
 def value_from_program(program: Program) -> ConstructibleValue:
@@ -153,7 +153,7 @@ def value_from_program(program: Program) -> ConstructibleValue:
     keeping its live steps only; the only place values are executed."""
     if program.seed_count != 2 or len(program.outputs) != 1:
         raise MalformedProgram("a constructible value needs 2 seeds and 1 output")
-    return ConstructibleValue(*compact(execute(program, CANONICAL_SEEDS)))
+    return ConstructibleValue(compact(execute(program, CANONICAL_SEEDS)))
 
 
 def zero() -> ConstructibleValue:
@@ -166,8 +166,8 @@ def one() -> ConstructibleValue:
 
 @lru_cache(maxsize=None)
 def minus_one() -> ConstructibleValue:
-    """-1, by reflecting seed 1 through seed 0. Built once and shared, so
-    its table is only ever copied (``Builder.resume`` does)."""
+    """-1, by reflecting seed 1 through seed 0. Built once and shared;
+    values are immutable, and ``Builder.resume`` copies the trace's columns."""
     b = Builder(CANONICAL_SEEDS)
     return _finish(b, cons.build_extend(b, 1, 0))
 
@@ -183,7 +183,7 @@ def alpha() -> ConstructibleValue:
 
 def mul(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a * b (``build_mul``)."""
-    builder = Builder.resume(a.trace, a.table)
+    builder = Builder.resume(a.trace)
     return _finish(builder, build_mul(builder, a.primary_output, b.program))
 
 
@@ -194,14 +194,14 @@ def neg(a: ConstructibleValue) -> ConstructibleValue:
 
 def add(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a + b (``build_add``): b's witness joins a's builder only if replayed."""
-    builder, vb = Builder.resume(a.trace, a.table), b.value
+    builder, vb = Builder.resume(a.trace), b.value
     return _finish(builder, build_add(builder, a.primary_output, a.program,
                                       b.program, complex(vb.x, vb.y)))
 
 
 def conj(a: ConstructibleValue) -> ConstructibleValue:
     """The complex conjugate (``build_conj``)."""
-    builder = Builder.resume(a.trace, a.table)
+    builder = Builder.resume(a.trace)
     out = build_conj(builder, a.primary_output)
     return a if out == a.primary_output else _finish(builder, out)
 

@@ -14,17 +14,19 @@ Orientation is preserved by every orientation-preserving similarity, which
 is exactly what makes rewired programs land on the similarity image of
 their original outputs.
 
-Storage is columnar, with one constructor per type. A ``Program`` is three
-int columns, each step's op (``OP_SEED``, ``OP_CIRCLE``, ``OP_LEFT`` or
-``OP_RIGHT``: the selector is part of the op) and its two operands, plus
-the outputs. A ``Trace`` is its program plus float columns x, y and radius
-(``None`` for a point); its seed values and circle count are derived.
+Storage is columnar, with one constructor per type. A step is its row
+``(op, first, second)``: the op is ``OP_SEED`` (first is the slot),
+``OP_CIRCLE`` (center, through) or ``OP_LEFT``/``OP_RIGHT`` (the two
+circles: the selector is part of the op). A ``Program`` is those three int
+columns plus the outputs, and ``Program.steps`` is a view of its rows. A
+``Trace`` is its program plus float columns x, y and radius (``None`` for
+a point); its seed values and circle count are derived.
 ``Program.check`` is the one rulebook of what a program is, and
 ``Trace.check`` adds that each value is of its step's kind; every consumer
 runs them, and a program is checked once. ``Builder._resolve``, the only
-step loop, reads and appends numbers only. Value objects (``Seed``,
-``CircleStep``, ``PickStep``, ``Point``, ``ResolvedCircle``) exist only at
-the API edge: ``Program.steps`` and ``Trace.resolved`` are views.
+step loop, reads and appends numbers only. Value objects (``Point``,
+``ResolvedCircle``) exist only at the API edge: ``Trace.resolved`` is a
+view.
 """
 
 from __future__ import annotations
@@ -70,27 +72,6 @@ OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT = range(4)
 SELECTOR_OF_OP = {OP_LEFT: Selector.LEFT, OP_RIGHT: Selector.RIGHT}
 
 
-@dataclass(frozen=True, slots=True)
-class Seed:
-    slot: int
-
-
-@dataclass(frozen=True, slots=True)
-class CircleStep:
-    center: int
-    through: int
-
-
-@dataclass(frozen=True, slots=True)
-class PickStep:
-    c1: int
-    c2: int
-    which: Selector
-
-
-Step = Seed | CircleStep | PickStep
-
-
 class _View(Sequence):
     """A read-only sequence over columns: ``len`` is O(1), an index builds
     one object, a slice gives a tuple. Equal to a tuple or a view with the
@@ -113,7 +94,7 @@ class _View(Sequence):
 
 
 class Steps(_View):
-    """The steps of a program, as step objects."""
+    """The steps of a program, as ``(op, first, second)`` rows."""
 
     __slots__ = ("_program",)
 
@@ -123,14 +104,9 @@ class Steps(_View):
     def __len__(self) -> int:
         return len(self._program.ops)
 
-    def _at(self, i: int) -> Step:
+    def _at(self, i: int) -> tuple[int, int, int]:
         p = self._program
-        op = p.ops[i]
-        if op == OP_CIRCLE:
-            return CircleStep(p.first[i], p.second[i])
-        if op == OP_SEED:
-            return Seed(p.first[i])
-        return PickStep(p.first[i], p.second[i], SELECTOR_OF_OP[op])
+        return p.ops[i], p.first[i], p.second[i]
 
 
 class Resolved(_View):
@@ -337,68 +313,64 @@ def empty_program(seed_count: int, outputs: Sequence[int] = ()) -> Program:
                    (-1,) * seed_count, tuple(outputs))
 
 
-def compact(trace: Trace, table: dict | None = None) -> tuple[Trace, dict]:
+def compact(trace: Trace) -> Trace:
     """Drop every step that is neither a seed nor an ancestor of an output.
 
     Kept steps stay in their order and resolve from the same operands, so
     their resolved values carry over as they are and nothing is executed
-    again. Also returns the hash-cons table of the kept steps: ``table``,
-    that of ``trace``, if given and nothing is dropped, else a new one.
+    again; a trace with nothing to drop is returned as it is.
     """
     program = trace.program
     keep = _live(program, [*range(program.seed_count), *program.outputs])
-    if table is not None and all(keep):
-        return trace, table
-    compacted, kept, table = _restrict(program, keep, program.seed_count,
-                                       program.outputs)
+    if len(keep) == len(program.ops) and all(keep):
+        return trace
+    compacted, kept = _restrict(program, keep, program.seed_count, program.outputs)
     if program._checked:
         compacted._check_outputs()
     old = trace.resolved
     resolved = Resolved(*(tuple([column[i] for i in kept])
                           for column in (old.xs, old.ys, old.rs)))
-    return Trace(compacted, resolved), table
+    return Trace(compacted, resolved)
 
 
 def _live(program: Program | Builder, roots: Sequence[int]) -> list[bool]:
     """Which steps of a program or builder the ``roots`` depend on, the roots
-    included, as one flag per step. Every step refers only to earlier ones,
-    so one sweep down from the last root marks them all."""
+    included, as one flag per step up to the last root. Every step refers
+    only to earlier ones, so one sweep down from there marks them all."""
     ops, first, second = program.ops, program.first, program.second
-    keep = [False] * len(ops)
+    keep = [False] * min(max(roots, default=-1) + 1, len(ops))
     for node in roots:
         if not 0 <= node < len(ops):
             raise InvalidNodeId(f"node {node} outside program")
         keep[node] = True
-    for i in range(max(roots, default=-1), -1, -1):
+    for i in range(len(keep) - 1, -1, -1):
         if keep[i] and ops[i] != OP_SEED:
             keep[first[i]] = keep[second[i]] = True
     return keep
 
 
 def _restrict(program: Program | Builder, keep: Sequence[bool], seed_count: int,
-              outputs: Sequence[int]) -> tuple[Program, list[int], dict[tuple, int]]:
+              outputs: Sequence[int]) -> tuple[Program, list[int]]:
     """The steps of a program or builder marked in ``keep``, in order and
     renumbered, as a program over the first ``seed_count`` seeds; also the
-    old index of each kept step, and the new program's hash-cons table (see
-    ``Builder``). Every reference of a kept step must itself be kept."""
-    remap = [-1] * len(program.ops)
+    old index of each kept step. Steps past the end of ``keep`` are not
+    read, and every reference of a kept step must itself be kept."""
+    remap = [-1] * len(keep)
     kept: list[int] = []
     ops, first, second = [], [], []
-    table: dict[tuple, int] = {}
-    for i, (op, u, v) in enumerate(zip(program.ops, program.first, program.second)):
-        if not keep[i]:
+    for i, (live, op, u, v) in enumerate(zip(keep, program.ops, program.first, program.second)):
+        if not live:
             continue
-        at = remap[i] = len(kept)
+        remap[i] = len(kept)
         if op != OP_SEED:
             u, v = remap[u], remap[v]
-            table.setdefault((u, v) if op == OP_CIRCLE else (u, v, op), at)
         kept.append(i)
         ops.append(op)
         first.append(u)
         second.append(v)
     restricted = Program(seed_count, tuple(ops), tuple(first), tuple(second),
                          tuple(remap[o] for o in outputs))
-    return restricted, kept, table
+    return restricted, kept
 
 
 def ancestors(program: Program, node: int) -> set[int]:
@@ -460,11 +432,11 @@ class Builder:
     outside the builder raise ``InvalidNodeId``; a failing call appends
     nothing, and a failing ``inline`` keeps the steps it completed.
 
-    Steps are hash-consed in ``table``: a circle keyed on its (center,
-    through) nodes, or a pick on its (circle, circle, op), is the existing
-    node, looked up before anything is resolved. ``Builder.resume`` takes
-    over a finished trace and its table, so growing a program never
-    resolves or walks its steps again.
+    Steps are hash-consed in ``table``, keyed on their ``(op, first,
+    second)`` rows: a step whose row is there is the existing node, looked
+    up before anything is resolved. ``Builder.resume`` takes over a
+    finished trace and rebuilds the table from its rows, so growing a
+    program never resolves its steps again.
     """
 
     def __init__(self, seeds: Sequence[Point]):
@@ -479,14 +451,17 @@ class Builder:
         self.table: dict[tuple, int] = {}
 
     @classmethod
-    def resume(cls, trace: Trace, table: dict[tuple, int]) -> "Builder":
-        """A builder holding ``trace`` and a copy of its hash-cons ``table``."""
-        trace.program.check()
-        builder = cls(trace.seed_values)
+    def resume(cls, trace: Trace) -> "Builder":
+        """A builder holding ``trace``, its hash-cons table rebuilt from the
+        rows last to first, so that of two equal rows the first keeps the key."""
         p, r = trace.program, trace.resolved
+        p.check()
+        builder = cls.__new__(cls)  # every attribute is set here
+        builder.seed_count = p.seed_count
         builder.ops, builder.first, builder.second = list(p.ops), list(p.first), list(p.second)
         builder.xs, builder.ys, builder.rs = list(r.xs), list(r.ys), list(r.rs)
-        builder.table = dict(table)
+        rows = zip(reversed(p.ops), reversed(p.first), reversed(p.second))
+        builder.table = dict(zip(rows, range(len(p.ops) - 1, p.seed_count - 1, -1)))
         return builder
 
     def __len__(self) -> int:
@@ -510,7 +485,7 @@ class Builder:
     def _keep(self, op: int, u: int, v: int, x: float, y: float,
               r: float | None = None) -> int:
         """The node hash-consed as step (op, u, v), appending it if new."""
-        key = (u, v) if op == OP_CIRCLE else (u, v, op)
+        key = op, u, v
         node = self.table.get(key)
         if node is None:
             node = self.table[key] = len(self.ops)
@@ -520,7 +495,7 @@ class Builder:
         return node
 
     def circle(self, center: int, through: int) -> int:
-        hit = self.table.get((center, through))
+        hit = self.table.get((OP_CIRCLE, center, through))
         if hit is not None:
             return hit
         self._node(center, False)
@@ -551,7 +526,7 @@ class Builder:
         op = OP_LEFT if which is _LEFT else OP_RIGHT if which is _RIGHT else None
         if op is None:
             raise MalformedProgram(f"bad selector {which!r}")
-        hit = self.table.get((c1, c2, op))
+        hit = self.table.get((op, c1, c2))
         if hit is not None:
             return hit
         got = self._cut(c1, c2)
@@ -560,8 +535,8 @@ class Builder:
     def _points(self, c1: int, c2: int) -> tuple[float, float, float, float]:
         """Left and right points of two circle nodes (a tangency's one point
         twice): stored, when both picks are in the table, else cut."""
-        left = self.table.get((c1, c2, OP_LEFT))
-        right = self.table.get((c1, c2, OP_RIGHT))
+        left = self.table.get((OP_LEFT, c1, c2))
+        right = self.table.get((OP_RIGHT, c1, c2))
         if left is None or right is None:
             got = self._cut(c1, c2)
             return (*got[:2], *got[-2:])
@@ -581,13 +556,11 @@ class Builder:
             return (left,)
         return left, self._keep(OP_RIGHT, c1, c2, *got[2:])
 
-    def pick_other(self, c1: int, c2: int, avoid: int, *,
-                   strict: bool = False) -> int | None:
+    def pick_other(self, c1: int, c2: int, avoid: int) -> int | None:
         """The intersection point that is not the point at node ``avoid``;
-        on tangency the one point, per the both-selectors rule, or, with
-        ``strict``, None and no pick."""
+        where the circles only touch, None, and nothing is picked."""
         lx, ly, rx, ry = self._points(c1, c2)
-        if strict and lx == rx and ly == ry:
+        if lx == rx and ly == ry:
             return None
         self._node(avoid, False)
         ax, ay = self.xs[avoid], self.ys[avoid]
@@ -612,7 +585,7 @@ class Builder:
         ``node`` holds the builder nodes of ``program``'s seeds and grows to
         map every program step to its node. Each non-seed step is rewired
         through it, resolved and appended; with a hash-cons ``table``, a
-        step whose rewired key is in it is that node instead. The structure
+        step whose rewired row is in it is that node instead. The structure
         was checked once (``Program.check``); errors name their step.
         """
         program.check()
@@ -625,7 +598,7 @@ class Builder:
         for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
             nu, nv = node[u], node[v]
             if table is not None:
-                key = (nu, nv) if op == OP_CIRCLE else (nu, nv, op)
+                key = op, nu, nv
                 hit = table.get(key)
                 if hit is not None:
                     mapped(hit)
@@ -682,10 +655,10 @@ class Builder:
         """The steps point ``node`` depends on, as a program over seeds 0
         and 1 with ``node`` its output: the witness that the ring operations
         replay. Raises InvalidNodeId unless ``pair_based``."""
-        if not self.pair_based(node):
-            raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
         keep = _live(self, [node])
-        keep[0] = keep[1] = True
+        if self.seed_count < 2 or any(keep[2:self.seed_count]):
+            raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
+        keep[:2] = True, True  # seeds 0 and 1, also where node is seed 0
         witness = _restrict(self, keep, 2, (node,))[0]
         witness._check_outputs()
         return witness

@@ -86,6 +86,7 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
                     f'{arcs}" fill="{color}"><title>{title}</title></path>\n')
         label = names.get(i)
         if label:
+            label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             dots.append(f'  <text x="{_n(x + 1.6 * dot_r)}" y="{_n(y - 1.6 * dot_r)}" '
                         f'font-size="{font}" fill="{color}">{label}</text>\n')
 

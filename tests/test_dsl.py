@@ -379,6 +379,17 @@ def test_linexcircle_tangency_binds_both_names_to_the_touch_point():
     assert math.hypot(x.x, x.y - 1.0) <= 1e-6
 
 
+def test_intersect_tangency_binds_both_names_to_one_pick():
+    # the circles centered (0, 0) and (4, 0) through (2, 0) touch there:
+    # one pick, bound to both names, as linexcircle binds its touch point
+    result = run_source("given O = (0, 0)\ngiven P = (4, 0)\ngiven T = (2, 0)\n"
+                        "let c1 = circle(O, T)\nlet c2 = circle(P, T)\n"
+                        "let X, Y = intersect(c1, c2)\n")
+    assert result.named_points[0][1] == result.named_points[1][1]
+    assert result.trace.program.pick_count() == 1
+    assert result.point("X") == Point(2.0, 0.0)
+
+
 def test_linexcircle_dispatches_on_center():
     # same op name covers both cases; the center-on-line variant kicks in
     result = run_source(

@@ -206,11 +206,11 @@ def paper_add(a, b):
     """The paper's argument for a + b, kept as the reference for ``add``:
     build 2 = 2*1 - 0, replay a's witness on (1, 2) to construct a + 1, then
     replay b's witness on (a, a + 1)."""
-    builder = Builder.resume(a.trace, a.table)
+    builder = Builder.resume(a.trace)
     two = build_extend(builder, 0, 1)
     a_plus_1 = builder.inline(a.program, (1, two))[0]
     out = builder.inline(b.program, (a.primary_output, a_plus_1))[0]
-    return F.ConstructibleValue(*compact(builder.finish([out])[1]))
+    return F.ConstructibleValue(compact(builder.finish([out])[1]))
 
 
 def _gap(u, v):
@@ -257,9 +257,12 @@ def test_carried_value_is_the_executed_witness():
     rng = SplitMix64(37)
     for _ in range(60):
         v = pool.draw(rng, 2)
-        executed, table = compact(execute(v.program, F.CANONICAL_SEEDS))
+        executed = compact(execute(v.program, F.CANONICAL_SEEDS))
         assert v.value == executed.output_points()[0]
-        # the carried hash-cons table is the one a walk of the witness builds,
-        # and the witness holds no two steps under one key
-        assert v.table == table
-        assert len(table) == len(v.program.steps) - v.program.seed_count
+        # the witness holds no two steps under one row, so the resumed
+        # hash-cons table keys every step, and replaying the witness on its
+        # own seeds finds every step there
+        builder = Builder.resume(v.trace)
+        assert len(builder.table) == len(v.program.steps) - v.program.seed_count
+        assert builder.inline(v.program, (0, 1)) == (v.primary_output,)
+        assert len(builder) == len(v.program.steps)

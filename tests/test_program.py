@@ -22,7 +22,6 @@ from compass.program import (
     OP_SEED,
     Builder,
     Program,
-    Seed,
     Selector,
     Trace,
     ancestors,
@@ -245,6 +244,15 @@ def test_builder_circle_cache_and_rollback():
     assert c2_again == c2  # same slot after rollback
 
 
+def test_resume_keys_each_row_on_its_first_step():
+    # execute keeps a repeated row; the resumed builder's table finds the first
+    twice = Program(2, (OP_SEED, OP_SEED, OP_CIRCLE, OP_CIRCLE), (0, 1, 0, 0),
+                    (-1, -1, 1, 1), ())
+    b = Builder.resume(execute(twice, (O, U)))
+    assert b.table == {(OP_CIRCLE, 0, 1): 2}
+    assert b.circle(0, 1) == 2 and len(b) == 4
+
+
 def test_builder_hash_conses_picks_and_rollback_forgets_them():
     b = Builder([O, U])
     c1, c2 = b.circle(0, 1), b.circle(1, 0)
@@ -289,9 +297,11 @@ def test_ancestors():
 
 def test_steps_and_resolved_are_views_over_columns():
     trace = execute(midpoint_program(), (O, U))
-    steps, resolved = trace.program.steps, trace.resolved
-    assert len(steps) == len(resolved) == len(trace.program.ops)
-    assert steps[:2] == (Seed(0), Seed(1)) and type(steps[:2]) is tuple
+    program = trace.program
+    steps, resolved = program.steps, trace.resolved
+    assert len(steps) == len(resolved) == len(program.ops)
+    assert steps[:2] == ((OP_SEED, 0, -1), (OP_SEED, 1, -1)) and type(steps[:2]) is tuple
+    assert steps[-1] == (program.ops[-1], program.first[-1], program.second[-1])
     assert resolved[:2] == (O, U) and resolved[-1] == resolved[len(resolved) - 1]
     assert steps == tuple(steps) and resolved == tuple(resolved)
     with pytest.raises(IndexError):

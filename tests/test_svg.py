@@ -6,7 +6,7 @@ from compass.constructions import midpoint_program
 from compass.dsl import run_source
 from compass.errors import MalformedTrace
 from compass.geom import Point
-from compass.program import CircleStep, PickStep, execute
+from compass.program import OP_CIRCLE, OP_LEFT, OP_RIGHT, execute
 from compass.svg import render_trace
 
 
@@ -65,14 +65,24 @@ def test_svg_is_well_formed_enough():
         assert float(c.get("r")) > 0
 
 
-@pytest.mark.parametrize("kind, stand_in", [(PickStep, CircleStep),
-                                             (CircleStep, PickStep)])
+def test_labels_are_escaped():
+    import xml.etree.ElementTree as ET
+    root = ET.fromstring(render_trace(midpoint_result().trace, {0: "a<b&c"}))
+    text = root.find("{http://www.w3.org/2000/svg}text")
+    assert text.text == "a<b&c"
+
+
+PICK, CIRCLE = (OP_LEFT, OP_RIGHT), (OP_CIRCLE,)
+
+
+@pytest.mark.parametrize("kind, stand_in", [(PICK, CIRCLE), (CIRCLE, PICK)],
+                         ids=["pick-as-circle", "circle-as-pick"])
 def test_resolved_kind_mismatch_raises(kind, stand_in):
     """A value of the wrong kind is a MalformedTrace, also under -O."""
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
     steps = trace.program.steps
-    at = next(i for i, s in enumerate(steps) if type(s) is kind)
-    source = next(i for i, s in enumerate(steps) if type(s) is stand_in)
+    at = next(i for i, (op, _, _) in enumerate(steps) if op in kind)
+    source = next(i for i, (op, _, _) in enumerate(steps) if op in stand_in)
     resolved = list(trace.resolved)
     resolved[at] = resolved[source]
     bad = dataclasses.replace(trace, resolved=tuple(resolved))

@@ -12,8 +12,8 @@ from compass.geom import Point, ResolvedCircle
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
+    OP_RIGHT,
     OP_SEED,
-    PickStep,
     Program,
     Trace,
     execute,
@@ -184,8 +184,8 @@ def test_hand_built_document_is_checked(name):
 
 def test_document_rejects_resolved_kind_mismatch():
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
-    pick = next(i for i, s in enumerate(trace.program.steps)
-                if isinstance(s, PickStep))
+    pick = next(i for i, (op, _, _) in enumerate(trace.program.steps)
+                if op in (OP_LEFT, OP_RIGHT))
     resolved = list(trace.resolved)
     resolved[pick] = resolved[pick - 1]  # a circle where a point belongs
     bad = dataclasses.replace(trace, resolved=tuple(resolved))
