@@ -421,15 +421,16 @@ def _invert(b: Builder, p: int, o: int, d: int) -> int:
 
 
 def _mul(b: Builder, a: int, c: int) -> int:
-    return field_ops.build_mul(b, a, b.witness(c))
+    return field_ops.build_mul(b, a, b.witness(c).program)
 
 
 def _add(b: Builder, a: int, c: int) -> int:
-    return field_ops.build_add(b, a, b.witness(a), b.witness(c), field_ops.relative(b, c))
+    return field_ops.build_add(b, a, b.witness(a).program, b.witness(c).program,
+                               field_ops.relative(b, c))
 
 
 def _neg(b: Builder, a: int) -> int:
-    return field_ops.build_neg(b, a, b.witness(a))
+    return field_ops.build_neg(b, a, b.witness(a).program)
 
 
 def _half(b: Builder) -> int:

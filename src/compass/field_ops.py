@@ -13,9 +13,10 @@ the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
 
 ``ConstructibleValue`` and its functions are the API edge: a value is its
 witness resolved on the canonical seeds; an operation resumes a ``Builder``
-on its left operand's rows, calls the ``build_*`` routine and keeps the
-result's ancestors (``compact``). Sharing the steps already there,
-witnesses grow linearly along chains of additions, not exponentially.
+on its left operand's rows, calls the ``build_*`` routine and carries the
+result's witness (``Builder.witness``) as the new value. Sharing the steps
+already there, witnesses grow linearly along chains of additions, not
+exponentially.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from functools import lru_cache
 from . import constructions as cons
 from .errors import DegenerateCircle, MalformedProgram
 from .geom import EPS, Point
-# rebase is unused here but stays importable: perfbench's tracer wraps it here.
+# execute and rebase are unused here but stay importable: perfbench's tracer
+# wraps them here.
 from .program import (  # noqa: F401
     Builder,
     Program,
     Selector,
     Trace,
-    compact,
     empty_program,
     execute,
     rebase,
@@ -144,16 +145,14 @@ class ConstructibleValue:
         return self.trace.resolved[self.primary_output]
 
 
-def _finish(builder: Builder, out: int) -> ConstructibleValue:
-    return ConstructibleValue(compact(builder.finish([out])[1]))
-
-
 def value_from_program(program: Program) -> ConstructibleValue:
-    """Wrap a two-seed witness, executing it on the canonical seeds and
-    keeping its live steps only; the only place values are executed."""
+    """Wrap a two-seed witness, inlined on the canonical seeds and cut down
+    to its output's ancestors; the only place a value's steps are resolved
+    from scratch. Repeated rows are kept once, as ``inline`` hash-conses."""
     if program.seed_count != 2 or len(program.outputs) != 1:
         raise MalformedProgram("a constructible value needs 2 seeds and 1 output")
-    return ConstructibleValue(compact(execute(program, CANONICAL_SEEDS)))
+    b = Builder(CANONICAL_SEEDS)
+    return ConstructibleValue(b.witness(b.inline(program, (0, 1))[0]))
 
 
 def zero() -> ConstructibleValue:
@@ -169,7 +168,7 @@ def minus_one() -> ConstructibleValue:
     """-1, by reflecting seed 1 through seed 0. Built once and shared;
     values are immutable, and ``Builder.resume`` copies the trace's columns."""
     b = Builder(CANONICAL_SEEDS)
-    return _finish(b, cons.build_extend(b, 1, 0))
+    return ConstructibleValue(b.witness(cons.build_extend(b, 1, 0)))
 
 
 def alpha() -> ConstructibleValue:
@@ -178,13 +177,13 @@ def alpha() -> ConstructibleValue:
     b = Builder(CANONICAL_SEEDS)
     big = b.circle(cons.build_extend(b, 1, 0), 1)  # centered -1
     small = b.circle(1, 0)
-    return _finish(b, b.pick(big, small, Selector.LEFT))
+    return ConstructibleValue(b.witness(b.pick(big, small, Selector.LEFT)))
 
 
 def mul(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a * b (``build_mul``)."""
     builder = Builder.resume(a.trace)
-    return _finish(builder, build_mul(builder, a.primary_output, b.program))
+    return ConstructibleValue(builder.witness(build_mul(builder, a.primary_output, b.program)))
 
 
 def neg(a: ConstructibleValue) -> ConstructibleValue:
@@ -195,15 +194,15 @@ def neg(a: ConstructibleValue) -> ConstructibleValue:
 def add(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a + b (``build_add``): b's witness joins a's builder only if replayed."""
     builder, vb = Builder.resume(a.trace), b.value
-    return _finish(builder, build_add(builder, a.primary_output, a.program,
-                                      b.program, complex(vb.x, vb.y)))
+    out = build_add(builder, a.primary_output, a.program, b.program, complex(vb.x, vb.y))
+    return ConstructibleValue(builder.witness(out))
 
 
 def conj(a: ConstructibleValue) -> ConstructibleValue:
     """The complex conjugate (``build_conj``)."""
     builder = Builder.resume(a.trace)
     out = build_conj(builder, a.primary_output)
-    return a if out == a.primary_output else _finish(builder, out)
+    return a if out == a.primary_output else ConstructibleValue(builder.witness(out))
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,8 @@ This module holds the only copy of the circle and intersection arithmetic:
 bare floats. ``circle_from`` wraps ``radius`` and ``circle_circle_intersect``
 wraps ``cut`` in value objects for callers that want them; the step kernel
 in ``program`` calls ``radius`` and ``cut`` directly and builds no object.
+``cut`` alone knows which point is left and what a touch is: it returns
+both points, left first, and a touch is two equal points.
 
 ``EPS`` is the one degeneracy band: a circle no larger, two centers no
 farther apart, or a tangency gap no wider is taken as collapsed. Every
@@ -128,25 +130,19 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     """Intersect the circle (x1, y1; r1) with the circle (x2, y2; r2).
 
     Returns ``CUT_NONE`` when the circles do not meet (concentric circles
-    included), ``CUT_COINCIDENT`` for two copies of one circle, ``(x, y)``
-    for a tangency, and otherwise ``(mx, my, h*uy, h*ux)``: the foot of the
-    chord on the center axis and the half-chord h times the axis direction
-    (ux, uy), so that
-
-        left  = (mx - h*uy, my + h*ux)
-        right = (mx + h*uy, my - h*ux)
-
-    ``left`` is the point p with cross(c2 - c1, p - c1) > 0.
+    included), ``CUT_COINCIDENT`` for two copies of one circle, and otherwise
+    the two points ``(lx, ly, rx, ry)``: ``left`` is the point p with
+    cross(c2 - c1, p - c1) > 0, ``right`` the other. A touch is two equal
+    points: where the circles are tangent, its one point twice.
 
     Uses the radical-line form: project the crossing point onto the center
     axis, then solve for the perpendicular half-chord. This stays stable
     near tangency, where the naive simultaneous quadratics lose digits.
     Tangency is declared when the center distance sits within ``EPS`` of
-    r1 + r2 (external) or |r1 - r2| (internal); the tangent point satisfies
-    both selectors.
+    r1 + r2 (external) or |r1 - r2| (internal).
 
     Plain arithmetic only: the inputs are taken as finite with radii above
-    ``EPS``, and the callers check that the point they keep is finite.
+    ``EPS``, and the callers check that the points they keep are finite.
     """
     dx = x2 - x1
     dy = y2 - y1
@@ -162,15 +158,18 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     if abs(outer) <= EPS or abs(inner) <= EPS:
         # Tangent: the touch point lies on the center axis.
         a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-        return (x1 + a * dx / d, y1 + a * dy / d)
+        x, y = x1 + a * dx / d, y1 + a * dy / d
+        return (x, y, x, y)
     if outer > 0.0 or inner < 0.0:
         return CUT_NONE
 
     a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     h = math.sqrt(max(r1 * r1 - a * a, 0.0))
     ux, uy = dx / d, dy / d
+    mx, my = x1 + a * ux, y1 + a * uy
+    hx, hy = h * ux, h * uy
     # +90 degree normal of (ux, uy) is (-uy, ux); that side is "left".
-    return (x1 + a * ux, y1 + a * uy, h * uy, h * ux)
+    return (mx - hy, my + hx, mx + hy, my - hx)
 
 
 def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle) -> IntersectionOutcome:
@@ -178,7 +177,8 @@ def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle) -> Intersect
 
     Checks what ``cut`` takes for granted: finite centers, radii above
     ``EPS``, and finite intersection points (``NonFiniteInput`` when
-    the arithmetic overflows). A tangency is reported once as ``Tangent``.
+    the arithmetic overflows). A touch, two equal points, is reported once
+    as ``Tangent``.
     """
     o1, o2 = c1.center, c2.center
     _require_finite(o1, o2)
@@ -189,12 +189,6 @@ def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle) -> Intersect
         return NoIntersection()
     if got == CUT_COINCIDENT:
         return Coincident()
-    if len(got) == 2:
-        point = Point(*got)
-        _require_finite(point)
-        return Tangent(point)
-    mx, my, hy, hx = got
-    left = Point(mx - hy, my + hx)
-    right = Point(mx + hy, my - hx)
+    left, right = Point(*got[:2]), Point(*got[2:])
     _require_finite(left, right)
-    return TwoPoints(left, right)
+    return Tangent(left) if left == right else TwoPoints(left, right)

@@ -24,9 +24,11 @@ a point); its seed values and circle count are derived.
 ``Program.check`` is the one rulebook of what a program is, and
 ``Trace.check`` adds that each value is of its step's kind; every consumer
 runs them, and a program is checked once. ``Builder._resolve``, the only
-step loop, reads and appends numbers only. Value objects (``Point``,
-``ResolvedCircle``) exist only at the API edge: ``Trace.resolved`` is a
-view.
+step loop, reads and appends numbers only: a pick keeps the left or the
+right half of ``geom.cut``'s ``(lx, ly, rx, ry)``. ``Builder.witness`` is
+the one way to cut a point's ancestors out as a trace of their own. Value
+objects (``Point``, ``ResolvedCircle``) exist only at the API edge:
+``Trace.resolved`` is a view.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     CoincidentCircles,
@@ -313,26 +316,6 @@ def empty_program(seed_count: int, outputs: Sequence[int] = ()) -> Program:
                    (-1,) * seed_count, tuple(outputs))
 
 
-def compact(trace: Trace) -> Trace:
-    """Drop every step that is neither a seed nor an ancestor of an output.
-
-    Kept steps stay in their order and resolve from the same operands, so
-    their resolved values carry over as they are and nothing is executed
-    again; a trace with nothing to drop is returned as it is.
-    """
-    program = trace.program
-    keep = _live(program, [*range(program.seed_count), *program.outputs])
-    if len(keep) == len(program.ops) and all(keep):
-        return trace
-    compacted, kept = _restrict(program, keep, program.seed_count, program.outputs)
-    if program._checked:
-        compacted._check_outputs()
-    old = trace.resolved
-    resolved = Resolved(*(tuple([column[i] for i in kept])
-                          for column in (old.xs, old.ys, old.rs)))
-    return Trace(compacted, resolved)
-
-
 def _live(program: Program | Builder, roots: Sequence[int]) -> list[bool]:
     """Which steps of a program or builder the ``roots`` depend on, the roots
     included, as one flag per step up to the last root. Every step refers
@@ -347,30 +330,6 @@ def _live(program: Program | Builder, roots: Sequence[int]) -> list[bool]:
         if keep[i] and ops[i] != OP_SEED:
             keep[first[i]] = keep[second[i]] = True
     return keep
-
-
-def _restrict(program: Program | Builder, keep: Sequence[bool], seed_count: int,
-              outputs: Sequence[int]) -> tuple[Program, list[int]]:
-    """The steps of a program or builder marked in ``keep``, in order and
-    renumbered, as a program over the first ``seed_count`` seeds; also the
-    old index of each kept step. Steps past the end of ``keep`` are not
-    read, and every reference of a kept step must itself be kept."""
-    remap = [-1] * len(keep)
-    kept: list[int] = []
-    ops, first, second = [], [], []
-    for i, (live, op, u, v) in enumerate(zip(keep, program.ops, program.first, program.second)):
-        if not live:
-            continue
-        remap[i] = len(kept)
-        if op != OP_SEED:
-            u, v = remap[u], remap[v]
-        kept.append(i)
-        ops.append(op)
-        first.append(u)
-        second.append(v)
-    restricted = Program(seed_count, tuple(ops), tuple(first), tuple(second),
-                         tuple(remap[o] for o in outputs))
-    return restricted, kept
 
 
 def ancestors(program: Program, node: int) -> set[int]:
@@ -425,12 +384,14 @@ class Builder:
     docstring); nodes are ints. Construction routines need coordinates while
     they build (to choose selectors, scaling factors, retry poles), so each
     step is resolved as it is appended; ``point`` and ``circle_value`` build
-    the value object of one node, and ``finish`` hands the columns over.
+    the value object of one node, ``finish`` hands the columns over, and
+    ``witness`` hands over the trace of one point's ancestors.
 
     Every resolving method goes through ``geom.radius`` and ``geom.cut``,
-    so a step gives the same bits however it is appended. Node arguments
-    outside the builder raise ``InvalidNodeId``; a failing call appends
-    nothing, and a failing ``inline`` keeps the steps it completed.
+    so a step gives the same bits however it is appended; a touch is the
+    cut's two equal points, to ``meet`` and ``pick_other`` alike. Node
+    arguments outside the builder raise ``InvalidNodeId``; a failing call
+    appends nothing, and a failing ``inline`` keeps the steps it completed.
 
     Steps are hash-consed in ``table``, keyed on their ``(op, first,
     second)`` rows: a step whose row is there is the existing node, looked
@@ -504,10 +465,9 @@ class Builder:
         r = radius(x, y, self.xs[through], self.ys[through])
         return self._keep(OP_CIRCLE, center, through, x, y, r)
 
-    def _cut(self, c1: int, c2: int) -> tuple[float, ...]:
-        """The cut of two circle nodes, its points checked to be finite:
-        ``(x, y)`` for a tangency, else ``(lx, ly, rx, ry)``. Either way
-        ``[:2]`` is the left point and ``[-2:]`` the right one."""
+    def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
+        """The cut of two circle nodes (``geom.cut``), its points checked
+        to be finite."""
         self._node(c1, True)
         self._node(c2, True)
         xs, ys, rs = self.xs, self.ys, self.rs
@@ -515,9 +475,6 @@ class Builder:
         got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])
         if type(got) is str:
             raise _no_point(got, at)
-        if len(got) == 4:
-            mx, my, hy, hx = got
-            got = (mx - hy, my + hx, mx + hy, my - hx)
         if all(map(math.isfinite, got)):
             return got
         raise NonFiniteInput(f"step {at}: an intersection point is not finite")
@@ -530,36 +487,26 @@ class Builder:
         if hit is not None:
             return hit
         got = self._cut(c1, c2)
-        return self._keep(op, c1, c2, *(got[:2] if op == OP_LEFT else got[-2:]))
-
-    def _points(self, c1: int, c2: int) -> tuple[float, float, float, float]:
-        """Left and right points of two circle nodes (a tangency's one point
-        twice): stored, when both picks are in the table, else cut."""
-        left = self.table.get((OP_LEFT, c1, c2))
-        right = self.table.get((OP_RIGHT, c1, c2))
-        if left is None or right is None:
-            got = self._cut(c1, c2)
-            return (*got[:2], *got[-2:])
-        return self.xs[left], self.ys[left], self.xs[right], self.ys[right]
+        return self._keep(op, c1, c2, *(got[:2] if op == OP_LEFT else got[2:]))
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
-        """Left and right picks; a tangency yields the same point twice."""
-        lx, ly, rx, ry = self._points(c1, c2)
+        """Left and right picks; a touch yields the same point twice."""
+        lx, ly, rx, ry = self._cut(c1, c2)
         return self._keep(OP_LEFT, c1, c2, lx, ly), self._keep(OP_RIGHT, c1, c2, rx, ry)
 
     def meet(self, c1: int, c2: int) -> tuple[int, ...]:
         """The points where two circle nodes meet: the left and right picks,
         or the left pick alone where they touch."""
-        got = self._cut(c1, c2)
-        left = self._keep(OP_LEFT, c1, c2, *got[:2])
-        if len(got) == 2:
+        lx, ly, rx, ry = self._cut(c1, c2)
+        left = self._keep(OP_LEFT, c1, c2, lx, ly)
+        if lx == rx and ly == ry:
             return (left,)
-        return left, self._keep(OP_RIGHT, c1, c2, *got[2:])
+        return left, self._keep(OP_RIGHT, c1, c2, rx, ry)
 
     def pick_other(self, c1: int, c2: int, avoid: int) -> int | None:
         """The intersection point that is not the point at node ``avoid``;
         where the circles only touch, None, and nothing is picked."""
-        lx, ly, rx, ry = self._points(c1, c2)
+        lx, ly, rx, ry = self._cut(c1, c2)
         if lx == rx and ly == ry:
             return None
         self._node(avoid, False)
@@ -611,14 +558,7 @@ class Builder:
                 got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv])
                 if type(got) is str:
                     raise _no_point(got, at)
-                if len(got) == 2:
-                    x, y = got
-                elif op == OP_LEFT:
-                    mx, my, hy, hx = got
-                    x, y = mx - hy, my + hx
-                else:
-                    mx, my, hy, hx = got
-                    x, y = mx + hy, my - hx
+                x, y = got[:2] if op == OP_LEFT else got[2:]
                 if not (isfinite(x) and isfinite(y)):
                     raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
                 r = None
@@ -651,17 +591,32 @@ class Builder:
         keep = _live(self, [node])
         return self.seed_count >= 2 and not any(keep[2:self.seed_count])
 
-    def witness(self, node: int) -> Program:
-        """The steps point ``node`` depends on, as a program over seeds 0
-        and 1 with ``node`` its output: the witness that the ring operations
-        replay. Raises InvalidNodeId unless ``pair_based``."""
+    def witness(self, node: int) -> Trace:
+        """The steps point ``node`` depends on, as a trace over seeds 0 and 1
+        with ``node`` its output, resolved as this builder resolved them: the
+        witness that the ring operations replay and that a value carries.
+        Kept steps stay in order; where every step is kept the columns are
+        handed over as ``finish`` does. Raises InvalidNodeId unless
+        ``pair_based``."""
         keep = _live(self, [node])
         if self.seed_count < 2 or any(keep[2:self.seed_count]):
             raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
         keep[:2] = True, True  # seeds 0 and 1, also where node is seed 0
-        witness = _restrict(self, keep, 2, (node,))[0]
-        witness._check_outputs()
-        return witness
+        # a value's builder is usually all ancestors of its result: there
+        # the remap is the identity, and skipping it pays on value chains
+        if len(keep) == len(self.ops) and all(keep):
+            return self.finish([node])[1]
+        kept = [i for i, live in enumerate(keep) if live]
+        remap = [-1] * len(keep)
+        for new, old in enumerate(kept):
+            remap[old] = new
+        # kept opens with seeds 0 and 1, so take gives tuples, and every
+        # later kept step is a circle or a pick, whose operands are remapped
+        take, link = itemgetter(*kept), remap.__getitem__
+        program = Program(2, take(self.ops), (0, 1, *map(link, take(self.first)[2:])),
+                          (-1, -1, *map(link, take(self.second)[2:])), (remap[node],))
+        program._check_outputs()
+        return Trace(program, Resolved(take(self.xs), take(self.ys), take(self.rs)))
 
     def finish(self, outputs: Sequence[int]) -> tuple[Program, Trace]:
         """The program and trace so far; every step is well formed as built."""

@@ -11,7 +11,7 @@ from compass.oracle import (
     oracle_complex_conj,
     oracle_complex_mul,
 )
-from compass.program import Builder, ancestors, compact, execute, purity_audit
+from compass.program import Builder, ancestors, execute, purity_audit
 
 SQRT15_4 = math.sqrt(15.0) / 4.0
 
@@ -210,7 +210,7 @@ def paper_add(a, b):
     two = build_extend(builder, 0, 1)
     a_plus_1 = builder.inline(a.program, (1, two))[0]
     out = builder.inline(b.program, (a.primary_output, a_plus_1))[0]
-    return F.ConstructibleValue(compact(builder.finish([out])[1]))
+    return F.ConstructibleValue(builder.witness(out))
 
 
 def _gap(u, v):
@@ -257,7 +257,7 @@ def test_carried_value_is_the_executed_witness():
     rng = SplitMix64(37)
     for _ in range(60):
         v = pool.draw(rng, 2)
-        executed = compact(execute(v.program, F.CANONICAL_SEEDS))
+        executed = execute(v.program, F.CANONICAL_SEEDS)
         assert v.value == executed.output_points()[0]
         # the witness holds no two steps under one row, so the resumed
         # hash-cons table keys every step, and replaying the witness on its
@@ -266,3 +266,5 @@ def test_carried_value_is_the_executed_witness():
         assert len(builder.table) == len(v.program.steps) - v.program.seed_count
         assert builder.inline(v.program, (0, 1)) == (v.primary_output,)
         assert len(builder) == len(v.program.steps)
+        # and the witness cut out of it is the value's own trace
+        assert builder.witness(v.primary_output) == v.trace

@@ -34,6 +34,8 @@ from compass.geom import (
     TwoPoints,
     circle_circle_intersect,
     circle_from,
+    cut,
+    orientation_sign,
 )
 from compass.program import (
     OP_CIRCLE,
@@ -151,7 +153,8 @@ def test_inline_failure_leaves_completed_steps():
 
 
 def test_repeated_picks_make_no_new_cut(monkeypatch):
-    """A pick already in the hash-cons table is looked up before any cut."""
+    """A pick already in the hash-cons table is looked up before any cut;
+    ``both`` and ``pick_other`` cut again, but return the stored nodes."""
     calls = []
     real = program_module.cut
 
@@ -168,12 +171,11 @@ def test_repeated_picks_make_no_new_cut(monkeypatch):
     size = len(b)
     assert b.pick(c1, c2, LEFT) == left
     assert b.pick(c1, c2, RIGHT) == pair[1]
-    assert b.both(c1, c2) == pair
     assert len(calls) == 2
-    # both picks are stored, so pick_other chooses between them
+    # both picks are stored, so both and pick_other append nothing
+    assert b.both(c1, c2) == pair
     assert b.pick_other(c1, c2, avoid=pair[0]) == pair[1]
     assert b.pick_other(c1, c2, avoid=pair[1]) == pair[0]
-    assert len(calls) == 2
     assert len(b) == size
 
 
@@ -280,6 +282,10 @@ def test_kernel_matches_outcomes_bit_for_bit(seeds):
         node = b.pick_other(c1, c2, avoid)
         return None if node is None else b.point(node)
 
+    def met():
+        b, c1, c2 = builder_with_circles(seeds)
+        return tuple(b.point(n) for n in b.meet(c1, c2))
+
     def executed():
         program = program_of(4, ((S, 0, -1), (S, 1, -1), (S, 2, -1), (S, 3, -1),
                                  (C, 0, 1), (C, 2, 3), (L, 4, 5), (R, 4, 5)), (6, 7))
@@ -287,15 +293,24 @@ def test_kernel_matches_outcomes_bit_for_bit(seeds):
 
     if isinstance(want, type):
         for got in (resolved(lambda: one(LEFT)), resolved(lambda: one(RIGHT)),
-                    resolved(both), resolved(lambda: other(0)), resolved(executed)):
+                    resolved(both), resolved(lambda: other(0)), resolved(executed),
+                    resolved(met)):
             assert got is want
         return
     assert one(LEFT) == want[LEFT]
     assert one(RIGHT) == want[RIGHT]
     assert both() == (want[LEFT], want[RIGHT])
     assert executed() == (want[LEFT], want[RIGHT])
+    touch = want[LEFT] == want[RIGHT]
+    assert met() == ((want[LEFT],) if touch else (want[LEFT], want[RIGHT]))
+    # cut's first point is the left one: on the left of center 1 -> center 2
+    c1, c2 = circle_from(seeds[0], seeds[1]), circle_from(seeds[2], seeds[3])
+    lx, ly, rx, ry = cut(c1.center.x, c1.center.y, c1.radius,
+                         c2.center.x, c2.center.y, c2.radius)
+    assert orientation_sign(c1.center, c2.center, Point(lx, ly)) >= 0
+    assert orientation_sign(c1.center, c2.center, Point(rx, ry)) <= 0
     for avoid in range(4):
-        if want[LEFT] == want[RIGHT]:  # a touch: no other point, no pick
+        if touch:  # no other point, no pick
             assert other(avoid) is None
             continue
         a = seeds[avoid]

@@ -277,9 +277,21 @@ def test_builder_witness():
     b.circle(2, 0)  # a step the witness does not need
     w = b.inline(extend_program(), (0, 1))[0]
     witness = b.witness(w)
-    assert witness == extend_program()  # seeds 0 and 1 and w's ancestors, in order
-    (value,) = out_of(witness, (O, U))
+    # seeds 0 and 1 and w's ancestors, in order
+    assert witness.program == extend_program()
+    (value,) = out_of(witness.program, (O, U))
     assert value.x == pytest.approx(2.0, abs=1e-9)
+    # resolved as the builder resolved them, at the kept nodes
+    kept = [0, 1, *range(4, w + 1)]
+    assert witness.resolved == tuple(b.finish([])[1].resolved[i] for i in kept)
+    # where every step is kept, the witness is the builder's whole trace,
+    # and the same as the remapping cut gives once a later step is appended
+    whole = Builder([O, U])
+    w1 = whole.inline(extend_program(), (0, 1))[0]
+    all_kept = whole.witness(w1)
+    assert all_kept == whole.finish([w1])[1]
+    whole.circle(w1, 0)
+    assert whole.witness(w1) == all_kept
     # a node that depends on the third seed has no witness
     w2 = b.inline(extend_program(), (0, 2))[0]
     with pytest.raises(InvalidNodeId):
