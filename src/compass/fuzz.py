@@ -11,6 +11,7 @@ and |center-to-line distance - r| >= 0.05 where classification matters.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -117,12 +118,12 @@ class _Run:
         self.audited = 0
         self.details: list[str] = []
 
-    def record(self, err: float, detail: str):
+    def record(self, err: float, detail: Callable[[], str]):
+        """Record a case's error; ``detail`` describes the case, and is
+        formatted only when the case fails."""
         self.max_err = max(self.max_err, err)
         if err > FUZZ_TOL:
-            self.failures += 1
-            if len(self.details) < 5:
-                self.details.append(detail)
+            self.fail(detail())
 
     def fail(self, detail: str):
         self.failures += 1
@@ -150,7 +151,7 @@ def _run_apex(run: _Run, rng: SplitMix64):
         factor = w if side is Selector.LEFT else w.conjugate()
         z = complex(a.x, a.y) + (complex(b.x, b.y) - complex(a.x, a.y)) * factor
         run.record(_err(out, Point(z.real, z.imag)),
-                   f"apex{_fmt_pt(a)}{_fmt_pt(b)} {side.value}")
+                   lambda: f"apex{_fmt_pt(a)}{_fmt_pt(b)} {side.value}")
 
 
 def _run_extend(run: _Run, rng: SplitMix64):
@@ -162,7 +163,7 @@ def _run_extend(run: _Run, rng: SplitMix64):
         run.audit(trace)
         want = Point(2 * y.x - x.x, 2 * y.y - x.y)
         run.record(_err(trace.output_points()[0], want),
-                   f"extend{_fmt_pt(x)}{_fmt_pt(y)}")
+                   lambda: f"extend{_fmt_pt(x)}{_fmt_pt(y)}")
 
 
 def _run_nth(run: _Run, rng: SplitMix64):
@@ -174,7 +175,7 @@ def _run_nth(run: _Run, rng: SplitMix64):
         run.audit(trace)
         want = Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y))
         run.record(_err(trace.output_points()[0], want),
-                   f"nth{_fmt_pt(o)}{_fmt_pt(p)} n={n}")
+                   lambda: f"nth{_fmt_pt(o)}{_fmt_pt(p)} n={n}")
 
 
 def _run_midpoint(run: _Run, rng: SplitMix64):
@@ -185,7 +186,7 @@ def _run_midpoint(run: _Run, rng: SplitMix64):
         trace = execute(program, (a, b))
         run.audit(trace)
         run.record(_err(trace.output_points()[0], oracle_midpoint(a, b)),
-                   f"midpoint{_fmt_pt(a)}{_fmt_pt(b)}")
+                   lambda: f"midpoint{_fmt_pt(a)}{_fmt_pt(b)}")
 
 
 def _run_foot(run: _Run, rng: SplitMix64):
@@ -203,7 +204,7 @@ def _run_foot(run: _Run, rng: SplitMix64):
         _, trace = builder.finish([node])
         run.audit(trace)
         run.record(_err(builder.point(node), oracle_foot(a, b, c)),
-                   f"foot{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}")
+                   lambda: f"foot{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}")
 
 
 def _run_invert(run: _Run, rng: SplitMix64):
@@ -228,10 +229,12 @@ def _run_invert(run: _Run, rng: SplitMix64):
         run.audit(trace)
         got = builder.point(node)
         want = oracle_invert(ResolvedCircle(o, r), p)
-        detail = f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}"
+
+        def detail():
+            return f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}"
         run.record(_err(got, want), detail)
         if _err(builder.point(back), p) > INVOLUTION_TOL:
-            run.fail("involution " + detail)
+            run.fail("involution " + detail())
 
 
 def _run_line_line(run: _Run, rng: SplitMix64):
@@ -253,7 +256,7 @@ def _run_line_line(run: _Run, rng: SplitMix64):
         _, trace = builder.finish([node])
         run.audit(trace)
         run.record(_err(builder.point(node), want),
-                   f"linexline{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}{_fmt_pt(d)}")
+                   lambda: f"linexline{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}{_fmt_pt(d)}")
 
 
 def _sample_line_at_distance(rng: SplitMix64, o: Point,
@@ -277,14 +280,16 @@ def _run_line_circle(run: _Run, rng: SplitMix64):
         else:
             dist = rng.uniform(0.05, r - 0.05)
         a, b = _sample_line_at_distance(rng, o, dist)
-        detail = f"linexcircle{_fmt_pt(a)}{_fmt_pt(b)} o={_fmt_pt(o)} r={r:.17g}"
+
+        def detail():
+            return f"linexcircle{_fmt_pt(a)}{_fmt_pt(b)} o={_fmt_pt(o)} r={r:.17g}"
         want = oracle_line_circle(a, b, ResolvedCircle(o, r))
         builder = Builder([a, b, o, d])
         try:
             nodes = cons.build_line_circle_off_center(builder, 0, 1, 2, 3)
         except NoSuchIntersection:
             if want:
-                run.fail("missed existing intersection: " + detail)
+                run.fail("missed existing intersection: " + detail())
             continue
         _, trace = builder.finish(nodes)
         run.audit(trace)
@@ -315,7 +320,7 @@ def _run_line_circle_diameter(run: _Run, rng: SplitMix64):
         got = (builder.point(n1), builder.point(n2))
         want = oracle_line_circle(o, a, ResolvedCircle(o, r))
         run.record(_pair_err(got, want),
-                   f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
+                   lambda: f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
 
 
 class _ValuePool:
@@ -353,10 +358,10 @@ def _run_field(run: _Run, rng: SplitMix64, op: str):
     pool = _pool()
     for _ in range(run.cases):
         a = pool.draw(rng, 2)
+        b = None
         if op == "conj":
             result = field_ops.conj(a)
             want = oracle_complex_conj(a.value)
-            detail = f"conj a={_fmt_pt(a.value)}"
         else:
             b = pool.draw(rng, 2)
             if op == "mul":
@@ -365,14 +370,18 @@ def _run_field(run: _Run, rng: SplitMix64, op: str):
             else:
                 result = field_ops.add(a, b)
                 want = oracle_complex_add(a.value, b.value)
-            detail = f"{op} a={_fmt_pt(a.value)} b={_fmt_pt(b.value)}"
+
+        def detail():
+            if b is None:
+                return f"conj a={_fmt_pt(a.value)}"
+            return f"{op} a={_fmt_pt(a.value)} b={_fmt_pt(b.value)}"
         trace = execute(result.program, field_ops.CANONICAL_SEEDS)
         run.audit(trace)
         run.record(_err(trace.output_points()[0], want), detail)
         if op == "conj":
             twice = field_ops.conj(result)
             if _err(twice.value, a.value) > FUZZ_TOL:
-                run.fail("involution " + detail)
+                run.fail("involution " + detail())
 
 
 _RUNNERS = {

@@ -21,6 +21,7 @@ from compass.errors import (
     CenterInversion,
     DegenerateCircle,
     NoSuchIntersection,
+    NonFiniteInput,
     NotExterior,
     NotOnCircle,
     OnMirrorLine,
@@ -376,6 +377,15 @@ def test_line_line_rejects_parallel():
         line_line(Point(0, 0), Point(0, 0), Point(0, 1), Point(1, 1))
 
 
+def test_line_line_overflow_is_a_compass_error():
+    # at this scale squared distances overflow: the pole ranking must rank
+    # such poles, not raise, so that the construction reports its own error
+    s = 1e154
+    with pytest.raises(NonFiniteInput):
+        line_line(Point(-0.4 * s, -0.4 * s), Point(2.3 * s, 2.3 * s),
+                  Point(0.2 * s, 1.8 * s), Point(2.7 * s, -0.7 * s))
+
+
 # --- line-circle -----------------------------------------------------------------
 
 def test_line_circle_off_center_figure():
@@ -465,6 +475,28 @@ def test_line_circle_datum_point_on_or_near_the_line(offset):
     pts = line_circle_off_center(a, b_, o, d)
     want = oracle_line_circle(a, b_, ResolvedCircle(o, distance(o, d)))
     as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
+
+
+@pytest.mark.parametrize("height", [0.0, 1e-3, 1e-2, 1 / 70])
+def test_line_circle_read_off_near_tangency(height):
+    """For a center on or near the line, the inversion route reads a point
+    off as a cut of line QS with the circle, where Q = 3d - 2o. That line
+    touches the circle when the angle of d to the line has cosine 1/3 or
+    -1/3; reading off the cut there, and not its partner, lost half the
+    digits (1.7e-7). Scanned around those angles, for heights in units of r."""
+    o, r, angle = Point(0.3, -0.4), 1.7, 0.7
+    ux, uy = math.cos(angle), math.sin(angle)
+    foot = Point(o.x + height * r * uy, o.y - height * r * ux)
+    a = Point(foot.x - 2.0 * ux, foot.y - 2.0 * uy)
+    b_ = Point(foot.x + 3.0 * ux, foot.y + 3.0 * uy)
+    want = oracle_line_circle(a, b_, ResolvedCircle(o, r))
+    for base in (math.acos(1 / 3), -math.acos(1 / 3), math.acos(-1 / 3), -math.acos(-1 / 3)):
+        for nudge in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3):
+            t = base + nudge
+            d = Point(o.x + r * (math.cos(t) * ux - math.sin(t) * uy),
+                      o.y + r * (math.cos(t) * uy + math.sin(t) * ux))
+            pts = line_circle_off_center(a, b_, o, d)
+            as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
 
 
 def test_line_circle_center_on_line_examples():

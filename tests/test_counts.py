@@ -1,11 +1,15 @@
 """Exact step budgets: (steps, circles, picks) of the canonical programs and
-of every demo. The counts are deterministic and hardware-independent, so a
-change that alters any construction's program fails here. A change that
-lowers a count re-pins it at the new value."""
+of every demo, and bounds on the mean circles of the line routines over fuzz
+draws. The counts are deterministic and hardware-independent, so a change
+that alters any construction's program fails here. A change that lowers a
+count re-pins it at the new value."""
+
+import math
 
 import pytest
 
-from compass import dsl
+from compass import constructions as cons
+from compass import dsl, fuzz
 from compass.constructions import (
     apex_program,
     extend_program,
@@ -13,6 +17,7 @@ from compass.constructions import (
     nth_point_program,
 )
 from compass.demos import DEMOS
+from compass.geom import Point
 from compass.program import Selector
 
 
@@ -42,8 +47,8 @@ DEMO_COUNTS = {
     "half": (43, 23, 18),
     "invert": (10, 4, 3),
     "line-circle": (14, 6, 4),
-    "line-circle-diameter": (110, 59, 48),
-    "line-line": (105, 58, 43),
+    "line-circle-diameter": (57, 29, 25),
+    "line-line": (63, 34, 25),
     "midpoint": (15, 7, 6),
     "mul": (16, 8, 6),
 }
@@ -62,3 +67,42 @@ def test_every_demo_is_pinned():
 @pytest.mark.parametrize("name", sorted(DEMO_COUNTS))
 def test_demo_counts(name):
     assert counts(dsl.run_source(DEMOS[name]).trace.program) == DEMO_COUNTS[name]
+
+
+# op: bound on the mean circles per trace ``fuzz.run_op(op, 600, 42)`` audits;
+# the read-off and the pole ranking take them from 48.3 and 36.3 to 24.6 and
+# 23.6
+FUZZ_MEAN_CIRCLES = {"line-circle-diameter": 25.0, "line-line": 24.0}
+
+
+@pytest.mark.parametrize("op", sorted(FUZZ_MEAN_CIRCLES))
+def test_fuzz_mean_circles(op, monkeypatch):
+    circles = []
+    monkeypatch.setattr(fuzz, "purity_audit",
+                        lambda trace: circles.append(trace.circle_count))
+    assert fuzz.run_op(op, 600, 42).failures == 0
+    assert len(circles) == 600
+    assert sum(circles) / len(circles) <= FUZZ_MEAN_CIRCLES[op]
+
+
+def test_read_off_never_reenters_the_inversion_route(monkeypatch):
+    """The inversion route reads its points off by mirror cuts, never by
+    itself: over the fuzz draws of a center on the line, and for centers
+    near it, each call is the outermost one."""
+    real, live, deepest = cons._line_circle_by_inversion, [0], [0]
+
+    def tracked(*args):
+        live[0] += 1
+        deepest[0] = max(deepest[0], live[0])
+        try:
+            return real(*args)
+        finally:
+            live[0] -= 1
+
+    monkeypatch.setattr(cons, "_line_circle_by_inversion", tracked)
+    assert fuzz.run_op("line-circle-diameter", 200, 42).failures == 0
+    for height in (1e-3, 1e-9):
+        for d in (Point(1, 0), Point(0.6, 0.8), Point(1 / 3, math.sqrt(8) / 3)):
+            cons.line_circle_off_center(Point(-2, height), Point(3, height),
+                                        Point(0, 0), d)
+    assert deepest[0] == 1

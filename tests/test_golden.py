@@ -37,11 +37,11 @@ GOLDEN = {
         "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
         "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf"),
     "line-circle-diameter": (
-        "ca2230c9650ca5e30ba786c080e1b7fd62864994bbbd888d6ff8c66f84b1dc16",
-        "c6e7182bad78858480b91f023ee9e6dbbb1a8eccc7d85b50a4fcd2801f26a814"),
+        "d4ae619d1269bc1e7877057192e6b8c0e47fbc2fc665547299f0513780948430",
+        "f0773b665449a237870c840e23c0c3b7881cdbdbb30a7ae8358cf6177461b952"),
     "line-line": (
-        "a057847c6b7d9afaf3dcd4d43822c27f3f9dafba44c9dc11649c7fa631ddfd36",
-        "c067926702cec83f010dd763859d3a4825408b8bb3be9373e0c1aebbda904562"),
+        "a389ec81933f4103c80c958ff018fa89dd31d52831c5bdf21a1b9cf07e550197",
+        "9f161631b768051ebac8f1d72e5c6ba41d8bdcb51e8806d93a3167122a32e1c4"),
     "midpoint": (
         "3054a031f3175811419d7250e62d614ac780adb70f855a8a28a46bfca8a4bfd4",
         "7bd349300021097ce44f77a734d60878fc30d0e1ecd31a9629efea0545f64b8e"),
@@ -85,10 +85,10 @@ FUZZ_GOLDEN = {
     "midpoint": "83c8468058652d447bff2137d48f0c4bd1c91a9a8a5f9717bb09c4407ffba8da",
     "foot": "d8ef23904cd3e6b76dfc907253115930d19adc9dbf5752913745cc321b457648",
     "invert": "cd7d6aa3805ed951e805d146188e852acec18dfe0f960f2fe1c2cbd2066b3c71",
-    "line-line": "68969daa08dcdb999811a75738e33076fd82060dfd942950c9e2fbd8d3b79635",
+    "line-line": "33db671d33af908a41cbf761b44b5383c55767f697eacb0921c769b30fd306e4",
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
-        "dfbafac263dec542e1b825630aaa8a5c39ee985c8c04f75d7b87012bc5e0388a",
+        "9e7ccf494a2cb4bc8343a09e2c2c2e1f30d22e1bc64cac21a532c5724cff9304",
     "mul": "f93bb3fb49999982af1ca23ee005be71051141ea444732b6d82fa5adea13926b",
     "add": "647770c3877e39a47d3611ecb18f14d4ab8fc61ee13b13f0b4d99e314a48b57b",
     "conj": "939c4f8d86325982b238200b8b43ebd878093b1b00814cae81b9bca459b84439",
@@ -120,3 +120,26 @@ def test_fuzz_traces_are_pinned(op, monkeypatch):
     report = fuzz.run_op(op, 120, 1)
     assert report.failures == 0
     assert h.hexdigest() == FUZZ_GOLDEN[op]
+
+
+# sha256 over the details ``fuzz.run_op(op, 3, seed=42)`` reports for each op
+# when every case fails: the lines a failing ``compass fuzz`` prints
+FAILURE_DETAILS = "a375532f55a6e4a3e7dd05f7b2fcefa9912875d2015cf8bba06f2408f5ed23fa"
+
+
+def test_fuzz_failure_details_are_pinned(monkeypatch):
+    monkeypatch.setattr(fuzz, "FUZZ_TOL", -1.0)
+    monkeypatch.setattr(fuzz, "INVOLUTION_TOL", -1.0)
+    h = hashlib.sha256()
+    for op in fuzz.OPS:
+        h.update("\n".join(fuzz.run_op(op, 3, 42).details).encode())
+    assert h.hexdigest() == FAILURE_DETAILS
+
+
+def test_passing_fuzz_cases_format_no_detail(monkeypatch):
+    def refuse(point):
+        raise AssertionError(f"a passing case formatted {point}")
+
+    monkeypatch.setattr(fuzz, "_fmt_pt", refuse)
+    for op in fuzz.OPS:
+        assert fuzz.run_op(op, 3, 42).failures == 0
