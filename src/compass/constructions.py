@@ -192,7 +192,7 @@ def _doublings(dist: float, r: float) -> int:
     ``dist`` from the center of a circle of radius r: none outside or on
     the circle, else the smallest k with 2**k >= floor(r/dist) + 2. A
     ratio beyond ``MAX_SCALE``, or one that overflows, counts as that."""
-    if not dist < r - EPS:  # outside, on the circle, or not a number
+    if not r - dist > EPS:  # outside, on the circle, or not a number
         return 0
     return (math.floor(min(r / max(dist, EPS), MAX_SCALE)) + 1).bit_length()
 
@@ -346,9 +346,9 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     whose mirror circles only touch, takes the inversion route
     (``_line_circle_by_inversion``) instead, whose circles cross at the
     angle the line makes with omega, nearly a right angle there. That
-    route reads its points off with this mirror route, on lines that keep
-    the center r/4 or more away: about 30 circles, 29 to 32 for a center
-    on the line.
+    route reads a point off with this mirror route, on a line that keeps
+    the center r/4 or more away: 29 to 32 circles for a center on the
+    line, 44 to 47 for one near it.
 
     A center on the line (to within ``EPS``) has no mirror image:
     the answer is d and its antipode, or where d is off the line the
@@ -409,12 +409,10 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     Line QX touches omega where X is Q's foot on line ab (for a center on
     the line, at cos(angle COX) = 1/3 or -1/3), and a cut there loses half
     its digits. So only the cut whose X lies farther from the foot, r or
-    more for a center on the line, is read off. The other is its antipode
-    for a center on the line; for one near it, the other X is read off too
-    where it lies r/2 or more from the foot, and otherwise inverted back,
-    at two doublings. A center on the line takes 29 circles and 25 picks,
-    32 and 26 with the apex; one near it about 30 circles, or about 45 with
-    an inversion back.
+    more for a center on the line, is read off. The other X is its
+    antipode for a center on the line, and for one near it the other cut
+    inverted back, at two doublings. A center on the line takes 29 circles
+    and 25 picks, 32 and 26 with the apex; one near it 44 to 47 circles.
     """
     pa, pb, po = b.point(a), b.point(bn), b.point(o)
     r = distance(po, b.point(d))
@@ -435,22 +433,14 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     for s in map(b.point, cuts):
         k = lam2 / ((s.x - pq.x) ** 2 + (s.y - pq.y) ** 2)
         images.append(Point(pq.x + k * (s.x - pq.x), pq.y + k * (s.y - pq.y)))
-    clear = [distance(x, foot) for x in images]
-
-    def read_off(i: int) -> int:
-        found = _mirror_cut(b, q, cuts[i], o, d, build_reflect(b, q, cuts[i], o))
-        return min(found, key=lambda n: distance(b.point(n), images[i]))
-
-    far = 0 if clear[0] >= clear[1] else 1
-    other = 1 - far
-    out = {far: read_off(far)}
+    far = 0 if distance(images[0], foot) >= distance(images[1], foot) else 1
+    found = _mirror_cut(b, q, cuts[far], o, d, build_reflect(b, q, cuts[far], o))
+    x = min(found, key=lambda n: distance(b.point(n), images[far]))
     if _point_line_distance(po, pa, pb) <= EPS:
-        out[other] = build_extend(b, out[far], o)  # the antipode
-    elif clear[other] >= r / 2.0:
-        out[other] = read_off(other)
+        y = build_extend(b, x, o)  # the antipode
     else:
-        out[other] = build_invert_general(b, q, c, cuts[other])
-    return out[0], out[1]
+        y = build_invert_general(b, q, c, cuts[1 - far])
+    return (x, y) if far == 0 else (y, x)
 
 
 def build_line_circle_center_on_line(b: Builder, o: int, a: int,

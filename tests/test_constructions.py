@@ -28,7 +28,7 @@ from compass.errors import (
     ScaleOverflow,
 )
 from compass.fuzz import SplitMix64, run_op
-from compass.geom import Point, ResolvedCircle, distance
+from compass.geom import EPS, Point, ResolvedCircle, distance
 from compass.oracle import oracle_foot, oracle_invert, oracle_line_circle
 from compass.program import (
     OP_CIRCLE,
@@ -303,6 +303,15 @@ def test_invert_far_exterior_refuses_touching_circles():
         invert_general(*UNIT, Point(6e5, 8e5))
 
 
+def test_invert_just_inside_the_circle():
+    # 2 - EPS rounds down, so the point lies more than EPS inside: it is
+    # interior by build_invert_general's own test and must take doublings
+    dist = 2.0 - EPS
+    assert 2.0 - dist > EPS
+    for p in (dist, math.nextafter(dist, 0.0)):
+        close(invert_general(ORIGIN, Point(2, 0), Point(p, 0)), 4.0 / p, 0.0)
+
+
 def test_invert_interior_deep_precision():
     b = Builder([Point(0, 0), Point(1, 0), Point(1e-6, 0)])
     got = b.point(cons.build_invert_general(b, 0, 1, 2))
@@ -477,26 +486,27 @@ def test_line_circle_datum_point_on_or_near_the_line(offset):
     as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
 
 
-@pytest.mark.parametrize("height", [0.0, 1e-3, 1e-2, 1 / 70])
+@pytest.mark.parametrize("height", [0.0, 1e-9, 1e-3, 1e-2, 1 / 70])
 def test_line_circle_read_off_near_tangency(height):
     """For a center on or near the line, the inversion route reads a point
     off as a cut of line QS with the circle, where Q = 3d - 2o. That line
     touches the circle when the angle of d to the line has cosine 1/3 or
     -1/3; reading off the cut there, and not its partner, lost half the
-    digits (1.7e-7). Scanned around those angles, for heights in units of r."""
+    digits (1.7e-7). Scanned around those angles, for heights in units of r,
+    and at the angles 0 (d on or near the line) and acos(0.6)."""
     o, r, angle = Point(0.3, -0.4), 1.7, 0.7
     ux, uy = math.cos(angle), math.sin(angle)
     foot = Point(o.x + height * r * uy, o.y - height * r * ux)
     a = Point(foot.x - 2.0 * ux, foot.y - 2.0 * uy)
     b_ = Point(foot.x + 3.0 * ux, foot.y + 3.0 * uy)
     want = oracle_line_circle(a, b_, ResolvedCircle(o, r))
-    for base in (math.acos(1 / 3), -math.acos(1 / 3), math.acos(-1 / 3), -math.acos(-1 / 3)):
-        for nudge in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3):
-            t = base + nudge
-            d = Point(o.x + r * (math.cos(t) * ux - math.sin(t) * uy),
-                      o.y + r * (math.cos(t) * uy + math.sin(t) * ux))
-            pts = line_circle_off_center(a, b_, o, d)
-            as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
+    bases = (math.acos(1 / 3), -math.acos(1 / 3), math.acos(-1 / 3), -math.acos(-1 / 3))
+    nudges = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-3, -1e-3)
+    for t in [base + nudge for base in bases for nudge in nudges] + [0.0, math.acos(0.6)]:
+        d = Point(o.x + r * (math.cos(t) * ux - math.sin(t) * uy),
+                  o.y + r * (math.cos(t) * uy + math.sin(t) * ux))
+        pts = line_circle_off_center(a, b_, o, d)
+        as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
 
 
 def test_line_circle_center_on_line_examples():

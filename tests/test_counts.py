@@ -4,11 +4,8 @@ draws. The counts are deterministic and hardware-independent, so a change
 that alters any construction's program fails here. A change that lowers a
 count re-pins it at the new value."""
 
-import math
-
 import pytest
 
-from compass import constructions as cons
 from compass import dsl, fuzz
 from compass.constructions import (
     apex_program,
@@ -17,7 +14,6 @@ from compass.constructions import (
     nth_point_program,
 )
 from compass.demos import DEMOS
-from compass.geom import Point
 from compass.program import Selector
 
 
@@ -84,25 +80,3 @@ def test_fuzz_mean_circles(op, monkeypatch):
     assert len(circles) == 600
     assert sum(circles) / len(circles) <= FUZZ_MEAN_CIRCLES[op]
 
-
-def test_read_off_never_reenters_the_inversion_route(monkeypatch):
-    """The inversion route reads its points off by mirror cuts, never by
-    itself: over the fuzz draws of a center on the line, and for centers
-    near it, each call is the outermost one."""
-    real, live, deepest = cons._line_circle_by_inversion, [0], [0]
-
-    def tracked(*args):
-        live[0] += 1
-        deepest[0] = max(deepest[0], live[0])
-        try:
-            return real(*args)
-        finally:
-            live[0] -= 1
-
-    monkeypatch.setattr(cons, "_line_circle_by_inversion", tracked)
-    assert fuzz.run_op("line-circle-diameter", 200, 42).failures == 0
-    for height in (1e-3, 1e-9):
-        for d in (Point(1, 0), Point(0.6, 0.8), Point(1 / 3, math.sqrt(8) / 3)):
-            cons.line_circle_off_center(Point(-2, height), Point(3, height),
-                                        Point(0, 0), d)
-    assert deepest[0] == 1
