@@ -429,10 +429,6 @@ def _add(b: Builder, a: int, c: int) -> int:
                                field_ops.relative(b, c))
 
 
-def _neg(b: Builder, a: int) -> int:
-    return field_ops.build_neg(b, a, b.witness(a).program)
-
-
 def _half(b: Builder) -> int:
     """1/2 (``field_ops.demo_half``) on the first two givens."""
     return b.inline(field_ops.demo_half().program, (0, 1))[0]
@@ -454,7 +450,7 @@ _OPS = {
     "linexcircle": ("PPPP", _late(cons, "build_line_circle_off_center")),
     "mul": ("FF", _mul),
     "add": ("FF", _add),
-    "neg": ("F", _neg),
+    "neg": ("F", _late(field_ops, "build_neg")),
     "conj": ("F", _late(field_ops, "build_conj")),
     "half": ("", _half),
 }

@@ -5,18 +5,18 @@ constructions like any other: they grow the caller's builder and read its
 seeds 0 and 1 as the numbers 0 and 1, so a point's value is ``relative``,
 (p - z0) / (z1 - z0), and seeds within ``geom.EPS`` raise
 ``DegenerateCircle``. Multiplying by a replays b's witness
-(``Builder.witness``) on (0, a); the orientation-based pick selectors
-make that replay land on exactly the similarity image needed.
+(``Builder.witness``) on (0, a); the orientation-based pick selectors make
+that replay land on exactly the similarity image needed. Negating and
+conjugating replay nothing: -a is a reflected through 0.
 ``build_add`` doubles, reflects 0 through the midpoint of a and b, or runs
 the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
 (a, a + 1) a + b), by a rule on the operands' values and witness sizes.
 
 ``ConstructibleValue`` and its functions are the API edge: a value is its
-witness resolved on the canonical seeds; an operation resumes a ``Builder``
-on its left operand's rows, calls the ``build_*`` routine and carries the
-result's witness (``Builder.witness``) as the new value. Sharing the steps
-already there, witnesses grow linearly along chains of additions, not
-exponentially.
+witness resolved on the canonical seeds; each operation resumes a
+``Builder`` on its left operand's rows, calls the ``build_*`` routine and
+carries the result's witness as the new value. Sharing the steps already
+there, witnesses grow linearly along chains of additions, not exponentially.
 """
 
 from __future__ import annotations
@@ -61,21 +61,22 @@ def _size(v: complex) -> float:
     return math.hypot(v.real, v.imag)
 
 
+def _at_zero(b: Builder, a: int) -> bool:
+    """Whether point ``a`` lies within EPS of seed 0, in the seeds' frame."""
+    return _size(relative(b, a)) <= EPS
+
+
 def build_mul(b: Builder, a: int, wb: Program) -> int:
     """a * b: replay b's witness ``wb`` on (0, a). A left factor at 0
     collapses that basis, and the product is seed 0."""
-    if _size(relative(b, a)) <= EPS:
-        return 0
-    return b.inline(wb, (0, a))[0]
+    return 0 if _at_zero(b, a) else b.inline(wb, (0, a))[0]
 
 
-def build_neg(b: Builder, a: int, wa: Program) -> int:
-    """-a, as the product (-1) * a, from a's node and witness ``wa``; -0 is
-    seed 0, with nothing appended."""
-    relative(b, a)  # raises where seeds 0 and 1 coincide
-    if a == 0:
-        return 0
-    return build_mul(b, cons.build_extend(b, 1, 0), wa)
+def build_neg(b: Builder, a: int) -> int:
+    """-a = 2*0 - a: a reflected through seed 0 (``build_extend``, 4
+    circles). An a within EPS of 0 is seed 0, with nothing appended: its
+    reflection would draw a circle through its own center."""
+    return 0 if _at_zero(b, a) else cons.build_extend(b, a, 0)
 
 
 def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
@@ -165,10 +166,9 @@ def one() -> ConstructibleValue:
 
 @lru_cache(maxsize=None)
 def minus_one() -> ConstructibleValue:
-    """-1, by reflecting seed 1 through seed 0. Built once and shared;
-    values are immutable, and ``Builder.resume`` copies the trace's columns."""
-    b = Builder(CANONICAL_SEEDS)
-    return ConstructibleValue(b.witness(cons.build_extend(b, 1, 0)))
+    """-1 (``neg(one())``), built once and shared; values are immutable,
+    and ``Builder.resume`` copies the trace's columns."""
+    return neg(one())
 
 
 def alpha() -> ConstructibleValue:
@@ -180,29 +180,32 @@ def alpha() -> ConstructibleValue:
     return ConstructibleValue(b.witness(b.pick(big, small, Selector.LEFT)))
 
 
+def _grow(a: ConstructibleValue, build, *args) -> ConstructibleValue:
+    """Resume a's builder, run ``build`` at a's output, and carry the
+    result's witness; a itself where the result is a's own output."""
+    builder = Builder.resume(a.trace)
+    out = build(builder, a.primary_output, *args)
+    return a if out == a.primary_output else ConstructibleValue(builder.witness(out))
+
+
 def mul(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a * b (``build_mul``)."""
-    builder = Builder.resume(a.trace)
-    return ConstructibleValue(builder.witness(build_mul(builder, a.primary_output, b.program)))
+    return _grow(a, build_mul, b.program)
 
 
 def neg(a: ConstructibleValue) -> ConstructibleValue:
-    """-a, as the product (-1) * a."""
-    return mul(minus_one(), a)
+    """-a (``build_neg``)."""
+    return _grow(a, build_neg)
 
 
 def add(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
     """a + b (``build_add``): b's witness joins a's builder only if replayed."""
-    builder, vb = Builder.resume(a.trace), b.value
-    out = build_add(builder, a.primary_output, a.program, b.program, complex(vb.x, vb.y))
-    return ConstructibleValue(builder.witness(out))
+    return _grow(a, build_add, a.program, b.program, complex(b.value.x, b.value.y))
 
 
 def conj(a: ConstructibleValue) -> ConstructibleValue:
     """The complex conjugate (``build_conj``)."""
-    builder = Builder.resume(a.trace)
-    out = build_conj(builder, a.primary_output)
-    return a if out == a.primary_output else ConstructibleValue(builder.witness(out))
+    return _grow(a, build_conj)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 import pytest
 
-from compass import tracedoc
+from compass import fuzz, tracedoc
 from compass.cli import main
 from compass.demos import DEMOS
 
@@ -60,3 +60,35 @@ def test_unwritable_path_exits_1(how, tmp_path, capsys):
 def test_unreadable_script_exits_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.compass")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+# --- compass fuzz ------------------------------------------------------------------
+
+def test_fuzz_prints_a_table_and_passes(capsys):
+    assert main(["fuzz", "--op", "midpoint", "--cases", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("compass fuzz: seed 42, 3 case(s) per construction\n")
+    assert "\nmidpoint " in out
+    assert "result: PASS (1 construction(s), 0 failure(s)" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--op", "nope"], "unknown construction 'nope'"),
+    (["--cases", "-1"], "--cases must be nonnegative"),
+])
+def test_fuzz_rejects_bad_arguments(argv, message, capsys):
+    assert main(["fuzz", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_fuzz_warns_on_zero_cases(capsys):
+    assert main(["fuzz", "--op", "apex", "--cases", "0"]) == 0
+    assert "warning: 0 cases requested; vacuous pass" in capsys.readouterr().out
+
+
+def test_fuzz_mismatch_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(fuzz, "FUZZ_TOL", -1.0)
+    assert main(["fuzz", "--op", "midpoint", "--cases", "2"]) == 3
+    out = capsys.readouterr().out
+    assert "  FAIL " in out and "result: FAIL (1 construction(s), 2 failure(s)" in out

@@ -382,14 +382,16 @@ def test_line_line_rejects_parallel():
     from compass.errors import ParallelLines
     with pytest.raises(ParallelLines):
         line_line(Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1))
+    with pytest.raises(ParallelLines):  # where cross products overflow
+        line_line(Point(0, 0), Point(1e300, 0), Point(0, 1e300), Point(1e300, 1e300))
     with pytest.raises(DegenerateCircle):
         line_line(Point(0, 0), Point(0, 0), Point(0, 1), Point(1, 1))
 
 
-def test_line_line_overflow_is_a_compass_error():
-    # at this scale squared distances overflow: the pole ranking must rank
-    # such poles, not raise, so that the construction reports its own error
-    s = 1e154
+@pytest.mark.parametrize("s", [1e154, 1e160, 1e300, 1e307])
+def test_line_line_overflow_is_a_compass_error(s):
+    # at these scales squared distances overflow: the parallel test and the
+    # pole ranking must not, so that the construction reports its own error
     with pytest.raises(NonFiniteInput):
         line_line(Point(-0.4 * s, -0.4 * s), Point(2.3 * s, 2.3 * s),
                   Point(0.2 * s, 1.8 * s), Point(2.7 * s, -0.7 * s))

@@ -345,6 +345,28 @@ def test_nth_rejects_non_integer():
                    "let Q = nth(A, B, 2.5)\n")
 
 
+# a line after three givens: (error, its position, its message)
+SCRIPT_ERRORS = {
+    "given D = (., 0)": (LexError, (4, 12), "bad number '.'"),
+    "let M = midpoint(A, 1)": (ScriptTypeError, (4, 1), "midpoint expects a bound name here"),
+    "let Q = nth(A, B, C)": (ScriptTypeError, (4, 1), "nth expects a number"),
+    "let X = apex(A, B, 2)": (ScriptTypeError, (4, 1), "apex expects 'left' or 'right'"),
+    "let M = midpoint(A, emit)": (
+        ParseError, (4, 21), "expected an argument (name, number, 'left', or 'right'), "
+                             "found 'emit'"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(SCRIPT_ERRORS))
+def test_script_errors_name_the_fault(line):
+    kind, position, message = SCRIPT_ERRORS[line]
+    with pytest.raises(kind) as err:
+        run_source("given A = (0, 0)\ngiven B = (1, 0)\ngiven C = (0, 1)\n"
+                   + line + "\n")
+    assert (err.value.line, err.value.column) == position
+    assert err.value.message == message
+
+
 def test_emit_requests_in_order():
     result = run_source("given A = (0, 0)\ngiven B = (1, 0)\n"
                         "emit points \"a.txt\"\n"
@@ -425,11 +447,11 @@ def test_field_identities_append_no_step(call, same_as):
     assert nodes["W"] == nodes[same_as]
 
 
-@pytest.mark.parametrize("call, replayed", [("neg(X)", 1), ("conj(X)", 0),
+@pytest.mark.parametrize("call, replayed", [("neg(X)", 0), ("conj(X)", 0),
                                             ("mul(X, U)", 1), ("add(X, U)", 2)])
 def test_field_op_builds_each_witness_once(call, replayed, monkeypatch):
-    # a ring operation builds only the witnesses it replays: conj none, mul
-    # its right factor's
+    # a ring operation builds only the witnesses it replays: neg and conj
+    # none, mul its right factor's
     calls = []
     witness = Builder.witness
 
@@ -441,6 +463,21 @@ def test_field_op_builds_each_witness_once(call, replayed, monkeypatch):
     run_source("given Z = (0, 0)\ngiven U = (1, 0)\nlet X = apex(Z, U)\n"
                f"let W = {call}\n")
     assert len(calls) == replayed
+
+
+def test_neg_appends_one_reflection_whatever_its_operand():
+    # -P reflects P through O: 4 circles and 3 picks, though P = A^16 took
+    # four squarings, each a replay of the witness before
+    source = ("given O = (0, 0)\ngiven U = (1, 0)\nlet A = apex(O, U)\n"
+              "let A2 = mul(A, A)\nlet A4 = mul(A2, A2)\nlet A8 = mul(A4, A4)\n"
+              "let P = mul(A8, A8)\n")
+    before = run_source(source).trace.program
+    result = run_source(source + "let N = neg(P)\n")
+    after = result.trace.program
+    assert after.circle_count() - before.circle_count() == 4
+    assert after.pick_count() - before.pick_count() == 3
+    p, n = result.point("P"), result.point("N")
+    assert (n.x, n.y) == pytest.approx((-p.x, -p.y), abs=1e-9)
 
 
 def test_field_corpus_off_the_canonical_seeds():

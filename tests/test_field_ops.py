@@ -38,26 +38,29 @@ def test_neg_examples():
     close(F.neg(a).value, -0.75, -SQRT15_4, within=1e-7)
 
 
-def test_second_neg_executes_nothing(monkeypatch):
-    """-1 is built once: only the first neg builds its steps."""
-    F.minus_one.cache_clear()  # whatever ran before, -1 is not built yet
+def test_neg_is_one_reflection():
+    # -v = 2*0 - v: 4 circles on top of v's witness, however deep that is
+    v = F.alpha()
+    for _ in range(4):
+        v = F.add(F.mul(v, v), F.one())
+    negated = F.neg(v)
+    assert negated.program.circle_count() == v.program.circle_count() + 4
+    assert negated.program.pick_count() == v.program.pick_count() + 3
+    close(negated.value, -v.value.x, -v.value.y,
+          within=1e-9 * max(1.0, math.hypot(v.value.x, v.value.y)))
+
+
+def test_neg_near_zero_is_seed_zero():
+    # a + (-a) rounds to a point within EPS of 0, not onto seed 0; reflecting
+    # it would draw a circle through its own center
     a = F.alpha()
-    calls = []
-    real = F.cons.build_extend
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(F.cons, "build_extend", counting)
-    first = F.neg(a)
-    assert len(calls) == 1
-    calls.clear()
-    second = F.neg(a)
-    assert calls == []
-    assert (second.value.x.hex(), second.value.y.hex()) == (
-        first.value.x.hex(), first.value.y.hex())
-    assert second.trace == first.trace
+    tiny = F.add(a, F.neg(a))
+    assert tiny.primary_output != 0 and tiny.value != Point(0.0, 0.0)
+    b = Builder.resume(tiny.trace)
+    before = len(b)
+    assert F.build_neg(b, tiny.primary_output) == 0
+    assert len(b) == before
+    assert F.neg(tiny).value == Point(0.0, 0.0)
 
 
 def test_add_examples():
@@ -173,6 +176,8 @@ def test_random_values_match_complex_oracle():
         got = F.conj(a).value
         want = oracle_complex_conj(a.value)
         assert math.hypot(got.x - want.x, got.y - want.y) <= 1e-6
+        got = F.neg(a).value
+        assert math.hypot(got.x + a.value.x, got.y + a.value.y) <= 1e-6
 
 
 def _assert_live_only(v):

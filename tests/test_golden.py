@@ -89,9 +89,9 @@ FUZZ_GOLDEN = {
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
         "9e7ccf494a2cb4bc8343a09e2c2c2e1f30d22e1bc64cac21a532c5724cff9304",
-    "mul": "f93bb3fb49999982af1ca23ee005be71051141ea444732b6d82fa5adea13926b",
-    "add": "647770c3877e39a47d3611ecb18f14d4ab8fc61ee13b13f0b4d99e314a48b57b",
-    "conj": "939c4f8d86325982b238200b8b43ebd878093b1b00814cae81b9bca459b84439",
+    "mul": "94c849922fb4a7f0a970a716afe98c48e6fb62b0c1cfc71dbbfa84be0263632c",
+    "add": "5e588cc25983eab88a547cb5b5bdaea0f96cecd9cbdbbc9a038d031af3223d98",
+    "conj": "f986d37994f7397d7681f51587125ce850b224e0fa208ce0ff0c1a20e22e58a5",
 }
 
 
@@ -124,7 +124,7 @@ def test_fuzz_traces_are_pinned(op, monkeypatch):
 
 # sha256 over the details ``fuzz.run_op(op, 3, seed=42)`` reports for each op
 # when every case fails: the lines a failing ``compass fuzz`` prints
-FAILURE_DETAILS = "a375532f55a6e4a3e7dd05f7b2fcefa9912875d2015cf8bba06f2408f5ed23fa"
+FAILURE_DETAILS = "659583996330ccbecbbf43ea2c616ac823041454c3e51d8b3f54550de66fc50b"
 
 
 def test_fuzz_failure_details_are_pinned(monkeypatch):

@@ -134,6 +134,42 @@ def test_malformed_documents_rejected():
         tracedoc.loads(json.dumps(bad))
 
 
+def _entry(field, index, edit):
+    """An edit of the document's data that replaces data[field][index] by
+    ``edit`` of it."""
+    def apply(data):
+        data[field][index] = edit(data[field][index])
+        return data
+    return apply
+
+
+# name: (edit of the sample document's JSON data, the error loads raises)
+LOADS_ERRORS = {
+    "document-array": (lambda d: [d], "^document must be a JSON object$"),
+    "seeds-object": (lambda d: {**d, "seeds": {}},
+                     "^seeds, steps, and outputs must be arrays$"),
+    "string-x": (_entry("seeds", 0, lambda s: {**s, "x": "0"}),
+                 "^step 0: 'x' must be a number$"),
+    "string-id": (_entry("seeds", 0, lambda s: {**s, "id": "0"}),
+                  "^step 0: 'id' must be an integer$"),
+    "seed-not-object": (_entry("seeds", 0, lambda s: 5), "^step 0: must be an object$"),
+    "seed-name-not-string": (_entry("seeds", 0, lambda s: {**s, "name": 3}),
+                             "^step 0: name must be a string$"),
+    "output-without-name": (_entry("outputs", 0, lambda o: {"id": o["id"]}),
+                            "^output 0: must be an object with a name$"),
+    "output-id-bool": (_entry("outputs", 0, lambda o: {**o, "id": True}),
+                       "^output 0: 'id' must be an integer$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADS_ERRORS))
+def test_loads_names_what_is_wrong(name):
+    edit, message = LOADS_ERRORS[name]
+    data = edit(json.loads(tracedoc.dumps(sample_doc())))
+    with pytest.raises(MalformedTrace, match=message):
+        tracedoc.loads(json.dumps(data))
+
+
 def test_degenerate_circle_in_document():
     doc_text = ('{"version":1,"seeds":[{"id":0,"x":0,"y":0},'
                 '{"id":1,"x":0,"y":0}],'
