@@ -74,16 +74,15 @@ def nth_point_program(n: int) -> Program:
 
 @lru_cache(maxsize=None)
 def extend_program() -> Program:
-    """Reflection of the first seed through the second: marching three
-    60-degree arcs around the circle centered at seed 1 through seed 0
-    (the hexagon walk). Exactly 4 circles."""
+    """Reflection of the first seed x through the second y, 2y - x, in 3
+    circles and 3 picks, which is optimal (``tests/test_minimal.py``). The
+    circles about y through x and about x through y cut at the apexes u
+    and v; the circle about u through v, of radius sqrt(3)|xy|, meets the
+    circle about y again at 2y - x."""
     b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
     base = b.circle(1, 0)
-    step = b.circle(0, 1)
-    u1 = b.pick(step, base, Selector.LEFT)
-    u2 = b.pick(b.circle(u1, 1), base, Selector.LEFT)
-    u3 = b.pick(b.circle(u2, 1), base, Selector.LEFT)
-    return b.finish([u3])[0]
+    u, v = b.both(b.circle(0, 1), base)
+    return b.finish([b.pick(b.circle(u, v), base, Selector.LEFT)])[0]
 
 
 def build_extend(b: Builder, x: int, y: int) -> int:
@@ -105,14 +104,14 @@ def build_nth_point(b: Builder, o: int, p: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def midpoint_program() -> Program:
-    """The 7-circle bisection: reflect b through a to get c, cut the circle
-    (c through b) with the circle (b through a) -- that one is shared with
-    the reflection -- and close with the two circles through b around the
-    cut points."""
+    """The 6-circle bisection, which is optimal (``tests/test_minimal.py``):
+    reflect b through a to get c, cut the circle (c through b) with the
+    circle (b through a) -- that one is shared with the reflection -- and
+    close with the two circles through b around the cut points."""
     b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
     c = build_extend(b, 1, 0)
     big = b.circle(c, 1)
-    back = b.circle(1, 0)  # reused from the extend walk
+    back = b.circle(1, 0)  # reused from the doubling
     m, n = b.both(big, back)
     out = b.pick(b.circle(m, 1), b.circle(n, 1), Selector.RIGHT)
     return b.finish([out])[0]
@@ -146,7 +145,7 @@ def build_reflect(b: Builder, a: int, bn: int, c: int) -> int:
 
 def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
     """Foot of the perpendicular from c onto line ab: the midpoint of c and
-    its mirror image, 9 circles and 7 picks. When c is on the line the
+    its mirror image, 8 circles and 7 picks. When c is on the line the
     mirror circles touch at the foot, which is then the answer: 2 circles
     and 1 pick.
     """
@@ -169,7 +168,8 @@ def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
     circles: the circle centered p through o cuts omega at m and n, and the
     image is the mirror image of o in the chord mn, where the circles
     centered m and n through o meet again. Valid for |op| > r/2 (4 circles
-    and 3 picks); the contract asks |op| > r (``NotExterior``).
+    with omega, and 3 picks; optimal, ``tests/test_minimal.py``); the
+    contract asks |op| > r (``NotExterior``).
 
     Far outside, the chord mn nears a diameter and the rounding of m and n
     grows with |op|; at about |op| = 1e6 r the circles about m and n only
@@ -206,7 +206,7 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     n = floor(r/d) + 2). Inversion turns scaling by any integer m into
     scaling by 1/m, so the point is pushed out by the power of two
     2^k >= n, with k doublings about the center, inverted there, and the
-    image pulled back by k more doublings: 8k + 4 circles, 4 per doubling
+    image pulled back by k more doublings: 6k + 4 circles, 3 per doubling
     and 4 for the core. The pushed-out point lies beyond r, so twice clear
     of the core's limit r/2, where its first circle only touches omega.
     """
@@ -244,7 +244,7 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     pole's mirror image in the line; those two circles meet again at the
     inverse of the sought point, which is inverted back. That is 18
     circles (fewer where steps coincide) when both mirror images and the
-    cut point lie outside the pole circle, and 8 more for each doubling an
+    cut point lie outside the pole circle, and 6 more for each doubling an
     interior one takes, two at least.
 
     The twelve apexes are ranked by the doublings their three inversions
@@ -346,8 +346,8 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     (``_line_circle_by_inversion``) instead, whose circles cross at the
     angle the line makes with omega, nearly a right angle there. That
     route reads a point off with this mirror route, on a line that keeps
-    the center r/4 or more away: 29 to 32 circles for a center on the
-    line, 44 to 47 for one near it.
+    the center r/4 or more away: 25 to 28 circles for a center on the
+    line, 37 to 40 for one near it.
 
     A center on the line (to within ``EPS``) has no mirror image:
     the answer is d and its antipode, or where d is off the line the
@@ -410,8 +410,8 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     its digits. So only the cut whose X lies farther from the foot, r or
     more for a center on the line, is read off. The other X is its
     antipode for a center on the line, and for one near it the other cut
-    inverted back, at two doublings. A center on the line takes 29 circles
-    and 25 picks, 32 and 26 with the apex; one near it 44 to 47 circles.
+    inverted back, at two doublings. A center on the line takes 25 circles
+    and 25 picks, 28 and 26 with the apex; one near it 37 to 40 circles.
     """
     pa, pb, po = b.point(a), b.point(bn), b.point(o)
     r = distance(po, b.point(d))

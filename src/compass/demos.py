@@ -6,7 +6,7 @@ Coordinates are the ones the figures use.
 """
 
 DEMOS: dict[str, str] = {
-    # -1 and 2 from 0 and 1: the hexagon walk, in both directions
+    # -1 and 2 from 0 and 1: the 3-circle doubling, in both directions
     "extend": """\
 given Z = (0, 0)
 given U = (1, 0)

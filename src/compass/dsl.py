@@ -26,11 +26,13 @@ statements come back as requests for the caller to act on.
 
 Each operation is one row of ``_OPS``: its parameter kinds and the routine
 that builds it on the script's one builder. The kinds are P a point, C a
-circle, N a positive integer, F a field operand, S an optional last
-selector (left when absent) and B one that, absent from a two-name let,
-binds both points. The field operations (mul, add, neg, conj, half) act
-relative to the first two given points, which play the roles of 0 and 1 and
-must lie apart; an F operand is a point constructed from those two alone.
+circle, N a positive integer, F a field operand, W a field operand whose
+witness the routine takes, S an optional last selector (left when absent)
+and B one that, absent from a two-name let, binds both points. The field
+operations (mul, add, neg, conj, half) act relative to the first two given
+points, which play the roles of 0 and 1 and must lie apart; an F or W
+operand is a point constructed from those two alone, which
+``Builder.witness`` checks of a W operand in the walk that takes its witness.
 ``linexcircle`` takes any line, through the center or not.
 """
 
@@ -448,8 +450,8 @@ _OPS = {
     "invert": ("PPP", _invert),
     "linexline": ("PPPP", _late(cons, "build_line_line")),
     "linexcircle": ("PPPP", _late(cons, "build_line_circle_off_center")),
-    "mul": ("FF", _mul),
-    "add": ("FF", _add),
+    "mul": ("FW", _mul),
+    "add": ("WW", _add),
     "neg": ("F", _late(field_ops, "build_neg")),
     "conj": ("F", _late(field_ops, "build_conj")),
     "half": ("", _half),
@@ -518,7 +520,7 @@ class _Interpreter:
         args = self.check_args(call, params, len(names), line)
         try:
             result = routine(self.builder, *args)
-        except InvalidNodeId:  # half() without two givens
+        except InvalidNodeId:  # a W operand, or half(), without the pair basis
             raise ScriptTypeError(line, 1, _PAIR_BASIS) from None
         except CompassError as err:
             raise ScriptRuntimeError(
@@ -547,7 +549,7 @@ class _Interpreter:
                 line, 1, f"{call.op} takes {wanted} argument(s), got {len(call.args)}")
         out = []
         for arg, kind in zip(call.args, params):
-            if kind in "PCF":
+            if kind in "PCFW":
                 if not isinstance(arg, NameArg):
                     raise ScriptTypeError(line, 1, f"{call.op} expects a bound name here")
                 if arg.name not in self.env:

@@ -73,7 +73,7 @@ def build_mul(b: Builder, a: int, wb: Program) -> int:
 
 
 def build_neg(b: Builder, a: int) -> int:
-    """-a = 2*0 - a: a reflected through seed 0 (``build_extend``, 4
+    """-a = 2*0 - a: a reflected through seed 0 (``build_extend``, 3
     circles). An a within EPS of 0 is seed 0, with nothing appended: its
     reflection would draw a circle through its own center."""
     return 0 if _at_zero(b, a) else cons.build_extend(b, a, 0)
@@ -83,11 +83,11 @@ def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
     """a + b, from a's node and witness ``wa`` and b's witness ``wb`` and
     value ``vb``, by one of three routes, with C a witness's circle count:
 
-    - a == b, farther than EPS from 0: reflect 0 through a (4 circles);
+    - a == b, farther than EPS from 0: reflect 0 through a (3 circles);
     - |a - b| and |a + b| above EPS, C(a) > 7 and C(b) >= 1: place b's
       witness on (0, 1) beside a's, sharing their common steps, and reflect
-      0 through the midpoint of a and b (at most C(b) + 11 circles);
-    - otherwise the paper's double replay, re-running up to C(a) + 4
+      0 through the midpoint of a and b (at most C(b) + 9 circles);
+    - otherwise the paper's double replay, re-running up to C(a) + 3
       circles: fewer when a is shallow or b is a bare seed.
 
     Seed 0 is the identity: 0 + b is b's witness on (0, 1), a + 0 is a,

@@ -81,7 +81,8 @@ def test_extend_examples():
 
 
 def test_extend_circle_budget():
-    assert cons.extend_program().circle_count() == 4
+    assert cons.extend_program().circle_count() == 3
+    assert cons.extend_program().pick_count() == 3
 
 
 def test_nth_point_examples():
@@ -113,7 +114,7 @@ def test_midpoint_symmetry():
 
 
 def test_midpoint_circle_budget():
-    assert cons.midpoint_program().circle_count() == 7
+    assert cons.midpoint_program().circle_count() == 6
     assert cons.midpoint_program().pick_count() == 6
 
 
@@ -193,11 +194,11 @@ def test_perp_foot_degenerate_inputs():
 
 
 def test_perp_foot_circle_budget():
-    # the mirror image (2 circles) and its midpoint with c (7)
+    # the mirror image (2 circles) and its midpoint with c (6)
     b = Builder([Point(0, 0), Point(3, 0), Point(1, 2)])
     node = cons.build_perp_foot(b, 0, 1, 2)
     program, _ = b.finish([node])
-    assert program.circle_count() == 9
+    assert program.circle_count() == 8
 
 
 def test_perp_foot_of_a_point_on_the_line_is_the_touch_point():
@@ -247,12 +248,12 @@ def test_invert_interior_ratio_rule():
     b = Builder([Point(0, 0), Point(1, 0), Point(0.5, 0)])
     cons.build_invert_general(b, 0, 1, 2)
     program, _ = b.finish([])
-    # 2 doublings out and 2 back, 4 circles each, plus the 4-circle core:
-    # 8k + 4 with k = 2
-    assert program.circle_count() == 2 * 2 * 4 + 4
+    # 2 doublings out and 2 back, 3 circles each, plus the 4-circle core:
+    # 6k + 4 with k = 2
+    assert program.circle_count() == 2 * 2 * 3 + 4
 
 
-@pytest.mark.parametrize("ratio, budget", [(1e-3, 84), (1e-4, 116), (1e-6, 164)])
+@pytest.mark.parametrize("ratio, budget", [(1e-3, 64), (1e-4, 88), (1e-6, 124)])
 def test_invert_interior_log_budget(ratio, budget):
     b = Builder([Point(0, 0), Point(1, 0), Point(ratio, 0)])
     node = cons.build_invert_general(b, 0, 1, 2)

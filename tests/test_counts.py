@@ -24,29 +24,29 @@ def counts(program):
 CANONICAL = {
     "apex-left": (lambda: apex_program(Selector.LEFT), (5, 2, 1)),
     "apex-right": (lambda: apex_program(Selector.RIGHT), (5, 2, 1)),
-    "extend": (extend_program, (9, 4, 3)),
-    "midpoint": (midpoint_program, (15, 7, 6)),
+    "extend": (extend_program, (8, 3, 3)),
+    "midpoint": (midpoint_program, (14, 6, 6)),
     "nth-1": (lambda: nth_point_program(1), (2, 0, 0)),
-    "nth-2": (lambda: nth_point_program(2), (9, 4, 3)),
-    "nth-3": (lambda: nth_point_program(3), (16, 8, 6)),
-    "nth-4": (lambda: nth_point_program(4), (23, 12, 9)),
-    "nth-5": (lambda: nth_point_program(5), (30, 16, 12)),
-    "nth-6": (lambda: nth_point_program(6), (37, 20, 15)),
-    "nth-7": (lambda: nth_point_program(7), (44, 24, 18)),
-    "nth-8": (lambda: nth_point_program(8), (51, 28, 21)),
+    "nth-2": (lambda: nth_point_program(2), (8, 3, 3)),
+    "nth-3": (lambda: nth_point_program(3), (14, 6, 6)),
+    "nth-4": (lambda: nth_point_program(4), (20, 9, 9)),
+    "nth-5": (lambda: nth_point_program(5), (26, 12, 12)),
+    "nth-6": (lambda: nth_point_program(6), (32, 15, 15)),
+    "nth-7": (lambda: nth_point_program(7), (38, 18, 18)),
+    "nth-8": (lambda: nth_point_program(8), (44, 21, 21)),
 }
 
 DEMO_COUNTS = {
-    "add": (9, 4, 3),
-    "conjugate": (15, 8, 5),
-    "extend": (14, 6, 6),
-    "half": (43, 23, 18),
+    "add": (8, 3, 3),
+    "conjugate": (14, 7, 5),
+    "extend": (12, 4, 6),
+    "half": (39, 19, 18),
     "invert": (10, 4, 3),
     "line-circle": (14, 6, 4),
-    "line-circle-diameter": (57, 29, 25),
-    "line-line": (63, 34, 25),
-    "midpoint": (15, 7, 6),
-    "mul": (16, 8, 6),
+    "line-circle-diameter": (53, 25, 25),
+    "line-line": (59, 30, 25),
+    "midpoint": (14, 6, 6),
+    "mul": (14, 6, 6),
 }
 
 
@@ -67,8 +67,8 @@ def test_demo_counts(name):
 
 # op: bound on the mean circles per trace ``fuzz.run_op(op, 600, 42)`` audits;
 # the read-off and the pole ranking take them from 48.3 and 36.3 to 24.6 and
-# 23.6
-FUZZ_MEAN_CIRCLES = {"line-circle-diameter": 25.0, "line-line": 24.0}
+# 23.6, and the 3-circle doubling to 21.2 and 22.2
+FUZZ_MEAN_CIRCLES = {"line-circle-diameter": 21.5, "line-line": 22.5}
 
 
 @pytest.mark.parametrize("op", sorted(FUZZ_MEAN_CIRCLES))

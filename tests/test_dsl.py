@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl
+from compass import dsl, program
 from compass.dsl import (
     CallExpr,
     Emit,
@@ -465,8 +465,25 @@ def test_field_op_builds_each_witness_once(call, replayed, monkeypatch):
     assert len(calls) == replayed
 
 
+@pytest.mark.parametrize("call", ["neg(X)", "conj(X)", "mul(X, U)", "add(X, U)"])
+def test_field_op_walks_each_operand_once(call, monkeypatch):
+    # one ancestry walk per operand: the pair-basis check of an operand
+    # whose witness is taken is that walk
+    walks = []
+    live = program._live
+
+    def counting(where, roots):
+        walks.append(roots)
+        return live(where, roots)
+
+    monkeypatch.setattr(program, "_live", counting)
+    run_source("given Z = (0, 0)\ngiven U = (1, 0)\nlet X = apex(Z, U)\n"
+               f"let W = {call}\n")
+    assert len(walks) == call.count(",") + 1
+
+
 def test_neg_appends_one_reflection_whatever_its_operand():
-    # -P reflects P through O: 4 circles and 3 picks, though P = A^16 took
+    # -P reflects P through O: 3 circles and 3 picks, though P = A^16 took
     # four squarings, each a replay of the witness before
     source = ("given O = (0, 0)\ngiven U = (1, 0)\nlet A = apex(O, U)\n"
               "let A2 = mul(A, A)\nlet A4 = mul(A2, A2)\nlet A8 = mul(A4, A4)\n"
@@ -474,7 +491,7 @@ def test_neg_appends_one_reflection_whatever_its_operand():
     before = run_source(source).trace.program
     result = run_source(source + "let N = neg(P)\n")
     after = result.trace.program
-    assert after.circle_count() - before.circle_count() == 4
+    assert after.circle_count() - before.circle_count() == 3
     assert after.pick_count() - before.pick_count() == 3
     p, n = result.point("P"), result.point("N")
     assert (n.x, n.y) == pytest.approx((-p.x, -p.y), abs=1e-9)

@@ -39,12 +39,12 @@ def test_neg_examples():
 
 
 def test_neg_is_one_reflection():
-    # -v = 2*0 - v: 4 circles on top of v's witness, however deep that is
+    # -v = 2*0 - v: 3 circles on top of v's witness, however deep that is
     v = F.alpha()
     for _ in range(4):
         v = F.add(F.mul(v, v), F.one())
     negated = F.neg(v)
-    assert negated.program.circle_count() == v.program.circle_count() + 4
+    assert negated.program.circle_count() == v.program.circle_count() + 3
     assert negated.program.pick_count() == v.program.pick_count() + 3
     close(negated.value, -v.value.x, -v.value.y,
           within=1e-9 * max(1.0, math.hypot(v.value.x, v.value.y)))
@@ -191,20 +191,28 @@ def test_witnesses_hold_live_steps_only():
         _assert_live_only(v)
 
 
+def _within_ulps(got, exact, ulps=4):
+    return math.hypot(got.x - exact.x, got.y - exact.y) <= (
+        ulps * 2.0 ** -52 * math.hypot(exact.x, exact.y))
+
+
 def test_add_chain_witness_budgets():
+    # the 3-circle doubling's last cut is centered off the real axis, so a
+    # real sum lands within a few ulp of the axis, not on it: (10, 1.0e-15)
+    # and (63.999999999999986, 1.4e-14)
     one = F.one()
     v = one
     for _ in range(9):
         v = F.add(v, one)
         _assert_live_only(v)
-    assert len(v.program.steps) <= 65
-    assert v.value == Point(10.0, 0.0)
+    assert len(v.program.steps) <= 56
+    assert _within_ulps(v.value, Point(10.0, 0.0))
     v = one
     for _ in range(6):
         v = F.add(v, v)
         _assert_live_only(v)
-    assert len(v.program.steps) <= 44
-    assert v.value == Point(64.0, 0.0)
+    assert len(v.program.steps) <= 38
+    assert _within_ulps(v.value, Point(64.0, 0.0))
 
 
 def paper_add(a, b):
@@ -252,9 +260,23 @@ def test_doubling_chain_is_linear():
         got, ref = F.add(v, v), paper_add(v, v)
         assert _gap(got, ref) <= _relative_depth_tol(got, ref)
         v = got
-    assert v.trace.circle_count <= 4 * 20 + 30
+    assert v.trace.circle_count <= 3 * 20 + 30
     scale = 2.0 ** 20
     close(v.value, 0.75 * scale, SQRT15_4 * scale, within=1e-12 * scale)
+
+
+def test_squaring_chain_budget():
+    # mul(s, s) replays s's witness on (0, s), so each squaring doubles it:
+    # alpha^(2^k) holds 16 * 2^(k-1) + 2 steps, 8 * 2^(k-1) circles and as
+    # many picks (2306 steps and 1280 circles at k = 8 with 4-circle
+    # doublings); its worst relative error is 2.2e-14, at k = 8
+    v, want = F.alpha(), complex(0.75, SQRT15_4)
+    for k in range(1, 9):
+        v, want = F.mul(v, v), want * want
+        assert len(v.program.steps) <= 16 * 2 ** (k - 1) + 2
+        assert v.program.circle_count() <= 8 * 2 ** (k - 1)
+        assert v.program.pick_count() <= 8 * 2 ** (k - 1)
+        assert abs(complex(v.value.x, v.value.y) - want) <= 5e-14 * abs(want)
 
 
 def test_carried_value_is_the_executed_witness():

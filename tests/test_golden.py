@@ -19,17 +19,17 @@ from compass.geom import Point
 # name: (sha256 of the trace JSON, sha256 of the SVG)
 GOLDEN = {
     "add": (
-        "aad1ecf8dd3d5604a945ec732af5cac80f1a33e5fc050040f41c42512361a63c",
-        "d365eae72d5b42461155d99d4642b0f9126be0a8860eb4ac94b44622ae6f5f40"),
+        "05f46f2e883d904e3d97b1a60ce861636810277d8baedd4fa45d8821eec260aa",
+        "089ee465822a4bfbef3c33ded7b2c731099163b4882434545d9ac1a8693a6589"),
     "conjugate": (
-        "696ebe14b0b5ea66cad9c6c8f22e4093675a0ed2dc2295e6d28c4a8da0462459",
-        "d92846b6eddb1c44145871985cdac84e0cc180faf0d503839e0460cd98265423"),
+        "3517ed913afe88a9231d03bd09b97b2f82c1f53aaed7b3eead0186290a26ce22",
+        "422f140723f46946674276e28cf476fe566230a309a0e4bb211142f9990e072b"),
     "extend": (
-        "ea73668ac0f98984a8b1038f81630f89446fd0a8d75341406204a5aefc9ff5b4",
-        "92b280625d75a08886e0e511d661cbe31fa55c50ae878145ca97dc383a4f4594"),
+        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
+        "29cef538e921561106ec0ac639c0b856617eafd10f38f4db2eed4044de73843f"),
     "half": (
-        "28053494f1ab38c4a0bfdbd579a86cc9b90c7557f89cb193dfaad8112e0f8202",
-        "8c0dc3b62c92ead4c450fa54c0b1f7ec6025769899b5eb2767c254d28b1d7b3e"),
+        "4b1d7e13a5892ea6378257f6afaa3040d733cd92ba2c7e28226ef72f16f68722",
+        "783ce4e766574b17b0e99bbda854eac7c4583b89a6b96ba6bfef70f2a1857465"),
     "invert": (
         "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
         "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393"),
@@ -37,17 +37,17 @@ GOLDEN = {
         "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
         "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf"),
     "line-circle-diameter": (
-        "d4ae619d1269bc1e7877057192e6b8c0e47fbc2fc665547299f0513780948430",
-        "f0773b665449a237870c840e23c0c3b7881cdbdbb30a7ae8358cf6177461b952"),
+        "8cf11cc0d33954e2827064030336075615fada76fbe34a376b86503ca95020a4",
+        "c2a74ce6bd257ebc485906956a22fb20ee1b06d4cb51746829169e68f61bbd0c"),
     "line-line": (
-        "a389ec81933f4103c80c958ff018fa89dd31d52831c5bdf21a1b9cf07e550197",
-        "9f161631b768051ebac8f1d72e5c6ba41d8bdcb51e8806d93a3167122a32e1c4"),
+        "69924fbb9f9ea9c6967bc26226553d832944ad9ce0b2f660515990de68641100",
+        "1ea81821629250d6a2d9362f2b69a573d5edcff93f91c08aaa001ce954c2ad60"),
     "midpoint": (
-        "3054a031f3175811419d7250e62d614ac780adb70f855a8a28a46bfca8a4bfd4",
-        "7bd349300021097ce44f77a734d60878fc30d0e1ecd31a9629efea0545f64b8e"),
+        "221101b63edb40a2d0dd55859db466f495becd0f6dcece6d30f54ac3485517ae",
+        "89b32b1c79c2d54369e107402ada3026d61e083f8308dad2cfe261de8771504b"),
     "mul": (
-        "82c54a186f4b885f15c921923a77b8df4b03f6d188998d7449f7018200acb5ee",
-        "a743e8d0c63c57c2dab82594125cd8f59079f101314ddd19d71ad68e1bb29668"),
+        "6b965a2ba01472db779f14807b3ab22bd7ea49c068650eecf4f5dc27ed4467b3",
+        "e55ab057ade0344ad1707330307486eecc9b0317e947be96f144da48b4a61871"),
 }
 
 
@@ -80,18 +80,18 @@ def test_demo_bytes_are_pinned(name):
 # cases reach every sampler stratum
 FUZZ_GOLDEN = {
     "apex": "41e7c495973d73914706383531d0fd10c2813aa74ee1204376fb57c4f14fab7e",
-    "extend": "2da56d2a938785032264b8926b01bc95eba3331d7ee9c2bc244c0fd52cc770a2",
-    "nth": "e96b16275826049751ed68f18abd53ad459653b41a6f21a7a409e5ddf24e1ba5",
-    "midpoint": "83c8468058652d447bff2137d48f0c4bd1c91a9a8a5f9717bb09c4407ffba8da",
-    "foot": "d8ef23904cd3e6b76dfc907253115930d19adc9dbf5752913745cc321b457648",
-    "invert": "cd7d6aa3805ed951e805d146188e852acec18dfe0f960f2fe1c2cbd2066b3c71",
-    "line-line": "33db671d33af908a41cbf761b44b5383c55767f697eacb0921c769b30fd306e4",
+    "extend": "b8fa886db3aa0743af40f7d6fcdcad81536bd30d440f9c96d2728be7d632ddc0",
+    "nth": "5802cbfd499604010dcee317d17e6118c87a26c1db7c798a59a272e394c6543e",
+    "midpoint": "77ef79a8cf42de986ae2a4b0ab369a3f1287b576e1d9d4790aa4d7b013ad43e2",
+    "foot": "a9d6d5ae4b196a17b514ee29f188e5f3d4ec937a07bccf90201ec9ccd24fa400",
+    "invert": "4dbd833b07a32a156caf97dbb3d4237c5b07d89687ef77c1d11eb892ee2006e5",
+    "line-line": "cf771b2f5d2fbad925af409ab6dc625367602f319da5e9c8bd3bd2cd0b3635e7",
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
-        "9e7ccf494a2cb4bc8343a09e2c2c2e1f30d22e1bc64cac21a532c5724cff9304",
-    "mul": "94c849922fb4a7f0a970a716afe98c48e6fb62b0c1cfc71dbbfa84be0263632c",
-    "add": "5e588cc25983eab88a547cb5b5bdaea0f96cecd9cbdbbc9a038d031af3223d98",
-    "conj": "f986d37994f7397d7681f51587125ce850b224e0fa208ce0ff0c1a20e22e58a5",
+        "8c9d0f405ac07f3ec0754882782de8fea8c71660f3ec20f75010b2aaf3c0e911",
+    "mul": "d2ecb35d63059582b115e0acb72c4caa4a94e7f443a29d6aeaf6dda828518d08",
+    "add": "dd8ea7707cb2f913f9b7f5a3c6413fae678efedc8c59ce9d9e8be8e94f7bd601",
+    "conj": "90d3118a9e8d937b9ca206f876725b444131d9a7ed830dc5a9c8b70ff8815a4d",
 }
 
 
@@ -124,7 +124,7 @@ def test_fuzz_traces_are_pinned(op, monkeypatch):
 
 # sha256 over the details ``fuzz.run_op(op, 3, seed=42)`` reports for each op
 # when every case fails: the lines a failing ``compass fuzz`` prints
-FAILURE_DETAILS = "659583996330ccbecbbf43ea2c616ac823041454c3e51d8b3f54550de66fc50b"
+FAILURE_DETAILS = "332a12a9853d6190873f606ad0db65ea1498057c60cf22e573de87c1ce9adb57"
 
 
 def test_fuzz_failure_details_are_pinned(monkeypatch):

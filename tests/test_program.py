@@ -142,9 +142,9 @@ def test_purity_audit_midpoint_counts():
     trace = execute(midpoint_program(), (O, U))
     report = purity_audit(trace)
     assert report.seeds == 2
-    assert report.circles == 7
+    assert report.circles == 6
     assert report.picks == 6
-    assert trace.circle_count == 7
+    assert trace.circle_count == 6
 
 
 def test_purity_audit_empty_program():

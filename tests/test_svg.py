@@ -18,7 +18,7 @@ def midpoint_result():
 def test_one_circle_element_per_circle_step():
     result = midpoint_result()
     text = render_trace(result.trace)
-    assert text.count("<circle ") == result.trace.circle_count == 7
+    assert text.count("<circle ") == result.trace.circle_count == 6
 
 
 def test_dots_are_paths_not_circles():
@@ -60,7 +60,7 @@ def test_svg_is_well_formed_enough():
     assert root.get("viewBox")
     ns = "{http://www.w3.org/2000/svg}"
     circles = root.findall(f"{ns}circle")
-    assert len(circles) == 7
+    assert len(circles) == 6
     for c in circles:
         assert float(c.get("r")) > 0
 

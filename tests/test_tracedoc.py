@@ -50,7 +50,7 @@ def test_rebuilt_trace_passes_purity_audit():
     doc = tracedoc.loads(tracedoc.dumps(sample_doc()))
     trace = tracedoc.trace_from_document(doc)
     report = purity_audit(trace)
-    assert report.circles == 7 and report.picks == 6 and report.seeds == 2
+    assert report.circles == 6 and report.picks == 6 and report.seeds == 2
     m = trace.output_points()[0]
     assert math.hypot(m.x - 0.5, m.y) <= 1e-9
 
