@@ -22,6 +22,7 @@ from .errors import (
     NoSuchIntersection,
     NotExterior,
     NotOnCircle,
+    NotPositiveInteger,
     OnMirrorLine,
     ParallelLines,
     ScaleOverflow,
@@ -91,15 +92,27 @@ def build_extend(b: Builder, x: int, y: int) -> int:
 
 
 def build_nth_point(b: Builder, o: int, p: int, n: int) -> int:
-    """o + n (p - o), as a chain of n - 1 reflections along the ray."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    """o + n (p - o), by doublings through the points P(k) = o + k (p - o):
+    P(2k) = extend(P(0), P(k)) and P(2k - 1) = extend(P(1), P(k)), down to
+    P(2), one doubling, or P(3), the 5-circle tripling, which is optimal
+    (``tests/test_minimal.py``). The tripling cuts C(P(2), P(1)) with the
+    doubling's own C(P(1), P(0)) at w, and the circle about w through P(0),
+    of radius sqrt(3)|op|, meets C(P(2), P(1)) again at P(3). 3 circles
+    per halving of n: nth(2**20) takes 60.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise NotPositiveInteger(f"n must be a positive integer, got {n!r}")
     if n > MAX_SCALE:
         raise ScaleOverflow(f"scaling factor {n} exceeds {MAX_SCALE}")
-    prev, cur = o, p
-    for _ in range(n - 1):
-        prev, cur = cur, build_extend(b, prev, cur)
-    return cur
+    if n == 1:
+        return p
+    if n == 2:
+        return build_extend(b, o, p)
+    if n == 3:
+        back = b.circle(build_extend(b, o, p), p)
+        w = b.pick(back, b.circle(p, o), Selector.LEFT)
+        return b.pick(b.circle(w, o), back, Selector.RIGHT)
+    return build_extend(b, p if n % 2 else o, build_nth_point(b, o, p, (n + 1) // 2))
 
 
 @lru_cache(maxsize=None)
@@ -190,11 +203,16 @@ def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
 def _doublings(dist: float, r: float) -> int:
     """The doublings ``build_invert_general`` takes each way for a point
     ``dist`` from the center of a circle of radius r: none outside or on
-    the circle, else the smallest k with 2**k >= floor(r/dist) + 2. A
-    ratio beyond ``MAX_SCALE``, or one that overflows, counts as that."""
+    the circle, else the smallest k >= 1 with 2**k dist >= r + min(r/16,
+    dist), so that the pushed-out point clears the circle by r/16, or by
+    dist where that is less. That is never more than the paper's
+    2**k >= floor(r/dist) + 2, which clears it by dist. A ratio beyond
+    ``MAX_SCALE``, or one that overflows, counts as that."""
     if not r - dist > EPS:  # outside, on the circle, or not a number
         return 0
-    return (math.floor(min(r / max(dist, EPS), MAX_SCALE)) + 1).bit_length()
+    ratio = min(r / max(dist, EPS), MAX_SCALE)
+    mantissa, k = math.frexp(ratio + min(ratio / 16.0, 1.0))  # mantissa in [1/2, 1)
+    return max(1, k - 1 if mantissa == 0.5 else k)
 
 
 def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
@@ -204,11 +222,14 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     image. An interior point at distance d from the center needs an integer
     ratio n > r/d to clear the circle (the paper's rule takes
     n = floor(r/d) + 2). Inversion turns scaling by any integer m into
-    scaling by 1/m, so the point is pushed out by the power of two
-    2^k >= n, with k doublings about the center, inverted there, and the
-    image pulled back by k more doublings: 6k + 4 circles, 3 per doubling
-    and 4 for the core. The pushed-out point lies beyond r, so twice clear
-    of the core's limit r/2, where its first circle only touches omega.
+    scaling by 1/m, so the point is pushed out by a power of two 2^k, with
+    k doublings about the center, inverted there, and the image pulled
+    back by k more doublings: 6k + 4 circles, 3 per doubling and 4 for the
+    core. k is the fewest doublings that clear the circle by r/16, or by d
+    where that is less (``_doublings``), never more than the paper's rule
+    asks: a point beyond 17r/32 takes one each way. The pushed-out point
+    lies beyond r, so twice clear of the core's limit r/2, where its first
+    circle only touches omega.
     """
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = distance(po, pd)
@@ -245,7 +266,7 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     inverse of the sought point, which is inverted back. That is 18
     circles (fewer where steps coincide) when both mirror images and the
     cut point lie outside the pole circle, and 6 more for each doubling an
-    interior one takes, two at least.
+    interior one takes, one at least.
 
     The twelve apexes are ranked by the doublings their three inversions
     are predicted to take, on plain floats from the four points, ties kept
@@ -346,12 +367,12 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     (``_line_circle_by_inversion``) instead, whose circles cross at the
     angle the line makes with omega, nearly a right angle there. That
     route reads a point off with this mirror route, on a line that keeps
-    the center r/4 or more away: 25 to 28 circles for a center on the
-    line, 37 to 40 for one near it.
+    the center r/4 or more away: mostly 31 to 34 circles.
 
     A center on the line (to within ``EPS``) has no mirror image:
-    the answer is d and its antipode, or where d is off the line the
-    inversion route's, ordered along a -> bn: bn's side of the center first.
+    the answer is d and its antipode, or where d is off the line
+    Mascheroni's arc bisection (``_arc_bisection``, 13 or 14 circles),
+    ordered along a -> bn: bn's side of the center first.
     """
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
     if distance(pa, pb) <= EPS:
@@ -361,7 +382,7 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
         if _point_line_distance(pd, pa, pb) <= EPS:
             x1, x2 = d, build_antipode(b, o, d, d)
         else:
-            x1, x2 = _line_circle_by_inversion(b, a, bn, o, d)
+            x1, x2 = _arc_bisection(b, a, bn, o, d)
         v1 = b.point(x1)
         ahead = (v1.x - po.x) * (pb.x - pa.x) + (v1.y - po.y) * (pb.y - pa.y) >= 0
         return (x1, x2) if ahead else (x2, x1)
@@ -389,10 +410,68 @@ def _mirror_cut(b: Builder, a: int, bn: int, o: int, d: int,
         raise NoSuchIntersection("the line misses the circle") from None
 
 
+def _arc_bisection(b: Builder, a: int, bn: int, o: int,
+                   d: int) -> tuple[int, int]:
+    """Points of line ab on the circle omega centered o through d, for o
+    on the line and d off it, by Mascheroni's bisection of the arc DD'
+    (*La geometria del compasso*, 1797): D is a point of omega and D' its
+    mirror image in the line, so the line cuts omega at the midpoints of
+    the arcs DD'. 13 circles and 11 picks, 14 and 12 with an apex.
+
+    D is d, or the apex of (o, d) whose angle with the line is nearest 45
+    degrees: at 0 degrees D' is D, and at 90 degrees P below only touches.
+    D' is the second cut of omega with the circle about the point of a, bn
+    farther from o, through D. Of the cuts u, v of omega with C(D, o), w
+    is the one farther from D': turning D' 60 degrees about w, on the side
+    that turns D onto o, gives D* with |oD*| = |DD'| = c. The circle C6
+    about o through D* meets C(D, o) at P = o + D - D' and C(D', o) at
+    Q = o + D' - D, each picked on the side its float prediction takes,
+    as w is. C(P, D') and C(Q, D), of radius^2 r^2 + 2c^2, cut the line at
+    E with |oE|^2 = r^2 + c^2. E's mirror image E* in the bisector of oP
+    (the circles about the cuts of C6 and C(P, o), through E) has
+    |PE*| = |oE|, and since oP is square to the line, C(P, E*) meets omega
+    at the two points sought.
+    """
+    pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
+    ux, uy = pb.x - pa.x, pb.y - pa.y
+
+    def slant(x: float, y: float) -> float:  # |sin 2 theta|, up to a factor
+        dx, dy = x - po.x, y - po.y
+        return abs((ux * dy - uy * dx) * (ux * dx + uy * dy))
+
+    omega = b.circle(o, d)
+    side = max((None, Selector.LEFT, Selector.RIGHT), key=lambda s: slant(
+        *((pd.x, pd.y) if s is None else _apex_xy(po, pd, s))))
+    dn = d if side is None else build_apex(b, o, d, side)
+    far = a if distance(pa, po) >= distance(pb, po) else bn
+    dm = b.pick_other(b.circle(far, dn), omega, avoid=dn)
+    if dm is None:
+        raise DegenerateCircle("the line's points lie too close to the center")
+    pdn, pdm = b.point(dn), b.point(dm)
+    around_d = b.circle(dn, o)
+    # u and v are the apexes of (o, D): omega is the circle about o through D
+    w = b.pick(omega, around_d, max(Selector, key=lambda s: distance(
+        Point(*_apex_xy(po, pdn, s)), pdm)))
+    pw = b.point(w)
+    turn = min(Selector, key=lambda s: distance(Point(*_apex_xy(pw, pdn, s)), po))
+    c6 = b.circle(o, build_apex(b, w, dm, turn))
+    # a cut's left point p has cross(c2 - c1, p - c1) > 0, and
+    # cross(D - o, D - D') = -cross(D' - o, D' - D): P and Q lie on opposite sides
+    ex, ey = pdn.x - pdm.x, pdn.y - pdm.y
+    left = (pdn.x - po.x) * ey - (pdn.y - po.y) * ex > 0
+    p = b.pick(c6, around_d, Selector.LEFT if left else Selector.RIGHT)
+    q = b.pick(c6, b.circle(dm, o), Selector.RIGHT if left else Selector.LEFT)
+    e = b.pick(b.circle(p, dm), b.circle(q, dn), Selector.LEFT)
+    s1, s2 = b.both(c6, b.circle(p, o))
+    e_star = b.pick_other(b.circle(s1, e), b.circle(s2, e), avoid=e)
+    return b.both(b.circle(p, e_star), omega)
+
+
 def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
                               d: int) -> tuple[int, int]:
     """Points of line ab on the circle omega centered o through d, for a
-    center on or near the line, by inversion.
+    center near the line (more than ``EPS`` and less than r/64 from it), by
+    inversion.
 
     Take C on omega and off the line: d, or, where d lies within r/3 of
     the line, the apex of (o, d) farther from it. Lay out O, C, P, Q
@@ -405,16 +484,13 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     read off as a cut of line QS with omega by the mirror route of
     ``build_line_circle_off_center``, never by this route again.
 
-    Line QX touches omega where X is Q's foot on line ab (for a center on
-    the line, at cos(angle COX) = 1/3 or -1/3), and a cut there loses half
-    its digits. So only the cut whose X lies farther from the foot, r or
-    more for a center on the line, is read off. The other X is its
-    antipode for a center on the line, and for one near it the other cut
-    inverted back, at two doublings. A center on the line takes 25 circles
-    and 25 picks, 28 and 26 with the apex; one near it 37 to 40 circles.
+    Line QX touches omega where X is Q's foot on line ab (near
+    cos(angle COX) = 1/3 or -1/3), and a cut there loses half its digits.
+    So only the cut whose X lies farther from the foot is read off, and
+    the other X is the other cut inverted back: mostly 31 to 34 circles.
     """
-    pa, pb, po = b.point(a), b.point(bn), b.point(o)
-    r = distance(po, b.point(d))
+    pa, pb = b.point(a), b.point(bn)
+    r = distance(b.point(o), b.point(d))
     c = _clear_of_line(b, o, d, a, bn, r / 3.0)
     p = build_extend(b, o, c)
     q = build_extend(b, c, p)
@@ -435,10 +511,7 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     far = 0 if distance(images[0], foot) >= distance(images[1], foot) else 1
     found = _mirror_cut(b, q, cuts[far], o, d, build_reflect(b, q, cuts[far], o))
     x = min(found, key=lambda n: distance(b.point(n), images[far]))
-    if _point_line_distance(po, pa, pb) <= EPS:
-        y = build_extend(b, x, o)  # the antipode
-    else:
-        y = build_invert_general(b, q, c, cuts[1 - far])
+    y = build_invert_general(b, q, c, cuts[1 - far])
     return (x, y) if far == 0 else (y, x)
 
 

@@ -37,6 +37,10 @@ class MalformedTrace(CompassError):
     """A trace record is inconsistent or contains an unknown step kind."""
 
 
+class NotPositiveInteger(CompassError, ValueError):
+    """An integer-scaling factor that is not an int of at least 1."""
+
+
 class ScaleOverflow(CompassError):
     """An integer-scaling chain would exceed the supported bound."""
 

@@ -24,6 +24,7 @@ from compass.errors import (
     NonFiniteInput,
     NotExterior,
     NotOnCircle,
+    NotPositiveInteger,
     OnMirrorLine,
     ScaleOverflow,
 )
@@ -93,6 +94,32 @@ def test_nth_point_examples():
         nth_point(Point(0, 0), Point(1, 0), 2 ** 20 + 1)
     with pytest.raises(ValueError):
         nth_point(Point(0, 0), Point(1, 0), 0)
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -3])
+def test_nth_point_rejects_a_bad_n(n):
+    # a typed error, before any step: a float once reached range() (TypeError)
+    b = Builder([Point(0, 0), Point(1, 0)])
+    with pytest.raises(NotPositiveInteger):
+        cons.build_nth_point(b, 0, 1, n)
+    assert len(b) == 2
+
+
+def test_nth_point_large_n_by_doublings():
+    """2**20 is twenty doublings about o, 60 circles, where a chain of
+    reflections along the ray took 3(n - 1), over 3.1 million."""
+    rng = SplitMix64(23)
+    n = 2 ** 20
+    for _ in range(50):
+        o = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        if distance(o, p) < 0.1:
+            continue
+        b = Builder([o, p])
+        node = cons.build_nth_point(b, 0, 1, n)
+        assert b.finish([node])[0].circle_count() <= 60
+        want = Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y))
+        assert distance(b.point(node), want) <= 1e-13 * distance(want, o)
 
 
 def test_midpoint_examples():
@@ -251,6 +278,18 @@ def test_invert_interior_ratio_rule():
     # 2 doublings out and 2 back, 3 circles each, plus the 4-circle core:
     # 6k + 4 with k = 2
     assert program.circle_count() == 2 * 2 * 3 + 4
+
+
+@pytest.mark.parametrize("dist, doublings", [
+    (0.9, 1), (0.55, 1), (0.52, 2), (0.3, 2), (0.2, 3), (1 / 31, 5), (1e-3, 10)])
+def test_invert_interior_fewest_doublings(dist, doublings):
+    # the fewest doublings that clear the unit circle by 1/16, or by dist
+    # where that is less; the paper's floor(1/dist) + 2 asks one more at
+    # 0.9, 0.55, 0.3 and 1/31, and the same elsewhere
+    b = Builder([Point(0, 0), Point(1, 0), Point(dist, 0)])
+    node = cons.build_invert_general(b, 0, 1, 2)
+    close(b.point(node), 1 / dist, 0.0, within=1e-12 / dist)
+    assert b.finish([node])[0].circle_count() == 6 * doublings + 4
 
 
 @pytest.mark.parametrize("ratio, budget", [(1e-3, 64), (1e-4, 88), (1e-6, 124)])
@@ -461,8 +500,8 @@ def test_line_circle_small_circle_whose_center_touches():
 
 def test_line_circle_center_on_the_line():
     # within geom.EPS of the line the center has no mirror image: a d
-    # on the line too gives d and its antipode, any other d the inversion
-    # route on line ab itself; either way b's side of the center comes first
+    # on the line too gives d and its antipode, any other d the arc
+    # bisection on line ab itself; either way b's side of the center comes first
     a, b_ = Point(-2, 1e-13), Point(3, 1e-13)
     want = oracle_line_circle(a, b_, ResolvedCircle(ORIGIN, 1.0))
     for d in (UNIT[1], Point(0.6, 0.8)):
@@ -491,12 +530,13 @@ def test_line_circle_datum_point_on_or_near_the_line(offset):
 
 @pytest.mark.parametrize("height", [0.0, 1e-9, 1e-3, 1e-2, 1 / 70])
 def test_line_circle_read_off_near_tangency(height):
-    """For a center on or near the line, the inversion route reads a point
-    off as a cut of line QS with the circle, where Q = 3d - 2o. That line
+    """For a center near the line, the inversion route reads a point off
+    as a cut of line QS with the circle, where Q = 3d - 2o. That line
     touches the circle when the angle of d to the line has cosine 1/3 or
     -1/3; reading off the cut there, and not its partner, lost half the
     digits (1.7e-7). Scanned around those angles, for heights in units of r,
-    and at the angles 0 (d on or near the line) and acos(0.6)."""
+    and at the angles 0 (d on or near the line) and acos(0.6). Height 0,
+    a center on the line, takes the arc bisection."""
     o, r, angle = Point(0.3, -0.4), 1.7, 0.7
     ux, uy = math.cos(angle), math.sin(angle)
     foot = Point(o.x + height * r * uy, o.y - height * r * ux)
@@ -519,24 +559,50 @@ def test_line_circle_center_on_line_examples():
     assert pts[0].x > 0
 
 
-def test_line_circle_center_on_line_paper_intermediates():
-    b = Builder([Point(0, 0), Point(2, 0), Point(SQRT3_2, 0.5)])
+def test_line_circle_center_on_line_parallelogram_point():
+    # d = (1, 1) lies at 45 degrees, so it is D itself, and D' = (1, -1):
+    # the arc bisection's parallelogram point is P = o + D - D' = (0, 2),
+    # and the last circle, about P of radius sqrt(|oP|^2 + r^2) = sqrt(6),
+    # meets the circle at both answers: 13 circles in all
+    b = Builder([Point(0, 0), Point(3, 0), Point(1, 1)])
     n1, n2 = cons.build_line_circle_center_on_line(b, 0, 1, 2)
-    as_set((b.point(n1), b.point(n2)), [(1.0, 0.0), (-1.0, 0.0)], within=1e-6)
-    # the doubled circle around Q = 3C shows up in the trace
-    _, trace = b.finish([n1, n2])
-    q = (3 * SQRT3_2, 1.5)
-    assert any(
-        isinstance(v, ResolvedCircle)
-        and math.hypot(v.center.x - q[0], v.center.y - q[1]) < 1e-6
-        and abs(v.radius - 2.0) < 1e-6
-        for v in trace.resolved)
+    close(b.point(n1), math.sqrt(2), 0.0, within=1e-14)
+    close(b.point(n2), -math.sqrt(2), 0.0, within=1e-14)
+    last = b.circle_value(b.first[n1])
+    assert b.first[n2] == b.first[n1]
+    close(last.center, 0.0, 2.0, within=1e-14)
+    assert last.radius == pytest.approx(math.sqrt(6), abs=1e-14)
+    assert b.finish([n1, n2])[0].circle_count() == 13
+
+
+def test_line_circle_center_on_line_sweep():
+    """d swept round the circle in 0.1 degree steps, d off the line by a
+    twentieth of r or more, and the arc bisection's hard angles, each also
+    nudged by 1e-9 degrees: at 90 degrees from the line D' is D's antipode
+    and P's circles only touch, and at 30 degrees one cut of omega with
+    C(D, o) is D' itself. The worst error reads 8.1e-15 (r = 1.7)."""
+    o, r, angle = Point(0.3, -0.4), 1.7, 0.7
+    ux, uy = math.cos(angle), math.sin(angle)
+    a, b_ = Point(o.x - 2.0 * ux, o.y - 2.0 * uy), Point(o.x + 3.0 * ux, o.y + 3.0 * uy)
+    want = [(w.x, w.y) for w in oracle_line_circle(a, b_, ResolvedCircle(o, r))]
+    hard = [sign * base + nudge for base in (30, 60, 90, 120, 150)
+            for sign in (1, -1) for nudge in (0.0, 1e-9, -1e-9)]
+    swept = [k / 10 for k in range(3600) if abs(math.sin(math.radians(k / 10))) >= 0.05]
+    for degrees in swept + hard:
+        t = math.radians(degrees)
+        d = Point(o.x + r * (math.cos(t) * ux - math.sin(t) * uy),
+                  o.y + r * (math.cos(t) * uy + math.sin(t) * ux))
+        b = Builder([a, b_, o, d])
+        x, y = cons.build_line_circle_off_center(b, 0, 1, 2, 3)
+        as_set((b.point(x), b.point(y)), want, within=1e-13 * r)
+        assert (b.point(x).x - o.x) * ux + (b.point(x).y - o.y) * uy > 0  # b's side first
+        assert b.finish([x, y])[0].circle_count() <= 14
 
 
 @pytest.mark.parametrize("offset", [1e-5, 1e-9])
 def test_line_circle_center_on_line_datum_near_the_line(offset):
-    # Q = 3d would lie within 3 * offset of the line, its mirror image out
-    # of reach or poorly conditioned: the apex of (o, d) stands in for d
+    # d lies nearly on the line, where its mirror image D' nearly is d: the
+    # apex of (o, d) nearer 45 degrees stands in for d
     o, a = Point(0.4, -0.3), Point(2.9, 1.2)
     ux, uy = (a.x - o.x) / distance(o, a), (a.y - o.y) / distance(o, a)
     r = 1.3

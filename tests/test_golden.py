@@ -37,11 +37,11 @@ GOLDEN = {
         "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
         "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf"),
     "line-circle-diameter": (
-        "8cf11cc0d33954e2827064030336075615fada76fbe34a376b86503ca95020a4",
-        "c2a74ce6bd257ebc485906956a22fb20ee1b06d4cb51746829169e68f61bbd0c"),
+        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
+        "9b2d65fb5b449247c0e6db41e26c6208c7cc4828865d3548e8959914da7f48dc"),
     "line-line": (
-        "69924fbb9f9ea9c6967bc26226553d832944ad9ce0b2f660515990de68641100",
-        "1ea81821629250d6a2d9362f2b69a573d5edcff93f91c08aaa001ce954c2ad60"),
+        "dea5200bd7d950b0478404665c9aa17e7bb115ccf65c597a17838d2b863f1859",
+        "7b692720c6f8a29fe791ced368d8971c4f34a4c9dd61bed77911c5cb171baf8e"),
     "midpoint": (
         "221101b63edb40a2d0dd55859db466f495becd0f6dcece6d30f54ac3485517ae",
         "89b32b1c79c2d54369e107402ada3026d61e083f8308dad2cfe261de8771504b"),
@@ -81,14 +81,14 @@ def test_demo_bytes_are_pinned(name):
 FUZZ_GOLDEN = {
     "apex": "41e7c495973d73914706383531d0fd10c2813aa74ee1204376fb57c4f14fab7e",
     "extend": "b8fa886db3aa0743af40f7d6fcdcad81536bd30d440f9c96d2728be7d632ddc0",
-    "nth": "5802cbfd499604010dcee317d17e6118c87a26c1db7c798a59a272e394c6543e",
+    "nth": "bddc263049cdf499f3872e494b5b8dda99b2c7587c82988f8f7770eb9c6c1ca8",
     "midpoint": "77ef79a8cf42de986ae2a4b0ab369a3f1287b576e1d9d4790aa4d7b013ad43e2",
     "foot": "a9d6d5ae4b196a17b514ee29f188e5f3d4ec937a07bccf90201ec9ccd24fa400",
-    "invert": "4dbd833b07a32a156caf97dbb3d4237c5b07d89687ef77c1d11eb892ee2006e5",
-    "line-line": "cf771b2f5d2fbad925af409ab6dc625367602f319da5e9c8bd3bd2cd0b3635e7",
+    "invert": "40300ceee51ff46186a249d3a0dfbf6cc56027282325a326c2fea1ee0f526b94",
+    "line-line": "ffef52c360dad87bb12676d82de01b86959de946994708e5fcd4c739005d30ed",
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
-        "8c9d0f405ac07f3ec0754882782de8fea8c71660f3ec20f75010b2aaf3c0e911",
+        "ef158a5b5687c402ea6ac0e01ad6afef1ab982398864e3f69052f5c4e8e32fed",
     "mul": "d2ecb35d63059582b115e0acb72c4caa4a94e7f443a29d6aeaf6dda828518d08",
     "add": "dd8ea7707cb2f913f9b7f5a3c6413fae678efedc8c59ce9d9e8be8e94f7bd601",
     "conj": "90d3118a9e8d937b9ca206f876725b444131d9a7ed830dc5a9c8b70ff8815a4d",

@@ -81,8 +81,9 @@ P_IMAGE = (P[0] / (P[0] ** 2 + P[1] ** 2), P[1] / (P[0] ** 2 + P[1] ** 2))
     # two doublings: sharing circles between them saves none
     (UNIT, (4.0, 0.0), 6, 1136,
      lambda b: cons.build_extend(b, 0, cons.build_extend(b, 0, 1))),
+    (UNIT, (3.0, 0.0), 5, 52, lambda b: cons.build_nth_point(b, 0, 1, 3)),
     (UNIT + (P,), P_IMAGE, 4, 138, lambda b: cons.build_invert_exterior(b, 0, 1, 2)),
-], ids=["extend", "midpoint", "4x", "invert-exterior"])
+], ids=["extend", "midpoint", "4x", "3x", "invert-exterior"])
 def test_engine_core_meets_the_fewest_circles(seeds, goal, fewest, states, build):
     assert fewest_circles(seeds, goal, fewest + 1) == (fewest, states)
     b = Builder([Point(*s) for s in seeds])
