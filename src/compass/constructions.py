@@ -176,60 +176,61 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
 
 # --- inversion ---------------------------------------------------------------
 
-def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
+def _invert_core(b: Builder, o: int, d: int, p: int) -> int:
     """Inversion of p in the circle omega centered o through d, by three
     circles: the circle centered p through o cuts omega at m and n, and the
     image is the mirror image of o in the chord mn, where the circles
-    centered m and n through o meet again. Valid for |op| > r/2 (4 circles
-    with omega, and 3 picks; optimal, ``tests/test_minimal.py``); the
-    contract asks |op| > r (``NotExterior``).
-
+    centered m and n through o meet again. 4 circles with omega, and 3
+    picks; valid for |op| > r/2, where the circle about p touches omega.
     Far outside, the chord mn nears a diameter and the rounding of m and n
     grows with |op|; at about |op| = 1e6 r the circles about m and n only
-    touch, at o, and that raises ``ScaleOverflow``.
-    """
-    po, pd, pp = b.point(o), b.point(d), b.point(p)
-    r = distance(po, pd)
-    if distance(po, pp) <= r + EPS:
-        raise NotExterior(f"{pp} is not strictly outside radius {r}")
+    touch, at o, and that raises ``ScaleOverflow``."""
     omega = b.circle(o, d)
     m, n = b.both(b.circle(p, o), omega)
     image = b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o)
     if image is None:
-        raise ScaleOverflow(f"{pp} is too far outside radius {r} to invert")
+        raise ScaleOverflow(f"{b.point(p)} is too far outside radius "
+                            f"{distance(b.point(o), b.point(d))} to invert")
     return image
+
+
+def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
+    """Inversion of p in the circle centered o through d by the 4-circle
+    core, which is optimal (``tests/test_minimal.py``). The core is valid
+    beyond r/2 (``build_invert_general``); this contract asks |op| > r
+    (``NotExterior``)."""
+    po, pd, pp = b.point(o), b.point(d), b.point(p)
+    r = distance(po, pd)
+    if distance(po, pp) <= r + EPS:
+        raise NotExterior(f"{pp} is not strictly outside radius {r}")
+    return _invert_core(b, o, d, p)
 
 
 def _doublings(dist: float, r: float) -> int:
     """The doublings ``build_invert_general`` takes each way for a point
-    ``dist`` from the center of a circle of radius r: none outside or on
-    the circle, else the smallest k >= 1 with 2**k dist >= r + min(r/16,
-    dist), so that the pushed-out point clears the circle by r/16, or by
-    dist where that is less. That is never more than the paper's
-    2**k >= floor(r/dist) + 2, which clears it by dist. A ratio beyond
-    ``MAX_SCALE``, or one that overflows, counts as that."""
+    ``dist`` from the center of a circle of radius r: the smallest k >= 0
+    with 2**k dist >= (r + min(r/16, dist)) / 2, which clears the core's
+    limit r/2 by r/32, or by dist/2 where that is less; none from 17r/32
+    out. The paper's 2**k >= floor(r/dist) + 2 asks one or two more. A
+    ratio beyond ``MAX_SCALE``, or one that overflows, counts as that."""
     if not r - dist > EPS:  # outside, on the circle, or not a number
         return 0
     ratio = min(r / max(dist, EPS), MAX_SCALE)
     mantissa, k = math.frexp(ratio + min(ratio / 16.0, 1.0))  # mantissa in [1/2, 1)
-    return max(1, k - 1 if mantissa == 0.5 else k)
+    return k - 2 if mantissa == 0.5 else k - 1
 
 
 def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
-    """Inversion of any point p != center.
+    """Inversion of any point p != center, or p itself on the circle.
 
-    Exterior points invert directly; points on the circle are their own
-    image. An interior point at distance d from the center needs an integer
-    ratio n > r/d to clear the circle (the paper's rule takes
-    n = floor(r/d) + 2). Inversion turns scaling by any integer m into
-    scaling by 1/m, so the point is pushed out by a power of two 2^k, with
-    k doublings about the center, inverted there, and the image pulled
-    back by k more doublings: 6k + 4 circles, 3 per doubling and 4 for the
-    core. k is the fewest doublings that clear the circle by r/16, or by d
-    where that is less (``_doublings``), never more than the paper's rule
-    asks: a point beyond 17r/32 takes one each way. The pushed-out point
-    lies beyond r, so twice clear of the core's limit r/2, where its first
-    circle only touches omega.
+    A point at distance d from the center is pushed out by k doublings
+    about the center, inverted by the core of ``build_invert_exterior``,
+    which is valid beyond r/2, and the image pulled back by k doublings:
+    inversion turns scaling by 2^k into scaling by 2^-k. That is 6k + 4
+    circles, with k the fewest doublings that clear r/2 by r/32, or by d/2
+    where that is less (``_doublings``): none from 17r/32 out. An interior
+    point whose paper ratio floor(r/d) + 2 exceeds ``MAX_SCALE`` raises
+    ``ScaleOverflow``.
     """
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = distance(po, pd)
@@ -238,17 +239,14 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
         raise CenterInversion("inversion is undefined at the center")
     if abs(dist - r) <= EPS:
         return p
-    if dist > r + EPS:
-        return build_invert_exterior(b, o, d, p)
-    n = math.floor(r / dist) + 2
-    if n > MAX_SCALE:
+    if r / dist >= MAX_SCALE - 1:  # floor(r/d) + 2 > MAX_SCALE, or r/d overflows
         raise ScaleOverflow(
-            f"interior point needs ratio {n}, beyond {MAX_SCALE}")
+            f"interior point with r/d = {r / dist:.6g} needs a ratio beyond {MAX_SCALE}")
     doublings = _doublings(dist, r)
     q = p
     for _ in range(doublings):
         q = build_extend(b, o, q)
-    j = build_invert_exterior(b, o, d, q)
+    j = _invert_core(b, o, d, q)
     for _ in range(doublings):
         j = build_extend(b, o, j)
     return j
@@ -265,8 +263,8 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     pole's mirror image in the line; those two circles meet again at the
     inverse of the sought point, which is inverted back. That is 18
     circles (fewer where steps coincide) when both mirror images and the
-    cut point lie outside the pole circle, and 6 more for each doubling an
-    interior one takes, one at least.
+    cut point lie 17/32 of the pole radius or more from the pole, and 6
+    more for each doubling a nearer one takes.
 
     The twelve apexes are ranked by the doublings their three inversions
     are predicted to take, on plain floats from the four points, ties kept
@@ -367,7 +365,7 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     (``_line_circle_by_inversion``) instead, whose circles cross at the
     angle the line makes with omega, nearly a right angle there. That
     route reads a point off with this mirror route, on a line that keeps
-    the center r/4 or more away: mostly 31 to 34 circles.
+    the center r/4 or more away: mostly 25 to 28 circles.
 
     A center on the line (to within ``EPS``) has no mirror image:
     the answer is d and its antipode, or where d is off the line
@@ -487,7 +485,7 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     Line QX touches omega where X is Q's foot on line ab (near
     cos(angle COX) = 1/3 or -1/3), and a cut there loses half its digits.
     So only the cut whose X lies farther from the foot is read off, and
-    the other X is the other cut inverted back: mostly 31 to 34 circles.
+    the other X is the other cut inverted back: mostly 25 to 28 circles.
     """
     pa, pb = b.point(a), b.point(bn)
     r = distance(b.point(o), b.point(d))

@@ -268,36 +268,66 @@ def test_invert_general_examples():
         invert_general(*UNIT, Point(1e-15, 0))
     with pytest.raises(ScaleOverflow):  # ratio 10**7 + 2 is beyond MAX_SCALE
         invert_general(*UNIT, Point(1e-7, 0))
+    with pytest.raises(ScaleOverflow):  # r/d overflows to infinity
+        invert_general(ORIGIN, Point(1e300, 0), Point(1e-11, 0))
 
 
 def test_invert_interior_ratio_rule():
-    # dist 0.5 in the unit circle: ratio floor(1/0.5) + 2 = 4 = 2**2
+    # dist 0.5 in the unit circle: one doubling takes it to 1, beyond the
+    # core's limit 1/2 by 1/32 and more
     b = Builder([Point(0, 0), Point(1, 0), Point(0.5, 0)])
     cons.build_invert_general(b, 0, 1, 2)
     program, _ = b.finish([])
-    # 2 doublings out and 2 back, 3 circles each, plus the 4-circle core:
-    # 6k + 4 with k = 2
-    assert program.circle_count() == 2 * 2 * 3 + 4
+    # 1 doubling out and 1 back, 3 circles each, plus the 4-circle core:
+    # 6k + 4 with k = 1
+    assert program.circle_count() == 2 * 1 * 3 + 4
 
 
-@pytest.mark.parametrize("dist, doublings", [
-    (0.9, 1), (0.55, 1), (0.52, 2), (0.3, 2), (0.2, 3), (1 / 31, 5), (1e-3, 10)])
-def test_invert_interior_fewest_doublings(dist, doublings):
-    # the fewest doublings that clear the unit circle by 1/16, or by dist
-    # where that is less; the paper's floor(1/dist) + 2 asks one more at
-    # 0.9, 0.55, 0.3 and 1/31, and the same elsewhere
+# dist: doublings each way; keyed by the input alone, so a re-pin keeps the ids
+FEWEST_DOUBLINGS = {0.9: 0, 0.55: 0, 0.52: 1, 0.3: 1, 0.2: 2, 1 / 31: 4, 1e-3: 9}
+
+
+@pytest.mark.parametrize("dist", FEWEST_DOUBLINGS)
+def test_invert_interior_fewest_doublings(dist):
+    # the fewest doublings that clear the core's limit 1/2 by 1/32, or by
+    # dist/2 where that is less; the paper's floor(1/dist) + 2 asks one more
+    # at 0.52, 0.2 and 1e-3, and two more elsewhere
     b = Builder([Point(0, 0), Point(1, 0), Point(dist, 0)])
     node = cons.build_invert_general(b, 0, 1, 2)
     close(b.point(node), 1 / dist, 0.0, within=1e-12 / dist)
-    assert b.finish([node])[0].circle_count() == 6 * doublings + 4
+    assert b.finish([node])[0].circle_count() == 6 * FEWEST_DOUBLINGS[dist] + 4
 
 
-@pytest.mark.parametrize("ratio, budget", [(1e-3, 64), (1e-4, 88), (1e-6, 124)])
-def test_invert_interior_log_budget(ratio, budget):
+LOG_BUDGET = {1e-3: 58, 1e-4: 82, 1e-6: 118}  # ratio: circles
+
+
+@pytest.mark.parametrize("ratio", LOG_BUDGET)
+def test_invert_interior_log_budget(ratio):
     b = Builder([Point(0, 0), Point(1, 0), Point(ratio, 0)])
     node = cons.build_invert_general(b, 0, 1, 2)
     program, _ = b.finish([node])
-    assert program.circle_count() == budget
+    assert program.circle_count() == LOG_BUDGET[ratio]
+
+
+@pytest.mark.parametrize("j", range(10))
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["out", "in"])
+def test_invert_interior_doubling_boundary(j, side):
+    """Just outside and just inside (17/32) 2**-j r, where the pushed-out
+    point lands on the core's margin: 6k + 4 circles with k the doublings
+    ``_doublings`` predicts, k = j outside and j + 1 inside while the r/16
+    clearance rules (j <= 3), and k = j on both sides once the dist/2 one
+    does."""
+    o, r, t = Point(0.3, -0.2), 1.7, 0.7
+    d = Point(o.x + r, o.y)
+    dist = 17 / 32 * 2.0 ** -j * r * (1 + side * 1e-9)
+    p = Point(o.x + dist * math.cos(t), o.y + dist * math.sin(t))
+    k = cons._doublings(dist, r)
+    assert k == j + (side < 0 and j <= 3)
+    b = Builder([o, d, p])
+    node = cons.build_invert_general(b, 0, 1, 2)
+    assert b.finish([node])[0].circle_count() == 6 * k + 4
+    want = oracle_invert(ResolvedCircle(o, r), p)
+    assert distance(b.point(node), want) <= 1e-12 * distance(want, o)
 
 
 def test_inverting_back_draws_omega_once():
@@ -345,7 +375,8 @@ def test_invert_far_exterior_refuses_touching_circles():
 
 def test_invert_just_inside_the_circle():
     # 2 - EPS rounds down, so the point lies more than EPS inside: it is
-    # interior by build_invert_general's own test and must take doublings
+    # interior by build_invert_general's own test, and beyond 17/32 of the
+    # radius, so the core inverts it with no doubling
     dist = 2.0 - EPS
     assert 2.0 - dist > EPS
     for p in (dist, math.nextafter(dist, 0.0)):

@@ -40,8 +40,8 @@ GOLDEN = {
         "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
         "9b2d65fb5b449247c0e6db41e26c6208c7cc4828865d3548e8959914da7f48dc"),
     "line-line": (
-        "dea5200bd7d950b0478404665c9aa17e7bb115ccf65c597a17838d2b863f1859",
-        "7b692720c6f8a29fe791ced368d8971c4f34a4c9dd61bed77911c5cb171baf8e"),
+        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
+        "63263b75adfd669dafbaa4247d8d9100ebae5ba151bdeafab50a132b37a9c22e"),
     "midpoint": (
         "221101b63edb40a2d0dd55859db466f495becd0f6dcece6d30f54ac3485517ae",
         "89b32b1c79c2d54369e107402ada3026d61e083f8308dad2cfe261de8771504b"),
@@ -84,8 +84,8 @@ FUZZ_GOLDEN = {
     "nth": "bddc263049cdf499f3872e494b5b8dda99b2c7587c82988f8f7770eb9c6c1ca8",
     "midpoint": "77ef79a8cf42de986ae2a4b0ab369a3f1287b576e1d9d4790aa4d7b013ad43e2",
     "foot": "a9d6d5ae4b196a17b514ee29f188e5f3d4ec937a07bccf90201ec9ccd24fa400",
-    "invert": "40300ceee51ff46186a249d3a0dfbf6cc56027282325a326c2fea1ee0f526b94",
-    "line-line": "ffef52c360dad87bb12676d82de01b86959de946994708e5fcd4c739005d30ed",
+    "invert": "cb393cd9ad57649aa83f51cb8490ad575ce3f1b40b720e75dfad16ad1ab8cf56",
+    "line-line": "995d98a21f58dbf0d8ee112b23b0134d09f2aac63ae5df00eae1acbc0651c3fd",
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
         "ef158a5b5687c402ea6ac0e01ad6afef1ab982398864e3f69052f5c4e8e32fed",

@@ -65,6 +65,8 @@ def fewest_circles(seeds, goal, limit):
         if any(any(rows[s][3] for s in state) and any(rows[c][3] for c in drawable(state, pts))
                for state, pts in level.items()):
             return depth + 1, searched
+        if depth + 1 == limit:  # the next level would not be searched
+            break
         level = {state | {c}: pts.union(*(meet(c, s) for s in state))
                  for state, pts in level.items() for c in drawable(state, pts)}
     return None, searched
@@ -72,7 +74,17 @@ def fewest_circles(seeds, goal, limit):
 
 UNIT = ((0.0, 0.0), (1.0, 0.0))
 P = (1.7, 0.6)  # generic and outside the unit circle
-P_IMAGE = (P[0] / (P[0] ** 2 + P[1] ** 2), P[1] / (P[0] ** 2 + P[1] ** 2))
+
+
+def image(p):
+    """p inverted in the unit circle."""
+    return p[0] / (p[0] ** 2 + p[1] ** 2), p[1] / (p[0] ** 2 + p[1] ** 2)
+
+
+# interior, but beyond 17/32, where the core needs no doubling
+INNER = (0.6, 0.35)
+# interior and within 17/32: one doubling each way
+DEEP = (0.45, 0.2)
 
 
 @pytest.mark.parametrize("seeds, goal, fewest, states, build", [
@@ -82,11 +94,23 @@ P_IMAGE = (P[0] / (P[0] ** 2 + P[1] ** 2), P[1] / (P[0] ** 2 + P[1] ** 2))
     (UNIT, (4.0, 0.0), 6, 1136,
      lambda b: cons.build_extend(b, 0, cons.build_extend(b, 0, 1))),
     (UNIT, (3.0, 0.0), 5, 52, lambda b: cons.build_nth_point(b, 0, 1, 3)),
-    (UNIT + (P,), P_IMAGE, 4, 138, lambda b: cons.build_invert_exterior(b, 0, 1, 2)),
-], ids=["extend", "midpoint", "4x", "3x", "invert-exterior"])
+    (UNIT + (P,), image(P), 4, 138, lambda b: cons.build_invert_exterior(b, 0, 1, 2)),
+    (UNIT + (INNER,), image(INNER), 4, 138,
+     lambda b: cons.build_invert_general(b, 0, 1, 2)),
+], ids=["extend", "midpoint", "4x", "3x", "invert-exterior", "invert-interior"])
 def test_engine_core_meets_the_fewest_circles(seeds, goal, fewest, states, build):
     assert fewest_circles(seeds, goal, fewest + 1) == (fewest, states)
     b = Builder([Point(*s) for s in seeds])
     node = build(b)
     assert math.dist((b.point(node).x, b.point(node).y), goal) <= 1e-12
     assert b.finish([node])[0].circle_count() == fewest
+
+
+def test_deep_interior_inversion_lower_bound():
+    """No construction reaches DEEP's image within 5 circles, so its floor
+    is 6; the engine's one doubling each way around the core takes 10."""
+    assert fewest_circles(UNIT + (DEEP,), image(DEEP), 5) == (None, 2982)
+    b = Builder([Point(*s) for s in UNIT + (DEEP,)])
+    node = cons.build_invert_general(b, 0, 1, 2)
+    assert math.dist((b.point(node).x, b.point(node).y), image(DEEP)) <= 1e-12
+    assert b.finish([node])[0].circle_count() == 10
