@@ -21,8 +21,17 @@ Grammar (EBNF):
     arg     := IDENT | NUMBER | "left" | "right" ;
     emit    := "emit" ("svg" | "trace" | "points") STRING ;
 
-`#` comments run to end of line. The interpreter performs no I/O: emit
-statements come back as requests for the caller to act on.
+where ``e`` is nothing: a line may be empty. Tokens (``_TOKEN``):
+
+- IDENT is a letter or ``_``, then word characters, and is no keyword.
+- NUMBER uses decimal digits only, with an optional sign, fraction and
+  exponent (``-1.5e-3``, ``+.25``), and ``float`` must read it as finite.
+- STRING is the text between two double quotes; it does not span lines.
+- ``#`` starts a comment that runs to the end of the line. Spaces, tabs
+  and carriage returns separate tokens; a newline is a token.
+
+The interpreter performs no I/O: emit statements come back as requests for
+the caller to act on.
 
 Each operation is one row of ``_OPS``: its parameter kinds and the routine
 that builds it on the script's one builder. The kinds are P a point, C a
@@ -39,6 +48,7 @@ operand is a point constructed from those two alone, which
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import constructions as cons
@@ -108,88 +118,57 @@ class Token:
     column: int
 
 
-_PUNCT = "=(),"
+# One alternative per token kind, tried in this order; blanks and comments,
+# and any other character, are groups of their own, so every character is
+# matched. ``odd`` is what follows an 'e' that starts no decimal exponent.
+_TOKEN = re.compile(r"""
+    (?P<blank> [ \t\r]+ | \#[^\n]* )
+  | (?P<Newline> \n )
+  | (?P<Punct> [=(),] )
+  | (?P<String> "[^"\n]*" )
+  | (?P<Number> [+-]? (?=[\d.]) \d* (?:\.\d*)?
+                (?: [eE][+-]?\d+ | (?=(?P<odd>[eE][+-]?\w)) )? )
+  | (?P<word> \w+ )
+  | (?P<other> . )
+""", re.VERBOSE)
+_KIND = {"blank": None, "Newline": NEWLINE, "Punct": PUNCT, "String": STRING,
+         "Number": NUMBER, "word": IDENT, "other": EOF}  # EOF: the scan stops there
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex a script into tokens with 1-based line/column positions."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\r":
-            i += 1
-            col += 1
-        elif ch == "\n":
-            tokens.append(Token(NEWLINE, "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-        elif ch in _PUNCT:
-            tokens.append(Token(PUNCT, ch, line, col))
-            i += 1
-            col += 1
-        elif ch == '"':
-            start_col = col
-            i += 1
-            begin = i
-            while i < n and source[i] not in '"\n':
-                i += 1
-            if i >= n or source[i] != '"':
-                raise LexError(line, start_col, "unterminated string")
-            tokens.append(Token(STRING, source[begin:i], line, start_col))
-            i += 1
-            col = start_col + (i - begin) + 1
-        elif ch.isalpha() or ch == "_":
-            start_col = col
-            begin = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[begin:i]
-            kind = KEYWORD if word in KEYWORDS else IDENT
-            tokens.append(Token(kind, word, line, start_col))
-            col = start_col + (i - begin)
-        elif ch.isdigit() or ch == "." or (
-                ch in "+-" and i + 1 < n
-                and (source[i + 1].isdigit() or source[i + 1] == ".")):
-            start_col = col
-            begin = i
-            if ch in "+-":
-                i += 1
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j + 1
-                    while i < n and source[i].isdigit():
-                        i += 1
-            lexeme = source[begin:i]
-            col = start_col + (i - begin)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = _KIND[m.lastgroup]
+        if kind is None:
+            continue
+        text = m.group()
+        column = m.start() - line_start + 1
+        if kind is IDENT:
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(line, column, f"unexpected character {text[0]!r}")
+            if text in KEYWORDS:
+                kind = KEYWORD
+        elif kind is NUMBER:
+            odd = m.group("odd")
+            if odd and odd[-1].isdigit():  # '1e²': a bad number, not 1 and a name
+                text += odd
             try:
-                value = float(lexeme)
+                value = float(text)
             except ValueError:
-                raise LexError(line, start_col, f"bad number {lexeme!r}") from None
+                raise LexError(line, column, f"bad number {text!r}") from None
             if not math.isfinite(value):
-                raise LexError(line, start_col, f"number {lexeme!r} overflows")
-            tokens.append(Token(NUMBER, lexeme, line, start_col))
-        else:
-            raise LexError(line, col, f"unexpected character {ch!r}")
-    tokens.append(Token(EOF, "", line, col))
+                raise LexError(line, column, f"number {text!r} overflows")
+        elif kind is STRING:
+            text = text[1:-1]
+        elif kind is EOF:
+            raise LexError(line, column, "unterminated string" if text == '"'
+                           else f"unexpected character {text!r}")
+        tokens.append(Token(kind, text, line, column))
+        if kind is NEWLINE:
+            line, line_start = line + 1, m.end()
+    tokens.append(Token(EOF, "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -251,122 +230,74 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
+    def at(self, kind: str, lexeme: str | None = None) -> bool:
         tok = self.tokens[self.i]
-        if tok.kind is not EOF:
-            self.i += 1
+        return tok.kind is kind and (lexeme is None or tok.lexeme == lexeme)
+
+    def take(self, kind: str, what: str, lexemes=None) -> Token:
+        """Consume the next token, which must be of ``kind`` and, given
+        ``lexemes``, one of them; else a ParseError expecting ``what``."""
+        tok = self.tokens[self.i]
+        if tok.kind is not kind or (lexemes is not None and tok.lexeme not in lexemes):
+            found = tok.lexeme if tok.lexeme.strip() else tok.kind.lower()
+            raise ParseError(tok.line, tok.column, what, repr(found))
+        self.i += 1
         return tok
-
-    def fail(self, expected: str):
-        tok = self.peek()
-        found = tok.lexeme if tok.lexeme.strip() else tok.kind.lower()
-        raise ParseError(tok.line, tok.column, expected, repr(found))
-
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok.kind is not PUNCT or tok.lexeme != ch:
-            self.fail(f"'{ch}'")
-        return self.advance()
-
-    def expect_kind(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            self.fail(what)
-        return self.advance()
-
-    def end_of_line(self):
-        tok = self.peek()
-        if tok.kind is NEWLINE:
-            self.advance()
-        elif tok.kind is not EOF:
-            self.fail("end of line")
-
-    def number(self) -> float:
-        return float(self.expect_kind(NUMBER, "a number").lexeme)
-
-    def given(self) -> Given:
-        kw = self.advance()
-        name = self.expect_kind(IDENT, "a point name").lexeme
-        self.expect_punct("=")
-        self.expect_punct("(")
-        x = self.number()
-        self.expect_punct(",")
-        y = self.number()
-        self.expect_punct(")")
-        self.end_of_line()
-        return Given(name, x, y, line=kw.line)
-
-    def let(self) -> Let:
-        kw = self.advance()
-        names = [self.expect_kind(IDENT, "a name").lexeme]
-        if self.peek().kind is PUNCT and self.peek().lexeme == ",":
-            self.advance()
-            names.append(self.expect_kind(IDENT, "a name").lexeme)
-        self.expect_punct("=")
-        call = self.call()
-        self.end_of_line()
-        return Let(tuple(names), call, line=kw.line)
-
-    def call(self) -> CallExpr:
-        op = self.expect_kind(IDENT, "an operation name").lexeme
-        self.expect_punct("(")
-        args: list[Arg] = []
-        if not (self.peek().kind is PUNCT and self.peek().lexeme == ")"):
-            args.append(self.arg())
-            while True:
-                tok = self.peek()
-                if tok.kind is PUNCT and tok.lexeme == ",":
-                    self.advance()
-                    args.append(self.arg())
-                elif tok.kind is PUNCT and tok.lexeme == ")":
-                    break
-                else:
-                    self.fail("',' or ')'")
-        self.expect_punct(")")
-        return CallExpr(op, tuple(args))
-
-    def arg(self) -> Arg:
-        tok = self.peek()
-        if tok.kind is IDENT:
-            return NameArg(self.advance().lexeme)
-        if tok.kind is NUMBER:
-            return NumberArg(float(self.advance().lexeme))
-        if tok.kind is KEYWORD and tok.lexeme in ("left", "right"):
-            self.advance()
-            return SelectorArg(Selector.LEFT if tok.lexeme == "left"
-                               else Selector.RIGHT)
-        self.fail("an argument (name, number, 'left', or 'right')")
-
-    def emit(self) -> Emit:
-        kw = self.advance()
-        tok = self.peek()
-        if tok.kind is not KEYWORD or tok.lexeme not in ("svg", "trace", "points"):
-            self.fail("'svg', 'trace', or 'points'")
-        target = self.advance().lexeme
-        path = self.expect_kind(STRING, "a quoted path").lexeme
-        self.end_of_line()
-        return Emit(target, path, line=kw.line)
 
     def script(self) -> list[Statement]:
         statements: list[Statement] = []
-        while True:
-            tok = self.peek()
-            if tok.kind is EOF:
-                return statements
-            if tok.kind is NEWLINE:
-                self.advance()
-                continue
-            if tok.kind is KEYWORD and tok.lexeme == "given":
-                statements.append(self.given())
-            elif tok.kind is KEYWORD and tok.lexeme == "let":
-                statements.append(self.let())
-            elif tok.kind is KEYWORD and tok.lexeme == "emit":
-                statements.append(self.emit())
+        while not self.at(EOF):
+            if self.at(NEWLINE):
+                self.i += 1
             else:
-                self.fail("'given', 'let', or 'emit'")
+                statements.append(self.statement())
+        return statements
+
+    def statement(self) -> Statement:
+        kw = self.take(KEYWORD, "'given', 'let', or 'emit'", ("given", "let", "emit"))
+        if kw.lexeme == "given":
+            name = self.take(IDENT, "a point name").lexeme
+            self.take(PUNCT, "'='", "=")
+            self.take(PUNCT, "'('", "(")
+            x = float(self.take(NUMBER, "a number").lexeme)
+            self.take(PUNCT, "','", ",")
+            y = float(self.take(NUMBER, "a number").lexeme)
+            self.take(PUNCT, "')'", ")")
+            stmt = Given(name, x, y, line=kw.line)
+        elif kw.lexeme == "let":
+            names = [self.take(IDENT, "a name").lexeme]
+            if self.at(PUNCT, ","):
+                self.i += 1
+                names.append(self.take(IDENT, "a name").lexeme)
+            self.take(PUNCT, "'='", "=")
+            stmt = Let(tuple(names), self.call(), line=kw.line)
+        else:
+            target = self.take(KEYWORD, "'svg', 'trace', or 'points'",
+                               ("svg", "trace", "points")).lexeme
+            stmt = Emit(target, self.take(STRING, "a quoted path").lexeme, line=kw.line)
+        if not self.at(EOF):
+            self.take(NEWLINE, "end of line")
+        return stmt
+
+    def call(self) -> CallExpr:
+        op = self.take(IDENT, "an operation name").lexeme
+        self.take(PUNCT, "'('", "(")
+        args: list[Arg] = []
+        while not self.at(PUNCT, ")"):
+            if args:
+                self.take(PUNCT, "',' or ')'", ",")
+            args.append(self.arg())
+        self.i += 1
+        return CallExpr(op, tuple(args))
+
+    def arg(self) -> Arg:
+        if self.at(IDENT):
+            return NameArg(self.take(IDENT, "a name").lexeme)
+        if self.at(NUMBER):
+            return NumberArg(float(self.take(NUMBER, "a number").lexeme))
+        return SelectorArg(Selector(self.take(
+            KEYWORD, "an argument (name, number, 'left', or 'right')",
+            ("left", "right")).lexeme))
 
 
 def parse(tokens: list[Token]) -> list[Statement]:

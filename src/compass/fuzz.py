@@ -375,9 +375,8 @@ def _run_field(run: _Run, rng: SplitMix64, op: str):
             if b is None:
                 return f"conj a={_fmt_pt(a.value)}"
             return f"{op} a={_fmt_pt(a.value)} b={_fmt_pt(b.value)}"
-        trace = execute(result.program, field_ops.CANONICAL_SEEDS)
-        run.audit(trace)
-        run.record(_err(trace.output_points()[0], want), detail)
+        run.audit(result.trace)
+        run.record(_err(result.value, want), detail)
         if op == "conj":
             twice = field_ops.conj(result)
             if _err(twice.value, a.value) > FUZZ_TOL:

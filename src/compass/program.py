@@ -72,7 +72,7 @@ class Selector(enum.Enum):
 _LEFT, _RIGHT = Selector.LEFT, Selector.RIGHT
 
 OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT = range(4)
-SELECTOR_OF_OP = {OP_LEFT: Selector.LEFT, OP_RIGHT: Selector.RIGHT}
+SELECTOR_NAMES = {OP_LEFT: _LEFT.value, OP_RIGHT: _RIGHT.value}  # as traces and SVG write them
 
 
 class _View(Sequence):

@@ -14,11 +14,10 @@ zero turns -0.0 into 0.0 and leaves every other double as it is.
 
 from __future__ import annotations
 
-from .program import OP_CIRCLE, OP_SEED, SELECTOR_OF_OP, Trace
+from .program import OP_CIRCLE, OP_SEED, SELECTOR_NAMES, Trace
 
 _GIVEN_COLOR = "#000000"
 _BUILT_COLOR = "#cc0000"
-_SELECTOR_NAMES = {op: s.value for op, s in SELECTOR_OF_OP.items()}
 
 
 def _n(x: float) -> str:
@@ -80,7 +79,7 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
             title = f"step {i}: seed {first[i]}"
         else:
             color = _BUILT_COLOR
-            title = (f"step {i}: pick({_SELECTOR_NAMES[op]} of "
+            title = (f"step {i}: pick({SELECTOR_NAMES[op]} of "
                      f"n{first[i]}, n{second[i]})")
         dots.append(f'  <path class="dot" d="M {x - dot_r + 0.0:.10g} {y + 0.0:.10g}'
                     f'{arcs}" fill="{color}"><title>{title}</title></path>\n')

@@ -37,7 +37,7 @@ from .geom import radius
 from .program import (  # noqa: F401
     OP_CIRCLE,
     OP_SEED,
-    SELECTOR_OF_OP,
+    SELECTOR_NAMES,
     Program,
     Resolved,
     Trace,
@@ -46,8 +46,7 @@ from .program import (  # noqa: F401
 
 VERSION = 1
 
-_SELECTOR_NAMES = {op: s.value for op, s in SELECTOR_OF_OP.items()}
-_SELECTORS = {s.value: op for op, s in SELECTOR_OF_OP.items()}
+_SELECTORS = {name: op for op, name in SELECTOR_NAMES.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +101,7 @@ def dumps(doc: TraceDocument) -> str:
                           f'"through":{second[i]}}}')
         else:
             chunks.append(f'{{"id":{i},"op":"pick","c1":{first[i]},"c2":{second[i]},'
-                          f'"selector":"{_SELECTOR_NAMES[op]}",'
+                          f'"selector":"{SELECTOR_NAMES[op]}",'
                           f'"x":{xs[i]:.17g},"y":{ys[i]:.17g}}}')
     parts.append(",".join(chunks))
     parts.append('],"outputs":[')

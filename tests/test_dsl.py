@@ -117,6 +117,43 @@ def test_positions_are_monotone():
     assert seen == sorted(seen)
 
 
+@pytest.mark.parametrize("source, bad, message", [
+    # a digit that is no decimal digit starts no token
+    ("given A = (5², 0)", "²", "unexpected character '²'"),
+    # but as an exponent's first digit it makes the number bad
+    ("given A = (1e², 0)", "1", "bad number '1e²'"),
+], ids=["digit", "exponent"])
+def test_non_decimal_digit_is_a_lex_error(source, bad, message):
+    with pytest.raises(LexError) as err:
+        tokenize(source)
+    assert (err.value.line, err.value.column) == (1, source.index(bad) + 1)
+    assert err.value.message == message
+
+
+_fragment = st.sampled_from(sorted(dsl.KEYWORDS) + [
+    "A", "b_2", "_x", "e", "émile", "midpoint", "0", "-1.5e-3", "+.25", "1E5",
+    "٣", ".", "+", "-", "=", "(", ")", ",", '"', '"p.svg"', "#", "# note",
+    " ", "\t", "\r", "\n"])
+
+
+@given(st.lists(_fragment, max_size=24).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_tokens_and_parse_errors_point_into_the_source(source):
+    rows = [row + "\n" for row in source.split("\n")]
+    try:
+        toks = tokenize(source)
+    except LexError as err:
+        assert err.column <= len(rows[err.line - 1])
+        return
+    for tok in toks:
+        at = rows[tok.line - 1][tok.column - 1:]
+        assert at.startswith(f'"{tok.lexeme}"' if tok.kind == "String" else tok.lexeme)
+    try:
+        dsl.parse(toks)
+    except ParseError as err:
+        assert any((t.line, t.column) == (err.line, err.column) for t in toks)
+
+
 # --- parser ---------------------------------------------------------------------
 
 def test_parse_midpoint_demo_script():

@@ -280,11 +280,13 @@ def test_squaring_chain_budget():
 
 
 def test_carried_value_is_the_executed_witness():
+    # the fuzzer audits a value's own trace in place of re-executing its
+    # witness, so the two must be equal, down to every resolved step
     pool = _ValuePool()
     rng = SplitMix64(37)
-    for _ in range(60):
-        v = pool.draw(rng, 2)
+    for v in [*pool.atoms, *(pool.draw(rng, 2) for _ in range(60))]:
         executed = execute(v.program, F.CANONICAL_SEEDS)
+        assert executed == v.trace
         assert v.value == executed.output_points()[0]
         # the witness holds no two steps under one row, so the resumed
         # hash-cons table keys every step, and replaying the witness on its
