@@ -112,7 +112,7 @@ def cmd_fuzz(args) -> int:
         _diag(f"unknown construction {args.op!r}; available: all, "
               + ", ".join(fuzz.OPS))
         return 2
-    reports = fuzz.run_fuzz(ops, args.cases, args.seed)
+    reports = [fuzz.run_op(name, args.cases, args.seed) for name in ops]
     sys.stdout.write(fuzz.format_reports(reports, args.cases, args.seed))
     return 3 if any(r.failures for r in reports) else 0
 

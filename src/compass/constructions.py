@@ -271,8 +271,8 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     in the order below, and tried in one pass, rolling back each that
     fails: within EPS of a line, or with inverted lines that only touch. A
     pole near a line ranks late, its mirror image deep inside the pole
-    circle. Over fuzz draws the ranking takes the mean from 36 circles to
-    23, and the worst error down with it.
+    circle. Over 600 fuzz draws at seed 42 the mean is 18.34 circles, gated
+    at 18.5 in ``tests/test_counts.py``.
     """
     pa, pb, pc, pd = b.point(a), b.point(bn), b.point(c), b.point(d)
     if distance(pa, pb) <= EPS or distance(pc, pd) <= EPS:

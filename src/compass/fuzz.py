@@ -6,12 +6,25 @@ alone, on any platform, and a single-construction run replays exactly the
 cases it would see inside a full run. Inputs are sampled in [-5, 5]^2 with
 non-degeneracy margins: pairwise distances >= 0.1, line angles >= 0.1 rad,
 and |center-to-line distance - r| >= 0.05 where classification matters.
+
+Each op is a case generator ``(run, rng)`` that yields one ``(trace, want,
+detail)`` per case: the trace to audit, whose outputs are the answer; the
+oracle's points; and a callable that formats the case, called only when it
+fails. ``run_op`` alone audits each trace, compares it with ``want`` and
+records the error on its ``OpReport``. A check that follows the comparison
+(an involution, a missed intersection) stays in its generator and calls
+``run.fail`` when the generator resumes, so failure details keep their order.
+
+``perfbench/`` and the tests patch module names that are read at call time:
+``purity_audit`` (called once per audited case), ``execute`` (apex, extend,
+nth and midpoint), the ``oracle_*`` names, ``_fmt_pt``, ``FUZZ_TOL`` and
+``INVOLUTION_TOL``, and the ``cons.build_*`` routines.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -29,7 +42,7 @@ from .oracle import (
     oracle_line_line,
     oracle_midpoint,
 )
-from .program import Builder, Selector, execute, purity_audit
+from .program import Builder, Selector, Trace, execute, purity_audit
 
 FUZZ_TOL = 1e-6
 INVOLUTION_TOL = 1e-5
@@ -68,10 +81,22 @@ def rng_for(seed: int, op: str) -> SplitMix64:
 class OpReport:
     name: str
     cases: int
-    failures: int
-    max_err: float
-    audited: int
-    details: tuple[str, ...]  # first few failing instances, for reproduction
+    failures: int = 0
+    max_err: float = 0.0
+    audited: int = 0
+    details: tuple[str, ...] = ()  # first few failing instances, for reproduction
+
+    def record(self, err: float, detail: Callable[[], str]):
+        """Record a case's error; ``detail`` describes the case, and is
+        formatted only when the case fails."""
+        self.max_err = max(self.max_err, err)
+        if err > FUZZ_TOL:
+            self.fail(detail())
+
+    def fail(self, detail: str):
+        self.failures += 1
+        if len(self.details) < 5:
+            self.details += (detail,)
 
 
 def _fmt_pt(p: Point) -> str:
@@ -82,7 +107,7 @@ def _err(got: Point, want: Point) -> float:
     return math.hypot(got.x - want.x, got.y - want.y)
 
 
-def _pair_err(got: tuple[Point, ...], want: list[Point]) -> float:
+def _pair_err(got: tuple[Point, ...], want: Sequence[Point]) -> float:
     if len(got) != len(want):
         return math.inf
     if len(got) == 1:
@@ -109,87 +134,55 @@ def _direction(rng: SplitMix64) -> tuple[float, float]:
     return math.cos(t), math.sin(t)
 
 
-class _Run:
-    def __init__(self, name: str, cases: int):
-        self.name = name
-        self.cases = cases
-        self.failures = 0
-        self.max_err = 0.0
-        self.audited = 0
-        self.details: list[str] = []
-
-    def record(self, err: float, detail: Callable[[], str]):
-        """Record a case's error; ``detail`` describes the case, and is
-        formatted only when the case fails."""
-        self.max_err = max(self.max_err, err)
-        if err > FUZZ_TOL:
-            self.fail(detail())
-
-    def fail(self, detail: str):
-        self.failures += 1
-        if len(self.details) < 5:
-            self.details.append(detail)
-
-    def audit(self, trace):
-        purity_audit(trace)
-        self.audited += 1
-
-    def report(self) -> OpReport:
-        return OpReport(self.name, self.cases, self.failures, self.max_err,
-                        self.audited, tuple(self.details))
+def _built(build: Callable, seeds: list[Point]) -> Trace:
+    """``build(b, 0, 1, ...)`` on a fresh builder over ``seeds``, finished
+    with the node or nodes it returns as the outputs."""
+    b = Builder(seeds)
+    nodes = build(b, *range(len(seeds)))
+    return b.finish((nodes,) if isinstance(nodes, int) else nodes)[1]
 
 
-def _run_apex(run: _Run, rng: SplitMix64):
+def _apex_cases(run: OpReport, rng: SplitMix64):
     w = complex(0.5, math.sqrt(3.0) / 2.0)
     for i in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
         side = Selector.LEFT if i % 2 == 0 else Selector.RIGHT
-        trace = execute(cons.apex_program(side), (a, b))
-        run.audit(trace)
-        out = trace.output_points()[0]
         factor = w if side is Selector.LEFT else w.conjugate()
         z = complex(a.x, a.y) + (complex(b.x, b.y) - complex(a.x, a.y)) * factor
-        run.record(_err(out, Point(z.real, z.imag)),
-                   lambda: f"apex{_fmt_pt(a)}{_fmt_pt(b)} {side.value}")
+        yield (execute(cons.apex_program(side), (a, b)), (Point(z.real, z.imag),),
+               lambda: f"apex{_fmt_pt(a)}{_fmt_pt(b)} {side.value}")
 
 
-def _run_extend(run: _Run, rng: SplitMix64):
+def _extend_cases(run: OpReport, rng: SplitMix64):
     program = cons.extend_program()
     for _ in range(run.cases):
         x = _point(rng)
         y = _point_away(rng, [x])
-        trace = execute(program, (x, y))
-        run.audit(trace)
-        want = Point(2 * y.x - x.x, 2 * y.y - x.y)
-        run.record(_err(trace.output_points()[0], want),
-                   lambda: f"extend{_fmt_pt(x)}{_fmt_pt(y)}")
+        yield (execute(program, (x, y)), (Point(2 * y.x - x.x, 2 * y.y - x.y),),
+               lambda: f"extend{_fmt_pt(x)}{_fmt_pt(y)}")
 
 
-def _run_nth(run: _Run, rng: SplitMix64):
+def _nth_cases(run: OpReport, rng: SplitMix64):
     for _ in range(run.cases):
         o = _point(rng)
         p = _point_away(rng, [o])
         n = rng.randint(1, 8)
-        trace = execute(cons.nth_point_program(n), (o, p))
-        run.audit(trace)
-        want = Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y))
-        run.record(_err(trace.output_points()[0], want),
-                   lambda: f"nth{_fmt_pt(o)}{_fmt_pt(p)} n={n}")
+        yield (execute(cons.nth_point_program(n), (o, p)),
+               (Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y)),),
+               lambda: f"nth{_fmt_pt(o)}{_fmt_pt(p)} n={n}")
 
 
-def _run_midpoint(run: _Run, rng: SplitMix64):
+def _midpoint_cases(run: OpReport, rng: SplitMix64):
     program = cons.midpoint_program()
     for _ in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
-        trace = execute(program, (a, b))
-        run.audit(trace)
-        run.record(_err(trace.output_points()[0], oracle_midpoint(a, b)),
-                   lambda: f"midpoint{_fmt_pt(a)}{_fmt_pt(b)}")
+        yield (execute(program, (a, b)), (oracle_midpoint(a, b),),
+               lambda: f"midpoint{_fmt_pt(a)}{_fmt_pt(b)}")
 
 
-def _run_foot(run: _Run, rng: SplitMix64):
+def _foot_cases(run: OpReport, rng: SplitMix64):
     for i in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
@@ -199,15 +192,11 @@ def _run_foot(run: _Run, rng: SplitMix64):
             c = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         else:
             c = _point_away(rng, [a, b])
-        builder = Builder([a, b, c])
-        node = cons.build_perp_foot(builder, 0, 1, 2)
-        _, trace = builder.finish([node])
-        run.audit(trace)
-        run.record(_err(builder.point(node), oracle_foot(a, b, c)),
-                   lambda: f"foot{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}")
+        yield (_built(cons.build_perp_foot, [a, b, c]), (oracle_foot(a, b, c),),
+               lambda: f"foot{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}")
 
 
-def _run_invert(run: _Run, rng: SplitMix64):
+def _invert_cases(run: OpReport, rng: SplitMix64):
     for i in range(run.cases):
         o = _point(rng)
         r = rng.uniform(0.5, 3.0)
@@ -223,21 +212,18 @@ def _run_invert(run: _Run, rng: SplitMix64):
             dist = rng.uniform(0.05 * r, 0.95 * r)
         p = Point(o.x + dist * px, o.y + dist * py)
         builder = Builder([o, d, p])
-        node = cons.build_invert_general(builder, 0, 1, 2)
-        back = cons.build_invert_general(builder, 0, 1, node)
-        _, trace = builder.finish([node, back])
-        run.audit(trace)
-        got = builder.point(node)
-        want = oracle_invert(ResolvedCircle(o, r), p)
+        image = cons.build_invert_general(builder, 0, 1, 2)
+        back = cons.build_invert_general(builder, 0, 1, image)
 
         def detail():
             return f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}"
-        run.record(_err(got, want), detail)
+        yield (builder.finish([image])[1], (oracle_invert(ResolvedCircle(o, r), p),),
+               detail)
         if _err(builder.point(back), p) > INVOLUTION_TOL:
             run.fail("involution " + detail())
 
 
-def _run_line_line(run: _Run, rng: SplitMix64):
+def _line_line_cases(run: OpReport, rng: SplitMix64):
     min_sin = math.sin(0.1)
     for _ in range(run.cases):
         while True:
@@ -250,13 +236,9 @@ def _run_line_line(run: _Run, rng: SplitMix64):
             sin = abs(ux * vy - uy * vx) / (math.hypot(ux, uy) * math.hypot(vx, vy))
             if sin >= min_sin:
                 break
-        want = oracle_line_line(a, b, c, d)
-        builder = Builder([a, b, c, d])
-        node = cons.build_line_line(builder, 0, 1, 2, 3)
-        _, trace = builder.finish([node])
-        run.audit(trace)
-        run.record(_err(builder.point(node), want),
-                   lambda: f"linexline{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}{_fmt_pt(d)}")
+        yield (_built(cons.build_line_line, [a, b, c, d]),
+               (oracle_line_line(a, b, c, d),),
+               lambda: f"linexline{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}{_fmt_pt(d)}")
 
 
 def _sample_line_at_distance(rng: SplitMix64, o: Point,
@@ -269,7 +251,7 @@ def _sample_line_at_distance(rng: SplitMix64, o: Point,
             Point(foot.x - ny * t2, foot.y + nx * t2))
 
 
-def _run_line_circle(run: _Run, rng: SplitMix64):
+def _line_circle_cases(run: OpReport, rng: SplitMix64):
     for i in range(run.cases):
         o = _point(rng)
         r = rng.uniform(0.5, 3.0)
@@ -284,20 +266,16 @@ def _run_line_circle(run: _Run, rng: SplitMix64):
         def detail():
             return f"linexcircle{_fmt_pt(a)}{_fmt_pt(b)} o={_fmt_pt(o)} r={r:.17g}"
         want = oracle_line_circle(a, b, ResolvedCircle(o, r))
-        builder = Builder([a, b, o, d])
         try:
-            nodes = cons.build_line_circle_off_center(builder, 0, 1, 2, 3)
+            trace = _built(cons.build_line_circle_off_center, [a, b, o, d])
         except NoSuchIntersection:
             if want:
                 run.fail("missed existing intersection: " + detail())
             continue
-        _, trace = builder.finish(nodes)
-        run.audit(trace)
-        got = tuple(builder.point(n) for n in nodes)
-        run.record(_pair_err(got, want), detail)
+        yield trace, want, detail
 
 
-def _run_line_circle_diameter(run: _Run, rng: SplitMix64):
+def _line_circle_diameter_cases(run: OpReport, rng: SplitMix64):
     for i in range(run.cases):
         o = _point(rng)
         a = _point_away(rng, [o])
@@ -313,14 +291,9 @@ def _run_line_circle_diameter(run: _Run, rng: SplitMix64):
                 if abs(dx * uy - dy * ux) * r >= 0.05:
                     break
             d = Point(o.x + r * dx, o.y + r * dy)
-        builder = Builder([o, a, d])
-        n1, n2 = cons.build_line_circle_center_on_line(builder, 0, 1, 2)
-        _, trace = builder.finish([n1, n2])
-        run.audit(trace)
-        got = (builder.point(n1), builder.point(n2))
-        want = oracle_line_circle(o, a, ResolvedCircle(o, r))
-        run.record(_pair_err(got, want),
-                   lambda: f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
+        yield (_built(cons.build_line_circle_center_on_line, [o, a, d]),
+               oracle_line_circle(o, a, ResolvedCircle(o, r)),
+               lambda: f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
 
 
 class _ValuePool:
@@ -354,7 +327,7 @@ class _ValuePool:
 _pool = lru_cache(maxsize=None)(_ValuePool)  # one pool, so one set of atoms
 
 
-def _run_field(run: _Run, rng: SplitMix64, op: str):
+def _field_cases(run: OpReport, rng: SplitMix64, op: str):
     pool = _pool()
     for _ in range(run.cases):
         a = pool.draw(rng, 2)
@@ -375,42 +348,38 @@ def _run_field(run: _Run, rng: SplitMix64, op: str):
             if b is None:
                 return f"conj a={_fmt_pt(a.value)}"
             return f"{op} a={_fmt_pt(a.value)} b={_fmt_pt(b.value)}"
-        run.audit(result.trace)
-        run.record(_err(result.value, want), detail)
-        if op == "conj":
-            twice = field_ops.conj(result)
-            if _err(twice.value, a.value) > FUZZ_TOL:
-                run.fail("involution " + detail())
+        yield result.trace, (want,), detail
+        if op == "conj" and _err(field_ops.conj(result).value, a.value) > FUZZ_TOL:
+            run.fail("involution " + detail())
 
 
-_RUNNERS = {
-    "apex": _run_apex,
-    "extend": _run_extend,
-    "nth": _run_nth,
-    "midpoint": _run_midpoint,
-    "foot": _run_foot,
-    "invert": _run_invert,
-    "line-line": _run_line_line,
-    "line-circle": _run_line_circle,
-    "line-circle-diameter": _run_line_circle_diameter,
-    "mul": partial(_run_field, op="mul"),
-    "add": partial(_run_field, op="add"),
-    "conj": partial(_run_field, op="conj"),
+_CASES = {
+    "apex": _apex_cases,
+    "extend": _extend_cases,
+    "nth": _nth_cases,
+    "midpoint": _midpoint_cases,
+    "foot": _foot_cases,
+    "invert": _invert_cases,
+    "line-line": _line_line_cases,
+    "line-circle": _line_circle_cases,
+    "line-circle-diameter": _line_circle_diameter_cases,
+    "mul": partial(_field_cases, op="mul"),
+    "add": partial(_field_cases, op="add"),
+    "conj": partial(_field_cases, op="conj"),
 }
-OPS = tuple(_RUNNERS)  # in this order: rng_for streams and the golden pins depend on it
+OPS = tuple(_CASES)  # in this order: rng_for streams and the golden pins depend on it
 
 
 def run_op(name: str, cases: int, seed: int) -> OpReport:
+    """Audit, check and record every case the op's generator yields."""
     if name not in OPS:
         raise ValueError(f"unknown construction {name!r}")
-    run = _Run(name, cases)
-    rng = rng_for(seed, name)
-    _RUNNERS[name](run, rng)
-    return run.report()
-
-
-def run_fuzz(ops: list[str], cases: int, seed: int) -> list[OpReport]:
-    return [run_op(name, cases, seed) for name in ops]
+    run = OpReport(name, cases)
+    for trace, want, detail in _CASES[name](run, rng_for(seed, name)):
+        purity_audit(trace)
+        run.audited += 1
+        run.record(_pair_err(trace.output_points(), want), detail)
+    return run
 
 
 def format_reports(reports: list[OpReport], cases: int, seed: int) -> str:

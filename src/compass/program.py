@@ -247,7 +247,7 @@ class Trace:
             raise MalformedTrace(f"step {i}: {kind} resolved to non-{want}")
 
     def output_points(self) -> tuple[Point, ...]:
-        return tuple(self.resolved[i] for i in self.program.outputs)
+        return tuple(map(self.resolved._at, self.program.outputs))
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from compass.errors import (
     OnMirrorLine,
     ScaleOverflow,
 )
-from compass.fuzz import SplitMix64, run_op
+from compass.fuzz import OPS, SplitMix64, run_op
 from compass.geom import EPS, Point, ResolvedCircle, distance
 from compass.oracle import oracle_foot, oracle_invert, oracle_line_circle
 from compass.program import (
@@ -664,9 +664,7 @@ def test_antipode_examples():
 # --- the master property: oracle equivalence, spot-checked here -----------------
 # (the full 1000-case sweeps live in the acceptance suite)
 
-@pytest.mark.parametrize("op", [
-    "apex", "extend", "nth", "midpoint", "foot", "invert",
-    "line-line", "line-circle", "line-circle-diameter"])
+@pytest.mark.parametrize("op", OPS)
 def test_oracle_equivalence_sample(op):
     report = run_op(op, 60, seed=202)
     assert report.failures == 0, report.details

@@ -95,14 +95,33 @@ FUZZ_GOLDEN = {
 }
 
 
+# op: (failures, audited, max_err.hex()) of ``fuzz.run_op(op, 120, seed=1)``;
+# line-circle audits only its hits
+FUZZ_REPORTS = {
+    "apex": (0, 120, "0x1.8000000000000p-49"),
+    "extend": (0, 120, "0x1.ad5336963eefcp-47"),
+    "nth": (0, 120, "0x1.09eeacab398f3p-44"),
+    "midpoint": (0, 120, "0x1.8154be2773526p-47"),
+    "foot": (0, 120, "0x1.8bc708d4fcf15p-43"),
+    "invert": (0, 120, "0x1.0a1c063916ca4p-42"),
+    "line-line": (0, 120, "0x1.57a824688fe44p-43"),
+    "line-circle": (0, 90, "0x1.43f22bf3aa502p-43"),
+    "line-circle-diameter": (0, 120, "0x1.b0f63e8f52274p-46"),
+    "mul": (0, 120, "0x1.854bfb363dc39p-48"),
+    "add": (0, 120, "0x1.1ec671c145243p-47"),
+    "conj": (0, 120, "0x1.176d9090c79a8p-48"),
+}
+
+
 def test_every_fuzz_op_is_pinned():
-    assert set(FUZZ_GOLDEN) == set(fuzz.OPS)
+    assert set(FUZZ_GOLDEN) == set(FUZZ_REPORTS) == set(fuzz.OPS)
 
 
 @pytest.mark.parametrize("op", fuzz.OPS)
 def test_fuzz_traces_are_pinned(op, monkeypatch):
     """Each audited trace's (steps, circles, picks) and the ``float.hex`` of
-    every resolved coordinate: bit-exactness far past the demos."""
+    every resolved coordinate, and the report's numbers: bit-exactness far
+    past the demos."""
     h = hashlib.sha256()
 
     def audit(trace):
@@ -118,7 +137,7 @@ def test_fuzz_traces_are_pinned(op, monkeypatch):
 
     monkeypatch.setattr(fuzz, "purity_audit", audit)
     report = fuzz.run_op(op, 120, 1)
-    assert report.failures == 0
+    assert (report.failures, report.audited, report.max_err.hex()) == FUZZ_REPORTS[op]
     assert h.hexdigest() == FUZZ_GOLDEN[op]
 
 
