@@ -3,20 +3,6 @@ replayable construction programs, the classical point constructions built
 on them, constructive complex arithmetic, analytic verification oracles,
 a construction script language, and a CLI emitting figures and traces."""
 
-from .constructions import (
-    antipode,
-    apex,
-    diameter_circle,
-    extend,
-    invert_exterior,
-    invert_general,
-    line_circle_center_on_line,
-    line_circle_off_center,
-    line_line,
-    midpoint,
-    nth_point,
-    perp_foot,
-)
 from .geom import (
     Coincident,
     NoIntersection,
@@ -51,23 +37,11 @@ __all__ = [
     "Tangent",
     "Trace",
     "TwoPoints",
-    "antipode",
-    "apex",
     "circle_circle_intersect",
     "circle_from",
-    "diameter_circle",
     "distance",
     "execute",
-    "extend",
-    "invert_exterior",
-    "invert_general",
-    "line_circle_center_on_line",
-    "line_circle_off_center",
-    "line_line",
-    "midpoint",
-    "nth_point",
     "orientation_sign",
-    "perp_foot",
     "purity_audit",
     "rebase",
     "similarity_transport_check",

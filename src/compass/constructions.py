@@ -2,9 +2,11 @@
 
 Each routine appends a compass program to a Builder and returns the node(s)
 of its result, so constructions compose into one program (the script
-interpreter and the figure demos rely on that). The module-level functions
-of the same names are the plain call-a-function surface: they seed a fresh
-builder, run the routine, and hand back coordinates.
+interpreter and the figure demos rely on that). To run one on points, seed a
+builder with them and read the result off it by node:
+
+    b = Builder([a, c])
+    b.point(build_midpoint(b, 0, 1))
 
 Lines never exist as drawn objects anywhere below; a "line" is always a
 pair of distinct points, per the compass-only rules of the game.
@@ -27,7 +29,7 @@ from .errors import (
     ParallelLines,
     ScaleOverflow,
 )
-from .geom import EPS, Point, ResolvedCircle, distance
+from .geom import EPS, Point, distance
 from .program import Builder, Program, Selector
 
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
@@ -462,6 +464,8 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
     e = b.pick(b.circle(p, dm), b.circle(q, dn), Selector.LEFT)
     s1, s2 = b.both(c6, b.circle(p, o))
     e_star = b.pick_other(b.circle(s1, e), b.circle(s2, e), avoid=e)
+    if e_star is None:
+        raise DegenerateCircle("the circles about s1 and s2 only touch")
     return b.both(b.circle(p, e_star), omega)
 
 
@@ -527,67 +531,3 @@ def build_antipode(b: Builder, o: int, d: int, p: int) -> int:
     if abs(distance(po, pp) - distance(po, pd)) > EPS:
         raise NotOnCircle(f"{pp} does not lie on the circle")
     return build_extend(b, p, o)
-
-
-# --- plain functional surface -------------------------------------------------
-# A circle is given as its center o and a point d it passes through.
-
-def apex(a: Point, b: Point, side: Selector = Selector.LEFT) -> Point:
-    bld = Builder([a, b])
-    return bld.point(build_apex(bld, 0, 1, side))
-
-
-def extend(x: Point, y: Point) -> Point:
-    bld = Builder([x, y])
-    return bld.point(build_extend(bld, 0, 1))
-
-
-def nth_point(o: Point, p: Point, n: int) -> Point:
-    bld = Builder([o, p])
-    return bld.point(build_nth_point(bld, 0, 1, n))
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    bld = Builder([a, b])
-    return bld.point(build_midpoint(bld, 0, 1))
-
-
-def diameter_circle(a: Point, b: Point) -> ResolvedCircle:
-    bld = Builder([a, b])
-    return bld.circle_value(build_diameter_circle(bld, 0, 1))
-
-
-def perp_foot(a: Point, b: Point, c: Point) -> Point:
-    bld = Builder([a, b, c])
-    return bld.point(build_perp_foot(bld, 0, 1, 2))
-
-
-def invert_exterior(o: Point, d: Point, p: Point) -> Point:
-    bld = Builder([o, d, p])
-    return bld.point(build_invert_exterior(bld, 0, 1, 2))
-
-
-def invert_general(o: Point, d: Point, p: Point) -> Point:
-    bld = Builder([o, d, p])
-    return bld.point(build_invert_general(bld, 0, 1, 2))
-
-
-def line_line(a: Point, b: Point, c: Point, d: Point) -> Point:
-    bld = Builder([a, b, c, d])
-    return bld.point(build_line_line(bld, 0, 1, 2, 3))
-
-
-def line_circle_off_center(a: Point, b: Point, o: Point, d: Point) -> tuple[Point, ...]:
-    bld = Builder([a, b, o, d])
-    return tuple(map(bld.point, build_line_circle_off_center(bld, 0, 1, 2, 3)))
-
-
-def line_circle_center_on_line(o: Point, a: Point, d: Point) -> tuple[Point, Point]:
-    bld = Builder([o, a, d])
-    n1, n2 = build_line_circle_center_on_line(bld, 0, 1, 2)
-    return bld.point(n1), bld.point(n2)
-
-
-def antipode(o: Point, d: Point, p: Point) -> Point:
-    bld = Builder([o, d, p])
-    return bld.point(build_antipode(bld, 0, 1, 2))

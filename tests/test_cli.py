@@ -24,6 +24,19 @@ def test_run_reports_a_coincident_basis_by_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+
+def test_run_reports_touching_arc_bisection_circles_by_line(tmp_path, capsys):
+    # at a scale of 1e-12 the arc bisection's last mirror circles only touch
+    script = tmp_path / "tiny.compass"
+    script.write_text("given O = (-3.115044388549565e-12, -3.9656388606993e-12)\n"
+                      "given A = (-1.895765423894632e-12, -4.345296123760764e-12)\n"
+                      "given D = (-3.5454637362861075e-12, -1.948851337458773e-12)\n"
+                      "let X, Y = linexcircle(O, A, O, D)\n")
+    assert main(["run", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4:" in err and "DegenerateCircle" in err
+    assert "Traceback" not in err
+
 MIDPOINT = "given A = (0, 0)\ngiven B = (3, 0)\nlet M = midpoint(A, B)\n"
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from compass import field_ops as F
-from compass.constructions import build_extend, midpoint
+from compass.constructions import build_extend, build_midpoint
 from compass.fuzz import SplitMix64, _ValuePool
 from compass.geom import Point
 from compass.oracle import (
@@ -116,7 +116,8 @@ def test_demo_half():
 def test_demo_half_agrees_with_midpoint_route():
     # two independent compass routes to the same point
     h = F.demo_half()
-    m = midpoint(Point(0, 0), Point(1, 0))
+    b = Builder([Point(0, 0), Point(1, 0)])
+    m = b.point(build_midpoint(b, 0, 1))
     assert math.hypot(h.value.x - m.x, h.value.y - m.y) <= 1e-7
 
 
