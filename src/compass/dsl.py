@@ -33,6 +33,10 @@ where ``e`` is nothing: a line may be empty. Tokens (``_TOKEN``):
 The interpreter performs no I/O: emit statements come back as requests for
 the caller to act on.
 
+Tokens and call expressions are named tuples, equal to their field tuples.
+The statements ``Given``, ``Let`` and ``Emit`` are ``record.Record``
+classes that compare without their ``line``.
+
 Each operation is one row of ``_OPS``: its parameter kinds and the routine
 that builds it on the script's one builder. The kinds are P a point, C a
 circle, N a positive integer, F a field operand, W a field operand whose
@@ -49,13 +53,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import constructions as cons
 from . import field_ops
 from .errors import CompassError, InvalidNodeId
 from .geom import Point
-from .program import Builder, Selector, Trace
+from .program import Builder, Selector
+from .record import MutableRecord, Record
 
 KEYWORDS = frozenset({"given", "let", "emit", "svg", "trace", "points",
                       "left", "right"})
@@ -110,12 +115,7 @@ NEWLINE = "Newline"
 EOF = "Eof"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str
-    lexeme: str
-    line: int
-    column: int
+Token = namedtuple("Token", "kind lexeme line column")
 
 
 # One alternative per token kind, tried in this order; blanks and comments,
@@ -174,50 +174,38 @@ def tokenize(source: str) -> list[Token]:
 
 # --- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class NameArg:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class NumberArg:
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
-class SelectorArg:
-    which: Selector
-
-
+NameArg = namedtuple("NameArg", "name")
+NumberArg = namedtuple("NumberArg", "value")
+SelectorArg = namedtuple("SelectorArg", "which")
 Arg = NameArg | NumberArg | SelectorArg
+CallExpr = namedtuple("CallExpr", "op args")  # args: a tuple of Arg
 
 
-@dataclass(frozen=True, slots=True)
-class CallExpr:
-    op: str
-    args: tuple[Arg, ...]
+class _Statement(Record):
+    """A statement; ``==`` and ``hash`` leave out its last field, ``line``,
+    given by position or keyword, or 0 if not given."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields, **named):
+        if len(fields) + len(named) < len(self._fields):
+            named.setdefault("line", 0)
+        Record.__init__(self, *fields, **named)
+
+    def _key(self) -> tuple:
+        return Record._key(self)[:-1]
 
 
-@dataclass(frozen=True, slots=True)
-class Given:
-    name: str
-    x: float
-    y: float
-    line: int = field(default=0, compare=False)
+class Given(_Statement):
+    __slots__ = _fields = ("name", "x", "y", "line")
 
 
-@dataclass(frozen=True, slots=True)
-class Let:
-    names: tuple[str, ...]
-    call: CallExpr
-    line: int = field(default=0, compare=False)
+class Let(_Statement):
+    __slots__ = _fields = ("names", "call", "line")
 
 
-@dataclass(frozen=True, slots=True)
-class Emit:
-    target: str
-    path: str
-    line: int = field(default=0, compare=False)
+class Emit(_Statement):
+    __slots__ = _fields = ("target", "path", "line")
 
 
 Statement = Given | Let | Emit
@@ -263,18 +251,18 @@ class _Parser:
             self.take(PUNCT, "','", ",")
             y = float(self.take(NUMBER, "a number").lexeme)
             self.take(PUNCT, "')'", ")")
-            stmt = Given(name, x, y, line=kw.line)
+            stmt = Given(name, x, y, kw.line)
         elif kw.lexeme == "let":
             names = [self.take(IDENT, "a name").lexeme]
             if self.at(PUNCT, ","):
                 self.i += 1
                 names.append(self.take(IDENT, "a name").lexeme)
             self.take(PUNCT, "'='", "=")
-            stmt = Let(tuple(names), self.call(), line=kw.line)
+            stmt = Let(tuple(names), self.call(), kw.line)
         else:
             target = self.take(KEYWORD, "'svg', 'trace', or 'points'",
                                ("svg", "trace", "points")).lexeme
-            stmt = Emit(target, self.take(STRING, "a quoted path").lexeme, line=kw.line)
+            stmt = Emit(target, self.take(STRING, "a quoted path").lexeme, kw.line)
         if not self.at(EOF):
             self.take(NEWLINE, "end of line")
         return stmt
@@ -391,15 +379,13 @@ _OPS = {
 OP_NAMES = frozenset(_OPS)
 
 
-@dataclass(slots=True)
-class ScriptResult:
-    """Everything a caller needs to print, draw, or serialize a run."""
+class ScriptResult(MutableRecord):
+    """Everything a caller needs to print, draw, or serialize a run: the
+    ``trace``, the ``seed_names``, the let-bound ``named_points`` and
+    ``named_circles`` as (name, node) pairs in bind order, and the emit
+    statements, ``emits``, for the caller to act on."""
 
-    trace: Trace
-    seed_names: tuple[str, ...]
-    named_points: tuple[tuple[str, int], ...]  # let-bound points, bind order
-    named_circles: tuple[tuple[str, int], ...]
-    emits: tuple[Emit, ...]  # the emit statements, for the caller to act on
+    __slots__ = _fields = ("trace", "seed_names", "named_points", "named_circles", "emits")
 
     def point(self, name: str) -> Point:
         for n, node in self.named_points:

@@ -22,7 +22,7 @@ there, witnesses grow linearly along chains of additions, not exponentially.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import constructions as cons
@@ -33,8 +33,8 @@ from .geom import EPS, Point
 from .program import (  # noqa: F401
     Builder,
     Program,
+    Resolved,
     Selector,
-    Trace,
     empty_program,
     execute,
     rebase,
@@ -45,15 +45,16 @@ CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))
 
 # --- ring operations on a builder -------------------------------------------
 
-def relative(b: Builder, node: int) -> complex:
-    """The value of point ``node`` in the frame of the builder's seeds 0
-    and 1, (p - z0) / (z1 - z0); bit-exact on the canonical seeds."""
-    z0 = complex(b.xs[0], b.ys[0])
-    unit = complex(b.xs[1], b.ys[1]) - z0
+def relative(b: Builder | Resolved, node: int) -> complex:
+    """The value of point ``node`` in the frame of seeds 0 and 1,
+    (p - z0) / (z1 - z0), read off the ``xs`` and ``ys`` columns of a builder
+    or of a trace's ``Resolved``; bit-exact on the canonical seeds."""
+    xs, ys = b.xs, b.ys
+    z0 = complex(xs[0], ys[0])
+    unit = complex(xs[1], ys[1]) - z0
     if abs(unit) <= EPS:
         raise DegenerateCircle("seeds 0 and 1 coincide: no frame for field values")
-    p = b.point(node)
-    return (complex(p.x, p.y) - z0) / unit
+    return (complex(xs[node], ys[node]) - z0) / unit
 
 
 def _size(v: complex) -> float:
@@ -61,7 +62,7 @@ def _size(v: complex) -> float:
     return math.hypot(v.real, v.imag)
 
 
-def _at_zero(b: Builder, a: int) -> bool:
+def _at_zero(b: Builder | Resolved, a: int) -> bool:
     """Whether point ``a`` lies within EPS of seed 0, in the seeds' frame."""
     return _size(relative(b, a)) <= EPS
 
@@ -124,14 +125,14 @@ def build_conj(b: Builder, a: int) -> int:
 
 # --- values: the API edge ----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ConstructibleValue:
+class ConstructibleValue(namedtuple("ConstructibleValue", "trace")):
     """A constructible point carried with its two-seed witness ``trace``,
     resolved on the canonical seeds 0 and 1 as the builder that grew it
     resolved it; ``Builder.resume`` grows it further. Witnesses made by the
-    ring operations hold only seeds and ancestors of the output."""
+    ring operations hold only seeds and ancestors of the output. A named
+    tuple: values with equal traces are equal."""
 
-    trace: Trace
+    __slots__ = ()
 
     @property
     def program(self) -> Program:
@@ -189,8 +190,13 @@ def _grow(a: ConstructibleValue, build, *args) -> ConstructibleValue:
 
 
 def mul(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
-    """a * b (``build_mul``)."""
-    return _grow(a, build_mul, b.program)
+    """a * b (``build_mul``). A left factor at 0 (``_at_zero``, read off its
+    trace) is the product, with no builder resumed: a itself when it is seed
+    0, else seed 0's witness, cut from a builder of a's two seeds."""
+    out = a.primary_output
+    if not _at_zero(a.trace.resolved, out):
+        return _grow(a, build_mul, b.program)
+    return a if out == 0 else ConstructibleValue(Builder(a.trace.seed_values).witness(0))
 
 
 def neg(a: ConstructibleValue) -> ConstructibleValue:

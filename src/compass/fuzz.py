@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from . import constructions as cons
@@ -43,6 +42,7 @@ from .oracle import (
     oracle_midpoint,
 )
 from .program import Builder, Selector, Trace, execute, purity_audit
+from .record import MutableRecord
 
 FUZZ_TOL = 1e-6
 INVOLUTION_TOL = 1e-5
@@ -77,14 +77,16 @@ def rng_for(seed: int, op: str) -> SplitMix64:
     return SplitMix64(seed + (OPS.index(op) + 1) * _GOLDEN)
 
 
-@dataclass(slots=True)
-class OpReport:
-    name: str
-    cases: int
-    failures: int = 0
-    max_err: float = 0.0
-    audited: int = 0
-    details: tuple[str, ...] = ()  # first few failing instances, for reproduction
+class OpReport(MutableRecord):
+    """One op's run of ``cases`` cases: its failures, largest error and
+    audited traces, and ``details``, the first few failing instances, for
+    reproduction."""
+
+    __slots__ = _fields = ("name", "cases", "failures", "max_err", "audited", "details")
+
+    def __init__(self, name: str, cases: int, failures: int = 0, max_err: float = 0.0,
+                 audited: int = 0, details: tuple[str, ...] = ()):
+        MutableRecord.__init__(self, name, cases, failures, max_err, audited, details)
 
     def record(self, err: float, detail: Callable[[], str]):
         """Record a case's error; ``detail`` describes the case, and is

@@ -13,6 +13,14 @@ in ``program`` calls ``radius`` and ``cut`` directly and builds no object.
 ``cut`` alone knows which point is left and what a touch is: it returns
 both points, left first, and a touch is two equal points.
 
+The value records ``Point``, ``ResolvedCircle``, ``TwoPoints`` and
+``Tangent`` are named tuples: a ``Point`` equals, hashes and unpacks like
+the plain tuple ``(x, y)``, and takes tuple arithmetic and order with it
+(``p + q`` is a 4-tuple, ``2 * p`` repeats ``p``, ``sorted`` orders points,
+``Tangent(p) == (p,)``), which no module here uses. ``NoIntersection`` and
+``Coincident`` carry no fields, so they are ``record.Record`` classes, equal
+only to their own kind.
+
 ``EPS`` is the one degeneracy band: a circle no larger, two centers no
 farther apart, or a tangency gap no wider is taken as collapsed. Every
 pre-check, the oracles and trace loading read it. Constructions commute with
@@ -22,25 +30,17 @@ similarities, so the band is the kernel's, not a caller's setting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateCircle, NonFiniteInput
+from .record import Record
 
+Point = namedtuple("Point", "x y")
+Point.__doc__ = "A point of the plane: floats x and y, in dimensionless plane units."
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    """A point of the plane, in dimensionless plane units."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True, slots=True)
-class ResolvedCircle:
-    """A circle whose radius has been derived from two constructed points."""
-
-    center: Point
-    radius: float
+ResolvedCircle = namedtuple("ResolvedCircle", "center radius")
+ResolvedCircle.__doc__ = """A circle whose radius has been derived from two constructed
+points: its center, a ``Point``, and its radius, a float."""
 
 
 EPS = 1e-12
@@ -48,28 +48,19 @@ EPS = 1e-12
 
 # --- intersection outcomes -------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class TwoPoints:
-    """Both intersection points, ordered by the left/right convention:
-    ``left`` is the point p with cross(c2.center - c1.center, p - c1.center) > 0."""
+TwoPoints = namedtuple("TwoPoints", "left right")
+TwoPoints.__doc__ = """Both intersection points, ordered by the left/right convention:
+``left`` is the point p with cross(c2.center - c1.center, p - c1.center) > 0."""
 
-    left: Point
-    right: Point
+Tangent = namedtuple("Tangent", "point")
 
 
-@dataclass(frozen=True, slots=True)
-class Tangent:
-    point: Point
+class NoIntersection(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class NoIntersection:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Coincident:
-    pass
+class Coincident(Record):
+    __slots__ = ()
 
 
 IntersectionOutcome = TwoPoints | Tangent | NoIntersection | Coincident

@@ -28,15 +28,16 @@ step loop, reads and appends numbers only: a pick keeps the left or the
 right half of ``geom.cut``'s ``(lx, ly, rx, ry)``. ``Builder.witness`` is
 the one way to cut a point's ancestors out as a trace of their own. Value
 objects (``Point``, ``ResolvedCircle``) exist only at the API edge:
-``Trace.resolved`` is a view.
+``Trace.resolved`` is a view. ``AuditReport`` and ``geom``'s values are
+named tuples; ``Program`` and ``Trace`` are ``record.Record`` classes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import (
@@ -60,6 +61,7 @@ from .geom import (  # noqa: F401
     cut,
     radius,
 )
+from .record import Record
 
 
 class Selector(enum.Enum):
@@ -147,17 +149,24 @@ class Resolved(_View):
         return hash((self.xs, self.ys, self.rs))
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+class Program(Record):
     """An executable compass construction over ``seed_count`` seed slots:
-    the int columns ``ops``, ``first`` and ``second``, and the outputs."""
+    the int columns ``ops``, ``first`` and ``second``, and the outputs.
+    ``_checked``, outside ``==`` and ``repr``, records a passed ``check``."""
 
-    seed_count: int
-    ops: tuple[int, ...]
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-    outputs: tuple[int, ...]
-    _checked: bool = field(default=False, init=False, compare=False, repr=False)
+    _fields = ("seed_count", "ops", "first", "second", "outputs")
+    __slots__ = (*_fields, "_checked")
+
+    def __init__(self, seed_count: int, ops: tuple[int, ...], first: tuple[int, ...],
+                 second: tuple[int, ...], outputs: tuple[int, ...]):
+        # field by field, not through Record.__init__: programs are built often
+        init = object.__setattr__
+        init(self, "seed_count", seed_count)
+        init(self, "ops", ops)
+        init(self, "first", first)
+        init(self, "second", second)
+        init(self, "outputs", outputs)
+        init(self, "_checked", False)
 
     def check(self) -> None:
         """Raise MalformedProgram, naming the step or output, unless the
@@ -210,17 +219,17 @@ class Program:
         return self.ops.count(OP_LEFT) + self.ops.count(OP_RIGHT)
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class Trace(Record):
     """A fully resolved execution record of a program on concrete seeds;
     a tuple given for ``resolved`` is encoded (``Resolved.of_values``)."""
 
-    program: Program
-    resolved: Resolved
+    __slots__ = _fields = ("program", "resolved")
 
-    def __post_init__(self):
-        if type(self.resolved) is not Resolved:
-            object.__setattr__(self, "resolved", Resolved.of_values(self.resolved))
+    def __init__(self, program: Program, resolved: Resolved):
+        if type(resolved) is not Resolved:
+            resolved = Resolved.of_values(resolved)
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "resolved", resolved)
 
     @property
     def seed_values(self) -> tuple[Point, ...]:
@@ -250,11 +259,7 @@ class Trace:
         return tuple(map(self.resolved._at, self.program.outputs))
 
 
-@dataclass(frozen=True, slots=True)
-class AuditReport:
-    seeds: int
-    circles: int
-    picks: int
+AuditReport = namedtuple("AuditReport", "seeds circles picks")
 
 
 def execute(program: Program, seeds: Sequence[Point]) -> Trace:

@@ -6,8 +6,8 @@ are dense and reference strictly earlier ids. Coordinates are written with
 17 significant digits so a parse/re-serialize round trip is byte-identical
 and loses nothing of the doubles.
 
-A ``TraceDocument`` is a ``Trace`` paired with the names of its seeds and
-outputs; there is no second representation of the steps.
+A ``TraceDocument`` is a named tuple: a ``Trace`` paired with the names of
+its seeds and outputs; there is no second representation of the steps.
 
 Where each check lives:
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateCircle, MalformedProgram, MalformedTrace
 from .geom import radius
@@ -49,13 +49,8 @@ VERSION = 1
 _SELECTORS = {name: op for op, name in SELECTOR_NAMES.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class TraceDocument:
-    """A trace with one name (or None) per seed and one name per output."""
-
-    trace: Trace
-    seed_names: tuple[str | None, ...]
-    output_names: tuple[str, ...]
+TraceDocument = namedtuple("TraceDocument", "trace seed_names output_names")
+TraceDocument.__doc__ = "A trace with one name (or None) per seed and one name per output."
 
 
 def document_from_trace(trace: Trace,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -56,7 +55,7 @@ def test_execute_determinism_bit_for_bit():
     seeds = (Point(0.1, -0.7), Point(2.3, 1.9))
     t1 = execute(midpoint_program(), seeds)
     t2 = execute(midpoint_program(), seeds)
-    assert t1 == t2  # dataclass equality covers every resolved float
+    assert t1 == t2  # trace equality covers every resolved float
 
 
 def test_execute_wrong_seed_count():
@@ -171,7 +170,8 @@ def test_purity_audit_rejects_forged_step():
 def test_selector_complementation(program):
     # seeds on the mirror axis: swapping all picks conjugates the outputs
     other = {OP_LEFT: OP_RIGHT, OP_RIGHT: OP_LEFT}
-    swapped = dataclasses.replace(program, ops=tuple(other.get(op, op) for op in program.ops))
+    swapped = Program(program.seed_count, tuple(other.get(op, op) for op in program.ops),
+                      program.first, program.second, program.outputs)
     base = out_of(program, (O, U))
     flipped = out_of(swapped, (O, U))
     for p, q in zip(base, flipped):

@@ -1,12 +1,10 @@
-import dataclasses
-
 import pytest
 
 from compass.constructions import midpoint_program
 from compass.dsl import run_source
 from compass.errors import MalformedTrace
 from compass.geom import Point
-from compass.program import OP_CIRCLE, OP_LEFT, OP_RIGHT, execute
+from compass.program import OP_CIRCLE, OP_LEFT, OP_RIGHT, Trace, execute
 from compass.svg import render_trace
 
 
@@ -85,6 +83,6 @@ def test_resolved_kind_mismatch_raises(kind, stand_in):
     source = next(i for i, (op, _, _) in enumerate(steps) if op in stand_in)
     resolved = list(trace.resolved)
     resolved[at] = resolved[source]
-    bad = dataclasses.replace(trace, resolved=tuple(resolved))
+    bad = Trace(trace.program, tuple(resolved))
     with pytest.raises(MalformedTrace, match=rf"^step {at}:"):
         render_trace(bad)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -224,7 +223,7 @@ def test_document_rejects_resolved_kind_mismatch():
                 if op in (OP_LEFT, OP_RIGHT))
     resolved = list(trace.resolved)
     resolved[pick] = resolved[pick - 1]  # a circle where a point belongs
-    bad = dataclasses.replace(trace, resolved=tuple(resolved))
+    bad = Trace(trace.program, tuple(resolved))
     with pytest.raises(MalformedTrace, match=rf"^step {pick}:"):
         tracedoc.dumps(tracedoc.document_from_trace(bad))
 
