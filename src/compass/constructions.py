@@ -23,7 +23,6 @@ from .errors import (
     DegenerateCircle,
     NoSuchIntersection,
     NotExterior,
-    NotOnCircle,
     NotPositiveInteger,
     OnMirrorLine,
     ParallelLines,
@@ -380,7 +379,7 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     h, r = _point_line_distance(po, pa, pb), distance(po, pd)
     if h <= EPS:
         if _point_line_distance(pd, pa, pb) <= EPS:
-            x1, x2 = d, build_antipode(b, o, d, d)
+            x1, x2 = d, build_extend(b, d, o)
         else:
             x1, x2 = _arc_bisection(b, a, bn, o, d)
         v1 = b.point(x1)
@@ -524,10 +523,3 @@ def build_line_circle_center_on_line(b: Builder, o: int, a: int,
     the line."""
     return build_line_circle_off_center(b, o, a, o, d)
 
-
-def build_antipode(b: Builder, o: int, d: int, p: int) -> int:
-    """Diametrically opposite point of p on the circle centered o through d."""
-    po, pd, pp = b.point(o), b.point(d), b.point(p)
-    if abs(distance(po, pp) - distance(po, pd)) > EPS:
-        raise NotOnCircle(f"{pp} does not lie on the circle")
-    return build_extend(b, p, o)

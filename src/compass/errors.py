@@ -61,6 +61,3 @@ class OnMirrorLine(CompassError):
     """A point to be reflected in a line lies on it: the circles about two
     points of the line through it only touch."""
 
-
-class NotOnCircle(CompassError):
-    """Antipode of a point that does not lie on the circle."""

@@ -33,7 +33,6 @@ from .geom import EPS, Point
 from .program import (  # noqa: F401
     Builder,
     Program,
-    Resolved,
     Selector,
     empty_program,
     execute,
@@ -45,10 +44,10 @@ CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))
 
 # --- ring operations on a builder -------------------------------------------
 
-def relative(b: Builder | Resolved, node: int) -> complex:
+def relative(b: Builder, node: int) -> complex:
     """The value of point ``node`` in the frame of seeds 0 and 1,
-    (p - z0) / (z1 - z0), read off the ``xs`` and ``ys`` columns of a builder
-    or of a trace's ``Resolved``; bit-exact on the canonical seeds."""
+    (p - z0) / (z1 - z0), read off the builder's ``xs`` and ``ys`` columns;
+    bit-exact on the canonical seeds."""
     xs, ys = b.xs, b.ys
     z0 = complex(xs[0], ys[0])
     unit = complex(xs[1], ys[1]) - z0
@@ -62,7 +61,7 @@ def _size(v: complex) -> float:
     return math.hypot(v.real, v.imag)
 
 
-def _at_zero(b: Builder | Resolved, a: int) -> bool:
+def _at_zero(b: Builder, a: int) -> bool:
     """Whether point ``a`` lies within EPS of seed 0, in the seeds' frame."""
     return _size(relative(b, a)) <= EPS
 
@@ -190,13 +189,8 @@ def _grow(a: ConstructibleValue, build, *args) -> ConstructibleValue:
 
 
 def mul(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
-    """a * b (``build_mul``). A left factor at 0 (``_at_zero``, read off its
-    trace) is the product, with no builder resumed: a itself when it is seed
-    0, else seed 0's witness, cut from a builder of a's two seeds."""
-    out = a.primary_output
-    if not _at_zero(a.trace.resolved, out):
-        return _grow(a, build_mul, b.program)
-    return a if out == 0 else ConstructibleValue(Builder(a.trace.seed_values).witness(0))
+    """a * b (``build_mul``)."""
+    return _grow(a, build_mul, b.program)
 
 
 def neg(a: ConstructibleValue) -> ConstructibleValue:

@@ -18,7 +18,7 @@ records the error on its ``OpReport``. A check that follows the comparison
 ``perfbench/`` and the tests patch module names that are read at call time:
 ``purity_audit`` (called once per audited case), ``execute`` (apex, extend,
 nth and midpoint), the ``oracle_*`` names, ``_fmt_pt``, ``FUZZ_TOL`` and
-``INVOLUTION_TOL``, and the ``cons.build_*`` routines.
+the ``cons.build_*`` routines.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .program import Builder, Selector, Trace, execute, purity_audit
 from .record import MutableRecord
 
 FUZZ_TOL = 1e-6
-INVOLUTION_TOL = 1e-5
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -221,7 +220,7 @@ def _invert_cases(run: OpReport, rng: SplitMix64):
             return f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}"
         yield (builder.finish([image])[1], (oracle_invert(ResolvedCircle(o, r), p),),
                detail)
-        if _err(builder.point(back), p) > INVOLUTION_TOL:
+        if _err(builder.point(back), p) > FUZZ_TOL:
             run.fail("involution " + detail())
 
 

@@ -63,9 +63,6 @@ class Coincident(Record):
     __slots__ = ()
 
 
-IntersectionOutcome = TwoPoints | Tangent | NoIntersection | Coincident
-
-
 def _require_finite(*points: Point) -> None:
     for p in points:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
@@ -76,22 +73,6 @@ def distance(p: Point, q: Point) -> float:
     """Euclidean distance between two points."""
     _require_finite(p, q)
     return math.hypot(q.x - p.x, q.y - p.y)
-
-
-def orientation_sign(a: Point, b: Point, c: Point) -> int:
-    """Sign of cross(b - a, c - a): +1 counterclockwise, -1 clockwise, 0 collinear.
-
-    The zero band scales with the operand magnitudes so that far-apart
-    collinear points still classify as collinear.
-    """
-    _require_finite(a, b, c)
-    ux, uy = b.x - a.x, b.y - a.y
-    vx, vy = c.x - a.x, c.y - a.y
-    cross = ux * vy - uy * vx
-    scale = max(1.0, math.hypot(ux, uy) * math.hypot(vx, vy))
-    if abs(cross) <= EPS * scale:
-        return 0
-    return 1 if cross > 0 else -1
 
 
 def radius(cx: float, cy: float, tx: float, ty: float) -> float:
@@ -163,7 +144,8 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     return (mx - hy, my + hx, mx + hy, my - hx)
 
 
-def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle) -> IntersectionOutcome:
+def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle
+                            ) -> TwoPoints | Tangent | NoIntersection | Coincident:
     """Intersect two circles and wrap the result of ``cut`` in an outcome.
 
     Checks what ``cut`` takes for granted: finite centers, radii above

@@ -9,7 +9,8 @@ any seeds, inlined into other programs with their seeds rewired (the
 and audited.
 
 The left/right pick selector is orientation-based: "left" is the
-intersection point p with orientation_sign(center1, center2, p) >= 0.
+intersection point p with cross(c2 - c1, p - c1) > 0, for circle centers
+c1 and c2, as ``geom.cut`` defines it.
 Orientation is preserved by every orientation-preserving similarity, which
 is exactly what makes rewired programs land on the similarity image of
 their original outputs.

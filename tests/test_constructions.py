@@ -12,7 +12,6 @@ from compass.errors import (
     NoSuchIntersection,
     NonFiniteInput,
     NotExterior,
-    NotOnCircle,
     NotPositiveInteger,
     OnMirrorLine,
     ScaleOverflow,
@@ -700,16 +699,6 @@ def test_line_circle_inversion_route_sweep(monkeypatch):
     assert worst <= 1e-12
 
 
-# --- antipode --------------------------------------------------------------------
-
-def test_antipode_examples():
-    close(run(cons.build_antipode, *UNIT, Point(1, 0)), -1.0, 0.0)
-    close(run(cons.build_antipode, *UNIT, Point(0, 1)), 0.0, -1.0)
-    close(run(cons.build_antipode, Point(1, 1), Point(2, 1), Point(2, 1)), 0.0, 1.0)
-    with pytest.raises(NotOnCircle):
-        run(cons.build_antipode, *UNIT, Point(3, 0))
-
-
 # --- the master property: oracle equivalence, spot-checked here -----------------
 # (the full 1000-case sweeps live in the acceptance suite)
 
@@ -737,7 +726,6 @@ SCANNED = {
     cons.build_line_line: (4, (0, 1, 2, 3)),
     cons.build_line_circle_off_center: (4, (0, 1, 2, 3)),
     cons.build_line_circle_center_on_line: (3, (0, 1, 2)),
-    cons.build_antipode: (3, (0, 1, 2)),
     field_ops.build_neg: (3, (2,)),
     field_ops.build_conj: (3, (2,)),
 }

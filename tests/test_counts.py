@@ -1,8 +1,12 @@
 """Exact step budgets: (steps, circles, picks) of the canonical programs and
-of every demo, and bounds on the mean circles of the line routines over fuzz
-draws. The counts are deterministic and hardware-independent, so a change
-that alters any construction's program fails here. A change that lowers a
-count re-pins it at the new value."""
+of every demo, upper bounds on every core's counts on the benchmark
+ledger's fixed inputs, and bounds on the mean circles of the line routines
+over fuzz draws. The counts are deterministic and hardware-independent, so
+a change that alters any construction's program fails here. A change that
+lowers a count re-pins it at the new value."""
+
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from compass.constructions import (
 )
 from compass.demos import DEMOS
 from compass.program import Selector
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def counts(program):
@@ -82,3 +88,27 @@ def test_fuzz_mean_circles(op, monkeypatch):
     assert len(circles) == 600
     assert sum(circles) / len(circles) <= FUZZ_MEAN_CIRCLES[op]
 
+
+# core: (steps, circles, picks) bound of ``perfbench/ledger.py``'s
+# ``construction_counts()``, on the fixed inputs the benchmark ledger records
+CORE_COUNTS = {
+    "apex": (5, 2, 1),
+    "extend": (8, 3, 3),
+    "nth_point": (18, 8, 8),
+    "midpoint": (14, 6, 6),
+    "perp_foot": (18, 8, 7),
+    "invert_exterior": (10, 4, 3),
+    "invert_general": (82, 40, 39),
+    "line_line": (35, 18, 13),
+    "line_circle_off_center": (14, 6, 4),
+    "line_circle_center_on_line": (27, 13, 11),
+}
+
+
+def test_ledger_core_counts_stay_within_bounds(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    got = importlib.import_module("ledger").construction_counts()
+    assert set(got) == set(CORE_COUNTS)
+    for name, bound in CORE_COUNTS.items():
+        have = got[name]["steps"], got[name]["circles"], got[name]["picks"]
+        assert all(n <= most for n, most in zip(have, bound)), (name, have, bound)

@@ -79,30 +79,18 @@ def test_mul_examples():
     close(F.mul(a, F.conj(a)).value, 1.5, 0.0, within=1e-7)
 
 
-def test_mul_zero_basis_short_circuits():
-    product = F.mul(F.zero(), F.alpha())
-    assert product.primary_output == 0  # the zero seed itself
-    assert product.value == Point(0.0, 0.0)
-    assert product.program.circle_count() == 0  # no collapsed replay executed
-
-
 @pytest.mark.parametrize("left, at_seed", [(F.zero, True),
                                            (lambda: F.add(F.one(), F.minus_one()), False)],
                          ids=["seed-zero", "one-plus-minus-one"])
-def test_mul_by_zero_resumes_no_builder(left, at_seed, monkeypatch):
-    """A left factor at 0 gives, bit for bit, the product that resuming its
-    builder gives (a itself at seed 0, else seed 0's witness), without
-    resuming it."""
-    a, b = left(), F.alpha()
-    assert (a.primary_output == 0) is at_seed
-    want = F._grow(a, F.build_mul, b.program)  # the route through Builder.resume
-    resumed = []
-    real = Builder.resume
-    monkeypatch.setattr(Builder, "resume", lambda trace: resumed.append(trace) or real(trace))
-    got = F.mul(a, b)
-    assert resumed == []
-    assert got == want and repr(got) == repr(want)
-    assert (got is a) is at_seed
+def test_mul_zero_basis_short_circuits(left, at_seed):
+    """A left factor at 0 makes the product seed 0 with no replay: a itself
+    when it is seed 0, else seed 0's witness."""
+    a = left()
+    product = F.mul(a, F.alpha())
+    assert product.primary_output == 0  # the zero seed itself
+    assert product.value == Point(0.0, 0.0)
+    assert product.program.circle_count() == 0  # no collapsed replay executed
+    assert (product is a) is at_seed
 
 
 def test_conj_examples():

@@ -14,7 +14,6 @@ from compass.geom import (
     circle_circle_intersect,
     circle_from,
     distance,
-    orientation_sign,
 )
 from compass.fuzz import SplitMix64
 from compass.oracle import oracle_circle_circle
@@ -96,17 +95,6 @@ def test_distance_examples():
     # the alpha point lies on the radius-2 circle about (-1, 0)
     assert distance(Point(-1, 0), Point(0.75, SQRT15_4)) == pytest.approx(
         2.0, abs=1e-12)
-
-
-def test_orientation_examples():
-    assert orientation_sign(Point(0, 0), Point(1, 0), Point(0, 1)) == 1
-    assert orientation_sign(Point(0, 0), Point(1, 0), Point(2, 0)) == 0
-    assert orientation_sign(Point(0, 0), Point(1, 0), Point(0, -1)) == -1
-
-
-def test_orientation_scale_banding():
-    # far-apart collinear points still classify as collinear
-    assert orientation_sign(Point(0, 0), Point(1e6, 0), Point(2e6, 1e-9)) == 0
 
 
 finite_coord = st.floats(min_value=-5, max_value=5,

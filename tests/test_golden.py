@@ -148,7 +148,6 @@ FAILURE_DETAILS = "332a12a9853d6190873f606ad0db65ea1498057c60cf22e573de87c1ce9ad
 
 def test_fuzz_failure_details_are_pinned(monkeypatch):
     monkeypatch.setattr(fuzz, "FUZZ_TOL", -1.0)
-    monkeypatch.setattr(fuzz, "INVOLUTION_TOL", -1.0)
     h = hashlib.sha256()
     for op in fuzz.OPS:
         h.update("\n".join(fuzz.run_op(op, 3, 42).details).encode())

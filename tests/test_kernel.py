@@ -27,6 +27,7 @@ from compass.errors import (
     NonFiniteInput,
 )
 from compass.geom import (
+    EPS,
     Coincident,
     NoIntersection,
     Point,
@@ -35,7 +36,6 @@ from compass.geom import (
     circle_circle_intersect,
     circle_from,
     cut,
-    orientation_sign,
 )
 from compass.program import (
     OP_CIRCLE,
@@ -307,8 +307,16 @@ def test_kernel_matches_outcomes_bit_for_bit(seeds):
     c1, c2 = circle_from(seeds[0], seeds[1]), circle_from(seeds[2], seeds[3])
     lx, ly, rx, ry = cut(c1.center.x, c1.center.y, c1.radius,
                          c2.center.x, c2.center.y, c2.radius)
-    assert orientation_sign(c1.center, c2.center, Point(lx, ly)) >= 0
-    assert orientation_sign(c1.center, c2.center, Point(rx, ry)) <= 0
+    ux, uy = c2.center.x - c1.center.x, c2.center.y - c1.center.y
+
+    def side(x, y):  # cross(c2 - c1, p - c1) and its zero band, relative to scale
+        vx, vy = x - c1.center.x, y - c1.center.y
+        return ux * vy - uy * vx, EPS * max(1.0, math.hypot(ux, uy) * math.hypot(vx, vy))
+
+    cross, band = side(lx, ly)
+    assert cross >= -band
+    cross, band = side(rx, ry)
+    assert cross <= band
     for avoid in range(4):
         if touch:  # no other point, no pick
             assert other(avoid) is None
