@@ -370,7 +370,8 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
 
     A center on the line (to within ``EPS``) has no mirror image:
     the answer is d and its antipode, or where d is off the line
-    Mascheroni's arc bisection (``_arc_bisection``, 13 or 14 circles),
+    Mascheroni's arc bisection (``_arc_bisection``, 13 or 14 circles, more
+    where both points lie within about r/480 of the center),
     ordered along a -> bn: bn's side of the center first.
     """
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
@@ -419,17 +420,23 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
 
     D is d, or the apex of (o, d) whose angle with the line is nearest 45
     degrees: at 0 degrees D' is D, and at 90 degrees P below only touches.
-    D' is the second cut of omega with the circle about the point of a, bn
-    farther from o, through D. Of the cuts u, v of omega with C(D, o), w
-    is the one farther from D': turning D' 60 degrees about w, on the side
-    that turns D onto o, gives D* with |oD*| = |DD'| = c. The circle C6
-    about o through D* meets C(D, o) at P = o + D - D' and C(D', o) at
-    Q = o + D' - D, each picked on the side its float prediction takes,
-    as w is. C(P, D') and C(Q, D), of radius^2 r^2 + 2c^2, cut the line at
-    E with |oE|^2 = r^2 + c^2. E's mirror image E* in the bisector of oP
-    (the circles about the cuts of C6 and C(P, o), through E) has
-    |PE*| = |oE|, and since oP is square to the line, C(P, E*) meets omega
-    at the two points sought.
+    D' is the second cut of omega with the circle about F, the point of a,
+    bn farther from o, through D. While F lies near o that circle all but
+    coincides with omega, and the cut's error grows as r/|oF|; so F is first
+    doubled away from o (``build_extend``, 3 circles)
+    ``_doublings(256 |oF|, r)`` times, which moves an F within about r/480
+    of o out to r/482 or more: 46 or 47 circles in all at |oF| = 1e-6 r.
+    That cannot undo the rounding of F's own coordinates, which leaves an
+    error of about ulp(|o|) r/|oF| about a center far from the origin. Of
+    the cuts u, v of omega with C(D, o), w is the one farther from D':
+    turning D' 60 degrees about w, on the side that turns D onto o, gives D*
+    with |oD*| = |DD'| = c. The circle C6 about o through D* meets C(D, o)
+    at P = o + D - D' and C(D', o) at Q = o + D' - D, each picked on the
+    side its float prediction takes, as w is. C(P, D') and C(Q, D), of
+    radius^2 r^2 + 2c^2, cut the line at E with |oE|^2 = r^2 + c^2. E's
+    mirror image E* in the bisector of oP (the circles about the cuts of C6
+    and C(P, o), through E) has |PE*| = |oE|, and since oP is square to the
+    line, C(P, E*) meets omega at the two points sought.
     """
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
     ux, uy = pb.x - pa.x, pb.y - pa.y
@@ -443,6 +450,8 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
         *((pd.x, pd.y) if s is None else _apex_xy(po, pd, s))))
     dn = d if side is None else build_apex(b, o, d, side)
     far = a if distance(pa, po) >= distance(pb, po) else bn
+    for _ in range(_doublings(256.0 * distance(b.point(far), po), distance(po, pd))):
+        far = build_extend(b, o, far)
     dm = b.pick_other(b.circle(far, dn), omega, avoid=dn)
     if dm is None:
         raise DegenerateCircle("the line's points lie too close to the center")

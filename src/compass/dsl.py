@@ -33,9 +33,10 @@ where ``e`` is nothing: a line may be empty. Tokens (``_TOKEN``):
 The interpreter performs no I/O: emit statements come back as requests for
 the caller to act on.
 
-Tokens and call expressions are named tuples, equal to their field tuples.
-The statements ``Given``, ``Let`` and ``Emit`` are ``record.Record``
-classes that compare without their ``line``.
+The AST is named tuples, equal to their field tuples: the statements
+``Given``, ``Let`` and ``Emit``, each with its ``line`` last, and a let's
+``CallExpr``, whose arguments are the values they denote: a name as a
+``str``, a number as a ``float`` and a selector as a ``Selector``.
 
 Each operation is one row of ``_OPS``: its parameter kinds and the routine
 that builds it on the script's one builder. The kinds are P a point, C a
@@ -60,7 +61,7 @@ from . import field_ops
 from .errors import CompassError, InvalidNodeId
 from .geom import Point
 from .program import Builder, Selector
-from .record import MutableRecord, Record
+from .record import MutableRecord
 
 KEYWORDS = frozenset({"given", "let", "emit", "svg", "trace", "points",
                       "left", "right"})
@@ -174,39 +175,11 @@ def tokenize(source: str) -> list[Token]:
 
 # --- AST ----------------------------------------------------------------------
 
-NameArg = namedtuple("NameArg", "name")
-NumberArg = namedtuple("NumberArg", "value")
-SelectorArg = namedtuple("SelectorArg", "which")
-Arg = NameArg | NumberArg | SelectorArg
-CallExpr = namedtuple("CallExpr", "op args")  # args: a tuple of Arg
-
-
-class _Statement(Record):
-    """A statement; ``==`` and ``hash`` leave out its last field, ``line``,
-    given by position or keyword, or 0 if not given."""
-
-    __slots__ = ()
-
-    def __init__(self, *fields, **named):
-        if len(fields) + len(named) < len(self._fields):
-            named.setdefault("line", 0)
-        Record.__init__(self, *fields, **named)
-
-    def _key(self) -> tuple:
-        return Record._key(self)[:-1]
-
-
-class Given(_Statement):
-    __slots__ = _fields = ("name", "x", "y", "line")
-
-
-class Let(_Statement):
-    __slots__ = _fields = ("names", "call", "line")
-
-
-class Emit(_Statement):
-    __slots__ = _fields = ("target", "path", "line")
-
+# args: a tuple of names (str), numbers (float) and selectors (Selector)
+CallExpr = namedtuple("CallExpr", "op args")
+Given = namedtuple("Given", "name x y line")
+Let = namedtuple("Let", "names call line")
+Emit = namedtuple("Emit", "target path line")
 
 Statement = Given | Let | Emit
 
@@ -270,7 +243,7 @@ class _Parser:
     def call(self) -> CallExpr:
         op = self.take(IDENT, "an operation name").lexeme
         self.take(PUNCT, "'('", "(")
-        args: list[Arg] = []
+        args: list[str | float | Selector] = []
         while not self.at(PUNCT, ")"):
             if args:
                 self.take(PUNCT, "',' or ')'", ",")
@@ -278,14 +251,13 @@ class _Parser:
         self.i += 1
         return CallExpr(op, tuple(args))
 
-    def arg(self) -> Arg:
+    def arg(self) -> str | float | Selector:
         if self.at(IDENT):
-            return NameArg(self.take(IDENT, "a name").lexeme)
+            return self.take(IDENT, "a name").lexeme
         if self.at(NUMBER):
-            return NumberArg(float(self.take(NUMBER, "a number").lexeme))
-        return SelectorArg(Selector(self.take(
-            KEYWORD, "an argument (name, number, 'left', or 'right')",
-            ("left", "right")).lexeme))
+            return float(self.take(NUMBER, "a number").lexeme)
+        return Selector(self.take(KEYWORD, "an argument (name, number, 'left', or 'right')",
+                                  ("left", "right")).lexeme)
 
 
 def parse(tokens: list[Token]) -> list[Statement]:
@@ -302,14 +274,8 @@ def format_statement(stmt: Statement) -> str:
     if isinstance(stmt, Given):
         return f"given {stmt.name} = ({stmt.x!r}, {stmt.y!r})"
     if isinstance(stmt, Let):
-        args = []
-        for arg in stmt.call.args:
-            if isinstance(arg, NameArg):
-                args.append(arg.name)
-            elif isinstance(arg, NumberArg):
-                args.append(repr(arg.value))
-            else:
-                args.append(arg.which.value)
+        args = [arg if type(arg) is str else repr(arg) if type(arg) is float
+                else arg.value for arg in stmt.call.args]
         return (f"let {', '.join(stmt.names)} = "
                 f"{stmt.call.op}({', '.join(args)})")
     return f'emit {stmt.target} "{stmt.path}"'
@@ -467,28 +433,28 @@ class _Interpreter:
         out = []
         for arg, kind in zip(call.args, params):
             if kind in "PCFW":
-                if not isinstance(arg, NameArg):
+                if type(arg) is not str:
                     raise ScriptTypeError(line, 1, f"{call.op} expects a bound name here")
-                if arg.name not in self.env:
-                    raise ScriptNameError(line, 1, f"name {arg.name!r} is not bound")
-                node = self.env[arg.name]
+                if arg not in self.env:
+                    raise ScriptNameError(line, 1, f"name {arg!r} is not bound")
+                node = self.env[arg]
                 want = "circle" if kind == "C" else "point"
                 got = "point" if self.builder.rs[node] is None else "circle"
                 if got != want:
                     raise ScriptTypeError(
-                        line, 1, f"{call.op} expects a {want}, but {arg.name!r} is a {got}")
+                        line, 1, f"{call.op} expects a {want}, but {arg!r} is a {got}")
                 out.append(node)
             elif kind == "N":
-                if not isinstance(arg, NumberArg):
+                if type(arg) is not float:
                     raise ScriptTypeError(line, 1, f"{call.op} expects a number")
-                if arg.value != int(arg.value) or arg.value < 1:
+                if arg != int(arg) or arg < 1:
                     raise ScriptTypeError(
                         line, 1, f"{call.op} needs a positive integer ratio")
-                out.append(int(arg.value))
+                out.append(int(arg))
             else:
-                if not isinstance(arg, SelectorArg):
+                if type(arg) is not Selector:
                     raise ScriptTypeError(line, 1, f"{call.op} expects 'left' or 'right'")
-                out.append(arg.which)
+                out.append(arg)
         if len(out) < len(params):
             out.append(None if params[-1] == "B" and names == 2 else Selector.LEFT)
         if any(kind == "F" and not self.builder.pair_based(node)

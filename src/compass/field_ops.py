@@ -13,10 +13,12 @@ the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
 (a, a + 1) a + b), by a rule on the operands' values and witness sizes.
 
 ``ConstructibleValue`` and its functions are the API edge: a value is its
-witness resolved on the canonical seeds; each operation resumes a
-``Builder`` on its left operand's rows, calls the ``build_*`` routine and
-carries the result's witness as the new value. Sharing the steps already
-there, witnesses grow linearly along chains of additions, not exponentially.
+witness resolved on the canonical seeds, the ``Builder.witness`` of a node
+grown on a ``Builder(CANONICAL_SEEDS)``; ``zero`` and ``one`` are those of
+its seeds. Each operation resumes a ``Builder`` on its left operand's rows,
+calls the ``build_*`` routine and carries the result's witness as the new
+value. Sharing the steps already there, witnesses grow linearly along
+chains of additions, not exponentially.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import constructions as cons
-from .errors import DegenerateCircle, MalformedProgram
+from .errors import DegenerateCircle
 from .geom import EPS, Point
 # execute and rebase are unused here but stay importable: perfbench's tracer
 # wraps them here.
@@ -34,7 +36,6 @@ from .program import (  # noqa: F401
     Builder,
     Program,
     Selector,
-    empty_program,
     execute,
     rebase,
 )
@@ -146,22 +147,12 @@ class ConstructibleValue(namedtuple("ConstructibleValue", "trace")):
         return self.trace.resolved[self.primary_output]
 
 
-def value_from_program(program: Program) -> ConstructibleValue:
-    """Wrap a two-seed witness, inlined on the canonical seeds and cut down
-    to its output's ancestors; the only place a value's steps are resolved
-    from scratch. Repeated rows are kept once, as ``inline`` hash-conses."""
-    if program.seed_count != 2 or len(program.outputs) != 1:
-        raise MalformedProgram("a constructible value needs 2 seeds and 1 output")
-    b = Builder(CANONICAL_SEEDS)
-    return ConstructibleValue(b.witness(b.inline(program, (0, 1))[0]))
-
-
 def zero() -> ConstructibleValue:
-    return value_from_program(empty_program(2, (0,)))
+    return ConstructibleValue(Builder(CANONICAL_SEEDS).witness(0))
 
 
 def one() -> ConstructibleValue:
-    return value_from_program(empty_program(2, (1,)))
+    return ConstructibleValue(Builder(CANONICAL_SEEDS).witness(1))
 
 
 @lru_cache(maxsize=None)

@@ -302,12 +302,13 @@ class _ValuePool:
 
     def __init__(self):
         one = field_ops.one()
+        b = Builder(field_ops.CANONICAL_SEEDS)
         self.atoms = (
             one,
             field_ops.minus_one(),
             field_ops.add(one, one),
             field_ops.alpha(),
-            field_ops.value_from_program(cons.apex_program(Selector.LEFT)),
+            field_ops.ConstructibleValue(b.witness(cons.build_apex(b, 0, 1, Selector.LEFT))),
         )
 
     def draw(self, rng: SplitMix64, depth: int) -> field_ops.ConstructibleValue:

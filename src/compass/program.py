@@ -316,12 +316,6 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
                    tuple(mapping[o] for o in guest.outputs))
 
 
-def empty_program(seed_count: int, outputs: Sequence[int] = ()) -> Program:
-    """A program that draws nothing and outputs (some of) its seeds."""
-    return Program(seed_count, (OP_SEED,) * seed_count, tuple(range(seed_count)),
-                   (-1,) * seed_count, tuple(outputs))
-
-
 def _live(program: Program | Builder, roots: Sequence[int]) -> list[bool]:
     """Which steps of a program or builder the ``roots`` depend on, the roots
     included, as one flag per step up to the last root. Every step refers
@@ -391,7 +385,10 @@ class Builder:
     they build (to choose selectors, scaling factors, retry poles), so each
     step is resolved as it is appended; ``point`` and ``circle_value`` build
     the value object of one node, ``finish`` hands the columns over, and
-    ``witness`` hands over the trace of one point's ancestors.
+    ``witness`` hands over the trace of one point's ancestors. Before any
+    step, ``finish(outputs)`` gives a program that draws nothing, and
+    ``witness(0)`` or ``witness(1)`` a seed's witness (``field_ops.zero``
+    and ``one``).
 
     Every resolving method goes through ``geom.radius`` and ``geom.cut``,
     so a step gives the same bits however it is appended; a touch is the

@@ -3,8 +3,8 @@
 Records that equal their field tuples are ``collections.namedtuple``
 classes. A ``Record`` prints as ``Name(field=value, ...)`` over ``_fields``,
 its constructor's parameters, by position or keyword; it equals only a
-record of its own class with an equal ``_key()`` (all fields, unless a class
-narrows it), hashes that key, and refuses assignment. A ``MutableRecord``
+record of its own class with an equal ``_key()``, its fields in order,
+hashes that key, and refuses assignment. A ``MutableRecord``
 allows assignment and is unhashable. Importing ``dataclasses`` (and
 ``inspect``) would dominate the package's start-up; ``dataclasses.replace``
 works on a record all the same.
@@ -60,7 +60,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # for copy and pickle
-        return type(self), Record._key(self)
+        return type(self), self._key()
 
 
 class MutableRecord(Record):

@@ -14,6 +14,13 @@ def test_demo_writes_figure_and_trace(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unknown_demo_exits_2_and_lists_the_demos(capsys):
+    assert main(["demo", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert f"unknown demo 'nope'; available: {', '.join(sorted(DEMOS))}" in captured.err
+    assert captured.out == ""
+
+
 def test_run_reports_a_coincident_basis_by_line(tmp_path, capsys):
     script = tmp_path / "degenerate.compass"
     script.write_text("# seeds 0 and 1 coincide\ngiven Z = (1, 1)\n"
@@ -93,6 +100,11 @@ def test_fuzz_rejects_bad_arguments(argv, message, capsys):
     assert main(["fuzz", *argv]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_run_op_refuses_an_unknown_op():
+    with pytest.raises(ValueError, match="unknown construction 'nope'"):
+        fuzz.run_op("nope", 1, 42)
 
 
 def test_fuzz_warns_on_zero_cases(capsys):

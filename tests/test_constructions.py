@@ -654,6 +654,21 @@ def test_line_circle_center_on_line_datum_on_line():
     as_set(pts, [(1.0, 0.0), (-1.0, 0.0)], within=1e-9)
 
 
+@pytest.mark.parametrize("near", [1e-3, 1e-6, 1e-9])
+def test_line_circle_center_on_line_with_the_line_points_near_the_center(near):
+    """The line through the center of the unit circle and a point ``near``
+    from it: the circle about that point through D all but coincides with
+    the unit circle, and its cut with it lost digits as 1/near before the
+    point was doubled away from the center. Over 60 directions of d the
+    worst error read 1.7e-7 at 1e-9, and reads 1.3e-13 with the doubling."""
+    a = Point(near * math.cos(0.7), near * math.sin(0.7))
+    want = [(w.x, w.y) for w in oracle_line_circle(ORIGIN, a, ResolvedCircle(ORIGIN, 1.0))]
+    for k in range(60):
+        t = math.radians(6 * k + 3)
+        d = Point(math.cos(t), math.sin(t))
+        as_set(run(cons.build_line_circle_center_on_line, ORIGIN, a, d), want, within=1e-12)
+
+
 def test_line_circle_center_on_line_at_a_tiny_scale_raises_a_typed_error():
     # at a scale of 1e-12 the arc bisection's last mirror circles, about the
     # cuts s1 and s2, only touch: there is no E* to pick

@@ -11,14 +11,11 @@ from compass.dsl import (
     Given,
     Let,
     LexError,
-    NameArg,
-    NumberArg,
     ParseError,
     ScriptArityError,
     ScriptNameError,
     ScriptRuntimeError,
     ScriptTypeError,
-    SelectorArg,
     format_script,
     interpret,
     parse_source,
@@ -166,20 +163,20 @@ def test_parse_midpoint_demo_script():
     ast = parse_source(src)
     assert len(ast) == 5
     assert isinstance(ast[2], Let) and ast[2].call.op == "midpoint"
-    assert ast[3] == Emit("points", "-")
+    assert ast[3] == Emit("points", "-", 5)
 
 
 def test_parse_two_name_let():
     (stmt,) = parse_source("let X, Y = intersect(c1, c2)\n")
     assert stmt.names == ("X", "Y")
-    assert stmt.call == CallExpr("intersect", (NameArg("c1"), NameArg("c2")))
+    assert stmt.call == CallExpr("intersect", ("c1", "c2"))
 
 
 def test_parse_selector_and_number_args():
     (stmt,) = parse_source("let P = apex(A, B, right)\n")
-    assert stmt.call.args[2] == SelectorArg(Selector.RIGHT)
+    assert stmt.call.args[2] is Selector.RIGHT
     (stmt,) = parse_source("let Q = nth(A, B, 12)\n")
-    assert stmt.call.args[2] == NumberArg(12.0)
+    assert stmt.call.args[2] == 12.0 and type(stmt.call.args[2]) is float
 
 
 def test_parse_missing_comma():
@@ -199,35 +196,39 @@ def test_malformed_corpus_positions(name):
 
 # --- pretty printer round trip ---------------------------------------------------
 
+def _numbered(statements):
+    """The statements renumbered 1..n: their lines once printed one a line."""
+    return [stmt._replace(line=line) for line, stmt in enumerate(statements, 1)]
+
+
 @pytest.mark.parametrize("name", sorted(GOOD_EXPECTED))
 def test_corpus_round_trip(name):
     ast = parse_source((CORPUS / "good" / name).read_text())
-    assert parse_source(format_script(ast)) == ast
+    assert parse_source(format_script(ast)) == _numbered(ast)
 
 
 _ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
     lambda s: s not in dsl.KEYWORDS)
 _number = st.floats(allow_nan=False, allow_infinity=False,
                     min_value=-1e12, max_value=1e12)
-_arg = st.one_of(
-    st.builds(NameArg, _ident),
-    st.builds(NumberArg, _number),
-    st.builds(SelectorArg, st.sampled_from(list(Selector))))
+_arg = st.one_of(_ident, _number, st.sampled_from(list(Selector)))
+_line = st.integers(min_value=1, max_value=10**6)
 _stmt = st.one_of(
-    st.builds(Given, _ident, _number, _number),
+    st.builds(Given, _ident, _number, _number, _line),
     st.builds(Let,
               st.lists(_ident, min_size=1, max_size=2).map(tuple),
               st.builds(CallExpr, st.sampled_from(sorted(dsl.OP_NAMES)),
-                        st.lists(_arg, max_size=4).map(tuple))),
+                        st.lists(_arg, max_size=4).map(tuple)),
+              _line),
     st.builds(Emit, st.sampled_from(["svg", "trace", "points"]),
-              st.from_regex(r"[A-Za-z0-9._/-]{1,12}", fullmatch=True)))
+              st.from_regex(r"[A-Za-z0-9._/-]{1,12}", fullmatch=True), _line))
 
 
 @given(st.lists(_stmt, max_size=8))
 @settings(max_examples=120, deadline=None)
 def test_random_ast_round_trip(statements):
     printed = format_script(statements)
-    assert parse_source(printed) == statements
+    assert parse_source(printed) == _numbered(statements)
 
 
 # --- interpreter ------------------------------------------------------------------
@@ -257,6 +258,13 @@ def test_unbound_name():
                    "given B = (1, 0)\n"
                    "let M = midpoint(A, Q)\n")
     assert err.value.line == 3
+
+
+def test_result_has_no_point_under_an_unbound_or_circle_name():
+    result = run_source("given A = (0, 0)\ngiven B = (1, 0)\nlet c = circle(A, B)\n")
+    for name in ("Q", "c"):
+        with pytest.raises(KeyError):
+            result.point(name)
 
 
 def test_duplicate_binding():

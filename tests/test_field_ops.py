@@ -128,13 +128,6 @@ def test_demo_half_agrees_with_midpoint_route():
     assert math.hypot(h.value.x - m.x, h.value.y - m.y) <= 1e-7
 
 
-def test_witness_required():
-    from compass.errors import MalformedProgram
-    from compass.program import empty_program
-    with pytest.raises(MalformedProgram):
-        F.value_from_program(empty_program(3, (0,)))
-
-
 def _depth_tol(*values):
     steps = sum(len(v.program.steps) for v in values)
     return 1e-9 * (1 + steps)

@@ -14,6 +14,7 @@ from compass.geom import (
     circle_circle_intersect,
     circle_from,
     distance,
+    radius,
 )
 from compass.fuzz import SplitMix64
 from compass.oracle import oracle_circle_circle
@@ -87,6 +88,14 @@ def test_non_finite_rejected():
     with pytest.raises(NonFiniteInput):
         circle_circle_intersect(
             ResolvedCircle(Point(float("inf"), 0), 1.0), circ(0, 0, 1, 0))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_radius_refuses_a_non_finite_coordinate(k):
+    coords = [0.0, 0.0, 1.0, 0.0]
+    coords[k] = math.nan
+    with pytest.raises(NonFiniteInput):
+        radius(*coords)
 
 
 def test_distance_examples():

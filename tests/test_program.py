@@ -11,6 +11,7 @@ from compass.errors import (
     InvalidNodeId,
     MalformedProgram,
     MalformedTrace,
+    NonFiniteInput,
     NoSuchIntersection,
 )
 from compass.geom import Point
@@ -24,7 +25,6 @@ from compass.program import (
     Selector,
     Trace,
     ancestors,
-    empty_program,
     execute,
     purity_audit,
     rebase,
@@ -33,6 +33,11 @@ from compass.program import (
 
 O = Point(0.0, 0.0)
 U = Point(1.0, 0.0)
+
+
+def seeds_only(seeds, outputs=()):
+    """A program that draws nothing and outputs some of its seeds."""
+    return Builder(seeds).finish(outputs)[0]
 
 
 def out_of(program, seeds):
@@ -76,6 +81,26 @@ def test_pick_errors():
         b2.pick(same1, same2, Selector.LEFT)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda b: b.point(2), "node 2 is not a point"),
+    (lambda b: b.circle_value(0), "node 0 is not a circle"),
+    (lambda b: b.inline(extend_program(), (0,)), "seed_map has 1 entries for 2 seeds"),
+    (lambda b: b.pick(2, 2, "left"), "bad selector 'left'"),
+], ids=["circle-as-point", "point-as-circle", "short-seed-map", "non-selector"])
+def test_builder_refuses_a_bad_argument(call, message):
+    b = Builder([O, U])
+    b.circle(0, 1)
+    with pytest.raises(CompassError, match=message):
+        call(b)
+    assert len(b) == 3  # a failing call appends nothing
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_builder_refuses_a_non_finite_seed(bad):
+    with pytest.raises(NonFiniteInput):
+        Builder([O, Point(0.0, bad)])
+
+
 def test_degenerate_circle_step():
     b = Builder([O, O])
     with pytest.raises(DegenerateCircle):
@@ -84,7 +109,7 @@ def test_degenerate_circle_step():
 
 def test_rebase_apex_scaled():
     # replay the apex with (0, a) as starting points; a = 2 doubles it
-    host = empty_program(2)
+    host = seeds_only((O, U))
     prog = rebase(host, apex_program(Selector.LEFT), (0, 1))
     (c,) = out_of(prog, (O, Point(2.0, 0.0)))
     # complex check: a * (0.5 + i sqrt(3)/2)
@@ -95,7 +120,7 @@ def test_rebase_apex_scaled():
 
 def test_rebase_extend_onto_one_two():
     # 1 and 2 host the guest; 2*2 - 1 = 3
-    host = rebase(empty_program(2), extend_program(), (0, 1))  # constructs 2
+    host = rebase(seeds_only((O, U)), extend_program(), (0, 1))  # constructs 2
     two = host.outputs[0]
     prog = rebase(host, extend_program(), (1, two))
     (w,) = out_of(prog, (O, U))
@@ -104,8 +129,8 @@ def test_rebase_extend_onto_one_two():
 
 
 def test_rebase_identity_output_program():
-    host = rebase(empty_program(2), extend_program(), (0, 1))
-    ident = empty_program(2, (1,))
+    host = rebase(seeds_only((O, U)), extend_program(), (0, 1))
+    ident = seeds_only((O, U), (1,))
     rebased = rebase(host, ident, (0, 1))
     assert rebased.steps == host.steps  # unchanged except outputs
     assert rebased.outputs == (1,)
@@ -113,9 +138,21 @@ def test_rebase_identity_output_program():
 
 def test_rebase_bad_seed_map():
     with pytest.raises(InvalidNodeId):
-        rebase(empty_program(2), extend_program(), (0, 99))
+        rebase(seeds_only((O, U)), extend_program(), (0, 99))
     with pytest.raises(InvalidNodeId):
-        rebase(empty_program(2), extend_program(), (0,))
+        rebase(seeds_only((O, U)), extend_program(), (0,))
+
+
+def test_rebase_refuses_a_circle_in_the_seed_map():
+    host = rebase(seeds_only((O, U)), extend_program(), (0, 1))
+    assert host.ops[2] == OP_CIRCLE
+    with pytest.raises(InvalidNodeId, match="entry 2 is not a point node"):
+        rebase(host, extend_program(), (0, 2))
+
+
+def test_similarity_transport_refuses_q_equal_to_p():
+    with pytest.raises(DegenerateCircle):
+        similarity_transport_check(midpoint_program(), (O, U), U, U)
 
 
 def test_similarity_transport_examples():
@@ -147,9 +184,17 @@ def test_purity_audit_midpoint_counts():
 
 
 def test_purity_audit_empty_program():
-    trace = execute(empty_program(3), (O, U, Point(2, 2)))
+    seeds = (O, U, Point(2, 2))
+    trace = execute(seeds_only(seeds), seeds)
     report = purity_audit(trace)
     assert (report.seeds, report.circles, report.picks) == (3, 0, 0)
+
+
+def test_trace_check_refuses_too_few_resolved_values():
+    trace = execute(midpoint_program(), (O, U))
+    short = Trace(trace.program, tuple(trace.resolved)[:-1])
+    with pytest.raises(MalformedTrace, match="do not cover the steps"):
+        short.check()
 
 
 def test_purity_audit_rejects_forged_step():
@@ -322,4 +367,4 @@ def test_steps_and_resolved_are_views_over_columns():
     again = Trace(trace.program, tuple(resolved))
     assert again == trace and again.resolved.xs == resolved.xs
     with pytest.raises(MalformedTrace, match="^step 1:"):
-        Trace(empty_program(2), (O, "ruler-point"))
+        Trace(seeds_only((O, U)), (O, "ruler-point"))

@@ -15,23 +15,22 @@ from compass.geom import Coincident, NoIntersection, Point, ResolvedCircle, Tang
 from compass.program import (
     OP_CIRCLE,
     AuditReport,
+    Builder,
     Program,
     Resolved,
-    Selector,
     Trace,
-    empty_program,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 P = Point(1.0, 2.0)
-PROGRAM = empty_program(2, (1,))
+PROGRAM = Builder((Point(0.0, 0.0), Point(1.0, 0.0))).finish((1,))[0]
 PROGRAM_REPR = "Program(seed_count=2, ops=(0, 0), first=(0, 1), second=(-1, -1), outputs=(1,))"
 TRACE = Trace(PROGRAM, (Point(0.0, 0.0), Point(1.0, 0.0)))
 TRACE_REPR = (f"Trace(program={PROGRAM_REPR}, "
               "resolved=(Point(x=0.0, y=0.0), Point(x=1.0, y=0.0)))")
-CALL = dsl.CallExpr("circle", (dsl.NameArg("A"), dsl.NameArg("B")))
-CALL_REPR = "CallExpr(op='circle', args=(NameArg(name='A'), NameArg(name='B')))"
+CALL = dsl.CallExpr("circle", ("A", "B"))
+CALL_REPR = "CallExpr(op='circle', args=('A', 'B'))"
 
 # record: the repr it has had since these classes were frozen dataclasses
 NAMED_TUPLES = [
@@ -42,10 +41,10 @@ NAMED_TUPLES = [
     (Tangent(P), "Tangent(point=Point(x=1.0, y=2.0))"),
     (AuditReport(seeds=2, circles=1, picks=0), "AuditReport(seeds=2, circles=1, picks=0)"),
     (dsl.Token("Ident", "A", 1, 7), "Token(kind='Ident', lexeme='A', line=1, column=7)"),
-    (dsl.NameArg("A"), "NameArg(name='A')"),
-    (dsl.NumberArg(2.5), "NumberArg(value=2.5)"),
-    (dsl.SelectorArg(Selector.LEFT), "SelectorArg(which=<Selector.LEFT: 'left'>)"),
     (CALL, CALL_REPR),
+    (dsl.Given("A", 0.0, 1.0, 3), "Given(name='A', x=0.0, y=1.0, line=3)"),
+    (dsl.Let(("c",), CALL, 4), f"Let(names=('c',), call={CALL_REPR}, line=4)"),
+    (dsl.Emit("svg", "out.svg", 5), "Emit(target='svg', path='out.svg', line=5)"),
     (tracedoc.TraceDocument(TRACE, ("A", None), ("out0",)),
      f"TraceDocument(trace={TRACE_REPR}, seed_names=('A', None), output_names=('out0',))"),
     (field_ops.ConstructibleValue(TRACE), f"ConstructibleValue(trace={TRACE_REPR})"),
@@ -57,11 +56,6 @@ RECORDS = [
     (Coincident(), "Coincident()", ()),
     (PROGRAM, PROGRAM_REPR, (2, (0, 0), (0, 1), (-1, -1), (1,))),
     (TRACE, TRACE_REPR, (PROGRAM, TRACE.resolved)),
-    (dsl.Given("A", 0.0, 1.0, line=3), "Given(name='A', x=0.0, y=1.0, line=3)", ("A", 0.0, 1.0)),
-    (dsl.Let(("c",), CALL, line=4), f"Let(names=('c',), call={CALL_REPR}, line=4)",
-     (("c",), CALL)),
-    (dsl.Emit("svg", "out.svg", line=5), "Emit(target='svg', path='out.svg', line=5)",
-     ("svg", "out.svg")),
 ]
 
 
@@ -114,7 +108,6 @@ def test_statement_line_by_position_or_keyword():
     given = dsl.Given("A", 0.0, 1.0, line=3)
     assert repr(dsl.Given("A", 0.0, 1.0, 3)) == repr(given)
     assert repr(dsl.Given(name="A", x=0.0, y=1.0, line=3)) == repr(given)
-    assert dsl.Let(names=("c",), call=CALL).line == 0
     for bad in (lambda: dsl.Given("A", 0.0, 1.0, 3, 4), lambda: dsl.Given("A", 0.0, line=3),
                 lambda: dsl.Given("A", 0.0, 1.0, name="B"), lambda: dsl.Emit("svg", "-", depth=1)):
         with pytest.raises(TypeError):
@@ -140,7 +133,7 @@ def test_program_and_trace_compare_field_by_field():
         assert Program(*fields) != PROGRAM
     assert Trace(again, (Point(0.0, 0.0), Point(1.0, 0.0))) == TRACE
     assert Trace(PROGRAM, (Point(0.0, 0.0), Point(1.0, -0.5))) != TRACE
-    assert Trace(empty_program(2, (0,)), TRACE.resolved) != TRACE
+    assert Trace(Builder(TRACE.seed_values).finish((0,))[0], TRACE.resolved) != TRACE
 
 
 def test_trace_encodes_a_tuple_of_values():
@@ -153,12 +146,12 @@ def test_trace_encodes_a_tuple_of_values():
     assert trace.resolved[2] == circle
 
 
-def test_statements_compare_without_line():
-    assert dsl.Given("A", 0.0, 1.0, line=3) == dsl.Given("A", 0.0, 1.0)
-    assert dsl.Let(("c",), CALL, line=4) == dsl.Let(("c",), CALL, line=9)
-    assert dsl.Emit("points", "-", line=5) == dsl.Emit("points", "-")
-    assert dsl.Emit("points", "-") != dsl.Emit("svg", "-")
-    assert dsl.Given("A", 0.0, 1.0).line == 0
+def test_statements_compare_with_line():
+    assert dsl.Given("A", 0.0, 1.0, 3) == dsl.Given("A", 0.0, 1.0, 3)
+    assert dsl.Let(("c",), CALL, 4) != dsl.Let(("c",), CALL, 9)
+    assert dsl.Emit("points", "-", 5) != dsl.Emit("svg", "-", 5)
+    with pytest.raises(TypeError):
+        dsl.Given("A", 0.0, 1.0)  # a statement always has its line
 
 
 def test_result_records_stay_mutable():

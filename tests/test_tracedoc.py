@@ -35,6 +35,12 @@ def test_round_trip_is_byte_identical():
     assert tracedoc.dumps(again) == text
 
 
+def test_document_from_trace_refuses_the_wrong_number_of_output_names():
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    with pytest.raises(MalformedTrace, match="output names do not match"):
+        tracedoc.document_from_trace(trace, ("A", "B"), ("M", "N"))
+
+
 def test_seventeen_digit_coordinates():
     text = tracedoc.dumps(sample_doc())
     # a pick coordinate that needs all the digits survives exactly
