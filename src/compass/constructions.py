@@ -53,10 +53,9 @@ def _apex_xy(a: Point, b: Point, side: Selector) -> tuple[float, float]:
 def build_apex(b: Builder, a: int, bn: int, side: Selector = Selector.LEFT) -> int:
     """Third vertex of the equilateral triangle on segment ab.
 
-    Two circles, one pick; LEFT is the counterclockwise apex.
+    Two circles, one pick; LEFT is the counterclockwise apex. A degenerate
+    segment fails at its first circle (``DegenerateCircle``).
     """
-    if distance(b.point(a), b.point(bn)) <= EPS:
-        raise DegenerateCircle("apex of a degenerate segment")
     return b.pick(b.circle(a, bn), b.circle(bn, a), side)
 
 

@@ -19,7 +19,7 @@ Storage is columnar, with one constructor per type. A step is its row
 ``(op, first, second)``: the op is ``OP_SEED`` (first is the slot),
 ``OP_CIRCLE`` (center, through) or ``OP_LEFT``/``OP_RIGHT`` (the two
 circles: the selector is part of the op). A ``Program`` is those three int
-columns plus the outputs, and ``Program.steps`` is a view of its rows. A
+columns plus the outputs, and ``Program.steps`` is the tuple of its rows. A
 ``Trace`` is its program plus float columns x, y and radius (``None`` for
 a point); its seed values and circle count are derived.
 ``Program.check`` is the one rulebook of what a program is, and
@@ -29,8 +29,9 @@ step loop, reads and appends numbers only: a pick keeps the left or the
 right half of ``geom.cut``'s ``(lx, ly, rx, ry)``. ``Builder.witness`` is
 the one way to cut a point's ancestors out as a trace of their own. Value
 objects (``Point``, ``ResolvedCircle``) exist only at the API edge:
-``Trace.resolved`` is a view. ``AuditReport`` and ``geom``'s values are
-named tuples; ``Program`` and ``Trace`` are ``record.Record`` classes.
+``Trace.resolved`` is the one view, equal by its columns. ``AuditReport``
+and ``geom``'s values are named tuples; ``Program`` and ``Trace`` are
+``record.Record`` classes.
 """
 
 from __future__ import annotations
@@ -78,46 +79,11 @@ OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT = range(4)
 SELECTOR_NAMES = {OP_LEFT: _LEFT.value, OP_RIGHT: _RIGHT.value}  # as traces and SVG write them
 
 
-class _View(Sequence):
-    """A read-only sequence over columns: ``len`` is O(1), an index builds
-    one object, a slice gives a tuple. Equal to a tuple or a view with the
-    same items."""
-
-    __slots__ = ()
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._at, range(len(self))[i]))
-        return self._at(range(len(self))[i])
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _View)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-class Steps(_View):
-    """The steps of a program, as ``(op, first, second)`` rows."""
-
-    __slots__ = ("_program",)
-
-    def __init__(self, program: Program):
-        self._program = program
-
-    def __len__(self) -> int:
-        return len(self._program.ops)
-
-    def _at(self, i: int) -> tuple[int, int, int]:
-        p = self._program
-        return p.ops[i], p.first[i], p.second[i]
-
-
-class Resolved(_View):
+class Resolved(Sequence):
     """The resolved value of every step, as ``Point`` or ``ResolvedCircle``,
-    over the float columns ``xs``, ``ys`` and ``rs`` (``None`` for a point)."""
+    over the float columns ``xs``, ``ys`` and ``rs`` (``None`` for a point):
+    ``len`` is O(1), an index builds one value, a slice gives a tuple. Equal
+    only to a ``Resolved`` with equal columns, which is what it hashes."""
 
     __slots__ = ("xs", "ys", "rs")
 
@@ -146,8 +112,21 @@ class Resolved(_View):
             return Point(self.xs[i], self.ys[i])
         return ResolvedCircle(Point(self.xs[i], self.ys[i]), r)
 
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._at, range(len(self))[i]))
+        return self._at(range(len(self))[i])
+
+    def __eq__(self, other):
+        if type(other) is not Resolved:
+            return NotImplemented
+        return (self.xs, self.ys, self.rs) == (other.xs, other.ys, other.rs)
+
     def __hash__(self) -> int:
         return hash((self.xs, self.ys, self.rs))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class Program(Record):
@@ -210,8 +189,8 @@ class Program(Record):
         object.__setattr__(self, "_checked", True)
 
     @property
-    def steps(self) -> Steps:
-        return Steps(self)
+    def steps(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.ops, self.first, self.second))
 
     def circle_count(self) -> int:
         return self.ops.count(OP_CIRCLE)

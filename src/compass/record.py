@@ -2,12 +2,13 @@
 
 Records that equal their field tuples are ``collections.namedtuple``
 classes. A ``Record`` prints as ``Name(field=value, ...)`` over ``_fields``,
-its constructor's parameters, by position or keyword; it equals only a
-record of its own class with an equal ``_key()``, its fields in order,
-hashes that key, and refuses assignment. A ``MutableRecord``
-allows assignment and is unhashable. Importing ``dataclasses`` (and
-``inspect``) would dominate the package's start-up; ``dataclasses.replace``
-works on a record all the same.
+its constructor's parameters, which ``Record.__init__`` takes by position
+only; it equals only a record of its own class with an equal ``_key()``,
+its fields in order, hashes that key, and refuses assignment and deletion.
+A ``MutableRecord`` allows both and is unhashable. Importing ``dataclasses``
+(and ``inspect``) would dominate the package's start-up;
+``dataclasses.replace``, which passes fields by keyword, works on a record
+without fields or with an ``__init__`` of its own.
 """
 
 
@@ -29,12 +30,9 @@ class Record:
     __dataclass_fields__ = _AsDataclass()
     __dataclass_params__ = _AsDataclass()
 
-    def __init__(self, *values, **named):
-        if named:  # fields by keyword, after those by position
-            values += tuple(named.pop(name) for name in self._fields[len(values):]
-                            if name in named)
-        if named or len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}, each once")
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 

@@ -11,7 +11,8 @@ its seeds and outputs; there is no second representation of the steps.
 
 Where each check lives:
 
-- ``Program.check`` holds every structural rule; nothing here repeats one.
+- ``Program.check`` holds every structural rule; nothing here repeats one
+  or adds one, so a trace with no seeds (a script without ``given``) loads.
 - ``loads`` checks the format only (JSON types, dense ids, step-kind and
   selector names, finite coordinates), builds the program's columns, runs
   ``Program.check`` on them, and then resolves each circle's radius,
@@ -167,8 +168,6 @@ def loads(text: str) -> TraceDocument:
     if not (type(raw_seeds) is list and type(raw_steps) is list
             and type(raw_outputs) is list):
         raise MalformedTrace("seeds, steps, and outputs must be arrays")
-    if not raw_seeds:
-        raise MalformedTrace("a trace needs at least one seed")
 
     rows: list[tuple] = []  # (op, first, second, x, y) of every node
     seed_names = []
@@ -204,7 +203,7 @@ def loads(text: str) -> TraceDocument:
         outputs.append(_integer(obj, "id", k, "output"))
         output_names.append(obj["name"])
 
-    ops, first, second, xs, ys = zip(*rows)
+    ops, first, second, xs, ys = zip(*rows) if rows else ((),) * 5
     program = Program(len(raw_seeds), ops, first, second, tuple(outputs))
     try:
         program.check()

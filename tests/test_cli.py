@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from compass import fuzz, tracedoc
 from compass.cli import main
 from compass.demos import DEMOS
+from compass.geom import Point
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -58,6 +61,18 @@ def test_points_flag_prints_what_emit_points_prints(tmp_path, capsys):
     assert by_flag.startswith("M 1.5") and by_flag.count("\n") == 1
 
 
+def test_script_without_given_writes_a_trace_that_loads(tmp_path, capsys):
+    """No seed is no rule of ``Program.check``, so ``loads`` takes the trace
+    and ``dumps`` writes its bytes back; the figure is of no point at all."""
+    script, svg_path = tmp_path / "empty.compass", tmp_path / "empty.svg"
+    script.write_text('emit trace "-"\n')
+    assert main(["run", str(script), "--svg", str(svg_path)]) == 0
+    text = capsys.readouterr().out
+    assert text == '{"version":1,"seeds":[],"steps":[],"outputs":[]}\n'
+    assert tracedoc.dumps(tracedoc.loads(text)) == text
+    assert "<svg" in svg_path.read_text()
+
+
 def test_emit_request_writes_its_file(tmp_path, capsys):
     script = tmp_path / "emit.compass"
     script.write_text(MIDPOINT + f'emit points "{tmp_path / "points.txt"}"\n')
@@ -90,6 +105,21 @@ def test_fuzz_prints_a_table_and_passes(capsys):
     assert out.startswith("compass fuzz: seed 42, 3 case(s) per construction\n")
     assert "\nmidpoint " in out
     assert "result: PASS (1 construction(s), 0 failure(s)" in out
+
+
+def test_fuzz_runs_every_op_by_default(capsys):
+    assert main(["fuzz", "--cases", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(fuzz.OPS) == 12 and [line.split()[0] for line in lines[2:-1]] == list(fuzz.OPS)
+    assert lines[-1].startswith("result: PASS (12 construction(s), 0 failure(s)")
+
+
+def test_a_point_count_unlike_the_oracles_fails_the_case():
+    one, two = (Point(0.0, 0.0),), [Point(0.0, 0.0), Point(1.0, 0.0)]
+    assert fuzz._pair_err(one, two) == fuzz._pair_err((*two, *one), two) == math.inf
+    report = fuzz.OpReport("midpoint", 1)
+    report.record(fuzz._pair_err(one, two), lambda: "case 0")
+    assert (report.failures, report.max_err, report.details) == (1, math.inf, ("case 0",))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,6 +5,7 @@ import pytest
 from compass.geom import Point, ResolvedCircle
 from compass.oracle import (
     Parallel,
+    oracle_circle_circle,
     oracle_complex_add,
     oracle_complex_conj,
     oracle_complex_mul,
@@ -54,6 +55,17 @@ def test_line_circle_diameter_self_consistency():
     close_to(mid, 1.0, -2.0, within=1e-9)
     assert math.hypot(pts[0].x - pts[1].x, pts[0].y - pts[1].y) == \
         pytest.approx(5.0, abs=1e-9)
+
+
+def test_circle_circle():
+    unit = ResolvedCircle(Point(0, 0), 1.0)
+    pts = oracle_circle_circle(unit, ResolvedCircle(Point(1, 0), 1.0))
+    half_chord = math.sqrt(0.75)
+    assert sorted(p.y for p in pts) == pytest.approx([-half_chord, half_chord], abs=1e-12)
+    assert all(p.x == pytest.approx(0.5, abs=1e-12) for p in pts)
+    # concentric circles have no radical line, and so no isolated points
+    assert oracle_circle_circle(unit, ResolvedCircle(Point(0, 0), 2.0)) == []
+    assert oracle_circle_circle(unit, unit) == []
 
 
 def test_invert():

@@ -328,7 +328,7 @@ def test_builder_witness():
     assert value.x == pytest.approx(2.0, abs=1e-9)
     # resolved as the builder resolved them, at the kept nodes
     kept = [0, 1, *range(4, w + 1)]
-    assert witness.resolved == tuple(b.finish([])[1].resolved[i] for i in kept)
+    assert tuple(witness.resolved) == tuple(b.finish([])[1].resolved[i] for i in kept)
     # where every step is kept, the witness is the builder's whole trace,
     # and the same as the remapping cut gives once a later step is appended
     whole = Builder([O, U])
@@ -360,7 +360,7 @@ def test_steps_and_resolved_are_views_over_columns():
     assert steps[:2] == ((OP_SEED, 0, -1), (OP_SEED, 1, -1)) and type(steps[:2]) is tuple
     assert steps[-1] == (program.ops[-1], program.first[-1], program.second[-1])
     assert resolved[:2] == (O, U) and resolved[-1] == resolved[len(resolved) - 1]
-    assert steps == tuple(steps) and resolved == tuple(resolved)
+    assert type(steps) is tuple and tuple(resolved) == resolved[:]
     with pytest.raises(IndexError):
         steps[len(steps)]
     # values given at the edge encode into the same columns
@@ -368,3 +368,12 @@ def test_steps_and_resolved_are_views_over_columns():
     assert again == trace and again.resolved.xs == resolved.xs
     with pytest.raises(MalformedTrace, match="^step 1:"):
         Trace(seeds_only((O, U)), (O, "ruler-point"))
+
+
+def test_resolved_equals_and_hashes_by_its_columns():
+    trace = execute(midpoint_program(), (O, U))
+    resolved, twin = trace.resolved, execute(midpoint_program(), (O, U)).resolved
+    assert twin is not resolved and twin == resolved and hash(twin) == hash(resolved)
+    # equal only to a Resolved, so equal values still hash equal
+    assert resolved != tuple(resolved) and tuple(resolved) not in {resolved}
+    assert Trace(trace.program, tuple(resolved)) == trace

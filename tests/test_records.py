@@ -81,6 +81,8 @@ def test_frozen_records(record, text, key):
     for name in (*record._fields, "anything"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 @pytest.mark.parametrize("record, text, key", RECORDS, ids=_ids(RECORDS))
@@ -110,6 +112,14 @@ def test_statement_line_by_position_or_keyword():
     assert repr(dsl.Given(name="A", x=0.0, y=1.0, line=3)) == repr(given)
     for bad in (lambda: dsl.Given("A", 0.0, 1.0, 3, 4), lambda: dsl.Given("A", 0.0, line=3),
                 lambda: dsl.Given("A", 0.0, 1.0, name="B"), lambda: dsl.Emit("svg", "-", depth=1)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_records_take_their_fields_by_position_only():
+    named = dict(trace=TRACE, seed_names=(), named_points=(), named_circles=(), emits=())
+    for bad in (lambda: NoIntersection(None), lambda: dsl.ScriptResult(**named),
+                lambda: dsl.ScriptResult(TRACE, (), (), ())):
         with pytest.raises(TypeError):
             bad()
 

@@ -87,7 +87,7 @@ def test_malformed_documents_rejected():
     for version in (True, 1.0):
         with pytest.raises(MalformedTrace, match="unsupported version"):
             tracedoc.loads(_mutate(text, version=version))
-    with pytest.raises(MalformedTrace):
+    with pytest.raises(MalformedTrace, match="dense"):
         tracedoc.loads(_mutate(text, seeds=[]))
 
     # unknown step kind
