@@ -19,6 +19,12 @@ its seeds. Each operation resumes a ``Builder`` on its left operand's rows,
 calls the ``build_*`` routine and carries the result's witness as the new
 value. Sharing the steps already there, witnesses grow linearly along
 chains of additions, not exponentially.
+
+The atoms ``zero``, ``one``, ``minus_one``, ``alpha`` and ``demo_half`` are
+built once (``functools.lru_cache``) and the same object is handed to every
+caller. Sharing them is safe: a value is an immutable record (a named tuple
+of a ``Trace``, whose columns are tuples), and ``Builder.resume`` copies
+those columns into the lists it grows, so no operation changes an operand.
 """
 
 from __future__ import annotations
@@ -144,27 +150,33 @@ class ConstructibleValue(namedtuple("ConstructibleValue", "trace")):
 
     @property
     def value(self) -> Point:
-        return self.trace.resolved[self.primary_output]
+        trace = self.trace
+        out, resolved = trace.program.outputs[0], trace.resolved
+        return Point(resolved.xs[out], resolved.ys[out])
 
 
+@lru_cache(maxsize=None)
 def zero() -> ConstructibleValue:
+    """0, seed 0's witness; built once, like every atom."""
     return ConstructibleValue(Builder(CANONICAL_SEEDS).witness(0))
 
 
+@lru_cache(maxsize=None)
 def one() -> ConstructibleValue:
+    """1, seed 1's witness; built once, like every atom."""
     return ConstructibleValue(Builder(CANONICAL_SEEDS).witness(1))
 
 
 @lru_cache(maxsize=None)
 def minus_one() -> ConstructibleValue:
-    """-1 (``neg(one())``), built once and shared; values are immutable,
-    and ``Builder.resume`` copies the trace's columns."""
+    """-1 (``neg(one())``); built once, like every atom."""
     return neg(one())
 
 
+@lru_cache(maxsize=None)
 def alpha() -> ConstructibleValue:
     """(3 + i sqrt(15)) / 4: the upper cut of the circles centered -1 and 1
-    with radii 2 and 1."""
+    with radii 2 and 1; built once, like every atom."""
     b = Builder(CANONICAL_SEEDS)
     big = b.circle(cons.build_extend(b, 1, 0), 1)  # centered -1
     small = b.circle(1, 0)
@@ -203,6 +215,6 @@ def conj(a: ConstructibleValue) -> ConstructibleValue:
 def demo_half() -> ConstructibleValue:
     """1/2, the paper-chase: |alpha|^2 = 3/2 is constructible, so adding -1
     lands on 1/2. Two independent compass routes to the segment midpoint.
-    Built once, like ``minus_one``."""
+    Built once, like every atom."""
     al = alpha()
     return add(mul(al, conj(al)), neg(one()))

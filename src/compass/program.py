@@ -26,8 +26,10 @@ a point); its seed values and circle count are derived.
 ``Trace.check`` adds that each value is of its step's kind; every consumer
 runs them, and a program is checked once. ``Builder._resolve``, the only
 step loop, reads and appends numbers only: a pick keeps the left or the
-right half of ``geom.cut``'s ``(lx, ly, rx, ry)``. ``Builder.witness`` is
-the one way to cut a point's ancestors out as a trace of their own. Value
+right half of ``geom.cut``'s ``(lx, ly, rx, ry)``. A pick on the circle pair
+of the loop's last cut reads that cut again instead of cutting twice, so
+``geom.cut`` is still the only intersection arithmetic. ``Builder.witness``
+is the one way to cut a point's ancestors out as a trace of their own. Value
 objects (``Point``, ``ResolvedCircle``) exist only at the API edge:
 ``Trace.resolved`` is the one view, equal by its columns. ``AuditReport``
 and ``geom``'s values are named tuples; ``Program`` and ``Trace`` are
@@ -40,6 +42,7 @@ import enum
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import accumulate, compress, islice
 from operator import itemgetter
 
 from .errors import (
@@ -432,28 +435,37 @@ class Builder:
         node = self.table.get(key)
         if node is None:
             node = self.table[key] = len(self.ops)
-            for column, item in zip((self.ops, self.first, self.second, self.xs, self.ys,
-                                     self.rs), (op, u, v, x, y, r)):
-                column.append(item)
+            self.ops.append(op)
+            self.first.append(u)
+            self.second.append(v)
+            self.xs.append(x)
+            self.ys.append(y)
+            self.rs.append(r)
         return node
 
     def circle(self, center: int, through: int) -> int:
         hit = self.table.get((OP_CIRCLE, center, through))
         if hit is not None:
             return hit
-        self._node(center, False)
-        self._node(through, False)
-        x, y = self.xs[center], self.ys[center]
-        r = radius(x, y, self.xs[through], self.ys[through])
+        xs, ys, rs = self.xs, self.ys, self.rs
+        count = len(rs)
+        if not (0 <= center < count and rs[center] is None):
+            self._node(center, False)
+        if not (0 <= through < count and rs[through] is None):
+            self._node(through, False)
+        x, y = xs[center], ys[center]
+        r = radius(x, y, xs[through], ys[through])
         return self._keep(OP_CIRCLE, center, through, x, y, r)
 
     def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
         """The cut of two circle nodes (``geom.cut``), its points checked
         to be finite."""
-        self._node(c1, True)
-        self._node(c2, True)
         xs, ys, rs = self.xs, self.ys, self.rs
         at = len(rs)
+        if not (0 <= c1 < at and rs[c1] is not None):
+            self._node(c1, True)
+        if not (0 <= c2 < at and rs[c2] is not None):
+            self._node(c2, True)
         got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])
         if type(got) is str:
             raise _no_point(got, at)
@@ -469,7 +481,9 @@ class Builder:
         if hit is not None:
             return hit
         got = self._cut(c1, c2)
-        return self._keep(op, c1, c2, *(got[:2] if op == OP_LEFT else got[2:]))
+        if op == OP_LEFT:
+            return self._keep(op, c1, c2, got[0], got[1])
+        return self._keep(op, c1, c2, got[2], got[3])
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a touch yields the same point twice."""
@@ -516,6 +530,12 @@ class Builder:
         through it, resolved and appended; with a hash-cons ``table``, a
         step whose rewired row is in it is that node instead. The structure
         was checked once (``Program.check``); errors name their step.
+
+        A pick on the same rewired circle pair as the last cut, as the
+        second pick of a ``both`` or ``meet`` pair is, reads that cut's
+        floats again: every node is resolved once and never changes, so it
+        is the same ``geom.cut`` of the same six floats, and ``geom.cut``
+        stays the only intersection arithmetic.
         """
         program.check()
         start = program.seed_count
@@ -524,6 +544,7 @@ class Builder:
         add_op, add_first, add_second = self.ops.append, self.first.append, self.second.append
         mapped = node.append
         isfinite = math.isfinite
+        cut_u = cut_v = -1  # the circle pair ``got`` was cut from; none yet
         for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
             nu, nv = node[u], node[v]
             if table is not None:
@@ -537,10 +558,15 @@ class Builder:
                 x, y = xs[nu], ys[nu]
                 r = radius(x, y, xs[nv], ys[nv])
             else:
-                got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv])
-                if type(got) is str:
-                    raise _no_point(got, at)
-                x, y = got[:2] if op == OP_LEFT else got[2:]
+                if nu != cut_u or nv != cut_v:
+                    got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv])
+                    if type(got) is str:
+                        raise _no_point(got, at)
+                    cut_u, cut_v = nu, nv
+                if op == OP_LEFT:
+                    x, y = got[0], got[1]
+                else:
+                    x, y = got[2], got[3]
                 if not (isfinite(x) and isfinite(y)):
                     raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
                 r = None
@@ -588,15 +614,16 @@ class Builder:
         # the remap is the identity, and skipping it pays on value chains
         if len(keep) == len(self.ops) and all(keep):
             return self.finish([node])[1]
-        kept = [i for i, live in enumerate(keep) if live]
-        remap = [-1] * len(keep)
-        for new, old in enumerate(kept):
-            remap[old] = new
-        # kept opens with seeds 0 and 1, so take gives tuples, and every
-        # later kept step is a circle or a pick, whose operands are remapped
-        take, link = itemgetter(*kept), remap.__getitem__
+        # rank[i] is the new index of kept step i, the count of kept steps
+        # before it: seed 0 is kept, so the count of keep[1:i + 1]. The kept
+        # steps open with seeds 0 and 1, so take gives tuples, each of its
+        # exact size (one built from an iterator grows by resizing, which
+        # fragments the heap), and every later kept step is a circle or a
+        # pick, whose operands are kept and remapped.
+        rank = list(accumulate(islice(keep, 1, None), initial=0))
+        take, link = itemgetter(*compress(range(len(keep)), keep)), rank.__getitem__
         program = Program(2, take(self.ops), (0, 1, *map(link, take(self.first)[2:])),
-                          (-1, -1, *map(link, take(self.second)[2:])), (remap[node],))
+                          (-1, -1, *map(link, take(self.second)[2:])), (rank[node],))
         program._check_outputs()
         return Trace(program, Resolved(take(self.xs), take(self.ys), take(self.rs)))
 

@@ -1,9 +1,10 @@
 """Exact step budgets: (steps, circles, picks) of the canonical programs and
 of every demo, upper bounds on every core's counts on the benchmark
-ledger's fixed inputs, and bounds on the mean circles of the line routines
-over fuzz draws. The counts are deterministic and hardware-independent, so
-a change that alters any construction's program fails here. A change that
-lowers a count re-pins it at the new value."""
+ledger's fixed inputs, bounds on the mean circles of the line routines
+over fuzz draws, and the exact outputs and circles of every benchmark
+workload's smallest pool. The counts are deterministic and
+hardware-independent, so a change that alters any construction's program
+fails here. A change that lowers a count re-pins it at the new value."""
 
 import importlib
 from pathlib import Path
@@ -112,3 +113,27 @@ def test_ledger_core_counts_stay_within_bounds(monkeypatch):
     for name, bound in CORE_COUNTS.items():
         have = got[name]["steps"], got[name]["circles"], got[name]["picks"]
         assert all(n <= most for n, most in zip(have, bound)), (name, have, bound)
+
+
+# workload: (sha256 of every output coordinate, total circles) over the pool
+# ``make_pool(20141011, 0.2)``, the pool of ``perfbench/run.py --seconds 1``,
+# as its ledger records them: the bits of every output the benchmark checks
+WORKLOAD_OUTPUTS = {
+    "script-mix": ("4284956c469b983294b29270e14c55eebb928f0c3ecec6207730188d7e9680f6", 772),
+    "oracle-fuzz": ("c7b029f515172322a9abd587d0efeb1885946fa87f6090319e06e708a32c52ad", 12658),
+    "deep-witness": ("4f6820c51df6bd30f6c245912955ea7594ad0a29af3d97ec5a8212dcca703a38", 3919),
+}
+
+
+def test_workload_outputs_stay_bit_identical(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ledger = importlib.import_module("ledger")
+    workloads = importlib.import_module("workloads").WORKLOADS
+    assert set(workloads) == set(WORKLOAD_OUTPUTS)
+    for name, (digest, circles) in WORKLOAD_OUTPUTS.items():
+        workload = workloads[name]()
+        pool = workload.make_pool(20141011, 0.2)
+        outcomes = [workload.check(item, workload.run(item)) for item in pool]
+        assert [o.problem for o in outcomes if not o.ok] == [], name
+        assert ledger.digest(outcomes) == digest, name
+        assert sum(o.circles for o in outcomes) == circles, name

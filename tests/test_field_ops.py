@@ -11,7 +11,7 @@ from compass.oracle import (
     oracle_complex_conj,
     oracle_complex_mul,
 )
-from compass.program import Builder, ancestors, execute, purity_audit
+from compass.program import Builder, Selector, ancestors, execute, purity_audit
 
 SQRT15_4 = math.sqrt(15.0) / 4.0
 
@@ -298,3 +298,39 @@ def test_carried_value_is_the_executed_witness():
         assert len(builder) == len(v.program.steps)
         # and the witness cut out of it is the value's own trace
         assert builder.witness(v.primary_output) == v.trace
+
+
+def _fresh_atoms():
+    """The atoms, each built here on its own builder as ``field_ops`` builds it."""
+    def seed(node):
+        return F.ConstructibleValue(Builder(F.CANONICAL_SEEDS).witness(node))
+
+    b = Builder(F.CANONICAL_SEEDS)
+    big = b.circle(build_extend(b, 1, 0), 1)  # centered -1
+    small = b.circle(1, 0)
+    alpha = F.ConstructibleValue(b.witness(b.pick(big, small, Selector.LEFT)))
+    return {"zero": seed(0), "one": seed(1), "alpha": alpha}
+
+
+def test_atoms_are_built_once_and_equal_a_fresh_build():
+    atoms = {name: getattr(F, name) for name in ("zero", "one", "alpha")}
+    before = {name: make() for name, make in atoms.items()}
+    # growing values from the shared atoms changes none of them
+    v = F.add(F.alpha(), F.one())
+    F.mul(F.conj(v), F.neg(F.zero()))
+    for name, fresh in _fresh_atoms().items():
+        shared = atoms[name]()
+        assert shared is before[name] and shared is atoms[name]()
+        assert shared is not fresh and shared.trace == fresh.trace
+        assert repr(shared.trace) == repr(fresh.trace)  # down to the sign of a zero
+
+
+def test_value_reads_the_resolved_output():
+    values = list(_ValuePool().atoms)
+    v = F.one()
+    for _ in range(6):
+        v = F.add(v, F.alpha())
+        values.append(v)
+    for v in values:
+        assert v.value == v.trace.resolved[v.primary_output]
+        assert type(v.value) is Point

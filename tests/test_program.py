@@ -3,7 +3,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass.constructions import apex_program, extend_program, midpoint_program
+from compass import dsl
+from compass.constructions import (
+    apex_program,
+    extend_program,
+    midpoint_program,
+    nth_point_program,
+)
+from compass.demos import DEMOS
 from compass.errors import (
     CoincidentCircles,
     CompassError,
@@ -14,7 +21,7 @@ from compass.errors import (
     NonFiniteInput,
     NoSuchIntersection,
 )
-from compass.geom import Point
+from compass.geom import Point, cut, radius
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
@@ -24,6 +31,7 @@ from compass.program import (
     Program,
     Selector,
     Trace,
+    _no_point,
     ancestors,
     execute,
     purity_audit,
@@ -93,6 +101,58 @@ def test_builder_refuses_a_bad_argument(call, message):
     with pytest.raises(CompassError, match=message):
         call(b)
     assert len(b) == 3  # a failing call appends nothing
+
+
+# (call on the builder below, error type, message): node -1, node len(b) = 4
+# and a node of the wrong kind, as each argument of each resolving method
+_BAD_NODE_CALLS = [
+    *[(f"circle({u}, {v})", lambda b, u=u, v=v: b.circle(u, v), err, message)
+      for u, v, err, message in [
+          (-1, 1, InvalidNodeId, "node -1 outside the builder"),
+          (0, -1, InvalidNodeId, "node -1 outside the builder"),
+          (4, 1, InvalidNodeId, "node 4 outside the builder"),
+          (0, 4, InvalidNodeId, "node 4 outside the builder"),
+          (2, 1, MalformedProgram, "node 2 is not a point"),
+          (0, 3, MalformedProgram, "node 3 is not a point")]],
+    *[(f"{name}({c1}, {c2})", lambda b, call=call, c1=c1, c2=c2: call(b, c1, c2), err, message)
+      for name, call in [
+          ("pick-left", lambda b, c1, c2: b.pick(c1, c2, Selector.LEFT)),
+          ("pick-right", lambda b, c1, c2: b.pick(c1, c2, Selector.RIGHT)),
+          ("both", Builder.both), ("meet", Builder.meet),
+          ("pick_other", lambda b, c1, c2: b.pick_other(c1, c2, avoid=0))]
+      for c1, c2, err, message in [
+          (-1, 3, InvalidNodeId, "node -1 outside the builder"),
+          (2, -1, InvalidNodeId, "node -1 outside the builder"),
+          (4, 3, InvalidNodeId, "node 4 outside the builder"),
+          (2, 4, InvalidNodeId, "node 4 outside the builder"),
+          (0, 3, MalformedProgram, "node 0 is not a circle"),
+          (2, 1, MalformedProgram, "node 1 is not a circle")]],
+    *[(f"pick_other(2, 3, avoid={avoid})", lambda b, avoid=avoid: b.pick_other(2, 3, avoid),
+       err, message)
+      for avoid, err, message in [
+          (-1, InvalidNodeId, "node -1 outside the builder"),
+          (4, InvalidNodeId, "node 4 outside the builder"),
+          (2, MalformedProgram, "node 2 is not a point")]],
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in _BAD_NODE_CALLS],
+                         ids=[case[0] for case in _BAD_NODE_CALLS])
+def test_builder_refuses_a_bad_node(call, error, message):
+    # the checks the resolving methods make inline raise what Builder._node
+    # raises, and leave the builder as it was
+    b = Builder([O, U])
+    b.circle(0, 1)
+    b.circle(1, 0)
+
+    def state():
+        return (b.ops[:], b.first[:], b.second[:], b.xs[:], b.ys[:], b.rs[:], dict(b.table))
+
+    before = state()
+    with pytest.raises(CompassError) as caught:
+        call(b)
+    assert type(caught.value) is error and str(caught.value) == message
+    assert state() == before
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -377,3 +437,161 @@ def test_resolved_equals_and_hashes_by_its_columns():
     # equal only to a Resolved, so equal values still hash equal
     assert resolved != tuple(resolved) and tuple(resolved) not in {resolved}
     assert Trace(trace.program, tuple(resolved)) == trace
+
+
+# --- the step loop against a reference that cuts afresh for every pick ------
+
+def reference_resolve(b, program, node, table):
+    """``Builder._resolve`` without the cut reuse: each pick calls
+    ``geom.cut`` on its own circles. Appends to ``b``'s columns."""
+    program.check()
+    xs, ys, rs = b.xs, b.ys, b.rs
+    start = program.seed_count
+    for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
+        nu, nv = node[u], node[v]
+        if table is not None:
+            key = op, nu, nv
+            hit = table.get(key)
+            if hit is not None:
+                node.append(hit)
+                continue
+        at = len(rs)
+        if op == OP_CIRCLE:
+            x, y = xs[nu], ys[nu]
+            r = radius(x, y, xs[nv], ys[nv])
+        else:
+            got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv])
+            if type(got) is str:
+                raise _no_point(got, at)
+            x, y = got[:2] if op == OP_LEFT else got[2:]
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
+            r = None
+        for column, item in zip((b.ops, b.first, b.second, xs, ys, rs), (op, nu, nv, x, y, r)):
+            column.append(item)
+        if table is not None:
+            table[key] = at
+        node.append(at)
+    return tuple(node[out] for out in program.outputs)
+
+
+def columns(b):
+    """The six columns, floats by ``repr`` so that even the sign of a zero counts."""
+    return (tuple(b.ops), tuple(b.first), tuple(b.second),
+            *(tuple(map(repr, column)) for column in (b.xs, b.ys, b.rs)))
+
+
+def outcome(call):
+    try:
+        return call()
+    except CompassError as err:
+        return type(err), str(err)
+
+
+def assert_execute_matches_reference(program, seeds):
+    ref = Builder(seeds)
+    reference_resolve(ref, program, list(range(program.seed_count)), None)
+    assert columns(Builder.resume(execute(program, seeds))) == columns(ref)
+
+
+def assert_inline_matches_reference(host, program, seed_map):
+    """Inline ``program`` into one ``host()`` and run the reference on
+    another: the same nodes or error, columns and hash-cons table."""
+    b, ref = host(), host()
+    got = outcome(lambda: b.inline(program, seed_map))
+    want = outcome(lambda: reference_resolve(ref, program, list(seed_map), ref.table))
+    assert got == want
+    assert columns(b) == columns(ref) and b.table == ref.table
+    return got
+
+
+CANONICAL_PROGRAMS = {
+    "apex-left": lambda: apex_program(Selector.LEFT),
+    "apex-right": lambda: apex_program(Selector.RIGHT),
+    "extend": extend_program,
+    "midpoint": midpoint_program,
+    **{f"nth-{n}": lambda n=n: nth_point_program(n) for n in range(1, 9)},
+}
+
+
+def _canonical_host():
+    b = Builder([Point(0.1, -0.7), Point(2.3, 1.9), Point(-1.2, 0.4)])
+    b.inline(apex_program(Selector.LEFT), (0, 1))  # steps the inlines below hit
+    return b
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_PROGRAMS))
+def test_canonical_programs_resolve_as_the_reference_loop(name):
+    program = CANONICAL_PROGRAMS[name]()
+    for seeds in [(O, U), (Point(0.1, -0.7), Point(2.3, 1.9)), (U, Point(-3.0, 1e-3))]:
+        assert_execute_matches_reference(program, seeds)
+    for seed_map in [(0, 1), (1, 0), (1, 2), (2, 0)]:
+        assert_inline_matches_reference(_canonical_host, program, seed_map)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_programs_resolve_as_the_reference_loop(name):
+    trace = dsl.run_source(DEMOS[name]).trace
+    program, seeds = trace.program, trace.seed_values
+    assert_execute_matches_reference(program, seeds)
+    n = program.seed_count
+
+    def host():
+        b = Builder(seeds)
+        b.inline(program, tuple(range(n)))  # a second inline hits these
+        return b
+
+    for seed_map in [tuple(range(n)), (*range(1, n), 0)]:
+        assert_inline_matches_reference(lambda: Builder(seeds), program, seed_map)
+        assert_inline_matches_reference(host, program, seed_map)
+
+
+def _two_circles():
+    """Seeds 0 and 1 and the circles 2 = C(0; 1) and 3 = C(1; 0)."""
+    return (OP_SEED, OP_SEED, OP_CIRCLE, OP_CIRCLE), (0, 1, 0, 1), (-1, -1, 1, 0)
+
+
+def _program(*steps, outputs):
+    ops, first, second = _two_circles()
+    for op, u, v in steps:
+        ops, first, second = ops + (op,), first + (u,), second + (v,)
+    return Program(2, ops, first, second, outputs)
+
+
+SPLIT_PAIRS = {
+    # the left and right picks of circles 2 and 3 with a circle between them
+    "split-by-a-circle": _program((OP_LEFT, 2, 3), (OP_CIRCLE, 0, 4), (OP_RIGHT, 2, 3),
+                                  outputs=(4, 6)),
+    # ... with a cut of another pair between them, which the right pick must not reuse
+    "split-by-another-cut": _program((OP_LEFT, 2, 3), (OP_CIRCLE, 4, 0), (OP_LEFT, 2, 5),
+                                     (OP_RIGHT, 2, 3), outputs=(4, 6, 7)),
+    # the same two circles in the other order: the cut swaps its sides
+    "swapped-circles": _program((OP_LEFT, 2, 3), (OP_LEFT, 3, 2), (OP_RIGHT, 3, 2),
+                                (OP_RIGHT, 2, 3), outputs=(4, 5, 6, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_PAIRS))
+def test_split_pick_pairs_resolve_as_the_reference_loop(name):
+    program = SPLIT_PAIRS[name]
+    for seeds in [(O, U), (Point(0.1, -0.7), Point(2.3, 1.9))]:
+        assert_execute_matches_reference(program, seeds)
+        assert_inline_matches_reference(lambda: Builder(seeds), program, (0, 1))
+        assert_inline_matches_reference(lambda: Builder(seeds), program, (1, 0))
+
+
+def test_a_pair_whose_first_pick_is_a_hash_cons_hit_resolves_as_the_reference_loop():
+    # the host holds the left pick of circles 2 and 3 and a cut of circles 3
+    # and 2; the inlined pair's left pick is that node, its right pick is new
+    def host():
+        b = Builder([O, U])
+        c1, c2 = b.circle(0, 1), b.circle(1, 0)
+        b.pick(c1, c2, Selector.LEFT)
+        return b
+
+    pair = _program((OP_LEFT, 2, 3), (OP_RIGHT, 2, 3), outputs=(4, 5))
+    assert assert_inline_matches_reference(host, pair, (0, 1)) == (4, 5)
+    # a cut of another pair comes before the hit: the right pick cuts afresh
+    after_cut = _program((OP_LEFT, 3, 2), (OP_LEFT, 2, 3), (OP_RIGHT, 2, 3),
+                         outputs=(4, 5, 6))
+    assert assert_inline_matches_reference(host, after_cut, (0, 1)) == (5, 4, 6)
