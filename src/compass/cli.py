@@ -5,8 +5,9 @@ and fuzz-verify every construction against the analytic oracles.
     compass demo midpoint
     compass fuzz --op all --cases 1000 --seed 42
 
-Exit codes: 0 success, 1 I/O failure, 2 script or construction error
-(one-line diagnostic with line:column), 3 fuzz mismatch.
+Exit codes: 0 success; 1 I/O failure, a script that is not UTF-8 included;
+2 script or construction error (one-line diagnostic with line:column), or
+a render failure (an SVG view box that overflows); 3 fuzz mismatch.
 """
 
 from __future__ import annotations
@@ -76,7 +77,12 @@ def _run_script(source: str, args, always_points: bool = False) -> int:
     requests += [(target, path) for target, path in flags if path]
     requests += [(request.target, request.path) for request in result.emits]
     for target, path in requests:
-        if _write(path, _RENDERERS[target](result)):
+        try:
+            content = _RENDERERS[target](result)
+        except CompassError as err:
+            _diag(f"cannot render {target}: {type(err).__name__}: {err}")
+            return 2
+        if _write(path, content):
             return 1
     return 0
 
@@ -85,7 +91,7 @@ def cmd_run(args) -> int:
     try:
         with open(args.script, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         _diag(f"cannot read {args.script}: {err}")
         return 1
     return _run_script(source, args)

@@ -28,7 +28,7 @@ from .errors import (
     ParallelLines,
     ScaleOverflow,
 )
-from .geom import EPS, Point, distance
+from .geom import EPS, Point
 from .program import Builder, Program, Selector
 
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
@@ -163,9 +163,9 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
     and 1 pick.
     """
     pa, pb, pc = b.point(a), b.point(bn), b.point(c)
-    if distance(pa, pb) <= EPS:
+    if math.dist(pa, pb) <= EPS:
         raise DegenerateCircle("foot on a degenerate line")
-    if distance(pc, pa) <= EPS or distance(pc, pb) <= EPS:
+    if math.dist(pc, pa) <= EPS or math.dist(pc, pb) <= EPS:
         raise DegenerateCircle("foot construction needs c distinct from a and b")
     around_a, around_b = b.circle(a, c), b.circle(bn, c)
     mirror = b.pick_other(around_a, around_b, avoid=c)
@@ -190,7 +190,7 @@ def _invert_core(b: Builder, o: int, d: int, p: int) -> int:
     image = b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o)
     if image is None:
         raise ScaleOverflow(f"{b.point(p)} is too far outside radius "
-                            f"{distance(b.point(o), b.point(d))} to invert")
+                            f"{math.dist(b.point(o), b.point(d))} to invert")
     return image
 
 
@@ -200,8 +200,8 @@ def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
     beyond r/2 (``build_invert_general``); this contract asks |op| > r
     (``NotExterior``)."""
     po, pd, pp = b.point(o), b.point(d), b.point(p)
-    r = distance(po, pd)
-    if distance(po, pp) <= r + EPS:
+    r = math.dist(po, pd)
+    if math.dist(po, pp) <= r + EPS:
         raise NotExterior(f"{pp} is not strictly outside radius {r}")
     return _invert_core(b, o, d, p)
 
@@ -233,8 +233,8 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     ``ScaleOverflow``.
     """
     po, pd, pp = b.point(o), b.point(d), b.point(p)
-    r = distance(po, pd)
-    dist = distance(po, pp)
+    r = math.dist(po, pd)
+    dist = math.dist(po, pp)
     if dist <= EPS:
         raise CenterInversion("inversion is undefined at the center")
     if abs(dist - r) <= EPS:
@@ -275,7 +275,7 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     at 18.5 in ``tests/test_counts.py``.
     """
     pa, pb, pc, pd = b.point(a), b.point(bn), b.point(c), b.point(d)
-    if distance(pa, pb) <= EPS or distance(pc, pd) <= EPS:
+    if math.dist(pa, pb) <= EPS or math.dist(pc, pd) <= EPS:
         raise DegenerateCircle("line-line needs two proper lines")
     ux, uy = pb.x - pa.x, pb.y - pa.y
     vx, vy = pd.x - pc.x, pd.y - pc.y
@@ -313,7 +313,7 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
         try:
             pole = build_apex(b, e1, e2, side)
             pp = b.point(pole)
-            radius = distance(pp, pa)  # the pole circle goes through a
+            radius = math.dist(pp, pa)  # the pole circle goes through a
             clearance = min(_point_line_distance(pp, pa, pb),
                             _point_line_distance(pp, pc, pd))
             if radius <= EPS or clearance <= EPS:
@@ -374,9 +374,9 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     ordered along a -> bn: bn's side of the center first.
     """
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
-    if distance(pa, pb) <= EPS:
+    if math.dist(pa, pb) <= EPS:
         raise DegenerateCircle("line-circle needs a proper line")
-    h, r = _point_line_distance(po, pa, pb), distance(po, pd)
+    h, r = _point_line_distance(po, pa, pb), math.dist(po, pd)
     if h <= EPS:
         if _point_line_distance(pd, pa, pb) <= EPS:
             x1, x2 = d, build_extend(b, d, o)
@@ -401,7 +401,7 @@ def _mirror_cut(b: Builder, a: int, bn: int, o: int, d: int,
     """The mirror route of ``build_line_circle_off_center``, given o's
     mirror image in line ab."""
     omega = b.circle(o, d)
-    t = _clear_of_line(b, o, d, a, bn, distance(b.point(o), b.point(d)) / 4.0)
+    t = _clear_of_line(b, o, d, a, bn, math.dist(b.point(o), b.point(d)) / 4.0)
     mirror = b.circle(o_mirror, build_reflect(b, a, bn, t))
     try:
         return b.meet(mirror, omega)
@@ -448,8 +448,8 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
     side = max((None, Selector.LEFT, Selector.RIGHT), key=lambda s: slant(
         *((pd.x, pd.y) if s is None else _apex_xy(po, pd, s))))
     dn = d if side is None else build_apex(b, o, d, side)
-    far = a if distance(pa, po) >= distance(pb, po) else bn
-    for _ in range(_doublings(256.0 * distance(b.point(far), po), distance(po, pd))):
+    far = a if math.dist(pa, po) >= math.dist(pb, po) else bn
+    for _ in range(_doublings(256.0 * math.dist(b.point(far), po), math.dist(po, pd))):
         far = build_extend(b, o, far)
     dm = b.pick_other(b.circle(far, dn), omega, avoid=dn)
     if dm is None:
@@ -457,10 +457,10 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
     pdn, pdm = b.point(dn), b.point(dm)
     around_d = b.circle(dn, o)
     # u and v are the apexes of (o, D): omega is the circle about o through D
-    w = b.pick(omega, around_d, max(Selector, key=lambda s: distance(
+    w = b.pick(omega, around_d, max(Selector, key=lambda s: math.dist(
         Point(*_apex_xy(po, pdn, s)), pdm)))
     pw = b.point(w)
-    turn = min(Selector, key=lambda s: distance(Point(*_apex_xy(pw, pdn, s)), po))
+    turn = min(Selector, key=lambda s: math.dist(Point(*_apex_xy(pw, pdn, s)), po))
     c6 = b.circle(o, build_apex(b, w, dm, turn))
     # a cut's left point p has cross(c2 - c1, p - c1) > 0, and
     # cross(D - o, D - D') = -cross(D' - o, D' - D): P and Q lie on opposite sides
@@ -499,7 +499,7 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     the other X is the other cut inverted back: mostly 25 to 28 circles.
     """
     pa, pb = b.point(a), b.point(bn)
-    r = distance(b.point(o), b.point(d))
+    r = math.dist(b.point(o), b.point(d))
     c = _clear_of_line(b, o, d, a, bn, r / 3.0)
     p = build_extend(b, o, c)
     q = build_extend(b, c, p)
@@ -509,7 +509,7 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     # coordinates choose: where each cut inverts to, and how far that lies
     # from Q's foot on the line
     pq = b.point(q)
-    lam2 = distance(pq, b.point(c)) ** 2
+    lam2 = math.dist(pq, b.point(c)) ** 2
     ux, uy = pb.x - pa.x, pb.y - pa.y
     t = ((pq.x - pa.x) * ux + (pq.y - pa.y) * uy) / (ux * ux + uy * uy)
     foot = Point(pa.x + t * ux, pa.y + t * uy)
@@ -517,9 +517,9 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     for s in map(b.point, cuts):
         k = lam2 / ((s.x - pq.x) ** 2 + (s.y - pq.y) ** 2)
         images.append(Point(pq.x + k * (s.x - pq.x), pq.y + k * (s.y - pq.y)))
-    far = 0 if distance(images[0], foot) >= distance(images[1], foot) else 1
+    far = 0 if math.dist(images[0], foot) >= math.dist(images[1], foot) else 1
     found = _mirror_cut(b, q, cuts[far], o, d, build_reflect(b, q, cuts[far], o))
-    x = min(found, key=lambda n: distance(b.point(n), images[far]))
+    x = min(found, key=lambda n: math.dist(b.point(n), images[far]))
     y = build_invert_general(b, q, c, cuts[1 - far])
     return (x, y) if far == 0 else (y, x)
 

@@ -11,7 +11,9 @@ bare floats. ``circle_from`` wraps ``radius`` and ``circle_circle_intersect``
 wraps ``cut`` in value objects for callers that want them; the step kernel
 in ``program`` calls ``radius`` and ``cut`` directly and builds no object.
 ``cut`` alone knows which point is left and what a touch is: it returns
-both points, left first, and a touch is two equal points.
+both points, left first, and a touch is two equal points. The two give
+every numeric verdict of a step, each testing what it computed: degenerate
+or non-finite from ``radius``; none, coincident or overflow from ``cut``.
 
 The value records ``Point``, ``ResolvedCircle``, ``TwoPoints`` and
 ``Tangent`` are named tuples: a ``Point`` equals, hashes and unpacks like
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from math import isfinite
 
 from .errors import DegenerateCircle, NonFiniteInput
 from .record import Record
@@ -63,29 +66,17 @@ class Coincident(Record):
     __slots__ = ()
 
 
-def _require_finite(*points: Point) -> None:
-    for p in points:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise NonFiniteInput(f"non-finite coordinate in {p}")
-
-
-def distance(p: Point, q: Point) -> float:
-    """Euclidean distance between two points."""
-    _require_finite(p, q)
-    return math.hypot(q.x - p.x, q.y - p.y)
-
-
 def radius(cx: float, cy: float, tx: float, ty: float) -> float:
     """The radius of the compass circle centered (cx, cy) through (tx, ty):
-    all four coordinates finite, the radius above ``EPS``."""
-    if not (math.isfinite(cx) and math.isfinite(cy)
-            and math.isfinite(tx) and math.isfinite(ty)):
-        raise NonFiniteInput(f"non-finite coordinate in ({cx}, {cy}) / ({tx}, {ty})")
+    DegenerateCircle unless above ``EPS``, NonFiniteInput unless finite (a
+    non-finite coordinate, or an overflow, gives a non-finite ``hypot``)."""
     r = math.hypot(tx - cx, ty - cy)
+    if EPS < r < math.inf:
+        return r
     if r <= EPS:
         raise DegenerateCircle(
             f"circle through its own center: ({cx}, {cy}) / ({tx}, {ty})")
-    return r
+    raise NonFiniteInput(f"radius {r} of the circle ({cx}, {cy}) / ({tx}, {ty}) is not finite")
 
 
 def circle_from(center: Point, through: Point) -> ResolvedCircle:
@@ -96,13 +87,15 @@ def circle_from(center: Point, through: Point) -> ResolvedCircle:
 # ``cut`` results other than points
 CUT_NONE = "none"
 CUT_COINCIDENT = "coincident"
+CUT_OVERFLOW = "overflow"
 
 
 def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     """Intersect the circle (x1, y1; r1) with the circle (x2, y2; r2).
 
     Returns ``CUT_NONE`` when the circles do not meet (concentric circles
-    included), ``CUT_COINCIDENT`` for two copies of one circle, and otherwise
+    included), ``CUT_COINCIDENT`` for two copies of one circle,
+    ``CUT_OVERFLOW`` when a point it computed is not finite, and otherwise
     the two points ``(lx, ly, rx, ry)``: ``left`` is the point p with
     cross(c2 - c1, p - c1) > 0, ``right`` the other. A touch is two equal
     points: where the circles are tangent, its one point twice.
@@ -113,8 +106,7 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     Tangency is declared when the center distance sits within ``EPS`` of
     r1 + r2 (external) or |r1 - r2| (internal).
 
-    Plain arithmetic only: the inputs are taken as finite with radii above
-    ``EPS``, and the callers check that the points they keep are finite.
+    The inputs are taken as finite, with radii above ``EPS``.
     """
     dx = x2 - x1
     dy = y2 - y1
@@ -131,6 +123,8 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
         # Tangent: the touch point lies on the center axis.
         a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
         x, y = x1 + a * dx / d, y1 + a * dy / d
+        if not (isfinite(x) and isfinite(y)):
+            return CUT_OVERFLOW
         return (x, y, x, y)
     if outer > 0.0 or inner < 0.0:
         return CUT_NONE
@@ -141,20 +135,23 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     mx, my = x1 + a * ux, y1 + a * uy
     hx, hy = h * ux, h * uy
     # +90 degree normal of (ux, uy) is (-uy, ux); that side is "left".
-    return (mx - hy, my + hx, mx + hy, my - hx)
+    lx, ly, rx, ry = mx - hy, my + hx, mx + hy, my - hx
+    if not (isfinite(lx) and isfinite(ly) and isfinite(rx) and isfinite(ry)):
+        return CUT_OVERFLOW
+    return (lx, ly, rx, ry)
 
 
 def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle
                             ) -> TwoPoints | Tangent | NoIntersection | Coincident:
     """Intersect two circles and wrap the result of ``cut`` in an outcome.
 
-    Checks what ``cut`` takes for granted: finite centers, radii above
-    ``EPS``, and finite intersection points (``NonFiniteInput`` when
-    the arithmetic overflows). A touch, two equal points, is reported once
-    as ``Tangent``.
+    Checks what ``cut`` takes for granted, finite centers and radii above
+    ``EPS``, and raises NonFiniteInput where ``cut`` reports an overflow. A
+    touch, two equal points, is reported once as ``Tangent``.
     """
     o1, o2 = c1.center, c2.center
-    _require_finite(o1, o2)
+    if not all(map(isfinite, (*o1, *o2))):
+        raise NonFiniteInput(f"non-finite coordinate in {o1} / {o2}")
     if c1.radius <= EPS or c2.radius <= EPS:
         raise DegenerateCircle("intersection of a degenerate circle")
     got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius)
@@ -162,6 +159,7 @@ def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle
         return NoIntersection()
     if got == CUT_COINCIDENT:
         return Coincident()
+    if got == CUT_OVERFLOW:
+        raise NonFiniteInput("an intersection point is not finite")
     left, right = Point(*got[:2]), Point(*got[2:])
-    _require_finite(left, right)
     return Tangent(left) if left == right else TwoPoints(left, right)

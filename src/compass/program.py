@@ -26,7 +26,8 @@ a point); its seed values and circle count are derived.
 ``Trace.check`` adds that each value is of its step's kind; every consumer
 runs them, and a program is checked once. ``Builder._resolve``, the only
 step loop, reads and appends numbers only: a pick keeps the left or the
-right half of ``geom.cut``'s ``(lx, ly, rx, ry)``. A pick on the circle pair
+right half of ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its other
+verdicts to errors. A pick on the circle pair
 of the loop's last cut reads that cut again instead of cutting twice, so
 ``geom.cut`` is still the only intersection arithmetic. ``Builder.witness``
 is the one way to cut a point's ancestors out as a trace of their own. Value
@@ -59,6 +60,7 @@ from .errors import (
 # perfbench's tracer wraps them here.
 from .geom import (  # noqa: F401
     CUT_COINCIDENT,
+    CUT_OVERFLOW,
     Point,
     ResolvedCircle,
     circle_circle_intersect,
@@ -264,6 +266,8 @@ def execute(program: Program, seeds: Sequence[Point]) -> Trace:
 def _no_point(got: str, at: int) -> CompassError:
     if got == CUT_COINCIDENT:
         return CoincidentCircles(f"step {at}: pick on coincident circles")
+    if got == CUT_OVERFLOW:
+        return NonFiniteInput(f"step {at}: an intersection point is not finite")
     return NoSuchIntersection(f"step {at}: circles do not meet")
 
 
@@ -458,8 +462,7 @@ class Builder:
         return self._keep(OP_CIRCLE, center, through, x, y, r)
 
     def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
-        """The cut of two circle nodes (``geom.cut``), its points checked
-        to be finite."""
+        """``geom.cut``'s points on two circle nodes; its other verdicts raise."""
         xs, ys, rs = self.xs, self.ys, self.rs
         at = len(rs)
         if not (0 <= c1 < at and rs[c1] is not None):
@@ -469,9 +472,7 @@ class Builder:
         got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])
         if type(got) is str:
             raise _no_point(got, at)
-        if all(map(math.isfinite, got)):
-            return got
-        raise NonFiniteInput(f"step {at}: an intersection point is not finite")
+        return got
 
     def pick(self, c1: int, c2: int, which: Selector) -> int:
         op = OP_LEFT if which is _LEFT else OP_RIGHT if which is _RIGHT else None
@@ -529,7 +530,8 @@ class Builder:
         map every program step to its node. Each non-seed step is rewired
         through it, resolved and appended; with a hash-cons ``table``, a
         step whose rewired row is in it is that node instead. The structure
-        was checked once (``Program.check``); errors name their step.
+        was checked once (``Program.check``); the loop only maps
+        ``geom.cut``'s verdicts to errors, which name their step.
 
         A pick on the same rewired circle pair as the last cut, as the
         second pick of a ``both`` or ``meet`` pair is, reads that cut's
@@ -543,7 +545,6 @@ class Builder:
         add_x, add_y, add_r = xs.append, ys.append, rs.append
         add_op, add_first, add_second = self.ops.append, self.first.append, self.second.append
         mapped = node.append
-        isfinite = math.isfinite
         cut_u = cut_v = -1  # the circle pair ``got`` was cut from; none yet
         for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
             nu, nv = node[u], node[v]
@@ -567,8 +568,6 @@ class Builder:
                     x, y = got[0], got[1]
                 else:
                     x, y = got[2], got[3]
-                if not (isfinite(x) and isfinite(y)):
-                    raise NonFiniteInput(f"step {at}: intersection point ({x}, {y}) is not finite")
                 r = None
             add_x(x)
             add_y(y)

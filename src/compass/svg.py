@@ -14,6 +14,9 @@ zero turns -0.0 into 0.0 and leaves every other double as it is.
 
 from __future__ import annotations
 
+import math
+
+from .errors import NonFiniteInput
 from .program import OP_CIRCLE, OP_SEED, SELECTOR_NAMES, Trace
 
 _GIVEN_COLOR = "#000000"
@@ -29,7 +32,9 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
     """Render a trace: every circle step, every picked point, every seed.
 
     Runs ``Trace.check`` first, so a hand-built trace that ``tracedoc.loads``
-    would refuse raises a typed error, with or without ``-O``.
+    would refuse raises a typed error, with or without ``-O``. Raises
+    NonFiniteInput where the view box overflows: the figure spans more than
+    a float holds, though every coordinate in it is finite.
     """
     names = names or {}
     trace.check()
@@ -52,8 +57,11 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
     span = max(max(box_x) - min(box_x), max(box_y) - min(box_y), 1e-6)
     margin = 0.1 * span
     x0 = min(box_x) - margin
+    y0 = -(max(box_y) + margin)
     width = (max(box_x) - min(box_x)) + 2 * margin
     height = (max(box_y) - min(box_y)) + 2 * margin
+    if not all(map(math.isfinite, (x0, y0, width, height))):
+        raise NonFiniteInput(f"view box {x0} {y0} {width} {height} is not finite")
     dot_r = 0.009 * span
     font = _n(0.035 * span)
     # everything of a dot's path after its start point is the same for all dots
@@ -89,7 +97,7 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
             dots.append(f'  <text x="{_n(x + 1.6 * dot_r)}" y="{_n(y - 1.6 * dot_r)}" '
                         f'font-size="{font}" fill="{color}">{label}</text>\n')
 
-    view = f"{_n(x0)} {_n(-(max(box_y) + margin))} {_n(width)} {_n(height)}"
+    view = f"{_n(x0)} {_n(y0)} {_n(width)} {_n(height)}"
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{view}">\n'

@@ -16,7 +16,7 @@ Where each check lives:
 - ``loads`` checks the format only (JSON types, dense ids, step-kind and
   selector names, finite coordinates), builds the program's columns, runs
   ``Program.check`` on them, and then resolves each circle's radius,
-  rejecting a degenerate one. Every error is a MalformedTrace, and every
+  rejecting what ``radius`` refuses. Every error is a MalformedTrace, and every
   error about a node names it (``step <id>: ...`` or ``output <k>: ...``).
 - ``dumps``, like ``svg.render_trace`` and ``purity_audit``, runs
   ``Trace.check`` first, so each refuses what ``loads`` refuses.
@@ -31,7 +31,7 @@ import json
 import math
 from collections import namedtuple
 
-from .errors import DegenerateCircle, MalformedProgram, MalformedTrace
+from .errors import DegenerateCircle, MalformedProgram, MalformedTrace, NonFiniteInput
 from .geom import radius
 # purity_audit stays importable from this module: perfbench's tracer wraps it
 # here.
@@ -148,7 +148,7 @@ def loads(text: str) -> TraceDocument:
 
     Raises MalformedTrace on anything off-schema: a field of the wrong type,
     non-dense ids, an unknown step kind or selector, a non-finite coordinate,
-    a program that ``Program.check`` rejects, or a degenerate circle.
+    a program that ``Program.check`` rejects, or a circle ``radius`` refuses.
     """
     try:
         data = json.loads(text)
@@ -219,6 +219,8 @@ def loads(text: str) -> TraceDocument:
                 rs[at] = radius(xs[u], ys[u], xs[v], ys[v])
             except DegenerateCircle:
                 raise MalformedTrace(f"step {at}: degenerate circle") from None
+            except NonFiniteInput:
+                raise MalformedTrace(f"step {at}: circle radius is not finite") from None
     trace = Trace(program, Resolved(tuple(xs), tuple(ys), tuple(rs)))
     return TraceDocument(trace, tuple(seed_names), tuple(output_names))
 

@@ -97,6 +97,36 @@ def test_unreadable_script_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_script_that_is_not_utf8_exits_1(tmp_path, capsys):
+    script = tmp_path / "latin1.compass"
+    script.write_bytes("given \u00c5 = (0, 0)\n".encode("latin-1"))
+    assert main(["run", str(script)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"compass: cannot read {script}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_overflowing_circle_exits_2_by_line(tmp_path, capsys):
+    script = tmp_path / "overflow.compass"
+    script.write_text("given A = (1e308, 1e308)\ngiven B = (-1e308, -1e308)\n"
+                      "let c = circle(A, B)\n")
+    svg_path = tmp_path / "figure.svg"
+    assert main(["run", str(script), "--svg", str(svg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compass: line 3:") and "NonFiniteInput" in err
+    assert err.count("\n") == 1 and not svg_path.exists()
+
+
+def test_overflowing_view_box_exits_2(tmp_path, capsys):
+    script = tmp_path / "wide.compass"
+    script.write_text("given A = (1e308, 0)\ngiven B = (-1e308, 0)\n")
+    svg_path = tmp_path / "figure.svg"
+    assert main(["run", str(script), "--svg", str(svg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("compass: cannot render svg: NonFiniteInput:")
+    assert captured.err.count("\n") == 1 and not svg_path.exists()
+
+
 # --- compass fuzz ------------------------------------------------------------------
 
 def test_fuzz_prints_a_table_and_passes(capsys):

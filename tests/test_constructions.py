@@ -17,7 +17,7 @@ from compass.errors import (
     ScaleOverflow,
 )
 from compass.fuzz import OPS, SplitMix64, run_op
-from compass.geom import EPS, Point, ResolvedCircle, distance
+from compass.geom import EPS, Point, ResolvedCircle
 from compass.oracle import oracle_foot, oracle_invert, oracle_line_circle
 from compass.program import (
     OP_CIRCLE,
@@ -115,13 +115,13 @@ def test_nth_point_large_n_by_doublings():
     for _ in range(50):
         o = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if distance(o, p) < 0.1:
+        if math.dist(o, p) < 0.1:
             continue
         b = Builder([o, p])
         node = cons.build_nth_point(b, 0, 1, n)
         assert b.finish([node])[0].circle_count() <= 60
         want = Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y))
-        assert distance(b.point(node), want) <= 1e-13 * distance(want, o)
+        assert math.dist(b.point(node), want) <= 1e-13 * math.dist(want, o)
 
 
 def test_midpoint_examples():
@@ -135,7 +135,7 @@ def test_midpoint_symmetry():
     for _ in range(50):
         a = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         b = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if distance(a, b) < 0.1:
+        if math.dist(a, b) < 0.1:
             continue
         m1 = run(cons.build_midpoint, a, b)
         m2 = run(cons.build_midpoint, b, a)
@@ -156,13 +156,13 @@ def test_reflect_matches_the_oracle_under_similarities():
         a = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         b_ = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         c = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if min(distance(a, b_), distance(c, a), distance(c, b_)) < 0.2:
+        if min(math.dist(a, b_), math.dist(c, a), math.dist(c, b_)) < 0.2:
             continue
         b = Builder([a, b_, c])
         node = cons.build_reflect(b, 0, 1, 2)
         assert len(b) == 3 + 3
         foot = oracle_foot(a, b_, c)
-        assert distance(b.point(node), Point(2 * foot.x - c.x, 2 * foot.y - c.y)) <= 1e-12
+        assert math.dist(b.point(node), Point(2 * foot.x - c.x, 2 * foot.y - c.y)) <= 1e-12
         program, _ = b.finish([node])
         for p, q in ((Point(0, 0), Point(1, 0)), (Point(1.5, -2), Point(1.5, 1)),
                      (Point(-3, 7), Point(2e3, -1e3)), (Point(0.25, 0.5), Point(0.25, 0.5001))):
@@ -206,10 +206,10 @@ def test_perp_foot_idempotent():
         a = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         b = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         c = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if min(distance(a, b), distance(c, a), distance(c, b)) < 0.2:
+        if min(math.dist(a, b), math.dist(c, a), math.dist(c, b)) < 0.2:
             continue
         h = run(cons.build_perp_foot, a, b, c)
-        if min(distance(h, a), distance(h, b)) < 1e-6:
+        if min(math.dist(h, a), math.dist(h, b)) < 1e-6:
             continue  # foot falling on an endpoint degenerates the re-drop
         again = run(cons.build_perp_foot, a, b, h)
         assert math.hypot(h.x - again.x, h.y - again.y) <= 1e-9
@@ -237,7 +237,7 @@ def test_perp_foot_of_a_point_on_the_line_is_the_touch_point():
     b = Builder([a, b_, c])
     got = b.point(cons.build_perp_foot(b, 0, 1, 2))
     assert len(b) == 3 + 3
-    assert distance(got, c) <= 1e-15
+    assert math.dist(got, c) <= 1e-15
 
 
 # --- inversion -------------------------------------------------------------------
@@ -329,7 +329,7 @@ def test_invert_interior_doubling_boundary(j, side):
     node = cons.build_invert_general(b, 0, 1, 2)
     assert b.finish([node])[0].circle_count() == 6 * k + 4
     want = oracle_invert(ResolvedCircle(o, r), p)
-    assert distance(b.point(node), want) <= 1e-12 * distance(want, o)
+    assert math.dist(b.point(node), want) <= 1e-12 * math.dist(want, o)
 
 
 def test_inverting_back_draws_omega_once():
@@ -361,7 +361,7 @@ def test_invert_far_exterior_relative_error(ratio, bound):
         p = Point(o.x + ratio * r * math.cos(s), o.y + ratio * r * math.sin(s))
         got = run(cons.build_invert_general, o, d, p)
         want = oracle_invert(ResolvedCircle(o, r), p)
-        worst = max(worst, distance(got, want) / distance(want, o))
+        worst = max(worst, math.dist(got, want) / math.dist(want, o))
     assert worst <= bound
 
 
@@ -558,7 +558,7 @@ def test_line_circle_datum_point_on_or_near_the_line(offset):
     half = math.sqrt(r * r - (h + offset) ** 2)
     d = Point(o.x + (h + offset) * nx + half * ny, o.y + (h + offset) * ny - half * nx)
     pts = run(cons.build_line_circle_off_center, a, b_, o, d)
-    want = oracle_line_circle(a, b_, ResolvedCircle(o, distance(o, d)))
+    want = oracle_line_circle(a, b_, ResolvedCircle(o, math.dist(o, d)))
     as_set(pts, [(w.x, w.y) for w in want], within=1e-12)
 
 
@@ -638,12 +638,12 @@ def test_line_circle_center_on_line_datum_near_the_line(offset):
     # d lies nearly on the line, where its mirror image D' nearly is d: the
     # apex of (o, d) nearer 45 degrees stands in for d
     o, a = Point(0.4, -0.3), Point(2.9, 1.2)
-    ux, uy = (a.x - o.x) / distance(o, a), (a.y - o.y) / distance(o, a)
+    ux, uy = (a.x - o.x) / math.dist(o, a), (a.y - o.y) / math.dist(o, a)
     r = 1.3
     along = math.sqrt(r * r - offset * offset)
     d = Point(o.x + along * ux - offset * uy, o.y + along * uy + offset * ux)
     x, y = run(cons.build_line_circle_center_on_line, o, a, d)
-    want = oracle_line_circle(o, a, ResolvedCircle(o, distance(o, d)))
+    want = oracle_line_circle(o, a, ResolvedCircle(o, math.dist(o, d)))
     as_set((x, y), [(w.x, w.y) for w in want], within=1e-12)
     assert (x.x - o.x) * ux + (x.y - o.y) * uy > 0  # a's side first
 
@@ -709,7 +709,7 @@ def test_line_circle_inversion_route_sweep(monkeypatch):
         assert b.finish(nodes)[0].circle_count() <= 28
         want = oracle_line_circle(a, b_, ResolvedCircle(o, r))
         assert len(nodes) == len(want) == 2
-        worst = max(worst, max(min(distance(b.point(n), w) for w in want) for n in nodes))
+        worst = max(worst, max(min(math.dist(b.point(n), w) for w in want) for n in nodes))
     assert len(routed) == draws
     assert worst <= 1e-12
 

@@ -27,6 +27,7 @@ from compass.errors import (
     NonFiniteInput,
 )
 from compass.geom import (
+    CUT_OVERFLOW,
     EPS,
     Coincident,
     NoIntersection,
@@ -195,6 +196,24 @@ def test_overflowing_pick_raises():
     with pytest.raises(NonFiniteInput):
         execute(apex_program(LEFT), FAR)
     assert len(b) == 4
+
+
+def test_cut_reports_an_overflowing_point():
+    c1, c2 = circle_from(*FAR), circle_from(*FAR[::-1])
+    # two points: the center distance squared is not finite
+    assert cut(*c1.center, c1.radius, *c2.center, c2.radius) == CUT_OVERFLOW
+    # a touch from inside, at (2e308, 0), past the largest float
+    assert cut(1e308, 0.0, 1e308, 1.5e308, 0.0, 5e307) == CUT_OVERFLOW
+
+
+def test_overflowing_circle_raises_and_appends_nothing():
+    seeds = [Point(1e308, 1e308), Point(-1e308, -1e308)]
+    b = Builder(seeds)
+    with pytest.raises(NonFiniteInput):
+        b.circle(0, 1)
+    assert len(b) == 2
+    with pytest.raises(NonFiniteInput):
+        execute(apex_program(LEFT), seeds)
 
 
 # --- parity with circle_circle_intersect ---------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from compass.constructions import midpoint_program
 from compass.dsl import run_source
-from compass.errors import MalformedTrace
+from compass.errors import MalformedTrace, NonFiniteInput
 from compass.geom import Point
 from compass.program import OP_CIRCLE, OP_LEFT, OP_RIGHT, Trace, execute
 from compass.svg import render_trace
@@ -86,3 +86,10 @@ def test_resolved_kind_mismatch_raises(kind, stand_in):
     bad = Trace(trace.program, tuple(resolved))
     with pytest.raises(MalformedTrace, match=rf"^step {at}:"):
         render_trace(bad)
+
+
+def test_overflowing_view_box_raises():
+    # both points are finite, the figure's width is not
+    result = run_source("given A = (1e308, 0)\ngiven B = (-1e308, 0)\n")
+    with pytest.raises(NonFiniteInput, match="view box"):
+        render_trace(result.trace)

@@ -184,6 +184,16 @@ def test_degenerate_circle_in_document():
         tracedoc.loads(doc_text)
 
 
+def test_overflowing_circle_in_document():
+    # finite coordinates whose circle's radius is not
+    doc_text = ('{"version":1,"seeds":[{"id":0,"x":1e308,"y":1e308},'
+                '{"id":1,"x":-1e308,"y":-1e308}],'
+                '"steps":[{"id":2,"op":"circle","center":0,"through":1}],'
+                '"outputs":[]}')
+    with pytest.raises(MalformedTrace, match="^step 2: circle radius is not finite"):
+        tracedoc.loads(doc_text)
+
+
 @pytest.mark.parametrize("text", [
     '{"version":1,"seeds":[{"id":0,"x":1' + "0" * 400 + ',"y":0}],'
     '"steps":[],"outputs":[]}',
