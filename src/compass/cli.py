@@ -17,7 +17,6 @@ import sys
 
 from . import demos, dsl, fuzz, svg, tracedoc
 from .errors import CompassError
-from .geom import Point
 
 
 def _diag(message: str) -> None:
@@ -25,12 +24,9 @@ def _diag(message: str) -> None:
 
 
 def _points_text(result: dsl.ScriptResult) -> str:
-    lines = []
-    for name, node in result.named_points:
-        p = result.trace.resolved[node]
-        assert isinstance(p, Point)
-        lines.append(f"{name} {p.x:.17g} {p.y:.17g}")
-    return "".join(line + "\n" for line in lines)
+    xs, ys = result.trace.resolved.xs, result.trace.resolved.ys
+    return "".join(f"{name} {xs[node]:.17g} {ys[node]:.17g}\n"
+                   for name, node in result.named_points)
 
 
 def _svg_text(result: dsl.ScriptResult) -> str:

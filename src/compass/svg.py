@@ -7,9 +7,9 @@ elements, to keep that one-to-one mapping checkable). Output contains no
 timestamps and uses fixed number formatting, so identical traces render to
 identical bytes.
 
-Numbers are written with 10 significant digits and "-0" is written as "0".
-The per-step loop formats ``v + 0.0`` in place of calling ``_n``: adding
-zero turns -0.0 into 0.0 and leaves every other double as it is.
+Every number is written one way, ``f"{v + 0.0:.10g}"``: 10 significant
+digits, where adding zero turns -0.0 into 0.0 and leaves every other double
+as it is. ``_n`` is that format; the per-step loop writes it inline.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ _BUILT_COLOR = "#cc0000"
 
 
 def _n(x: float) -> str:
-    s = f"{x:.10g}"
-    return "0" if s == "-0" else s
+    return f"{x + 0.0:.10g}"
 
 
 def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
@@ -42,24 +41,17 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
     ops, first, second = program.ops, program.first, program.second
     xs, ys, rs = trace.resolved.xs, trace.resolved.ys, trace.resolved.rs
 
-    # bounding box of every point and every circle, in step order
-    box_x: list[float] = []
-    box_y: list[float] = []
-    for x, y, r in zip(xs, ys, rs):
-        if r is None:
-            box_x.append(x)
-            box_y.append(y)
-        else:
-            box_x += (x - r, x + r)
-            box_y += (y - r, y + r)
-    if not box_x:
-        box_x = box_y = [0.0]
-    span = max(max(box_x) - min(box_x), max(box_y) - min(box_y), 1e-6)
+    # bounding box of every point and every circle (a point's r is None)
+    left = min((x - (r or 0.0) for x, r in zip(xs, rs)), default=0.0)
+    right = max((x + (r or 0.0) for x, r in zip(xs, rs)), default=0.0)
+    bottom = min((y - (r or 0.0) for y, r in zip(ys, rs)), default=0.0)
+    top = max((y + (r or 0.0) for y, r in zip(ys, rs)), default=0.0)
+    span = max(right - left, top - bottom, 1e-6)
     margin = 0.1 * span
-    x0 = min(box_x) - margin
-    y0 = -(max(box_y) + margin)
-    width = (max(box_x) - min(box_x)) + 2 * margin
-    height = (max(box_y) - min(box_y)) + 2 * margin
+    x0 = left - margin
+    y0 = -(top + margin)
+    width = (right - left) + 2 * margin
+    height = (top - bottom) + 2 * margin
     if not all(map(math.isfinite, (x0, y0, width, height))):
         raise NonFiniteInput(f"view box {x0} {y0} {width} {height} is not finite")
     dot_r = 0.009 * span
