@@ -145,13 +145,13 @@ def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle
                             ) -> TwoPoints | Tangent | NoIntersection | Coincident:
     """Intersect two circles and wrap the result of ``cut`` in an outcome.
 
-    Checks what ``cut`` takes for granted, finite centers and radii above
-    ``EPS``, and raises NonFiniteInput where ``cut`` reports an overflow. A
+    Checks what ``cut`` takes for granted, finite centers and radii, radii
+    above ``EPS``, and raises NonFiniteInput where ``cut`` reports an overflow. A
     touch, two equal points, is reported once as ``Tangent``.
     """
     o1, o2 = c1.center, c2.center
-    if not all(map(isfinite, (*o1, *o2))):
-        raise NonFiniteInput(f"non-finite coordinate in {o1} / {o2}")
+    if not all(map(isfinite, (*o1, *o2, c1.radius, c2.radius))):
+        raise NonFiniteInput(f"non-finite coordinate or radius in {c1} / {c2}")
     if c1.radius <= EPS or c2.radius <= EPS:
         raise DegenerateCircle("intersection of a degenerate circle")
     got = cut(o1.x, o1.y, c1.radius, o2.x, o2.y, c2.radius)

@@ -16,8 +16,8 @@ is exactly what makes rewired programs land on the similarity image of
 their original outputs.
 
 Storage is columnar, with one constructor per type. A step is its row
-``(op, first, second)``: the op is ``OP_SEED`` (first is the slot),
-``OP_CIRCLE`` (center, through) or ``OP_LEFT``/``OP_RIGHT`` (the two
+``(op, first, second)``: the op is ``OP_SEED`` (first is the slot, second
+-1), ``OP_CIRCLE`` (center, through) or ``OP_LEFT``/``OP_RIGHT`` (the two
 circles: the selector is part of the op). A ``Program`` is those three int
 columns plus the outputs, and ``Program.steps`` is the tuple of its rows. A
 ``Trace`` is its program plus float columns x, y and radius (``None`` for
@@ -155,9 +155,11 @@ class Program(Record):
 
     def check(self) -> None:
         """Raise MalformedProgram, naming the step or output, unless the
-        seeds come first in slot order, every other step is a circle over
-        two earlier point steps or a pick of two earlier circle steps, and
-        every output is a point step; run once per program."""
+        seeds come first in slot order, each the row ``(OP_SEED, slot, -1)``
+        (a trace document keeps no other seed operand), every other step is
+        a circle over two earlier point steps or a pick of two earlier
+        circle steps, and every output is a point step; run once per
+        program."""
         if self._checked:
             return
         ops, first, second = self.ops, self.first, self.second
@@ -165,7 +167,7 @@ class Program(Record):
         if not len(first) == len(second) == count:
             raise MalformedProgram("the op and operand columns differ in length")
         for i in range(self.seed_count):
-            if i >= count or ops[i] != OP_SEED or first[i] != i:
+            if i >= count or ops[i] != OP_SEED or first[i] != i or second[i] != -1:
                 raise MalformedProgram(
                     f"step {i}: expected Seed(slot={i}) before all other steps")
         for i in range(self.seed_count, count):
@@ -504,9 +506,9 @@ class Builder:
         """The intersection point that is not the point at node ``avoid``;
         where the circles only touch, None, and nothing is picked."""
         lx, ly, rx, ry = self._cut(c1, c2)
+        self._node(avoid, False)
         if lx == rx and ly == ry:
             return None
-        self._node(avoid, False)
         ax, ay = self.xs[avoid], self.ys[avoid]
         if math.hypot(lx - ax, ly - ay) >= math.hypot(rx - ax, ry - ay):
             return self._keep(OP_LEFT, c1, c2, lx, ly)

@@ -19,10 +19,21 @@ Where each check lives:
   rejecting what ``radius`` refuses. Every error is a MalformedTrace, and every
   error about a node names it (``step <id>: ...`` or ``output <k>: ...``).
 - ``dumps``, like ``svg.render_trace`` and ``purity_audit``, runs
-  ``Trace.check`` first, so each refuses what ``loads`` refuses.
-- ``document_from_trace`` checks only that the output names match the
-  outputs, and ``trace_from_document`` checks nothing: the trace it
-  returns was built by ``loads`` or given by the caller.
+  ``Trace.check`` first, and then checks that every coordinate is finite
+  (a JSON number cannot be ``inf`` or ``nan``), naming the step.
+- ``document_from_trace`` checks the names: one per output, a seed name
+  ``None`` or a string, an output name a string, each named as ``loads``
+  names it. ``trace_from_document`` checks nothing: the trace it returns
+  was built by ``loads`` or given by the caller.
+
+What a writer still accepts, and ``loads`` rewrites or takes on trust:
+
+- a circle value that is not its center and radius (a document keeps
+  only the circle's two nodes, and ``loads`` resolves it again);
+- a pick whose point does not lie on its two circles (``loads`` keeps the
+  written point; nothing replays the cut);
+- a ``TraceDocument`` built directly rather than by
+  ``document_from_trace``, whose names nothing has checked.
 """
 
 from __future__ import annotations
@@ -58,7 +69,12 @@ def document_from_trace(trace: Trace,
                         seed_names: tuple[str | None, ...] = (),
                         output_names: tuple[str, ...] = ()) -> TraceDocument:
     """Pair a trace with its names. Seeds past ``seed_names`` are unnamed;
-    without ``output_names`` the outputs are named ``out0``, ``out1``, ..."""
+    without ``output_names`` the outputs are named ``out0``, ``out1``, ...
+
+    Raises MalformedTrace, naming the step or output, for a name ``loads``
+    refuses: a seed name that is neither None nor a string, or an output
+    name that is not a string.
+    """
     seed_count = trace.program.seed_count
     output_count = len(trace.program.outputs)
     if output_names and len(output_names) != output_count:
@@ -67,6 +83,12 @@ def document_from_trace(trace: Trace,
     seed_names += (None,) * (seed_count - len(seed_names))
     if not output_names:
         output_names = tuple(f"out{k}" for k in range(output_count))
+    for i, name in enumerate(seed_names):
+        if name is not None and not isinstance(name, str):
+            raise MalformedTrace(f"step {i}: name must be a string")
+    for k, name in enumerate(output_names):
+        if not isinstance(name, str):
+            raise MalformedTrace(f"output {k}: name must be a string")
     return TraceDocument(trace, seed_names, tuple(output_names))
 
 
@@ -75,13 +97,17 @@ def dumps(doc: TraceDocument) -> str:
 
     Raises what ``Trace.check`` raises: MalformedProgram for a malformed
     program, MalformedTrace, naming the step, when a resolved value is not of
-    its step's kind.
+    its step's kind. Raises MalformedTrace, naming the step, for a coordinate
+    that is not finite.
     """
     trace = doc.trace
     trace.check()
     program = trace.program
     ops, first, second = program.ops, program.first, program.second
     xs, ys = trace.resolved.xs, trace.resolved.ys
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        i = next(i for i, xy in enumerate(zip(xs, ys)) if not all(map(math.isfinite, xy)))
+        raise MalformedTrace(f"step {i}: coordinate ({xs[i]}, {ys[i]}) is not finite")
     seed_count = program.seed_count
     chunks = []
     for i in range(seed_count):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl, program
+from compass import dsl, program, tracedoc
 from compass.dsl import (
     CallExpr,
     Emit,
@@ -240,6 +240,13 @@ def test_good_corpus_runs_green(name):
         got = result.point(point_name)
         assert math.hypot(got.x - x, got.y - y) <= 1e-6, (name, point_name, got)
     purity_audit(result.trace)
+    # what the writer writes, the reader reads back to the same trace and bytes
+    doc = tracedoc.document_from_trace(result.trace, result.seed_names,
+                                       tuple(name for name, _ in result.named_points))
+    text = tracedoc.dumps(doc)
+    again = tracedoc.loads(text)
+    assert again.trace == result.trace
+    assert tracedoc.dumps(again) == text
 
 
 def test_interpret_is_pure_no_files(tmp_path, monkeypatch):

@@ -87,6 +87,18 @@ def test_non_finite_rejected():
             ResolvedCircle(Point(float("inf"), 0), 1.0), circ(0, 0, 1, 0))
 
 
+@pytest.mark.parametrize("bad, other", [
+    # an infinite radius against the unit circle read as "no intersection"
+    (ResolvedCircle(Point(0, 0), math.inf), circ(0, 0, 1, 0)),
+    # a NaN radius with centers 3 apart was blamed on the arithmetic
+    (ResolvedCircle(Point(0, 0), math.nan), circ(3, 0, 4, 0)),
+], ids=["inf-radius", "nan-radius"])
+def test_non_finite_radius_rejected(bad, other):
+    for c1, c2 in [(bad, other), (other, bad)]:
+        with pytest.raises(NonFiniteInput, match="non-finite coordinate or radius"):
+            circle_circle_intersect(c1, c2)
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_radius_refuses_a_non_finite_coordinate(k):
     coords = [0.0, 0.0, 1.0, 0.0]

@@ -21,7 +21,7 @@ from compass.errors import (
     NonFiniteInput,
     NoSuchIntersection,
 )
-from compass.geom import Point, cut, radius
+from compass.geom import Point, ResolvedCircle, cut, radius
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
@@ -153,6 +153,35 @@ def test_builder_refuses_a_bad_node(call, error, message):
         call(b)
     assert type(caught.value) is error and str(caught.value) == message
     assert state() == before
+
+
+@pytest.mark.parametrize("avoid, error, message", [
+    (-1, InvalidNodeId, "node -1 outside the builder"),
+    (99, InvalidNodeId, "node 99 outside the builder"),
+    (3, MalformedProgram, "node 3 is not a point"),
+], ids=["negative", "past-the-end", "circle"])
+def test_pick_other_checks_avoid_where_the_circles_only_touch(avoid, error, message):
+    b = Builder([O, U, Point(2.0, 0.0)])
+    c1, c2 = b.circle(0, 1), b.circle(2, 1)  # they touch at (1, 0)
+    assert (c1, c2) == (3, 4) and b.pick_other(c1, c2, 1) is None
+    with pytest.raises(CompassError) as caught:
+        b.pick_other(c1, c2, avoid)
+    assert type(caught.value) is error and str(caught.value) == message
+    assert len(b) == 5
+
+
+@pytest.mark.parametrize("bad, at", [((5, 7), 0), ((-1, 7), 1)], ids=["seed-0", "seed-1"])
+def test_check_states_the_whole_seed_row(bad, at):
+    # a trace document keeps no seed operand, so a seed row with one would
+    # come back from a dump and load as another program
+    program = Program(2, (OP_SEED, OP_SEED, OP_CIRCLE, OP_CIRCLE, OP_LEFT),
+                      (0, 1, 0, 1, 2), (*bad, 1, 0, 3), (4,))
+    with pytest.raises(MalformedProgram, match=rf"^step {at}: expected Seed\(slot={at}\)"):
+        program.check()
+    trace = Trace(program, (O, U, ResolvedCircle(O, 1.0), ResolvedCircle(U, 1.0),
+                            Point(0.5, math.sqrt(3) / 2)))
+    with pytest.raises(MalformedProgram, match=rf"^step {at}:"):
+        purity_audit(trace)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

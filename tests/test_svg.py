@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
+from compass import svg
 from compass.constructions import midpoint_program
 from compass.dsl import run_source
 from compass.errors import MalformedTrace, NonFiniteInput
@@ -93,3 +95,20 @@ def test_overflowing_view_box_raises():
     result = run_source("given A = (1e308, 0)\ngiven B = (-1e308, 0)\n")
     with pytest.raises(NonFiniteInput, match="view box"):
         render_trace(result.trace)
+
+
+def _two_formats(x):
+    """The number format before the SVG had one: 10 digits, "-0" as "0"."""
+    s = f"{x:.10g}"
+    return "0" if s == "-0" else s
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(-1e-320)
+@example(-1e-300)
+def test_one_number_format(x):
+    assert svg._n(x) == _two_formats(x)

@@ -41,6 +41,32 @@ def test_document_from_trace_refuses_the_wrong_number_of_output_names():
         tracedoc.document_from_trace(trace, ("A", "B"), ("M", "N"))
 
 
+@pytest.mark.parametrize("seed_names, output_names, message", [
+    ((5, "B"), ("M",), "^step 0: name must be a string$"),
+    (("A", b"B"), ("M",), "^step 1: name must be a string$"),
+    (("A", "B"), (7,), "^output 0: name must be a string$"),
+    (("A", "B"), (None,), "^output 0: name must be a string$"),
+], ids=["seed-int", "seed-bytes", "output-int", "output-none"])
+def test_document_from_trace_refuses_a_name_loads_refuses(seed_names, output_names, message):
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    with pytest.raises(MalformedTrace, match=message):
+        tracedoc.document_from_trace(trace, seed_names, output_names)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["seed", "last-pick"])
+def test_dumps_refuses_a_non_finite_coordinate(where, bad):
+    """JSON has no inf or nan, so dumps refuses what loads could not read."""
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    at = 1 if where == "seed" else len(trace.program.ops) - 1
+    resolved = list(trace.resolved)
+    resolved[at] = Point(bad, 0.0)
+    forged = Trace(trace.program, tuple(resolved))
+    purity_audit(forged)  # the audit checks kinds, not numbers
+    with pytest.raises(MalformedTrace, match=rf"^step {at}: coordinate .* is not finite$"):
+        tracedoc.dumps(tracedoc.document_from_trace(forged))
+
+
 def test_seventeen_digit_coordinates():
     text = tracedoc.dumps(sample_doc())
     # a pick coordinate that needs all the digits survives exactly
