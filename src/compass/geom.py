@@ -145,9 +145,9 @@ def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle
                             ) -> TwoPoints | Tangent | NoIntersection | Coincident:
     """Intersect two circles and wrap the result of ``cut`` in an outcome.
 
-    Checks what ``cut`` takes for granted, finite centers and radii, radii
-    above ``EPS``, and raises NonFiniteInput where ``cut`` reports an overflow. A
-    touch, two equal points, is reported once as ``Tangent``.
+    Checks what ``cut`` takes for granted, finite centers and finite radii
+    above ``EPS``, and raises NonFiniteInput where ``cut`` reports an
+    overflow. A touch, two equal points, is reported once as ``Tangent``.
     """
     o1, o2 = c1.center, c2.center
     if not all(map(isfinite, (*o1, *o2, c1.radius, c2.radius))):
