@@ -354,12 +354,7 @@ class ScriptResult(MutableRecord):
     __slots__ = _fields = ("trace", "seed_names", "named_points", "named_circles", "emits")
 
     def point(self, name: str) -> Point:
-        for n, node in self.named_points:
-            if n == name:
-                value = self.trace.resolved[node]
-                assert isinstance(value, Point)
-                return value
-        raise KeyError(name)
+        return self.trace.resolved[dict(self.named_points)[name]]
 
 
 class _Interpreter:

@@ -18,22 +18,23 @@ Where each check lives:
   ``Program.check`` on them, and then resolves each circle's radius,
   rejecting what ``radius`` refuses. Every error is a MalformedTrace, and every
   error about a node names it (``step <id>: ...`` or ``output <k>: ...``).
-- ``dumps``, like ``svg.render_trace`` and ``purity_audit``, runs
-  ``Trace.check`` first, and then checks that every coordinate is finite
-  (a JSON number cannot be ``inf`` or ``nan``), naming the step.
-- ``document_from_trace`` checks the names: one per output, a seed name
-  ``None`` or a string, an output name a string, each named as ``loads``
-  names it. ``trace_from_document`` checks nothing: the trace it returns
-  was built by ``loads`` or given by the caller.
+- ``dumps`` holds every writer check. Like ``svg.render_trace`` and
+  ``purity_audit``, it runs ``Trace.check`` first; then it checks that
+  every coordinate is finite (a JSON number cannot be ``inf`` or ``nan``)
+  and the names it writes: one per seed and one per output, a seed name
+  ``None`` or a string, an output name a string, each error named as
+  ``loads`` names it. So a ``TraceDocument`` built by hand is checked as
+  one from ``document_from_trace``.
+- ``document_from_trace`` and ``trace_from_document`` check nothing: the
+  first only pairs a trace with its names, and the trace the second
+  returns was built by ``loads`` or given by the caller.
 
 What a writer still accepts, and ``loads`` rewrites or takes on trust:
 
 - a circle value that is not its center and radius (a document keeps
   only the circle's two nodes, and ``loads`` resolves it again);
 - a pick whose point does not lie on its two circles (``loads`` keeps the
-  written point; nothing replays the cut);
-- a ``TraceDocument`` built directly rather than by
-  ``document_from_trace``, whose names nothing has checked.
+  written point; nothing replays the cut).
 """
 
 from __future__ import annotations
@@ -68,27 +69,14 @@ TraceDocument.__doc__ = "A trace with one name (or None) per seed and one name p
 def document_from_trace(trace: Trace,
                         seed_names: tuple[str | None, ...] = (),
                         output_names: tuple[str, ...] = ()) -> TraceDocument:
-    """Pair a trace with its names. Seeds past ``seed_names`` are unnamed;
-    without ``output_names`` the outputs are named ``out0``, ``out1``, ...
-
-    Raises MalformedTrace, naming the step or output, for a name ``loads``
-    refuses: a seed name that is neither None nor a string, or an output
-    name that is not a string.
+    """Pair a trace with its names; ``dumps`` checks them. Seeds past
+    ``seed_names`` are unnamed; without ``output_names`` the outputs are
+    named ``out0``, ``out1``, ...
     """
-    seed_count = trace.program.seed_count
-    output_count = len(trace.program.outputs)
-    if output_names and len(output_names) != output_count:
-        raise MalformedTrace("output names do not match program outputs")
-    seed_names = tuple(seed_names[:seed_count])
-    seed_names += (None,) * (seed_count - len(seed_names))
+    program = trace.program
+    seed_names = tuple(seed_names) + (None,) * (program.seed_count - len(seed_names))
     if not output_names:
-        output_names = tuple(f"out{k}" for k in range(output_count))
-    for i, name in enumerate(seed_names):
-        if name is not None and not isinstance(name, str):
-            raise MalformedTrace(f"step {i}: name must be a string")
-    for k, name in enumerate(output_names):
-        if not isinstance(name, str):
-            raise MalformedTrace(f"output {k}: name must be a string")
+        output_names = tuple(f"out{k}" for k in range(len(program.outputs)))
     return TraceDocument(trace, seed_names, tuple(output_names))
 
 
@@ -98,7 +86,9 @@ def dumps(doc: TraceDocument) -> str:
     Raises what ``Trace.check`` raises: MalformedProgram for a malformed
     program, MalformedTrace, naming the step, when a resolved value is not of
     its step's kind. Raises MalformedTrace, naming the step, for a coordinate
-    that is not finite.
+    that is not finite, and for a name ``loads`` would refuse: a seed or
+    output name count unlike the program's, a seed name neither None nor a
+    string (naming the step), an output name not a string (naming the output).
     """
     trace = doc.trace
     trace.check()
@@ -109,9 +99,14 @@ def dumps(doc: TraceDocument) -> str:
         i = next(i for i, xy in enumerate(zip(xs, ys)) if not all(map(math.isfinite, xy)))
         raise MalformedTrace(f"step {i}: coordinate ({xs[i]}, {ys[i]}) is not finite")
     seed_count = program.seed_count
+    if len(doc.seed_names) != seed_count:
+        raise MalformedTrace("seed names do not match program seeds")
+    if len(doc.output_names) != len(program.outputs):
+        raise MalformedTrace("output names do not match program outputs")
     chunks = []
-    for i in range(seed_count):
-        name = doc.seed_names[i]
+    for i, name in enumerate(doc.seed_names):
+        if name is not None and not isinstance(name, str):
+            raise MalformedTrace(f"step {i}: name must be a string")
         named = f',"name":{json.dumps(name)}' if name is not None else ""
         chunks.append(f'{{"id":{i}{named},"x":{xs[i]:.17g},"y":{ys[i]:.17g}}}')
     parts = [f'{{"version":{VERSION},"seeds":[', ",".join(chunks), '],"steps":[']
@@ -127,8 +122,12 @@ def dumps(doc: TraceDocument) -> str:
                           f'"x":{xs[i]:.17g},"y":{ys[i]:.17g}}}')
     parts.append(",".join(chunks))
     parts.append('],"outputs":[')
-    parts.append(",".join(f'{{"name":{json.dumps(name)},"id":{node}}}'
-                          for name, node in zip(doc.output_names, program.outputs)))
+    chunks = []
+    for k, (name, node) in enumerate(zip(doc.output_names, program.outputs)):
+        if not isinstance(name, str):
+            raise MalformedTrace(f"output {k}: name must be a string")
+        chunks.append(f'{{"name":{json.dumps(name)},"id":{node}}}')
+    parts.append(",".join(chunks))
     parts.append("]}")
     return "".join(parts) + "\n"
 

@@ -36,9 +36,11 @@ def test_round_trip_is_byte_identical():
 
 
 def test_document_from_trace_refuses_the_wrong_number_of_output_names():
+    """The document pairs the names as given, and ``dumps`` refuses it."""
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    doc = tracedoc.document_from_trace(trace, ("A", "B"), ("M", "N"))
     with pytest.raises(MalformedTrace, match="output names do not match"):
-        tracedoc.document_from_trace(trace, ("A", "B"), ("M", "N"))
+        tracedoc.dumps(doc)
 
 
 @pytest.mark.parametrize("seed_names, output_names, message", [
@@ -48,9 +50,39 @@ def test_document_from_trace_refuses_the_wrong_number_of_output_names():
     (("A", "B"), (None,), "^output 0: name must be a string$"),
 ], ids=["seed-int", "seed-bytes", "output-int", "output-none"])
 def test_document_from_trace_refuses_a_name_loads_refuses(seed_names, output_names, message):
+    """The document pairs the names as given, and ``dumps`` refuses it."""
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    doc = tracedoc.document_from_trace(trace, seed_names, output_names)
+    with pytest.raises(MalformedTrace, match=message):
+        tracedoc.dumps(doc)
+
+
+@pytest.mark.parametrize("seed_names, output_names, message", [
+    (("A", "B"), (), "^output names do not match program outputs$"),
+    (("A",), ("M",), "^seed names do not match program seeds$"),
+    ((), (), "^seed names do not match program seeds$"),
+], ids=["no-outputs", "short-seeds", "no-names"])
+def test_dumps_refuses_a_hand_built_document_with_bad_names(seed_names, output_names,
+                                                            message):
+    """A ``TraceDocument`` built without ``document_from_trace``, which would
+    pad the seed names and name the outputs, is checked where it is written."""
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
     with pytest.raises(MalformedTrace, match=message):
-        tracedoc.document_from_trace(trace, seed_names, output_names)
+        tracedoc.dumps(tracedoc.TraceDocument(trace, seed_names, output_names))
+
+
+def test_document_from_trace_only_pairs():
+    """It pads the seed names with None, names unnamed outputs out0, out1,
+    ..., keeps extra seed names for ``dumps`` to refuse, and raises nothing."""
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    assert tracedoc.document_from_trace(trace) == (trace, (None, None), ("out0",))
+    assert tracedoc.document_from_trace(trace, ("A",)).seed_names == ("A", None)
+    extra = tracedoc.document_from_trace(trace, ("A", "B", "C"), ("M",))
+    assert extra.seed_names == ("A", "B", "C")
+    with pytest.raises(MalformedTrace, match="^seed names do not match program seeds$"):
+        tracedoc.dumps(extra)
+    odd = tracedoc.document_from_trace(trace, (5, b"B"), (7,))
+    assert odd.seed_names == (5, b"B") and odd.output_names == (7,)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
