@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import constructions as cons
-from .errors import DegenerateCircle
+from .errors import DegenerateCircle, InvalidNodeId
 from .geom import EPS, Point
 # execute and rebase are unused here but stay importable: perfbench's tracer
 # wraps them here.
@@ -54,7 +54,10 @@ CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))
 def relative(b: Builder, node: int) -> complex:
     """The value of point ``node`` in the frame of seeds 0 and 1,
     (p - z0) / (z1 - z0), read off the builder's ``xs`` and ``ys`` columns;
-    bit-exact on the canonical seeds."""
+    bit-exact on the canonical seeds. Raises InvalidNodeId on a builder
+    with fewer than two seeds."""
+    if b.seed_count < 2:
+        raise InvalidNodeId("field values need seeds 0 and 1")
     xs, ys = b.xs, b.ys
     z0 = complex(xs[0], ys[0])
     unit = complex(xs[1], ys[1]) - z0

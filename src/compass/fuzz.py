@@ -104,17 +104,13 @@ def _fmt_pt(p: Point) -> str:
     return f"({p.x:.17g}, {p.y:.17g})"
 
 
-def _err(got: Point, want: Point) -> float:
-    return math.hypot(got.x - want.x, got.y - want.y)
-
-
 def _pair_err(got: tuple[Point, ...], want: Sequence[Point]) -> float:
     if len(got) != len(want):
         return math.inf
     if len(got) == 1:
-        return _err(got[0], want[0])
-    straight = max(_err(got[0], want[0]), _err(got[1], want[1]))
-    crossed = max(_err(got[0], want[1]), _err(got[1], want[0]))
+        return math.dist(got[0], want[0])
+    straight = max(math.dist(got[0], want[0]), math.dist(got[1], want[1]))
+    crossed = max(math.dist(got[0], want[1]), math.dist(got[1], want[0]))
     return min(straight, crossed)
 
 
@@ -126,7 +122,7 @@ def _point_away(rng: SplitMix64, others: list[Point],
                 margin: float = 0.1) -> Point:
     while True:
         p = _point(rng)
-        if all(math.hypot(p.x - q.x, p.y - q.y) >= margin for q in others):
+        if all(math.dist(p, q) >= margin for q in others):
             return p
 
 
@@ -220,7 +216,7 @@ def _invert_cases(run: OpReport, rng: SplitMix64):
             return f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}"
         yield (builder.finish([image])[1], (oracle_invert(ResolvedCircle(o, r), p),),
                detail)
-        if _err(builder.point(back), p) > FUZZ_TOL:
+        if math.dist(builder.point(back), p) > FUZZ_TOL:
             run.fail("involution " + detail())
 
 
@@ -234,7 +230,7 @@ def _line_line_cases(run: OpReport, rng: SplitMix64):
             d = _point_away(rng, [a, b, c])
             ux, uy = b.x - a.x, b.y - a.y
             vx, vy = d.x - c.x, d.y - c.y
-            sin = abs(ux * vy - uy * vx) / (math.hypot(ux, uy) * math.hypot(vx, vy))
+            sin = abs(ux * vy - uy * vx) / (math.dist(a, b) * math.dist(c, d))
             if sin >= min_sin:
                 break
         yield (_built(cons.build_line_line, [a, b, c, d]),
@@ -281,7 +277,7 @@ def _line_circle_diameter_cases(run: OpReport, rng: SplitMix64):
         o = _point(rng)
         a = _point_away(rng, [o])
         r = rng.uniform(0.5, 3.0)
-        norm = math.hypot(a.x - o.x, a.y - o.y)
+        norm = math.dist(a, o)
         ux, uy = (a.x - o.x) / norm, (a.y - o.y) / norm
         if i % 5 == 0:
             sign = 1.0 if i % 10 == 0 else -1.0
@@ -351,7 +347,7 @@ def _field_cases(run: OpReport, rng: SplitMix64, op: str):
                 return f"conj a={_fmt_pt(a.value)}"
             return f"{op} a={_fmt_pt(a.value)} b={_fmt_pt(b.value)}"
         yield result.trace, (want,), detail
-        if op == "conj" and _err(field_ops.conj(result).value, a.value) > FUZZ_TOL:
+        if op == "conj" and math.dist(field_ops.conj(result).value, a.value) > FUZZ_TOL:
             run.fail("involution " + detail())
 
 

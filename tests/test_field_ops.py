@@ -4,6 +4,7 @@ import pytest
 
 from compass import field_ops as F
 from compass.constructions import build_extend, build_midpoint
+from compass.errors import InvalidNodeId
 from compass.fuzz import SplitMix64, _ValuePool
 from compass.geom import Point
 from compass.oracle import (
@@ -107,6 +108,25 @@ def test_conj_near_seeds_short_circuits():
     zero, one = F.zero(), F.one()
     assert F.conj(zero) is zero
     assert F.conj(one) is one
+
+
+@pytest.mark.parametrize("routine", ["relative", "neg", "conj", "mul", "add"])
+def test_ring_operations_need_seeds_zero_and_one(routine):
+    """Without seed 1 there is no frame for a field value: a typed error, not
+    an IndexError, and nothing appended."""
+    b = Builder([Point(0, 0)])
+    one = F.one().program
+    call = {
+        "relative": lambda: F.relative(b, 0),
+        "neg": lambda: F.build_neg(b, 0),
+        "conj": lambda: F.build_conj(b, 0),
+        "mul": lambda: F.build_mul(b, 0, one),
+        "add": lambda: F.build_add(b, 0, one, one, 1 + 0j),
+    }[routine]
+    before = len(b)
+    with pytest.raises(InvalidNodeId, match="^field values need seeds 0 and 1$"):
+        call()
+    assert len(b) == before == 1
 
 
 def test_demo_half():

@@ -1,18 +1,24 @@
-"""Golden bytes: the trace JSON and the SVG of every demo, and the traces
-every fuzz op audits, pinned by sha256.
+"""Golden bytes: the trace JSON and the SVG of every demo, the trace, SVG
+and ``--points`` text of every good corpus script, and the traces every
+fuzz op audits, pinned by sha256.
 
-A change to the serializer, the renderer or a demo's program that alters
-one byte of either output fails here, and so does a change to one bit of a
-coordinate any fuzz op resolves. Re-pin only for a deliberate change of the
-output format or of the steps a demo or a construction builds, and say so in
-CHANGES.md.
+The demo and corpus outputs are rendered by ``cli._RENDERERS``, the path
+``compass run`` writes them through. A change to the serializer, the
+renderer or a script's program that alters one byte of an output fails
+here, naming the script and the output, and so does a change to one bit of
+a coordinate any fuzz op resolves. Re-pin only for a deliberate change of
+the output format or of the steps a script or a construction builds, and
+say so in CHANGES.md.
 """
 
 import hashlib
+import math
+import types
+from pathlib import Path
 
 import pytest
 
-from compass import dsl, fuzz, svg, tracedoc
+from compass import cli, dsl, fuzz, tracedoc
 from compass.demos import DEMOS
 from compass.geom import Point
 
@@ -62,18 +68,89 @@ def test_every_demo_is_pinned():
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_demo_bytes_are_pinned(name):
     result = dsl.run_source(DEMOS[name])
-    doc = tracedoc.document_from_trace(
-        result.trace, result.seed_names,
-        tuple(point for point, _ in result.named_points))
-    text = tracedoc.dumps(doc)
-    names = dict(enumerate(result.seed_names))
-    names.update({node: point for point, node in result.named_points})
-    picture = svg.render_trace(result.trace, names)
+    text = cli._RENDERERS["trace"](result)
+    picture = cli._RENDERERS["svg"](result)
     assert (_sha(text), _sha(picture)) == GOLDEN[name]
     assert tracedoc.dumps(tracedoc.loads(text)) == text
     rebuilt = tracedoc.trace_from_document(tracedoc.loads(text))
     assert rebuilt.program == result.trace.program
     assert rebuilt.resolved == result.trace.resolved
+
+
+CORPUS_GOOD = Path(__file__).parent / "corpus" / "good"
+
+# the targets of ``compass run --trace --svg --points``, in the order pinned
+TARGETS = ("trace", "svg", "points")
+
+# script: sha256 of its (trace JSON, SVG, ``--points`` text); the points
+# are the renderer's text, which stdout repeats for each ``emit points "-"``
+CORPUS_GOLDEN = {
+    "01-apex.compass": (
+        "acf7c08f31663e01a8d557edf2543a3304405833d5345ee715573943b9689e8c",
+        "3473668573038bfd45d13459db82ff58014e0c101a91b1ddaef4b464fb00cf6f",
+        "b98d51f9b6cca293ad2cb689f3d02826c30f89895fa2bd2e4e7d4fc6704e4622"),
+    "02-extend.compass": (
+        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
+        "29cef538e921561106ec0ac639c0b856617eafd10f38f4db2eed4044de73843f",
+        "3500fe9ae8699d2b8d0354c9022ddc407cb74b0a5c8825239620a8b105899310"),
+    "03-midpoint.compass": (
+        "f65f98ccdbb0c902e268c282447d6e14e4957c8853efbcabf8490e209c12745d",
+        "8d888d2b6553af1817f61d54526767d8c224410b978f1746861d6b4408ee738a",
+        "70b1ed8de41eb03747e5f8d0d5ebe6f5a7d2ba9142451aa4483d160360637490"),
+    "04-diameter.compass": (
+        "be4711ebc749897de63c9de6e6d208d8fe1aacda4d023d56d785906cda2ad214",
+        "e50a34da8875b6c65ce19982337c408a0f2138e887a0710d9492a36f539dd280",
+        "dc729d9df0da2471bf1c995494764313759f7e74739b679256bb792dcd3b7f30"),
+    "05-foot.compass": (
+        "6c4bf86a2602f8576d0be1ad4f73a2e860cd502ae3c28d5fe9a3a8bb6629197a",
+        "dea4f9a9d93ddf1c7578466bfcec31d94a39d2ad9c528e79afa0967040fc6a72",
+        "9adcb1d93786bc1df45a291d25807fba3eca8d250332c5f17f45a1a92b3d2102"),
+    "06-invert-exterior.compass": (
+        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
+        "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393",
+        "467230a3643aa1d0b3099d87a4f6d3796542ca0b2c6c277cb59457d61df2b85c"),
+    "07-invert-interior.compass": (
+        "88224bce49785c948d6596870555a7accdc2eda8cd7712215e44f26171b0d747",
+        "e3df2cc3eca02412cf5f8b387bdac8c4aec901cdcbf5e2280c90820866d0fd9e",
+        "21ec184152debc3519687d4e18786905358f50f15a8b4b0f7338e1a0c832087b"),
+    "08-linexline.compass": (
+        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
+        "63263b75adfd669dafbaa4247d8d9100ebae5ba151bdeafab50a132b37a9c22e",
+        "0e4ccec42873ceee1b8eb85fba1d3149a9cbc5fa128a903c6d7b6e8538accf92"),
+    "09-linexcircle.compass": (
+        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
+        "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf",
+        "21b6c5eb7eb2809ad8fa66f9919444257622150a20fb91439678132edb29d74a"),
+    "10-linexcircle-diameter.compass": (
+        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
+        "9b2d65fb5b449247c0e6db41e26c6208c7cc4828865d3548e8959914da7f48dc",
+        "c09691112119cbb9b278cbbbcb316cb0f62ee7bfab160f301a737cce6948003e"),
+    "11-conjugate.compass": (
+        "a31c72897bccc754ffd1313448bfde7cf8a0a2dfa6360a0c5439284e4a3f168a",
+        "7f25bf5039b69029edea919120a70dad0c7047a8841169d5369f445c2540773d",
+        "4d209b71d1952beee115b8b5b27605178613caf68dd5c1a360856936e25007a7"),
+    "12-field.compass": (
+        "60d667a4cca49fe84fa408fee8c4623e5b4296f6660398f956a9cd83d0a57c14",
+        "650634325dea3a17b0d68c647f9480bed701d7f494fc859aa08541ea5f234571",
+        "0617ba3a3f78c4e026d3136c40d7c426b2e3b9466e0f81bb8c4e9a030892ed64"),
+    "13-nth.compass": (
+        "e93ff1d307dfe35a7927e7821870037418484a8306b26d870cf79ff25c3e4abd",
+        "6317f8d136ba5675427e45221c087fd2f2b916fb347ed5f6493f31e62030b655",
+        "e618edca82253c9fb701bce22e7498d169e109b5a4d2703476fcdd80a67b4364"),
+}
+
+
+def test_every_good_corpus_script_is_pinned():
+    assert set(CORPUS_GOLDEN) == {path.name for path in CORPUS_GOOD.glob("*.compass")}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_GOLDEN))
+def test_corpus_bytes_are_pinned(name):
+    result = dsl.run_source((CORPUS_GOOD / name).read_text(encoding="utf-8"))
+    got = [_sha(cli._RENDERERS[target](result)) for target in TARGETS]
+    moved = [target for target, sha, want in zip(TARGETS, got, CORPUS_GOLDEN[name])
+             if sha != want]
+    assert not moved, f"{name}: {', '.join(moved)} moved"
 
 
 # op: sha256 over the traces ``fuzz.run_op(op, 120, seed=1)`` audits; 120
@@ -139,6 +216,22 @@ def test_fuzz_traces_are_pinned(op, monkeypatch):
     report = fuzz.run_op(op, 120, 1)
     assert (report.failures, report.audited, report.max_err.hex()) == FUZZ_REPORTS[op]
     assert h.hexdigest() == FUZZ_GOLDEN[op]
+
+
+def test_fuzz_measures_every_distance_with_math_dist(monkeypatch):
+    """The sampler's margins, the line-line angle test, the involution checks
+    and every case's error are ``math.dist``: fuzz's own code calls no
+    ``hypot``, and the reports keep their pins, as ``dist`` is the ``hypot``
+    of the differences bit for bit."""
+    def refuse(*args):
+        raise AssertionError(f"fuzz called hypot{args}")
+
+    own_math = types.SimpleNamespace(**vars(math))
+    own_math.hypot = refuse
+    monkeypatch.setattr(fuzz, "math", own_math)
+    for op in fuzz.OPS:
+        report = fuzz.run_op(op, 120, 1)
+        assert (report.failures, report.audited, report.max_err.hex()) == FUZZ_REPORTS[op]
 
 
 # sha256 over the details ``fuzz.run_op(op, 3, seed=42)`` reports for each op
