@@ -160,13 +160,12 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
     """Foot of the perpendicular from c onto line ab: the midpoint of c and
     its mirror image, 8 circles and 7 picks. When c is on the line the
     mirror circles touch at the foot, which is then the answer: 2 circles
-    and 1 pick.
+    and 1 pick. A c at a or b raises the kernel's ``DegenerateCircle`` from
+    its mirror circle about that point; at b, that comes after the circle
+    about a is appended.
     """
-    pa, pb, pc = b.point(a), b.point(bn), b.point(c)
-    if math.dist(pa, pb) <= EPS:
+    if math.dist(b.point(a), b.point(bn)) <= EPS:
         raise DegenerateCircle("foot on a degenerate line")
-    if math.dist(pc, pa) <= EPS or math.dist(pc, pb) <= EPS:
-        raise DegenerateCircle("foot construction needs c distinct from a and b")
     around_a, around_b = b.circle(a, c), b.circle(bn, c)
     mirror = b.pick_other(around_a, around_b, avoid=c)
     if mirror is None:
@@ -269,10 +268,13 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     The twelve apexes are ranked by the doublings their three inversions
     are predicted to take, on plain floats from the four points, ties kept
     in the order below, and tried in one pass, rolling back each that
-    fails: within EPS of a line, or with inverted lines that only touch. A
-    pole near a line ranks late, its mirror image deep inside the pole
-    circle. Over 600 fuzz draws at seed 42 the mean is 18.34 circles, gated
-    at 18.5 in ``tests/test_counts.py``.
+    fails where its failure arises: ``build_reflect`` raises ``OnMirrorLine``
+    for a pole within the tangency band of a line, the kernel for a circle
+    that is degenerate (a pole at a) or not finite, and the pick of ``k``
+    for inverted lines that only touch at the pole. A pole near a line
+    ranks late, its mirror image deep inside the pole circle. Over 600
+    fuzz draws at seed 42 the mean is 18.34 circles, gated at 18.5 in
+    ``tests/test_counts.py``.
     """
     pa, pb, pc, pd = b.point(a), b.point(bn), b.point(c), b.point(d)
     if math.dist(pa, pb) <= EPS or math.dist(pc, pd) <= EPS:
@@ -312,12 +314,6 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
         mark = b.mark()
         try:
             pole = build_apex(b, e1, e2, side)
-            pp = b.point(pole)
-            radius = math.dist(pp, pa)  # the pole circle goes through a
-            clearance = min(_point_line_distance(pp, pa, pb),
-                            _point_line_distance(pp, pc, pd))
-            if radius <= EPS or clearance <= EPS:
-                raise DegenerateCircle("pole too close to a line")
             images = [b.circle(build_invert_general(
                 b, pole, a, build_reflect(b, e, f, pole)), pole)
                 for e, f in ((a, bn), (c, d))]
@@ -328,7 +324,7 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
         except CompassError as err:
             last_error = err
             b.rollback(mark)
-    raise last_error if last_error is not None else ParallelLines("no usable pole")
+    raise last_error
 
 
 def _clear_of_line(b: Builder, o: int, d: int, a: int, bn: int,

@@ -48,6 +48,8 @@ FUZZ_TOL = 1e-6
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BOX = 5.0  # points are drawn in [-_BOX, _BOX]^2
+_MARGIN = 0.1  # least distance of a point drawn away from others
 
 
 class SplitMix64:
@@ -114,15 +116,14 @@ def _pair_err(got: tuple[Point, ...], want: Sequence[Point]) -> float:
     return min(straight, crossed)
 
 
-def _point(rng: SplitMix64, lo: float = -5.0, hi: float = 5.0) -> Point:
-    return Point(rng.uniform(lo, hi), rng.uniform(lo, hi))
+def _point(rng: SplitMix64) -> Point:
+    return Point(rng.uniform(-_BOX, _BOX), rng.uniform(-_BOX, _BOX))
 
 
-def _point_away(rng: SplitMix64, others: list[Point],
-                margin: float = 0.1) -> Point:
+def _point_away(rng: SplitMix64, others: list[Point]) -> Point:
     while True:
         p = _point(rng)
-        if all(math.dist(p, q) >= margin for q in others):
+        if all(math.dist(p, q) >= _MARGIN for q in others):
             return p
 
 

@@ -228,13 +228,14 @@ class Trace(Record):
         return self.program.circle_count()
 
     def check(self) -> None:
-        """Run ``Program.check``, then raise MalformedTrace, naming the step,
+        """Run ``Program.check``, then raise MalformedTrace unless each
+        resolved column holds one value per step, and, naming the step,
         unless every circle step resolved to a circle and every other step
         to a point."""
         self.program.check()
         ops = self.program.ops
-        rs = self.resolved.rs
-        if len(rs) != len(ops):
+        xs, ys, rs = self.resolved.xs, self.resolved.ys, self.resolved.rs
+        if not len(xs) == len(ys) == len(rs) == len(ops):
             raise MalformedTrace("resolved values do not cover the steps")
         if [r is None for r in rs] != [op != OP_CIRCLE for op in ops]:
             i = next(i for i, op in enumerate(ops) if (rs[i] is None) is (op == OP_CIRCLE))

@@ -218,8 +218,11 @@ def test_perp_foot_idempotent():
 def test_perp_foot_degenerate_inputs():
     with pytest.raises(DegenerateCircle):
         run(cons.build_perp_foot, Point(0, 0), Point(0, 0), Point(1, 1))
-    with pytest.raises(DegenerateCircle):
-        run(cons.build_perp_foot, Point(0, 0), Point(1, 0), Point(0, 0))
+    # c at a, at b, and 1e-13 from a: the kernel's verdict on the mirror
+    # circle about that point
+    for c in (Point(0, 0), Point(1, 0), Point(1e-13, 0)):
+        with pytest.raises(DegenerateCircle, match="^circle through its own center"):
+            run(cons.build_perp_foot, Point(0, 0), Point(1, 0), c)
 
 
 def test_perp_foot_circle_budget():
@@ -449,6 +452,35 @@ def test_line_line_refused_pole_leaves_no_step(monkeypatch):
     program, _ = b.finish([node])
     assert refused
     assert len(ancestors(program, node)) == len(program.steps)
+
+
+def test_line_line_retried_pole_leaves_no_step(monkeypatch):
+    """Near the tangency band a pole can fail on its own: at scales 1e-12
+    to 1e-11 some draws retry a pole and then succeed. Every step is then
+    an ancestor of the result (fuzz draws never retry)."""
+    real, poles = cons.build_apex, []
+
+    def counted(*args):
+        poles.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cons, "build_apex", counted)
+    rng, retried = SplitMix64(5), 0
+    for scale in (1e-12, 3e-12, 1e-11):
+        for _ in range(300):
+            seeds = [Point(rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale)
+                     for _ in range(4)]
+            b = Builder(seeds)
+            poles.clear()
+            try:
+                node = cons.build_line_line(b, 0, 1, 2, 3)
+            except CompassError:
+                continue
+            if len(poles) > 1:
+                retried += 1
+                program, _ = b.finish([node])
+                assert len(ancestors(program, node)) == len(program.steps)
+    assert retried >= 100  # 230 of the 900 draws
 
 
 def test_line_line_rejects_parallel():

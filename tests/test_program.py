@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl
+from compass import dsl, tracedoc
 from compass.constructions import (
     apex_program,
     extend_program,
@@ -29,6 +29,7 @@ from compass.program import (
     OP_SEED,
     Builder,
     Program,
+    Resolved,
     Selector,
     Trace,
     _no_point,
@@ -38,6 +39,7 @@ from compass.program import (
     rebase,
     similarity_transport_check,
 )
+from compass.svg import render_trace
 
 O = Point(0.0, 0.0)
 U = Point(1.0, 0.0)
@@ -284,6 +286,21 @@ def test_trace_check_refuses_too_few_resolved_values():
     short = Trace(trace.program, tuple(trace.resolved)[:-1])
     with pytest.raises(MalformedTrace, match="do not cover the steps"):
         short.check()
+
+
+@pytest.mark.parametrize("column", ["xs", "ys"])
+def test_trace_check_refuses_a_short_coordinate_column(column):
+    # rs covers the steps, so only the column lengths tell; without their
+    # check purity_audit passed such a trace, and dumps and render_trace
+    # raised a bare IndexError
+    trace = execute(midpoint_program(), (O, U))
+    cols = {"xs": trace.resolved.xs, "ys": trace.resolved.ys, "rs": trace.resolved.rs}
+    cols[column] = cols[column][:-1]
+    short = Trace(trace.program, Resolved(**cols))
+    for read in (purity_audit, render_trace,
+                 lambda t: tracedoc.dumps(tracedoc.document_from_trace(t))):
+        with pytest.raises(MalformedTrace, match="^resolved values do not cover the steps$"):
+            read(short)
 
 
 def test_purity_audit_rejects_forged_step():
