@@ -65,9 +65,6 @@ def _run_script(source: str, args, always_points: bool = False) -> int:
     except dsl.ScriptError as err:
         _diag(str(err))
         return 2
-    except CompassError as err:
-        _diag(f"construction failed: {type(err).__name__}: {err}")
-        return 2
     requests = [("points", "-")] if args.points or always_points else []
     flags = (("svg", args.svg), ("trace", args.trace))
     requests += [(target, path) for target, path in flags if path]

@@ -104,7 +104,8 @@ def build_nth_point(b: Builder, o: int, p: int, n: int) -> int:
         raise NotPositiveInteger(f"n must be a positive integer, got {n!r}")
     if n > MAX_SCALE:
         raise ScaleOverflow(f"scaling factor {n} exceeds {MAX_SCALE}")
-    if n == 1:
+    if n == 1:  # every larger n first inlines extend(o, p), which checks both
+        b.point(o), b.point(p)
         return p
     if n == 2:
         return build_extend(b, o, p)
@@ -178,19 +179,19 @@ def build_perp_foot(b: Builder, a: int, bn: int, c: int) -> int:
 def _invert_core(b: Builder, o: int, d: int, p: int) -> int:
     """Inversion of p in the circle omega centered o through d, by three
     circles: the circle centered p through o cuts omega at m and n, and the
-    image is the mirror image of o in the chord mn, where the circles
-    centered m and n through o meet again. 4 circles with omega, and 3
-    picks; valid for |op| > r/2, where the circle about p touches omega.
-    Far outside, the chord mn nears a diameter and the rounding of m and n
-    grows with |op|; at about |op| = 1e6 r the circles about m and n only
-    touch, at o, and that raises ``ScaleOverflow``."""
+    image is the mirror image of o in the chord mn (``build_reflect``). 4
+    circles with omega, and 3 picks; valid for |op| > r/2, where the circle
+    about p touches omega. Far outside, the chord mn nears a diameter and
+    the rounding of m and n grows with |op|; at about |op| = 1e6 r the
+    mirror circles only touch, at o: ``build_reflect``'s ``OnMirrorLine``,
+    raised as ``ScaleOverflow``."""
     omega = b.circle(o, d)
     m, n = b.both(b.circle(p, o), omega)
-    image = b.pick_other(b.circle(m, o), b.circle(n, o), avoid=o)
-    if image is None:
+    try:
+        return build_reflect(b, m, n, o)
+    except OnMirrorLine:
         raise ScaleOverflow(f"{b.point(p)} is too far outside radius "
-                            f"{math.dist(b.point(o), b.point(d))} to invert")
-    return image
+                            f"{math.dist(b.point(o), b.point(d))} to invert") from None
 
 
 def build_invert_exterior(b: Builder, o: int, d: int, p: int) -> int:
@@ -223,9 +224,9 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     """Inversion of any point p != center, or p itself on the circle.
 
     A point at distance d from the center is pushed out by k doublings
-    about the center, inverted by the core of ``build_invert_exterior``,
-    which is valid beyond r/2, and the image pulled back by k doublings:
-    inversion turns scaling by 2^k into scaling by 2^-k. That is 6k + 4
+    about it, ``build_nth_point(b, o, p, 2**k)``, inverted by the core of
+    ``build_invert_exterior``, valid beyond r/2, and the image pulled back
+    by as many: inversion turns scaling by 2^k into 2^-k. That is 6k + 4
     circles, with k the fewest doublings that clear r/2 by r/32, or by d/2
     where that is less (``_doublings``): none from 17r/32 out. An interior
     point whose paper ratio floor(r/d) + 2 exceeds ``MAX_SCALE`` raises
@@ -241,14 +242,9 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     if r / dist >= MAX_SCALE - 1:  # floor(r/d) + 2 > MAX_SCALE, or r/d overflows
         raise ScaleOverflow(
             f"interior point with r/d = {r / dist:.6g} needs a ratio beyond {MAX_SCALE}")
-    doublings = _doublings(dist, r)
-    q = p
-    for _ in range(doublings):
-        q = build_extend(b, o, q)
-    j = _invert_core(b, o, d, q)
-    for _ in range(doublings):
-        j = build_extend(b, o, j)
-    return j
+    twice = 1 << _doublings(dist, r)
+    return build_nth_point(
+        b, o, _invert_core(b, o, d, build_nth_point(b, o, p, twice)), twice)
 
 
 # --- intersections through inversion -----------------------------------------
@@ -418,8 +414,8 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
     D' is the second cut of omega with the circle about F, the point of a,
     bn farther from o, through D. While F lies near o that circle all but
     coincides with omega, and the cut's error grows as r/|oF|; so F is first
-    doubled away from o (``build_extend``, 3 circles)
-    ``_doublings(256 |oF|, r)`` times, which moves an F within about r/480
+    doubled away from o, ``build_nth_point(b, o, F, 2**k)`` for
+    k = ``_doublings(256 |oF|, r)``, which moves an F within about r/480
     of o out to r/482 or more: 46 or 47 circles in all at |oF| = 1e-6 r.
     That cannot undo the rounding of F's own coordinates, which leaves an
     error of about ulp(|o|) r/|oF| about a center far from the origin. Of
@@ -429,9 +425,10 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
     at P = o + D - D' and C(D', o) at Q = o + D' - D, each picked on the
     side its float prediction takes, as w is. C(P, D') and C(Q, D), of
     radius^2 r^2 + 2c^2, cut the line at E with |oE|^2 = r^2 + c^2. E's
-    mirror image E* in the bisector of oP (the circles about the cuts of C6
-    and C(P, o), through E) has |PE*| = |oE|, and since oP is square to the
-    line, C(P, E*) meets omega at the two points sought.
+    mirror image E* in the bisector of oP (``build_reflect`` in the cuts of
+    C6 and C(P, o); its ``OnMirrorLine`` is raised as ``DegenerateCircle``)
+    has |PE*| = |oE|, and since oP is square to the line, C(P, E*) meets
+    omega at the two points sought.
     """
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
     ux, uy = pb.x - pa.x, pb.y - pa.y
@@ -445,8 +442,8 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
         *((pd.x, pd.y) if s is None else _apex_xy(po, pd, s))))
     dn = d if side is None else build_apex(b, o, d, side)
     far = a if math.dist(pa, po) >= math.dist(pb, po) else bn
-    for _ in range(_doublings(256.0 * math.dist(b.point(far), po), math.dist(po, pd))):
-        far = build_extend(b, o, far)
+    far = build_nth_point(b, o, far, 1 << _doublings(
+        256.0 * math.dist(b.point(far), po), math.dist(po, pd)))
     dm = b.pick_other(b.circle(far, dn), omega, avoid=dn)
     if dm is None:
         raise DegenerateCircle("the line's points lie too close to the center")
@@ -466,9 +463,10 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
     q = b.pick(c6, b.circle(dm, o), Selector.RIGHT if left else Selector.LEFT)
     e = b.pick(b.circle(p, dm), b.circle(q, dn), Selector.LEFT)
     s1, s2 = b.both(c6, b.circle(p, o))
-    e_star = b.pick_other(b.circle(s1, e), b.circle(s2, e), avoid=e)
-    if e_star is None:
-        raise DegenerateCircle("the circles about s1 and s2 only touch")
+    try:
+        e_star = build_reflect(b, s1, s2, e)
+    except OnMirrorLine:
+        raise DegenerateCircle("the circles about s1 and s2 only touch") from None
     return b.both(b.circle(p, e_star), omega)
 
 

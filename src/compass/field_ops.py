@@ -55,7 +55,8 @@ def relative(b: Builder, node: int) -> complex:
     """The value of point ``node`` in the frame of seeds 0 and 1,
     (p - z0) / (z1 - z0), read off the builder's ``xs`` and ``ys`` columns;
     bit-exact on the canonical seeds. Raises InvalidNodeId on a builder
-    with fewer than two seeds."""
+    with fewer than two seeds, and ``Builder.point``'s error on a node that
+    is not a point of the builder."""
     if b.seed_count < 2:
         raise InvalidNodeId("field values need seeds 0 and 1")
     xs, ys = b.xs, b.ys
@@ -63,7 +64,7 @@ def relative(b: Builder, node: int) -> complex:
     unit = complex(xs[1], ys[1]) - z0
     if abs(unit) <= EPS:
         raise DegenerateCircle("seeds 0 and 1 coincide: no frame for field values")
-    return (complex(xs[node], ys[node]) - z0) / unit
+    return (complex(*b.point(node)) - z0) / unit
 
 
 def _size(v: complex) -> float:

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from compass import constructions as cons
 from compass import fuzz, tracedoc
 from compass.cli import main
 from compass.demos import DEMOS
+from compass.errors import NoSuchIntersection
 from compass.geom import Point
 
 
@@ -177,3 +179,20 @@ def test_fuzz_mismatch_exits_3(monkeypatch, capsys):
     assert main(["fuzz", "--op", "midpoint", "--cases", "2"]) == 3
     out = capsys.readouterr().out
     assert "  FAIL " in out and "result: FAIL (1 construction(s), 2 failure(s)" in out
+
+
+def test_a_missed_line_circle_intersection_fails_the_case(monkeypatch, capsys):
+    """A line-circle case that raises NoSuchIntersection where the oracle
+    finds points fails without a trace; where the line misses, it passes."""
+    def miss(*args):
+        raise NoSuchIntersection("the line misses the circle")
+
+    monkeypatch.setattr(cons, "build_line_circle_off_center", miss)
+    report = fuzz.run_op("line-circle", 40, 42)
+    assert (report.failures, report.audited) == (30, 0)
+    assert len(report.details) == 5
+    assert all(detail.startswith("missed existing intersection: linexcircle(")
+               for detail in report.details)
+    assert main(["fuzz", "--op", "line-circle", "--cases", "40", "--seed", "42"]) == 3
+    assert "result: FAIL (1 construction(s), 30 failure(s), 0 trace(s) audited)" in (
+        capsys.readouterr().out)

@@ -9,6 +9,8 @@ from compass.errors import (
     CenterInversion,
     CompassError,
     DegenerateCircle,
+    InvalidNodeId,
+    MalformedProgram,
     NoSuchIntersection,
     NonFiniteInput,
     NotExterior,
@@ -105,6 +107,23 @@ def test_nth_point_rejects_a_bad_n(n):
     with pytest.raises(NotPositiveInteger):
         cons.build_nth_point(b, 0, 1, n)
     assert len(b) == 2
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("bad", ["o", "p"])
+@pytest.mark.parametrize("operand", ["outside", "circle"])
+def test_nth_point_checks_both_points(n, bad, operand):
+    """o and p must be points of the builder, also where n == 1 hands p
+    back: a typed error, with nothing appended."""
+    b = Builder(UNIT)
+    node = 99 if operand == "outside" else b.circle(0, 1)
+    error, message = {"outside": (InvalidNodeId, "^node 99 outside the builder$"),
+                      "circle": (MalformedProgram, f"^node {node} is not a point$")}[operand]
+    o, p = (node, 1) if bad == "o" else (0, node)
+    before = len(b)
+    with pytest.raises(error, match=message):
+        cons.build_nth_point(b, o, p, n)
+    assert len(b) == before
 
 
 def test_nth_point_large_n_by_doublings():
@@ -371,11 +390,15 @@ def test_invert_far_exterior_relative_error(ratio, bound):
 def test_invert_far_exterior_refuses_touching_circles():
     # at 1e6 r the circles about m and n only touch, at o; the touch point
     # (3e-7, 4e-7) is half the image (6e-7, 8e-7)
-    b = Builder([Point(0, 0), Point(1, 0), Point(6e5, 8e5)])
-    with pytest.raises(ScaleOverflow):
-        cons.build_invert_exterior(b, 0, 1, 2)
-    with pytest.raises(ScaleOverflow):
-        run(cons.build_invert_general, *UNIT, Point(6e5, 8e5))
+    # build_reflect rolls its two circles back: 7 steps are left, the three
+    # seeds, omega, the circle about p and the two cuts m and n
+    message = (r"^Point\(x=600000\.0, y=800000\.0\) is too far outside "
+               r"radius 1\.0 to invert$")
+    for invert in (cons.build_invert_exterior, cons.build_invert_general):
+        b = Builder([Point(0, 0), Point(1, 0), Point(6e5, 8e5)])
+        with pytest.raises(ScaleOverflow, match=message):
+            invert(b, 0, 1, 2)
+        assert len(b) == 7
 
 
 def test_invert_just_inside_the_circle():
@@ -707,8 +730,10 @@ def test_line_circle_center_on_line_at_a_tiny_scale_raises_a_typed_error():
     o = Point(-3.115044388549565e-12, -3.9656388606993e-12)
     a = Point(-1.895765423894632e-12, -4.345296123760764e-12)
     d = Point(-3.5454637362861075e-12, -1.948851337458773e-12)
-    with pytest.raises(CompassError):
-        run(cons.build_line_circle_center_on_line, o, a, d)
+    b = Builder([o, a, d])
+    with pytest.raises(DegenerateCircle, match="^the circles about s1 and s2 only touch$"):
+        cons.build_line_circle_center_on_line(b, 0, 1, 2)
+    assert len(b) == 23  # build_reflect rolls its two circles back
 
 
 def test_line_circle_inversion_route_sweep(monkeypatch):

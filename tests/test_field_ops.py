@@ -4,7 +4,7 @@ import pytest
 
 from compass import field_ops as F
 from compass.constructions import build_extend, build_midpoint
-from compass.errors import InvalidNodeId
+from compass.errors import InvalidNodeId, MalformedProgram
 from compass.fuzz import SplitMix64, _ValuePool
 from compass.geom import Point
 from compass.oracle import (
@@ -127,6 +127,29 @@ def test_ring_operations_need_seeds_zero_and_one(routine):
     with pytest.raises(InvalidNodeId, match="^field values need seeds 0 and 1$"):
         call()
     assert len(b) == before == 1
+
+
+@pytest.mark.parametrize("routine", ["relative", "neg", "conj", "mul", "add"])
+@pytest.mark.parametrize("operand", ["outside", "circle"])
+def test_ring_operations_check_their_operand(routine, operand):
+    """An operand outside the builder, or a circle node, is a typed error
+    with nothing appended, not an IndexError or a node handed back."""
+    b = Builder(F.CANONICAL_SEEDS)
+    node = 99 if operand == "outside" else b.circle(0, 1)
+    error, message = {"outside": (InvalidNodeId, "^node 99 outside the builder$"),
+                      "circle": (MalformedProgram, f"^node {node} is not a point$")}[operand]
+    one = F.one().program
+    call = {
+        "relative": lambda: F.relative(b, node),
+        "neg": lambda: F.build_neg(b, node),
+        "conj": lambda: F.build_conj(b, node),
+        "mul": lambda: F.build_mul(b, node, one),
+        "add": lambda: F.build_add(b, node, one, one, 1 + 0j),
+    }[routine]
+    before = len(b)
+    with pytest.raises(error, match=message):
+        call()
+    assert len(b) == before
 
 
 def test_demo_half():
