@@ -66,11 +66,27 @@ def apex_program(side: Selector = Selector.LEFT) -> Program:
     return b.finish([build_apex(b, 0, 1, side)])[0]
 
 
-@lru_cache(maxsize=None)
+def _check_ratio(n: int) -> None:
+    """Raise unless n is an int from 1 to ``MAX_SCALE``: the one check of
+    ``nth_point_program`` and ``build_nth_point``."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise NotPositiveInteger(f"n must be a positive integer, got {n!r}")
+    if n > MAX_SCALE:
+        raise ScaleOverflow(f"scaling factor {n} exceeds {MAX_SCALE}")
+
+
 def nth_point_program(n: int) -> Program:
-    """Canonical two-seed program for the n-fold point along the ray."""
+    """Canonical two-seed program for the n-fold point along the ray, the
+    one ``build_nth_point`` inlines, built once per n; n is checked on
+    every call, as the cached builder checks nothing."""
+    _check_ratio(n)
+    return _nth_program(n)
+
+
+@lru_cache(maxsize=256)  # bounded: a script may ask for any n up to MAX_SCALE
+def _nth_program(n: int) -> Program:
     b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
-    return b.finish([build_nth_point(b, 0, 1, n)])[0]
+    return b.finish([_doubling_chain(b, 0, 1, n)])[0]
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +107,20 @@ def build_extend(b: Builder, x: int, y: int) -> int:
     return b.inline(extend_program(), (x, y))[0]
 
 
+def _doubling_chain(b: Builder, o: int, p: int, n: int) -> int:
+    """The steps of ``build_nth_point``, appended one doubling at a time;
+    run only to build the cached canonical programs."""
+    if n == 1:
+        return p
+    if n == 2:
+        return build_extend(b, o, p)
+    if n == 3:
+        back = b.circle(build_extend(b, o, p), p)
+        w = b.pick(back, b.circle(p, o), Selector.LEFT)
+        return b.pick(b.circle(w, o), back, Selector.RIGHT)
+    return build_extend(b, p if n % 2 else o, _doubling_chain(b, o, p, (n + 1) // 2))
+
+
 def build_nth_point(b: Builder, o: int, p: int, n: int) -> int:
     """o + n (p - o), by doublings through the points P(k) = o + k (p - o):
     P(2k) = extend(P(0), P(k)) and P(2k - 1) = extend(P(1), P(k)), down to
@@ -99,21 +129,17 @@ def build_nth_point(b: Builder, o: int, p: int, n: int) -> int:
     doubling's own C(P(1), P(0)) at w, and the circle about w through P(0),
     of radius sqrt(3)|op|, meets C(P(2), P(1)) again at P(3). 3 circles
     per halving of n: nth(2**20) takes 60.
+
+    n is checked once. n == 1 checks that o and p are points and hands p
+    back; any larger n is one inline of the cached ``nth_point_program(n)``,
+    which checks both: the same rows in the same order as the doublings
+    one by one, so the same steps, hash-cons hits and failure points.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise NotPositiveInteger(f"n must be a positive integer, got {n!r}")
-    if n > MAX_SCALE:
-        raise ScaleOverflow(f"scaling factor {n} exceeds {MAX_SCALE}")
-    if n == 1:  # every larger n first inlines extend(o, p), which checks both
+    _check_ratio(n)
+    if n == 1:
         b.point(o), b.point(p)
         return p
-    if n == 2:
-        return build_extend(b, o, p)
-    if n == 3:
-        back = b.circle(build_extend(b, o, p), p)
-        w = b.pick(back, b.circle(p, o), Selector.LEFT)
-        return b.pick(b.circle(w, o), back, Selector.RIGHT)
-    return build_extend(b, p if n % 2 else o, build_nth_point(b, o, p, (n + 1) // 2))
+    return b.inline(_nth_program(n), (o, p))[0]
 
 
 @lru_cache(maxsize=None)

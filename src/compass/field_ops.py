@@ -18,13 +18,16 @@ grown on a ``Builder(CANONICAL_SEEDS)``; ``zero`` and ``one`` are those of
 its seeds. Each operation resumes a ``Builder`` on its left operand's rows,
 calls the ``build_*`` routine and carries the result's witness as the new
 value. Sharing the steps already there, witnesses grow linearly along
-chains of additions, not exponentially.
+chains of additions, not exponentially. A witness that keeps every step of
+its builder also keeps a copy of the builder's hash-cons table, so
+resuming it copies that table instead of rebuilding it row by row.
 
 The atoms ``zero``, ``one``, ``minus_one``, ``alpha`` and ``demo_half`` are
 built once (``functools.lru_cache``) and the same object is handed to every
 caller. Sharing them is safe: a value is an immutable record (a named tuple
 of a ``Trace``, whose columns are tuples), and ``Builder.resume`` copies
-those columns into the lists it grows, so no operation changes an operand.
+those columns into the lists it grows, and the kept table into a dict of
+its own, so no operation changes an operand.
 """
 
 from __future__ import annotations
@@ -56,15 +59,18 @@ def relative(b: Builder, node: int) -> complex:
     (p - z0) / (z1 - z0), read off the builder's ``xs`` and ``ys`` columns;
     bit-exact on the canonical seeds. Raises InvalidNodeId on a builder
     with fewer than two seeds, and ``Builder.point``'s error on a node that
-    is not a point of the builder."""
+    is not a point of the builder: the range and kind test is made inline,
+    as ``Builder.circle`` makes it, and ``Builder._node`` only raises."""
     if b.seed_count < 2:
         raise InvalidNodeId("field values need seeds 0 and 1")
-    xs, ys = b.xs, b.ys
+    xs, ys, rs = b.xs, b.ys, b.rs
     z0 = complex(xs[0], ys[0])
     unit = complex(xs[1], ys[1]) - z0
     if abs(unit) <= EPS:
         raise DegenerateCircle("seeds 0 and 1 coincide: no frame for field values")
-    return (complex(*b.point(node)) - z0) / unit
+    if not (0 <= node < len(rs) and rs[node] is None):
+        b._node(node, False)
+    return (complex(xs[node], ys[node]) - z0) / unit
 
 
 def _size(v: complex) -> float:

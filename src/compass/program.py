@@ -208,15 +208,20 @@ class Program(Record):
 
 class Trace(Record):
     """A fully resolved execution record of a program on concrete seeds;
-    a tuple given for ``resolved`` is encoded (``Resolved.of_values``)."""
+    a tuple given for ``resolved`` is encoded (``Resolved.of_values``).
+    ``_table``, outside ``==``, ``hash``, ``repr`` and pickling, is the
+    hash-cons table of the builder whose ``witness`` handed its columns
+    over, kept for ``Builder.resume``; None on any other trace."""
 
-    __slots__ = _fields = ("program", "resolved")
+    _fields = ("program", "resolved")
+    __slots__ = (*_fields, "_table")
 
     def __init__(self, program: Program, resolved: Resolved):
         if type(resolved) is not Resolved:
             resolved = Resolved.of_values(resolved)
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "_table", None)
 
     @property
     def seed_values(self) -> tuple[Point, ...]:
@@ -388,8 +393,9 @@ class Builder:
     Steps are hash-consed in ``table``, keyed on their ``(op, first,
     second)`` rows: a step whose row is there is the existing node, looked
     up before anything is resolved. ``Builder.resume`` takes over a
-    finished trace and rebuilds the table from its rows, so growing a
-    program never resolves its steps again.
+    finished trace with a copy of the table its ``witness`` kept, or else
+    a table rebuilt from its rows, so growing a program never resolves its
+    steps again.
     """
 
     def __init__(self, seeds: Sequence[Point]):
@@ -405,16 +411,23 @@ class Builder:
 
     @classmethod
     def resume(cls, trace: Trace) -> "Builder":
-        """A builder holding ``trace``, its hash-cons table rebuilt from the
-        rows last to first, so that of two equal rows the first keeps the key."""
+        """A builder holding ``trace``, with a copy of the hash-cons table
+        the trace kept (``witness``), or else one rebuilt from the rows last
+        to first, so that of two equal rows the first keeps the key. In a
+        hash-consed builder every row is unique, so the two tables are
+        equal."""
         p, r = trace.program, trace.resolved
         p.check()
         builder = cls.__new__(cls)  # every attribute is set here
         builder.seed_count = p.seed_count
         builder.ops, builder.first, builder.second = list(p.ops), list(p.first), list(p.second)
         builder.xs, builder.ys, builder.rs = list(r.xs), list(r.ys), list(r.rs)
-        rows = zip(reversed(p.ops), reversed(p.first), reversed(p.second))
-        builder.table = dict(zip(rows, range(len(p.ops) - 1, p.seed_count - 1, -1)))
+        kept = trace._table
+        if kept is not None:
+            builder.table = kept.copy()
+        else:
+            rows = zip(reversed(p.ops), reversed(p.first), reversed(p.second))
+            builder.table = dict(zip(rows, range(len(p.ops) - 1, p.seed_count - 1, -1)))
         return builder
 
     def __len__(self) -> int:
@@ -606,8 +619,9 @@ class Builder:
         with ``node`` its output, resolved as this builder resolved them: the
         witness that the ring operations replay and that a value carries.
         Kept steps stay in order; where every step is kept the columns are
-        handed over as ``finish`` does. Raises InvalidNodeId unless
-        ``pair_based``."""
+        handed over as ``finish`` does, and the trace keeps a copy of the
+        hash-cons table in its private ``_table`` for ``resume``. Raises
+        InvalidNodeId unless ``pair_based``."""
         keep = _live(self, [node])
         if self.seed_count < 2 or any(keep[2:self.seed_count]):
             raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
@@ -615,7 +629,9 @@ class Builder:
         # a value's builder is usually all ancestors of its result: there
         # the remap is the identity, and skipping it pays on value chains
         if len(keep) == len(self.ops) and all(keep):
-            return self.finish([node])[1]
+            trace = self.finish([node])[1]
+            object.__setattr__(trace, "_table", self.table.copy())
+            return trace
         # rank[i] is the new index of kept step i, the count of kept steps
         # before it: seed 0 is kept, so the count of keep[1:i + 1]. The kept
         # steps open with seeds 0 and 1, so take gives tuples, each of its

@@ -126,6 +126,80 @@ def test_nth_point_checks_both_points(n, bad, operand):
     assert len(b) == before
 
 
+@pytest.mark.parametrize("n, error", [(0, NotPositiveInteger), (-3, NotPositiveInteger),
+                                      (True, NotPositiveInteger), (2.0, NotPositiveInteger),
+                                      (cons.MAX_SCALE + 1, ScaleOverflow)])
+def test_nth_point_program_rejects_a_bad_n(n, error):
+    # one check for both entry points, before the cached chain builder
+    with pytest.raises(error):
+        cons.nth_point_program(n)
+    b = Builder(UNIT)
+    with pytest.raises(error):
+        cons.build_nth_point(b, 0, 1, n)
+    assert len(b) == 2
+
+
+def reference_nth_point(b, o, p, n):
+    """The doubling chain as ``build_nth_point`` once appended it, one
+    ``build_extend`` inline per doubling; kept as the reference for the one
+    inline of the cached program."""
+    if n == 1:
+        b.point(o), b.point(p)
+        return p
+    if n == 2:
+        return cons.build_extend(b, o, p)
+    if n == 3:
+        back = b.circle(cons.build_extend(b, o, p), p)
+        w = b.pick(back, b.circle(p, o), Selector.LEFT)
+        return b.pick(b.circle(w, o), back, Selector.RIGHT)
+    return cons.build_extend(b, p if n % 2 else o, reference_nth_point(b, o, p, (n + 1) // 2))
+
+
+def _state(b):
+    """The six columns, floats by ``repr`` so that even the sign of a zero
+    counts, and the hash-cons table."""
+    return (b.ops, b.first, b.second, [*map(repr, b.xs)], [*map(repr, b.ys)],
+            [*map(repr, b.rs)], b.table)
+
+
+def _nth_outcome(host, o, p, n, build):
+    b = host()
+    try:
+        got = build(b, o, p, n)
+    except CompassError as err:
+        got = type(err), str(err)
+    return got, _state(b)
+
+
+NTH_RATIOS = sorted({*range(1, 41), *(2 ** k for k in range(21))})
+
+
+def test_nth_point_is_the_doubling_chain():
+    rng = SplitMix64(1410)
+    for _ in range(4):
+        seeds = [Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
+        for o, p in ((1, 2), (2, 0)):
+            def drawn(o=o, p=p):  # the chain's first doubling is all hash-cons hits
+                b = Builder(seeds)
+                cons.build_extend(b, o, p)
+                return b
+
+            for host in (lambda: Builder(seeds), drawn):
+                for n in NTH_RATIOS:
+                    want = _nth_outcome(host, o, p, n, reference_nth_point)
+                    assert _nth_outcome(host, o, p, n, cons.build_nth_point) == want
+                    assert type(want[0]) is int
+
+
+def test_nth_point_at_one_point_appends_nothing():
+    a = Point(0.3, -1.7)
+    for seeds, o, p in (([a, a], 0, 1), ([a, Point(2.0, 0.5)], 1, 1)):
+        for n in (2, 3, 5, 2 ** 20):
+            want = _nth_outcome(lambda: Builder(seeds), o, p, n, reference_nth_point)
+            assert want[0][0] is DegenerateCircle and len(want[1][0]) == 2
+            assert _nth_outcome(lambda: Builder(seeds), o, p, n, cons.build_nth_point) == want
+
+
 def test_nth_point_large_n_by_doublings():
     """2**20 is twenty doublings about o, 60 circles, where a chain of
     reflections along the ray took 3(n - 1), over 3.1 million."""

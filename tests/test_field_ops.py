@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -12,7 +14,7 @@ from compass.oracle import (
     oracle_complex_conj,
     oracle_complex_mul,
 )
-from compass.program import Builder, Selector, ancestors, execute, purity_audit
+from compass.program import Builder, Selector, Trace, ancestors, execute, purity_audit
 
 SQRT15_4 = math.sqrt(15.0) / 4.0
 
@@ -377,3 +379,71 @@ def test_value_reads_the_resolved_output():
     for v in values:
         assert v.value == v.trace.resolved[v.primary_output]
         assert type(v.value) is Point
+
+
+# --- the kept hash-cons table ------------------------------------------------
+
+def _rebuilt_table(trace):
+    """The table ``Builder.resume`` rebuilds from the rows of a trace that
+    kept none."""
+    bare = Trace(trace.program, trace.resolved)
+    assert bare._table is None
+    return Builder.resume(bare).table
+
+
+def test_a_value_keeps_the_table_its_resume_would_rebuild():
+    # a doubling's witness keeps every step of its builder, and so does one
+    # of each other operation on it; add(v, 1)'s double replay leaves v's
+    # own steps behind, so its witness is cut out and keeps no table
+    one, v, w = F.one(), F.alpha(), F.alpha()
+    for _ in range(8):
+        v, w = F.add(v, one), F.add(w, w)
+        assert v.trace._table is None and w.trace._table is not None
+        assert w.trace._table == _rebuilt_table(w.trace)
+    for u in (F.mul(v, w), F.neg(v), F.conj(w)):
+        assert u.trace._table is not None
+        assert u.trace._table == _rebuilt_table(u.trace)
+    pool = _ValuePool()
+    rng = SplitMix64(41)
+    kept = 0
+    for _ in range(60):
+        v = pool.draw(rng, 2)
+        if v.trace._table is not None:
+            kept += 1
+            assert v.trace._table == _rebuilt_table(v.trace)
+        assert Builder.resume(v.trace).table == _rebuilt_table(v.trace)
+    assert kept >= 50
+
+
+def test_growing_a_resumed_builder_leaves_the_kept_table():
+    v = F.add(F.alpha(), F.alpha())
+    before = dict(v.trace._table)
+    b = Builder.resume(v.trace)
+    assert b.table == before and b.table is not v.trace._table
+    build_extend(b, build_midpoint(b, 0, v.primary_output), 1)
+    assert len(b.table) > len(before)
+    assert v.trace._table == before
+    assert Builder.resume(v.trace).table == before
+
+
+def test_a_builder_growing_after_a_witness_leaves_the_witness_table():
+    # as a script's builder grows on after each field operand's witness
+    b = Builder(F.CANONICAL_SEEDS)
+    c = build_extend(b, 0, 1)
+    w = b.witness(c)
+    before = dict(w._table)
+    assert before == b.table and w._table is not b.table
+    build_extend(b, c, build_midpoint(b, 0, c))
+    b.witness(len(b) - 1)
+    assert w._table == before == _rebuilt_table(w)
+
+
+def test_trace_identity_ignores_the_kept_table():
+    kept = F.add(F.alpha(), F.alpha()).trace
+    bare = Trace(kept.program, kept.resolved)
+    assert kept._table is not None
+    assert kept == bare and hash(kept) == hash(bare) and repr(kept) == repr(bare)
+    assert pickle.dumps(kept) == pickle.dumps(bare)
+    for copied in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
+        assert copied == kept and copied._table is None
+        assert Builder.resume(copied).table == kept._table
