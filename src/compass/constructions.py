@@ -66,25 +66,16 @@ def apex_program(side: Selector = Selector.LEFT) -> Program:
     return b.finish([build_apex(b, 0, 1, side)])[0]
 
 
-def _check_ratio(n: int) -> None:
-    """Raise unless n is an int from 1 to ``MAX_SCALE``: the one check of
-    ``nth_point_program`` and ``build_nth_point``."""
+@lru_cache(maxsize=256, typed=True)  # bounded: a script may ask for any n up to MAX_SCALE
+def nth_point_program(n: int) -> Program:
+    """Canonical two-seed program for the n-fold point along the ray, the
+    one ``build_nth_point`` inlines, built once per n. n is checked here,
+    on every miss: the cache keys on n's type, so True and 2.0 never hit
+    the programs of 1 and 2, and an error is never cached."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise NotPositiveInteger(f"n must be a positive integer, got {n!r}")
     if n > MAX_SCALE:
         raise ScaleOverflow(f"scaling factor {n} exceeds {MAX_SCALE}")
-
-
-def nth_point_program(n: int) -> Program:
-    """Canonical two-seed program for the n-fold point along the ray, the
-    one ``build_nth_point`` inlines, built once per n; n is checked on
-    every call, as the cached builder checks nothing."""
-    _check_ratio(n)
-    return _nth_program(n)
-
-
-@lru_cache(maxsize=256)  # bounded: a script may ask for any n up to MAX_SCALE
-def _nth_program(n: int) -> Program:
     b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
     return b.finish([_doubling_chain(b, 0, 1, n)])[0]
 
@@ -130,16 +121,13 @@ def build_nth_point(b: Builder, o: int, p: int, n: int) -> int:
     of radius sqrt(3)|op|, meets C(P(2), P(1)) again at P(3). 3 circles
     per halving of n: nth(2**20) takes 60.
 
-    n is checked once. n == 1 checks that o and p are points and hands p
-    back; any larger n is one inline of the cached ``nth_point_program(n)``,
-    which checks both: the same rows in the same order as the doublings
-    one by one, so the same steps, hash-cons hits and failure points.
+    It is one inline of the cached ``nth_point_program(n)``, which checks
+    n, while the inline checks that o and p are points: the same rows in
+    the same order as the doublings one by one, so the same steps,
+    hash-cons hits and failure points. For n == 1 the program has no step
+    and hands p back.
     """
-    _check_ratio(n)
-    if n == 1:
-        b.point(o), b.point(p)
-        return p
-    return b.inline(_nth_program(n), (o, p))[0]
+    return b.inline(nth_point_program(n), (o, p))[0]
 
 
 @lru_cache(maxsize=None)

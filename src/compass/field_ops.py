@@ -59,18 +59,15 @@ def relative(b: Builder, node: int) -> complex:
     (p - z0) / (z1 - z0), read off the builder's ``xs`` and ``ys`` columns;
     bit-exact on the canonical seeds. Raises InvalidNodeId on a builder
     with fewer than two seeds, and ``Builder.point``'s error on a node that
-    is not a point of the builder: the range and kind test is made inline,
-    as ``Builder.circle`` makes it, and ``Builder._node`` only raises."""
+    is not a point of the builder."""
     if b.seed_count < 2:
         raise InvalidNodeId("field values need seeds 0 and 1")
-    xs, ys, rs = b.xs, b.ys, b.rs
+    xs, ys = b.xs, b.ys
     z0 = complex(xs[0], ys[0])
     unit = complex(xs[1], ys[1]) - z0
     if abs(unit) <= EPS:
         raise DegenerateCircle("seeds 0 and 1 coincide: no frame for field values")
-    if not (0 <= node < len(rs) and rs[node] is None):
-        b._node(node, False)
-    return (complex(xs[node], ys[node]) - z0) / unit
+    return (complex(*b.point(node)) - z0) / unit
 
 
 def _size(v: complex) -> float:

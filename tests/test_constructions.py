@@ -130,7 +130,9 @@ def test_nth_point_checks_both_points(n, bad, operand):
                                       (True, NotPositiveInteger), (2.0, NotPositiveInteger),
                                       (cons.MAX_SCALE + 1, ScaleOverflow)])
 def test_nth_point_program_rejects_a_bad_n(n, error):
-    # one check for both entry points, before the cached chain builder
+    # one check for both entry points, raising even with the programs of 1
+    # and 2 in the cache
+    cons.nth_point_program(1), cons.nth_point_program(2)
     with pytest.raises(error):
         cons.nth_point_program(n)
     b = Builder(UNIT)

@@ -393,13 +393,14 @@ def _rebuilt_table(trace):
 
 def test_a_value_keeps_the_table_its_resume_would_rebuild():
     # a doubling's witness keeps every step of its builder, and so does one
-    # of each other operation on it; add(v, 1)'s double replay leaves v's
-    # own steps behind, so its witness is cut out and keeps no table
+    # of each other operation on it; a table, wherever one is kept, is the
+    # one the rebuild makes
     one, v, w = F.one(), F.alpha(), F.alpha()
     for _ in range(8):
         v, w = F.add(v, one), F.add(w, w)
-        assert v.trace._table is None and w.trace._table is not None
-        assert w.trace._table == _rebuilt_table(w.trace)
+        assert w.trace._table is not None
+        for t in (v.trace, w.trace):
+            assert t._table is None or t._table == _rebuilt_table(t)
     for u in (F.mul(v, w), F.neg(v), F.conj(w)):
         assert u.trace._table is not None
         assert u.trace._table == _rebuilt_table(u.trace)
@@ -445,5 +446,5 @@ def test_trace_identity_ignores_the_kept_table():
     assert kept == bare and hash(kept) == hash(bare) and repr(kept) == repr(bare)
     assert pickle.dumps(kept) == pickle.dumps(bare)
     for copied in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
-        assert copied == kept and copied._table is None
+        assert copied == kept
         assert Builder.resume(copied).table == kept._table
