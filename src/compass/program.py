@@ -19,9 +19,10 @@ Storage is columnar, with one constructor per type. A step is its row
 ``(op, first, second)``: the op is ``OP_SEED`` (first is the slot, second
 -1), ``OP_CIRCLE`` (center, through) or ``OP_LEFT``/``OP_RIGHT`` (the two
 circles: the selector is part of the op). A ``Program`` is those three int
-columns plus the outputs, and ``Program.steps`` is the tuple of its rows. A
-``Trace`` is its program plus float columns x, y and radius (``None`` for
-a point); its seed values and circle count are derived.
+columns plus the outputs, and ``Program.steps`` is a view of its rows over
+those columns: equal to the tuple of the rows, it builds a row only when one
+is read. A ``Trace`` is its program plus float columns x, y and radius
+(``None`` for a point); its seed values and circle count are derived.
 ``Program.check`` is the one rulebook of what a program is, and
 ``Trace.check`` adds that each value is of its step's kind; every consumer
 runs them, and a program is checked once. ``Builder._resolve``, the only
@@ -32,9 +33,9 @@ of the loop's last cut reads that cut again instead of cutting twice, so
 ``geom.cut`` is still the only intersection arithmetic. ``Builder.witness``
 is the one way to cut a point's ancestors out as a trace of their own. Value
 objects (``Point``, ``ResolvedCircle``) exist only at the API edge:
-``Trace.resolved`` is the one view, equal by its columns. ``AuditReport``
-and ``geom``'s values are named tuples; ``Program`` and ``Trace`` are
-``record.Record`` classes.
+``Trace.resolved`` is the one view of them, equal by its columns.
+``AuditReport`` and ``geom``'s values are named tuples; ``Program`` and
+``Trace`` are ``record.Record`` classes.
 """
 
 from __future__ import annotations
@@ -134,6 +135,42 @@ class Resolved(Sequence):
         return repr(tuple(self))
 
 
+class _Steps(Sequence):
+    """The rows ``(op, first, second)`` of a program, over its int columns
+    ``ops``, ``first`` and ``second``: ``len`` is ``len(ops)`` and builds
+    nothing, an index builds one row, a slice or iteration builds only the
+    rows it gives. Equal to the tuple of its rows, and hashes as it does."""
+
+    __slots__ = ("ops", "first", "second")
+
+    def __init__(self, ops: tuple, first: tuple, second: tuple):
+        self.ops, self.first, self.second = ops, first, second
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(zip(self.ops[i], self.first[i], self.second[i]))
+        return self.ops[i], self.first[i], self.second[i]
+
+    def __iter__(self):
+        return zip(self.ops, self.first, self.second)
+
+    def __eq__(self, other):
+        if type(other) is _Steps:
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class Program(Record):
     """An executable compass construction over ``seed_count`` seed slots:
     the int columns ``ops``, ``first`` and ``second``, and the outputs.
@@ -196,8 +233,10 @@ class Program(Record):
         object.__setattr__(self, "_checked", True)
 
     @property
-    def steps(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(zip(self.ops, self.first, self.second))
+    def steps(self) -> Sequence[tuple[int, int, int]]:
+        """The rows ``(op, first, second)``, as a read-only view over the
+        three int columns: counting them builds no row."""
+        return _Steps(self.ops, self.first, self.second)
 
     def circle_count(self) -> int:
         return self.ops.count(OP_CIRCLE)

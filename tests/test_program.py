@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,22 +459,58 @@ def test_ancestors():
         ancestors(program, 999)
 
 
+def rows_of(program):
+    return tuple(zip(program.ops, program.first, program.second))
+
+
 def test_steps_and_resolved_are_views_over_columns():
     trace = execute(midpoint_program(), (O, U))
     program = trace.program
-    steps, resolved = program.steps, trace.resolved
-    assert len(steps) == len(resolved) == len(program.ops)
+    steps, resolved, rows = program.steps, trace.resolved, rows_of(program)
+    assert len(steps) == len(resolved) == len(program.ops) == len(rows)
+    assert steps[0] == (OP_SEED, 0, -1) and steps[-1] == rows[-1] == steps[len(steps) - 1]
+    assert steps[-len(steps)] == rows[0] and steps[3] == rows[3]
     assert steps[:2] == ((OP_SEED, 0, -1), (OP_SEED, 1, -1)) and type(steps[:2]) is tuple
-    assert steps[-1] == (program.ops[-1], program.first[-1], program.second[-1])
+    assert steps[::-2] == rows[::-2] and type(steps[::-2]) is tuple and steps[5:2] == ()
+    assert tuple(steps) == rows and [*steps] == list(rows) and tuple(reversed(steps)) == rows[::-1]
     assert resolved[:2] == (O, U) and resolved[-1] == resolved[len(resolved) - 1]
-    assert type(steps) is tuple and tuple(resolved) == resolved[:]
-    with pytest.raises(IndexError):
-        steps[len(steps)]
+    assert tuple(resolved) == resolved[:]
+    for past in (len(steps), -len(steps) - 1):
+        with pytest.raises(IndexError):
+            steps[past]
     # values given at the edge encode into the same columns
     again = Trace(trace.program, tuple(resolved))
     assert again == trace and again.resolved.xs == resolved.xs
     with pytest.raises(MalformedTrace, match="^step 1:"):
         Trace(seeds_only((O, U)), (O, "ruler-point"))
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_steps_equal_and_hash_as_their_rows(name):
+    program = dsl.run_source(DEMOS[name]).trace.program
+    steps, rows = program.steps, rows_of(program)
+    assert steps == rows and rows == steps and not steps != rows
+    assert steps == program.steps and hash(steps) == hash(rows) and rows in {steps}
+    assert steps != rows[:-1] and steps != list(rows)
+
+
+def test_counting_steps_builds_no_row():
+    n = 10_000
+    program = Program(2, (OP_SEED, OP_SEED) + (OP_CIRCLE,) * n, (0, 1) + (0,) * n,
+                      (-1, -1) + (1,) * n, (0,))
+    program.check()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        count = len(program.steps)
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert count == n + 2
+    assert allocated < 1024, f"len(steps) allocated {allocated} bytes"
 
 
 def test_resolved_equals_and_hashes_by_its_columns():
