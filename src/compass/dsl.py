@@ -119,57 +119,58 @@ EOF = "Eof"
 Token = namedtuple("Token", "kind lexeme line column")
 
 
-# One alternative per token kind, tried in this order; blanks and comments,
-# and any other character, are groups of their own, so every character is
-# matched. ``odd`` is what follows an 'e' that starts no decimal exponent.
+# One alternative per token kind, tried in this order over one line; blanks
+# and comments, and any other character, are groups of their own, so every
+# character is matched. ``odd`` is what follows an 'e' that starts no
+# decimal exponent, nested in Number: it never closes a match last.
 _TOKEN = re.compile(r"""
-    (?P<blank> [ \t\r]+ | \#[^\n]* )
-  | (?P<Newline> \n )
+    (?P<blank> [ \t\r]+ | \#.* )
   | (?P<Punct> [=(),] )
-  | (?P<String> "[^"\n]*" )
+  | (?P<String> "[^"]*" )
   | (?P<Number> [+-]? (?=[\d.]) \d* (?:\.\d*)?
                 (?: [eE][+-]?\d+ | (?=(?P<odd>[eE][+-]?\w)) )? )
   | (?P<word> \w+ )
   | (?P<other> . )
 """, re.VERBOSE)
-_KIND = {"blank": None, "Newline": NEWLINE, "Punct": PUNCT, "String": STRING,
-         "Number": NUMBER, "word": IDENT, "other": EOF}  # EOF: the scan stops there
+# kind by the number of the last group a match closes; EOF: the scan stops there
+_KINDS = (None, None, PUNCT, STRING, NUMBER, None, IDENT, EOF)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex a script into tokens with 1-based line/column positions."""
+    """Lex a script into tokens with 1-based line/column positions, one line
+    at a time; the EOF token stands where the last line ends."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        kind = _KIND[m.lastgroup]
-        if kind is None:
-            continue
-        text = m.group()
-        column = m.start() - line_start + 1
-        if kind is IDENT:
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise LexError(line, column, f"unexpected character {text[0]!r}")
-            if text in KEYWORDS:
-                kind = KEYWORD
-        elif kind is NUMBER:
-            odd = m.group("odd")
-            if odd and odd[-1].isdigit():  # '1e²': a bad number, not 1 and a name
-                text += odd
-            try:
-                value = float(text)
-            except ValueError:
-                raise LexError(line, column, f"bad number {text!r}") from None
-            if not math.isfinite(value):
-                raise LexError(line, column, f"number {text!r} overflows")
-        elif kind is STRING:
-            text = text[1:-1]
-        elif kind is EOF:
-            raise LexError(line, column, "unterminated string" if text == '"'
-                           else f"unexpected character {text!r}")
-        tokens.append(Token(kind, text, line, column))
-        if kind is NEWLINE:
-            line, line_start = line + 1, m.end()
-    tokens.append(Token(EOF, "", line, len(source) - line_start + 1))
+    new = tuple.__new__  # a Token without a call of the Python-level Token.__new__
+    for line, text_line in enumerate(source.split("\n"), 1):
+        for m in _TOKEN.finditer(text_line):
+            kind = _KINDS[m.lastindex]
+            if kind is None:
+                continue
+            text = m.group()
+            column = m.start() + 1
+            if kind is IDENT:
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise LexError(line, column, f"unexpected character {text[0]!r}")
+                if text in KEYWORDS:
+                    kind = KEYWORD
+            elif kind is NUMBER:
+                odd = m.group("odd")
+                if odd and odd[-1].isdigit():  # '1e²': a bad number, not 1 and a name
+                    text += odd
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise LexError(line, column, f"bad number {text!r}") from None
+                if not math.isfinite(value):
+                    raise LexError(line, column, f"number {text!r} overflows")
+            elif kind is STRING:
+                text = text[1:-1]
+            elif kind is EOF:
+                raise LexError(line, column, "unterminated string" if text == '"'
+                               else f"unexpected character {text!r}")
+            tokens.append(new(Token, (kind, text, line, column)))
+        tokens.append(new(Token, (NEWLINE, "\n", line, len(text_line) + 1)))
+    tokens[-1] = Token(EOF, "", line, len(text_line) + 1)
     return tokens
 
 

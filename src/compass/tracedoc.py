@@ -1,30 +1,37 @@
 """JSON serialization of traces.
 
-The document stores seeds with their coordinates, every circle and pick
-step (picks carry their resolved point), and the named outputs. Node ids
-are dense and reference strictly earlier ids. Coordinates are written with
-17 significant digits so a parse/re-serialize round trip is byte-identical
-and loses nothing of the doubles.
-
-A ``TraceDocument`` is a named tuple: a ``Trace`` paired with the names of
-its seeds and outputs; there is no second representation of the steps.
+A document (``VERSION`` 2) holds the program's own columns, in this order:
+``{"version":2,"seed_names":[...],"op":[...],"first":[...],"second":[...],
+"x":[...],"y":[...],"outputs":[...],"output_names":[...]}``. Step ``i`` is
+``(op[i], first[i], second[i])``: ``("seed", slot, -1)``, ``("circle",
+center, through)`` or ``("left" or "right", c1, c2)``. ``x`` and ``y`` hold
+the coordinates of each point step (seed or pick) in step order; a circle
+carries none, and ``loads`` resolves it from its two nodes. There is one
+seed name (or null) per seed and one output name per output. Coordinates
+are written with 17 significant digits so a parse/re-serialize round trip
+is byte-identical and loses nothing of the doubles. Version 1 documents
+(one object per seed, step and output) are read-only: ``loads`` reads them
+through their own walk, and nothing writes them. A ``TraceDocument`` is a
+named tuple: a ``Trace`` paired with the names of its seeds and outputs.
 
 Where each check lives:
 
 - ``Program.check`` holds every structural rule; nothing here repeats one
   or adds one, so a trace with no seeds (a script without ``given``) loads.
-- ``loads`` checks the format only (JSON types, dense ids, step-kind and
-  selector names, finite coordinates), builds the program's columns, runs
-  ``Program.check`` on them, and then resolves each circle's radius,
-  rejecting what ``radius`` refuses. Every error is a MalformedTrace, and every
-  error about a node names it (``step <id>: ...`` or ``output <k>: ...``).
+- ``loads`` checks the format only, one pass per column: arrays, op names,
+  integer ids, finite coordinates, name types, and each column's length
+  (``x`` and ``y`` one entry per point step). It builds the program from
+  the columns, runs ``Program.check``, and resolves each circle's radius,
+  rejecting what ``radius`` refuses. Every error is a MalformedTrace, and
+  every error about a node names it (``step <id>: ...`` or ``output <k>:
+  ...``; past a column's last step, the step count stands for the id).
 - ``dumps`` holds every writer check. Like ``svg.render_trace`` and
   ``purity_audit``, it runs ``Trace.check`` first; then it checks that
   every coordinate is finite (a JSON number cannot be ``inf`` or ``nan``)
   and the names it writes: one per seed and one per output, a seed name
-  ``None`` or a string, an output name a string, each error named as
-  ``loads`` names it. So a ``TraceDocument`` built by hand is checked as
-  one from ``document_from_trace``.
+  ``None`` or a string, an output name a string, each error naming the
+  step or output as ``loads`` does. So a ``TraceDocument`` built by hand is
+  checked as one from ``document_from_trace``.
 - ``document_from_trace`` and ``trace_from_document`` check nothing: the
   first only pairs a trace with its names, and the trace the second
   returns was built by ``loads`` or given by the caller.
@@ -41,7 +48,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
+from itertools import compress
 
 from .errors import DegenerateCircle, MalformedProgram, MalformedTrace, NonFiniteInput
 from .geom import radius
@@ -57,9 +66,13 @@ from .program import (  # noqa: F401
     purity_audit,
 )
 
-VERSION = 1
+VERSION = 2
 
-_SELECTORS = {name: op for op, name in SELECTOR_NAMES.items()}
+OP_NAMES = ("seed", "circle", *SELECTOR_NAMES.values())  # the op column, by op code
+_OP_CODES = {name: op for op, name in enumerate(OP_NAMES)}
+_OP_JSON = tuple(json.dumps(name) for name in OP_NAMES)
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_COLUMNS = ("seed_names", "op", "first", "second", "x", "y", "outputs", "output_names")
 
 
 TraceDocument = namedtuple("TraceDocument", "trace seed_names output_names")
@@ -80,6 +93,12 @@ def document_from_trace(trace: Trace,
     return TraceDocument(trace, seed_names, tuple(output_names))
 
 
+def _ints(column) -> str:
+    """The integers of ``column``, comma-separated, in one formatting call."""
+    column = tuple(column)
+    return ("%d," * len(column))[:-1] % column
+
+
 def dumps(doc: TraceDocument) -> str:
     """Serialize with fixed key order and 17-significant-digit coordinates.
 
@@ -93,43 +112,27 @@ def dumps(doc: TraceDocument) -> str:
     trace = doc.trace
     trace.check()
     program = trace.program
-    ops, first, second = program.ops, program.first, program.second
     xs, ys = trace.resolved.xs, trace.resolved.ys
     if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
         i = next(i for i, xy in enumerate(zip(xs, ys)) if not all(map(math.isfinite, xy)))
         raise MalformedTrace(f"step {i}: coordinate ({xs[i]}, {ys[i]}) is not finite")
-    seed_count = program.seed_count
-    if len(doc.seed_names) != seed_count:
+    if len(doc.seed_names) != program.seed_count:
         raise MalformedTrace("seed names do not match program seeds")
     if len(doc.output_names) != len(program.outputs):
         raise MalformedTrace("output names do not match program outputs")
-    chunks = []
     for i, name in enumerate(doc.seed_names):
         if name is not None and not isinstance(name, str):
             raise MalformedTrace(f"step {i}: name must be a string")
-        named = f',"name":{json.dumps(name)}' if name is not None else ""
-        chunks.append(f'{{"id":{i}{named},"x":{xs[i]:.17g},"y":{ys[i]:.17g}}}')
-    parts = [f'{{"version":{VERSION},"seeds":[', ",".join(chunks), '],"steps":[']
-    chunks = []
-    for i in range(seed_count, len(ops)):
-        op = ops[i]
-        if op == OP_CIRCLE:
-            chunks.append(f'{{"id":{i},"op":"circle","center":{first[i]},'
-                          f'"through":{second[i]}}}')
-        else:
-            chunks.append(f'{{"id":{i},"op":"pick","c1":{first[i]},"c2":{second[i]},'
-                          f'"selector":"{SELECTOR_NAMES[op]}",'
-                          f'"x":{xs[i]:.17g},"y":{ys[i]:.17g}}}')
-    parts.append(",".join(chunks))
-    parts.append('],"outputs":[')
-    chunks = []
-    for k, (name, node) in enumerate(zip(doc.output_names, program.outputs)):
+    for k, name in enumerate(doc.output_names):
         if not isinstance(name, str):
             raise MalformedTrace(f"output {k}: name must be a string")
-        chunks.append(f'{{"name":{json.dumps(name)},"id":{node}}}')
-    parts.append(",".join(chunks))
-    parts.append("]}")
-    return "".join(parts) + "\n"
+    point = list(map(OP_CIRCLE.__ne__, program.ops))
+    x, y = (",".join(map("%.17g".__mod__, compress(column, point))) for column in (xs, ys))
+    return (f'{{"version":{VERSION},"seed_names":{_ENCODE(list(doc.seed_names))},'
+            f'"op":[{",".join(map(_OP_JSON.__getitem__, program.ops))}],'
+            f'"first":[{_ints(program.first)}],"second":[{_ints(program.second)}],'
+            f'"x":[{x}],"y":[{y}],"outputs":[{_ints(program.outputs)}],'
+            f'"output_names":{_ENCODE(list(doc.output_names))}}}\n')
 
 
 def _coordinate(obj: dict, key: str, at: int) -> float:
@@ -169,11 +172,12 @@ def _check_node(obj, at: int) -> None:
 
 
 def loads(text: str) -> TraceDocument:
-    """Parse a document and rebuild its trace, checked.
+    """Parse a document, of version 2 or 1, and rebuild its trace, checked.
 
     Raises MalformedTrace on anything off-schema: a field of the wrong type,
-    non-dense ids, an unknown step kind or selector, a non-finite coordinate,
-    a program that ``Program.check`` rejects, or a circle ``radius`` refuses.
+    a column of the wrong length (in version 1, non-dense ids), an unknown op
+    or selector, a non-finite coordinate, a program that ``Program.check``
+    rejects, or a circle ``radius`` refuses.
     """
     try:
         data = json.loads(text)
@@ -185,8 +189,53 @@ def loads(text: str) -> TraceDocument:
         raise MalformedTrace("document must be a JSON object")
     version = data.get("version")
     # True == 1.0 == 1, so the type is checked before the value
-    if type(version) is not int or version != VERSION:
+    if type(version) is not int or version not in (1, VERSION):
         raise MalformedTrace(f"unsupported version {version!r}")
+    if version == 1:
+        return _loads_v1(data)
+    columns = [data.get(key) for key in _COLUMNS]
+    if not all(type(column) is list for column in columns):
+        raise MalformedTrace(f"{', '.join(_COLUMNS)} must be arrays")
+    seed_names, names, first, second, x, y, outputs, output_names = columns
+    try:
+        ops = tuple(map(_OP_CODES.__getitem__, names))
+    except (KeyError, TypeError):
+        at = next(i for i, op in enumerate(names) if type(op) is not str or op not in _OP_CODES)
+        raise MalformedTrace(f"step {at}: unknown op {names[at]!r}") from None
+    points = len(ops) - ops.count(OP_CIRCLE)
+
+    def node(key: str, k: int) -> str:  # entry k's step or output; past the last, the count
+        steps = [*compress(range(len(ops)), map(OP_CIRCLE.__ne__, ops)), len(ops)]
+        return f"output {k}" if "out" in key else f"step {steps[k] if key in 'xy' else k}"
+
+    for key, column, want, types, what in (
+            ("seed_names", seed_names, len(seed_names), {str, type(None)}, "a string or null"),
+            ("first", first, len(ops), {int}, "an integer"),
+            ("second", second, len(ops), {int}, "an integer"),
+            ("x", x, points, {int, float}, "a number"),
+            ("y", y, points, {int, float}, "a number"),
+            ("outputs", outputs, len(outputs), {int}, "an integer"),
+            ("output_names", output_names, len(outputs), {str}, "a string")):
+        if len(column) != want:
+            raise MalformedTrace(f"{node(key, min(len(column), want))}: {key!r} holds "
+                                 f"{len(column)} entries, not {want}")
+        if not set(map(type, column)) <= types:
+            at = next(i for i, v in enumerate(column) if type(v) not in types)
+            raise MalformedTrace(f"{node(key, at)}: {key!r} must be {what}")
+    try:
+        x, y = tuple(map(float, x)), tuple(map(float, y))
+    except OverflowError:  # an integer past the float range
+        x = y = (math.inf,)
+    if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
+        key, at = next((key, i) for key in "xy" for i, v in enumerate(data[key])
+                       if not -sys.float_info.max <= v <= sys.float_info.max)
+        raise MalformedTrace(f"{node(key, at)}: {key!r} must be finite")
+    program = Program(len(seed_names), ops, tuple(first), tuple(second), tuple(outputs))
+    return _resolve(program, x, y, seed_names, output_names)
+
+
+def _loads_v1(data: dict) -> TraceDocument:
+    """Read a version 1 document: one object per seed, step and output."""
     raw_seeds = data.get("seeds")
     raw_steps = data.get("steps")
     raw_outputs = data.get("outputs")
@@ -214,8 +263,8 @@ def loads(text: str) -> TraceDocument:
         elif kind == "pick":
             u, v = _integer(obj, "c1", at), _integer(obj, "c2", at)
             selector = obj.get("selector")
-            op = _SELECTORS.get(selector) if type(selector) is str else None
-            if op is None:
+            op = _OP_CODES.get(selector) if type(selector) is str else None
+            if op in (None, OP_SEED, OP_CIRCLE):
                 raise MalformedTrace(f"step {at}: bad selector {selector!r}")
             rows.append((op, u, v, _coordinate(obj, "x", at), _coordinate(obj, "y", at)))
         else:
@@ -230,22 +279,32 @@ def loads(text: str) -> TraceDocument:
 
     ops, first, second, xs, ys = zip(*rows) if rows else ((),) * 5
     program = Program(len(raw_seeds), ops, first, second, tuple(outputs))
+    return _resolve(program, [v for v in xs if v is not None],
+                    [v for v in ys if v is not None], seed_names, output_names)
+
+
+def _resolve(program: Program, x, y, seed_names, output_names) -> TraceDocument:
+    """Check ``program`` and resolve it: its point steps take ``x`` and ``y`` in order."""
     try:
         program.check()
     except MalformedProgram as err:
         raise MalformedTrace(str(err)) from None
-
-    xs, ys, rs = list(xs), list(ys), [None] * len(ops)
-    for at in range(program.seed_count, len(ops)):
-        if ops[at] == OP_CIRCLE:
-            u, v = first[at], second[at]
-            xs[at], ys[at] = xs[u], ys[u]
+    xs, ys, rs = [], [], []
+    next_x, next_y = iter(x).__next__, iter(y).__next__
+    for op, u, v in zip(program.ops, program.first, program.second):
+        if op == OP_CIRCLE:  # at its center
             try:
-                rs[at] = radius(xs[u], ys[u], xs[v], ys[v])
+                rs.append(radius(xs[u], ys[u], xs[v], ys[v]))
             except DegenerateCircle:
-                raise MalformedTrace(f"step {at}: degenerate circle") from None
+                raise MalformedTrace(f"step {len(xs)}: degenerate circle") from None
             except NonFiniteInput:
-                raise MalformedTrace(f"step {at}: circle radius is not finite") from None
+                raise MalformedTrace(f"step {len(xs)}: circle radius is not finite") from None
+            px, py = xs[u], ys[u]
+        else:
+            px, py = next_x(), next_y()
+            rs.append(None)
+        xs.append(px)
+        ys.append(py)
     trace = Trace(program, Resolved(tuple(xs), tuple(ys), tuple(rs)))
     return TraceDocument(trace, tuple(seed_names), tuple(output_names))
 

@@ -70,7 +70,8 @@ def test_script_without_given_writes_a_trace_that_loads(tmp_path, capsys):
     script.write_text('emit trace "-"\n')
     assert main(["run", str(script), "--svg", str(svg_path)]) == 0
     text = capsys.readouterr().out
-    assert text == '{"version":1,"seeds":[],"steps":[],"outputs":[]}\n'
+    assert text == ('{"version":2,"seed_names":[],"op":[],"first":[],"second":[],'
+                    '"x":[],"y":[],"outputs":[],"output_names":[]}\n')
     assert tracedoc.dumps(tracedoc.loads(text)) == text
     assert "<svg" in svg_path.read_text()
 

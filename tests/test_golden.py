@@ -1,6 +1,8 @@
 """Golden bytes: the trace JSON and the SVG of every demo, the trace, SVG
 and ``--points`` text of every good corpus script, and the traces every
-fuzz op audits, pinned by sha256.
+fuzz op audits, pinned by sha256. The version 1 trace of every demo and
+good corpus script stays frozen under ``traces_v1/``, with the pin it held,
+and must load to what today's trace loads to.
 
 The demo and corpus outputs are rendered by ``cli._RENDERERS``, the path
 ``compass run`` writes them through. A change to the serializer, the
@@ -25,34 +27,34 @@ from compass.geom import Point
 # name: (sha256 of the trace JSON, sha256 of the SVG)
 GOLDEN = {
     "add": (
-        "05f46f2e883d904e3d97b1a60ce861636810277d8baedd4fa45d8821eec260aa",
+        "1517f8be7043fdc3a57bbf12f358be0330979b099ee9bc9021b4ed0bc2f7e99d",
         "089ee465822a4bfbef3c33ded7b2c731099163b4882434545d9ac1a8693a6589"),
     "conjugate": (
-        "3517ed913afe88a9231d03bd09b97b2f82c1f53aaed7b3eead0186290a26ce22",
+        "bba8c3c1423da02007d704546965bffb1c818ca10a3fb894e787f68626e21d55",
         "422f140723f46946674276e28cf476fe566230a309a0e4bb211142f9990e072b"),
     "extend": (
-        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
+        "c73723b2ff14ab4d902e9c0cfa35e7171813e7b8c052a971a783b69fb49c987c",
         "29cef538e921561106ec0ac639c0b856617eafd10f38f4db2eed4044de73843f"),
     "half": (
-        "4b1d7e13a5892ea6378257f6afaa3040d733cd92ba2c7e28226ef72f16f68722",
+        "4ce0e6731d8f6e94d39daf9bf515a26a3a4794b8de314be4cd5bcb416edd7dff",
         "783ce4e766574b17b0e99bbda854eac7c4583b89a6b96ba6bfef70f2a1857465"),
     "invert": (
-        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
+        "787eb87e4cbbb86e01d65ea48f04b8266bff606f0c95c7a9d1dbfd88c715afa7",
         "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393"),
     "line-circle": (
-        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
+        "03825e14d465a2aad5adc758c40a0955a36f3cac468f7ceb03be2379981b9b8d",
         "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf"),
     "line-circle-diameter": (
-        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
+        "932504b53baeca9e68cd0ba163d383b6889f35c2bf2722b0b7cb23686adec0ad",
         "9b2d65fb5b449247c0e6db41e26c6208c7cc4828865d3548e8959914da7f48dc"),
     "line-line": (
-        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
+        "c047f32aa6ca29294acebe9cce9107b0989791bad217a16a4139df927c6f49d5",
         "63263b75adfd669dafbaa4247d8d9100ebae5ba151bdeafab50a132b37a9c22e"),
     "midpoint": (
-        "221101b63edb40a2d0dd55859db466f495becd0f6dcece6d30f54ac3485517ae",
+        "140bc040b723aaaa4c13778f16cb2f5663f24b646428b240e4bdef7ac0df9be9",
         "89b32b1c79c2d54369e107402ada3026d61e083f8308dad2cfe261de8771504b"),
     "mul": (
-        "6b965a2ba01472db779f14807b3ab22bd7ea49c068650eecf4f5dc27ed4467b3",
+        "f39ec4adbdf4c9873500b1c358919640d68a57d5cf9a3c421bd5325dd87b1419",
         "e55ab057ade0344ad1707330307486eecc9b0317e947be96f144da48b4a61871"),
 }
 
@@ -86,55 +88,55 @@ TARGETS = ("trace", "svg", "points")
 # are the renderer's text, which stdout repeats for each ``emit points "-"``
 CORPUS_GOLDEN = {
     "01-apex.compass": (
-        "acf7c08f31663e01a8d557edf2543a3304405833d5345ee715573943b9689e8c",
+        "175b0dda274048fd8333eaeee3790a4c986559146254008d07fc27c5b844bbe8",
         "3473668573038bfd45d13459db82ff58014e0c101a91b1ddaef4b464fb00cf6f",
         "b98d51f9b6cca293ad2cb689f3d02826c30f89895fa2bd2e4e7d4fc6704e4622"),
     "02-extend.compass": (
-        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
+        "c73723b2ff14ab4d902e9c0cfa35e7171813e7b8c052a971a783b69fb49c987c",
         "29cef538e921561106ec0ac639c0b856617eafd10f38f4db2eed4044de73843f",
         "3500fe9ae8699d2b8d0354c9022ddc407cb74b0a5c8825239620a8b105899310"),
     "03-midpoint.compass": (
-        "f65f98ccdbb0c902e268c282447d6e14e4957c8853efbcabf8490e209c12745d",
+        "01fe70093bd6166990f1517e1fdd64c2d6e75e612a3c0509f97c875bf0615ec8",
         "8d888d2b6553af1817f61d54526767d8c224410b978f1746861d6b4408ee738a",
         "70b1ed8de41eb03747e5f8d0d5ebe6f5a7d2ba9142451aa4483d160360637490"),
     "04-diameter.compass": (
-        "be4711ebc749897de63c9de6e6d208d8fe1aacda4d023d56d785906cda2ad214",
+        "8559405e9cf2bcdff5af741f344dc90b9d6ade27fd6bfcffe2a96ed007bc36c5",
         "e50a34da8875b6c65ce19982337c408a0f2138e887a0710d9492a36f539dd280",
         "dc729d9df0da2471bf1c995494764313759f7e74739b679256bb792dcd3b7f30"),
     "05-foot.compass": (
-        "6c4bf86a2602f8576d0be1ad4f73a2e860cd502ae3c28d5fe9a3a8bb6629197a",
+        "622d4c623e696adb40bd2e06b2545b877babc342297e12a028f144808b042253",
         "dea4f9a9d93ddf1c7578466bfcec31d94a39d2ad9c528e79afa0967040fc6a72",
         "9adcb1d93786bc1df45a291d25807fba3eca8d250332c5f17f45a1a92b3d2102"),
     "06-invert-exterior.compass": (
-        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
+        "787eb87e4cbbb86e01d65ea48f04b8266bff606f0c95c7a9d1dbfd88c715afa7",
         "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393",
         "467230a3643aa1d0b3099d87a4f6d3796542ca0b2c6c277cb59457d61df2b85c"),
     "07-invert-interior.compass": (
-        "88224bce49785c948d6596870555a7accdc2eda8cd7712215e44f26171b0d747",
+        "240ce91db5547ce9c78e1adbf8913a21c93e533ab7ee227f6a44af40f044e827",
         "e3df2cc3eca02412cf5f8b387bdac8c4aec901cdcbf5e2280c90820866d0fd9e",
         "21ec184152debc3519687d4e18786905358f50f15a8b4b0f7338e1a0c832087b"),
     "08-linexline.compass": (
-        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
+        "c047f32aa6ca29294acebe9cce9107b0989791bad217a16a4139df927c6f49d5",
         "63263b75adfd669dafbaa4247d8d9100ebae5ba151bdeafab50a132b37a9c22e",
         "0e4ccec42873ceee1b8eb85fba1d3149a9cbc5fa128a903c6d7b6e8538accf92"),
     "09-linexcircle.compass": (
-        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
+        "03825e14d465a2aad5adc758c40a0955a36f3cac468f7ceb03be2379981b9b8d",
         "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf",
         "21b6c5eb7eb2809ad8fa66f9919444257622150a20fb91439678132edb29d74a"),
     "10-linexcircle-diameter.compass": (
-        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
+        "932504b53baeca9e68cd0ba163d383b6889f35c2bf2722b0b7cb23686adec0ad",
         "9b2d65fb5b449247c0e6db41e26c6208c7cc4828865d3548e8959914da7f48dc",
         "c09691112119cbb9b278cbbbcb316cb0f62ee7bfab160f301a737cce6948003e"),
     "11-conjugate.compass": (
-        "a31c72897bccc754ffd1313448bfde7cf8a0a2dfa6360a0c5439284e4a3f168a",
+        "28dd43050c4c6832e50195c76be8551aaed4f9b26e049c7196cc530b30104542",
         "7f25bf5039b69029edea919120a70dad0c7047a8841169d5369f445c2540773d",
         "4d209b71d1952beee115b8b5b27605178613caf68dd5c1a360856936e25007a7"),
     "12-field.compass": (
-        "60d667a4cca49fe84fa408fee8c4623e5b4296f6660398f956a9cd83d0a57c14",
+        "4563db15a75771fe33e1fdeaa1754455c48823f010f4370d816806f7b9b44203",
         "650634325dea3a17b0d68c647f9480bed701d7f494fc859aa08541ea5f234571",
         "0617ba3a3f78c4e026d3136c40d7c426b2e3b9466e0f81bb8c4e9a030892ed64"),
     "13-nth.compass": (
-        "e93ff1d307dfe35a7927e7821870037418484a8306b26d870cf79ff25c3e4abd",
+        "d60a2373623bdcaf3d4d85c2129d441c0a95f7683b925cc3ada0d4d17eaad99c",
         "6317f8d136ba5675427e45221c087fd2f2b916fb347ed5f6493f31e62030b655",
         "e618edca82253c9fb701bce22e7498d169e109b5a4d2703476fcdd80a67b4364"),
 }
@@ -151,6 +153,89 @@ def test_corpus_bytes_are_pinned(name):
     moved = [target for target, sha, want in zip(TARGETS, got, CORPUS_GOLDEN[name])
              if sha != want]
     assert not moved, f"{name}: {', '.join(moved)} moved"
+
+
+# frozen version 1 trace file: the trace pin GOLDEN or CORPUS_GOLDEN held for
+# its demo or script while traces were written as version 1
+GOLDEN_V1 = {
+    "demo-add.json":
+        "05f46f2e883d904e3d97b1a60ce861636810277d8baedd4fa45d8821eec260aa",
+    "demo-conjugate.json":
+        "3517ed913afe88a9231d03bd09b97b2f82c1f53aaed7b3eead0186290a26ce22",
+    "demo-extend.json":
+        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
+    "demo-half.json":
+        "4b1d7e13a5892ea6378257f6afaa3040d733cd92ba2c7e28226ef72f16f68722",
+    "demo-invert.json":
+        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
+    "demo-line-circle.json":
+        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
+    "demo-line-circle-diameter.json":
+        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
+    "demo-line-line.json":
+        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
+    "demo-midpoint.json":
+        "221101b63edb40a2d0dd55859db466f495becd0f6dcece6d30f54ac3485517ae",
+    "demo-mul.json":
+        "6b965a2ba01472db779f14807b3ab22bd7ea49c068650eecf4f5dc27ed4467b3",
+    "01-apex.json":
+        "acf7c08f31663e01a8d557edf2543a3304405833d5345ee715573943b9689e8c",
+    "02-extend.json":
+        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
+    "03-midpoint.json":
+        "f65f98ccdbb0c902e268c282447d6e14e4957c8853efbcabf8490e209c12745d",
+    "04-diameter.json":
+        "be4711ebc749897de63c9de6e6d208d8fe1aacda4d023d56d785906cda2ad214",
+    "05-foot.json":
+        "6c4bf86a2602f8576d0be1ad4f73a2e860cd502ae3c28d5fe9a3a8bb6629197a",
+    "06-invert-exterior.json":
+        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
+    "07-invert-interior.json":
+        "88224bce49785c948d6596870555a7accdc2eda8cd7712215e44f26171b0d747",
+    "08-linexline.json":
+        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
+    "09-linexcircle.json":
+        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
+    "10-linexcircle-diameter.json":
+        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
+    "11-conjugate.json":
+        "a31c72897bccc754ffd1313448bfde7cf8a0a2dfa6360a0c5439284e4a3f168a",
+    "12-field.json":
+        "60d667a4cca49fe84fa408fee8c4623e5b4296f6660398f956a9cd83d0a57c14",
+    "13-nth.json":
+        "e93ff1d307dfe35a7927e7821870037418484a8306b26d870cf79ff25c3e4abd",
+}
+
+TRACES_V1 = Path(__file__).parent / "traces_v1"
+
+
+def _sources():
+    """Frozen file name: the source of its demo or good corpus script."""
+    sources = {f"demo-{name}.json": source for name, source in DEMOS.items()}
+    sources.update({f"{path.stem}.json": path.read_text(encoding="utf-8")
+                    for path in CORPUS_GOOD.glob("*.compass")})
+    return sources
+
+
+def test_every_demo_and_good_script_has_a_frozen_v1_trace():
+    assert set(GOLDEN_V1) == {path.name for path in TRACES_V1.glob("*.json")}
+    assert set(GOLDEN_V1) == set(_sources())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_V1))
+def test_frozen_v1_trace_loads_as_todays_run(name):
+    """Version 1 stays readable: each frozen file keeps the bytes its pin
+    held, and loads to the document today's trace loads to (program columns,
+    coordinates and names), whose text round-trips byte for byte."""
+    text = (TRACES_V1 / name).read_text(encoding="utf-8")
+    assert _sha(text) == GOLDEN_V1[name]
+    result = dsl.run_source(_sources()[name])
+    today = cli._RENDERERS["trace"](result)
+    doc = tracedoc.loads(text)
+    assert doc.trace.program == result.trace.program
+    assert doc.trace.resolved == result.trace.resolved
+    assert doc == tracedoc.loads(today)
+    assert tracedoc.dumps(doc) == today
 
 
 # op: sha256 over the traces ``fuzz.run_op(op, 120, seed=1)`` audits; 120

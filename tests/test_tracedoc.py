@@ -1,7 +1,10 @@
+import importlib
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compass import svg, tracedoc
 from compass.constructions import midpoint_program
@@ -23,6 +26,17 @@ from compass.program import (
 def sample_doc():
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
     return tracedoc.document_from_trace(trace, ("A", "B"), ("M",))
+
+
+# the sample document as version 1 wrote it, frozen: the midpoint demo's trace
+V1_TEXT = (Path(__file__).parent / "traces_v1" / "demo-midpoint.json").read_text(
+    encoding="utf-8")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_frozen_v1_sample_loads_as_the_sample():
+    assert json.loads(V1_TEXT)["version"] == 1
+    assert tracedoc.loads(V1_TEXT) == tracedoc.loads(tracedoc.dumps(sample_doc()))
 
 
 def test_round_trip_is_byte_identical():
@@ -105,8 +119,7 @@ def test_seventeen_digit_coordinates():
     value = -0.8660254037844386
     assert f"{value:.17g}" in text
     parsed = json.loads(text)
-    ys = [s["y"] for s in parsed["steps"] if s["op"] == "pick"]
-    assert any(abs(y - value) == 0.0 for y in ys)
+    assert any(abs(y - value) == 0.0 for y in parsed["y"])
 
 
 def test_rebuilt_trace_passes_purity_audit():
@@ -134,8 +147,7 @@ def _mutate(text, **changes):
 
 
 def test_malformed_documents_rejected():
-    text = tracedoc.dumps(sample_doc())
-    data = json.loads(text)
+    text = V1_TEXT
 
     with pytest.raises(MalformedTrace):
         tracedoc.loads("not json at all {")
@@ -228,7 +240,7 @@ LOADS_ERRORS = {
 @pytest.mark.parametrize("name", sorted(LOADS_ERRORS))
 def test_loads_names_what_is_wrong(name):
     edit, message = LOADS_ERRORS[name]
-    data = edit(json.loads(tracedoc.dumps(sample_doc())))
+    data = edit(json.loads(V1_TEXT))
     with pytest.raises(MalformedTrace, match=message):
         tracedoc.loads(json.dumps(data))
 
@@ -265,9 +277,9 @@ def test_loads_rejects_what_python_cannot_hold(text):
         tracedoc.loads(text)
 
 
-# (array, index, changes, node named in the error). The midpoint sample's
-# steps array holds circles at nodes 2 and 3, then a pick at node 4; json
-# writes and reads a float NaN as a bare NaN.
+# (array, index, changes, node named in the error), edits of the frozen
+# version 1 sample. Its steps array holds circles at nodes 2 and 3, then a
+# pick at node 4; json writes and reads a float NaN as a bare NaN.
 HAND_BUILT = {
     "circle-over-circle": ("steps", 1, {"center": 2}, 3),
     "forward-reference": ("steps", 0, {"center": 5}, 2),
@@ -284,7 +296,7 @@ HAND_BUILT = {
 def test_hand_built_document_is_checked(name):
     """loads checks a hand-edited document and names the offending node."""
     field, index, changes, node = HAND_BUILT[name]
-    data = json.loads(tracedoc.dumps(sample_doc()))
+    data = json.loads(V1_TEXT)
     assert [s["op"] for s in data["steps"][:3]] == ["circle", "circle", "pick"]
     data[field][index].update(changes)
     with pytest.raises(MalformedTrace, match=rf"^step {node}:"):
@@ -323,3 +335,218 @@ def test_consumers_refuse_what_loads_refuses(name):
                     lambda t: tracedoc.dumps(tracedoc.document_from_trace(t))):
         with pytest.raises(MalformedProgram, match=error):
             consume(trace)
+
+
+# --- version 2: the columnar document -------------------------------------------
+
+# The sample's columns: seeds 0 and 1, circles at steps 2, 3, 6, 8, 11 and 12,
+# and picks at steps 4, 5, 7, 9, 10 and 13, so its eight point steps, whose
+# coordinates x and y hold, are 0, 1, 4, 5, 7, 9, 10 and 13.
+
+def sample_data():
+    return json.loads(tracedoc.dumps(sample_doc()))
+
+
+def test_sample_columns():
+    assert sample_data() == {
+        "version": 2, "seed_names": ["A", "B"],
+        "op": ["seed", "seed", "circle", "circle", "left", "right", "circle", "left",
+               "circle", "left", "right", "circle", "circle", "right"],
+        "first": [0, 1, 0, 1, 3, 3, 4, 6, 7, 8, 8, 9, 10, 11],
+        "second": [-1, -1, 1, 0, 2, 2, 5, 2, 1, 3, 3, 1, 1, 12],
+        "x": [0, 1, 0.5, 0.5, -0.99999999999999978, 0.75, 0.75, 0.49999999999999978],
+        "y": [0, 0, -0.8660254037844386, 0.8660254037844386, -1.1102230246251565e-16,
+              0.96824583655185426, -0.96824583655185426, 1.1102230246251565e-16],
+        "outputs": [13], "output_names": ["M"]}
+
+
+def test_malformed_v2_documents_rejected():
+    """The version 2 twin of each case of test_malformed_documents_rejected
+    but the non-dense ids, which a column cannot hold: its index is its id."""
+    text = tracedoc.dumps(sample_doc())
+
+    for version in (3, True, 2.0):
+        with pytest.raises(MalformedTrace, match="unsupported version"):
+            tracedoc.loads(_mutate(text, version=version))
+    with pytest.raises(MalformedTrace, match="^step 0: misplaced seed$"):
+        tracedoc.loads(_mutate(text, seed_names=[]))
+    for edit, message in [
+            (_entry("op", 2, lambda op: "ruler"), "^step 2: unknown op 'ruler'$"),
+            (_entry("first", 2, lambda u: 40), "^step 2: reference outside"),
+            (_entry("first", 4, lambda u: 0), "^step 4: pick over non-circle nodes$"),
+            (_entry("op", 4, lambda op: "upper"), "^step 4: unknown op 'upper'$"),
+            (_entry("outputs", 0, lambda k: 2), "^output 0: id 2 is not a point node$")]:
+        with pytest.raises(MalformedTrace, match=message):
+            tracedoc.loads(json.dumps(edit(sample_data())))
+    with pytest.raises(MalformedTrace, match="^step 0: 'x' must be finite$"):
+        tracedoc.loads(text.replace('"x":[0,', '"x":[1e999,', 1))
+
+
+# name: (edit of the sample's version 2 data, the error loads raises): the
+# twins of LOADS_ERRORS
+LOADS_ERRORS_V2 = {
+    "document-array": (lambda d: [d], "^document must be a JSON object$"),
+    "column-object": (lambda d: {**d, "x": {}}, "^seed_names, op, first, second, x, y, "
+                      "outputs, output_names must be arrays$"),
+    "column-missing": (lambda d: {k: v for k, v in d.items() if k != "outputs"},
+                       "must be arrays$"),
+    "string-x": (_entry("x", 0, lambda x: "0"), "^step 0: 'x' must be a number$"),
+    "string-id": (_entry("first", 0, lambda u: "0"), "^step 0: 'first' must be an integer$"),
+    "seed-name-not-string": (_entry("seed_names", 0, lambda name: 3),
+                             "^step 0: 'seed_names' must be a string or null$"),
+    "output-without-name": (lambda d: {**d, "output_names": []},
+                            "^output 0: 'output_names' holds 0 entries, not 1$"),
+    "output-id-bool": (_entry("outputs", 0, lambda k: True),
+                       "^output 0: 'outputs' must be an integer$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADS_ERRORS_V2))
+def test_v2_loads_names_what_is_wrong(name):
+    edit, message = LOADS_ERRORS_V2[name]
+    with pytest.raises(MalformedTrace, match=message):
+        tracedoc.loads(json.dumps(edit(sample_data())))
+
+
+# name: (column, index, value, step named in the error): the version 2 twin
+# of each HAND_BUILT case but non-dense-id, which a column cannot hold
+HAND_BUILT_V2 = {
+    "circle-over-circle": ("first", 3, 2, 3),
+    "forward-reference": ("first", 2, 5, 2),
+    "negative-reference": ("first", 3, -1, 3),
+    "pick-over-point": ("second", 4, 0, 4),
+    "unknown-selector": ("op", 4, "up", 4),
+    "nan-pick": ("x", 2, math.nan, 4),
+    "nan-seed": ("y", 1, math.nan, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_V2))
+def test_hand_built_v2_document_is_checked(name):
+    key, index, value, node = HAND_BUILT_V2[name]
+    data = sample_data()
+    data[key][index] = value
+    with pytest.raises(MalformedTrace, match=rf"^step {node}:"):
+        tracedoc.loads(json.dumps(data))
+
+
+def _set(key, index, value):
+    """An edit of the sample's version 2 data: data[key][index] = value."""
+    return _entry(key, index, lambda old: value)
+
+
+# name: (edit of the sample's version 2 data, the error loads raises): what
+# the column checks refuse, each named by its step or output
+V2_READER = {
+    "nan-x": (_set("x", 3, math.nan), "^step 5: 'x' must be finite$"),
+    "infinity-x": (_set("x", 0, math.inf), "^step 0: 'x' must be finite$"),
+    "minus-infinity-y": (_set("y", 7, -math.inf), "^step 13: 'y' must be finite$"),
+    "integer-past-floats-x": (_set("x", 1, 10 ** 400), "^step 1: 'x' must be finite$"),
+    "bool-x": (_set("x", 2, False), "^step 4: 'x' must be a number$"),
+    "true-first": (_set("first", 6, True), "^step 6: 'first' must be an integer$"),
+    "true-second": (_set("second", 0, True), "^step 0: 'second' must be an integer$"),
+    "float-first": (_set("first", 6, 4.0), "^step 6: 'first' must be an integer$"),
+    "true-output": (_set("outputs", 0, True), "^output 0: 'outputs' must be an integer$"),
+    "list-op": (_set("op", 3, ["circle"]), r"^step 3: unknown op \['circle'\]$"),
+    "number-op": (_set("op", 3, 1), "^step 3: unknown op 1$"),
+    "null-op": (_set("op", 0, None), "^step 0: unknown op None$"),
+    "short-second": (lambda d: {**d, "second": d["second"][:-1]},
+                     "^step 13: 'second' holds 13 entries, not 14$"),
+    "long-first": (lambda d: {**d, "first": d["first"] + [0]},
+                   "^step 14: 'first' holds 15 entries, not 14$"),
+    "short-x": (lambda d: {**d, "x": d["x"][:-1]}, "^step 13: 'x' holds 7 entries, not 8$"),
+    "long-y": (lambda d: {**d, "y": d["y"] + [0.5]}, "^step 14: 'y' holds 9 entries, not 8$"),
+    "pick-made-circle": (_set("op", 4, "circle"), "^step 14: 'x' holds 8 entries, not 7$"),
+    "circle-made-pick": (_set("op", 2, "left"), "^step 13: 'x' holds 8 entries, not 9$"),
+    "output-name-int": (_set("output_names", 0, 7),
+                        "^output 0: 'output_names' must be a string$"),
+    "output-name-null": (_set("output_names", 0, None),
+                         "^output 0: 'output_names' must be a string$"),
+    "extra-output-name": (lambda d: {**d, "output_names": ["M", "N"]},
+                          "^output 1: 'output_names' holds 2 entries, not 1$"),
+    "misplaced-seed": (_set("op", 5, "seed"), "^step 5: misplaced seed$"),
+    "seed-slot": (_set("first", 1, 0), r"^step 1: expected Seed\(slot=1\)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(V2_READER))
+def test_v2_reader_names_the_step_or_output(name):
+    edit, message = V2_READER[name]
+    with pytest.raises(MalformedTrace, match=message):
+        tracedoc.loads(json.dumps(edit(sample_data())))
+
+
+_JSON_VALUE = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=3), st.sampled_from(tracedoc.OP_NAMES),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(sample_data())), st.integers(0, 20),
+                          _JSON_VALUE), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_v2_reader_raises_only_malformed_trace(edits):
+    """Any entry of any column replaced by any JSON value: loads returns a
+    document that dumps writes back, or raises MalformedTrace, nothing else."""
+    data = sample_data()
+    for key, index, value in edits:
+        if type(data[key]) is list and data[key]:
+            data[key][index % len(data[key])] = value
+        else:
+            data[key] = value
+    try:
+        doc = tracedoc.loads(json.dumps(data))
+    except MalformedTrace:
+        return
+    text = tracedoc.dumps(doc)
+    assert tracedoc.dumps(tracedoc.loads(text)) == text
+
+
+def test_degenerate_circle_in_v2_document():
+    doc_text = ('{"version":2,"seed_names":[null,null],"op":["seed","seed","circle"],'
+                '"first":[0,1,0],"second":[-1,-1,1],"x":[0,0],"y":[0,0],'
+                '"outputs":[],"output_names":[]}')
+    with pytest.raises(MalformedTrace, match="^step 2: degenerate circle"):
+        tracedoc.loads(doc_text)
+
+
+def test_overflowing_circle_in_v2_document():
+    doc_text = ('{"version":2,"seed_names":[null,null],"op":["seed","seed","circle"],'
+                '"first":[0,1,0],"second":[-1,-1,1],"x":[1e308,-1e308],"y":[1e308,-1e308],'
+                '"outputs":[],"output_names":[]}')
+    with pytest.raises(MalformedTrace, match="^step 2: circle radius is not finite"):
+        tracedoc.loads(doc_text)
+
+
+@pytest.mark.parametrize("digits", [400, 5000],
+                         ids=["integer-beyond-float-range", "integer-beyond-digit-limit"])
+def test_v2_loads_rejects_what_python_cannot_hold(digits):
+    with pytest.raises(MalformedTrace):
+        tracedoc.loads('{"version":2,"seed_names":[null],"op":["seed"],"first":[0],'
+                       '"second":[-1],"x":[1' + "0" * digits + '],"y":[0],'
+                       '"outputs":[],"output_names":[]}')
+
+
+def test_script_mix_pool_round_trips(monkeypatch):
+    """Every valid script of the benchmark's script-mix pool at its default
+    seed, as ``perfbench/run.py --seconds 1`` builds it, writes a trace that
+    loads to its own trace and writes back byte for byte."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    pool = importlib.import_module("workloads").ScriptMix().make_pool(20141011, 0.2)
+    valid = [item for item in pool if item.error is None]
+    assert len(valid) > 30
+    for item in valid:
+        result = run_source(item.source)
+        text = tracedoc.dumps(tracedoc.document_from_trace(
+            result.trace, result.seed_names, tuple(name for name, _ in result.named_points)))
+        doc = tracedoc.loads(text)
+        assert doc.trace == result.trace
+        assert tracedoc.dumps(doc) == text
+
+
+@pytest.mark.parametrize("selector", ["seed", "circle", "up", 3, None])
+def test_v1_pick_selector_must_be_left_or_right(selector):
+    data = json.loads(V1_TEXT)
+    data["steps"][2]["selector"] = selector
+    with pytest.raises(MalformedTrace, match=rf"^step 4: bad selector {selector!r}$"):
+        tracedoc.loads(json.dumps(data))
