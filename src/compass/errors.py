@@ -10,7 +10,7 @@ class CompassError(Exception):
 
 
 class NonFiniteInput(CompassError):
-    """A coordinate was NaN or infinite."""
+    """A coordinate was NaN or infinite, or not a number."""
 
 
 class DegenerateCircle(CompassError):

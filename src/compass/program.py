@@ -24,11 +24,14 @@ those columns: equal to the tuple of the rows, it builds a row only when one
 is read. A ``Trace`` is its program plus float columns x, y and radius
 (``None`` for a point); its seed values and circle count are derived.
 ``Program.check`` is the one rulebook of what a program is, and
-``Trace.check`` adds that each value is of its step's kind; every consumer
-runs them, and a program is checked once. ``Builder._resolve``, the only
-step loop, reads and appends numbers only: a pick keeps the left or the
-right half of ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its other
-verdicts to errors. A pick on the circle pair
+``Trace.check`` adds that each value is a number of its step's kind; every
+consumer runs them, and a program is checked once. Each refuses a column
+entry of the wrong type (an op, operand, output or seed count not an int,
+a coordinate or radius not an int or float) with its typed error, naming
+the step or output. ``Builder._resolve``,
+the only step loop, reads and appends numbers only: a pick keeps the left
+or the right half of ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its
+other verdicts to errors. A pick on the circle pair
 of the loop's last cut reads that cut again instead of cutting twice, so
 ``geom.cut`` is still the only intersection arithmetic. ``Builder.witness``
 is the one way to cut a point's ancestors out as a trace of their own. Value
@@ -83,6 +86,15 @@ _LEFT, _RIGHT = Selector.LEFT, Selector.RIGHT
 
 OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT = range(4)
 SELECTOR_NAMES = {OP_LEFT: _LEFT.value, OP_RIGHT: _RIGHT.value}  # as traces and SVG write them
+_INT, _NUMBER, _RADIUS = {int}, {int, float}, {int, float, type(None)}  # column types
+
+
+def _mistyped(column: Sequence, types: set) -> int | None:
+    """The index of the first entry whose type is not in ``types`` (a bool
+    is not an int), or None: one C-level pass when there is none."""
+    if set(map(type, column)) <= types:
+        return None
+    return next(i for i, v in enumerate(column) if type(v) not in types)
 
 
 class Resolved(Sequence):
@@ -192,17 +204,24 @@ class Program(Record):
 
     def check(self) -> None:
         """Raise MalformedProgram, naming the step or output, unless the
-        seeds come first in slot order, each the row ``(OP_SEED, slot, -1)``
-        (a trace document keeps no other seed operand), every other step is
-        a circle over two earlier point steps or a pick of two earlier
-        circle steps, and every output is a point step; run once per
-        program."""
+        seed count and every column entry are ints, the seeds come first in
+        slot order, each the row ``(OP_SEED, slot, -1)`` (a trace document
+        keeps no other seed operand), every other step is a circle over two
+        earlier point steps or a pick of two earlier circle steps, and every
+        output is a point step; run once per program."""
         if self._checked:
             return
         ops, first, second = self.ops, self.first, self.second
         count = len(ops)
         if not len(first) == len(second) == count:
             raise MalformedProgram("the op and operand columns differ in length")
+        if type(self.seed_count) is not int:
+            raise MalformedProgram("'seed_count' must be an integer")
+        for key, column in (("op", ops), ("first", first), ("second", second)):
+            i = _mistyped(column, _INT)
+            if i is not None:
+                what = f"unknown op {ops[i]!r}" if key == "op" else f"{key!r} must be an integer"
+                raise MalformedProgram(f"step {i}: {what}")
         for i in range(self.seed_count):
             if i >= count or ops[i] != OP_SEED or first[i] != i or second[i] != -1:
                 raise MalformedProgram(
@@ -226,6 +245,8 @@ class Program(Record):
         to be well formed; marks the program checked."""
         ops = self.ops
         for k, out in enumerate(self.outputs):
+            if type(out) is not int:
+                raise MalformedProgram(f"output {k}: 'outputs' must be an integer")
             if not 0 <= out < len(ops):
                 raise MalformedProgram(f"output {k}: id {out} outside the {len(ops)} steps")
             if ops[out] == OP_CIRCLE:
@@ -275,7 +296,7 @@ class Trace(Record):
         """Run ``Program.check``, then raise MalformedTrace unless each
         resolved column holds one value per step, and, naming the step,
         unless every circle step resolved to a circle and every other step
-        to a point."""
+        to a point, each coordinate and radius an int or a float."""
         self.program.check()
         ops = self.program.ops
         xs, ys, rs = self.resolved.xs, self.resolved.ys, self.resolved.rs
@@ -286,6 +307,11 @@ class Trace(Record):
             kind, want = (("seed", "point"), ("circle", "circle"), ("pick", "point"),
                           ("pick", "point"))[ops[i]]
             raise MalformedTrace(f"step {i}: {kind} resolved to non-{want}")
+        for key, column, types in (("x", xs, _NUMBER), ("y", ys, _NUMBER),
+                                   ("radius", rs, _RADIUS)):
+            i = _mistyped(column, types)
+            if i is not None:
+                raise MalformedTrace(f"step {i}: {key!r} must be a number")
 
     def output_points(self) -> tuple[Point, ...]:
         return tuple(map(self.resolved._at, self.program.outputs))
@@ -306,7 +332,7 @@ def execute(program: Program, seeds: Sequence[Point]) -> Trace:
         raise MalformedProgram(
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
     b = Builder(seeds)
-    b._resolve(program, list(range(program.seed_count)), None)
+    b._resolve(program, list(range(b.seed_count)), None)
     return Trace(program, Resolved(tuple(b.xs), tuple(b.ys), tuple(b.rs)))
 
 
@@ -441,7 +467,11 @@ class Builder:
         seeds = tuple(seeds)
         n = self.seed_count = len(seeds)
         for p in seeds:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            try:
+                finite = math.isfinite(p.x) and math.isfinite(p.y)
+            except TypeError:
+                raise NonFiniteInput(f"seed {p} is not a pair of numbers") from None
+            if not finite:
                 raise NonFiniteInput(f"non-finite seed {p}")
         self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
         self.xs, self.ys = [p.x for p in seeds], [p.y for p in seeds]

@@ -10,21 +10,28 @@ carries none, and ``loads`` resolves it from its two nodes. There is one
 seed name (or null) per seed and one output name per output. Coordinates
 are written with 17 significant digits so a parse/re-serialize round trip
 is byte-identical and loses nothing of the doubles. Version 1 documents
-(one object per seed, step and output) are read-only: ``loads`` reads them
-through their own walk, and nothing writes them. A ``TraceDocument`` is a
-named tuple: a ``Trace`` paired with the names of its seeds and outputs.
+(one object per seed, step and output) are read-only: ``loads`` reshapes
+one into these columns and checks them as it checks version 2's, and
+nothing writes them. A ``TraceDocument`` is a named tuple: a ``Trace``
+paired with the names of its seeds and outputs.
 
 Where each check lives:
 
-- ``Program.check`` holds every structural rule; nothing here repeats one
-  or adds one, so a trace with no seeds (a script without ``given``) loads.
-- ``loads`` checks the format only, one pass per column: arrays, op names,
-  integer ids, finite coordinates, name types, and each column's length
-  (``x`` and ``y`` one entry per point step). It builds the program from
-  the columns, runs ``Program.check``, and resolves each circle's radius,
-  rejecting what ``radius`` refuses. Every error is a MalformedTrace, and
-  every error about a node names it (``step <id>: ...`` or ``output <k>:
-  ...``; past a column's last step, the step count stands for the id).
+- ``Program.check`` holds every structural rule, integer columns included;
+  nothing here repeats one or adds one, so a trace with no seeds (a script
+  without ``given``) loads.
+- ``_columns_v1`` checks only what version 1 alone has: its three arrays,
+  each node an object with a dense integer ``id``, the step kind and
+  selector, the operands under their own names, the seed names, and each
+  output an object with a string name and an integer ``id``.
+- ``loads`` checks the columns of either version, one pass each: arrays,
+  op names, integer ids, finite coordinates, name types, and each column's
+  length (``x`` and ``y`` one entry per point step). It builds the program
+  from the columns, runs ``Program.check``, and resolves each circle's
+  radius, rejecting what ``radius`` refuses. Every error is a
+  MalformedTrace, and every error about a node names it (``step <id>:
+  ...`` or ``output <k>: ...``; past a column's last step, the step count
+  stands for the id).
 - ``dumps`` holds every writer check. Like ``svg.render_trace`` and
   ``purity_audit``, it runs ``Trace.check`` first; then it checks that
   every coordinate is finite (a JSON number cannot be ``inf`` or ``nan``)
@@ -58,11 +65,11 @@ from .geom import radius
 # here.
 from .program import (  # noqa: F401
     OP_CIRCLE,
-    OP_SEED,
     SELECTOR_NAMES,
     Program,
     Resolved,
     Trace,
+    _mistyped,
     purity_audit,
 )
 
@@ -102,12 +109,12 @@ def _ints(column) -> str:
 def dumps(doc: TraceDocument) -> str:
     """Serialize with fixed key order and 17-significant-digit coordinates.
 
-    Raises what ``Trace.check`` raises: MalformedProgram for a malformed
-    program, MalformedTrace, naming the step, when a resolved value is not of
-    its step's kind. Raises MalformedTrace, naming the step, for a coordinate
-    that is not finite, and for a name ``loads`` would refuse: a seed or
-    output name count unlike the program's, a seed name neither None nor a
-    string (naming the step), an output name not a string (naming the output).
+    Raises what ``Trace.check`` raises (MalformedProgram, or MalformedTrace
+    naming the step). Raises MalformedTrace, naming the step, for a
+    coordinate that is not finite, and for a name ``loads`` would refuse: a
+    seed or output name count unlike the program's, a seed name neither None
+    nor a string (naming the step), an output name not a string (naming the
+    output).
     """
     trace = doc.trace
     trace.check()
@@ -135,40 +142,53 @@ def dumps(doc: TraceDocument) -> str:
             f'"output_names":{_ENCODE(list(doc.output_names))}}}\n')
 
 
-def _coordinate(obj: dict, key: str, at: int) -> float:
-    """Field ``key`` of node ``at`` as a finite float, or MalformedTrace.
-
-    ``json`` yields exact ``int``, ``float`` and ``bool``, so ``type(value)
-    is int`` accepts integers and rejects booleans.
-    """
-    value = obj.get(key)
-    if type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-    elif type(value) is not float:
-        raise MalformedTrace(f"step {at}: {key!r} must be a number")
-    if not math.isfinite(value):
-        raise MalformedTrace(f"step {at}: {key!r} must be finite")
-    return value
-
-
-def _integer(obj: dict, key: str, at: int, noun: str = "step") -> int:
-    """Field ``key`` of node (or output) ``at`` as an integer, or
-    MalformedTrace; a boolean is not an integer."""
-    value = obj.get(key)
-    if type(value) is not int:
-        raise MalformedTrace(f"{noun} {at}: {key!r} must be an integer")
-    return value
-
-
-def _check_node(obj, at: int) -> None:
-    """Check that node ``at`` is a JSON object whose id is ``at``."""
-    if type(obj) is not dict:
-        raise MalformedTrace(f"step {at}: must be an object")
-    if _integer(obj, "id", at) != at:
-        raise MalformedTrace(f"step {at}: ids must be dense and in order")
+def _columns_v1(data: dict) -> list[list]:
+    """Reshape a version 1 document into the version 2 columns, in
+    ``_COLUMNS`` order, checking only what version 1 alone has."""
+    seeds, steps, outputs = data.get("seeds"), data.get("steps"), data.get("outputs")
+    if not (type(seeds) is list and type(steps) is list and type(outputs) is list):
+        raise MalformedTrace("seeds, steps, and outputs must be arrays")
+    columns = seed_names, ops, first, second, x, y, ids, output_names = [[] for _ in _COLUMNS]
+    for at, obj in enumerate(seeds + steps):
+        if type(obj) is not dict:
+            raise MalformedTrace(f"step {at}: must be an object")
+        if type(obj.get("id")) is not int:
+            raise MalformedTrace(f"step {at}: 'id' must be an integer")
+        if obj["id"] != at:
+            raise MalformedTrace(f"step {at}: ids must be dense and in order")
+        if at < len(seeds):
+            name = obj.get("name")
+            if name is not None and type(name) is not str:
+                raise MalformedTrace(f"step {at}: name must be a string")
+            seed_names.append(name)
+            op, u, v = "seed", at, -1
+        else:
+            op = obj.get("op")
+            if op not in ("circle", "pick"):
+                raise MalformedTrace(f"step {at}: unknown step kind {op!r}")
+            keys = ("center", "through") if op == "circle" else ("c1", "c2")
+            u, v = map(obj.get, keys)
+            for key, ref in zip(keys, (u, v)):
+                if type(ref) is not int:
+                    raise MalformedTrace(f"step {at}: {key!r} must be an integer")
+            if op == "pick":
+                op = obj.get("selector")
+                if op not in SELECTOR_NAMES.values():
+                    raise MalformedTrace(f"step {at}: bad selector {op!r}")
+        ops.append(op)
+        first.append(u)
+        second.append(v)
+        if op != "circle":  # a circle's point is its center's, resolved by loads
+            x.append(obj.get("x"))
+            y.append(obj.get("y"))
+    for k, obj in enumerate(outputs):
+        if type(obj) is not dict or type(obj.get("name")) is not str:
+            raise MalformedTrace(f"output {k}: must be an object with a name")
+        if type(obj.get("id")) is not int:
+            raise MalformedTrace(f"output {k}: 'id' must be an integer")
+        ids.append(obj["id"])
+        output_names.append(obj["name"])
+    return columns
 
 
 def loads(text: str) -> TraceDocument:
@@ -191,9 +211,7 @@ def loads(text: str) -> TraceDocument:
     # True == 1.0 == 1, so the type is checked before the value
     if type(version) is not int or version not in (1, VERSION):
         raise MalformedTrace(f"unsupported version {version!r}")
-    if version == 1:
-        return _loads_v1(data)
-    columns = [data.get(key) for key in _COLUMNS]
+    columns = _columns_v1(data) if version == 1 else [data.get(key) for key in _COLUMNS]
     if not all(type(column) is list for column in columns):
         raise MalformedTrace(f"{', '.join(_COLUMNS)} must be arrays")
     seed_names, names, first, second, x, y, outputs, output_names = columns
@@ -219,79 +237,26 @@ def loads(text: str) -> TraceDocument:
         if len(column) != want:
             raise MalformedTrace(f"{node(key, min(len(column), want))}: {key!r} holds "
                                  f"{len(column)} entries, not {want}")
-        if not set(map(type, column)) <= types:
-            at = next(i for i, v in enumerate(column) if type(v) not in types)
+        at = _mistyped(column, types)
+        if at is not None:
             raise MalformedTrace(f"{node(key, at)}: {key!r} must be {what}")
     try:
-        x, y = tuple(map(float, x)), tuple(map(float, y))
+        px, py = tuple(map(float, x)), tuple(map(float, y))
     except OverflowError:  # an integer past the float range
-        x = y = (math.inf,)
-    if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
-        key, at = next((key, i) for key in "xy" for i, v in enumerate(data[key])
+        px = py = (math.inf,)
+    if not (all(map(math.isfinite, px)) and all(map(math.isfinite, py))):
+        key, at = next((key, i) for key, column in (("x", x), ("y", y))
+                       for i, v in enumerate(column)
                        if not -sys.float_info.max <= v <= sys.float_info.max)
         raise MalformedTrace(f"{node(key, at)}: {key!r} must be finite")
     program = Program(len(seed_names), ops, tuple(first), tuple(second), tuple(outputs))
-    return _resolve(program, x, y, seed_names, output_names)
-
-
-def _loads_v1(data: dict) -> TraceDocument:
-    """Read a version 1 document: one object per seed, step and output."""
-    raw_seeds = data.get("seeds")
-    raw_steps = data.get("steps")
-    raw_outputs = data.get("outputs")
-    if not (type(raw_seeds) is list and type(raw_steps) is list
-            and type(raw_outputs) is list):
-        raise MalformedTrace("seeds, steps, and outputs must be arrays")
-
-    rows: list[tuple] = []  # (op, first, second, x, y) of every node
-    seed_names = []
-    for i, obj in enumerate(raw_seeds):
-        _check_node(obj, i)
-        name = obj.get("name")
-        if name is not None and type(name) is not str:
-            raise MalformedTrace(f"step {i}: name must be a string")
-        seed_names.append(name)
-        rows.append((OP_SEED, i, -1, _coordinate(obj, "x", i), _coordinate(obj, "y", i)))
-
-    for at, obj in enumerate(raw_steps, len(raw_seeds)):
-        _check_node(obj, at)
-        kind = obj.get("op")
-        if kind == "circle":
-            # x and y are the center's, read once the program is checked
-            rows.append((OP_CIRCLE, _integer(obj, "center", at), _integer(obj, "through", at),
-                         None, None))
-        elif kind == "pick":
-            u, v = _integer(obj, "c1", at), _integer(obj, "c2", at)
-            selector = obj.get("selector")
-            op = _OP_CODES.get(selector) if type(selector) is str else None
-            if op in (None, OP_SEED, OP_CIRCLE):
-                raise MalformedTrace(f"step {at}: bad selector {selector!r}")
-            rows.append((op, u, v, _coordinate(obj, "x", at), _coordinate(obj, "y", at)))
-        else:
-            raise MalformedTrace(f"step {at}: unknown step kind {kind!r}")
-
-    outputs, output_names = [], []
-    for k, obj in enumerate(raw_outputs):
-        if type(obj) is not dict or type(obj.get("name")) is not str:
-            raise MalformedTrace(f"output {k}: must be an object with a name")
-        outputs.append(_integer(obj, "id", k, "output"))
-        output_names.append(obj["name"])
-
-    ops, first, second, xs, ys = zip(*rows) if rows else ((),) * 5
-    program = Program(len(raw_seeds), ops, first, second, tuple(outputs))
-    return _resolve(program, [v for v in xs if v is not None],
-                    [v for v in ys if v is not None], seed_names, output_names)
-
-
-def _resolve(program: Program, x, y, seed_names, output_names) -> TraceDocument:
-    """Check ``program`` and resolve it: its point steps take ``x`` and ``y`` in order."""
     try:
         program.check()
     except MalformedProgram as err:
         raise MalformedTrace(str(err)) from None
     xs, ys, rs = [], [], []
-    next_x, next_y = iter(x).__next__, iter(y).__next__
-    for op, u, v in zip(program.ops, program.first, program.second):
+    next_x, next_y = iter(px).__next__, iter(py).__next__  # the point steps', in order
+    for op, u, v in zip(ops, program.first, program.second):
         if op == OP_CIRCLE:  # at its center
             try:
                 rs.append(radius(xs[u], ys[u], xs[v], ys[v]))
@@ -299,12 +264,12 @@ def _resolve(program: Program, x, y, seed_names, output_names) -> TraceDocument:
                 raise MalformedTrace(f"step {len(xs)}: degenerate circle") from None
             except NonFiniteInput:
                 raise MalformedTrace(f"step {len(xs)}: circle radius is not finite") from None
-            px, py = xs[u], ys[u]
+            xs.append(xs[u])
+            ys.append(ys[u])
         else:
-            px, py = next_x(), next_y()
+            xs.append(next_x())
+            ys.append(next_y())
             rs.append(None)
-        xs.append(px)
-        ys.append(py)
     trace = Trace(program, Resolved(tuple(xs), tuple(ys), tuple(rs)))
     return TraceDocument(trace, tuple(seed_names), tuple(output_names))
 

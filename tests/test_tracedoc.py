@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from compass import svg, tracedoc
 from compass.constructions import midpoint_program
 from compass.dsl import run_source
-from compass.errors import MalformedProgram, MalformedTrace
+from compass.errors import MalformedProgram, MalformedTrace, NonFiniteInput
 from compass.geom import Point, ResolvedCircle
 from compass.program import (
     OP_CIRCLE,
@@ -17,6 +17,7 @@ from compass.program import (
     OP_RIGHT,
     OP_SEED,
     Program,
+    Resolved,
     Trace,
     execute,
     purity_audit,
@@ -234,6 +235,26 @@ LOADS_ERRORS = {
                             "^output 0: must be an object with a name$"),
     "output-id-bool": (_entry("outputs", 0, lambda o: {**o, "id": True}),
                        "^output 0: 'id' must be an integer$"),
+    # the sample's steps array holds circles at nodes 2 and 3, then a pick at 4
+    "string-center": (_entry("steps", 0, lambda s: {**s, "center": "0"}),
+                      "^step 2: 'center' must be an integer$"),
+    "float-through": (_entry("steps", 0, lambda s: {**s, "through": 1.0}),
+                      "^step 2: 'through' must be an integer$"),
+    "null-c1": (_entry("steps", 2, lambda s: {**s, "c1": None}),
+                "^step 4: 'c1' must be an integer$"),
+    "bool-c2": (_entry("steps", 2, lambda s: {**s, "c2": True}),
+                "^step 4: 'c2' must be an integer$"),
+    "pick-without-x": (_entry("steps", 2, lambda s: {k: v for k, v in s.items() if k != "x"}),
+                       "^step 4: 'x' must be a number$"),
+    "step-not-object": (_entry("steps", 0, lambda s: [s]), "^step 2: must be an object$"),
+    "seed-step": (_entry("steps", 0, lambda s: {**s, "op": "seed"}),
+                  "^step 2: unknown step kind 'seed'$"),
+    "step-without-op": (_entry("steps", 0, lambda s: {k: v for k, v in s.items() if k != "op"}),
+                        "^step 2: unknown step kind None$"),
+    "output-not-object": (_entry("outputs", 0, lambda o: o["id"]),
+                          "^output 0: must be an object with a name$"),
+    "string-y": (_entry("seeds", 1, lambda s: {**s, "y": "0"}),
+                 "^step 1: 'y' must be a number$"),
 }
 
 
@@ -335,6 +356,66 @@ def test_consumers_refuse_what_loads_refuses(name):
                     lambda t: tracedoc.dumps(tracedoc.document_from_trace(t))):
         with pytest.raises(MalformedProgram, match=error):
             consume(trace)
+
+
+def _program_case(seed_count=2, ops=(S, S, C), first=(0, 1, 0), outputs=(), error=""):
+    """A hand-built trace of two seeds and a circle, one column entry not an
+    int, and the MalformedProgram every consumer raises for it."""
+    o, u = Point(0.0, 0.0), Point(1.0, 0.0)
+    program = Program(seed_count, ops, first, (-1, -1, 1), outputs)
+    return Trace(program, (o, u, ResolvedCircle(o, 1.0))), MalformedProgram, error
+
+
+def _value_case(key, at, value, error):
+    """The midpoint sample's trace with entry ``at`` of its ``key`` column
+    replaced, and the MalformedTrace every consumer raises for it."""
+    trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
+    columns = {"x": trace.resolved.xs, "y": trace.resolved.ys, "radius": trace.resolved.rs}
+    columns[key] = columns[key][:at] + (value,) + columns[key][at + 1:]
+    return Trace(trace.program, Resolved(*columns.values())), MalformedTrace, error
+
+
+# name: (trace, the error type and message of every consumer); the sample has
+# seeds at steps 0 and 1, a circle at step 2 and a pick at step 4
+NON_NUMBER_COLUMNS = {
+    "float-first": _program_case(first=(0, 1, 0.0), error="^step 2: 'first' must be an integer$"),
+    "float-output": _program_case(outputs=(1.0,),
+                                  error="^output 0: 'outputs' must be an integer$"),
+    "string-output": _program_case(outputs=("1",),
+                                   error="^output 0: 'outputs' must be an integer$"),
+    "float-op": _program_case(ops=(S, S, 1.0), error="^step 2: unknown op 1.0$"),
+    "bool-op": _program_case(ops=(S, S, True), error="^step 2: unknown op True$"),
+    "float-seed-count": _program_case(seed_count=2.0,
+                                      error="^'seed_count' must be an integer$"),
+    "string-x-pick": _value_case("x", 4, "a", "^step 4: 'x' must be a number$"),
+    "null-x-pick": _value_case("x", 4, None, "^step 4: 'x' must be a number$"),
+    "string-x-seed": _value_case("x", 1, "a", "^step 1: 'x' must be a number$"),
+    "null-y-seed": _value_case("y", 0, None, "^step 0: 'y' must be a number$"),
+    "string-radius": _value_case("radius", 2, "1", "^step 2: 'radius' must be a number$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_NUMBER_COLUMNS))
+def test_non_number_columns_raise_typed_errors(name):
+    """A column entry that is not an int (in a program) or not a number (in a
+    trace) is a typed error to the audit, the SVG and dumps. ``execute`` on
+    the trace's seeds refuses the same malformed program, refuses a seed
+    that is not a number, and otherwise gives a trace the audit passes."""
+    trace, error, message = NON_NUMBER_COLUMNS[name]
+    for consume in (purity_audit, svg.render_trace,
+                    lambda t: tracedoc.dumps(tracedoc.TraceDocument(t, (), ()))):
+        with pytest.raises(error, match=message):
+            consume(trace)
+    program, xs, ys = trace.program, trace.resolved.xs, trace.resolved.ys
+    seeds = tuple(map(Point, xs[:2], ys[:2]))
+    if error is MalformedProgram:
+        with pytest.raises(MalformedProgram, match=message):
+            execute(program, seeds)
+    elif not set(map(type, xs[:2] + ys[:2])) <= {int, float}:
+        with pytest.raises(NonFiniteInput, match="is not a pair of numbers$"):
+            execute(program, seeds)
+    else:
+        purity_audit(execute(program, seeds))
 
 
 # --- version 2: the columnar document -------------------------------------------
@@ -550,3 +631,25 @@ def test_v1_pick_selector_must_be_left_or_right(selector):
     data["steps"][2]["selector"] = selector
     with pytest.raises(MalformedTrace, match=rf"^step 4: bad selector {selector!r}$"):
         tracedoc.loads(json.dumps(data))
+
+
+_V1_FIELDS = ("id", "name", "x", "y", "op", "center", "through", "c1", "c2", "selector")
+
+
+@given(st.lists(st.tuples(st.sampled_from(("seeds", "steps", "outputs")), st.integers(0, 20),
+                          st.sampled_from(_V1_FIELDS),
+                          st.one_of(_JSON_VALUE, st.just("pick"))), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_v1_reader_raises_only_malformed_trace(edits):
+    """Any field of any seed, step or output object of the frozen version 1
+    sample replaced by any JSON value: loads returns a document that dumps
+    writes back, or raises MalformedTrace, nothing else."""
+    data = json.loads(V1_TEXT)
+    for key, index, field, value in edits:
+        data[key][index % len(data[key])][field] = value
+    try:
+        doc = tracedoc.loads(json.dumps(data))
+    except MalformedTrace:
+        return
+    text = tracedoc.dumps(doc)
+    assert tracedoc.dumps(tracedoc.loads(text)) == text
