@@ -15,10 +15,19 @@ records the error on its ``OpReport``. A check that follows the comparison
 (an involution, a missed intersection) stays in its generator and calls
 ``run.fail`` when the generator resumes, so failure details keep their order.
 
+The ring operations (mul, add, conj) draw their operands from a
+``_ValuePool``: values at most two operations deep over five atoms. The
+atoms are built once per process (``_atoms``); each pool builds each one-op
+value, a ring operation on atoms, at most once, and ``_field_cases`` makes
+a fresh pool per ``run_op`` call, so nothing carries across calls. The
+top-level operand and the operation under test are built fresh on every
+case, and a memoized value is drawn from the stream exactly as a fresh one.
+
 ``perfbench/`` and the tests patch module names that are read at call time:
 ``purity_audit`` (called once per audited case), ``execute`` (apex, extend,
-nth and midpoint), the ``oracle_*`` names, ``_fmt_pt``, ``FUZZ_TOL`` and
-the ``cons.build_*`` routines.
+nth and midpoint), the ``oracle_*`` names, ``_fmt_pt``, ``FUZZ_TOL``, the
+``cons.build_*`` routines and ``field_ops.add``, ``mul``, ``conj`` and
+``neg``.
 """
 
 from __future__ import annotations
@@ -294,40 +303,45 @@ def _line_circle_diameter_cases(run: OpReport, rng: SplitMix64):
                lambda: f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
 
 
+@lru_cache(maxsize=None)
+def _atoms() -> tuple[field_ops.ConstructibleValue, ...]:
+    """The atoms of every ``_ValuePool``, built once per process."""
+    one = field_ops.one()
+    b = Builder(field_ops.CANONICAL_SEEDS)
+    return (one, field_ops.minus_one(), field_ops.add(one, one), field_ops.alpha(),
+            field_ops.ConstructibleValue(b.witness(cons.build_apex(b, 0, 1, Selector.LEFT))))
+
+
+_RING_OPS = ("add", "mul", "conj", "neg")  # by draw's k; each read from field_ops per call
+
+
 class _ValuePool:
-    """Random constructible values composed from a fixed atom set."""
+    """Random constructible values composed from a fixed atom set. A one-op
+    value, an operation on atoms, is built once per pool and kept in
+    ``_one_op``, keyed on the operation and its atoms: at most 2 * 5 * 5 +
+    2 * 5 = 60 of them."""
 
     def __init__(self):
-        one = field_ops.one()
-        b = Builder(field_ops.CANONICAL_SEEDS)
-        self.atoms = (
-            one,
-            field_ops.minus_one(),
-            field_ops.add(one, one),
-            field_ops.alpha(),
-            field_ops.ConstructibleValue(b.witness(cons.build_apex(b, 0, 1, Selector.LEFT))),
-        )
+        self.atoms = _atoms()
+        self._one_op: dict[tuple, field_ops.ConstructibleValue] = {}
 
     def draw(self, rng: SplitMix64, depth: int) -> field_ops.ConstructibleValue:
         if depth <= 0 or rng.uniform(0.0, 1.0) < 0.35:
             return self.atoms[rng.randint(0, len(self.atoms) - 1)]
         k = rng.randint(0, 3)
-        if k == 0:
-            return field_ops.add(self.draw(rng, depth - 1),
-                                 self.draw(rng, depth - 1))
-        if k == 1:
-            return field_ops.mul(self.draw(rng, depth - 1),
-                                 self.draw(rng, depth - 1))
-        if k == 2:
-            return field_ops.conj(self.draw(rng, depth - 1))
-        return field_ops.neg(self.draw(rng, depth - 1))
-
-
-_pool = lru_cache(maxsize=None)(_ValuePool)  # one pool, so one set of atoms
+        # the operands first, left to right, then the operation
+        operands = [self.draw(rng, depth - 1) for _ in range(2 if k < 2 else 1)]
+        if depth > 1:
+            return getattr(field_ops, _RING_OPS[k])(*operands)
+        key = (k, *map(id, operands))  # atoms, which the pool holds
+        value = self._one_op.get(key)
+        if value is None:
+            value = self._one_op[key] = getattr(field_ops, _RING_OPS[k])(*operands)
+        return value
 
 
 def _field_cases(run: OpReport, rng: SplitMix64, op: str):
-    pool = _pool()
+    pool = _ValuePool()
     for _ in range(run.cases):
         a = pool.draw(rng, 2)
         b = None

@@ -25,10 +25,17 @@ is read. A ``Trace`` is its program plus float columns x, y and radius
 (``None`` for a point); its seed values and circle count are derived.
 ``Program.check`` is the one rulebook of what a program is, and
 ``Trace.check`` adds that each value is a number of its step's kind; every
-consumer runs them, and a program is checked once. Each refuses a column
-entry of the wrong type (an op, operand, output or seed count not an int,
-a coordinate or radius not an int or float) with its typed error, naming
-the step or output. ``Builder._resolve``,
+consumer runs them, and a program or trace is checked once: each keeps a
+private ``_checked`` flag, outside ``==``, ``hash``, ``repr``, copy and
+pickling. Each refuses a column entry of the wrong type (an op, operand,
+output or seed count not an int, a coordinate or radius not an int or
+float) with its typed error, naming the step or output. The engine's own
+traces are checked by construction: ``execute``, ``Builder.finish``,
+``Builder.witness`` and ``tracedoc.loads`` build them from a checked
+program and int and float columns only (a ``Builder`` refuses a seed
+coordinate that is not an int or a float), and set the flag as they hand
+them over; a trace built any other way gets the full check the first time
+one runs. ``Builder._resolve``,
 the only step loop, reads and appends numbers only: a pick keeps the left
 or the right half of ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its
 other verdicts to errors. A pick on the circle pair
@@ -101,12 +108,22 @@ class Resolved(Sequence):
     """The resolved value of every step, as ``Point`` or ``ResolvedCircle``,
     over the float columns ``xs``, ``ys`` and ``rs`` (``None`` for a point):
     ``len`` is O(1), an index builds one value, a slice gives a tuple. Equal
-    only to a ``Resolved`` with equal columns, which is what it hashes."""
+    only to a ``Resolved`` with equal columns, which is what it hashes.
+    Read-only, as a ``Record`` is: a checked trace cannot change under its
+    flag."""
 
     __slots__ = ("xs", "ys", "rs")
 
     def __init__(self, xs: tuple, ys: tuple, rs: tuple):
-        self.xs, self.ys, self.rs = xs, ys, rs
+        init = object.__setattr__
+        init(self, "xs", xs)
+        init(self, "ys", ys)
+        init(self, "rs", rs)
+
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
+
+    def __reduce__(self):  # for copy and pickle, which cannot assign slots
+        return Resolved, (self.xs, self.ys, self.rs)
 
     @classmethod
     def of_values(cls, values) -> Resolved:
@@ -269,12 +286,15 @@ class Program(Record):
 class Trace(Record):
     """A fully resolved execution record of a program on concrete seeds;
     a tuple given for ``resolved`` is encoded (``Resolved.of_values``).
-    ``_table``, outside ``==``, ``hash``, ``repr`` and pickling, is the
-    hash-cons table of the builder whose ``witness`` handed its columns
-    over, kept for ``Builder.resume``; None on any other trace."""
+    Two private slots sit outside ``==``, ``hash``, ``repr``, copy and
+    pickling: ``_table``, the hash-cons table of the builder whose
+    ``witness`` handed its columns over, kept for ``Builder.resume`` (None
+    on any other trace), and ``_checked``, set by a passed ``check`` and
+    where the engine builds a trace (``_built``). So a trace built by hand,
+    by ``dataclasses.replace``, ``copy`` or ``pickle`` is checked again."""
 
     _fields = ("program", "resolved")
-    __slots__ = (*_fields, "_table")
+    __slots__ = (*_fields, "_table", "_checked")
 
     def __init__(self, program: Program, resolved: Resolved):
         if type(resolved) is not Resolved:
@@ -282,6 +302,7 @@ class Trace(Record):
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "resolved", resolved)
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_checked", False)
 
     @property
     def seed_values(self) -> tuple[Point, ...]:
@@ -296,7 +317,10 @@ class Trace(Record):
         """Run ``Program.check``, then raise MalformedTrace unless each
         resolved column holds one value per step, and, naming the step,
         unless every circle step resolved to a circle and every other step
-        to a point, each coordinate and radius an int or a float."""
+        to a point, each coordinate and radius an int or a float. Run once
+        per trace, and never on one the engine built (``_built``)."""
+        if self._checked:
+            return
         self.program.check()
         ops = self.program.ops
         xs, ys, rs = self.resolved.xs, self.resolved.ys, self.resolved.rs
@@ -312,12 +336,22 @@ class Trace(Record):
             i = _mistyped(column, types)
             if i is not None:
                 raise MalformedTrace(f"step {i}: {key!r} must be a number")
+        object.__setattr__(self, "_checked", True)
 
     def output_points(self) -> tuple[Point, ...]:
         return tuple(map(self.resolved._at, self.program.outputs))
 
 
 AuditReport = namedtuple("AuditReport", "seeds circles picks")
+
+
+def _built(program: Program, xs: tuple, ys: tuple, rs: tuple) -> Trace:
+    """The trace of a checked program over columns the engine resolved, one
+    value per step, each an int or a float (a radius a float, None for a
+    point): well typed by construction, so flagged checked."""
+    trace = Trace(program, Resolved(xs, ys, rs))
+    object.__setattr__(trace, "_checked", True)
+    return trace
 
 
 def execute(program: Program, seeds: Sequence[Point]) -> Trace:
@@ -333,7 +367,7 @@ def execute(program: Program, seeds: Sequence[Point]) -> Trace:
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
     b = Builder(seeds)
     b._resolve(program, list(range(b.seed_count)), None)
-    return Trace(program, Resolved(tuple(b.xs), tuple(b.ys), tuple(b.rs)))
+    return _built(program, tuple(b.xs), tuple(b.ys), tuple(b.rs))
 
 
 def _no_point(got: str, at: int) -> CompassError:
@@ -426,9 +460,10 @@ def similarity_transport_check(program: Program, seeds: Sequence[Point],
 def purity_audit(trace: Trace) -> AuditReport:
     """Validate that a trace is made of compass steps only and report counts.
 
-    Traces built by ``execute`` pass by construction, and ``tracedoc.loads``
-    checks the traces it reads while building them; the audit checks a
-    trace that came from anywhere else.
+    Runs ``Trace.check``, which returns at once on a trace already checked:
+    one that ``execute``, ``Builder.finish``, ``Builder.witness`` or
+    ``tracedoc.loads`` built, or that passed a check before. A trace from
+    anywhere else gets the full check, once.
     """
     trace.check()
     program = trace.program
@@ -467,10 +502,13 @@ class Builder:
         seeds = tuple(seeds)
         n = self.seed_count = len(seeds)
         for p in seeds:
+            # exactly an int or a float, as Trace.check wants (not a bool)
+            if type(p.x) not in _NUMBER or type(p.y) not in _NUMBER:
+                raise NonFiniteInput(f"seed {p} is not a pair of numbers")
             try:
                 finite = math.isfinite(p.x) and math.isfinite(p.y)
-            except TypeError:
-                raise NonFiniteInput(f"seed {p} is not a pair of numbers") from None
+            except OverflowError:  # an int past the float range
+                finite = False
             if not finite:
                 raise NonFiniteInput(f"non-finite seed {p}")
         self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
@@ -484,9 +522,11 @@ class Builder:
         the trace kept (``witness``), or else one rebuilt from the rows last
         to first, so that of two equal rows the first keeps the key. In a
         hash-consed builder every row is unique, so the two tables are
-        equal."""
+        equal. The trace is checked first (``Trace.check``), so the builder
+        holds numbers only, as ``finish`` and ``witness`` take for
+        granted."""
+        trace.check()
         p, r = trace.program, trace.resolved
-        p.check()
         builder = cls.__new__(cls)  # every attribute is set here
         builder.seed_count = p.seed_count
         builder.ops, builder.first, builder.second = list(p.ops), list(p.first), list(p.second)
@@ -712,11 +752,12 @@ class Builder:
         program = Program(2, take(self.ops), (0, 1, *map(link, take(self.first)[2:])),
                           (-1, -1, *map(link, take(self.second)[2:])), (rank[node],))
         program._check_outputs()
-        return Trace(program, Resolved(take(self.xs), take(self.ys), take(self.rs)))
+        return _built(program, take(self.xs), take(self.ys), take(self.rs))
 
     def finish(self, outputs: Sequence[int]) -> tuple[Program, Trace]:
-        """The program and trace so far; every step is well formed as built."""
+        """The program and trace so far; every step is well formed and every
+        value a number as built, so the trace is flagged checked."""
         program = Program(self.seed_count, tuple(self.ops), tuple(self.first),
                           tuple(self.second), tuple(outputs))
         program._check_outputs()
-        return program, Trace(program, Resolved(tuple(self.xs), tuple(self.ys), tuple(self.rs)))
+        return program, _built(program, tuple(self.xs), tuple(self.ys), tuple(self.rs))

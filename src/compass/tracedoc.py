@@ -9,7 +9,8 @@ the coordinates of each point step (seed or pick) in step order; a circle
 carries none, and ``loads`` resolves it from its two nodes. There is one
 seed name (or null) per seed and one output name per output. Coordinates
 are written with 17 significant digits so a parse/re-serialize round trip
-is byte-identical and loses nothing of the doubles. Version 1 documents
+is byte-identical and loses nothing of the doubles; a negative zero is
+written ``-0.0``, as JSON reads ``-0`` as the integer 0. Version 1 documents
 (one object per seed, step and output) are read-only: ``loads`` reshapes
 one into these columns and checks them as it checks version 2's, and
 nothing writes them. A ``TraceDocument`` is a named tuple: a ``Trace``
@@ -31,7 +32,9 @@ Where each check lives:
   radius, rejecting what ``radius`` refuses. Every error is a
   MalformedTrace, and every error about a node names it (``step <id>:
   ...`` or ``output <k>: ...``; past a column's last step, the step count
-  stands for the id).
+  stands for the id). Having checked each column as it built it, ``loads``
+  hands back a checked trace (``program._built``), so ``Trace.check`` does
+  not run its passes on it again.
 - ``dumps`` holds every writer check. Like ``svg.render_trace`` and
   ``purity_audit``, it runs ``Trace.check`` first; then it checks that
   every coordinate is finite (a JSON number cannot be ``inf`` or ``nan``)
@@ -40,8 +43,9 @@ Where each check lives:
   step or output as ``loads`` does. So a ``TraceDocument`` built by hand is
   checked as one from ``document_from_trace``.
 - ``document_from_trace`` and ``trace_from_document`` check nothing: the
-  first only pairs a trace with its names, and the trace the second
-  returns was built by ``loads`` or given by the caller.
+  first only pairs a trace with its names (padding the seed names only for
+  an integer seed count, so that ``dumps`` refuses any other), and the
+  trace the second returns was built by ``loads`` or given by the caller.
 
 What a writer still accepts, and ``loads`` rewrites or takes on trust:
 
@@ -67,8 +71,8 @@ from .program import (  # noqa: F401
     OP_CIRCLE,
     SELECTOR_NAMES,
     Program,
-    Resolved,
     Trace,
+    _built,
     _mistyped,
     purity_audit,
 )
@@ -94,7 +98,9 @@ def document_from_trace(trace: Trace,
     named ``out0``, ``out1``, ...
     """
     program = trace.program
-    seed_names = tuple(seed_names) + (None,) * (program.seed_count - len(seed_names))
+    seed_names = tuple(seed_names)
+    if type(program.seed_count) is int:  # else dumps refuses the program
+        seed_names += (None,) * (program.seed_count - len(seed_names))
     if not output_names:
         output_names = tuple(f"out{k}" for k in range(len(program.outputs)))
     return TraceDocument(trace, seed_names, tuple(output_names))
@@ -104,6 +110,16 @@ def _ints(column) -> str:
     """The integers of ``column``, comma-separated, in one formatting call."""
     column = tuple(column)
     return ("%d," * len(column))[:-1] % column
+
+
+def _coordinates(column, point) -> str:
+    """The point steps' entries of ``column``, comma-separated, at 17
+    significant digits; a negative zero as ``-0.0``, which keeps its sign
+    where ``-0`` would read back as the integer 0."""
+    text = ",".join(map("%.17g".__mod__, compress(column, point)))
+    if "-0," in text or text.endswith("-0"):  # only a whole entry ends so
+        text = ",".join("-0.0" if entry == "-0" else entry for entry in text.split(","))
+    return text
 
 
 def dumps(doc: TraceDocument) -> str:
@@ -134,7 +150,7 @@ def dumps(doc: TraceDocument) -> str:
         if not isinstance(name, str):
             raise MalformedTrace(f"output {k}: name must be a string")
     point = list(map(OP_CIRCLE.__ne__, program.ops))
-    x, y = (",".join(map("%.17g".__mod__, compress(column, point))) for column in (xs, ys))
+    x, y = _coordinates(xs, point), _coordinates(ys, point)
     return (f'{{"version":{VERSION},"seed_names":{_ENCODE(list(doc.seed_names))},'
             f'"op":[{",".join(map(_OP_JSON.__getitem__, program.ops))}],'
             f'"first":[{_ints(program.first)}],"second":[{_ints(program.second)}],'
@@ -270,8 +286,8 @@ def loads(text: str) -> TraceDocument:
             xs.append(next_x())
             ys.append(next_y())
             rs.append(None)
-    trace = Trace(program, Resolved(tuple(xs), tuple(ys), tuple(rs)))
-    return TraceDocument(trace, tuple(seed_names), tuple(output_names))
+    return TraceDocument(_built(program, tuple(xs), tuple(ys), tuple(rs)),
+                         tuple(seed_names), tuple(output_names))
 
 
 def trace_from_document(doc: TraceDocument) -> Trace:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from compass import dsl, fuzz
+from compass import dsl, field_ops, fuzz
 from compass.constructions import (
     apex_program,
     extend_program,
@@ -88,6 +88,45 @@ def test_fuzz_mean_circles(op, monkeypatch):
     assert fuzz.run_op(op, 600, 42).failures == 0
     assert len(circles) == 600
     assert sum(circles) / len(circles) <= FUZZ_MEAN_CIRCLES[op]
+
+
+# ring-operation calls (field_ops add, mul, conj and neg) of one
+# ``fuzz.run_op("mul", 120, 42)``, the atoms built: 427 while every draw
+# built its value afresh; 327 with each one-op value built once per call
+FUZZ_MUL_RING_CALLS = 327
+
+
+def test_fuzz_builds_each_one_op_value_once_per_call(monkeypatch):
+    fuzz._atoms()  # built once per process: before the count, not in either call
+    depths = []  # the depths of the draws under way
+    calls = []  # per ring-operation call, whether a depth-1 draw made it
+    draw = fuzz._ValuePool.draw
+
+    def traced_draw(pool, rng, depth):
+        depths.append(depth)
+        try:
+            return draw(pool, rng, depth)
+        finally:
+            depths.pop()
+
+    def counted(op):
+        def call(*operands):
+            calls.append(depths[-1:] == [1])  # made by a depth-1 draw
+            return op(*operands)
+        return call
+
+    monkeypatch.setattr(fuzz._ValuePool, "draw", traced_draw)
+    for name in ("add", "mul", "conj", "neg"):
+        monkeypatch.setattr(field_ops, name, counted(getattr(field_ops, name)))
+    totals = []
+    for _ in range(2):  # nothing carries from one call to the next
+        calls.clear()
+        assert fuzz.run_op("mul", 120, 42).failures == 0
+        totals.append((len(calls), sum(calls)))
+    assert totals[0] == totals[1]
+    total, one_op = totals[0]
+    assert total <= FUZZ_MUL_RING_CALLS
+    assert one_op <= 2 * 5 * 5 + 2 * 5  # each of the 60 one-op values at most once
 
 
 # core: (steps, circles, picks) bound of ``perfbench/ledger.py``'s

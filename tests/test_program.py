@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl, tracedoc
+from compass import dsl, program as program_module, tracedoc
 from compass.constructions import (
     apex_program,
     extend_program,
@@ -191,6 +195,115 @@ def test_check_states_the_whole_seed_row(bad, at):
 def test_builder_refuses_a_non_finite_seed(bad):
     with pytest.raises(NonFiniteInput):
         Builder([O, Point(0.0, bad)])
+
+
+@pytest.mark.parametrize("bad", [True, Fraction(1, 3)])
+def test_builder_refuses_a_seed_that_is_not_an_int_or_a_float(bad):
+    # math.isfinite reads both, and execute once returned a trace that dumps
+    # refused ("step 1: 'x' must be a number"); now neither builds anything
+    seeds = (O, Point(bad, 0))
+    with pytest.raises(NonFiniteInput, match=r"^seed .* is not a pair of numbers$"):
+        Builder(seeds)
+    with pytest.raises(NonFiniteInput, match=r"^seed .* is not a pair of numbers$"):
+        execute(midpoint_program(), seeds)
+
+
+def test_builder_refuses_an_int_seed_past_the_float_range():
+    # math.isfinite raised a bare OverflowError here
+    with pytest.raises(NonFiniteInput, match="^non-finite seed"):
+        execute(midpoint_program(), (O, Point(10 ** 400, 0)))
+
+
+def test_resolved_columns_are_read_only():
+    resolved = execute(midpoint_program(), (O, U)).resolved
+    before = (resolved.xs, resolved.ys, resolved.rs)
+    for name in ("xs", "ys", "rs"):
+        with pytest.raises(AttributeError):
+            setattr(resolved, name, ())
+        with pytest.raises(AttributeError):
+            delattr(resolved, name)
+    assert (resolved.xs, resolved.ys, resolved.rs) == before
+    for again in (copy.copy(resolved), copy.deepcopy(resolved),
+                  pickle.loads(pickle.dumps(resolved))):
+        assert type(again) is Resolved and again == resolved
+
+
+# --- checked once ---------------------------------------------------------------
+
+@pytest.fixture
+def column_passes(monkeypatch):
+    """The column types of every ``program._mistyped`` pass, as they run."""
+    passes = []
+    mistyped = program_module._mistyped
+
+    def counted(column, types):
+        passes.append(types)
+        return mistyped(column, types)
+
+    monkeypatch.setattr(program_module, "_mistyped", counted)
+    return passes
+
+
+def _engine_traces():
+    """A trace from each place the engine builds one, keyed by the place."""
+    traces = {"execute": execute(midpoint_program(), (O, U))}
+    b = Builder([O, U])
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    left = b.pick(c1, c2, Selector.LEFT)
+    traces["witness, every step kept"] = b.witness(left)
+    right = b.pick(c1, c2, Selector.RIGHT)
+    traces["witness, some steps cut"] = b.witness(left)
+    traces["finish"] = b.finish([left, right])[1]
+    traces["loads"] = tracedoc.loads(
+        tracedoc.dumps(tracedoc.document_from_trace(traces["execute"]))).trace
+    return traces
+
+
+def test_engine_traces_are_checked_by_construction(column_passes):
+    traces = _engine_traces()
+    # the full witness keeps its builder's table, the cut one does not
+    assert traces["witness, every step kept"]._table is not None
+    assert traces["witness, some steps cut"]._table is None
+    assert len(traces["witness, some steps cut"].program.ops) < len(traces["finish"].program.ops)
+    column_passes.clear()
+    for name, trace in traces.items():
+        trace.check()
+        assert purity_audit(trace) == (2, trace.circle_count,
+                                       len(trace.program.ops) - 2 - trace.circle_count)
+        render_trace(trace)
+        tracedoc.dumps(tracedoc.document_from_trace(trace))
+        assert column_passes == [], name
+
+
+def test_other_traces_are_checked_once(column_passes):
+    trace = execute(midpoint_program(), (O, U))
+    for again, passes in ((Trace(trace.program, trace.resolved), 3),
+                          (dataclasses.replace(trace), 3),
+                          (copy.copy(trace), 3),
+                          (copy.deepcopy(trace), 6),  # the program's passes too
+                          (pickle.loads(pickle.dumps(trace)), 6)):
+        assert again == trace
+        column_passes.clear()
+        purity_audit(again)
+        assert len(column_passes) == passes
+        again.check()
+        purity_audit(again)
+        assert len(column_passes) == passes  # and never again
+
+
+def test_a_bad_column_is_refused_once_its_flag_is_gone():
+    trace = execute(midpoint_program(), (O, U))
+    r = trace.resolved
+    bad = Trace(trace.program, Resolved((True, *r.xs[1:]), r.ys, r.rs))
+    object.__setattr__(bad, "_checked", True)  # a flag the trace did not earn
+    bad.check()
+    for again in (Trace(bad.program, bad.resolved), dataclasses.replace(bad), copy.copy(bad),
+                  copy.deepcopy(bad), pickle.loads(pickle.dumps(bad))):
+        with pytest.raises(MalformedTrace, match="^step 0: 'x' must be a number$"):
+            purity_audit(again)
+        # and a builder does not take it over, so finish flags numbers only
+        with pytest.raises(MalformedTrace, match="^step 0: 'x' must be a number$"):
+            Builder.resume(again)
 
 
 def test_degenerate_circle_step():

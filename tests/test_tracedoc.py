@@ -583,6 +583,28 @@ def test_v2_reader_raises_only_malformed_trace(edits):
     assert tracedoc.dumps(tracedoc.loads(text)) == text
 
 
+def test_a_negative_zero_keeps_its_sign():
+    # "%.17g" writes -0.0 as -0, which JSON reads as the integer 0
+    trace = execute(midpoint_program(), (Point(-0.0, 0.0), Point(1.0, -0.0)))
+    text = tracedoc.dumps(tracedoc.document_from_trace(trace))
+    assert '"x":[-0.0,1,' in text and '"y":[0,-0.0,' in text
+    again = tracedoc.loads(text)
+    assert math.copysign(1.0, again.trace.resolved.xs[0]) == -1.0
+    assert math.copysign(1.0, again.trace.resolved.ys[1]) == -1.0
+    assert tracedoc.dumps(again) == text
+
+
+def test_document_from_trace_hands_a_float_seed_count_to_dumps():
+    # padding the seed names multiplied a tuple by 2.0: a bare TypeError
+    o, u = Point(0.0, 0.0), Point(1.0, 0.0)
+    trace = Trace(Program(2.0, (S, S), (0, 1), (-1, -1), (0,)), (o, u))
+    for names in ((), ("A",)):
+        doc = tracedoc.document_from_trace(trace, names)
+        assert doc.seed_names == names
+        with pytest.raises(MalformedProgram, match="^'seed_count' must be an integer$"):
+            tracedoc.dumps(doc)
+
+
 def test_degenerate_circle_in_v2_document():
     doc_text = ('{"version":2,"seed_names":[null,null],"op":["seed","seed","circle"],'
                 '"first":[0,1,0],"second":[-1,-1,1],"x":[0,0],"y":[0,0],'
