@@ -15,37 +15,34 @@ Orientation is preserved by every orientation-preserving similarity, which
 is exactly what makes rewired programs land on the similarity image of
 their original outputs.
 
-Storage is columnar, with one constructor per type. A step is its row
-``(op, first, second)``: the op is ``OP_SEED`` (first is the slot, second
--1), ``OP_CIRCLE`` (center, through) or ``OP_LEFT``/``OP_RIGHT`` (the two
-circles: the selector is part of the op). A ``Program`` is those three int
-columns plus the outputs, and ``Program.steps`` is a view of its rows over
-those columns: equal to the tuple of the rows, it builds a row only when one
-is read. A ``Trace`` is its program plus float columns x, y and radius
-(``None`` for a point); its seed values and circle count are derived.
-``Program.check`` is the one rulebook of what a program is, and
-``Trace.check`` adds that each value is a number of its step's kind; every
-consumer runs them, and a program or trace is checked once: each keeps a
-private ``_checked`` flag, outside ``==``, ``hash``, ``repr``, copy and
-pickling. Each refuses a column entry of the wrong type (an op, operand,
-output or seed count not an int, a coordinate or radius not an int or
-float) with its typed error, naming the step or output. The engine's own
-traces are checked by construction: ``execute``, ``Builder.finish``,
-``Builder.witness`` and ``tracedoc.loads`` build them from a checked
-program and int and float columns only (a ``Builder`` refuses a seed
-coordinate that is not an int or a float), and set the flag as they hand
-them over; a trace built any other way gets the full check the first time
-one runs. ``Builder._resolve``,
-the only step loop, reads and appends numbers only: a pick keeps the left
-or the right half of ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its
-other verdicts to errors. A pick on the circle pair
-of the loop's last cut reads that cut again instead of cutting twice, so
-``geom.cut`` is still the only intersection arithmetic. ``Builder.witness``
-is the one way to cut a point's ancestors out as a trace of their own. Value
-objects (``Point``, ``ResolvedCircle``) exist only at the API edge:
-``Trace.resolved`` is the one view of them, equal by its columns.
-``AuditReport`` and ``geom``'s values are named tuples; ``Program`` and
-``Trace`` are ``record.Record`` classes.
+Storage is columnar. A step is its row ``(op, first, second)``: the op is
+``OP_SEED`` (first is the slot, second -1), ``OP_CIRCLE`` (center, through)
+or ``OP_LEFT``/``OP_RIGHT`` (the two circles: the selector is part of the
+op). A ``Program`` is those three int columns plus the outputs, and
+``Program.steps`` is a view of its rows over those columns: equal to the
+tuple of the rows, it builds a row only when one is read. A ``Trace`` is
+its program plus float columns x, y and radius (``None`` for a point); its
+seed values and circle count are derived.
+
+A ``Program`` or ``Trace`` is valid by construction: its constructor, which
+``copy``, ``pickle`` and ``dataclasses.replace`` go through too, is the one
+rulebook of what it is, and raises the typed error, naming the field, step
+or output, for a column entry of the wrong type or any other broken rule.
+So no consumer checks a record again. The engine's own builds skip the
+passes they cannot fail: traces through ``_built``, and a ``Builder``'s
+columns through ``Program._grown``, which checks only the outputs (a
+``Builder`` refuses a seed that is not a pair of ints or floats, and a node
+that is not an int). ``Builder._resolve``, the only step loop, reads and
+appends numbers only: a pick keeps the left or the right half of
+``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its other verdicts to
+errors. A pick on the circle pair of the loop's last cut reads that cut
+again instead of cutting twice, so ``geom.cut`` is still the only
+intersection arithmetic. ``Builder.witness`` is the one way to cut a
+point's ancestors out as a trace of their own. Value objects (``Point``,
+``ResolvedCircle``) exist only at the API edge: ``Trace.resolved`` is the
+one view of them, equal by its columns. ``AuditReport`` and ``geom``'s
+values are named tuples; ``Program`` and ``Trace`` are ``record.Record``
+classes.
 """
 
 from __future__ import annotations
@@ -109,8 +106,7 @@ class Resolved(Sequence):
     over the float columns ``xs``, ``ys`` and ``rs`` (``None`` for a point):
     ``len`` is O(1), an index builds one value, a slice gives a tuple. Equal
     only to a ``Resolved`` with equal columns, which is what it hashes.
-    Read-only, as a ``Record`` is: a checked trace cannot change under its
-    flag."""
+    Read-only, as a ``Record`` is: a trace cannot change once made."""
 
     __slots__ = ("xs", "ys", "rs")
 
@@ -203,47 +199,40 @@ class _Steps(Sequence):
 class Program(Record):
     """An executable compass construction over ``seed_count`` seed slots:
     the int columns ``ops``, ``first`` and ``second``, and the outputs.
-    ``_checked``, outside ``==`` and ``repr``, records a passed ``check``."""
+    Valid by construction: the constructor is the one rulebook."""
 
     _fields = ("seed_count", "ops", "first", "second", "outputs")
-    __slots__ = (*_fields, "_checked")
+    __slots__ = _fields
 
     def __init__(self, seed_count: int, ops: tuple[int, ...], first: tuple[int, ...],
                  second: tuple[int, ...], outputs: tuple[int, ...]):
-        # field by field, not through Record.__init__: programs are built often
-        init = object.__setattr__
-        init(self, "seed_count", seed_count)
-        init(self, "ops", ops)
-        init(self, "first", first)
-        init(self, "second", second)
-        init(self, "outputs", outputs)
-        init(self, "_checked", False)
-
-    def check(self) -> None:
-        """Raise MalformedProgram, naming the step or output, unless the
-        seed count and every column entry are ints, the seeds come first in
-        slot order, each the row ``(OP_SEED, slot, -1)`` (a trace document
-        keeps no other seed operand), every other step is a circle over two
-        earlier point steps or a pick of two earlier circle steps, and every
-        output is a point step; run once per program."""
-        if self._checked:
-            return
-        ops, first, second = self.ops, self.first, self.second
+        """Raise MalformedProgram, naming the field, step or output, unless
+        each column is a sequence, the seed count a non-negative int, every
+        column entry an int, the seeds first in slot order, each the row
+        ``(OP_SEED, slot, -1)`` (a trace document keeps no other seed
+        operand), every other step a circle over two earlier point steps or
+        a pick of two earlier circle steps, and every output a point step."""
+        Record.__init__(self, seed_count, ops, first, second, outputs)
+        for key in ("ops", "first", "second", "outputs"):
+            if not isinstance(getattr(self, key), Sequence):
+                raise MalformedProgram(f"{key!r} must be a sequence")
         count = len(ops)
         if not len(first) == len(second) == count:
             raise MalformedProgram("the op and operand columns differ in length")
-        if type(self.seed_count) is not int:
+        if type(seed_count) is not int:
             raise MalformedProgram("'seed_count' must be an integer")
+        if seed_count < 0:
+            raise MalformedProgram(f"'seed_count' {seed_count} is negative")
         for key, column in (("op", ops), ("first", first), ("second", second)):
             i = _mistyped(column, _INT)
             if i is not None:
                 what = f"unknown op {ops[i]!r}" if key == "op" else f"{key!r} must be an integer"
                 raise MalformedProgram(f"step {i}: {what}")
-        for i in range(self.seed_count):
+        for i in range(seed_count):
             if i >= count or ops[i] != OP_SEED or first[i] != i or second[i] != -1:
                 raise MalformedProgram(
                     f"step {i}: expected Seed(slot={i}) before all other steps")
-        for i in range(self.seed_count, count):
+        for i in range(seed_count, count):
             op, u, v = ops[i], first[i], second[i]
             if op == OP_SEED:
                 raise MalformedProgram(f"step {i}: misplaced seed")
@@ -257,9 +246,23 @@ class Program(Record):
                 raise MalformedProgram(f"step {i}: pick over non-circle nodes")
         self._check_outputs()
 
+    @classmethod
+    def _grown(cls, seed_count, ops, first, second, outputs) -> Program:
+        """The program of the columns a ``Builder`` grew, each step well
+        formed as it was appended: only the outputs, the caller's nodes,
+        are checked."""
+        program = cls.__new__(cls)
+        init = object.__setattr__  # field by field: builders hand programs over often
+        init(program, "seed_count", seed_count)
+        init(program, "ops", ops)
+        init(program, "first", first)
+        init(program, "second", second)
+        init(program, "outputs", outputs)
+        program._check_outputs()
+        return program
+
     def _check_outputs(self) -> None:
-        """The output rule of ``check``, for a program whose steps are known
-        to be well formed; marks the program checked."""
+        """The output rule of the constructor."""
         ops = self.ops
         for k, out in enumerate(self.outputs):
             if type(out) is not int:
@@ -268,7 +271,6 @@ class Program(Record):
                 raise MalformedProgram(f"output {k}: id {out} outside the {len(ops)} steps")
             if ops[out] == OP_CIRCLE:
                 raise MalformedProgram(f"output {k}: id {out} is not a point node")
-        object.__setattr__(self, "_checked", True)
 
     @property
     def steps(self) -> Sequence[tuple[int, int, int]]:
@@ -286,44 +288,27 @@ class Program(Record):
 class Trace(Record):
     """A fully resolved execution record of a program on concrete seeds;
     a tuple given for ``resolved`` is encoded (``Resolved.of_values``).
-    Two private slots sit outside ``==``, ``hash``, ``repr``, copy and
-    pickling: ``_table``, the hash-cons table of the builder whose
-    ``witness`` handed its columns over, kept for ``Builder.resume`` (None
-    on any other trace), and ``_checked``, set by a passed ``check`` and
-    where the engine builds a trace (``_built``). So a trace built by hand,
-    by ``dataclasses.replace``, ``copy`` or ``pickle`` is checked again."""
+    Valid by construction, as its program is. The private ``_table``, outside
+    ``==``, ``hash``, ``repr``, copy and pickling, is the hash-cons table of
+    the builder whose ``witness`` handed its columns over, kept for
+    ``Builder.resume`` (None on any other trace)."""
 
     _fields = ("program", "resolved")
-    __slots__ = (*_fields, "_table", "_checked")
+    __slots__ = (*_fields, "_table")
 
     def __init__(self, program: Program, resolved: Resolved):
-        if type(resolved) is not Resolved:
-            resolved = Resolved.of_values(resolved)
-        object.__setattr__(self, "program", program)
-        object.__setattr__(self, "resolved", resolved)
-        object.__setattr__(self, "_table", None)
-        object.__setattr__(self, "_checked", False)
-
-    @property
-    def seed_values(self) -> tuple[Point, ...]:
-        n, r = self.program.seed_count, self.resolved
-        return tuple(map(Point, r.xs[:n], r.ys[:n]))
-
-    @property
-    def circle_count(self) -> int:
-        return self.program.circle_count()
-
-    def check(self) -> None:
-        """Run ``Program.check``, then raise MalformedTrace unless each
+        """Raise MalformedTrace unless ``program`` is a ``Program``, each
         resolved column holds one value per step, and, naming the step,
         unless every circle step resolved to a circle and every other step
-        to a point, each coordinate and radius an int or a float. Run once
-        per trace, and never on one the engine built (``_built``)."""
-        if self._checked:
-            return
-        self.program.check()
-        ops = self.program.ops
-        xs, ys, rs = self.resolved.xs, self.resolved.ys, self.resolved.rs
+        to a point, each coordinate and radius an int or a float."""
+        if type(resolved) is not Resolved:
+            resolved = Resolved.of_values(resolved)
+        Record.__init__(self, program, resolved)
+        object.__setattr__(self, "_table", None)
+        if not isinstance(program, Program):
+            raise MalformedTrace("'program' must be a Program")
+        ops = program.ops
+        xs, ys, rs = resolved.xs, resolved.ys, resolved.rs
         if not len(xs) == len(ys) == len(rs) == len(ops):
             raise MalformedTrace("resolved values do not cover the steps")
         if [r is None for r in rs] != [op != OP_CIRCLE for op in ops]:
@@ -336,7 +321,15 @@ class Trace(Record):
             i = _mistyped(column, types)
             if i is not None:
                 raise MalformedTrace(f"step {i}: {key!r} must be a number")
-        object.__setattr__(self, "_checked", True)
+
+    @property
+    def seed_values(self) -> tuple[Point, ...]:
+        n, r = self.program.seed_count, self.resolved
+        return tuple(map(Point, r.xs[:n], r.ys[:n]))
+
+    @property
+    def circle_count(self) -> int:
+        return self.program.circle_count()
 
     def output_points(self) -> tuple[Point, ...]:
         return tuple(map(self.resolved._at, self.program.outputs))
@@ -346,11 +339,14 @@ AuditReport = namedtuple("AuditReport", "seeds circles picks")
 
 
 def _built(program: Program, xs: tuple, ys: tuple, rs: tuple) -> Trace:
-    """The trace of a checked program over columns the engine resolved, one
-    value per step, each an int or a float (a radius a float, None for a
-    point): well typed by construction, so flagged checked."""
-    trace = Trace(program, Resolved(xs, ys, rs))
-    object.__setattr__(trace, "_checked", True)
+    """The trace of a program over columns the engine resolved, one value
+    per step, each an int or a float (a radius a float, None for a point):
+    what the constructor checks holds as built, so nothing is checked."""
+    trace = Trace.__new__(Trace)
+    init = object.__setattr__  # field by field: the engine builds traces often
+    init(trace, "program", program)
+    init(trace, "resolved", Resolved(xs, ys, rs))
+    init(trace, "_table", None)
     return trace
 
 
@@ -396,7 +392,6 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
         if host.ops[ref] == OP_CIRCLE:
             raise InvalidNodeId(f"seed_map entry {ref} is not a point node")
 
-    guest.check()
     ops, first, second = list(host.ops), list(host.first), list(host.second)
     mapping = list(seed_map)
     start = guest.seed_count
@@ -409,17 +404,17 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
                    tuple(mapping[o] for o in guest.outputs))
 
 
-def _live(program: Program | Builder, roots: Sequence[int]) -> list[bool]:
-    """Which steps of a program or builder the ``roots`` depend on, the roots
-    included, as one flag per step up to the last root. Every step refers
-    only to earlier ones, so one sweep down from there marks them all."""
+def _live(program: Program | Builder, node: int) -> list[bool]:
+    """Which steps of a program or builder ``node`` depends on, itself
+    included, as one flag per step up to ``node``. Every step refers only
+    to earlier ones, so one sweep down from there marks them all."""
     ops, first, second = program.ops, program.first, program.second
-    keep = [False] * min(max(roots, default=-1) + 1, len(ops))
-    for node in roots:
-        if not 0 <= node < len(ops):
-            raise InvalidNodeId(f"node {node} outside program")
-        keep[node] = True
-    for i in range(len(keep) - 1, -1, -1):
+    if type(node) is not int:
+        raise InvalidNodeId(f"node {node!r} is not an integer")
+    if not 0 <= node < len(ops):
+        raise InvalidNodeId(f"node {node} outside program")
+    keep = [False] * node + [True]
+    for i in range(node, -1, -1):
         if keep[i] and ops[i] != OP_SEED:
             keep[first[i]] = keep[second[i]] = True
     return keep
@@ -427,7 +422,7 @@ def _live(program: Program | Builder, roots: Sequence[int]) -> list[bool]:
 
 def ancestors(program: Program, node: int) -> set[int]:
     """All nodes the given node depends on, itself included."""
-    return {i for i, live in enumerate(_live(program, [node])) if live}
+    return {i for i, live in enumerate(_live(program, node)) if live}
 
 
 def similarity_transport_check(program: Program, seeds: Sequence[Point],
@@ -458,14 +453,8 @@ def similarity_transport_check(program: Program, seeds: Sequence[Point],
 
 
 def purity_audit(trace: Trace) -> AuditReport:
-    """Validate that a trace is made of compass steps only and report counts.
-
-    Runs ``Trace.check``, which returns at once on a trace already checked:
-    one that ``execute``, ``Builder.finish``, ``Builder.witness`` or
-    ``tracedoc.loads`` built, or that passed a check before. A trace from
-    anywhere else gets the full check, once.
-    """
-    trace.check()
+    """Count a trace's seeds, circles and picks. A ``Trace`` is made of
+    compass steps only by construction, so this checks nothing."""
     program = trace.program
     seeds, circles = program.seed_count, program.circle_count()
     return AuditReport(seeds=seeds, circles=circles,
@@ -486,9 +475,12 @@ class Builder:
 
     Every resolving method goes through ``geom.radius`` and ``geom.cut``,
     so a step gives the same bits however it is appended; a touch is the
-    cut's two equal points, to ``meet`` and ``pick_other`` alike. Node
-    arguments outside the builder raise ``InvalidNodeId``; a failing call
-    appends nothing, and a failing ``inline`` keeps the steps it completed.
+    cut's two equal points, to ``meet`` and ``pick_other`` alike. A seed is
+    read as ``x, y = seed``: a pair of ints or floats acts as the ``Point``
+    it equals, anything else raises NonFiniteInput. A node argument that is
+    not an int (a bool is not one) or is outside the builder raises
+    ``InvalidNodeId``; a failing call appends nothing, and a failing
+    ``inline`` keeps the steps it completed.
 
     Steps are hash-consed in ``table``, keyed on their ``(op, first,
     second)`` rows: a step whose row is there is the existing node, looked
@@ -502,17 +494,21 @@ class Builder:
         seeds = tuple(seeds)
         n = self.seed_count = len(seeds)
         for p in seeds:
-            # exactly an int or a float, as Trace.check wants (not a bool)
-            if type(p.x) not in _NUMBER or type(p.y) not in _NUMBER:
+            try:
+                x, y = p
+            except (TypeError, ValueError):
+                x = y = None
+            # exactly an int or a float, as a Trace wants (not a bool)
+            if type(x) not in _NUMBER or type(y) not in _NUMBER:
                 raise NonFiniteInput(f"seed {p} is not a pair of numbers")
             try:
-                finite = math.isfinite(p.x) and math.isfinite(p.y)
+                finite = math.isfinite(x) and math.isfinite(y)
             except OverflowError:  # an int past the float range
                 finite = False
             if not finite:
                 raise NonFiniteInput(f"non-finite seed {p}")
         self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
-        self.xs, self.ys = [p.x for p in seeds], [p.y for p in seeds]
+        self.xs, self.ys = [x for x, _ in seeds], [y for _, y in seeds]
         self.rs: list[float | None] = [None] * n
         self.table: dict[tuple, int] = {}
 
@@ -522,10 +518,8 @@ class Builder:
         the trace kept (``witness``), or else one rebuilt from the rows last
         to first, so that of two equal rows the first keeps the key. In a
         hash-consed builder every row is unique, so the two tables are
-        equal. The trace is checked first (``Trace.check``), so the builder
-        holds numbers only, as ``finish`` and ``witness`` take for
-        granted."""
-        trace.check()
+        equal. A trace is valid by construction, so the builder holds ints
+        and numbers only, as ``finish`` and ``witness`` take for granted."""
         p, r = trace.program, trace.resolved
         builder = cls.__new__(cls)  # every attribute is set here
         builder.seed_count = p.seed_count
@@ -544,6 +538,8 @@ class Builder:
 
     def _node(self, node: int, circle: bool) -> None:
         """Raise unless ``node`` is a circle node (or a point node)."""
+        if type(node) is not int:
+            raise InvalidNodeId(f"node {node!r} is not an integer")
         if not 0 <= node < len(self.rs):
             raise InvalidNodeId(f"node {node} outside the builder")
         if (self.rs[node] is None) is circle:
@@ -578,9 +574,9 @@ class Builder:
             return hit
         xs, ys, rs = self.xs, self.ys, self.rs
         count = len(rs)
-        if not (0 <= center < count and rs[center] is None):
+        if not (type(center) is int and 0 <= center < count and rs[center] is None):
             self._node(center, False)
-        if not (0 <= through < count and rs[through] is None):
+        if not (type(through) is int and 0 <= through < count and rs[through] is None):
             self._node(through, False)
         x, y = xs[center], ys[center]
         r = radius(x, y, xs[through], ys[through])
@@ -590,9 +586,9 @@ class Builder:
         """``geom.cut``'s points on two circle nodes; its other verdicts raise."""
         xs, ys, rs = self.xs, self.ys, self.rs
         at = len(rs)
-        if not (0 <= c1 < at and rs[c1] is not None):
+        if not (type(c1) is int and 0 <= c1 < at and rs[c1] is not None):
             self._node(c1, True)
-        if not (0 <= c2 < at and rs[c2] is not None):
+        if not (type(c2) is int and 0 <= c2 < at and rs[c2] is not None):
             self._node(c2, True)
         got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])
         if type(got) is str:
@@ -654,9 +650,10 @@ class Builder:
         ``node`` holds the builder nodes of ``program``'s seeds and grows to
         map every program step to its node. Each non-seed step is rewired
         through it, resolved and appended; with a hash-cons ``table``, a
-        step whose rewired row is in it is that node instead. The structure
-        was checked once (``Program.check``); the loop only maps
-        ``geom.cut``'s verdicts to errors, which name their step.
+        step whose rewired row is in it is that node instead. A program is
+        well formed by construction, and ``node`` holds ints (``inline``
+        checks its seed map), so the loop only maps ``geom.cut``'s verdicts
+        to errors, which name their step.
 
         A pick on the same rewired circle pair as the last cut, as the
         second pick of a ``both`` or ``meet`` pair is, reads that cut's
@@ -664,7 +661,6 @@ class Builder:
         is the same ``geom.cut`` of the same six floats, and ``geom.cut``
         stays the only intersection arithmetic.
         """
-        program.check()
         start = program.seed_count
         xs, ys, rs = self.xs, self.ys, self.rs
         add_x, add_y, add_r = xs.append, ys.append, rs.append
@@ -720,7 +716,7 @@ class Builder:
     def pair_based(self, node: int) -> bool:
         """Whether point ``node`` depends on no seed but 0 and 1, as the
         operands of the ring operations must."""
-        keep = _live(self, [node])
+        keep = _live(self, node)
         return self.seed_count >= 2 and not any(keep[2:self.seed_count])
 
     def witness(self, node: int) -> Trace:
@@ -731,7 +727,7 @@ class Builder:
         handed over as ``finish`` does, and the trace keeps a copy of the
         hash-cons table in its private ``_table`` for ``resume``. Raises
         InvalidNodeId unless ``pair_based``."""
-        keep = _live(self, [node])
+        keep = _live(self, node)
         if self.seed_count < 2 or any(keep[2:self.seed_count]):
             raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
         keep[:2] = True, True  # seeds 0 and 1, also where node is seed 0
@@ -749,15 +745,14 @@ class Builder:
         # pick, whose operands are kept and remapped.
         rank = list(accumulate(islice(keep, 1, None), initial=0))
         take, link = itemgetter(*compress(range(len(keep)), keep)), rank.__getitem__
-        program = Program(2, take(self.ops), (0, 1, *map(link, take(self.first)[2:])),
-                          (-1, -1, *map(link, take(self.second)[2:])), (rank[node],))
-        program._check_outputs()
+        program = Program._grown(2, take(self.ops), (0, 1, *map(link, take(self.first)[2:])),
+                                 (-1, -1, *map(link, take(self.second)[2:])), (rank[node],))
         return _built(program, take(self.xs), take(self.ys), take(self.rs))
 
     def finish(self, outputs: Sequence[int]) -> tuple[Program, Trace]:
-        """The program and trace so far; every step is well formed and every
-        value a number as built, so the trace is flagged checked."""
-        program = Program(self.seed_count, tuple(self.ops), tuple(self.first),
-                          tuple(self.second), tuple(outputs))
-        program._check_outputs()
+        """The program and trace so far. Every step is well formed and every
+        value a number as built, so only the outputs are checked
+        (MalformedProgram, naming the output)."""
+        program = Program._grown(self.seed_count, tuple(self.ops), tuple(self.first),
+                                 tuple(self.second), tuple(outputs))
         return program, _built(program, tuple(self.xs), tuple(self.ys), tuple(self.rs))

@@ -5,7 +5,7 @@ everything constructed is red. Each <circle> element corresponds to exactly
 one circle step of the trace (point markers are filled paths, not circle
 elements, to keep that one-to-one mapping checkable). Output contains no
 timestamps and uses fixed number formatting, so identical traces render to
-identical bytes.
+identical bytes. A ``Trace`` is valid by construction: nothing here checks it.
 
 Every number is written one way, ``f"{v + 0.0:.10g}"``: 10 significant
 digits, where adding zero turns -0.0 into 0.0 and leaves every other double
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NonFiniteInput
+from .errors import MalformedTrace, NonFiniteInput
 from .program import OP_CIRCLE, OP_SEED, SELECTOR_NAMES, Trace
 
 _GIVEN_COLOR = "#000000"
@@ -30,13 +30,12 @@ def _n(x: float) -> str:
 def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
     """Render a trace: every circle step, every picked point, every seed.
 
-    Runs ``Trace.check`` first, so a hand-built trace that ``tracedoc.loads``
-    would refuse raises a typed error, with or without ``-O``. Raises
+    ``names`` labels point steps. Raises MalformedTrace, naming the step,
+    for a label that is not a string, as ``tracedoc.dumps`` does. Raises
     NonFiniteInput where the view box overflows: the figure spans more than
     a float holds, though every coordinate in it is finite.
     """
     names = names or {}
-    trace.check()
     program = trace.program
     ops, first, second = program.ops, program.first, program.second
     xs, ys, rs = trace.resolved.xs, trace.resolved.ys, trace.resolved.rs
@@ -84,6 +83,8 @@ def render_trace(trace: Trace, names: dict[int, str] | None = None) -> str:
         dots.append(f'  <path class="dot" d="M {x - dot_r + 0.0:.10g} {y + 0.0:.10g}'
                     f'{arcs}" fill="{color}"><title>{title}</title></path>\n')
         label = names.get(i)
+        if label is not None and not isinstance(label, str):
+            raise MalformedTrace(f"step {i}: name must be a string")
         if label:
             label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             dots.append(f'  <text x="{_n(x + 1.6 * dot_r)}" y="{_n(y - 1.6 * dot_r)}" '

@@ -18,34 +18,28 @@ paired with the names of its seeds and outputs.
 
 Where each check lives:
 
-- ``Program.check`` holds every structural rule, integer columns included;
-  nothing here repeats one or adds one, so a trace with no seeds (a script
+- The ``Program`` and ``Trace`` constructors hold every structural rule,
+  integer columns included, and a record is valid by construction; nothing
+  here repeats a rule or adds one, so a trace with no seeds (a script
   without ``given``) loads.
 - ``_columns_v1`` checks only what version 1 alone has: its three arrays,
   each node an object with a dense integer ``id``, the step kind and
   selector, the operands under their own names, the seed names, and each
   output an object with a string name and an integer ``id``.
 - ``loads`` checks the columns of either version, one pass each: arrays,
-  op names, integer ids, finite coordinates, name types, and each column's
-  length (``x`` and ``y`` one entry per point step). It builds the program
-  from the columns, runs ``Program.check``, and resolves each circle's
-  radius, rejecting what ``radius`` refuses. Every error is a
-  MalformedTrace, and every error about a node names it (``step <id>:
-  ...`` or ``output <k>: ...``; past a column's last step, the step count
-  stands for the id). Having checked each column as it built it, ``loads``
-  hands back a checked trace (``program._built``), so ``Trace.check`` does
-  not run its passes on it again.
-- ``dumps`` holds every writer check. Like ``svg.render_trace`` and
-  ``purity_audit``, it runs ``Trace.check`` first; then it checks that
-  every coordinate is finite (a JSON number cannot be ``inf`` or ``nan``)
-  and the names it writes: one per seed and one per output, a seed name
-  ``None`` or a string, an output name a string, each error naming the
-  step or output as ``loads`` does. So a ``TraceDocument`` built by hand is
-  checked as one from ``document_from_trace``.
-- ``document_from_trace`` and ``trace_from_document`` check nothing: the
-  first only pairs a trace with its names (padding the seed names only for
-  an integer seed count, so that ``dumps`` refuses any other), and the
-  trace the second returns was built by ``loads`` or given by the caller.
+  op names, finite coordinates, name types, and each column's length
+  (``x`` and ``y`` one entry per point step). It builds the program with
+  the ``Program`` constructor, resolves each circle's radius, rejecting
+  what ``radius`` refuses, and builds the trace through ``_built``. Every
+  error is a MalformedTrace, and every error about a node names it (``step
+  <id>: ...`` or ``output <k>: ...``; past a column's last step, the step
+  count stands for the id).
+- ``dumps`` holds every writer check: every coordinate finite (a JSON
+  number cannot be ``inf`` or ``nan``), one name per seed and one per
+  output, a seed name ``None`` or a string, an output name a string, each
+  error naming the step or output as ``loads`` does. So a ``TraceDocument``
+  built by hand is checked as one from ``document_from_trace``, which, like
+  ``trace_from_document``, checks nothing.
 
 What a writer still accepts, and ``loads`` rewrites or takes on trust:
 
@@ -98,9 +92,7 @@ def document_from_trace(trace: Trace,
     named ``out0``, ``out1``, ...
     """
     program = trace.program
-    seed_names = tuple(seed_names)
-    if type(program.seed_count) is int:  # else dumps refuses the program
-        seed_names += (None,) * (program.seed_count - len(seed_names))
+    seed_names = tuple(seed_names) + (None,) * (program.seed_count - len(seed_names))
     if not output_names:
         output_names = tuple(f"out{k}" for k in range(len(program.outputs)))
     return TraceDocument(trace, seed_names, tuple(output_names))
@@ -125,15 +117,12 @@ def _coordinates(column, point) -> str:
 def dumps(doc: TraceDocument) -> str:
     """Serialize with fixed key order and 17-significant-digit coordinates.
 
-    Raises what ``Trace.check`` raises (MalformedProgram, or MalformedTrace
-    naming the step). Raises MalformedTrace, naming the step, for a
-    coordinate that is not finite, and for a name ``loads`` would refuse: a
-    seed or output name count unlike the program's, a seed name neither None
-    nor a string (naming the step), an output name not a string (naming the
-    output).
+    Raises MalformedTrace, naming the step, for a coordinate that is not
+    finite, and for a name ``loads`` would refuse: a seed or output name
+    count unlike the program's, a seed name neither None nor a string
+    (naming the step), an output name not a string (naming the output).
     """
     trace = doc.trace
-    trace.check()
     program = trace.program
     xs, ys = trace.resolved.xs, trace.resolved.ys
     if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
@@ -212,8 +201,8 @@ def loads(text: str) -> TraceDocument:
 
     Raises MalformedTrace on anything off-schema: a field of the wrong type,
     a column of the wrong length (in version 1, non-dense ids), an unknown op
-    or selector, a non-finite coordinate, a program that ``Program.check``
-    rejects, or a circle ``radius`` refuses.
+    or selector, a non-finite coordinate, a program that the ``Program``
+    constructor refuses, or a circle ``radius`` refuses.
     """
     try:
         data = json.loads(text)
@@ -244,16 +233,15 @@ def loads(text: str) -> TraceDocument:
 
     for key, column, want, types, what in (
             ("seed_names", seed_names, len(seed_names), {str, type(None)}, "a string or null"),
-            ("first", first, len(ops), {int}, "an integer"),
-            ("second", second, len(ops), {int}, "an integer"),
+            ("first", first, len(ops), None, None),  # the Program constructor
+            ("second", second, len(ops), None, None),  # checks their types
             ("x", x, points, {int, float}, "a number"),
             ("y", y, points, {int, float}, "a number"),
-            ("outputs", outputs, len(outputs), {int}, "an integer"),
             ("output_names", output_names, len(outputs), {str}, "a string")):
         if len(column) != want:
             raise MalformedTrace(f"{node(key, min(len(column), want))}: {key!r} holds "
                                  f"{len(column)} entries, not {want}")
-        at = _mistyped(column, types)
+        at = types and _mistyped(column, types)
         if at is not None:
             raise MalformedTrace(f"{node(key, at)}: {key!r} must be {what}")
     try:
@@ -265,9 +253,8 @@ def loads(text: str) -> TraceDocument:
                        for i, v in enumerate(column)
                        if not -sys.float_info.max <= v <= sys.float_info.max)
         raise MalformedTrace(f"{node(key, at)}: {key!r} must be finite")
-    program = Program(len(seed_names), ops, tuple(first), tuple(second), tuple(outputs))
     try:
-        program.check()
+        program = Program(len(seed_names), ops, tuple(first), tuple(second), tuple(outputs))
     except MalformedProgram as err:
         raise MalformedTrace(str(err)) from None
     xs, ys, rs = [], [], []

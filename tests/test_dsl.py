@@ -524,9 +524,9 @@ def test_field_op_walks_each_operand_once(call, monkeypatch):
     walks = []
     live = program._live
 
-    def counting(where, roots):
-        walks.append(roots)
-        return live(where, roots)
+    def counting(where, node):
+        walks.append(node)
+        return live(where, node)
 
     monkeypatch.setattr(program, "_live", counting)
     run_source("given Z = (0, 0)\ngiven U = (1, 0)\nlet X = apex(Z, U)\n"

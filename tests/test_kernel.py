@@ -64,7 +64,7 @@ S, C, L, R = OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT
 
 
 def program_of(seed_count, rows, outputs):
-    """A program from its step rows, stored as given (checked when used)."""
+    """A program from its step rows, checked as it is built."""
     ops, first, second = zip(*rows)
     return Program(seed_count, ops, first, second, tuple(outputs))
 
@@ -83,30 +83,26 @@ def program_of(seed_count, rows, outputs):
     (((S, 0, -1), (S, 1, -1), (C, 0, 1), (C, 2, 0)), ()),      # circle over a circle
 ])
 def test_execute_rejects_bad_references(steps, outputs):
-    program = program_of(2, steps, outputs)
+    # no such program is built, so none reaches execute or inline
     with pytest.raises(MalformedProgram):
-        execute(program, (O, U))
-    with pytest.raises(MalformedProgram):
-        Builder([O, U]).inline(program, (0, 1))
+        program_of(2, steps, outputs)
 
 
 APEX_ROWS = ((S, 0, -1), (S, 1, -1), (C, 0, 1), (C, 1, 0), (L, 2, 3))
 
 
-@pytest.mark.parametrize("program, error", [
-    (program_of(2, APEX_ROWS[:4] + ((7, 2, 3),), (4,)), "^step 4: unknown op 7"),
-    (Program(2, (S, S, C), (0, 1, 0), (-1, -1), ()), "columns differ in length"),
+@pytest.mark.parametrize("build, error", [
+    (lambda: program_of(2, APEX_ROWS[:4] + ((7, 2, 3),), (4,)), "^step 4: unknown op 7"),
+    (lambda: Program(2, (S, S, C), (0, 1, 0), (-1, -1), ()), "columns differ in length"),
 ], ids=["unknown-op", "ragged-columns"])
-def test_malformed_columns(program, error):
+def test_malformed_columns(build, error):
     with pytest.raises(MalformedProgram, match=error):
-        execute(program, (O, U))
-    with pytest.raises(MalformedProgram, match=error):
-        Builder([O, U]).inline(program, (0, 1))
+        build()
 
 
 def test_output_on_a_circle_is_a_malformed_program():
     with pytest.raises(MalformedProgram, match="^output 1: id 2 is not a point"):
-        execute(program_of(2, APEX_ROWS, (4, 2)), (O, U))
+        program_of(2, APEX_ROWS, (4, 2))
     b = Builder([O, U])
     c = b.circle(0, 1)
     with pytest.raises(MalformedProgram, match="^output 1: id 2 is not a point"):

@@ -26,7 +26,7 @@ from compass.errors import (
     NonFiniteInput,
     NoSuchIntersection,
 )
-from compass.geom import Point, ResolvedCircle, cut, radius
+from compass.geom import Point, cut, radius
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
@@ -110,8 +110,9 @@ def test_builder_refuses_a_bad_argument(call, message):
     assert len(b) == 3  # a failing call appends nothing
 
 
-# (call on the builder below, error type, message): node -1, node len(b) = 4
-# and a node of the wrong kind, as each argument of each resolving method
+# (call on the builder below, error type, message): node -1, node len(b) = 4,
+# a node of the wrong kind and one that equals a node but is not an int (a
+# row not yet in the table), as each argument of each resolving method
 _BAD_NODE_CALLS = [
     *[(f"circle({u}, {v})", lambda b, u=u, v=v: b.circle(u, v), err, message)
       for u, v, err, message in [
@@ -120,7 +121,9 @@ _BAD_NODE_CALLS = [
           (4, 1, InvalidNodeId, "node 4 outside the builder"),
           (0, 4, InvalidNodeId, "node 4 outside the builder"),
           (2, 1, MalformedProgram, "node 2 is not a point"),
-          (0, 3, MalformedProgram, "node 3 is not a point")]],
+          (0, 3, MalformedProgram, "node 3 is not a point"),
+          (True, True, InvalidNodeId, "node True is not an integer"),
+          (0, 0.0, InvalidNodeId, "node 0.0 is not an integer")]],
     *[(f"{name}({c1}, {c2})", lambda b, call=call, c1=c1, c2=c2: call(b, c1, c2), err, message)
       for name, call in [
           ("pick-left", lambda b, c1, c2: b.pick(c1, c2, Selector.LEFT)),
@@ -133,13 +136,16 @@ _BAD_NODE_CALLS = [
           (4, 3, InvalidNodeId, "node 4 outside the builder"),
           (2, 4, InvalidNodeId, "node 4 outside the builder"),
           (0, 3, MalformedProgram, "node 0 is not a circle"),
-          (2, 1, MalformedProgram, "node 1 is not a circle")]],
+          (2, 1, MalformedProgram, "node 1 is not a circle"),
+          (2.0, 3, InvalidNodeId, "node 2.0 is not an integer"),
+          (2, 3.0, InvalidNodeId, "node 3.0 is not an integer")]],
     *[(f"pick_other(2, 3, avoid={avoid})", lambda b, avoid=avoid: b.pick_other(2, 3, avoid),
        err, message)
       for avoid, err, message in [
           (-1, InvalidNodeId, "node -1 outside the builder"),
           (4, InvalidNodeId, "node 4 outside the builder"),
-          (2, MalformedProgram, "node 2 is not a point")]],
+          (2, MalformedProgram, "node 2 is not a point"),
+          (False, InvalidNodeId, "node False is not an integer")]],
 ]
 
 
@@ -162,6 +168,33 @@ def test_builder_refuses_a_bad_node(call, error, message):
     assert state() == before
 
 
+@pytest.mark.parametrize("call", [
+    lambda b: b.point(True), lambda b: b.circle_value(2.0),
+    lambda b: b.inline(extend_program(), (0, 1.0)), lambda b: b.witness(1.0),
+    lambda b: b.witness(False), lambda b: b.pair_based("0"), lambda b: ancestors(b, 0.0),
+], ids=["point", "circle_value", "inline", "witness-float", "witness-bool", "pair_based",
+        "ancestors"])
+def test_node_readers_refuse_a_node_that_is_not_an_int(call):
+    b = Builder([O, U])
+    b.circle(0, 1)
+    with pytest.raises(InvalidNodeId, match="is not an integer$"):
+        call(b)
+    assert len(b) == 3
+
+
+def test_a_bool_node_appends_nothing():
+    # circle(False, True) once appended the row (OP_CIRCLE, False, True),
+    # and finish handed over a 'first' column the constructor refuses
+    b = Builder([O, U])
+    for call in (lambda: b.circle(False, True), lambda: b.circle(True, False)):
+        with pytest.raises(InvalidNodeId, match="^node (False|True) is not an integer$"):
+            call()
+    assert len(b) == 2 and b.table == {}
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    program = b.finish([b.pick(c1, c2, Selector.LEFT)])[0]
+    assert set(map(type, program.first + program.second)) == {int}
+
+
 @pytest.mark.parametrize("avoid, error, message", [
     (-1, InvalidNodeId, "node -1 outside the builder"),
     (99, InvalidNodeId, "node 99 outside the builder"),
@@ -181,14 +214,9 @@ def test_pick_other_checks_avoid_where_the_circles_only_touch(avoid, error, mess
 def test_check_states_the_whole_seed_row(bad, at):
     # a trace document keeps no seed operand, so a seed row with one would
     # come back from a dump and load as another program
-    program = Program(2, (OP_SEED, OP_SEED, OP_CIRCLE, OP_CIRCLE, OP_LEFT),
-                      (0, 1, 0, 1, 2), (*bad, 1, 0, 3), (4,))
     with pytest.raises(MalformedProgram, match=rf"^step {at}: expected Seed\(slot={at}\)"):
-        program.check()
-    trace = Trace(program, (O, U, ResolvedCircle(O, 1.0), ResolvedCircle(U, 1.0),
-                            Point(0.5, math.sqrt(3) / 2)))
-    with pytest.raises(MalformedProgram, match=rf"^step {at}:"):
-        purity_audit(trace)
+        Program(2, (OP_SEED, OP_SEED, OP_CIRCLE, OP_CIRCLE, OP_LEFT),
+                (0, 1, 0, 1, 2), (*bad, 1, 0, 3), (4,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -206,6 +234,19 @@ def test_builder_refuses_a_seed_that_is_not_an_int_or_a_float(bad):
         Builder(seeds)
     with pytest.raises(NonFiniteInput, match=r"^seed .* is not a pair of numbers$"):
         execute(midpoint_program(), seeds)
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, (1.0,), (1.0, 2.0, 3.0), "ab", (1.0, None)],
+                         ids=["none", "float", "one", "three", "string", "null-y"])
+def test_builder_refuses_a_seed_that_is_not_a_pair_of_numbers(seed):
+    with pytest.raises(NonFiniteInput, match=r"^seed .* is not a pair of numbers$"):
+        Builder([O, seed])
+
+
+def test_builder_reads_a_pair_as_the_point_it_equals():
+    pairs = ((0.0, 0.0), (1, 0.0))
+    assert Builder(pairs).finish([1]) == Builder(map(Point._make, pairs)).finish([1])
+    assert execute(midpoint_program(), pairs) == execute(midpoint_program(), (O, Point(1, 0.0)))
 
 
 def test_builder_refuses_an_int_seed_past_the_float_range():
@@ -228,7 +269,37 @@ def test_resolved_columns_are_read_only():
         assert type(again) is Resolved and again == resolved
 
 
-# --- checked once ---------------------------------------------------------------
+# --- valid by construction ---------------------------------------------------
+
+@pytest.mark.parametrize("fields, message", [
+    ((2, (0, 0), (0, 1), (-1, -1), 7), "^'outputs' must be a sequence$"),
+    ((2, None, (0, 1), (-1, -1), ()), "^'ops' must be a sequence$"),
+    ((2, (0, 0), 1, (-1, -1), ()), "^'first' must be a sequence$"),
+    ((2, (0, 0), (0, 1), {-1, -2}, ()), "^'second' must be a sequence$"),
+    ((-1, (0,), (0,), (-1,), ()), "^'seed_count' -1 is negative$"),
+    ((-1, (), (), (), ()), "^'seed_count' -1 is negative$"),
+], ids=["int-outputs", "null-ops", "int-first", "set-second", "negative-seed-count",
+        "negative-seed-count-no-steps"])
+def test_malformed_fields_raise_typed_errors(fields, message):
+    # the first two raised a bare TypeError, the next a misplaced seed at
+    # step -1, and a negative seed count over no steps passed
+    with pytest.raises(MalformedProgram, match=message):
+        Program(*fields)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_the_constructors_accept_what_finish_and_witness_hand_over(name):
+    # finish and witness skip the constructors' step passes: their columns
+    # must pass them
+    b = Builder.resume(dsl.run_source(DEMOS[name]).trace)
+    points = [i for i, r in enumerate(b.rs) if r is None]
+    handed = [b.finish(points)[1], *(b.witness(i) for i in points if b.pair_based(i))]
+    assert len(handed) > 2
+    for trace in handed:
+        p = trace.program
+        again = Trace(Program(p.seed_count, p.ops, p.first, p.second, p.outputs), trace.resolved)
+        assert again == trace
+
 
 @pytest.fixture
 def column_passes(monkeypatch):
@@ -259,6 +330,15 @@ def _engine_traces():
     return traces
 
 
+def _consume(trace):
+    """Every consumer that once checked a trace before reading it."""
+    assert purity_audit(trace) == (trace.program.seed_count, trace.circle_count,
+                                   trace.program.pick_count())
+    render_trace(trace)
+    tracedoc.dumps(tracedoc.document_from_trace(trace))
+    Builder.resume(trace)
+
+
 def test_engine_traces_are_checked_by_construction(column_passes):
     traces = _engine_traces()
     # the full witness keeps its builder's table, the cut one does not
@@ -267,43 +347,37 @@ def test_engine_traces_are_checked_by_construction(column_passes):
     assert len(traces["witness, some steps cut"].program.ops) < len(traces["finish"].program.ops)
     column_passes.clear()
     for name, trace in traces.items():
-        trace.check()
-        assert purity_audit(trace) == (2, trace.circle_count,
-                                       len(trace.program.ops) - 2 - trace.circle_count)
-        render_trace(trace)
-        tracedoc.dumps(tracedoc.document_from_trace(trace))
+        _consume(trace)
         assert column_passes == [], name
 
 
 def test_other_traces_are_checked_once(column_passes):
     trace = execute(midpoint_program(), (O, U))
-    for again, passes in ((Trace(trace.program, trace.resolved), 3),
-                          (dataclasses.replace(trace), 3),
-                          (copy.copy(trace), 3),
-                          (copy.deepcopy(trace), 6),  # the program's passes too
-                          (pickle.loads(pickle.dumps(trace)), 6)):
-        assert again == trace
+    column_passes.clear()
+    for make, passes in ((lambda: Trace(trace.program, trace.resolved), 3),
+                         (lambda: dataclasses.replace(trace), 3),
+                         (lambda: copy.copy(trace), 3),
+                         (lambda: copy.deepcopy(trace), 6),  # the program's passes too
+                         (lambda: pickle.loads(pickle.dumps(trace)), 6)):
+        again = make()
+        assert again == trace and len(column_passes) == passes
         column_passes.clear()
-        purity_audit(again)
-        assert len(column_passes) == passes
-        again.check()
-        purity_audit(again)
-        assert len(column_passes) == passes  # and never again
+        _consume(again)
+        assert column_passes == []  # and none in a consumer
 
 
-def test_a_bad_column_is_refused_once_its_flag_is_gone():
+def test_a_bad_column_is_refused_by_the_constructor():
     trace = execute(midpoint_program(), (O, U))
     r = trace.resolved
-    bad = Trace(trace.program, Resolved((True, *r.xs[1:]), r.ys, r.rs))
-    object.__setattr__(bad, "_checked", True)  # a flag the trace did not earn
-    bad.check()
-    for again in (Trace(bad.program, bad.resolved), dataclasses.replace(bad), copy.copy(bad),
-                  copy.deepcopy(bad), pickle.loads(pickle.dumps(bad))):
-        with pytest.raises(MalformedTrace, match="^step 0: 'x' must be a number$"):
-            purity_audit(again)
-        # and a builder does not take it over, so finish flags numbers only
-        with pytest.raises(MalformedTrace, match="^step 0: 'x' must be a number$"):
-            Builder.resume(again)
+    bad = Resolved((True, *r.xs[1:]), r.ys, r.rs)
+    with pytest.raises(MalformedTrace, match="^step 0: 'x' must be a number$"):
+        Trace(trace.program, bad)
+    with pytest.raises(MalformedTrace, match="^step 0: 'x' must be a number$"):
+        dataclasses.replace(trace, resolved=bad)
+    # a trace is valid only over a Program, which is valid by construction
+    for stand_in in (None, trace.program.steps, tracedoc.document_from_trace(trace)):
+        with pytest.raises(MalformedTrace, match="^'program' must be a Program$"):
+            Trace(stand_in, r)
 
 
 def test_degenerate_circle_step():
@@ -397,9 +471,8 @@ def test_purity_audit_empty_program():
 
 def test_trace_check_refuses_too_few_resolved_values():
     trace = execute(midpoint_program(), (O, U))
-    short = Trace(trace.program, tuple(trace.resolved)[:-1])
     with pytest.raises(MalformedTrace, match="do not cover the steps"):
-        short.check()
+        Trace(trace.program, tuple(trace.resolved)[:-1])
 
 
 @pytest.mark.parametrize("column", ["xs", "ys"])
@@ -410,24 +483,18 @@ def test_trace_check_refuses_a_short_coordinate_column(column):
     trace = execute(midpoint_program(), (O, U))
     cols = {"xs": trace.resolved.xs, "ys": trace.resolved.ys, "rs": trace.resolved.rs}
     cols[column] = cols[column][:-1]
-    short = Trace(trace.program, Resolved(**cols))
-    for read in (purity_audit, render_trace,
-                 lambda t: tracedoc.dumps(tracedoc.document_from_trace(t))):
-        with pytest.raises(MalformedTrace, match="^resolved values do not cover the steps$"):
-            read(short)
+    with pytest.raises(MalformedTrace, match="^resolved values do not cover the steps$"):
+        Trace(trace.program, Resolved(**cols))
 
 
 def test_purity_audit_rejects_forged_step():
-    # a non-compass step is a malformed program, whoever runs it
-    forged = Program(1, (OP_SEED, 9), (0, 0), (-1, 0), ())
+    # a non-compass step is a malformed program, so none reaches a consumer
     with pytest.raises(MalformedProgram, match="^step 1: unknown op"):
-        execute(forged, (O,))
-    with pytest.raises(MalformedProgram, match="^step 1: unknown op"):
-        purity_audit(Trace(forged, (O, O)))
-    # a circle step that resolved to a point fails the audit
+        Program(1, (OP_SEED, 9), (0, 0), (-1, 0), ())
+    # a circle step that resolved to a point is a malformed trace
     program = Program(2, (OP_SEED, OP_SEED, OP_CIRCLE), (0, 1, 0), (-1, -1, 1), ())
     with pytest.raises(MalformedTrace, match="^step 2:"):
-        purity_audit(Trace(program, (O, U, O)))
+        Trace(program, (O, U, O))
 
 
 @pytest.mark.parametrize("program", [
@@ -611,7 +678,6 @@ def test_counting_steps_builds_no_row():
     n = 10_000
     program = Program(2, (OP_SEED, OP_SEED) + (OP_CIRCLE,) * n, (0, 1) + (0,) * n,
                       (-1, -1) + (1,) * n, (0,))
-    program.check()
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -640,7 +706,6 @@ def test_resolved_equals_and_hashes_by_its_columns():
 def reference_resolve(b, program, node, table):
     """``Builder._resolve`` without the cut reuse: each pick calls
     ``geom.cut`` on its own circles. Appends to ``b``'s columns."""
-    program.check()
     xs, ys, rs = b.xs, b.ys, b.rs
     start = program.seed_count
     for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):

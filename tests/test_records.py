@@ -14,6 +14,8 @@ from compass import dsl, field_ops, fuzz, tracedoc
 from compass.geom import Coincident, NoIntersection, Point, ResolvedCircle, Tangent, TwoPoints
 from compass.program import (
     OP_CIRCLE,
+    OP_LEFT,
+    OP_RIGHT,
     AuditReport,
     Builder,
     Program,
@@ -94,9 +96,9 @@ def test_records_take_dataclasses_replace(record, text, key):
     again = dataclasses.replace(record)
     assert type(again) is type(record) and repr(again) == text
     if record._fields and type(record) is not Trace:  # Trace: the test below
-        name = record._fields[-1]
-        changed = dataclasses.replace(record, **{name: 7})
-        assert getattr(changed, name) == 7
+        name = record._fields[-1]  # a Program's outputs, checked as it is built
+        changed = dataclasses.replace(record, **{name: (0,)})
+        assert getattr(changed, name) == (0,)
 
 
 def test_replaced_trace_values_are_encoded():
@@ -135,12 +137,15 @@ def test_point_is_its_coordinate_pair():
 
 def test_program_and_trace_compare_field_by_field():
     again = Program(2, (0, 0), (0, 1), (-1, -1), (1,))
-    PROGRAM.check()
-    assert again == PROGRAM  # the check cache is outside equality
-    for k in range(5):
-        fields = [again.seed_count, again.ops, again.first, again.second, again.outputs]
-        fields[k] = (9,) if k else 3
-        assert Program(*fields) != PROGRAM
+    assert again == PROGRAM
+    # valid variants of a program with a pick: each differs in one column
+    # (a seed count cannot change alone, as the seeds open the columns)
+    fields = [2, (0, 0, OP_CIRCLE, OP_CIRCLE, OP_LEFT), (0, 1, 0, 1, 2), (-1, -1, 1, 0, 3), (4,)]
+    base = Program(*fields)
+    for k, value in ((1, (0, 0, OP_CIRCLE, OP_CIRCLE, OP_RIGHT)), (2, (0, 1, 0, 0, 2)),
+                     (3, (-1, -1, 1, 0, 2)), (4, (0,))):
+        assert Program(*fields[:k], value, *fields[k + 1:]) != base
+    assert Program(*fields) == base
     assert Trace(again, (Point(0.0, 0.0), Point(1.0, 0.0))) == TRACE
     assert Trace(PROGRAM, (Point(0.0, 0.0), Point(1.0, -0.5))) != TRACE
     assert Trace(Builder(TRACE.seed_values).finish((0,))[0], TRACE.resolved) != TRACE

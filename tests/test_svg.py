@@ -85,9 +85,15 @@ def test_resolved_kind_mismatch_raises(kind, stand_in):
     source = next(i for i, (op, _, _) in enumerate(steps) if op in stand_in)
     resolved = list(trace.resolved)
     resolved[at] = resolved[source]
-    bad = Trace(trace.program, tuple(resolved))
     with pytest.raises(MalformedTrace, match=rf"^step {at}:"):
-        render_trace(bad)
+        Trace(trace.program, tuple(resolved))
+
+
+@pytest.mark.parametrize("label", [3, b"A", ["A"]])
+def test_a_label_that_is_not_a_string_raises(label):
+    # label.replace raised a bare AttributeError here
+    with pytest.raises(MalformedTrace, match="^step 1: name must be a string$"):
+        render_trace(midpoint_result().trace, {1: label})
 
 
 def test_overflowing_view_box_raises():

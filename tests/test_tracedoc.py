@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import svg, tracedoc
+from compass import tracedoc
 from compass.constructions import midpoint_program
 from compass.dsl import run_source
 from compass.errors import MalformedProgram, MalformedTrace, NonFiniteInput
-from compass.geom import Point, ResolvedCircle
+from compass.geom import Point
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
@@ -330,9 +330,8 @@ def test_document_rejects_resolved_kind_mismatch():
                 if op in (OP_LEFT, OP_RIGHT))
     resolved = list(trace.resolved)
     resolved[pick] = resolved[pick - 1]  # a circle where a point belongs
-    bad = Trace(trace.program, tuple(resolved))
     with pytest.raises(MalformedTrace, match=rf"^step {pick}:"):
-        tracedoc.dumps(tracedoc.document_from_trace(bad))
+        Trace(trace.program, tuple(resolved))
 
 
 # op and second columns of the apex program on (0, 0), (1, 0), made malformed
@@ -345,38 +344,34 @@ MALFORMED_PROGRAMS = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_PROGRAMS))
 def test_consumers_refuse_what_loads_refuses(name):
-    """A hand-built trace whose values fit its steps' kinds but whose
-    program is malformed is refused by the audit, dumps and the SVG."""
+    """A program that loads refuses cannot be built by hand either, so no
+    consumer (the audit, dumps, the SVG) is ever handed one."""
     ops, second, error = MALFORMED_PROGRAMS[name]
-    program = Program(2, ops, (0, 1, 0, 1, 2), second, (4,))
-    o, u = Point(0.0, 0.0), Point(1.0, 0.0)
-    trace = Trace(program, (o, u, ResolvedCircle(o, 1.0), ResolvedCircle(u, 1.0),
-                            Point(0.5, math.sqrt(3) / 2)))
-    for consume in (purity_audit, svg.render_trace,
-                    lambda t: tracedoc.dumps(tracedoc.document_from_trace(t))):
-        with pytest.raises(MalformedProgram, match=error):
-            consume(trace)
+    with pytest.raises(MalformedProgram, match=error):
+        Program(2, ops, (0, 1, 0, 1, 2), second, (4,))
 
 
 def _program_case(seed_count=2, ops=(S, S, C), first=(0, 1, 0), outputs=(), error=""):
-    """A hand-built trace of two seeds and a circle, one column entry not an
-    int, and the MalformedProgram every consumer raises for it."""
-    o, u = Point(0.0, 0.0), Point(1.0, 0.0)
-    program = Program(seed_count, ops, first, (-1, -1, 1), outputs)
-    return Trace(program, (o, u, ResolvedCircle(o, 1.0))), MalformedProgram, error
+    """A program of two seeds and a circle, one column entry not an int: its
+    build, the MalformedProgram it raises, and no seeds to execute."""
+    return (lambda: Program(seed_count, ops, first, (-1, -1, 1), outputs),
+            MalformedProgram, error, None)
 
 
 def _value_case(key, at, value, error):
     """The midpoint sample's trace with entry ``at`` of its ``key`` column
-    replaced, and the MalformedTrace every consumer raises for it."""
+    replaced: its build, the MalformedTrace it raises, and its seeds."""
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
     columns = {"x": trace.resolved.xs, "y": trace.resolved.ys, "radius": trace.resolved.rs}
     columns[key] = columns[key][:at] + (value,) + columns[key][at + 1:]
-    return Trace(trace.program, Resolved(*columns.values())), MalformedTrace, error
+    seeds = tuple(map(Point, columns["x"][:2], columns["y"][:2]))
+    return (lambda: Trace(trace.program, Resolved(*columns.values())),
+            MalformedTrace, error, seeds)
 
 
-# name: (trace, the error type and message of every consumer); the sample has
-# seeds at steps 0 and 1, a circle at step 2 and a pick at step 4
+# name: (build, the error type and message it raises, the seeds of a trace
+# case); the sample has seeds at steps 0 and 1, a circle at step 2 and a
+# pick at step 4
 NON_NUMBER_COLUMNS = {
     "float-first": _program_case(first=(0, 1, 0.0), error="^step 2: 'first' must be an integer$"),
     "float-output": _program_case(outputs=(1.0,),
@@ -398,24 +393,19 @@ NON_NUMBER_COLUMNS = {
 @pytest.mark.parametrize("name", sorted(NON_NUMBER_COLUMNS))
 def test_non_number_columns_raise_typed_errors(name):
     """A column entry that is not an int (in a program) or not a number (in a
-    trace) is a typed error to the audit, the SVG and dumps. ``execute`` on
-    the trace's seeds refuses the same malformed program, refuses a seed
-    that is not a number, and otherwise gives a trace the audit passes."""
-    trace, error, message = NON_NUMBER_COLUMNS[name]
-    for consume in (purity_audit, svg.render_trace,
-                    lambda t: tracedoc.dumps(tracedoc.TraceDocument(t, (), ()))):
-        with pytest.raises(error, match=message):
-            consume(trace)
-    program, xs, ys = trace.program, trace.resolved.xs, trace.resolved.ys
-    seeds = tuple(map(Point, xs[:2], ys[:2]))
-    if error is MalformedProgram:
-        with pytest.raises(MalformedProgram, match=message):
-            execute(program, seeds)
-    elif not set(map(type, xs[:2] + ys[:2])) <= {int, float}:
+    trace) is a typed error where the record is built, so no consumer is
+    handed one. ``execute`` on a trace case's seeds refuses a seed that is
+    not a number, and otherwise gives a trace the audit passes."""
+    build, error, message, seeds = NON_NUMBER_COLUMNS[name]
+    with pytest.raises(error, match=message):
+        build()
+    if seeds is None:
+        return
+    if not set(map(type, (*seeds[0], *seeds[1]))) <= {int, float}:
         with pytest.raises(NonFiniteInput, match="is not a pair of numbers$"):
-            execute(program, seeds)
+            execute(midpoint_program(), seeds)
     else:
-        purity_audit(execute(program, seeds))
+        purity_audit(execute(midpoint_program(), seeds))
 
 
 # --- version 2: the columnar document -------------------------------------------
@@ -594,15 +584,11 @@ def test_a_negative_zero_keeps_its_sign():
     assert tracedoc.dumps(again) == text
 
 
-def test_document_from_trace_hands_a_float_seed_count_to_dumps():
-    # padding the seed names multiplied a tuple by 2.0: a bare TypeError
-    o, u = Point(0.0, 0.0), Point(1.0, 0.0)
-    trace = Trace(Program(2.0, (S, S), (0, 1), (-1, -1), (0,)), (o, u))
-    for names in ((), ("A",)):
-        doc = tracedoc.document_from_trace(trace, names)
-        assert doc.seed_names == names
-        with pytest.raises(MalformedProgram, match="^'seed_count' must be an integer$"):
-            tracedoc.dumps(doc)
+def test_a_float_seed_count_is_refused_when_built():
+    # document_from_trace padded the seed names by multiplying a tuple by
+    # 2.0, a bare TypeError; no trace of such a program can be built now
+    with pytest.raises(MalformedProgram, match="^'seed_count' must be an integer$"):
+        Program(2.0, (S, S), (0, 1), (-1, -1), (0,))
 
 
 def test_degenerate_circle_in_v2_document():
