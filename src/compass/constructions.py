@@ -32,6 +32,7 @@ from .geom import EPS, Point
 from .program import Builder, Program, Selector
 
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
+CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))  # the numbers 0 and 1
 _SIN60 = math.sqrt(3.0) / 2.0
 
 
@@ -62,7 +63,7 @@ def build_apex(b: Builder, a: int, bn: int, side: Selector = Selector.LEFT) -> i
 @lru_cache(maxsize=None)
 def apex_program(side: Selector = Selector.LEFT) -> Program:
     """Canonical two-seed apex program (for replay on arbitrary segments)."""
-    b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
+    b = Builder(CANONICAL_SEEDS)
     return b.finish([build_apex(b, 0, 1, side)])[0]
 
 
@@ -76,7 +77,7 @@ def nth_point_program(n: int) -> Program:
         raise NotPositiveInteger(f"n must be a positive integer, got {n!r}")
     if n > MAX_SCALE:
         raise ScaleOverflow(f"scaling factor {n} exceeds {MAX_SCALE}")
-    b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
+    b = Builder(CANONICAL_SEEDS)
     return b.finish([_doubling_chain(b, 0, 1, n)])[0]
 
 
@@ -87,7 +88,7 @@ def extend_program() -> Program:
     circles about y through x and about x through y cut at the apexes u
     and v; the circle about u through v, of radius sqrt(3)|xy|, meets the
     circle about y again at 2y - x."""
-    b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
+    b = Builder(CANONICAL_SEEDS)
     base = b.circle(1, 0)
     u, v = b.both(b.circle(0, 1), base)
     return b.finish([b.pick(b.circle(u, v), base, Selector.LEFT)])[0]
@@ -136,7 +137,7 @@ def midpoint_program() -> Program:
     reflect b through a to get c, cut the circle (c through b) with the
     circle (b through a) -- that one is shared with the reflection -- and
     close with the two circles through b around the cut points."""
-    b = Builder([Point(0.0, 0.0), Point(1.0, 0.0)])
+    b = Builder(CANONICAL_SEEDS)
     c = build_extend(b, 1, 0)
     big = b.circle(c, 1)
     back = b.circle(1, 0)  # reused from the doubling

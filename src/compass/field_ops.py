@@ -14,8 +14,9 @@ the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
 
 ``ConstructibleValue`` and its functions are the API edge: a value is its
 witness resolved on the canonical seeds, the ``Builder.witness`` of a node
-grown on a ``Builder(CANONICAL_SEEDS)``; ``zero`` and ``one`` are those of
-its seeds. Each operation resumes a ``Builder`` on its left operand's rows,
+grown on a ``Builder(CANONICAL_SEEDS)`` (defined in ``constructions``, whose
+canonical programs start from them); ``zero`` and ``one`` are those of its
+seeds. Each operation resumes a ``Builder`` on its left operand's rows,
 calls the ``build_*`` routine and carries the result's witness as the new
 value. Sharing the steps already there, witnesses grow linearly along
 chains of additions, not exponentially. A witness that keeps every step of
@@ -37,6 +38,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import constructions as cons
+from .constructions import CANONICAL_SEEDS
 from .errors import DegenerateCircle, InvalidNodeId
 from .geom import EPS, Point
 # execute and rebase are unused here but stay importable: perfbench's tracer
@@ -48,8 +50,6 @@ from .program import (  # noqa: F401
     execute,
     rebase,
 )
-
-CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))
 
 
 # --- ring operations on a builder -------------------------------------------

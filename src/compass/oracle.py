@@ -12,16 +12,13 @@ from __future__ import annotations
 import math
 
 from .geom import EPS, Point, ResolvedCircle
+from .record import Record
 
 
-class Parallel:
+class Parallel(Record):
     """Marker result for (near-)parallel line pairs."""
 
-    def __eq__(self, other):
-        return isinstance(other, Parallel)
-
-    def __repr__(self):
-        return "Parallel()"
+    __slots__ = ()
 
 
 def oracle_line_line(a: Point, b: Point, c: Point, d: Point) -> Point | Parallel:

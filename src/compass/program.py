@@ -41,8 +41,8 @@ intersection arithmetic. ``Builder.witness`` is the one way to cut a
 point's ancestors out as a trace of their own. Value objects (``Point``,
 ``ResolvedCircle``) exist only at the API edge: ``Trace.resolved`` is the
 one view of them, equal by its columns. ``AuditReport`` and ``geom``'s
-values are named tuples; ``Program`` and ``Trace`` are ``record.Record``
-classes.
+values are named tuples; ``Program``, ``Trace`` and ``Resolved`` are
+``record.Record`` classes.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, islice
 from operator import itemgetter
 
@@ -101,25 +101,21 @@ def _mistyped(column: Sequence, types: set) -> int | None:
     return next(i for i, v in enumerate(column) if type(v) not in types)
 
 
-class Resolved(Sequence):
+class Resolved(Record, Sequence):
     """The resolved value of every step, as ``Point`` or ``ResolvedCircle``,
     over the float columns ``xs``, ``ys`` and ``rs`` (``None`` for a point):
-    ``len`` is O(1), an index builds one value, a slice gives a tuple. Equal
-    only to a ``Resolved`` with equal columns, which is what it hashes.
-    Read-only, as a ``Record`` is: a trace cannot change once made."""
+    ``len`` is O(1), an index builds one value, a slice gives a tuple. A
+    ``Record`` of its columns that prints as the tuple of its values; its
+    own ``__init__``, unrolled for the engine's builds, takes keywords too."""
 
-    __slots__ = ("xs", "ys", "rs")
+    _fields = ("xs", "ys", "rs")
+    __slots__ = _fields
 
     def __init__(self, xs: tuple, ys: tuple, rs: tuple):
         init = object.__setattr__
         init(self, "xs", xs)
         init(self, "ys", ys)
         init(self, "rs", rs)
-
-    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
-
-    def __reduce__(self):  # for copy and pickle, which cannot assign slots
-        return Resolved, (self.xs, self.ys, self.rs)
 
     @classmethod
     def of_values(cls, values) -> Resolved:
@@ -147,14 +143,6 @@ class Resolved(Sequence):
         if isinstance(i, slice):
             return tuple(map(self._at, range(len(self))[i]))
         return self._at(range(len(self))[i])
-
-    def __eq__(self, other):
-        if type(other) is not Resolved:
-            return NotImplemented
-        return (self.xs, self.ys, self.rs) == (other.xs, other.ys, other.rs)
-
-    def __hash__(self) -> int:
-        return hash((self.xs, self.ys, self.rs))
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -324,8 +312,7 @@ class Trace(Record):
 
     @property
     def seed_values(self) -> tuple[Point, ...]:
-        n, r = self.program.seed_count, self.resolved
-        return tuple(map(Point, r.xs[:n], r.ys[:n]))
+        return self.resolved[:self.program.seed_count]
 
     @property
     def circle_count(self) -> int:
@@ -350,7 +337,7 @@ def _built(program: Program, xs: tuple, ys: tuple, rs: tuple) -> Trace:
     return trace
 
 
-def execute(program: Program, seeds: Sequence[Point]) -> Trace:
+def execute(program: Program, seeds: Iterable[Point]) -> Trace:
     """Run a program on concrete seed points, resolving every node in order.
 
     This is the step loop of ``Builder.inline`` run on a fresh builder with
@@ -358,6 +345,7 @@ def execute(program: Program, seeds: Sequence[Point]) -> Trace:
     resolved value per program step. Execution is a pure function of its
     arguments; identical inputs give bit-identical traces.
     """
+    seeds = tuple(seeds)
     if len(seeds) != program.seed_count:
         raise MalformedProgram(
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
@@ -490,7 +478,7 @@ class Builder:
     steps again.
     """
 
-    def __init__(self, seeds: Sequence[Point]):
+    def __init__(self, seeds: Iterable[Point]):
         seeds = tuple(seeds)
         n = self.seed_count = len(seeds)
         for p in seeds:
@@ -569,14 +557,17 @@ class Builder:
         return node
 
     def circle(self, center: int, through: int) -> int:
+        if type(center) is not int or type(through) is not int:  # False == 0 would hit
+            self._node(center, False)
+            self._node(through, False)
         hit = self.table.get((OP_CIRCLE, center, through))
         if hit is not None:
             return hit
         xs, ys, rs = self.xs, self.ys, self.rs
         count = len(rs)
-        if not (type(center) is int and 0 <= center < count and rs[center] is None):
+        if not (0 <= center < count and rs[center] is None):
             self._node(center, False)
-        if not (type(through) is int and 0 <= through < count and rs[through] is None):
+        if not (0 <= through < count and rs[through] is None):
             self._node(through, False)
         x, y = xs[center], ys[center]
         r = radius(x, y, xs[through], ys[through])
@@ -599,6 +590,9 @@ class Builder:
         op = OP_LEFT if which is _LEFT else OP_RIGHT if which is _RIGHT else None
         if op is None:
             raise MalformedProgram(f"bad selector {which!r}")
+        if type(c1) is not int or type(c2) is not int:  # 2.0 == 2 would hit
+            self._node(c1, True)
+            self._node(c2, True)
         hit = self.table.get((op, c1, c2))
         if hit is not None:
             return hit

@@ -5,7 +5,10 @@ classes. A ``Record`` prints as ``Name(field=value, ...)`` over ``_fields``,
 its constructor's parameters, which ``Record.__init__`` takes by position
 only; it equals only a record of its own class with an equal ``_key()``,
 its fields in order, hashes that key, and refuses assignment and deletion.
-A ``MutableRecord`` allows both and is unhashable. Importing ``dataclasses``
+A ``MutableRecord`` allows both and is unhashable. The records are
+``program.Program``, ``Trace`` and ``Resolved`` (which prints as the tuple
+of its values) and the fieldless outcomes ``geom.NoIntersection``,
+``geom.Coincident`` and ``oracle.Parallel``. Importing ``dataclasses``
 (and ``inspect``) would dominate the package's start-up;
 ``dataclasses.replace``, which passes fields by keyword, works on a record
 without fields or with an ``__init__`` of its own.

@@ -81,6 +81,14 @@ def test_execute_determinism_bit_for_bit():
 def test_execute_wrong_seed_count():
     with pytest.raises(MalformedProgram):
         execute(extend_program(), (O,))
+    with pytest.raises(MalformedProgram, match="^program wants 2 seeds, got 1$"):
+        execute(extend_program(), iter([O]))
+
+
+def test_execute_takes_seeds_as_any_iterable():
+    # as Builder does: the seeds are taken as a tuple before they are counted
+    want = execute(midpoint_program(), [O, U])
+    assert execute(midpoint_program(), iter([O, U])) == want
 
 
 def test_pick_errors():
@@ -123,7 +131,10 @@ _BAD_NODE_CALLS = [
           (2, 1, MalformedProgram, "node 2 is not a point"),
           (0, 3, MalformedProgram, "node 3 is not a point"),
           (True, True, InvalidNodeId, "node True is not an integer"),
-          (0, 0.0, InvalidNodeId, "node 0.0 is not an integer")]],
+          (0, 0.0, InvalidNodeId, "node 0.0 is not an integer"),
+          # equal to the stored row (OP_CIRCLE, 0, 1): refused before the lookup
+          (False, True, InvalidNodeId, "node False is not an integer"),
+          (0.0, 1, InvalidNodeId, "node 0.0 is not an integer")]],
     *[(f"{name}({c1}, {c2})", lambda b, call=call, c1=c1, c2=c2: call(b, c1, c2), err, message)
       for name, call in [
           ("pick-left", lambda b, c1, c2: b.pick(c1, c2, Selector.LEFT)),
@@ -193,6 +204,24 @@ def test_a_bool_node_appends_nothing():
     c1, c2 = b.circle(0, 1), b.circle(1, 0)
     program = b.finish([b.pick(c1, c2, Selector.LEFT)])[0]
     assert set(map(type, program.first + program.second)) == {int}
+
+
+@pytest.mark.parametrize("c1, c2, message", [
+    (2.0, 3.0, "node 2.0 is not an integer"),
+    (2, 3.0, "node 3.0 is not an integer"),
+    (2.0, 3, "node 2.0 is not an integer"),
+], ids=["float-float", "int-float", "float-int"])
+def test_a_pick_equal_to_a_stored_one_is_refused(c1, c2, message):
+    # the stored row (OP_LEFT, 2, 3) equals (OP_LEFT, 2.0, 3.0) and hashes
+    # alike, so pick tests its operands' types before the lookup
+    b = Builder([O, U])
+    b.circle(0, 1)
+    b.circle(1, 0)
+    left = b.pick(2, 3, Selector.LEFT)
+    before = len(b), dict(b.table)
+    with pytest.raises(InvalidNodeId, match=f"^{message}$"):
+        b.pick(c1, c2, Selector.LEFT)
+    assert (len(b), dict(b.table)) == before and b.pick(2, 3, Selector.LEFT) == left
 
 
 @pytest.mark.parametrize("avoid, error, message", [

@@ -12,6 +12,7 @@ import pytest
 
 from compass import dsl, field_ops, fuzz, tracedoc
 from compass.geom import Coincident, NoIntersection, Point, ResolvedCircle, Tangent, TwoPoints
+from compass.oracle import Parallel
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
@@ -58,6 +59,9 @@ RECORDS = [
     (Coincident(), "Coincident()", ()),
     (PROGRAM, PROGRAM_REPR, (2, (0, 0), (0, 1), (-1, -1), (1,))),
     (TRACE, TRACE_REPR, (PROGRAM, TRACE.resolved)),
+    # a Record that prints as the tuple of its values
+    (TRACE.resolved, "(Point(x=0.0, y=0.0), Point(x=1.0, y=0.0))",
+     ((0.0, 1.0), (0.0, 0.0), (None, None))),
 ]
 
 
@@ -128,6 +132,9 @@ def test_records_take_their_fields_by_position_only():
 
 def test_outcomes_without_fields_differ_by_kind():
     assert NoIntersection() == NoIntersection() != Coincident()
+    assert Parallel() == Parallel() != NoIntersection()
+    assert hash(Parallel()) == hash(()) and repr(Parallel()) == "Parallel()"
+    assert pickle.loads(pickle.dumps(Parallel())) == Parallel()
 
 
 def test_point_is_its_coordinate_pair():
