@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import takewhile
 
@@ -580,6 +581,44 @@ def test_line_line_retried_pole_leaves_no_step(monkeypatch):
                 program, _ = b.finish([node])
                 assert len(ancestors(program, node)) == len(program.steps)
     assert retried >= 100  # 230 of the 900 draws
+
+
+# sha256 of the poles tried, then the six columns and the result node or the
+# error's class and message, of every draw below; taken before the poles were
+# scored lazily, which must try them in the same order
+LINE_LINE_RETRY_DIGEST = "4f3af9d5ff91135d0c9fac5b8d7b913d6bc3045b3ae95e42c0d4ebe7eb9bc7d4"
+
+
+def test_line_line_pole_order_is_pinned(monkeypatch):
+    """The draws of the test above, and 300 at 1e153 where squared
+    distances overflow: retried poles, typed errors and the rest all give
+    the pinned poles, steps, bits and errors."""
+    real, poles = cons.build_apex, []
+
+    def counted(b, *args):
+        poles.append(args)
+        return real(b, *args)
+
+    monkeypatch.setattr(cons, "build_apex", counted)
+    digest, retried, errors = hashlib.sha256(), 0, 0
+    for rng, scales in ((SplitMix64(5), (1e-12, 3e-12, 1e-11)), (SplitMix64(11), (1e153,))):
+        for scale in scales:
+            for _ in range(300):
+                seeds = [Point(rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale)
+                         for _ in range(4)]
+                b = Builder(seeds)
+                poles.clear()
+                try:
+                    node = cons.build_line_line(b, 0, 1, 2, 3)
+                except CompassError as err:
+                    errors += 1
+                    got = type(err).__name__, str(err)
+                else:
+                    retried += len(poles) > 1
+                    got = b.ops, b.first, b.second, b.xs, b.ys, b.rs, node
+                digest.update(repr((poles, got)).encode())
+    assert (retried, errors) == (381, 340)
+    assert digest.hexdigest() == LINE_LINE_RETRY_DIGEST
 
 
 def test_line_line_rejects_parallel():

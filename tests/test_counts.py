@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from compass import dsl, field_ops, fuzz
+from compass import constructions, dsl, field_ops, fuzz, program
 from compass.constructions import (
     apex_program,
     extend_program,
@@ -127,6 +127,47 @@ def test_fuzz_builds_each_one_op_value_once_per_call(monkeypatch):
     total, one_op = totals[0]
     assert total <= FUZZ_MUL_RING_CALLS
     assert one_op <= 2 * 5 * 5 + 2 * 5  # each of the 60 one-op values at most once
+
+
+# op: (``_doublings`` calls, ``Builder.inline`` calls, ``program.cut`` calls)
+# of one warm ``fuzz.run_op(op, 120, 42)``, the canonical programs already
+# cached. Scoring line-line's poles all before the first was tried, and
+# inlining the empty ``nth_point_program(1)`` around each inversion that
+# takes no doubling, read (4680, 720, 1224), (160, 320, 576) and
+# (96, 120, 975). The cuts are the arithmetic, which must not change; the
+# rest may only fall.
+FUZZ_ROUTE_CALLS = {
+    "line-line": (4680, 720, 1224),
+    "invert": (160, 320, 576),
+    "line-circle-diameter": (96, 120, 975),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FUZZ_ROUTE_CALLS))
+def test_fuzz_route_calls(op, monkeypatch):
+    tally = {}
+
+    def counted(name, f):
+        def call(*args):
+            tally[name] += 1
+            return f(*args)
+        return call
+
+    assert fuzz.run_op(op, 120, 42).failures == 0  # fills the program caches
+    monkeypatch.setattr(constructions, "_doublings",
+                        counted("doublings", constructions._doublings))
+    monkeypatch.setattr(program.Builder, "inline", counted("inline", program.Builder.inline))
+    monkeypatch.setattr(program, "cut", counted("cut", program.cut))
+    totals = []
+    for _ in range(2):  # nothing carries from one call to the next
+        tally.update(doublings=0, inline=0, cut=0)
+        assert fuzz.run_op(op, 120, 42).failures == 0
+        totals.append((tally["doublings"], tally["inline"], tally["cut"]))
+    assert totals[0] == totals[1]
+    doublings, inlines, cuts = totals[0]
+    most_doublings, most_inlines, parent_cuts = FUZZ_ROUTE_CALLS[op]
+    assert cuts == parent_cuts
+    assert doublings <= most_doublings and inlines <= most_inlines
 
 
 # core: (steps, circles, picks) bound of ``perfbench/ledger.py``'s
