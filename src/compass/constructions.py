@@ -34,6 +34,7 @@ from .program import Builder, Program, Selector
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
 CANONICAL_SEEDS = (Point(0.0, 0.0), Point(1.0, 0.0))  # the numbers 0 and 1
 _SIN60 = math.sqrt(3.0) / 2.0
+_SIDES = _LEFT, _RIGHT = Selector.LEFT, Selector.RIGHT  # module names, as in program.py
 
 
 def _point_line_distance(p: Point, a: Point, b: Point) -> float:
@@ -45,7 +46,7 @@ def _point_line_distance(p: Point, a: Point, b: Point) -> float:
 def _apex_xy(a: Point, b: Point, side: Selector) -> tuple[float, float]:
     """Where ``build_apex`` will land: b turned 60 degrees about a."""
     ux, uy = b.x - a.x, b.y - a.y
-    sin = _SIN60 if side is Selector.LEFT else -_SIN60
+    sin = _SIN60 if side is _LEFT else -_SIN60
     return a.x + 0.5 * ux - sin * uy, a.y + 0.5 * uy + sin * ux
 
 
@@ -227,7 +228,8 @@ def _doublings(dist: float, r: float) -> int:
     with 2**k dist >= (r + min(r/16, dist)) / 2, which clears the core's
     limit r/2 by r/32, or by dist/2 where that is less; none from 17r/32
     out. The paper's 2**k >= floor(r/dist) + 2 asks one or two more. A
-    ratio beyond ``MAX_SCALE``, or one that overflows, counts as that."""
+    ratio beyond ``MAX_SCALE``, or one that overflows, counts as that. 0 is
+    the least it returns, which ``build_line_line``'s lazy order relies on."""
     if not r - dist > EPS:  # outside, on the circle, or not a number
         return 0
     ratio = min(r / max(dist, EPS), MAX_SCALE)
@@ -243,9 +245,9 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     ``build_invert_exterior``, valid beyond r/2, and the image pulled back
     by as many: inversion turns scaling by 2^k into 2^-k. That is 6k + 4
     circles, with k the fewest doublings that clear r/2 by r/32, or by d/2
-    where that is less (``_doublings``): none from 17r/32 out. An interior
-    point whose paper ratio floor(r/d) + 2 exceeds ``MAX_SCALE`` raises
-    ``ScaleOverflow``.
+    where that is less (``_doublings``): from 17r/32 out k = 0, and it is
+    the core alone, 4 circles, with no inline. Raises ``ScaleOverflow``
+    where the paper ratio floor(r/d) + 2 exceeds ``MAX_SCALE``.
     """
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = math.dist(po, pd)
@@ -258,8 +260,9 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
         raise ScaleOverflow(
             f"interior point with r/d = {r / dist:.6g} needs a ratio beyond {MAX_SCALE}")
     twice = 1 << _doublings(dist, r)
-    return build_nth_point(
-        b, o, _invert_core(b, o, d, build_nth_point(b, o, p, twice)), twice)
+    if twice == 1:
+        return _invert_core(b, o, d, p)
+    return build_nth_point(b, o, _invert_core(b, o, d, build_nth_point(b, o, p, twice)), twice)
 
 
 # --- intersections through inversion -----------------------------------------
@@ -283,9 +286,11 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     for a pole within the tangency band of a line, the kernel for a circle
     that is degenerate (a pole at a) or not finite, and the pick of ``k``
     for inverted lines that only touch at the pole. A pole near a line
-    ranks late, its mirror image deep inside the pole circle. Over 600
-    fuzz draws at seed 42 the mean is 18.34 circles, gated at 18.5 in
-    ``tests/test_counts.py``.
+    ranks late, its mirror image deep inside the pole circle. The apexes
+    are scored in the order below until one predicts no doubling: it heads
+    the ranking and is tried at once, and the rest are ranked only if it
+    fails. Over 600 fuzz draws at seed 42 the mean is 18.34 circles,
+    gated at 18.5 in ``tests/test_counts.py``.
     """
     pa, pb, pc, pd = b.point(a), b.point(bn), b.point(c), b.point(d)
     if math.dist(pa, pb) <= EPS or math.dist(pc, pd) <= EPS:
@@ -302,8 +307,7 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     # symmetric inputs (e.g. two perpendicular axes) every apex of ab and cd
     # lands exactly on the other line.
     pairs = ((a, bn), (c, d), (a, c), (bn, d), (a, d), (bn, c))
-    pole_specs = [(e1, e2, side) for e1, e2 in pairs
-                  for side in (Selector.LEFT, Selector.RIGHT)]
+    pole_specs = [(e1, e2, side) for e1, e2 in pairs for side in _SIDES]
     # The pole's mirror image in each line lies twice the pole's distance
     # from that line away, and the cut point, the inverse of the sought
     # point s, r^2 / |s - pole| away.
@@ -319,9 +323,19 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
         to_cut = r * r / max(math.hypot(sx - px, sy - py), EPS)
         return sum(_doublings(dist, r) for dist in (to_ab, to_cd, to_cut))
 
-    pole_specs.sort(key=doublings)
+    def ranked():  # pole_specs sorted stably by doublings, each scored once
+        scores = []
+        for spec in pole_specs:
+            scores.append(doublings(spec))
+            if not scores[-1]:  # no score is less: this spec heads the sort
+                yield spec
+                break
+        scores += map(doublings, pole_specs[len(scores):])
+        order = sorted(range(len(pole_specs)), key=scores.__getitem__)
+        yield from (pole_specs[i] for i in order[0 in scores:])  # after the head, if tried
+
     last_error: CompassError | None = None
-    for e1, e2, side in pole_specs:
+    for e1, e2, side in ranked():
         mark = b.mark()
         try:
             pole = build_apex(b, e1, e2, side)
@@ -350,8 +364,8 @@ def _clear_of_line(b: Builder, o: int, d: int, a: int, bn: int,
     if _point_line_distance(pd, pa, pb) >= floor:
         return d
     left, right = (_point_line_distance(Point(*_apex_xy(po, pd, side)), pa, pb)
-                   for side in (Selector.LEFT, Selector.RIGHT))
-    return build_apex(b, o, d, Selector.LEFT if left >= right else Selector.RIGHT)
+                   for side in _SIDES)
+    return build_apex(b, o, d, _LEFT if left >= right else _RIGHT)
 
 
 def build_line_circle_off_center(b: Builder, a: int, bn: int,
@@ -432,6 +446,7 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
     doubled away from o, ``build_nth_point(b, o, F, 2**k)`` for
     k = ``_doublings(256 |oF|, r)``, which moves an F within about r/480
     of o out to r/482 or more: 46 or 47 circles in all at |oF| = 1e-6 r.
+    At k = 0 nothing is inlined, as in ``build_invert_general``.
     That cannot undo the rounding of F's own coordinates, which leaves an
     error of about ulp(|o|) r/|oF| about a center far from the origin. Of
     the cuts u, v of omega with C(D, o), w is the one farther from D':
@@ -453,30 +468,30 @@ def _arc_bisection(b: Builder, a: int, bn: int, o: int,
         return abs((ux * dy - uy * dx) * (ux * dx + uy * dy))
 
     omega = b.circle(o, d)
-    side = max((None, Selector.LEFT, Selector.RIGHT), key=lambda s: slant(
+    side = max((None, *_SIDES), key=lambda s: slant(
         *((pd.x, pd.y) if s is None else _apex_xy(po, pd, s))))
     dn = d if side is None else build_apex(b, o, d, side)
     far = a if math.dist(pa, po) >= math.dist(pb, po) else bn
-    far = build_nth_point(b, o, far, 1 << _doublings(
-        256.0 * math.dist(b.point(far), po), math.dist(po, pd)))
+    k = _doublings(256.0 * math.dist(b.point(far), po), math.dist(po, pd))
+    far = build_nth_point(b, o, far, 1 << k) if k else far
     dm = b.pick_other(b.circle(far, dn), omega, avoid=dn)
     if dm is None:
         raise DegenerateCircle("the line's points lie too close to the center")
     pdn, pdm = b.point(dn), b.point(dm)
     around_d = b.circle(dn, o)
     # u and v are the apexes of (o, D): omega is the circle about o through D
-    w = b.pick(omega, around_d, max(Selector, key=lambda s: math.dist(
+    w = b.pick(omega, around_d, max(_SIDES, key=lambda s: math.dist(
         Point(*_apex_xy(po, pdn, s)), pdm)))
     pw = b.point(w)
-    turn = min(Selector, key=lambda s: math.dist(Point(*_apex_xy(pw, pdn, s)), po))
+    turn = min(_SIDES, key=lambda s: math.dist(Point(*_apex_xy(pw, pdn, s)), po))
     c6 = b.circle(o, build_apex(b, w, dm, turn))
     # a cut's left point p has cross(c2 - c1, p - c1) > 0, and
     # cross(D - o, D - D') = -cross(D' - o, D' - D): P and Q lie on opposite sides
     ex, ey = pdn.x - pdm.x, pdn.y - pdm.y
     left = (pdn.x - po.x) * ey - (pdn.y - po.y) * ex > 0
-    p = b.pick(c6, around_d, Selector.LEFT if left else Selector.RIGHT)
-    q = b.pick(c6, b.circle(dm, o), Selector.RIGHT if left else Selector.LEFT)
-    e = b.pick(b.circle(p, dm), b.circle(q, dn), Selector.LEFT)
+    p = b.pick(c6, around_d, _LEFT if left else _RIGHT)
+    q = b.pick(c6, b.circle(dm, o), _RIGHT if left else _LEFT)
+    e = b.pick(b.circle(p, dm), b.circle(q, dn), _LEFT)
     s1, s2 = b.both(c6, b.circle(p, o))
     try:
         e_star = build_reflect(b, s1, s2, e)

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from itertools import takewhile
+from itertools import chain, takewhile
 
 import pytest
 
@@ -554,32 +554,43 @@ def test_line_line_refused_pole_leaves_no_step(monkeypatch):
     assert len(ancestors(program, node)) == len(program.steps)
 
 
-def test_line_line_retried_pole_leaves_no_step(monkeypatch):
+@pytest.fixture
+def tried_poles(monkeypatch):
+    """The (e1, e2, side) of every ``build_apex`` call, in order."""
+    real, poles = cons.build_apex, []
+
+    def counted(b, *args):
+        poles.append(args)
+        return real(b, *args)
+
+    monkeypatch.setattr(cons, "build_apex", counted)
+    return poles
+
+
+def line_line_draws(rng, scales):
+    """300 seed sets of two lines per scale, coordinates in [-5, 5] * scale."""
+    for scale in scales:
+        for _ in range(300):
+            yield [Point(rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale)
+                   for _ in range(4)]
+
+
+def test_line_line_retried_pole_leaves_no_step(tried_poles):
     """Near the tangency band a pole can fail on its own: at scales 1e-12
     to 1e-11 some draws retry a pole and then succeed. Every step is then
     an ancestor of the result (fuzz draws never retry)."""
-    real, poles = cons.build_apex, []
-
-    def counted(*args):
-        poles.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cons, "build_apex", counted)
-    rng, retried = SplitMix64(5), 0
-    for scale in (1e-12, 3e-12, 1e-11):
-        for _ in range(300):
-            seeds = [Point(rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale)
-                     for _ in range(4)]
-            b = Builder(seeds)
-            poles.clear()
-            try:
-                node = cons.build_line_line(b, 0, 1, 2, 3)
-            except CompassError:
-                continue
-            if len(poles) > 1:
-                retried += 1
-                program, _ = b.finish([node])
-                assert len(ancestors(program, node)) == len(program.steps)
+    retried = 0
+    for seeds in line_line_draws(SplitMix64(5), (1e-12, 3e-12, 1e-11)):
+        b = Builder(seeds)
+        tried_poles.clear()
+        try:
+            node = cons.build_line_line(b, 0, 1, 2, 3)
+        except CompassError:
+            continue
+        if len(tried_poles) > 1:
+            retried += 1
+            program, _ = b.finish([node])
+            assert len(ancestors(program, node)) == len(program.steps)
     assert retried >= 100  # 230 of the 900 draws
 
 
@@ -589,34 +600,24 @@ def test_line_line_retried_pole_leaves_no_step(monkeypatch):
 LINE_LINE_RETRY_DIGEST = "4f3af9d5ff91135d0c9fac5b8d7b913d6bc3045b3ae95e42c0d4ebe7eb9bc7d4"
 
 
-def test_line_line_pole_order_is_pinned(monkeypatch):
+def test_line_line_pole_order_is_pinned(tried_poles):
     """The draws of the test above, and 300 at 1e153 where squared
     distances overflow: retried poles, typed errors and the rest all give
     the pinned poles, steps, bits and errors."""
-    real, poles = cons.build_apex, []
-
-    def counted(b, *args):
-        poles.append(args)
-        return real(b, *args)
-
-    monkeypatch.setattr(cons, "build_apex", counted)
     digest, retried, errors = hashlib.sha256(), 0, 0
-    for rng, scales in ((SplitMix64(5), (1e-12, 3e-12, 1e-11)), (SplitMix64(11), (1e153,))):
-        for scale in scales:
-            for _ in range(300):
-                seeds = [Point(rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale)
-                         for _ in range(4)]
-                b = Builder(seeds)
-                poles.clear()
-                try:
-                    node = cons.build_line_line(b, 0, 1, 2, 3)
-                except CompassError as err:
-                    errors += 1
-                    got = type(err).__name__, str(err)
-                else:
-                    retried += len(poles) > 1
-                    got = b.ops, b.first, b.second, b.xs, b.ys, b.rs, node
-                digest.update(repr((poles, got)).encode())
+    for seeds in chain(line_line_draws(SplitMix64(5), (1e-12, 3e-12, 1e-11)),
+                       line_line_draws(SplitMix64(11), (1e153,))):
+        b = Builder(seeds)
+        tried_poles.clear()
+        try:
+            node = cons.build_line_line(b, 0, 1, 2, 3)
+        except CompassError as err:
+            errors += 1
+            got = type(err).__name__, str(err)
+        else:
+            retried += len(tried_poles) > 1
+            got = b.ops, b.first, b.second, b.xs, b.ys, b.rs, node
+        digest.update(repr((tried_poles, got)).encode())
     assert (retried, errors) == (381, 340)
     assert digest.hexdigest() == LINE_LINE_RETRY_DIGEST
 

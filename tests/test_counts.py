@@ -134,12 +134,14 @@ def test_fuzz_builds_each_one_op_value_once_per_call(monkeypatch):
 # cached. Scoring line-line's poles all before the first was tried, and
 # inlining the empty ``nth_point_program(1)`` around each inversion that
 # takes no doubling, read (4680, 720, 1224), (160, 320, 576) and
-# (96, 120, 975). The cuts are the arithmetic, which must not change; the
+# (96, 120, 975). Scoring poles only until one predicts no doubling, and
+# inlining nothing where an inversion or the arc bisection takes none, gives
+# the values below. The cuts are the arithmetic, which must not change; the
 # rest may only fall.
 FUZZ_ROUTE_CALLS = {
-    "line-line": (4680, 720, 1224),
-    "invert": (160, 320, 576),
-    "line-circle-diameter": (96, 120, 975),
+    "line-line": (1215, 12, 1224),
+    "invert": (160, 92, 576),
+    "line-circle-diameter": (96, 24, 975),
 }
 
 

@@ -482,6 +482,13 @@ def test_similarity_transport_examples():
     assert tolcheck(extend_program(), (O, U), O, U)
 
 
+def test_similarity_transport_fails_where_moving_the_seeds_rounds_them():
+    seeds = (Point(0.3, 0.7), Point(1.1, -0.4))
+    assert similarity_transport_check(midpoint_program(), seeds, Point(0, 0), Point(2, 1))
+    assert not similarity_transport_check(midpoint_program(), seeds,
+                                          Point(1e12, 0), Point(1e12 + 1, 0))
+
+
 def test_purity_audit_midpoint_counts():
     trace = execute(midpoint_program(), (O, U))
     report = purity_audit(trace)
@@ -701,6 +708,7 @@ def test_steps_equal_and_hash_as_their_rows(name):
     assert steps == rows and rows == steps and not steps != rows
     assert steps == program.steps and hash(steps) == hash(rows) and rows in {steps}
     assert steps != rows[:-1] and steps != list(rows)
+    assert repr(steps) == repr(rows)
 
 
 def test_counting_steps_builds_no_row():
