@@ -15,13 +15,17 @@ records the error on its ``OpReport``. A check that follows the comparison
 (an involution, a missed intersection) stays in its generator and calls
 ``run.fail`` when the generator resumes, so failure details keep their order.
 
+Apex, extend, nth and midpoint replay one shared canonical program per
+case: each compiles its programs once (``replay.compile``) and still calls
+``execute``, which runs the compiled function with the same bits.
+
 The ring operations (mul, add, conj) draw their operands from a
 ``_ValuePool``: values at most two operations deep over five atoms. The
-atoms are built once per process (``_atoms``); each pool builds each one-op
-value, a ring operation on atoms, at most once, and ``_field_cases`` makes
-a fresh pool per ``run_op`` call, so nothing carries across calls. The
-top-level operand and the operation under test are built fresh on every
-case, and a memoized value is drawn from the stream exactly as a fresh one.
+atoms are built once per process (``_atoms``); each pool builds each
+operand value, atoms composed by one or two operations, at most once, and
+``_field_cases`` makes a fresh pool per ``run_op`` call, so nothing carries
+across calls. The operation under test is built fresh on every case, and a
+kept value is drawn from the stream exactly as a fresh one.
 
 ``perfbench/`` and the tests patch module names that are read at call time:
 ``purity_audit`` (called once per audited case), ``execute`` (apex, extend,
@@ -37,7 +41,7 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
 
 from . import constructions as cons
-from . import field_ops
+from . import field_ops, replay
 from .errors import NoSuchIntersection
 from .geom import Point, ResolvedCircle
 from .oracle import (
@@ -100,9 +104,11 @@ class OpReport(MutableRecord):
 
     def record(self, err: float, detail: Callable[[], str]):
         """Record a case's error; ``detail`` describes the case, and is
-        formatted only when the case fails."""
-        self.max_err = max(self.max_err, err)
-        if err > FUZZ_TOL:
+        formatted only when the case fails. A NaN error fails the case, and
+        ``max_err`` shows it from then on."""
+        if math.isnan(err) or err > self.max_err:
+            self.max_err = err
+        if not err <= FUZZ_TOL:
             self.fail(detail())
 
     def fail(self, detail: str):
@@ -151,6 +157,8 @@ def _built(build: Callable, seeds: list[Point]) -> Trace:
 
 def _apex_cases(run: OpReport, rng: SplitMix64):
     w = complex(0.5, math.sqrt(3.0) / 2.0)
+    for side in Selector:
+        replay.compile(cons.apex_program(side))
     for i in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
@@ -163,6 +171,7 @@ def _apex_cases(run: OpReport, rng: SplitMix64):
 
 def _extend_cases(run: OpReport, rng: SplitMix64):
     program = cons.extend_program()
+    replay.compile(program)
     for _ in range(run.cases):
         x = _point(rng)
         y = _point_away(rng, [x])
@@ -171,6 +180,8 @@ def _extend_cases(run: OpReport, rng: SplitMix64):
 
 
 def _nth_cases(run: OpReport, rng: SplitMix64):
+    for n in range(1, 9):  # the ratios drawn below
+        replay.compile(cons.nth_point_program(n))
     for _ in range(run.cases):
         o = _point(rng)
         p = _point_away(rng, [o])
@@ -182,6 +193,7 @@ def _nth_cases(run: OpReport, rng: SplitMix64):
 
 def _midpoint_cases(run: OpReport, rng: SplitMix64):
     program = cons.midpoint_program()
+    replay.compile(program)
     for _ in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
@@ -316,14 +328,14 @@ _RING_OPS = ("add", "mul", "conj", "neg")  # by draw's k; each read from field_o
 
 
 class _ValuePool:
-    """Random constructible values composed from a fixed atom set. A one-op
-    value, an operation on atoms, is built once per pool and kept in
-    ``_one_op``, keyed on the operation and its atoms: at most 2 * 5 * 5 +
-    2 * 5 = 60 of them."""
+    """Random constructible values composed from a fixed atom set. Every
+    operation value a pool builds is kept in ``_built`` for the pool's life,
+    keyed on the operation and its operands' ids: an operand is an atom or a
+    value the pool keeps, so its id names it, and no value is built twice."""
 
     def __init__(self):
         self.atoms = _atoms()
-        self._one_op: dict[tuple, field_ops.ConstructibleValue] = {}
+        self._built: dict[tuple, field_ops.ConstructibleValue] = {}
 
     def draw(self, rng: SplitMix64, depth: int) -> field_ops.ConstructibleValue:
         if depth <= 0 or rng.uniform(0.0, 1.0) < 0.35:
@@ -331,12 +343,10 @@ class _ValuePool:
         k = rng.randint(0, 3)
         # the operands first, left to right, then the operation
         operands = [self.draw(rng, depth - 1) for _ in range(2 if k < 2 else 1)]
-        if depth > 1:
-            return getattr(field_ops, _RING_OPS[k])(*operands)
-        key = (k, *map(id, operands))  # atoms, which the pool holds
-        value = self._one_op.get(key)
+        key = (k, *map(id, operands))
+        value = self._built.get(key)
         if value is None:
-            value = self._one_op[key] = getattr(field_ops, _RING_OPS[k])(*operands)
+            value = self._built[key] = getattr(field_ops, _RING_OPS[k])(*operands)
         return value
 
 

@@ -37,12 +37,13 @@ appends numbers only: a pick keeps the left or the right half of
 ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its other verdicts to
 errors. A pick on the circle pair of the loop's last cut reads that cut
 again instead of cutting twice, so ``geom.cut`` is still the only
-intersection arithmetic. ``Builder.witness`` is the one way to cut a
-point's ancestors out as a trace of their own. Value objects (``Point``,
-``ResolvedCircle``) exist only at the API edge: ``Trace.resolved`` is the
-one view of them, equal by its columns. ``AuditReport`` and ``geom``'s
-values are named tuples; ``Program``, ``Trace`` and ``Resolved`` are
-``record.Record`` classes.
+intersection arithmetic. ``execute`` runs a program ``replay.compile``
+compiled as the same calls unrolled: the same bits and errors.
+``Builder.witness`` is the one way to cut a point's ancestors out as a
+trace of their own. Value objects (``Point``, ``ResolvedCircle``) exist
+only at the API edge: ``Trace.resolved`` is the one view of them, equal by
+its columns. ``AuditReport`` and ``geom``'s values are named tuples;
+``Program``, ``Trace`` and ``Resolved`` are ``record.Record`` classes.
 """
 
 from __future__ import annotations
@@ -187,10 +188,11 @@ class _Steps(Sequence):
 class Program(Record):
     """An executable compass construction over ``seed_count`` seed slots:
     the int columns ``ops``, ``first`` and ``second``, and the outputs.
-    Valid by construction: the constructor is the one rulebook."""
+    Valid by construction: the constructor is the one rulebook. Its private
+    ``_compiled``, kept as ``Trace._table`` is, is ``replay.compile``'s or None."""
 
     _fields = ("seed_count", "ops", "first", "second", "outputs")
-    __slots__ = _fields
+    __slots__ = (*_fields, "_compiled")
 
     def __init__(self, seed_count: int, ops: tuple[int, ...], first: tuple[int, ...],
                  second: tuple[int, ...], outputs: tuple[int, ...]):
@@ -201,6 +203,7 @@ class Program(Record):
         operand), every other step a circle over two earlier point steps or
         a pick of two earlier circle steps, and every output a point step."""
         Record.__init__(self, seed_count, ops, first, second, outputs)
+        object.__setattr__(self, "_compiled", None)
         for key in ("ops", "first", "second", "outputs"):
             if not isinstance(getattr(self, key), Sequence):
                 raise MalformedProgram(f"{key!r} must be a sequence")
@@ -246,6 +249,7 @@ class Program(Record):
         init(program, "first", first)
         init(program, "second", second)
         init(program, "outputs", outputs)
+        init(program, "_compiled", None)
         program._check_outputs()
         return program
 
@@ -342,16 +346,38 @@ def execute(program: Program, seeds: Iterable[Point]) -> Trace:
 
     This is the step loop of ``Builder.inline`` run on a fresh builder with
     every step kept as it is (no hash-consing), so the trace has one
-    resolved value per program step. Execution is a pure function of its
+    resolved value per program step. A compiled program (``replay``) runs
+    its function instead, after the same seed checks: the same bits, and
+    the same error at the same step. Execution is a pure function of its
     arguments; identical inputs give bit-identical traces.
     """
     seeds = tuple(seeds)
     if len(seeds) != program.seed_count:
         raise MalformedProgram(
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
+    if program._compiled is not None:
+        return _built(program, *program._compiled(*_seed_columns(seeds)))
     b = Builder(seeds)
     b._resolve(program, list(range(b.seed_count)), None)
     return _built(program, tuple(b.xs), tuple(b.ys), tuple(b.rs))
+
+
+def _seed_columns(seeds: tuple) -> tuple[list, list]:
+    """The x and y columns of seeds, each a pair of finite ints or floats (a bool is not)."""
+    for p in seeds:
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            x = y = None
+        if type(x) not in _NUMBER or type(y) not in _NUMBER:
+            raise NonFiniteInput(f"seed {p} is not a pair of numbers")
+        try:
+            finite = math.isfinite(x) and math.isfinite(y)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise NonFiniteInput(f"non-finite seed {p}")
+    return [x for x, _ in seeds], [y for _, y in seeds]
 
 
 def _no_point(got: str, at: int) -> CompassError:
@@ -481,22 +507,8 @@ class Builder:
     def __init__(self, seeds: Iterable[Point]):
         seeds = tuple(seeds)
         n = self.seed_count = len(seeds)
-        for p in seeds:
-            try:
-                x, y = p
-            except (TypeError, ValueError):
-                x = y = None
-            # exactly an int or a float, as a Trace wants (not a bool)
-            if type(x) not in _NUMBER or type(y) not in _NUMBER:
-                raise NonFiniteInput(f"seed {p} is not a pair of numbers")
-            try:
-                finite = math.isfinite(x) and math.isfinite(y)
-            except OverflowError:  # an int past the float range
-                finite = False
-            if not finite:
-                raise NonFiniteInput(f"non-finite seed {p}")
+        self.xs, self.ys = _seed_columns(seeds)
         self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
-        self.xs, self.ys = [x for x, _ in seeds], [y for _, y in seeds]
         self.rs: list[float | None] = [None] * n
         self.table: dict[tuple, int] = {}
 

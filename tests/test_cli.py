@@ -155,6 +155,20 @@ def test_a_point_count_unlike_the_oracles_fails_the_case():
     assert (report.failures, report.max_err, report.details) == (1, math.inf, ("case 0",))
 
 
+def test_a_nan_error_fails_the_case_and_shows(monkeypatch, capsys):
+    report = fuzz.OpReport("midpoint", 3)
+    for err in (1e-9, math.nan, 2e-9):  # a later finite error does not hide it
+        report.record(err, lambda: "case")
+    assert report.failures == 1 and math.isnan(report.max_err)
+    monkeypatch.setattr(fuzz, "oracle_midpoint", lambda a, b: Point(math.nan, 0.0))
+    report = fuzz.run_op("midpoint", 3, 42)
+    assert report.failures == 3 and math.isnan(report.max_err)
+    assert main(["fuzz", "--op", "midpoint", "--cases", "3"]) == 3
+    out = capsys.readouterr().out
+    assert "\nmidpoint                      3         3          nan\n" in out
+    assert "result: FAIL (1 construction(s), 3 failure(s)" in out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--op", "nope"], "unknown construction 'nope'"),
     (["--cases", "-1"], "--cases must be nonnegative"),

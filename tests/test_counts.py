@@ -90,43 +90,48 @@ def test_fuzz_mean_circles(op, monkeypatch):
     assert sum(circles) / len(circles) <= FUZZ_MEAN_CIRCLES[op]
 
 
-# ring-operation calls (field_ops add, mul, conj and neg) of one
-# ``fuzz.run_op("mul", 120, 42)``, the atoms built: 427 while every draw
-# built its value afresh; 327 with each one-op value built once per call
-FUZZ_MUL_RING_CALLS = 327
+# op: ring-operation calls (field_ops add, mul, conj and neg) of one
+# ``fuzz.run_op(op, 120, 42)``, the atoms built. mul read 427 while every
+# draw built its value afresh, and 327 with each one-op value built once per
+# call, where add read 327 and conj 355; with every operand value built once
+# per call, the values below. They may only fall.
+FUZZ_MUL_RING_CALLS = 273
+FUZZ_RING_CALLS = {"mul": FUZZ_MUL_RING_CALLS, "add": 272, "conj": 333}
 
 
 def test_fuzz_builds_each_one_op_value_once_per_call(monkeypatch):
     fuzz._atoms()  # built once per process: before the count, not in either call
-    depths = []  # the depths of the draws under way
-    calls = []  # per ring-operation call, whether a depth-1 draw made it
+    depth = [0]  # the draws under way
+    calls = []  # per ring-operation call: its name and operands' ids, or None outside a draw
     draw = fuzz._ValuePool.draw
 
-    def traced_draw(pool, rng, depth):
-        depths.append(depth)
+    def traced_draw(pool, rng, depth_left):
+        depth[0] += 1
         try:
-            return draw(pool, rng, depth)
+            return draw(pool, rng, depth_left)
         finally:
-            depths.pop()
+            depth[0] -= 1
 
-    def counted(op):
+    def counted(name, f):
         def call(*operands):
-            calls.append(depths[-1:] == [1])  # made by a depth-1 draw
-            return op(*operands)
+            # the operands of a draw's operation are held by the pool, so
+            # their ids name them for the whole call
+            calls.append((name, *map(id, operands)) if depth[0] else None)
+            return f(*operands)
         return call
 
     monkeypatch.setattr(fuzz._ValuePool, "draw", traced_draw)
     for name in ("add", "mul", "conj", "neg"):
-        monkeypatch.setattr(field_ops, name, counted(getattr(field_ops, name)))
-    totals = []
-    for _ in range(2):  # nothing carries from one call to the next
-        calls.clear()
-        assert fuzz.run_op("mul", 120, 42).failures == 0
-        totals.append((len(calls), sum(calls)))
-    assert totals[0] == totals[1]
-    total, one_op = totals[0]
-    assert total <= FUZZ_MUL_RING_CALLS
-    assert one_op <= 2 * 5 * 5 + 2 * 5  # each of the 60 one-op values at most once
+        monkeypatch.setattr(field_ops, name, counted(name, getattr(field_ops, name)))
+    for op, most in FUZZ_RING_CALLS.items():
+        totals = []
+        for _ in range(2):  # nothing carries from one call to the next
+            calls.clear()
+            assert fuzz.run_op(op, 120, 42).failures == 0
+            built = [key for key in calls if key is not None]
+            assert len(set(built)) == len(built), op  # no operand value built twice
+            totals.append(len(calls))
+        assert totals[0] == totals[1] <= most, op
 
 
 # op: (``_doublings`` calls, ``Builder.inline`` calls, ``program.cut`` calls)
@@ -145,31 +150,57 @@ FUZZ_ROUTE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("op", sorted(FUZZ_ROUTE_CALLS))
-def test_fuzz_route_calls(op, monkeypatch):
-    tally = {}
+def warm_calls(op, monkeypatch, *targets):
+    """The calls of each ``(owner, name)`` in ``targets`` over one warm
+    ``fuzz.run_op(op, 120, 42)``, checked equal over two calls."""
+    tally = [0] * len(targets)
 
-    def counted(name, f):
+    def counted(k, f):
         def call(*args):
-            tally[name] += 1
+            tally[k] += 1
             return f(*args)
         return call
 
     assert fuzz.run_op(op, 120, 42).failures == 0  # fills the program caches
-    monkeypatch.setattr(constructions, "_doublings",
-                        counted("doublings", constructions._doublings))
-    monkeypatch.setattr(program.Builder, "inline", counted("inline", program.Builder.inline))
-    monkeypatch.setattr(program, "cut", counted("cut", program.cut))
+    for k, (owner, name) in enumerate(targets):
+        monkeypatch.setattr(owner, name, counted(k, getattr(owner, name)))
     totals = []
     for _ in range(2):  # nothing carries from one call to the next
-        tally.update(doublings=0, inline=0, cut=0)
+        tally[:] = [0] * len(targets)
         assert fuzz.run_op(op, 120, 42).failures == 0
-        totals.append((tally["doublings"], tally["inline"], tally["cut"]))
+        totals.append(tuple(tally))
     assert totals[0] == totals[1]
-    doublings, inlines, cuts = totals[0]
+    return totals[0]
+
+
+@pytest.mark.parametrize("op", sorted(FUZZ_ROUTE_CALLS))
+def test_fuzz_route_calls(op, monkeypatch):
+    doublings, inlines, cuts = warm_calls(
+        op, monkeypatch, (constructions, "_doublings"), (program.Builder, "inline"),
+        (program, "cut"))
     most_doublings, most_inlines, parent_cuts = FUZZ_ROUTE_CALLS[op]
     assert cuts == parent_cuts
     assert doublings <= most_doublings and inlines <= most_inlines
+
+
+# op: (``program.cut`` calls, ``program.radius`` calls) of one warm
+# ``fuzz.run_op(op, 120, 42)``: the arithmetic of the ops that replay one
+# shared program per case, which must not change. Interpreted, each op's 120
+# ``execute`` calls made 120 ``Builder._resolve`` calls; compiled, none.
+FUZZ_REPLAY_CALLS = {
+    "apex": (120, 240),
+    "extend": (240, 360),
+    "nth": (492, 697),
+    "midpoint": (480, 720),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FUZZ_REPLAY_CALLS))
+def test_fuzz_replay_calls(op, monkeypatch):
+    cuts, radii, resolves = warm_calls(op, monkeypatch, (program, "cut"),
+                                       (program, "radius"), (program.Builder, "_resolve"))
+    assert (cuts, radii) == FUZZ_REPLAY_CALLS[op]
+    assert resolves == 0
 
 
 # core: (steps, circles, picks) bound of ``perfbench/ledger.py``'s

@@ -2,12 +2,13 @@
 agree bit for bit with ``circle_circle_intersect`` and with each other, and
 must reject bad node references with typed errors."""
 
+import copy
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl, program as program_module
+from compass import dsl, program as program_module, replay
 from compass.constructions import (
     apex_program,
     build_apex,
@@ -21,6 +22,7 @@ from compass.demos import DEMOS
 from compass.errors import (
     CoincidentCircles,
     CompassError,
+    DegenerateCircle,
     InvalidNodeId,
     MalformedProgram,
     NoSuchIntersection,
@@ -370,3 +372,56 @@ def test_execute_equals_builder_trace_canonical(name, built, canonical):
 def test_execute_equals_builder_trace_demos(demo):
     trace = dsl.run_source(DEMOS[demo]).trace
     assert execute(trace.program, trace.seed_values) == trace
+
+
+# --- a compiled program fails as execute does ------------------------------------
+
+# the left and right picks of the circles (0; 1) and (2; 3)
+CUT_PAIR = program_of(4, ((S, 0, -1), (S, 1, -1), (S, 2, -1), (S, 3, -1),
+                          (C, 0, 1), (C, 2, 3), (L, 4, 5), (R, 4, 5)), (6, 7))
+
+# draw: (program, seeds, the error class execute raises)
+FAILING_DRAWS = {
+    "overflowing-pick": (apex_program(LEFT), FAR, NonFiniteInput),
+    "overflowing-circle": (apex_program(LEFT), (Point(1e308, 1e308), Point(-1e308, -1e308)),
+                           NonFiniteInput),
+    "degenerate-circle": (apex_program(LEFT), (U, U), DegenerateCircle),
+    "miss": (CUT_PAIR, (O, U, Point(5.0, 0.0), Point(6.0, 0.0)), NoSuchIntersection),
+    "coincident": (CUT_PAIR, (O, U, O, U), CoincidentCircles),
+    "seed-count": (apex_program(LEFT), (O, U, U), MalformedProgram),
+    "not-a-pair": (apex_program(LEFT), (O, (1.0,)), NonFiniteInput),
+    "not-a-number": (apex_program(LEFT), (O, (True, 0.0)), NonFiniteInput),
+    "int-past-float-range": (apex_program(LEFT), (O, (10**400, 0)), NonFiniteInput),
+}
+
+
+def executed(program, seeds, compiling):
+    """``execute`` on a copy of ``program``, compiled or not: the trace, or
+    the error's class and message."""
+    program = copy.copy(program)
+    if compiling:
+        replay.compile(program)
+    try:
+        return execute(program, seeds)
+    except CompassError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_DRAWS))
+def test_a_compiled_program_fails_as_execute_does(name):
+    program, seeds, error = FAILING_DRAWS[name]
+    got = executed(program, seeds, compiling=True)
+    assert got == executed(program, seeds, compiling=False)
+    assert got[0] is error
+
+
+def test_a_compiled_program_keeps_int_seeds_as_ints():
+    def reprs(trace):  # the sign of a zero and an int's type count
+        r = trace.resolved
+        return [tuple(map(repr, column)) for column in (r.xs, r.ys, r.rs)]
+
+    got, want = (executed(apex_program(LEFT), [(0, 0), (1, 0)], compiling)
+                 for compiling in (True, False))
+    assert reprs(got) == reprs(want)
+    # the seeds and the circles' centers are the int seeds; the pick is floats
+    assert [type(x) for x in got.resolved.xs] == [int] * 4 + [float]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl, program as program_module, tracedoc
+from compass import dsl, program as program_module, replay, tracedoc
 from compass.constructions import (
     apex_program,
     extend_program,
@@ -786,10 +786,30 @@ def outcome(call):
         return type(err), str(err)
 
 
+def compiled(program):
+    """A copy of ``program``, which holds no compiled function, compiled."""
+    twin = copy.copy(program)
+    replay.compile(twin)
+    return twin
+
+
 def assert_execute_matches_reference(program, seeds):
+    """``execute`` of ``program`` interpreted and compiled against the reference."""
     ref = Builder(seeds)
     reference_resolve(ref, program, list(range(program.seed_count)), None)
-    assert columns(Builder.resume(execute(program, seeds))) == columns(ref)
+    for run in (copy.copy(program), compiled(program)):
+        assert columns(Builder.resume(execute(run, seeds))) == columns(ref)
+
+
+@given(valid_programs())
+@settings(max_examples=80, deadline=None)
+def test_compiled_programs_execute_as_interpreted(program):
+    seeds = SEEDS[:program.seed_count]
+
+    def run(p):
+        return outcome(lambda: columns(Builder.resume(execute(p, seeds))))
+    assert program._compiled is None
+    assert run(compiled(program)) == run(program)
 
 
 def assert_inline_matches_reference(host, program, seed_map):
@@ -809,6 +829,7 @@ CANONICAL_PROGRAMS = {
     "extend": extend_program,
     "midpoint": midpoint_program,
     **{f"nth-{n}": lambda n=n: nth_point_program(n) for n in range(1, 9)},
+    "nth-2**20": lambda: nth_point_program(2**20),  # 122 steps
 }
 
 
