@@ -20,12 +20,14 @@ case: each compiles its programs once (``replay.compile``) and still calls
 ``execute``, which runs the compiled function with the same bits.
 
 The ring operations (mul, add, conj) draw their operands from a
-``_ValuePool``: values at most two operations deep over five atoms. The
-atoms are built once per process (``_atoms``); each pool builds each
-operand value, atoms composed by one or two operations, at most once, and
-``_field_cases`` makes a fresh pool per ``run_op`` call, so nothing carries
-across calls. The operation under test is built fresh on every case, and a
-kept value is drawn from the stream exactly as a fresh one.
+``_ValuePool``: values at most two operations deep over five atoms.
+``_field_cases`` makes a fresh pool per ``run_op`` call. Only the atoms
+(``_atoms``) and their one-operation layer (``_layer``, every value one
+ring operation over the atoms) carry over from call to call, each built
+once per process; a pool starts from that layer and builds each deeper
+operand value at most once. The operation under test is built fresh on
+every case, and a kept value is drawn from the stream exactly as a fresh
+one.
 
 ``perfbench/`` and the tests patch module names that are read at call time:
 ``purity_audit`` (called once per audited case), ``execute`` (apex, extend,
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
+from itertools import product
 
 from . import constructions as cons
 from . import field_ops, replay
@@ -327,15 +330,30 @@ def _atoms() -> tuple[field_ops.ConstructibleValue, ...]:
 _RING_OPS = ("add", "mul", "conj", "neg")  # by draw's k; each read from field_ops per call
 
 
+@lru_cache(maxsize=None)
+def _layer() -> dict[tuple, field_ops.ConstructibleValue]:
+    """Every value one ring operation over the atoms, keyed as
+    ``_ValuePool.draw`` keys what it builds: add and mul over the 25
+    ordered atom pairs, conj and neg over the 5 atoms, 60 values. Built
+    once per process, each through the ``field_ops`` function read at call
+    time; a pool copies it and never changes it."""
+    atoms = _atoms()
+    return {(k, *map(id, operands)): getattr(field_ops, name)(*operands)
+            for k, name in enumerate(_RING_OPS)
+            for operands in product(atoms, repeat=2 if k < 2 else 1)}
+
+
 class _ValuePool:
     """Random constructible values composed from a fixed atom set. Every
-    operation value a pool builds is kept in ``_built`` for the pool's life,
+    operation value a pool holds is kept in ``_built`` for the pool's life,
     keyed on the operation and its operands' ids: an operand is an atom or a
-    value the pool keeps, so its id names it, and no value is built twice."""
+    value the pool keeps, so its id names it, and no value is built twice.
+    A pool starts from the one-operation layer (``_layer``), so it builds
+    only values two operations deep."""
 
     def __init__(self):
         self.atoms = _atoms()
-        self._built: dict[tuple, field_ops.ConstructibleValue] = {}
+        self._built: dict[tuple, field_ops.ConstructibleValue] = dict(_layer())
 
     def draw(self, rng: SplitMix64, depth: int) -> field_ops.ConstructibleValue:
         if depth <= 0 or rng.uniform(0.0, 1.0) < 0.35:

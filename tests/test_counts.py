@@ -91,18 +91,21 @@ def test_fuzz_mean_circles(op, monkeypatch):
 
 
 # op: ring-operation calls (field_ops add, mul, conj and neg) of one
-# ``fuzz.run_op(op, 120, 42)``, the atoms built. mul read 427 while every
-# draw built its value afresh, and 327 with each one-op value built once per
-# call, where add read 327 and conj 355; with every operand value built once
-# per call, the values below. They may only fall.
-FUZZ_MUL_RING_CALLS = 273
-FUZZ_RING_CALLS = {"mul": FUZZ_MUL_RING_CALLS, "add": 272, "conj": 333}
+# ``fuzz.run_op(op, 120, 42)``, the atoms and their one-operation layer
+# built. mul read 427 while every draw built its value afresh, and 327 with
+# each one-op value built once per call, where add read 327 and conj 355;
+# 273, 272 and 333 with every operand value built once per call; with the
+# one-op values built once per process, the values below. They may only fall.
+FUZZ_MUL_RING_CALLS = 218
+FUZZ_RING_CALLS = {"mul": FUZZ_MUL_RING_CALLS, "add": 217, "conj": 294}
 
 
-def test_fuzz_builds_each_one_op_value_once_per_call(monkeypatch):
-    fuzz._atoms()  # built once per process: before the count, not in either call
+def ring_calls(monkeypatch):
+    """A list that gets one entry per ring-operation call from then on: the
+    operation's ``_RING_OPS`` index and its operands' ids inside a pool's
+    draw, None outside one."""
     depth = [0]  # the draws under way
-    calls = []  # per ring-operation call: its name and operands' ids, or None outside a draw
+    calls = []
     draw = fuzz._ValuePool.draw
 
     def traced_draw(pool, rng, depth_left):
@@ -112,26 +115,47 @@ def test_fuzz_builds_each_one_op_value_once_per_call(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted(name, f):
+    def counted(k, f):
         def call(*operands):
             # the operands of a draw's operation are held by the pool, so
             # their ids name them for the whole call
-            calls.append((name, *map(id, operands)) if depth[0] else None)
+            calls.append((k, *map(id, operands)) if depth[0] else None)
             return f(*operands)
         return call
 
     monkeypatch.setattr(fuzz._ValuePool, "draw", traced_draw)
-    for name in ("add", "mul", "conj", "neg"):
-        monkeypatch.setattr(field_ops, name, counted(name, getattr(field_ops, name)))
+    for k, name in enumerate(fuzz._RING_OPS):
+        monkeypatch.setattr(field_ops, name, counted(k, getattr(field_ops, name)))
+    return calls
+
+
+def test_fuzz_builds_each_one_op_value_once_per_call(monkeypatch):
+    fuzz._atoms()  # built once per process: before the count, not in either call
+    layer = fuzz._layer()  # the same
+    calls = ring_calls(monkeypatch)
     for op, most in FUZZ_RING_CALLS.items():
         totals = []
-        for _ in range(2):  # nothing carries from one call to the next
+        for _ in range(2):  # only the atoms and the layer carry over
             calls.clear()
             assert fuzz.run_op(op, 120, 42).failures == 0
             built = [key for key in calls if key is not None]
             assert len(set(built)) == len(built), op  # no operand value built twice
+            assert not set(built) & set(layer), op  # nor a layer value built again
             totals.append(len(calls))
         assert totals[0] == totals[1] <= most, op
+
+
+def test_fuzz_layer_is_every_value_one_operation_over_the_atoms(monkeypatch):
+    layer = fuzz._layer()
+    assert len(layer) == 60
+    # the values a pool that starts empty builds at depth 1, built afresh
+    monkeypatch.setattr(fuzz, "_layer", dict)
+    pool, rng = fuzz._ValuePool(), fuzz.SplitMix64(1410)
+    calls = ring_calls(monkeypatch)
+    for _ in range(4000):
+        pool.draw(rng, 1)
+    assert set(pool._built) == set(layer) == set(calls)
+    assert all(pool._built[key].trace == value.trace for key, value in layer.items())
 
 
 # op: (``_doublings`` calls, ``Builder.inline`` calls, ``program.cut`` calls)
