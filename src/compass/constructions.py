@@ -391,8 +391,11 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     A center on the line (to within ``EPS``) has no mirror image:
     the answer is d and its antipode, or where d is off the line
     Mascheroni's arc bisection (``_arc_bisection``, 13 or 14 circles, more
-    where both points lie within about r/480 of the center),
-    ordered along a -> bn: bn's side of the center first.
+    where both points lie within about r/480 of the center).
+
+    On every route the two points come ordered along a -> bn, bn's side
+    first, as ``oracle_line_circle`` orders them: the order depends on
+    neither the route nor the side of the line the center lies on.
     """
     pa, pb, po, pd = b.point(a), b.point(bn), b.point(o), b.point(d)
     if math.dist(pa, pb) <= EPS:
@@ -400,21 +403,25 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     h, r = _point_line_distance(po, pa, pb), math.dist(po, pd)
     if h <= EPS:
         if _point_line_distance(pd, pa, pb) <= EPS:
-            x1, x2 = d, build_extend(b, d, o)
+            got = d, build_extend(b, d, o)
         else:
-            x1, x2 = _arc_bisection(b, a, bn, o, d)
-        v1 = b.point(x1)
-        ahead = (v1.x - po.x) * (pb.x - pa.x) + (v1.y - po.y) * (pb.y - pa.y) >= 0
-        return (x1, x2) if ahead else (x2, x1)
-    o_mirror = None
-    if 64.0 * h >= r:
-        try:
-            o_mirror = build_reflect(b, a, bn, o)
-        except OnMirrorLine:
-            pass
-    if o_mirror is None:
-        return _line_circle_by_inversion(b, a, bn, o, d)
-    return _mirror_cut(b, a, bn, o, d, o_mirror)
+            got = _arc_bisection(b, a, bn, o, d)
+    else:
+        o_mirror = None
+        if 64.0 * h >= r:
+            try:
+                o_mirror = build_reflect(b, a, bn, o)
+            except OnMirrorLine:
+                pass
+        if o_mirror is None:
+            got = _line_circle_by_inversion(b, a, bn, o, d)
+        else:
+            got = _mirror_cut(b, a, bn, o, d, o_mirror)
+    if len(got) == 1:
+        return got
+    v1, v2 = b.point(got[0]), b.point(got[1])
+    ahead = (v1.x - v2.x) * (pb.x - pa.x) + (v1.y - v2.y) * (pb.y - pa.y) >= 0
+    return got if ahead else got[::-1]
 
 
 def _mirror_cut(b: Builder, a: int, bn: int, o: int, d: int,
@@ -544,8 +551,7 @@ def _line_circle_by_inversion(b: Builder, a: int, bn: int, o: int,
     far = 0 if math.dist(images[0], foot) >= math.dist(images[1], foot) else 1
     found = _mirror_cut(b, q, cuts[far], o, d, build_reflect(b, q, cuts[far], o))
     x = min(found, key=lambda n: math.dist(b.point(n), images[far]))
-    y = build_invert_general(b, q, c, cuts[1 - far])
-    return (x, y) if far == 0 else (y, x)
+    return x, build_invert_general(b, q, c, cuts[1 - far])
 
 
 def build_line_circle_center_on_line(b: Builder, o: int, a: int,

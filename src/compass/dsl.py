@@ -47,7 +47,9 @@ operations (mul, add, neg, conj, half) act relative to the first two given
 points, which play the roles of 0 and 1 and must lie apart; an F or W
 operand is a point constructed from those two alone, which
 ``Builder.witness`` checks of a W operand in the walk that takes its witness.
-``linexcircle`` takes any line, through the center or not.
+``linexcircle`` takes any line, through the center or not, and binds its
+points in the line's order: ``let X, Y = linexcircle(A, B, O, D)`` puts X
+on B's side, as one walks from A to B, on every route.
 """
 
 from __future__ import annotations

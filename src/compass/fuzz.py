@@ -125,13 +125,10 @@ def _fmt_pt(p: Point) -> str:
 
 
 def _pair_err(got: tuple[Point, ...], want: Sequence[Point]) -> float:
+    """The largest distance between each point and the oracle's, in order."""
     if len(got) != len(want):
         return math.inf
-    if len(got) == 1:
-        return math.dist(got[0], want[0])
-    straight = max(math.dist(got[0], want[0]), math.dist(got[1], want[1]))
-    crossed = max(math.dist(got[0], want[1]), math.dist(got[1], want[0]))
-    return min(straight, crossed)
+    return max(map(math.dist, got, want))
 
 
 def _point(rng: SplitMix64) -> Point:

@@ -558,21 +558,25 @@ class Builder:
         """The node hash-consed as step (op, u, v), appending it if new."""
         key = op, u, v
         node = self.table.get(key)
-        if node is None:
-            node = self.table[key] = len(self.ops)
-            self.ops.append(op)
-            self.first.append(u)
-            self.second.append(v)
-            self.xs.append(x)
-            self.ys.append(y)
-            self.rs.append(r)
+        return self._append(key, x, y, r) if node is None else node
+
+    def _append(self, key: tuple, x: float, y: float, r: float | None = None) -> int:
+        """Append step ``key``, an (op, first, second) row not in ``table``."""
+        node = self.table[key] = len(self.ops)
+        self.ops.append(key[0])
+        self.first.append(key[1])
+        self.second.append(key[2])
+        self.xs.append(x)
+        self.ys.append(y)
+        self.rs.append(r)
         return node
 
     def circle(self, center: int, through: int) -> int:
         if type(center) is not int or type(through) is not int:  # False == 0 would hit
             self._node(center, False)
             self._node(through, False)
-        hit = self.table.get((OP_CIRCLE, center, through))
+        key = OP_CIRCLE, center, through
+        hit = self.table.get(key)
         if hit is not None:
             return hit
         xs, ys, rs = self.xs, self.ys, self.rs
@@ -582,8 +586,7 @@ class Builder:
         if not (0 <= through < count and rs[through] is None):
             self._node(through, False)
         x, y = xs[center], ys[center]
-        r = radius(x, y, xs[through], ys[through])
-        return self._keep(OP_CIRCLE, center, through, x, y, r)
+        return self._append(key, x, y, radius(x, y, xs[through], ys[through]))
 
     def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
         """``geom.cut``'s points on two circle nodes; its other verdicts raise."""
@@ -605,13 +608,14 @@ class Builder:
         if type(c1) is not int or type(c2) is not int:  # 2.0 == 2 would hit
             self._node(c1, True)
             self._node(c2, True)
-        hit = self.table.get((op, c1, c2))
+        key = op, c1, c2
+        hit = self.table.get(key)
         if hit is not None:
             return hit
         got = self._cut(c1, c2)
         if op == OP_LEFT:
-            return self._keep(op, c1, c2, got[0], got[1])
-        return self._keep(op, c1, c2, got[2], got[3])
+            return self._append(key, got[0], got[1])
+        return self._append(key, got[2], got[3])
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a touch yields the same point twice."""

@@ -12,11 +12,13 @@ and ``_no_point`` at call time (a patched ``program.cut`` sees its calls):
 ``program.execute`` gives the same trace bit for bit, and raises the same
 error class and message at the same step, compiled or not.
 
-On CPython 3.11 (x86-64) a compile costs about 32 µs per step, and saves
-about 0.6 µs per step of each draw (midpoint's 14 steps execute in 14 µs
-against 23 µs), so it pays after some 50 draws: compile only a program
-replayed over many draws, as ``fuzz`` replays its canonical programs. ``compass.constructions`` does not import
-this module, so importing the engine compiles nothing.
+On CPython 3.11.7 (x86-64) a compile costs about 40 µs per step (32 to
+49 µs, over programs of 14 to 82 steps and over the traces of
+``fuzz.run_op(op, 20, 42)``), and saves about 0.4 µs per step of each draw
+(midpoint's 14 steps execute in 11 µs against 17 µs), so it pays after
+some 100 draws: compile only a program replayed over many draws, as
+``fuzz`` replays its canonical programs. ``compass.constructions`` does
+not import this module, so importing the engine compiles nothing.
 """
 
 from . import program as _program

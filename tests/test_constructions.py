@@ -716,6 +716,29 @@ def test_line_circle_center_on_the_line():
         assert x.x > 0 > y.x
 
 
+# |h|: the steps of the route a center h above or below line ab takes, for
+# the unit circle: the mirror route from r/64 up, the inversion route above
+# EPS, and the center on the line within EPS
+ROUTE_STEPS = {0.5: 14, 1 / 64 + 1e-9: 14, 1 / 64 - 1e-9: 54, 1e-6: 54, EPS / 2: 28, 0.0: 28}
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["a-left", "a-right"])
+@pytest.mark.parametrize("h", sorted({s * h for h in ROUTE_STEPS for s in (1.0, -1.0)}))
+def test_line_circle_puts_b_side_first_on_every_route(h, reverse):
+    """The line through (-3, h) and (3, h), either way round, so that the
+    center lies on either side of a -> b, meets the unit circle about the
+    origin: every route gives b's side first, in the oracle's order."""
+    a, b_ = Point(-3.0, h), Point(3.0, h)
+    if reverse:
+        a, b_ = b_, a
+    b = Builder([a, b_, ORIGIN, Point(math.cos(1.0), math.sin(1.0))])
+    x, y = map(b.point, cons.build_line_circle_off_center(b, 0, 1, 2, 3))
+    assert len(b) == ROUTE_STEPS[abs(h)]
+    assert (x.x - y.x) * (b_.x - a.x) > 0
+    want = oracle_line_circle(a, b_, ResolvedCircle(ORIGIN, 1.0))
+    assert math.dist(x, want[0]) <= 1e-12 and math.dist(y, want[1]) <= 1e-12
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-7, 1e-9])
 def test_line_circle_datum_point_on_or_near_the_line(offset):
     """With d on the line, or nearly so, the mirror image of d is out of
@@ -882,7 +905,7 @@ def test_line_circle_inversion_route_sweep(monkeypatch):
         assert b.finish(nodes)[0].circle_count() <= 28
         want = oracle_line_circle(a, b_, ResolvedCircle(o, r))
         assert len(nodes) == len(want) == 2
-        worst = max(worst, max(min(math.dist(b.point(n), w) for w in want) for n in nodes))
+        worst = max(worst, *map(math.dist, map(b.point, nodes), want))  # in order
     assert len(routed) == draws
     assert worst <= 1e-12
 

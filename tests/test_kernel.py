@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl, program as program_module, replay
+from compass import dsl, fuzz, program as program_module, replay
 from compass.constructions import (
     apex_program,
     build_apex,
@@ -395,16 +395,21 @@ FAILING_DRAWS = {
 }
 
 
+def outcome(program, seeds):
+    """``execute(program, seeds)``, or the error's class and message."""
+    try:
+        return execute(program, seeds)
+    except CompassError as err:
+        return type(err), str(err)
+
+
 def executed(program, seeds, compiling):
     """``execute`` on a copy of ``program``, compiled or not: the trace, or
     the error's class and message."""
     program = copy.copy(program)
     if compiling:
         replay.compile(program)
-    try:
-        return execute(program, seeds)
-    except CompassError as err:
-        return type(err), str(err)
+    return outcome(program, seeds)
 
 
 @pytest.mark.parametrize("name", sorted(FAILING_DRAWS))
@@ -413,6 +418,33 @@ def test_a_compiled_program_fails_as_execute_does(name):
     got = executed(program, seeds, compiling=True)
     assert got == executed(program, seeds, compiling=False)
     assert got[0] is error
+
+
+def test_compiled_fuzz_programs_replay_similarity_images_as_execute_does():
+    """Every program ``fuzz.run_op(op, 20, 42)`` audits, over every op,
+    compiled and interpreted on seeded similarity images of its seeds,
+    z -> p + s e^(it) z with s from 2^-30 to 2^30: the same columns, or the
+    same error class and message."""
+    audited = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fuzz, "purity_audit", audited.append)
+        for op in fuzz.OPS:
+            fuzz.run_op(op, 20, 42)
+    assert len(audited) == 235
+    rng, failed = fuzz.SplitMix64(21), 0
+    for trace in audited:
+        interpreted, compiled = copy.copy(trace.program), copy.copy(trace.program)
+        replay.compile(compiled)  # a copy holds no compiled function until then
+        for _ in range(3):
+            t, s = rng.uniform(0.0, 2.0 * math.pi), 2.0 ** rng.uniform(-30.0, 30.0)
+            wx, wy = s * math.cos(t), s * math.sin(t)
+            px, py = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+            seeds = [Point(px + wx * x - wy * y, py + wx * y + wy * x)
+                     for x, y in trace.seed_values]
+            want = outcome(interpreted, seeds)
+            failed += type(want) is tuple
+            assert outcome(compiled, seeds) == want
+    assert 0 < failed < len(audited)  # images that fail are compared too
 
 
 def test_a_compiled_program_keeps_int_seeds_as_ints():

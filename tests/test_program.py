@@ -224,6 +224,38 @@ def test_a_pick_equal_to_a_stored_one_is_refused(c1, c2, message):
     assert (len(b), dict(b.table)) == before and b.pick(2, 3, Selector.LEFT) == left
 
 
+class ProbeCount(dict):
+    """A hash-cons table that counts its lookups."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return dict.__getitem__(self, key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return dict.__contains__(self, key)
+
+
+def test_circle_and_pick_probe_the_table_once_per_call():
+    b = Builder([O, U])
+    b.table = table = ProbeCount()
+    steps = [lambda: b.circle(0, 1), lambda: b.circle(1, 0),
+             lambda: b.pick(2, 3, Selector.LEFT), lambda: b.pick(2, 3, Selector.RIGHT)]
+    for _ in range(2):  # each row appended, then each row found
+        for k, step in enumerate(steps):
+            before = table.probes
+            assert step() == k + 2
+            assert table.probes == before + 1
+    assert len(b) == 6 and table == {(OP_CIRCLE, 0, 1): 2, (OP_CIRCLE, 1, 0): 3,
+                                     (OP_LEFT, 2, 3): 4, (OP_RIGHT, 2, 3): 5}
+
+
 @pytest.mark.parametrize("avoid, error, message", [
     (-1, InvalidNodeId, "node -1 outside the builder"),
     (99, InvalidNodeId, "node 99 outside the builder"),
