@@ -419,9 +419,10 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
             got = _mirror_cut(b, a, bn, o, d, o_mirror)
     if len(got) == 1:
         return got
-    v1, v2 = b.point(got[0]), b.point(got[1])
-    ahead = (v1.x - v2.x) * (pb.x - pa.x) + (v1.y - v2.y) * (pb.y - pa.y) >= 0
-    return got if ahead else got[::-1]
+    x1, x2 = got
+    xs, ys = b.xs, b.ys
+    ahead = (xs[x1] - xs[x2]) * (pb.x - pa.x) + (ys[x1] - ys[x2]) * (pb.y - pa.y) >= 0
+    return got if ahead else (x2, x1)
 
 
 def _mirror_cut(b: Builder, a: int, bn: int, o: int, d: int,
