@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, islice
@@ -100,6 +101,17 @@ def _mistyped(column: Sequence, types: set) -> int | None:
     if set(map(type, column)) <= types:
         return None
     return next(i for i, v in enumerate(column) if type(v) not in types)
+
+
+def _nonfinite(column: Sequence) -> int | None:
+    """The index of the first NaN, ±inf or int past the float range (None,
+    a point's radius, passes), or None: one C-level pass when there is none."""
+    try:
+        if all(map(math.isfinite, filter(None, column))):  # None and zeros dropped
+            return None
+    except OverflowError:  # an int past the float range
+        pass
+    return next(i for i, v in enumerate(column) if v and not abs(v) <= sys.float_info.max)
 
 
 class Resolved(Record, Sequence):
@@ -292,7 +304,7 @@ class Trace(Record):
         """Raise MalformedTrace unless ``program`` is a ``Program``, each
         resolved column holds one value per step, and, naming the step,
         unless every circle step resolved to a circle and every other step
-        to a point, each coordinate and radius an int or a float."""
+        to a point, each coordinate and radius a finite int or float."""
         if type(resolved) is not Resolved:
             resolved = Resolved.of_values(resolved)
         Record.__init__(self, program, resolved)
@@ -310,9 +322,11 @@ class Trace(Record):
             raise MalformedTrace(f"step {i}: {kind} resolved to non-{want}")
         for key, column, types in (("x", xs, _NUMBER), ("y", ys, _NUMBER),
                                    ("radius", rs, _RADIUS)):
-            i = _mistyped(column, types)
+            i, what = _mistyped(column, types), "a number"
+            if i is None:  # numbers, so the finiteness test reads them
+                i, what = _nonfinite(column), "finite"
             if i is not None:
-                raise MalformedTrace(f"step {i}: {key!r} must be a number")
+                raise MalformedTrace(f"step {i}: {key!r} must be {what}")
 
     @property
     def seed_values(self) -> tuple[Point, ...]:
@@ -331,7 +345,7 @@ AuditReport = namedtuple("AuditReport", "seeds circles picks")
 
 def _built(program: Program, xs: tuple, ys: tuple, rs: tuple) -> Trace:
     """The trace of a program over columns the engine resolved, one value
-    per step, each an int or a float (a radius a float, None for a point):
+    per step, each a finite int or float (a radius a float, None for a point):
     what the constructor checks holds as built, so nothing is checked."""
     trace = Trace.__new__(Trace)
     init = object.__setattr__  # field by field: the engine builds traces often
@@ -364,6 +378,7 @@ def execute(program: Program, seeds: Iterable[Point]) -> Trace:
 
 def _seed_columns(seeds: tuple) -> tuple[list, list]:
     """The x and y columns of seeds, each a pair of finite ints or floats (a bool is not)."""
+    xs, ys = [], []
     for p in seeds:
         try:
             x, y = p
@@ -371,13 +386,12 @@ def _seed_columns(seeds: tuple) -> tuple[list, list]:
             x = y = None
         if type(x) not in _NUMBER or type(y) not in _NUMBER:
             raise NonFiniteInput(f"seed {p} is not a pair of numbers")
-        try:
-            finite = math.isfinite(x) and math.isfinite(y)
-        except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
-            raise NonFiniteInput(f"non-finite seed {p}")
-    return [x for x, _ in seeds], [y for _, y in seeds]
+        xs.append(x)
+        ys.append(y)
+    if _nonfinite(xs + ys) is not None:  # name the first seed that is not finite
+        p = next(p for p in seeds if _nonfinite(p) is not None)
+        raise NonFiniteInput(f"non-finite seed {p}")
+    return xs, ys
 
 
 def _no_point(got: str, at: int) -> CompassError:

@@ -19,27 +19,27 @@ paired with the names of its seeds and outputs.
 Where each check lives:
 
 - The ``Program`` and ``Trace`` constructors hold every structural rule,
-  integer columns included, and a record is valid by construction; nothing
-  here repeats a rule or adds one, so a trace with no seeds (a script
-  without ``given``) loads.
+  integer columns included, and every number finite: a record is valid by
+  construction. Nothing here repeats a rule or adds one, so a trace with no
+  seeds (a script without ``given``) loads.
 - ``_columns_v1`` checks only what version 1 alone has: its three arrays,
   each node an object with a dense integer ``id``, the step kind and
   selector, the operands under their own names, the seed names, and each
   output an object with a string name and an integer ``id``.
 - ``loads`` checks the columns of either version, one pass each: arrays,
-  op names, finite coordinates, name types, and each column's length
-  (``x`` and ``y`` one entry per point step). It builds the program with
-  the ``Program`` constructor, resolves each circle's radius, rejecting
-  what ``radius`` refuses, and builds the trace through ``_built``. Every
-  error is a MalformedTrace, and every error about a node names it (``step
-  <id>: ...`` or ``output <k>: ...``; past a column's last step, the step
-  count stands for the id).
-- ``dumps`` holds every writer check: every coordinate finite (a JSON
-  number cannot be ``inf`` or ``nan``), one name per seed and one per
+  op names, name types, finite coordinates (``_nonfinite``, as the
+  constructor), and each column's length (``x`` and ``y`` one entry per
+  point step). It builds the program with the ``Program`` constructor,
+  resolves each circle's radius, rejecting what ``radius`` refuses, and
+  builds the trace through ``_built``. Every error is a MalformedTrace,
+  and every error about a node names it (``step <id>: ...`` or ``output
+  <k>: ...``; past a column's last step, the step count stands for the id).
+- ``dumps`` holds every writer check: one name per seed and one per
   output, a seed name ``None`` or a string, an output name a string, each
-  error naming the step or output as ``loads`` does. So a ``TraceDocument``
-  built by hand is checked as one from ``document_from_trace``, which, like
-  ``trace_from_document``, checks nothing.
+  error naming the step or output as ``loads`` does; a ``Trace`` is finite,
+  as a JSON number must be. So a ``TraceDocument`` built by hand is checked
+  as one from ``document_from_trace``, which, like ``trace_from_document``,
+  checks nothing.
 
 What a writer still accepts, and ``loads`` rewrites or takes on trust:
 
@@ -52,8 +52,6 @@ What a writer still accepts, and ``loads`` rewrites or takes on trust:
 from __future__ import annotations
 
 import json
-import math
-import sys
 from collections import namedtuple
 from itertools import compress
 
@@ -68,6 +66,7 @@ from .program import (  # noqa: F401
     Trace,
     _built,
     _mistyped,
+    _nonfinite,
     purity_audit,
 )
 
@@ -117,17 +116,11 @@ def _coordinates(column, point) -> str:
 def dumps(doc: TraceDocument) -> str:
     """Serialize with fixed key order and 17-significant-digit coordinates.
 
-    Raises MalformedTrace, naming the step, for a coordinate that is not
-    finite, and for a name ``loads`` would refuse: a seed or output name
-    count unlike the program's, a seed name neither None nor a string
-    (naming the step), an output name not a string (naming the output).
+    Raises MalformedTrace for a name ``loads`` would refuse: a seed or
+    output name count unlike the program's, a seed name neither None nor a
+    string (naming the step), an output name not a string (naming the output).
     """
-    trace = doc.trace
-    program = trace.program
-    xs, ys = trace.resolved.xs, trace.resolved.ys
-    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
-        i = next(i for i, xy in enumerate(zip(xs, ys)) if not all(map(math.isfinite, xy)))
-        raise MalformedTrace(f"step {i}: coordinate ({xs[i]}, {ys[i]}) is not finite")
+    program, resolved = doc.trace.program, doc.trace.resolved
     if len(doc.seed_names) != program.seed_count:
         raise MalformedTrace("seed names do not match program seeds")
     if len(doc.output_names) != len(program.outputs):
@@ -139,7 +132,7 @@ def dumps(doc: TraceDocument) -> str:
         if not isinstance(name, str):
             raise MalformedTrace(f"output {k}: name must be a string")
     point = list(map(OP_CIRCLE.__ne__, program.ops))
-    x, y = _coordinates(xs, point), _coordinates(ys, point)
+    x, y = _coordinates(resolved.xs, point), _coordinates(resolved.ys, point)
     return (f'{{"version":{VERSION},"seed_names":{_ENCODE(list(doc.seed_names))},'
             f'"op":[{",".join(map(_OP_JSON.__getitem__, program.ops))}],'
             f'"first":[{_ints(program.first)}],"second":[{_ints(program.second)}],'
@@ -242,23 +235,16 @@ def loads(text: str) -> TraceDocument:
             raise MalformedTrace(f"{node(key, min(len(column), want))}: {key!r} holds "
                                  f"{len(column)} entries, not {want}")
         at = types and _mistyped(column, types)
+        if at is None and key in "xy":  # numbers, so the finiteness test reads them
+            at, what = _nonfinite(column), "finite"
         if at is not None:
             raise MalformedTrace(f"{node(key, at)}: {key!r} must be {what}")
-    try:
-        px, py = tuple(map(float, x)), tuple(map(float, y))
-    except OverflowError:  # an integer past the float range
-        px = py = (math.inf,)
-    if not (all(map(math.isfinite, px)) and all(map(math.isfinite, py))):
-        key, at = next((key, i) for key, column in (("x", x), ("y", y))
-                       for i, v in enumerate(column)
-                       if not -sys.float_info.max <= v <= sys.float_info.max)
-        raise MalformedTrace(f"{node(key, at)}: {key!r} must be finite")
     try:
         program = Program(len(seed_names), ops, tuple(first), tuple(second), tuple(outputs))
     except MalformedProgram as err:
         raise MalformedTrace(str(err)) from None
     xs, ys, rs = [], [], []
-    next_x, next_y = iter(px).__next__, iter(py).__next__  # the point steps', in order
+    next_x, next_y = map(float, x).__next__, map(float, y).__next__  # the point steps', in order
     for op, u, v in zip(ops, program.first, program.second):
         if op == OP_CIRCLE:  # at its center
             try:

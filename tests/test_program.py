@@ -441,6 +441,65 @@ def test_a_bad_column_is_refused_by_the_constructor():
             Trace(stand_in, r)
 
 
+@pytest.fixture
+def finiteness_passes(monkeypatch):
+    """The length of every column the one finiteness test reads, as it runs,
+    whether the engine or the trace reader calls it."""
+    passes = []
+    nonfinite = program_module._nonfinite
+
+    def counted(column):
+        passes.append(len(column))
+        return nonfinite(column)
+
+    monkeypatch.setattr(program_module, "_nonfinite", counted)
+    monkeypatch.setattr(tracedoc, "_nonfinite", counted)
+    return passes
+
+
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10 ** 400}
+
+
+@pytest.mark.parametrize("bad", sorted(NON_FINITE))
+@pytest.mark.parametrize("key, at", [("x", 1), ("y", 1), ("x", 13), ("y", 13), ("radius", 2)],
+                         ids=["x-seed", "y-seed", "x-pick", "y-pick", "radius"])
+def test_trace_refuses_a_non_finite_number(key, at, bad):
+    # such a trace once built: render_trace wrote r="nan" or d="M nan 0 ...",
+    # and on 10**400 dumps, render_trace and Builder.resume(...).circle(0, 1)
+    # raised a bare OverflowError
+    trace = execute(midpoint_program(), (O, U))
+    columns = {"x": list(trace.resolved.xs), "y": list(trace.resolved.ys),
+               "radius": list(trace.resolved.rs)}
+    columns[key][at] = NON_FINITE[bad]
+    forged = Resolved(*map(tuple, columns.values()))
+    with pytest.raises(MalformedTrace, match=rf"^step {at}: {key!r} must be finite$"):
+        Trace(trace.program, forged)
+    with pytest.raises(MalformedTrace, match=rf"^step {at}: {key!r} must be finite$"):
+        dataclasses.replace(trace, resolved=forged)
+
+
+def test_one_finiteness_test_reads_seeds_traces_and_trace_files(finiteness_passes):
+    trace = execute(midpoint_program(), (O, U))  # the seeds' x and y, in one column
+    assert finiteness_passes == [4]
+    Trace(trace.program, trace.resolved)  # each resolved column
+    assert finiteness_passes == [4, 14, 14, 14]
+    finiteness_passes.clear()
+    text = tracedoc.dumps(tracedoc.document_from_trace(trace))
+    render_trace(trace)
+    Builder.resume(trace).circle(0, 1)
+    assert finiteness_passes == []  # a trace is finite by construction
+    assert tracedoc.loads(text).trace == trace
+    assert finiteness_passes == [8, 8]  # the point steps' x and y
+
+
+def test_the_first_non_finite_seed_is_named():
+    # the seed, not the column: seed 1's y comes before seed 2's x
+    with pytest.raises(NonFiniteInput, match=r"^non-finite seed Point\(x=0.0, y=nan\)$"):
+        Builder([O, Point(0.0, math.nan), Point(math.inf, 0.0)])
+    with pytest.raises(NonFiniteInput, match=r"^non-finite seed \(10{400}, 0\)$"):
+        execute(extend_program(), [O, (10 ** 400, 0)])
+
+
 def test_degenerate_circle_step():
     b = Builder([O, O])
     with pytest.raises(DegenerateCircle):
