@@ -28,6 +28,9 @@ A ``Program`` or ``Trace`` is valid by construction: its constructor, which
 ``copy``, ``pickle`` and ``dataclasses.replace`` go through too, is the one
 rulebook of what it is, and raises the typed error, naming the field, step
 or output, for a column entry of the wrong type or any other broken rule.
+A trace's numbers are finite, by the one finiteness test ``_nonfinite``,
+which the seeds and ``tracedoc.loads`` read too, and each circle is its
+center and ``geom.radius`` of its two nodes, as every builder draws it.
 So no consumer checks a record again. The engine's own builds skip the
 passes they cannot fail: traces through ``_built``, and a ``Builder``'s
 columns through ``Program._grown``, which checks only the outputs (a
@@ -292,7 +295,8 @@ class Program(Record):
 class Trace(Record):
     """A fully resolved execution record of a program on concrete seeds;
     a tuple given for ``resolved`` is encoded (``Resolved.of_values``).
-    Valid by construction, as its program is. The private ``_table``, outside
+    Valid by construction, as its program is: its numbers are finite, and
+    each circle is the one its row draws. The private ``_table``, outside
     ``==``, ``hash``, ``repr``, copy and pickling, is the hash-cons table of
     the builder whose ``witness`` handed its columns over, kept for
     ``Builder.resume`` (None on any other trace)."""
@@ -304,7 +308,9 @@ class Trace(Record):
         """Raise MalformedTrace unless ``program`` is a ``Program``, each
         resolved column holds one value per step, and, naming the step,
         unless every circle step resolved to a circle and every other step
-        to a point, each coordinate and radius a finite int or float."""
+        to a point, each coordinate and radius a finite int or float, and
+        each circle at its center node with ``geom.radius`` of its two
+        nodes, as a builder, ``execute`` and ``tracedoc.loads`` draw it."""
         if type(resolved) is not Resolved:
             resolved = Resolved.of_values(resolved)
         Record.__init__(self, program, resolved)
@@ -327,6 +333,15 @@ class Trace(Record):
                 i, what = _nonfinite(column), "finite"
             if i is not None:
                 raise MalformedTrace(f"step {i}: {key!r} must be {what}")
+        first, second = program.first, program.second
+        for i in compress(range(len(ops)), map(OP_CIRCLE.__eq__, ops)):
+            u, v = first[i], second[i]
+            try:
+                r = radius(xs[u], ys[u], xs[v], ys[v])
+            except (DegenerateCircle, NonFiniteInput):  # through its center, or past the floats
+                r = None
+            if (xs[i], ys[i], rs[i]) != (xs[u], ys[u], r):
+                raise MalformedTrace(f"step {i}: not the circle about node {u} through node {v}")
 
     @property
     def seed_values(self) -> tuple[Point, ...]:
@@ -533,7 +548,8 @@ class Builder:
         to first, so that of two equal rows the first keeps the key. In a
         hash-consed builder every row is unique, so the two tables are
         equal. A trace is valid by construction, so the builder holds ints
-        and numbers only, as ``finish`` and ``witness`` take for granted."""
+        and finite numbers only, and each circle its center and radius, as
+        ``finish`` and ``witness`` take for granted and as its cuts read."""
         p, r = trace.program, trace.resolved
         builder = cls.__new__(cls)  # every attribute is set here
         builder.seed_count = p.seed_count
@@ -567,12 +583,11 @@ class Builder:
         self._node(node, True)
         return ResolvedCircle(Point(self.xs[node], self.ys[node]), self.rs[node])
 
-    def _keep(self, op: int, u: int, v: int, x: float, y: float,
-              r: float | None = None) -> int:
-        """The node hash-consed as step (op, u, v), appending it if new."""
+    def _keep(self, op: int, u: int, v: int, x: float, y: float) -> int:
+        """The pick hash-consed as step (op, u, v), appending it if new."""
         key = op, u, v
         node = self.table.get(key)
-        return self._append(key, x, y, r) if node is None else node
+        return self._append(key, x, y) if node is None else node
 
     def _append(self, key: tuple, x: float, y: float, r: float | None = None) -> int:
         """Append step ``key``, an (op, first, second) row not in ``table``."""
@@ -657,15 +672,18 @@ class Builder:
             return self._keep(OP_LEFT, c1, c2, lx, ly)
         return self._keep(OP_RIGHT, c1, c2, rx, ry)
 
-    def inline(self, guest: Program, seed_map: Sequence[int]) -> tuple[int, ...]:
+    def inline(self, guest: Program, seed_map: Iterable[int]) -> tuple[int, ...]:
         """Append a program's non-seed steps, rewiring its seeds onto existing
-        nodes; returns the guest's outputs as nodes of this builder."""
+        nodes, the seed map taken as a list before it is counted, as
+        ``execute`` takes its seeds; returns the guest's outputs as nodes of
+        this builder."""
+        seed_map = list(seed_map)
         if len(seed_map) != guest.seed_count:
             raise InvalidNodeId(
                 f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
         for node in seed_map:
             self._node(node, False)
-        return self._resolve(guest, list(seed_map), self.table)
+        return self._resolve(guest, seed_map, self.table)
 
     def _resolve(self, program: Program, node: list[int],
                  table: dict[tuple, int] | None) -> tuple[int, ...]:

@@ -19,9 +19,10 @@ paired with the names of its seeds and outputs.
 Where each check lives:
 
 - The ``Program`` and ``Trace`` constructors hold every structural rule,
-  integer columns included, and every number finite: a record is valid by
-  construction. Nothing here repeats a rule or adds one, so a trace with no
-  seeds (a script without ``given``) loads.
+  integer columns included, every number finite, and each circle its
+  center and radius: a record is valid by construction. Nothing here
+  repeats a rule or adds one, so a trace with no seeds (a script without
+  ``given``) loads.
 - ``_columns_v1`` checks only what version 1 alone has: its three arrays,
   each node an object with a dense integer ``id``, the step kind and
   selector, the operands under their own names, the seed names, and each
@@ -41,12 +42,10 @@ Where each check lives:
   as one from ``document_from_trace``, which, like ``trace_from_document``,
   checks nothing.
 
-What a writer still accepts, and ``loads`` rewrites or takes on trust:
-
-- a circle value that is not its center and radius (a document keeps
-  only the circle's two nodes, and ``loads`` resolves it again);
-- a pick whose point does not lie on its two circles (``loads`` keeps the
-  written point; nothing replays the cut).
+What a writer still accepts, and ``loads`` takes on trust: a pick whose
+point does not lie on its two circles (``loads`` keeps the written point;
+nothing replays the cut). A circle is its center and radius in every
+``Trace``, so the document keeps only its two nodes and loses nothing.
 """
 
 from __future__ import annotations

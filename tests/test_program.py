@@ -26,7 +26,7 @@ from compass.errors import (
     NonFiniteInput,
     NoSuchIntersection,
 )
-from compass.geom import Point, cut, radius
+from compass.geom import Point, ResolvedCircle, cut, radius
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
@@ -91,6 +91,18 @@ def test_execute_takes_seeds_as_any_iterable():
     assert execute(midpoint_program(), iter([O, U])) == want
 
 
+@pytest.mark.parametrize("seed_map", [iter([0, 1]), (n for n in (0, 1)), range(2), [0, 1]],
+                         ids=["iterator", "generator", "range", "list"])
+def test_inline_takes_its_seed_map_as_any_iterable(seed_map):
+    # as execute takes its seeds: the map is taken as a list before it is
+    # counted, where an iterator once raised a bare TypeError from len()
+    want = Builder([O, U])
+    want_out = want.inline(extend_program(), (0, 1))
+    b = Builder([O, U])
+    assert b.inline(extend_program(), seed_map) == want_out
+    assert b.finish(want_out) == want.finish(want_out)
+
+
 def test_pick_errors():
     b = Builder([O, U, Point(5.0, 0.0), Point(5.1, 0.0)])
     c1 = b.circle(0, 1)
@@ -108,8 +120,10 @@ def test_pick_errors():
     (lambda b: b.point(2), "node 2 is not a point"),
     (lambda b: b.circle_value(0), "node 0 is not a circle"),
     (lambda b: b.inline(extend_program(), (0,)), "seed_map has 1 entries for 2 seeds"),
+    (lambda b: b.inline(extend_program(), iter([0])), "seed_map has 1 entries for 2 seeds"),
     (lambda b: b.pick(2, 2, "left"), "bad selector 'left'"),
-], ids=["circle-as-point", "point-as-circle", "short-seed-map", "non-selector"])
+], ids=["circle-as-point", "point-as-circle", "short-seed-map", "short-seed-map-iterator",
+        "non-selector"])
 def test_builder_refuses_a_bad_argument(call, message):
     b = Builder([O, U])
     b.circle(0, 1)
@@ -460,6 +474,14 @@ def finiteness_passes(monkeypatch):
 NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10 ** 400}
 
 
+def forged(resolved, key, at, value):
+    """The resolved columns, entry ``at`` of column ``key`` (x, y or radius)
+    replaced by ``value``."""
+    columns = {"x": list(resolved.xs), "y": list(resolved.ys), "radius": list(resolved.rs)}
+    columns[key][at] = value
+    return Resolved(*map(tuple, columns.values()))
+
+
 @pytest.mark.parametrize("bad", sorted(NON_FINITE))
 @pytest.mark.parametrize("key, at", [("x", 1), ("y", 1), ("x", 13), ("y", 13), ("radius", 2)],
                          ids=["x-seed", "y-seed", "x-pick", "y-pick", "radius"])
@@ -468,14 +490,32 @@ def test_trace_refuses_a_non_finite_number(key, at, bad):
     # and on 10**400 dumps, render_trace and Builder.resume(...).circle(0, 1)
     # raised a bare OverflowError
     trace = execute(midpoint_program(), (O, U))
-    columns = {"x": list(trace.resolved.xs), "y": list(trace.resolved.ys),
-               "radius": list(trace.resolved.rs)}
-    columns[key][at] = NON_FINITE[bad]
-    forged = Resolved(*map(tuple, columns.values()))
+    resolved = forged(trace.resolved, key, at, NON_FINITE[bad])
     with pytest.raises(MalformedTrace, match=rf"^step {at}: {key!r} must be finite$"):
-        Trace(trace.program, forged)
+        Trace(trace.program, resolved)
     with pytest.raises(MalformedTrace, match=rf"^step {at}: {key!r} must be finite$"):
-        dataclasses.replace(trace, resolved=forged)
+        dataclasses.replace(trace, resolved=resolved)
+
+
+ABOUT_1_THROUGH_0 = Program(2, (OP_SEED, OP_SEED, OP_CIRCLE), (0, 1, 1), (-1, -1, 0), ())
+
+
+@pytest.mark.parametrize("seeds, key, value", [
+    ((O, U), "x", 0.5), ((O, U), "y", 1e-300), ((O, U), "radius", 2.0),
+    # circles geom.radius refuses, so that no builder, execute or loads draws one
+    ((U, U), "radius", 1.0), ((Point(-1e308, -1e308), Point(1e308, 1e308)), "radius", 1.0),
+], ids=["x", "y", "radius", "through-its-center", "radius-past-the-floats"])
+def test_trace_refuses_a_circle_that_is_not_its_rows(seeds, key, value):
+    # such a trace once built: render_trace drew a circle its program never
+    # drew, dumps wrote a document that loads read as another trace, and a
+    # builder resumed from it cut with the stored radius
+    (x0, y0), (x1, y1) = seeds
+    drawn = Resolved((x0, x1, x1), (y0, y1, y1), (None, None, 1.0))
+    if seeds == (O, U):  # as execute draws it
+        assert Trace(ABOUT_1_THROUGH_0, drawn) == execute(ABOUT_1_THROUGH_0, seeds)
+    message = "^step 2: not the circle about node 1 through node 0$"
+    with pytest.raises(MalformedTrace, match=message):
+        Trace(ABOUT_1_THROUGH_0, forged(drawn, key, 2, value))
 
 
 def test_one_finiteness_test_reads_seeds_traces_and_trace_files(finiteness_passes):
