@@ -30,6 +30,11 @@ where ``e`` is nothing: a line may be empty. Tokens (``_TOKEN``):
 - ``#`` starts a comment that runs to the end of the line. Spaces, tabs
   and carriage returns separate tokens; a newline is a token.
 
+``tokenize`` cuts each line into abutting pieces with one ``findall`` of
+``_TOKEN`` and reads each piece's kind off its first character; a Unicode
+decimal starts a NUMBER, as it does in the pattern. ``parse`` reads the
+token list in place, with one index.
+
 The interpreter performs no I/O: emit statements come back as requests for
 the caller to act on.
 
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from collections import namedtuple
 
 from . import constructions as cons
@@ -121,58 +127,69 @@ EOF = "Eof"
 Token = namedtuple("Token", "kind lexeme line column")
 
 
-# One alternative per token kind, tried in this order over one line; blanks
-# and comments, and any other character, are groups of their own, so every
-# character is matched. ``odd`` is what follows an 'e' that starts no
-# decimal exponent, nested in Number: it never closes a match last.
+# Every piece of a line, in this order: blanks or a comment, a Punct, a
+# String, a Number, a word, or any other character. Pieces abut, so a
+# column is the sum of the lengths before it, and a piece's first character
+# tells its kind: ``_KIND_OF`` for ASCII (None for a blank), else EOF.
 _TOKEN = re.compile(r"""
-    (?P<blank> [ \t\r]+ | \#.* )
-  | (?P<Punct> [=(),] )
-  | (?P<String> "[^"]*" )
-  | (?P<Number> [+-]? (?=[\d.]) \d* (?:\.\d*)?
-                (?: [eE][+-]?\d+ | (?=(?P<odd>[eE][+-]?\w)) )? )
-  | (?P<word> \w+ )
-  | (?P<other> . )
+    [ \t\r]+ | \#.* | [=(),] | "[^"]*"
+  | [+-]? (?=[\d.]) \d* (?:\.\d*)? (?:[eE][+-]?\d+)?
+  | \w+ | .
 """, re.VERBOSE)
-# kind by the number of the last group a match closes; EOF: the scan stops there
-_KINDS = (None, None, PUNCT, STRING, NUMBER, None, IDENT, EOF)
+_ODD = re.compile(r"[eE][+-]?\w")  # what follows an 'e' that starts no exponent
+_KIND_OF = {" ": None, "\t": None, "\r": None, "#": None, "=": PUNCT, "(": PUNCT,
+            ")": PUNCT, ",": PUNCT, '"': STRING, "+": NUMBER, "-": NUMBER, ".": NUMBER,
+            **dict.fromkeys(string.digits, NUMBER),
+            **dict.fromkeys(string.ascii_letters + "_", IDENT)}
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex a script into tokens with 1-based line/column positions, one line
-    at a time; the EOF token stands where the last line ends."""
+    """Lex a script into tokens with 1-based line/column positions: one
+    ``findall`` a line, each piece's kind read off its first character; the
+    EOF token stands where the last line ends."""
     tokens: list[Token] = []
     new = tuple.__new__  # a Token without a call of the Python-level Token.__new__
     for line, text_line in enumerate(source.split("\n"), 1):
-        for m in _TOKEN.finditer(text_line):
-            kind = _KINDS[m.lastindex]
+        end = 1
+        for text in _TOKEN.findall(text_line):
+            kind = _KIND_OF.get(text[0], EOF)
             if kind is None:
+                end += len(text)
                 continue
-            text = m.group()
-            column = m.start() + 1
+            column = end
+            end += len(text)
             if kind is IDENT:
-                if not (text[0].isalpha() or text[0] == "_"):
-                    raise LexError(line, column, f"unexpected character {text[0]!r}")
                 if text in KEYWORDS:
                     kind = KEYWORD
-            elif kind is NUMBER:
-                odd = m.group("odd")
-                if odd and odd[-1].isdigit():  # '1e²': a bad number, not 1 and a name
-                    text += odd
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise LexError(line, column, f"bad number {text!r}") from None
-                if not math.isfinite(value):
-                    raise LexError(line, column, f"number {text!r} overflows")
-            elif kind is STRING:
-                text = text[1:-1]
-            elif kind is EOF:
-                raise LexError(line, column, "unterminated string" if text == '"'
-                               else f"unexpected character {text!r}")
+            elif kind is not PUNCT:
+                if kind is EOF:  # a letter, a Unicode decimal (as \d) or no token
+                    first = text[0]
+                    if first.isalpha():
+                        kind = IDENT
+                    elif first.isdecimal():
+                        kind = NUMBER
+                    else:
+                        raise LexError(line, column, f"unexpected character {first!r}")
+                if kind is STRING:
+                    if text == '"':
+                        raise LexError(line, column, "unterminated string")
+                    text = text[1:-1]
+                elif kind is NUMBER:
+                    if text == "+" or text == "-":
+                        raise LexError(line, column, f"unexpected character {text!r}")
+                    if "e" not in text and "E" not in text:
+                        odd = _ODD.match(text_line, end - 1)
+                        if odd and odd[0][-1].isdigit():  # '1e²': a bad number, not 1 and a name
+                            text += odd[0]
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise LexError(line, column, f"bad number {text!r}") from None
+                    if not math.isfinite(value):
+                        raise LexError(line, column, f"number {text!r} overflows")
             tokens.append(new(Token, (kind, text, line, column)))
-        tokens.append(new(Token, (NEWLINE, "\n", line, len(text_line) + 1)))
-    tokens[-1] = Token(EOF, "", line, len(text_line) + 1)
+        tokens.append(new(Token, (NEWLINE, "\n", line, end)))
+    tokens[-1] = Token(EOF, "", line, end)
     return tokens
 
 
@@ -189,82 +206,93 @@ Statement = Given | Let | Emit
 
 # --- parser -------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+def _expected(tok: Token, what: str) -> ParseError:
+    """The error at ``tok``, where the grammar expects ``what``."""
+    found = tok.lexeme if tok.lexeme.strip() else tok.kind.lower()
+    return ParseError(tok.line, tok.column, what, repr(found))
 
-    def at(self, kind: str, lexeme: str | None = None) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind is kind and (lexeme is None or tok.lexeme == lexeme)
 
-    def take(self, kind: str, what: str, lexemes=None) -> Token:
-        """Consume the next token, which must be of ``kind`` and, given
-        ``lexemes``, one of them; else a ParseError expecting ``what``."""
-        tok = self.tokens[self.i]
-        if tok.kind is not kind or (lexemes is not None and tok.lexeme not in lexemes):
-            found = tok.lexeme if tok.lexeme.strip() else tok.kind.lower()
-            raise ParseError(tok.line, tok.column, what, repr(found))
-        self.i += 1
-        return tok
-
-    def script(self) -> list[Statement]:
-        statements: list[Statement] = []
-        while not self.at(EOF):
-            if self.at(NEWLINE):
-                self.i += 1
-            else:
-                statements.append(self.statement())
-        return statements
-
-    def statement(self) -> Statement:
-        kw = self.take(KEYWORD, "'given', 'let', or 'emit'", ("given", "let", "emit"))
-        if kw.lexeme == "given":
-            name = self.take(IDENT, "a point name").lexeme
-            self.take(PUNCT, "'='", "=")
-            self.take(PUNCT, "'('", "(")
-            x = float(self.take(NUMBER, "a number").lexeme)
-            self.take(PUNCT, "','", ",")
-            y = float(self.take(NUMBER, "a number").lexeme)
-            self.take(PUNCT, "')'", ")")
-            stmt = Given(name, x, y, kw.line)
-        elif kw.lexeme == "let":
-            names = [self.take(IDENT, "a name").lexeme]
-            if self.at(PUNCT, ","):
-                self.i += 1
-                names.append(self.take(IDENT, "a name").lexeme)
-            self.take(PUNCT, "'='", "=")
-            stmt = Let(tuple(names), self.call(), kw.line)
-        else:
-            target = self.take(KEYWORD, "'svg', 'trace', or 'points'",
-                               ("svg", "trace", "points")).lexeme
-            stmt = Emit(target, self.take(STRING, "a quoted path").lexeme, kw.line)
-        if not self.at(EOF):
-            self.take(NEWLINE, "end of line")
-        return stmt
-
-    def call(self) -> CallExpr:
-        op = self.take(IDENT, "an operation name").lexeme
-        self.take(PUNCT, "'('", "(")
-        args: list[str | float | Selector] = []
-        while not self.at(PUNCT, ")"):
-            if args:
-                self.take(PUNCT, "',' or ')'", ",")
-            args.append(self.arg())
-        self.i += 1
-        return CallExpr(op, tuple(args))
-
-    def arg(self) -> str | float | Selector:
-        if self.at(IDENT):
-            return self.take(IDENT, "a name").lexeme
-        if self.at(NUMBER):
-            return float(self.take(NUMBER, "a number").lexeme)
-        return Selector(self.take(KEYWORD, "an argument (name, number, 'left', or 'right')",
-                                  ("left", "right")).lexeme)
+# The fixed tokens of a statement after its keyword, and of a let after its
+# names, up to its arguments: (kind, lexemes or None for any, what a
+# ParseError expects); a Punct lexeme is one character, so ``in`` is ==.
+_SHAPES = {
+    "given": ((IDENT, None, "a point name"), (PUNCT, "=", "'='"), (PUNCT, "(", "'('"),
+              (NUMBER, None, "a number"), (PUNCT, ",", "','"), (NUMBER, None, "a number"),
+              (PUNCT, ")", "')'")),
+    "let": ((PUNCT, "=", "'='"), (IDENT, None, "an operation name"), (PUNCT, "(", "'('")),
+    "emit": ((KEYWORD, ("svg", "trace", "points"), "'svg', 'trace', or 'points'"),
+             (STRING, None, "a quoted path")),
+}
+_SELECTORS = {s.value: s for s in Selector}
 
 
 def parse(tokens: list[Token]) -> list[Statement]:
-    return _Parser(tokens).script()
+    """Parse ``tokenize``'s tokens: one pass with an index, each token
+    checked in place against the grammar; a ParseError names what was
+    expected at the first token that does not fit."""
+    statements: list[Statement] = []
+    i = 0
+    while True:
+        tok = tokens[i]
+        kind, word, line = tok[0], tok[1], tok[2]
+        if kind is NEWLINE:
+            i += 1
+            continue
+        if kind is EOF:
+            return statements
+        if kind is not KEYWORD or word not in _SHAPES:
+            raise _expected(tok, "'given', 'let', or 'emit'")
+        if word == "let":
+            tok = tokens[i + 1]
+            if tok[0] is not IDENT:
+                raise _expected(tok, "a name")
+            names = (tok[1],)
+            i += 1
+            if tokens[i + 1][1] == "," and tokens[i + 1][0] is PUNCT:
+                tok = tokens[i + 2]
+                if tok[0] is not IDENT:
+                    raise _expected(tok, "a name")
+                names += (tok[1],)
+                i += 2
+        for want, lexemes, what in _SHAPES[word]:
+            i += 1
+            tok = tokens[i]
+            if tok[0] is not want or lexemes and tok[1] not in lexemes:
+                raise _expected(tok, what)
+        if word == "given":  # its name is 6 tokens back, x 3 and y 1
+            statements.append(Given(tokens[i - 6][1], float(tokens[i - 3][1]),
+                                    float(tokens[i - 1][1]), line))
+        elif word == "emit":
+            statements.append(Emit(tokens[i - 1][1], tok[1], line))
+        else:
+            op = tokens[i - 1][1]
+            i += 1
+            tok = tokens[i]
+            args: list[str | float | Selector] = []
+            while tok[0] is not PUNCT or tok[1] != ")":
+                if args:
+                    if tok[0] is not PUNCT or tok[1] != ",":
+                        raise _expected(tok, "',' or ')'")
+                    i += 1
+                    tok = tokens[i]
+                kind, text = tok[0], tok[1]
+                if kind is IDENT:
+                    args.append(text)
+                elif kind is NUMBER:
+                    args.append(float(text))
+                elif kind is KEYWORD and text in _SELECTORS:
+                    args.append(_SELECTORS[text])
+                else:
+                    raise _expected(tok, "an argument (name, number, 'left', or 'right')")
+                i += 1
+                tok = tokens[i]
+            statements.append(Let(names, CallExpr(op, tuple(args)), line))
+        i += 1  # past the statement's last token, to its end of line
+        kind = tokens[i][0]
+        if kind is NEWLINE:
+            i += 1
+        elif kind is not EOF:
+            raise _expected(tokens[i], "end of line")
 
 
 def parse_source(source: str) -> list[Statement]:
@@ -429,16 +457,16 @@ class _Interpreter:
             raise ScriptArityError(
                 line, 1, f"{call.op} takes {wanted} argument(s), got {len(call.args)}")
         out = []
+        env, rs = self.env, self.builder.rs
         for arg, kind in zip(call.args, params):
             if kind in "PCFW":
                 if type(arg) is not str:
                     raise ScriptTypeError(line, 1, f"{call.op} expects a bound name here")
-                if arg not in self.env:
+                node = env.get(arg)
+                if node is None:
                     raise ScriptNameError(line, 1, f"name {arg!r} is not bound")
-                node = self.env[arg]
-                want = "circle" if kind == "C" else "point"
-                got = "point" if self.builder.rs[node] is None else "circle"
-                if got != want:
+                if (rs[node] is None) is (kind == "C"):  # a point for C, or a circle
+                    want, got = ("circle", "point") if kind == "C" else ("point", "circle")
                     raise ScriptTypeError(
                         line, 1, f"{call.op} expects a {want}, but {arg!r} is a {got}")
                 out.append(node)
@@ -455,8 +483,8 @@ class _Interpreter:
                 out.append(arg)
         if len(out) < len(params):
             out.append(None if params[-1] == "B" and names == 2 else Selector.LEFT)
-        if any(kind == "F" and not self.builder.pair_based(node)
-               for node, kind in zip(out, params)):
+        if "F" in params and not all(self.builder.pair_based(node)
+                                     for node, kind in zip(out, params) if kind == "F"):
             raise ScriptTypeError(line, 1, _PAIR_BASIS)
         return out
 

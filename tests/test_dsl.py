@@ -2,7 +2,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compass import dsl, program, tracedoc
 from compass.dsl import (
@@ -207,28 +207,35 @@ def test_corpus_round_trip(name):
     assert parse_source(format_script(ast)) == _numbered(ast)
 
 
-_ident = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
-    lambda s: s not in dsl.KEYWORDS)
-_number = st.floats(allow_nan=False, allow_infinity=False,
-                    min_value=-1e12, max_value=1e12)
+# names as the lexer reads them: a letter or '_', then word characters, and
+# no keyword; any finite number, as ``format_statement`` writes it with repr;
+# any path without a quote or a newline
+_ident = st.from_regex(r"[^\W\d]\w{0,8}", fullmatch=True).filter(
+    lambda s: (s[0].isalpha() or s[0] == "_") and s not in dsl.KEYWORDS)
+_number = st.floats(allow_nan=False, allow_infinity=False)
 _arg = st.one_of(_ident, _number, st.sampled_from(list(Selector)))
 _line = st.integers(min_value=1, max_value=10**6)
 _stmt = st.one_of(
     st.builds(Given, _ident, _number, _number, _line),
     st.builds(Let,
               st.lists(_ident, min_size=1, max_size=2).map(tuple),
-              st.builds(CallExpr, st.sampled_from(sorted(dsl.OP_NAMES)),
+              st.builds(CallExpr, st.one_of(st.sampled_from(sorted(dsl.OP_NAMES)), _ident),
                         st.lists(_arg, max_size=4).map(tuple)),
               _line),
     st.builds(Emit, st.sampled_from(["svg", "trace", "points"]),
-              st.from_regex(r"[A-Za-z0-9._/-]{1,12}", fullmatch=True), _line))
+              st.text(st.characters(blacklist_characters='"\n'), max_size=12), _line))
 
 
 @given(st.lists(_stmt, max_size=8))
+@example([Given("A", -0.0, 5e-324, 7), Given("é_٣", 1e+308, -1.7976931348623157e+308, 1),
+          Let(("P", "Q"), CallExpr("nth", (-0.0, 1e-300, 123456789.0, Selector.RIGHT)), 3),
+          Emit("svg", "", 2), Emit("points", "a\rb # c\u2028", 4)])
 @settings(max_examples=120, deadline=None)
 def test_random_ast_round_trip(statements):
     printed = format_script(statements)
     assert parse_source(printed) == _numbered(statements)
+    # equal as floats is not enough: -0.0 == 0.0
+    assert list(map(repr, parse_source(printed))) == list(map(repr, _numbered(statements)))
 
 
 # --- interpreter ------------------------------------------------------------------

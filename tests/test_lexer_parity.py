@@ -1,9 +1,11 @@
-"""``dsl.tokenize`` lexes one line at a time; it must give what the
-whole-source scan it replaced gave: the same tokens, or a ``LexError`` at the
-same line and column with the same message, and the closing EOF token at
-the same position.
+"""``dsl.tokenize`` lexes one line at a time, with one ``findall`` a line,
+and reads each piece's kind off its first character; it must give what the
+whole-source scan gave: the same tokens, or a ``LexError`` at the same line
+and column with the same message, and the closing EOF token at the same
+position.
 
-``reference_tokenize`` below is a frozen copy of that scan, kept here as
+``reference_tokenize`` below is a frozen copy of that scan, one
+``finditer`` over the source with a named group per kind, kept here as
 ``test_kernel.py`` keeps a copy of ``circle_circle_intersect``.
 """
 

@@ -353,11 +353,14 @@ def test_resolved_columns_are_read_only():
     ((2, (0, 0), (0, 1), {-1, -2}, ()), "^'second' must be a sequence$"),
     ((-1, (0,), (0,), (-1,), ()), "^'seed_count' -1 is negative$"),
     ((-1, (), (), (), ()), "^'seed_count' -1 is negative$"),
+    ((1, (0, 1), (0, 0), (-1, 0), ()), "^step 1: circle through its own center$"),
 ], ids=["int-outputs", "null-ops", "int-first", "set-second", "negative-seed-count",
-        "negative-seed-count-no-steps"])
+        "negative-seed-count-no-steps", "circle-through-its-center"])
 def test_malformed_fields_raise_typed_errors(fields, message):
     # the first two raised a bare TypeError, the next a misplaced seed at
-    # step -1, and a negative seed count over no steps passed
+    # step -1, and a negative seed count over no steps passed; the circle
+    # through its own center built, and every execute of it raised
+    # DegenerateCircle
     with pytest.raises(MalformedProgram, match=message):
         Program(*fields)
 

@@ -147,10 +147,11 @@ def test_program_and_trace_compare_field_by_field():
     assert again == PROGRAM
     # valid variants of a program with a pick: each differs in one column
     # (a seed count cannot change alone, as the seeds open the columns)
-    fields = [2, (0, 0, OP_CIRCLE, OP_CIRCLE, OP_LEFT), (0, 1, 0, 1, 2), (-1, -1, 1, 0, 3), (4,)]
+    fields = [3, (0, 0, 0, OP_CIRCLE, OP_CIRCLE, OP_LEFT), (0, 1, 2, 0, 1, 3),
+              (-1, -1, -1, 1, 0, 4), (5,)]
     base = Program(*fields)
-    for k, value in ((1, (0, 0, OP_CIRCLE, OP_CIRCLE, OP_RIGHT)), (2, (0, 1, 0, 0, 2)),
-                     (3, (-1, -1, 1, 0, 2)), (4, (0,))):
+    for k, value in ((1, (0, 0, 0, OP_CIRCLE, OP_CIRCLE, OP_RIGHT)), (2, (0, 1, 2, 2, 1, 3)),
+                     (3, (-1, -1, -1, 2, 0, 4)), (4, (0,))):
         assert Program(*fields[:k], value, *fields[k + 1:]) != base
     assert Program(*fields) == base
     assert Trace(again, (Point(0.0, 0.0), Point(1.0, 0.0))) == TRACE

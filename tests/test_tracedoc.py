@@ -536,6 +536,8 @@ V2_READER = {
                           "^output 1: 'output_names' holds 2 entries, not 1$"),
     "misplaced-seed": (_set("op", 5, "seed"), "^step 5: misplaced seed$"),
     "seed-slot": (_set("first", 1, 0), r"^step 1: expected Seed\(slot=1\)"),
+    "circle-through-its-center": (_set("second", 2, 0),
+                                  "^step 2: circle through its own center$"),
 }
 
 
