@@ -3,12 +3,14 @@
 Every demo and good corpus script goes through ``tokenize``, ``parse``,
 ``interpret``, ``dumps``, ``loads`` and ``render_trace`` under
 ``sys.setprofile``, once the per-process caches are warm. The profile counts
-the calls of each engine function, keyed by file, ``co_name`` and first line
-(Python 3.10 has no ``co_qualname``). Comprehension and generator expression
-frames are left out, as Python 3.12 inlines comprehensions, and a generator
-counts once, when it starts: Pythons before 3.13 also report its close as a
-call. Beside them the profile counts the kernel: ``geom.cut``,
-``geom.radius``, ``math.hypot`` and ``math.sqrt``.
+the calls of each engine function (each code object), named by file and
+``co_name`` (Python 3.10 has no ``co_qualname``); where a file has several
+called functions of one name, the name ends ``#k``, the k-th of them by first
+line. So a line added or removed above a function leaves its name as it is.
+Comprehension and generator expression frames are left out, as Python 3.12
+inlines comprehensions, and a generator counts once, when it starts: Pythons
+before 3.13 also report its close as a call. Beside them the profile counts
+the kernel: ``geom.cut``, ``geom.radius``, ``math.hypot`` and ``math.sqrt``.
 
 The counts are the same on every Python of the CI matrix and under any hash
 seed, so they are pinned. A change that moves one re-pins it and says why; a
@@ -51,9 +53,20 @@ def run_scripts():
         svg.render_trace(result.trace, names)
 
 
+def _names(codes):
+    """Each code object's name: "file:co_name", with "#k" after it for the
+    k-th by first line where a file has several of that name."""
+    groups = {}
+    for code in sorted(codes, key=lambda code: code.co_firstlineno):
+        groups.setdefault(f"{Path(code.co_filename).name}:{code.co_name}", []).append(code)
+    return {code: name if len(group) == 1 else f"{name}#{k}"
+            for name, group in groups.items() for k, code in enumerate(group, 1)}
+
+
 def profile():
-    """(calls per engine function as {"file:co_name:line": n}, kernel calls
-    as {name: n}) over one warm run of ``run_scripts``."""
+    """(calls per engine function as {"file:co_name": n}, or "file:co_name#k"
+    for the k-th called function of that name in the file, and kernel calls as
+    {name: n}) over one warm run of ``run_scripts``."""
     run_scripts()  # fills the per-process caches, whatever ran before
     engine = str(ENGINE)
     calls, kernel = Counter(), Counter()
@@ -72,7 +85,7 @@ def profile():
             if frame in generators:  # a resume, or the close
                 return
             generators.add(frame)
-        calls[f"{Path(code.co_filename).name}:{code.co_name}:{code.co_firstlineno}"] += 1
+        calls[code] += 1
         if code in _KERNEL:
             kernel[_KERNEL[code]] += 1
 
@@ -81,7 +94,8 @@ def profile():
         run_scripts()
     finally:
         sys.setprofile(None)
-    return dict(calls), dict(kernel)
+    names = _names(calls)
+    return {names[code]: n for code, n in calls.items()}, dict(kernel)
 
 
 def moved(got, pinned):
@@ -93,88 +107,88 @@ def moved(got, pinned):
 KERNEL_CALLS = {"geom.cut": 136, "geom.radius": 418, "math.hypot": 647, "math.sqrt": 136}
 
 ENGINE_CALLS = {
-    "constructions.py:<lambda>:479": 6,
-    "constructions.py:<lambda>:491": 4,
-    "constructions.py:<lambda>:494": 4,
-    "constructions.py:_apex_xy:46": 22,
-    "constructions.py:_arc_bisection:441": 2,
-    "constructions.py:_clear_of_line:355": 2,
-    "constructions.py:_doublings:225": 41,
-    "constructions.py:_invert_core:195": 9,
-    "constructions.py:_mirror_cut:428": 2,
-    "constructions.py:_point_line_distance:40": 8,
-    "constructions.py:build_apex:55": 6,
-    "constructions.py:build_diameter_circle:154": 1,
-    "constructions.py:build_extend:98": 11,
-    "constructions.py:build_invert_general:240": 9,
-    "constructions.py:build_line_circle_off_center:371": 4,
-    "constructions.py:build_line_line:270": 2,
-    "constructions.py:build_midpoint:150": 4,
-    "constructions.py:build_nth_point:117": 3,
-    "constructions.py:build_perp_foot:176": 1,
-    "constructions.py:build_reflect:160": 19,
-    "constructions.py:doublings:318": 10,
-    "constructions.py:ranked:326": 2,
-    "constructions.py:slant:474": 6,
-    "dsl.py:<lambda>:328": 22,
-    "dsl.py:__init__:395": 23,
-    "dsl.py:_add:345": 4,
-    "dsl.py:_half:350": 2,
-    "dsl.py:_intersect:331": 2,
-    "dsl.py:_invert:336": 3,
-    "dsl.py:_mul:341": 2,
-    "dsl.py:bind:419": 105,
-    "dsl.py:check_args:450": 38,
-    "dsl.py:interpret:492": 23,
-    "dsl.py:let:424": 38,
-    "dsl.py:parse:229": 23,
-    "dsl.py:run:405": 23,
-    "dsl.py:tokenize:146": 23,
-    "field_ops.py:_at_zero:78": 3,
-    "field_ops.py:_size:73": 9,
-    "field_ops.py:build_add:96": 4,
-    "field_ops.py:build_conj:126": 2,
-    "field_ops.py:build_mul:83": 2,
-    "field_ops.py:build_neg:89": 1,
-    "field_ops.py:program:150": 2,
-    "field_ops.py:relative:57": 13,
-    "geom.py:cut:93": 136,
-    "geom.py:radius:69": 418,
-    "program.py:__init__:130": 56,
-    "program.py:__init__:212": 23,
-    "program.py:__init__:539": 23,
-    "program.py:_append:595": 173,
-    "program.py:_built:364": 56,
-    "program.py:_check_outputs:274": 56,
-    "program.py:_cut:623": 57,
-    "program.py:_grown:258": 33,
-    "program.py:_keep:589": 60,
-    "program.py:_live:453": 15,
-    "program.py:_mistyped:101": 161,
-    "program.py:_node:572": 172,
-    "program.py:_nonfinite:109": 69,
-    "program.py:_resolve:691": 26,
-    "program.py:_seed_columns:397": 23,
-    "program.py:both:652": 13,
-    "program.py:circle:606": 104,
-    "program.py:circle_count:291": 2,
-    "program.py:finish:797": 30,
-    "program.py:inline:678": 26,
-    "program.py:mark:749": 21,
-    "program.py:meet:657": 4,
-    "program.py:pair_based:761": 5,
-    "program.py:pick:636": 14,
-    "program.py:pick_other:666": 26,
-    "program.py:point:581": 94,
-    "program.py:witness:767": 10,
-    "record.py:__init__:36": 46,
-    "svg.py:_n:31": 409,
-    "svg.py:render_trace:35": 23,
-    "tracedoc.py:_coordinates:105": 46,
-    "tracedoc.py:_ints:99": 69,
-    "tracedoc.py:document_from_trace:85": 23,
-    "tracedoc.py:dumps:115": 23,
-    "tracedoc.py:loads:191": 23,
+    "constructions.py:<lambda>#1": 6,
+    "constructions.py:<lambda>#2": 4,
+    "constructions.py:<lambda>#3": 4,
+    "constructions.py:_apex_xy": 22,
+    "constructions.py:_arc_bisection": 2,
+    "constructions.py:_clear_of_line": 2,
+    "constructions.py:_doublings": 41,
+    "constructions.py:_invert_core": 9,
+    "constructions.py:_mirror_cut": 2,
+    "constructions.py:_point_line_distance": 8,
+    "constructions.py:build_apex": 6,
+    "constructions.py:build_diameter_circle": 1,
+    "constructions.py:build_extend": 11,
+    "constructions.py:build_invert_general": 9,
+    "constructions.py:build_line_circle_off_center": 4,
+    "constructions.py:build_line_line": 2,
+    "constructions.py:build_midpoint": 4,
+    "constructions.py:build_nth_point": 3,
+    "constructions.py:build_perp_foot": 1,
+    "constructions.py:build_reflect": 19,
+    "constructions.py:doublings": 10,
+    "constructions.py:ranked": 2,
+    "constructions.py:slant": 6,
+    "dsl.py:<lambda>": 22,
+    "dsl.py:__init__": 23,
+    "dsl.py:_add": 4,
+    "dsl.py:_half": 2,
+    "dsl.py:_intersect": 2,
+    "dsl.py:_invert": 3,
+    "dsl.py:_mul": 2,
+    "dsl.py:bind": 105,
+    "dsl.py:check_args": 38,
+    "dsl.py:interpret": 23,
+    "dsl.py:let": 38,
+    "dsl.py:parse": 23,
+    "dsl.py:run": 23,
+    "dsl.py:tokenize": 23,
+    "field_ops.py:_at_zero": 3,
+    "field_ops.py:_size": 9,
+    "field_ops.py:build_add": 4,
+    "field_ops.py:build_conj": 2,
+    "field_ops.py:build_mul": 2,
+    "field_ops.py:build_neg": 1,
+    "field_ops.py:program": 2,
+    "field_ops.py:relative": 13,
+    "geom.py:cut": 136,
+    "geom.py:radius": 418,
+    "program.py:__init__#1": 56,
+    "program.py:__init__#2": 23,
+    "program.py:__init__#3": 23,
+    "program.py:_append": 173,
+    "program.py:_built": 56,
+    "program.py:_check_outputs": 56,
+    "program.py:_cut": 57,
+    "program.py:_grown": 33,
+    "program.py:_keep": 60,
+    "program.py:_live": 15,
+    "program.py:_mistyped": 161,
+    "program.py:_node": 172,
+    "program.py:_nonfinite": 69,
+    "program.py:_resolve": 26,
+    "program.py:_seed_columns": 23,
+    "program.py:both": 13,
+    "program.py:circle": 104,
+    "program.py:circle_count": 2,
+    "program.py:finish": 30,
+    "program.py:inline": 26,
+    "program.py:mark": 21,
+    "program.py:meet": 4,
+    "program.py:pair_based": 5,
+    "program.py:pick": 14,
+    "program.py:pick_other": 26,
+    "program.py:point": 94,
+    "program.py:witness": 10,
+    "record.py:__init__": 46,
+    "svg.py:_n": 409,
+    "svg.py:render_trace": 23,
+    "tracedoc.py:_coordinates": 46,
+    "tracedoc.py:_ints": 69,
+    "tracedoc.py:document_from_trace": 23,
+    "tracedoc.py:dumps": 23,
+    "tracedoc.py:loads": 23,
 }
 
 
