@@ -216,8 +216,8 @@ class Program(Record):
         column entry an int, the seeds first in slot order, each the row
         ``(OP_SEED, slot, -1)`` (a trace document keeps no other seed
         operand), every other step a circle over two distinct earlier point
-        steps or a pick of two earlier circle steps, and every output a point
-        step."""
+        steps or a pick of two distinct earlier circle steps, and every output a
+        point step."""
         Record.__init__(self, seed_count, ops, first, second, outputs)
         object.__setattr__(self, "_compiled", None)
         for key in ("ops", "first", "second", "outputs"):
@@ -249,10 +249,12 @@ class Program(Record):
                 raise MalformedProgram(f"step {i}: reference outside [0, {i})")
             if op == OP_CIRCLE and OP_CIRCLE in (ops[u], ops[v]):
                 raise MalformedProgram(f"step {i}: circle over non-point nodes")
-            if op == OP_CIRCLE and u == v:
-                raise MalformedProgram(f"step {i}: circle through its own center")
             if op != OP_CIRCLE and not ops[u] == ops[v] == OP_CIRCLE:
                 raise MalformedProgram(f"step {i}: pick over non-circle nodes")
+            if u == v:
+                what = ("circle through its own center" if op == OP_CIRCLE
+                        else "pick of a circle with itself")
+                raise MalformedProgram(f"step {i}: {what}")
         self._check_outputs()
 
     @classmethod

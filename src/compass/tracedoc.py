@@ -10,11 +10,9 @@ carries none, and ``loads`` resolves it from its two nodes. There is one
 seed name (or null) per seed and one output name per output. Coordinates
 are written with 17 significant digits so a parse/re-serialize round trip
 is byte-identical and loses nothing of the doubles; a negative zero is
-written ``-0.0``, as JSON reads ``-0`` as the integer 0. Version 1 documents
-(one object per seed, step and output) are read-only: ``loads`` reshapes
-one into these columns and checks them as it checks version 2's, and
-nothing writes them. A ``TraceDocument`` is a named tuple: a ``Trace``
-paired with the names of its seeds and outputs.
+written ``-0.0``, as JSON reads ``-0`` as the integer 0. ``loads`` reads
+this version only. A ``TraceDocument`` is a named tuple: a ``Trace`` paired
+with the names of its seeds and outputs.
 
 Where each check lives:
 
@@ -23,11 +21,7 @@ Where each check lives:
   center and radius: a record is valid by construction. Nothing here
   repeats a rule or adds one, so a trace with no seeds (a script without
   ``given``) loads.
-- ``_columns_v1`` checks only what version 1 alone has: its three arrays,
-  each node an object with a dense integer ``id``, the step kind and
-  selector, the operands under their own names, the seed names, and each
-  output an object with a string name and an integer ``id``.
-- ``loads`` checks the columns of either version, one pass each: arrays,
+- ``loads`` checks the version and the columns, one pass each: arrays,
   op names, name types, finite coordinates (``_nonfinite``, as the
   constructor), and each column's length (``x`` and ``y`` one entry per
   point step). It builds the program with the ``Program`` constructor,
@@ -139,61 +133,12 @@ def dumps(doc: TraceDocument) -> str:
             f'"output_names":{_ENCODE(list(doc.output_names))}}}\n')
 
 
-def _columns_v1(data: dict) -> list[list]:
-    """Reshape a version 1 document into the version 2 columns, in
-    ``_COLUMNS`` order, checking only what version 1 alone has."""
-    seeds, steps, outputs = data.get("seeds"), data.get("steps"), data.get("outputs")
-    if not (type(seeds) is list and type(steps) is list and type(outputs) is list):
-        raise MalformedTrace("seeds, steps, and outputs must be arrays")
-    columns = seed_names, ops, first, second, x, y, ids, output_names = [[] for _ in _COLUMNS]
-    for at, obj in enumerate(seeds + steps):
-        if type(obj) is not dict:
-            raise MalformedTrace(f"step {at}: must be an object")
-        if type(obj.get("id")) is not int:
-            raise MalformedTrace(f"step {at}: 'id' must be an integer")
-        if obj["id"] != at:
-            raise MalformedTrace(f"step {at}: ids must be dense and in order")
-        if at < len(seeds):
-            name = obj.get("name")
-            if name is not None and type(name) is not str:
-                raise MalformedTrace(f"step {at}: name must be a string")
-            seed_names.append(name)
-            op, u, v = "seed", at, -1
-        else:
-            op = obj.get("op")
-            if op not in ("circle", "pick"):
-                raise MalformedTrace(f"step {at}: unknown step kind {op!r}")
-            keys = ("center", "through") if op == "circle" else ("c1", "c2")
-            u, v = map(obj.get, keys)
-            for key, ref in zip(keys, (u, v)):
-                if type(ref) is not int:
-                    raise MalformedTrace(f"step {at}: {key!r} must be an integer")
-            if op == "pick":
-                op = obj.get("selector")
-                if op not in SELECTOR_NAMES.values():
-                    raise MalformedTrace(f"step {at}: bad selector {op!r}")
-        ops.append(op)
-        first.append(u)
-        second.append(v)
-        if op != "circle":  # a circle's point is its center's, resolved by loads
-            x.append(obj.get("x"))
-            y.append(obj.get("y"))
-    for k, obj in enumerate(outputs):
-        if type(obj) is not dict or type(obj.get("name")) is not str:
-            raise MalformedTrace(f"output {k}: must be an object with a name")
-        if type(obj.get("id")) is not int:
-            raise MalformedTrace(f"output {k}: 'id' must be an integer")
-        ids.append(obj["id"])
-        output_names.append(obj["name"])
-    return columns
-
-
 def loads(text: str) -> TraceDocument:
-    """Parse a document, of version 2 or 1, and rebuild its trace, checked.
+    """Parse a document and rebuild its trace, checked.
 
-    Raises MalformedTrace on anything off-schema: a field of the wrong type,
-    a column of the wrong length (in version 1, non-dense ids), an unknown op
-    or selector, a non-finite coordinate, a program that the ``Program``
+    Raises MalformedTrace on anything off-schema: a version other than
+    ``VERSION``, a field of the wrong type, a column of the wrong length, an
+    unknown op, a non-finite coordinate, a program that the ``Program``
     constructor refuses, or a circle ``radius`` refuses.
     """
     try:
@@ -205,10 +150,10 @@ def loads(text: str) -> TraceDocument:
     if type(data) is not dict:
         raise MalformedTrace("document must be a JSON object")
     version = data.get("version")
-    # True == 1.0 == 1, so the type is checked before the value
-    if type(version) is not int or version not in (1, VERSION):
+    # 2.0 == 2, so the type is checked before the value
+    if type(version) is not int or version != VERSION:
         raise MalformedTrace(f"unsupported version {version!r}")
-    columns = _columns_v1(data) if version == 1 else [data.get(key) for key in _COLUMNS]
+    columns = [data.get(key) for key in _COLUMNS]
     if not all(type(column) is list for column in columns):
         raise MalformedTrace(f"{', '.join(_COLUMNS)} must be arrays")
     seed_names, names, first, second, x, y, outputs, output_names = columns

@@ -1,8 +1,6 @@
 """Golden bytes: the trace JSON and the SVG of every demo, the trace, SVG
 and ``--points`` text of every good corpus script, and the traces every
-fuzz op audits, pinned by sha256. The version 1 trace of every demo and
-good corpus script stays frozen under ``traces_v1/``, with the pin it held,
-and must load to what today's trace loads to.
+fuzz op audits, pinned by sha256.
 
 The demo and corpus outputs are rendered by ``cli._RENDERERS``, the path
 ``compass run`` writes them through. A change to the serializer, the
@@ -153,89 +151,6 @@ def test_corpus_bytes_are_pinned(name):
     moved = [target for target, sha, want in zip(TARGETS, got, CORPUS_GOLDEN[name])
              if sha != want]
     assert not moved, f"{name}: {', '.join(moved)} moved"
-
-
-# frozen version 1 trace file: the trace pin GOLDEN or CORPUS_GOLDEN held for
-# its demo or script while traces were written as version 1
-GOLDEN_V1 = {
-    "demo-add.json":
-        "05f46f2e883d904e3d97b1a60ce861636810277d8baedd4fa45d8821eec260aa",
-    "demo-conjugate.json":
-        "3517ed913afe88a9231d03bd09b97b2f82c1f53aaed7b3eead0186290a26ce22",
-    "demo-extend.json":
-        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
-    "demo-half.json":
-        "4b1d7e13a5892ea6378257f6afaa3040d733cd92ba2c7e28226ef72f16f68722",
-    "demo-invert.json":
-        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
-    "demo-line-circle.json":
-        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
-    "demo-line-circle-diameter.json":
-        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
-    "demo-line-line.json":
-        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
-    "demo-midpoint.json":
-        "221101b63edb40a2d0dd55859db466f495becd0f6dcece6d30f54ac3485517ae",
-    "demo-mul.json":
-        "6b965a2ba01472db779f14807b3ab22bd7ea49c068650eecf4f5dc27ed4467b3",
-    "01-apex.json":
-        "acf7c08f31663e01a8d557edf2543a3304405833d5345ee715573943b9689e8c",
-    "02-extend.json":
-        "f4d76067bae8a2f66c384727109a6b3e22660783fd70fff55a9c4971e9842885",
-    "03-midpoint.json":
-        "f65f98ccdbb0c902e268c282447d6e14e4957c8853efbcabf8490e209c12745d",
-    "04-diameter.json":
-        "be4711ebc749897de63c9de6e6d208d8fe1aacda4d023d56d785906cda2ad214",
-    "05-foot.json":
-        "6c4bf86a2602f8576d0be1ad4f73a2e860cd502ae3c28d5fe9a3a8bb6629197a",
-    "06-invert-exterior.json":
-        "d5b9a7f4c48f46faad4b92ffa8c92f06cadf019e2da9e9096cb870ae88d8d317",
-    "07-invert-interior.json":
-        "88224bce49785c948d6596870555a7accdc2eda8cd7712215e44f26171b0d747",
-    "08-linexline.json":
-        "7e2ca614638618ed01655ead4919bae6f7d5951d02433faa67bd542124616dd7",
-    "09-linexcircle.json":
-        "06bd23cddc454d344da7b6dd1ae261a015adcb482987617ae3998a9c34684084",
-    "10-linexcircle-diameter.json":
-        "a63487ea8161a854d463d2cde50a2b7b241bdd4b684314668098de92eaedb618",
-    "11-conjugate.json":
-        "a31c72897bccc754ffd1313448bfde7cf8a0a2dfa6360a0c5439284e4a3f168a",
-    "12-field.json":
-        "60d667a4cca49fe84fa408fee8c4623e5b4296f6660398f956a9cd83d0a57c14",
-    "13-nth.json":
-        "e93ff1d307dfe35a7927e7821870037418484a8306b26d870cf79ff25c3e4abd",
-}
-
-TRACES_V1 = Path(__file__).parent / "traces_v1"
-
-
-def _sources():
-    """Frozen file name: the source of its demo or good corpus script."""
-    sources = {f"demo-{name}.json": source for name, source in DEMOS.items()}
-    sources.update({f"{path.stem}.json": path.read_text(encoding="utf-8")
-                    for path in CORPUS_GOOD.glob("*.compass")})
-    return sources
-
-
-def test_every_demo_and_good_script_has_a_frozen_v1_trace():
-    assert set(GOLDEN_V1) == {path.name for path in TRACES_V1.glob("*.json")}
-    assert set(GOLDEN_V1) == set(_sources())
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_V1))
-def test_frozen_v1_trace_loads_as_todays_run(name):
-    """Version 1 stays readable: each frozen file keeps the bytes its pin
-    held, and loads to the document today's trace loads to (program columns,
-    coordinates and names), whose text round-trips byte for byte."""
-    text = (TRACES_V1 / name).read_text(encoding="utf-8")
-    assert _sha(text) == GOLDEN_V1[name]
-    result = dsl.run_source(_sources()[name])
-    today = cli._RENDERERS["trace"](result)
-    doc = tracedoc.loads(text)
-    assert doc.trace.program == result.trace.program
-    assert doc.trace.resolved == result.trace.resolved
-    assert doc == tracedoc.loads(today)
-    assert tracedoc.dumps(doc) == today
 
 
 # op: sha256 over the traces ``fuzz.run_op(op, 120, seed=1)`` audits; 120

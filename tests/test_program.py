@@ -354,13 +354,16 @@ def test_resolved_columns_are_read_only():
     ((-1, (0,), (0,), (-1,), ()), "^'seed_count' -1 is negative$"),
     ((-1, (), (), (), ()), "^'seed_count' -1 is negative$"),
     ((1, (0, 1), (0, 0), (-1, 0), ()), "^step 1: circle through its own center$"),
+    ((2, (0, 0, 1, 1, 2), (0, 1, 0, 1, 3), (-1, -1, 1, 0, 3), (4,)),
+     "^step 4: pick of a circle with itself$"),
 ], ids=["int-outputs", "null-ops", "int-first", "set-second", "negative-seed-count",
-        "negative-seed-count-no-steps", "circle-through-its-center"])
+        "negative-seed-count-no-steps", "circle-through-its-center", "pick-of-itself"])
 def test_malformed_fields_raise_typed_errors(fields, message):
     # the first two raised a bare TypeError, the next a misplaced seed at
     # step -1, and a negative seed count over no steps passed; the circle
     # through its own center built, and every execute of it raised
-    # DegenerateCircle
+    # DegenerateCircle, and the pick of a circle with itself built, and every
+    # execute of it raised CoincidentCircles
     with pytest.raises(MalformedProgram, match=message):
         Program(*fields)
 

@@ -2,9 +2,8 @@
 its program gives.
 
 The inputs are the trace of every demo and good corpus script, as ``compass
-run --trace`` writes it, and its frozen version 1 twin under ``traces_v1/``.
-Each mutation edits one step (or output) of the document, in 20 draws per
-script from ``random.Random(1410)``, and is applied to both formats alike.
+run --trace`` writes it. Each mutation edits one step (or output) of the
+document, in 20 draws per script from ``random.Random(1410)``.
 
 - The contract: ``loads`` raises MalformedTrace, or every stored point (each
   seed and pick) equals a replay of the loaded program on its stored seeds
@@ -13,9 +12,7 @@ script from ``random.Random(1410)``, and is applied to both formats alike.
   xfails, and flip when the exact replay lands (ROADMAP item 3). The
   structural mutations, which the ``Program`` constructor refuses, hold it
   and must keep holding it.
-- One reader: each mutated version 1 twin gets the verdict of its version 2
-  text. Both raise MalformedTrace, or both load to equal documents.
-- The hypothesis half draws edits of the version 2 JSON instead: numbers
+- The hypothesis half draws edits of the JSON instead: numbers
   (non-finite ones included), node ids, op names, and whole steps dropped,
   duplicated or moved. See its section below.
 """
@@ -36,25 +33,25 @@ from compass.errors import CompassError, MalformedProgram, MalformedTrace
 from compass.program import OP_CIRCLE, OP_LEFT, OP_RIGHT, OP_SEED, Program, execute
 
 HERE = Path(__file__).parent
+GOOD = HERE / "corpus" / "good"
 DRAWS = 20
 TOLERANCE = 1e-9
 
 
 @functools.cache
 def _traces() -> tuple:
-    """(frozen v1 file name, v2 text, v1 text) of every demo and good corpus
-    script, the v2 text as ``compass run --trace`` writes it."""
+    """(trace file name, text) of every demo and good corpus script, in name
+    order, the text as ``compass run --trace`` writes it."""
     sources = {f"demo-{name}.json": source for name, source in DEMOS.items()}
     sources.update({f"{path.stem}.json": path.read_text(encoding="utf-8")
-                    for path in (HERE / "corpus" / "good").glob("*.compass")})
-    return tuple((name, cli._RENDERERS["trace"](dsl.run_source(source)),
-                  (HERE / "traces_v1" / name).read_text(encoding="utf-8"))
+                    for path in GOOD.glob("*.compass")})
+    return tuple((name, cli._RENDERERS["trace"](dsl.run_source(source)))
                  for name, source in sorted(sources.items()))
 
 
 # A mutation takes a loaded trace and the draws' random.Random and gives its
-# edits, each (step or output, index, field, value), the fields named as the
-# version 2 columns are.
+# edits, each (index, column, value): the index is a step's, or for the
+# outputs column an output's.
 
 def _steps(trace, *ops):
     return [i for i, op in enumerate(trace.program.ops) if op in ops]
@@ -63,40 +60,40 @@ def _steps(trace, *ops):
 def _nudge_x(steps, delta):
     def mutate(trace, rng):
         i = rng.choice(steps(trace))
-        return [("step", i, "x", trace.resolved.xs[i] + delta)]
+        return [(i, "x", trace.resolved.xs[i] + delta)]
     return mutate
 
 
 def _flip_selector(trace, rng):
     i = rng.choice(_steps(trace, OP_LEFT, OP_RIGHT))
-    return [("step", i, "op", "right" if trace.program.ops[i] == OP_LEFT else "left")]
+    return [(i, "op", "right" if trace.program.ops[i] == OP_LEFT else "left")]
 
 
 def _swap_circle(trace, rng):
     i = rng.choice(_steps(trace, OP_CIRCLE))
     p = trace.program
-    return [("step", i, "first", p.second[i]), ("step", i, "second", p.first[i])]
+    return [(i, "first", p.second[i]), (i, "second", p.first[i])]
 
 
 def _pick_over_point(trace, rng):
     i = rng.choice(_steps(trace, OP_LEFT, OP_RIGHT))
     points = [j for j in _steps(trace, OP_SEED, OP_LEFT, OP_RIGHT) if j < i]
-    return [("step", i, "first", rng.choice(points))]
+    return [(i, "first", rng.choice(points))]
 
 
 def _self_reference(trace, rng):
     i = rng.choice(_steps(trace, OP_CIRCLE, OP_LEFT, OP_RIGHT))
-    return [("step", i, rng.choice(("first", "second")), i)]
+    return [(i, rng.choice(("first", "second")), i)]
 
 
 def _circle_over_circle(trace, rng):
     circles = _steps(trace, OP_CIRCLE)
     i = rng.choice(circles[1:])
-    return [("step", i, "first", rng.choice([j for j in circles if j < i]))]
+    return [(i, "first", rng.choice([j for j in circles if j < i]))]
 
 
 def _output_on_circle(trace, rng):
-    return [("output", rng.randrange(len(trace.program.outputs)), "outputs",
+    return [(rng.randrange(len(trace.program.outputs)), "outputs",
              rng.choice(_steps(trace, OP_CIRCLE)))]
 
 
@@ -114,7 +111,7 @@ POINT_MUTATIONS = {
     "swapped-circle-operands": _swap_circle,
     "seed-x-plus-1e-3": _nudge_x(lambda t: _steps(t, OP_SEED), 1e-3),
 }
-# what Program.check refuses, in either format
+# what the Program constructor refuses
 STRUCTURAL_MUTATIONS = {
     "pick-over-point": _pick_over_point,
     "self-reference": _self_reference,
@@ -124,45 +121,25 @@ STRUCTURAL_MUTATIONS = {
 MUTATIONS = {**POINT_MUTATIONS, **STRUCTURAL_MUTATIONS}
 
 
-def _edit_v2(text, edits):
+def _edit(text, edits):
     data = json.loads(text)
     points = [i for i, op in enumerate(data["op"]) if op != "circle"]
-    for _, i, field, value in edits:  # an output edit names its column, "outputs"
-        if field == "x":
+    for i, column, value in edits:
+        if column == "x":
             i = points.index(i)
-        data[field][i] = value
+        data[column][i] = value
     return json.dumps(data)
 
 
-# a version 2 field, by the op of the step it edits: its version 1 name
-_V1_FIELDS = {("circle", "first"): "center", ("circle", "second"): "through",
-              ("pick", "first"): "c1", ("pick", "second"): "c2", ("pick", "op"): "selector",
-              ("seed", "x"): "x", ("pick", "x"): "x"}
-
-
-def _edit_v1(text, edits):
-    data = json.loads(text)
-    nodes = data["seeds"] + data["steps"]
-    for where, i, field, value in edits:
-        if where == "output":
-            data["outputs"][i]["id"] = value
-        else:
-            node = nodes[i]
-            node[_V1_FIELDS[node.get("op", "seed"), field]] = value
-    return json.dumps(data)
-
-
-@functools.cache
-def _mutated(name: str) -> tuple:
-    """(script, draw, v2 text, v1 text) of every draw of a mutation, one
+def _mutated(name: str) -> list:
+    """(script, draw, text) of every draw of a mutation, one
     random.Random(1410) per mutation."""
     rng, mutate, out = random.Random(1410), MUTATIONS[name], []
-    for script, v2, v1 in _traces():
-        trace = tracedoc.loads(v2).trace
+    for script, text in _traces():
+        trace = tracedoc.loads(text).trace
         for draw in range(DRAWS):
-            edits = mutate(trace, rng)
-            out.append((script, draw, _edit_v2(v2, edits), _edit_v1(v1, edits)))
-    return tuple(out)
+            out.append((script, draw, _edit(text, mutate(trace, rng))))
+    return out
 
 
 def _replays(text: str) -> bool:
@@ -183,32 +160,17 @@ def _replays(text: str) -> bool:
                for i, radius in enumerate(r.rs) if radius is None)
 
 
-def test_the_gate_covers_every_frozen_v1_trace():
-    names = {name for name, _, _ in _traces()}
-    assert names == {path.name for path in (HERE / "traces_v1").glob("*.json")}
-    assert len(names) == 23
+def test_the_gate_covers_every_demo_and_good_script():
+    assert len(_traces()) == len(DEMOS) + len(list(GOOD.glob("*.compass"))) == 23
 
 
 @pytest.mark.parametrize("name", [*map(_item_3, POINT_MUTATIONS), *STRUCTURAL_MUTATIONS])
 def test_loads_refuses_or_the_points_replay(name):
-    broken = [(script, draw) for script, draw, v2, _ in _mutated(name) if not _replays(v2)]
+    broken = [(script, draw) for script, draw, text in _mutated(name) if not _replays(text)]
     assert not broken, f"{len(broken)} mutated traces load and do not replay: {broken[:3]}"
 
 
-def _verdict(text: str):
-    try:
-        return tracedoc.loads(text)
-    except MalformedTrace:
-        return MalformedTrace
-
-
-@pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_v1_twin_gets_the_same_verdict(name):
-    for script, draw, v2, v1 in _mutated(name):
-        assert _verdict(v1) == _verdict(v2), (script, draw)
-
-
-# --- the hypothesis half: edits drawn over the version 2 JSON ---------------
+# --- the hypothesis half: edits drawn over the JSON -------------------------
 #
 # An edit is drawn by its kind and applied to the parsed document of one of
 # the traces above, and the edited document is written back as JSON, which
@@ -225,7 +187,7 @@ def test_v1_twin_gets_the_same_verdict(name):
 
 @functools.cache
 def _documents() -> tuple:
-    return tuple(json.loads(v2) for _, v2, _ in _traces())
+    return tuple(json.loads(text) for _, text in _traces())
 
 
 # non-finite numbers as json.loads reads them; a string here is written

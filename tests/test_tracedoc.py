@@ -29,15 +29,7 @@ def sample_doc():
     return tracedoc.document_from_trace(trace, ("A", "B"), ("M",))
 
 
-# the sample document as version 1 wrote it, frozen: the midpoint demo's trace
-V1_TEXT = (Path(__file__).parent / "traces_v1" / "demo-midpoint.json").read_text(
-    encoding="utf-8")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def test_frozen_v1_sample_loads_as_the_sample():
-    assert json.loads(V1_TEXT)["version"] == 1
-    assert tracedoc.loads(V1_TEXT) == tracedoc.loads(tracedoc.dumps(sample_doc()))
 
 
 def test_round_trip_is_byte_identical():
@@ -146,69 +138,6 @@ def _mutate(text, **changes):
     return json.dumps(data)
 
 
-def test_malformed_documents_rejected():
-    text = V1_TEXT
-
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads("not json at all {")
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads(_mutate(text, version=99))
-    # equal to 1 under ==, but not the integer 1
-    for version in (True, 1.0):
-        with pytest.raises(MalformedTrace, match="unsupported version"):
-            tracedoc.loads(_mutate(text, version=version))
-    with pytest.raises(MalformedTrace, match="dense"):
-        tracedoc.loads(_mutate(text, seeds=[]))
-
-    # unknown step kind
-    bad = json.loads(text)
-    bad["steps"][0]["op"] = "ruler"
-    with pytest.raises(MalformedTrace, match="unknown step kind"):
-        tracedoc.loads(json.dumps(bad))
-
-    # non-dense ids
-    bad = json.loads(text)
-    bad["steps"][0]["id"] = 17
-    with pytest.raises(MalformedTrace, match="dense"):
-        tracedoc.loads(json.dumps(bad))
-
-    # forward reference
-    bad = json.loads(text)
-    bad["steps"][0]["center"] = 40
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads(json.dumps(bad))
-
-    # pick referencing a point node
-    bad = json.loads(text)
-    for step in bad["steps"]:
-        if step["op"] == "pick":
-            step["c1"] = 0
-            break
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads(json.dumps(bad))
-
-    # bad selector
-    bad = json.loads(text)
-    for step in bad["steps"]:
-        if step["op"] == "pick":
-            step["selector"] = "upper"
-            break
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads(json.dumps(bad))
-
-    # non-finite coordinate
-    bad_text = text.replace('"x":0,', '"x":1e999,', 1)
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads(bad_text)
-
-    # output pointing at a circle node
-    bad = json.loads(text)
-    circle_id = next(s["id"] for s in bad["steps"] if s["op"] == "circle")
-    bad["outputs"][0]["id"] = circle_id
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads(json.dumps(bad))
-
-
 def _entry(field, index, edit):
     """An edit of the document's data that replaces data[field][index] by
     ``edit`` of it."""
@@ -216,111 +145,6 @@ def _entry(field, index, edit):
         data[field][index] = edit(data[field][index])
         return data
     return apply
-
-
-# name: (edit of the sample document's JSON data, the error loads raises)
-LOADS_ERRORS = {
-    "document-array": (lambda d: [d], "^document must be a JSON object$"),
-    "seeds-object": (lambda d: {**d, "seeds": {}},
-                     "^seeds, steps, and outputs must be arrays$"),
-    "string-x": (_entry("seeds", 0, lambda s: {**s, "x": "0"}),
-                 "^step 0: 'x' must be a number$"),
-    "string-id": (_entry("seeds", 0, lambda s: {**s, "id": "0"}),
-                  "^step 0: 'id' must be an integer$"),
-    "seed-not-object": (_entry("seeds", 0, lambda s: 5), "^step 0: must be an object$"),
-    "seed-name-not-string": (_entry("seeds", 0, lambda s: {**s, "name": 3}),
-                             "^step 0: name must be a string$"),
-    "output-without-name": (_entry("outputs", 0, lambda o: {"id": o["id"]}),
-                            "^output 0: must be an object with a name$"),
-    "output-id-bool": (_entry("outputs", 0, lambda o: {**o, "id": True}),
-                       "^output 0: 'id' must be an integer$"),
-    # the sample's steps array holds circles at nodes 2 and 3, then a pick at 4
-    "string-center": (_entry("steps", 0, lambda s: {**s, "center": "0"}),
-                      "^step 2: 'center' must be an integer$"),
-    "float-through": (_entry("steps", 0, lambda s: {**s, "through": 1.0}),
-                      "^step 2: 'through' must be an integer$"),
-    "null-c1": (_entry("steps", 2, lambda s: {**s, "c1": None}),
-                "^step 4: 'c1' must be an integer$"),
-    "bool-c2": (_entry("steps", 2, lambda s: {**s, "c2": True}),
-                "^step 4: 'c2' must be an integer$"),
-    "pick-without-x": (_entry("steps", 2, lambda s: {k: v for k, v in s.items() if k != "x"}),
-                       "^step 4: 'x' must be a number$"),
-    "step-not-object": (_entry("steps", 0, lambda s: [s]), "^step 2: must be an object$"),
-    "seed-step": (_entry("steps", 0, lambda s: {**s, "op": "seed"}),
-                  "^step 2: unknown step kind 'seed'$"),
-    "step-without-op": (_entry("steps", 0, lambda s: {k: v for k, v in s.items() if k != "op"}),
-                        "^step 2: unknown step kind None$"),
-    "output-not-object": (_entry("outputs", 0, lambda o: o["id"]),
-                          "^output 0: must be an object with a name$"),
-    "string-y": (_entry("seeds", 1, lambda s: {**s, "y": "0"}),
-                 "^step 1: 'y' must be a number$"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(LOADS_ERRORS))
-def test_loads_names_what_is_wrong(name):
-    edit, message = LOADS_ERRORS[name]
-    data = edit(json.loads(V1_TEXT))
-    with pytest.raises(MalformedTrace, match=message):
-        tracedoc.loads(json.dumps(data))
-
-
-def test_degenerate_circle_in_document():
-    doc_text = ('{"version":1,"seeds":[{"id":0,"x":0,"y":0},'
-                '{"id":1,"x":0,"y":0}],'
-                '"steps":[{"id":2,"op":"circle","center":0,"through":1}],'
-                '"outputs":[]}')
-    with pytest.raises(MalformedTrace, match="^step 2: degenerate circle"):
-        tracedoc.loads(doc_text)
-
-
-def test_overflowing_circle_in_document():
-    # finite coordinates whose circle's radius is not
-    doc_text = ('{"version":1,"seeds":[{"id":0,"x":1e308,"y":1e308},'
-                '{"id":1,"x":-1e308,"y":-1e308}],'
-                '"steps":[{"id":2,"op":"circle","center":0,"through":1}],'
-                '"outputs":[]}')
-    with pytest.raises(MalformedTrace, match="^step 2: circle radius is not finite"):
-        tracedoc.loads(doc_text)
-
-
-@pytest.mark.parametrize("text", [
-    '{"version":1,"seeds":[{"id":0,"x":1' + "0" * 400 + ',"y":0}],'
-    '"steps":[],"outputs":[]}',
-    '{"version":1,"seeds":[{"id":0,"x":1' + "0" * 5000 + ',"y":0}],'
-    '"steps":[],"outputs":[]}',
-    "[" * 200000,
-], ids=["integer-beyond-float-range", "integer-beyond-digit-limit",
-        "nested-too-deep"])
-def test_loads_rejects_what_python_cannot_hold(text):
-    with pytest.raises(MalformedTrace):
-        tracedoc.loads(text)
-
-
-# (array, index, changes, node named in the error), edits of the frozen
-# version 1 sample. Its steps array holds circles at nodes 2 and 3, then a
-# pick at node 4; json writes and reads a float NaN as a bare NaN.
-HAND_BUILT = {
-    "circle-over-circle": ("steps", 1, {"center": 2}, 3),
-    "forward-reference": ("steps", 0, {"center": 5}, 2),
-    "negative-reference": ("steps", 1, {"center": -1}, 3),
-    "pick-over-point": ("steps", 2, {"c2": 0}, 4),
-    "unknown-selector": ("steps", 2, {"selector": "up"}, 4),
-    "nan-pick": ("steps", 2, {"x": math.nan}, 4),
-    "nan-seed": ("seeds", 1, {"y": math.nan}, 1),
-    "non-dense-id": ("steps", 2, {"id": 40}, 4),
-}
-
-
-@pytest.mark.parametrize("name", sorted(HAND_BUILT))
-def test_hand_built_document_is_checked(name):
-    """loads checks a hand-edited document and names the offending node."""
-    field, index, changes, node = HAND_BUILT[name]
-    data = json.loads(V1_TEXT)
-    assert [s["op"] for s in data["steps"][:3]] == ["circle", "circle", "pick"]
-    data[field][index].update(changes)
-    with pytest.raises(MalformedTrace, match=rf"^step {node}:"):
-        tracedoc.loads(json.dumps(data))
 
 
 def test_document_rejects_resolved_kind_mismatch():
@@ -407,7 +231,7 @@ def test_non_number_columns_raise_typed_errors(name):
         purity_audit(execute(midpoint_program(), seeds))
 
 
-# --- version 2: the columnar document -------------------------------------------
+# --- the columnar document -----------------------------------------------------
 
 # The sample's columns: seeds 0 and 1, circles at steps 2, 3, 6, 8, 11 and 12,
 # and picks at steps 4, 5, 7, 9, 10 and 13, so its eight point steps, whose
@@ -431,12 +255,15 @@ def test_sample_columns():
 
 
 def test_malformed_v2_documents_rejected():
-    """The version 2 twin of each case of test_malformed_documents_rejected
-    but the non-dense ids, which a column cannot hold: its index is its id."""
+    """Text that is not JSON, a version other than the integer 2 (version 1
+    included), and edits that refer to the wrong node, name an unknown op or
+    hold a non-finite coordinate."""
     text = tracedoc.dumps(sample_doc())
 
-    for version in (3, True, 2.0):
-        with pytest.raises(MalformedTrace, match="unsupported version"):
+    with pytest.raises(MalformedTrace, match="^not valid JSON: "):
+        tracedoc.loads("not json at all {")
+    for version in (1, 3, 99, True, 2.0, None):
+        with pytest.raises(MalformedTrace, match=rf"^unsupported version {version!r}$"):
             tracedoc.loads(_mutate(text, version=version))
     with pytest.raises(MalformedTrace, match="^step 0: misplaced seed$"):
         tracedoc.loads(_mutate(text, seed_names=[]))
@@ -452,8 +279,8 @@ def test_malformed_v2_documents_rejected():
         tracedoc.loads(text.replace('"x":[0,', '"x":[1e999,', 1))
 
 
-# name: (edit of the sample's version 2 data, the error loads raises): the
-# twins of LOADS_ERRORS
+# name: (edit of the sample's data, the error loads raises): a document or
+# column of the wrong JSON type, or an entry of one
 LOADS_ERRORS_V2 = {
     "document-array": (lambda d: [d], "^document must be a JSON object$"),
     "column-object": (lambda d: {**d, "x": {}}, "^seed_names, op, first, second, x, y, "
@@ -478,8 +305,8 @@ def test_v2_loads_names_what_is_wrong(name):
         tracedoc.loads(json.dumps(edit(sample_data())))
 
 
-# name: (column, index, value, step named in the error): the version 2 twin
-# of each HAND_BUILT case but non-dense-id, which a column cannot hold
+# name: (column, index, value, step named in the error): hand edits of the
+# sample that loads refuses, naming the step
 HAND_BUILT_V2 = {
     "circle-over-circle": ("first", 3, 2, 3),
     "forward-reference": ("first", 2, 5, 2),
@@ -501,12 +328,12 @@ def test_hand_built_v2_document_is_checked(name):
 
 
 def _set(key, index, value):
-    """An edit of the sample's version 2 data: data[key][index] = value."""
+    """An edit of the sample's data: data[key][index] = value."""
     return _entry(key, index, lambda old: value)
 
 
-# name: (edit of the sample's version 2 data, the error loads raises): what
-# the column checks refuse, each named by its step or output
+# name: (edit of the sample's data, the error loads raises): what the column
+# checks and the Program constructor refuse, each named by its step or output
 V2_READER = {
     "nan-x": (_set("x", 3, math.nan), "^step 5: 'x' must be finite$"),
     "infinity-x": (_set("x", 0, math.inf), "^step 0: 'x' must be finite$"),
@@ -538,6 +365,7 @@ V2_READER = {
     "seed-slot": (_set("first", 1, 0), r"^step 1: expected Seed\(slot=1\)"),
     "circle-through-its-center": (_set("second", 2, 0),
                                   "^step 2: circle through its own center$"),
+    "pick-of-itself": (_set("second", 4, 3), "^step 4: pick of a circle with itself$"),
 }
 
 
@@ -617,6 +445,12 @@ def test_v2_loads_rejects_what_python_cannot_hold(digits):
                        '"outputs":[],"output_names":[]}')
 
 
+@pytest.mark.parametrize("text", ["[" * 200000], ids=["nested-too-deep"])
+def test_loads_rejects_what_python_cannot_hold(text):
+    with pytest.raises(MalformedTrace, match="^not valid JSON: "):
+        tracedoc.loads(text)
+
+
 def test_script_mix_pool_round_trips(monkeypatch):
     """Every valid script of the benchmark's script-mix pool at its default
     seed, as ``perfbench/run.py --seconds 1`` builds it, writes a trace that
@@ -632,33 +466,3 @@ def test_script_mix_pool_round_trips(monkeypatch):
         doc = tracedoc.loads(text)
         assert doc.trace == result.trace
         assert tracedoc.dumps(doc) == text
-
-
-@pytest.mark.parametrize("selector", ["seed", "circle", "up", 3, None])
-def test_v1_pick_selector_must_be_left_or_right(selector):
-    data = json.loads(V1_TEXT)
-    data["steps"][2]["selector"] = selector
-    with pytest.raises(MalformedTrace, match=rf"^step 4: bad selector {selector!r}$"):
-        tracedoc.loads(json.dumps(data))
-
-
-_V1_FIELDS = ("id", "name", "x", "y", "op", "center", "through", "c1", "c2", "selector")
-
-
-@given(st.lists(st.tuples(st.sampled_from(("seeds", "steps", "outputs")), st.integers(0, 20),
-                          st.sampled_from(_V1_FIELDS),
-                          st.one_of(_JSON_VALUE, st.just("pick"))), min_size=1, max_size=3))
-@settings(max_examples=300, deadline=None)
-def test_v1_reader_raises_only_malformed_trace(edits):
-    """Any field of any seed, step or output object of the frozen version 1
-    sample replaced by any JSON value: loads returns a document that dumps
-    writes back, or raises MalformedTrace, nothing else."""
-    data = json.loads(V1_TEXT)
-    for key, index, field, value in edits:
-        data[key][index % len(data[key])][field] = value
-    try:
-        doc = tracedoc.loads(json.dumps(data))
-    except MalformedTrace:
-        return
-    text = tracedoc.dumps(doc)
-    assert tracedoc.dumps(tracedoc.loads(text)) == text
