@@ -379,11 +379,11 @@ def execute(program: Program, seeds: Iterable[Point]) -> Trace:
     """Run a program on concrete seed points, resolving every node in order.
 
     This is the step loop of ``Builder.inline`` run on a fresh builder with
-    every step kept as it is (no hash-consing), so the trace has one
-    resolved value per program step. A compiled program (``replay``) runs
-    its function instead, after the same seed checks: the same bits, and
-    the same error at the same step. Execution is a pure function of its
-    arguments; identical inputs give bit-identical traces.
+    every step kept as it is (no hash-consing, nor its circle rule), so the
+    trace has one resolved value per program step. A compiled program
+    (``replay``) runs its function instead, after the same seed checks: the
+    same bits, and the same error at the same step. Execution is a pure
+    function of its arguments; identical inputs give bit-identical traces.
     """
     seeds = tuple(seeds)
     if len(seeds) != program.seed_count:
@@ -532,10 +532,18 @@ class Builder:
 
     Steps are hash-consed in ``table``, keyed on their ``(op, first,
     second)`` rows: a step whose row is there is the existing node, looked
-    up before anything is resolved. ``Builder.resume`` takes over a
-    finished trace with a copy of the table its ``witness`` kept, or else
-    a table rebuilt from its rows, so growing a program never resolves its
-    steps again.
+    up before anything is resolved. A circle whose row is not there may
+    still be drawn: the circle about c through t, where t is a pick on a
+    circle K about c, is K, which has that center and passes through t.
+    So on a miss, ``circle`` (and ``inline``) returns K if ``through`` is a
+    pick and its first or second circle has center node ``center``, and
+    appends nothing. The rule is exact in real arithmetic, so it takes no
+    tolerance; selectors read left and right off the centers, which are
+    one node, so every pick on K keeps its meaning. It is derived from the
+    rows on each miss, never stored in ``table``, so the table stays the
+    one its rows rebuild. ``Builder.resume`` takes over a finished trace
+    with a copy of the table its ``witness`` kept, or else a table rebuilt
+    from its rows, so growing a program never resolves its steps again.
     """
 
     def __init__(self, seeds: Iterable[Point]):
@@ -619,6 +627,12 @@ class Builder:
             self._node(center, False)
         if not (0 <= through < count and rs[through] is None):
             self._node(through, False)
+        if self.ops[through] != OP_SEED:  # a pick: is one of its circles about center?
+            first = self.first
+            if first[first[through]] == center:
+                return first[through]
+            if first[self.second[through]] == center:
+                return self.second[through]
         x, y = xs[center], ys[center]
         return self._append(key, x, y, radius(x, y, xs[through], ys[through]))
 
@@ -697,7 +711,10 @@ class Builder:
         ``node`` holds the builder nodes of ``program``'s seeds and grows to
         map every program step to its node. Each non-seed step is rewired
         through it, resolved and appended; with a hash-cons ``table``, a
-        step whose rewired row is in it is that node instead. A program is
+        step whose rewired row is in it is that node instead, and so is a
+        rewired circle that ``circle``'s rule finds already drawn (the
+        circle about c through a pick on a circle K about c is K). Without
+        a table (``execute``) every step is appended as it is. A program is
         well formed by construction, and ``node`` holds ints (``inline``
         checks its seed map), so the loop only maps ``geom.cut``'s verdicts
         to errors, which name their step.
@@ -711,7 +728,8 @@ class Builder:
         start = program.seed_count
         xs, ys, rs = self.xs, self.ys, self.rs
         add_x, add_y, add_r = xs.append, ys.append, rs.append
-        add_op, add_first, add_second = self.ops.append, self.first.append, self.second.append
+        ops, first, second = self.ops, self.first, self.second
+        add_op, add_first, add_second = ops.append, first.append, second.append
         mapped = node.append
         cut_u = cut_v = -1  # the circle pair ``got`` was cut from; none yet
         for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
@@ -719,6 +737,11 @@ class Builder:
             if table is not None:
                 key = op, nu, nv
                 hit = table.get(key)
+                if hit is None and op == OP_CIRCLE and ops[nv] != OP_SEED:
+                    if first[first[nv]] == nu:  # the circle rule, as in ``circle``
+                        hit = first[nv]
+                    elif first[second[nv]] == nu:
+                        hit = second[nv]
                 if hit is not None:
                     mapped(hit)
                     continue

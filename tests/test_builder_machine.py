@@ -4,8 +4,9 @@
 ``program._built``, which skip the constructors' checks. This machine grows
 one builder by every public way to grow one (``circle``, ``pick``, ``both``,
 ``meet``, ``pick_other``, ``inline``, ``mark`` and ``rollback``), with node
-arguments that are sometimes out of range or of the wrong kind, and checks
-after each step that:
+arguments that are sometimes out of range or of the wrong kind, redraws a
+circle through a pick on it, which must be that circle and append nothing,
+and checks after each step that:
 
 - ``finish``'s program and trace pass the public ``Program`` and ``Trace``
   constructors, so the trusted path builds only what they accept;
@@ -118,6 +119,20 @@ class BuilderMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def circle(self, data):
         self.call(self.b.circle, self.draw_node(data, False), self.draw_node(data, False))
+
+    @rule(data=st.data(), which=st.integers(0, 1))
+    def circle_through_a_pick_on_it(self, data, which):
+        """The circle about one of a pick's circles' center through the pick
+        is that circle node, and the call appends nothing."""
+        b = self.b
+        picks = [n for n in self.nodes(False) if n >= b.seed_count]
+        if not picks:
+            return
+        node = picks[data.draw(INDEX) % len(picks)]
+        circle = (b.first[node], b.second[node])[which]
+        before = self.state()
+        assert b.circle(b.first[circle], node) == circle
+        assert self.state() == before
 
     @rule(data=st.data(), which=st.sampled_from([Selector.LEFT, Selector.RIGHT, "left"]))
     def pick(self, data, which):

@@ -596,8 +596,10 @@ def test_line_line_retried_pole_leaves_no_step(tried_poles):
 
 # sha256 of the poles tried, then the six columns and the result node or the
 # error's class and message, of every draw below; taken before the poles were
-# scored lazily, which must try them in the same order
-LINE_LINE_RETRY_DIGEST = "4f3af9d5ff91135d0c9fac5b8d7b913d6bc3045b3ae95e42c0d4ebe7eb9bc7d4"
+# scored lazily, which must try them in the same order. It read 4f3af9d5...
+# until a circle about a pick's circle's center through that pick was taken
+# as that circle: the same poles tried and the same errors, fewer circles.
+LINE_LINE_RETRY_DIGEST = "5b8f109f7279a2bfcb2bf6b1b79613cb562356c6e9e62a1fe33622f3f054205d"
 
 
 def test_line_line_pole_order_is_pinned(tried_poles):
@@ -718,8 +720,9 @@ def test_line_circle_center_on_the_line():
 
 # |h|: the steps of the route a center h above or below line ab takes, for
 # the unit circle: the mirror route from r/64 up, the inversion route above
-# EPS, and the center on the line within EPS
-ROUTE_STEPS = {0.5: 14, 1 / 64 + 1e-9: 14, 1 / 64 - 1e-9: 54, 1e-6: 54, EPS / 2: 28, 0.0: 28}
+# EPS (54 until it stopped redrawing a circle through a pick on it), and the
+# center on the line within EPS
+ROUTE_STEPS = {0.5: 14, 1 / 64 + 1e-9: 14, 1 / 64 - 1e-9: 53, 1e-6: 53, EPS / 2: 28, 0.0: 28}
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["a-left", "a-right"])

@@ -542,15 +542,17 @@ def test_field_op_walks_each_operand_once(call, monkeypatch):
 
 
 def test_neg_appends_one_reflection_whatever_its_operand():
-    # -P reflects P through O: 3 circles and 3 picks, though P = A^16 took
-    # four squarings, each a replay of the witness before
+    # -P reflects P through O: 3 picks, though P = A^16 took four squarings,
+    # each a replay of the witness before; and 2 circles, not 3, as P is a
+    # pick on the unit circle about O, which is the reflection's circle about
+    # O through P
     source = ("given O = (0, 0)\ngiven U = (1, 0)\nlet A = apex(O, U)\n"
               "let A2 = mul(A, A)\nlet A4 = mul(A2, A2)\nlet A8 = mul(A4, A4)\n"
               "let P = mul(A8, A8)\n")
     before = run_source(source).trace.program
     result = run_source(source + "let N = neg(P)\n")
     after = result.trace.program
-    assert after.circle_count() - before.circle_count() == 3
+    assert after.circle_count() - before.circle_count() == 2
     assert after.pick_count() - before.pick_count() == 3
     p, n = result.point("P"), result.point("N")
     assert (n.x, n.y) == pytest.approx((-p.x, -p.y), abs=1e-9)

@@ -28,14 +28,14 @@ GOLDEN = {
         "1517f8be7043fdc3a57bbf12f358be0330979b099ee9bc9021b4ed0bc2f7e99d",
         "089ee465822a4bfbef3c33ded7b2c731099163b4882434545d9ac1a8693a6589"),
     "conjugate": (
-        "bba8c3c1423da02007d704546965bffb1c818ca10a3fb894e787f68626e21d55",
-        "422f140723f46946674276e28cf476fe566230a309a0e4bb211142f9990e072b"),
+        "64d6efcd50b83e1a3eabf37cb351a3831d7ac0d9e79687da0aeac37e5bc944fe",
+        "17d622a18d5105d61f7649abc652b855e0da05212c9aef248faeb7a79017cd77"),
     "extend": (
         "c73723b2ff14ab4d902e9c0cfa35e7171813e7b8c052a971a783b69fb49c987c",
         "29cef538e921561106ec0ac639c0b856617eafd10f38f4db2eed4044de73843f"),
     "half": (
-        "4ce0e6731d8f6e94d39daf9bf515a26a3a4794b8de314be4cd5bcb416edd7dff",
-        "783ce4e766574b17b0e99bbda854eac7c4583b89a6b96ba6bfef70f2a1857465"),
+        "0ef6494653da1c3c8e1ee4fcd212ea72e8b299cefe117a731bd10bdd6d646275",
+        "8de144ee830e62647b052b701b289cff3be6588bfab20efdbd77f8a8e8ba2c02"),
     "invert": (
         "787eb87e4cbbb86e01d65ea48f04b8266bff606f0c95c7a9d1dbfd88c715afa7",
         "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393"),
@@ -46,8 +46,8 @@ GOLDEN = {
         "932504b53baeca9e68cd0ba163d383b6889f35c2bf2722b0b7cb23686adec0ad",
         "9b2d65fb5b449247c0e6db41e26c6208c7cc4828865d3548e8959914da7f48dc"),
     "line-line": (
-        "c047f32aa6ca29294acebe9cce9107b0989791bad217a16a4139df927c6f49d5",
-        "63263b75adfd669dafbaa4247d8d9100ebae5ba151bdeafab50a132b37a9c22e"),
+        "db68e63703194bf702472a3c1d17b350b322ae0d4ae1196636d549ceb081c8c9",
+        "8403e83f5a277463b6665733343e9880291887a4d690c2bcc602831bb26ca8dc"),
     "midpoint": (
         "140bc040b723aaaa4c13778f16cb2f5663f24b646428b240e4bdef7ac0df9be9",
         "89b32b1c79c2d54369e107402ada3026d61e083f8308dad2cfe261de8771504b"),
@@ -114,9 +114,9 @@ CORPUS_GOLDEN = {
         "e3df2cc3eca02412cf5f8b387bdac8c4aec901cdcbf5e2280c90820866d0fd9e",
         "21ec184152debc3519687d4e18786905358f50f15a8b4b0f7338e1a0c832087b"),
     "08-linexline.compass": (
-        "c047f32aa6ca29294acebe9cce9107b0989791bad217a16a4139df927c6f49d5",
-        "63263b75adfd669dafbaa4247d8d9100ebae5ba151bdeafab50a132b37a9c22e",
-        "0e4ccec42873ceee1b8eb85fba1d3149a9cbc5fa128a903c6d7b6e8538accf92"),
+        "db68e63703194bf702472a3c1d17b350b322ae0d4ae1196636d549ceb081c8c9",
+        "8403e83f5a277463b6665733343e9880291887a4d690c2bcc602831bb26ca8dc",
+        "1e51fbf9b23f8360cf522510ec0a4634192301a8bd1a73c0a37e74ac73500a35"),
     "09-linexcircle.compass": (
         "03825e14d465a2aad5adc758c40a0955a36f3cac468f7ceb03be2379981b9b8d",
         "f766f4b1547c92b9982a9d2781080e2ee2478be224efa5e940d4ba1aa4384ecf",
@@ -126,13 +126,13 @@ CORPUS_GOLDEN = {
         "9b2d65fb5b449247c0e6db41e26c6208c7cc4828865d3548e8959914da7f48dc",
         "c09691112119cbb9b278cbbbcb316cb0f62ee7bfab160f301a737cce6948003e"),
     "11-conjugate.compass": (
-        "28dd43050c4c6832e50195c76be8551aaed4f9b26e049c7196cc530b30104542",
-        "7f25bf5039b69029edea919120a70dad0c7047a8841169d5369f445c2540773d",
+        "9c17ed784548e98d1ae2e6fd6f3b20f0d1533ff023bf702e80e431b8ed3f9db1",
+        "b298316764090120b902206744009e3408dae85dcca9cf42af99934b8aa33f7c",
         "4d209b71d1952beee115b8b5b27605178613caf68dd5c1a360856936e25007a7"),
     "12-field.compass": (
-        "4563db15a75771fe33e1fdeaa1754455c48823f010f4370d816806f7b9b44203",
-        "650634325dea3a17b0d68c647f9480bed701d7f494fc859aa08541ea5f234571",
-        "0617ba3a3f78c4e026d3136c40d7c426b2e3b9466e0f81bb8c4e9a030892ed64"),
+        "58bb011c797d59dbe118dd2e1bfcca469314c291da04a99e8cbcc46d7bc77620",
+        "beb4536cbc5daa26388a7a6b8d2c8aa1bd94fa9e6559133c59aa3b2c4c46078e",
+        "36d99a9d862298b8e968650007b72d495d7b55569caedfe2c17f3483c8d3ad0c"),
     "13-nth.compass": (
         "d60a2373623bdcaf3d4d85c2129d441c0a95f7683b925cc3ada0d4d17eaad99c",
         "6317f8d136ba5675427e45221c087fd2f2b916fb347ed5f6493f31e62030b655",
@@ -162,13 +162,13 @@ FUZZ_GOLDEN = {
     "midpoint": "77ef79a8cf42de986ae2a4b0ab369a3f1287b576e1d9d4790aa4d7b013ad43e2",
     "foot": "a9d6d5ae4b196a17b514ee29f188e5f3d4ec937a07bccf90201ec9ccd24fa400",
     "invert": "cb393cd9ad57649aa83f51cb8490ad575ce3f1b40b720e75dfad16ad1ab8cf56",
-    "line-line": "995d98a21f58dbf0d8ee112b23b0134d09f2aac63ae5df00eae1acbc0651c3fd",
+    "line-line": "d34ef4d82488f4e78c323f32f0e284b9cc310c34b7d15c7b36b2e2c6a2898091",
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
         "ef158a5b5687c402ea6ac0e01ad6afef1ab982398864e3f69052f5c4e8e32fed",
-    "mul": "d2ecb35d63059582b115e0acb72c4caa4a94e7f443a29d6aeaf6dda828518d08",
-    "add": "dd8ea7707cb2f913f9b7f5a3c6413fae678efedc8c59ce9d9e8be8e94f7bd601",
-    "conj": "90d3118a9e8d937b9ca206f876725b444131d9a7ed830dc5a9c8b70ff8815a4d",
+    "mul": "6b4279c7413a4b510ff7e87021a2cafb4c1af5cab027e6b45f000fd1f97da8c2",
+    "add": "8921a5c708c699982060e3e6b21cd0f509591156d020e1966dbf63f9d867a1cd",
+    "conj": "e754a6f46bda50ff31b8ad71a23d45df1cc1b3a3bc5299e0b409aa543a48ac87",
 }
 
 
@@ -184,8 +184,8 @@ FUZZ_REPORTS = {
     "line-line": (0, 120, "0x1.57a824688fe44p-43"),
     "line-circle": (0, 90, "0x1.43f22bf3aa502p-43"),
     "line-circle-diameter": (0, 120, "0x1.b0f63e8f52274p-46"),
-    "mul": (0, 120, "0x1.854bfb363dc39p-48"),
-    "add": (0, 120, "0x1.1ec671c145243p-47"),
+    "mul": (0, 120, "0x1.3ce4224eef4fbp-46"),
+    "add": (0, 120, "0x1.4789482c7ed63p-47"),
     "conj": (0, 120, "0x1.176d9090c79a8p-48"),
 }
 

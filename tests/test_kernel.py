@@ -139,14 +139,15 @@ def test_builder_rejects_nodes_outside_it():
 
 def test_inline_failure_leaves_completed_steps():
     # the guest's second pick cuts the unit circle with itself, drawn through
-    # the apex; the steps before it stay, counted, as they did when each step
-    # was appended on its own
+    # the apex: a pick on the unit circle, so that circle is node 2 again and
+    # appends nothing; the apex steps before it stay, counted, as they did
+    # when each step was appended on its own
     guest = program_of(2, APEX_ROWS + ((C, 0, 4), (L, 2, 5)), (6,))
     b = Builder([O, U])
     mark = b.mark()
     with pytest.raises(CoincidentCircles):
         b.inline(guest, (0, 1))
-    assert b.mark() == (6,) and b.ops.count(OP_CIRCLE) == 3
+    assert b.mark() == (5,) and b.ops.count(OP_CIRCLE) == 2
     b.rollback(mark)
     assert b.mark() == mark and b.circle(0, 1) == 2
 

@@ -879,7 +879,9 @@ def test_resolved_equals_and_hashes_by_its_columns():
 
 def reference_resolve(b, program, node, table):
     """``Builder._resolve`` without the cut reuse: each pick calls
-    ``geom.cut`` on its own circles. Appends to ``b``'s columns."""
+    ``geom.cut`` on its own circles. Appends to ``b``'s columns. With a
+    table, a circle about a pick's circle's center through that pick is
+    that circle."""
     xs, ys, rs = b.xs, b.ys, b.rs
     start = program.seed_count
     for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
@@ -887,6 +889,8 @@ def reference_resolve(b, program, node, table):
         if table is not None:
             key = op, nu, nv
             hit = table.get(key)
+            if hit is None and op == OP_CIRCLE and b.ops[nv] in (OP_LEFT, OP_RIGHT):
+                hit = next((k for k in (b.first[nv], b.second[nv]) if b.first[k] == nu), None)
             if hit is not None:
                 node.append(hit)
                 continue
@@ -1015,9 +1019,14 @@ def _program(*steps, outputs):
 
 
 SPLIT_PAIRS = {
-    # the left and right picks of circles 2 and 3 with a circle between them
+    # the left and right picks of circles 2 and 3 with a circle between them:
+    # about 0 through the left pick, which ``execute`` appends and ``inline``
+    # finds is circle 2
     "split-by-a-circle": _program((OP_LEFT, 2, 3), (OP_CIRCLE, 0, 4), (OP_RIGHT, 2, 3),
                                   outputs=(4, 6)),
+    # ... about the left pick through 1, which both append
+    "split-by-a-new-circle": _program((OP_LEFT, 2, 3), (OP_CIRCLE, 4, 1), (OP_RIGHT, 2, 3),
+                                      outputs=(4, 6)),
     # ... with a cut of another pair between them, which the right pick must not reuse
     "split-by-another-cut": _program((OP_LEFT, 2, 3), (OP_CIRCLE, 4, 0), (OP_LEFT, 2, 5),
                                      (OP_RIGHT, 2, 3), outputs=(4, 6, 7)),
@@ -1051,3 +1060,48 @@ def test_a_pair_whose_first_pick_is_a_hash_cons_hit_resolves_as_the_reference_lo
     after_cut = _program((OP_LEFT, 3, 2), (OP_LEFT, 2, 3), (OP_RIGHT, 2, 3),
                          outputs=(4, 5, 6))
     assert assert_inline_matches_reference(host, after_cut, (0, 1)) == (5, 4, 6)
+
+
+# --- the circle rule: a circle about a pick's circle's center through that
+# pick is that circle, on a hash-cons miss, in ``circle`` and ``inline`` only
+
+# circle 2 = C(0; 1) drawn again, about 0 through the left pick 4 on it
+REDRAWN = _program((OP_LEFT, 2, 3), (OP_CIRCLE, 0, 4), outputs=(4,))
+
+
+def test_builder_circle_through_a_pick_on_it_is_that_circle():
+    b = Builder([O, U])
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    p = b.pick(c1, c2, Selector.LEFT)
+    table = dict(b.table)
+    assert (b.circle(0, p), b.circle(1, p)) == (c1, c2)  # its first circle, its second
+    assert len(b) == 5 and b.table == table  # nothing appended, nothing keyed
+    assert b.circle(p, 0) == 5 and b.ops[5] == OP_CIRCLE  # a circle about the pick is new
+
+
+def test_execute_draws_every_circle_the_rule_would_find():
+    for run in (copy.copy(REDRAWN), compiled(REDRAWN)):
+        trace = execute(run, (O, U))
+        assert trace.program.circle_count() == 3 and len(trace.resolved) == 6
+        assert trace.resolved[5].center == trace.resolved[2].center
+    b = Builder([O, U])
+    assert b.inline(REDRAWN, (0, 1)) == (4,) and len(b) == 5
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["first-circle", "second-circle"])
+def test_inline_finds_a_rewired_circle_through_a_pick_on_it(which):
+    """The guest's circle about seed 0 through seed 1, rewired onto a host
+    circle's center and a pick on that circle, is the host circle."""
+    def host():
+        b = Builder([Point(0.3, 0.4), O, U])
+        b.pick(b.circle(1, 2), b.circle(2, 1), Selector.LEFT)  # circles 3 and 4, pick 5
+        return b
+
+    guest = Program(3, (OP_SEED,) * 3 + (OP_CIRCLE, OP_CIRCLE, OP_LEFT),
+                    (0, 1, 2, 0, 2, 3), (-1, -1, -1, 1, 1, 4), (5,))
+    circle = 3 + which
+    b = host()
+    (out,) = assert_inline_matches_reference(host, guest, (1 + which, 5, 0))
+    assert len(b) == 6 and b.inline(guest, (1 + which, 5, 0)) == (out,)
+    assert len(b) == 8 and b.ops[6:] == [OP_CIRCLE, OP_LEFT]  # one new circle, one pick
+    assert (b.first[out], b.second[out]) == (circle, 6)
