@@ -11,6 +11,10 @@ conjugating replay nothing: -a is a reflected through 0.
 ``build_add`` doubles, reflects 0 through the midpoint of a and b, or runs
 the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
 (a, a + 1) a + b), by a rule on the operands' values and witness sizes.
+In -1 + 1 and 1 + (-1) that replay reflects 0 through 1 to 2 and back,
+which the builder takes as 0 itself (a point reflected twice through one
+center is that point), so the sum is seed 0, where it was a point within
+an ulp or so of it; likewise -(-a) is a's own node.
 
 ``ConstructibleValue`` and its functions are the API edge: a value is its
 witness resolved on the canonical seeds, the ``Builder.witness`` of a node

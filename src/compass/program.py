@@ -379,11 +379,13 @@ def execute(program: Program, seeds: Iterable[Point]) -> Trace:
     """Run a program on concrete seed points, resolving every node in order.
 
     This is the step loop of ``Builder.inline`` run on a fresh builder with
-    every step kept as it is (no hash-consing, nor its circle rule), so the
-    trace has one resolved value per program step. A compiled program
-    (``replay``) runs its function instead, after the same seed checks: the
-    same bits, and the same error at the same step. Execution is a pure
-    function of its arguments; identical inputs give bit-identical traces.
+    every step kept as it is (no hash-consing, nor its circle rule, nor its
+    rule for a point reflected twice through one center), so the trace has
+    one resolved value per program step, and a builder's program replays
+    bit for bit. A compiled program (``replay``) runs its function instead,
+    after the same seed checks: the same bits, and the same error at the
+    same step. Execution is a pure function of its arguments; identical
+    inputs give bit-identical traces.
     """
     seeds = tuple(seeds)
     if len(seeds) != program.seed_count:
@@ -420,6 +422,42 @@ def _no_point(got: str, at: int) -> CompassError:
     if got == CUT_OVERFLOW:
         return NonFiniteInput(f"step {at}: an intersection point is not finite")
     return NoSuchIntersection(f"step {at}: circles do not meet")
+
+
+def _reflected_back(ops: list, first: list, second: list, c: int, k: int) -> int | None:
+    """z, where the left pick of circles ``c`` and ``k`` is the last step
+    of ``extend``'s rows run twice through one center y: ``k`` is the
+    circle about y through z, x the left pick of circle(u', v') with ``k``,
+    where u' and v' are the left and right picks of circle(z, y) with
+    ``k``, and ``c`` is circle(u, v), where u and v are the left and right
+    picks of circle(x, y) with ``k``. The first run is 2y - z, whose own
+    circle about y is ``k``, so the second is 2y - (2y - z) = z. Else None.
+
+    The callers call it only where ``c``'s center is a pick on ``k`` and
+    x, ``first[first[first[c]]]``, is a left pick: two index reads on most
+    misses, and four more on an extend's last pick, where most extends,
+    which reflect a seed, stop. A node's ``second`` is read only after its
+    op (a seed's is not a node; its ``first`` is itself), so ``c`` need
+    only be a node: z is found only where ``c`` and ``k`` are circle nodes
+    (``c`` has a pick for its center, and ``k`` is a pick's)."""
+    u = first[c]
+    x = first[first[u]]
+    if ops[x] != OP_LEFT or second[x] != k or ops[u] != OP_LEFT or second[u] != k:
+        return None
+    v, c = second[c], first[u]
+    if ops[v] != OP_RIGHT or first[v] != c or second[v] != k:
+        return None
+    y = second[c]
+    if first[k] != y:
+        return None
+    c = first[x]
+    u, v = first[c], second[c]
+    if ops[u] != OP_LEFT or ops[v] != OP_RIGHT or second[u] != k or second[v] != k:
+        return None
+    c, z = first[u], second[k]
+    if first[v] != c or first[c] != z or second[c] != y:
+        return None
+    return z
 
 
 def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
@@ -537,13 +575,20 @@ class Builder:
     circle K about c, is K, which has that center and passes through t.
     So on a miss, ``circle`` (and ``inline``) returns K if ``through`` is a
     pick and its first or second circle has center node ``center``, and
-    appends nothing. The rule is exact in real arithmetic, so it takes no
-    tolerance; selectors read left and right off the centers, which are
-    one node, so every pick on K keeps its meaning. It is derived from the
-    rows on each miss, never stored in ``table``, so the table stays the
-    one its rows rebuild. ``Builder.resume`` takes over a finished trace
-    with a copy of the table its ``witness`` kept, or else a table rebuilt
-    from its rows, so growing a program never resolves its steps again.
+    appends nothing. A pick whose row is not there may still be drawn too:
+    ``extend``'s rows run twice through one center y, the second time
+    about the circle K = C(y; z) of the first, end in the left pick of
+    circle(u, v) with K, which is 2y - (2y - z) = z. So on a miss, a left
+    pick in ``pick``, ``both``, ``meet``, ``pick_other`` (through
+    ``_keep``) and ``inline`` is z where ``_reflected_back`` finds those
+    rows, and appends nothing. Both rules are exact in real arithmetic, so
+    they take no tolerance; selectors read left and right off the centers,
+    which are one node, so every pick on K keeps its meaning. They are
+    derived from the rows on each miss, never stored in ``table``, so the
+    table stays the one its rows rebuild. ``Builder.resume`` takes over a
+    finished trace with a copy of the table its ``witness`` kept, or else a
+    table rebuilt from its rows, so growing a program never resolves its
+    steps again.
     """
 
     def __init__(self, seeds: Iterable[Point]):
@@ -597,9 +642,14 @@ class Builder:
         return ResolvedCircle(Point(self.xs[node], self.ys[node]), self.rs[node])
 
     def _keep(self, op: int, u: int, v: int, x: float, y: float) -> int:
-        """The pick hash-consed as step (op, u, v), appending it if new."""
+        """The pick hash-consed as step (op, u, v), appending it if new,
+        unless ``_reflected_back`` finds a left pick already drawn."""
         key = op, u, v
         node = self.table.get(key)
+        if node is None and op == OP_LEFT:
+            ops, first, second = self.ops, self.first, self.second
+            if second[first[u]] == v and ops[first[first[first[u]]]] == OP_LEFT:
+                node = _reflected_back(ops, first, second, u, v)
         return self._append(key, x, y) if node is None else node
 
     def _append(self, key: tuple, x: float, y: float, r: float | None = None) -> int:
@@ -660,6 +710,13 @@ class Builder:
         hit = self.table.get(key)
         if hit is not None:
             return hit
+        # c1 in range is enough: only circle nodes match, and ``_cut`` checks them
+        if op == OP_LEFT and 0 <= c1 < len(self.ops):
+            ops, first, second = self.ops, self.first, self.second
+            if second[first[c1]] == c2 and ops[first[first[first[c1]]]] == OP_LEFT:
+                back = _reflected_back(ops, first, second, c1, c2)
+                if back is not None:
+                    return back
         got = self._cut(c1, c2)
         if op == OP_LEFT:
             return self._append(key, got[0], got[1])
@@ -713,7 +770,10 @@ class Builder:
         through it, resolved and appended; with a hash-cons ``table``, a
         step whose rewired row is in it is that node instead, and so is a
         rewired circle that ``circle``'s rule finds already drawn (the
-        circle about c through a pick on a circle K about c is K). Without
+        circle about c through a pick on a circle K about c is K), and a
+        rewired left pick that ``pick``'s rule finds (``_reflected_back``:
+        a point reflected twice through one center is that point). A miss
+        pays a few index reads for them. Without
         a table (``execute``) every step is appended as it is. A program is
         well formed by construction, and ``node`` holds ints (``inline``
         checks its seed map), so the loop only maps ``geom.cut``'s verdicts
@@ -737,11 +797,16 @@ class Builder:
             if table is not None:
                 key = op, nu, nv
                 hit = table.get(key)
-                if hit is None and op == OP_CIRCLE and ops[nv] != OP_SEED:
-                    if first[first[nv]] == nu:  # the circle rule, as in ``circle``
-                        hit = first[nv]
-                    elif first[second[nv]] == nu:
-                        hit = second[nv]
+                if hit is None:
+                    if op == OP_CIRCLE:
+                        if ops[nv] != OP_SEED:  # the circle rule, as in ``circle``
+                            if first[first[nv]] == nu:
+                                hit = first[nv]
+                            elif first[second[nv]] == nu:
+                                hit = second[nv]
+                    elif op == OP_LEFT and second[first[nu]] == nv:  # as in ``pick``
+                        if ops[first[first[first[nu]]]] == OP_LEFT:
+                            hit = _reflected_back(ops, first, second, nu, nv)
                 if hit is not None:
                     mapped(hit)
                     continue

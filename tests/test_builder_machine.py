@@ -6,7 +6,8 @@ one builder by every public way to grow one (``circle``, ``pick``, ``both``,
 ``meet``, ``pick_other``, ``inline``, ``mark`` and ``rollback``), with node
 arguments that are sometimes out of range or of the wrong kind, redraws a
 circle through a pick on it, which must be that circle and append nothing,
-and checks after each step that:
+reflects a point twice through one center, which must give that point and
+append no pick for it, and checks after each step that:
 
 - ``finish``'s program and trace pass the public ``Program`` and ``Trace``
   constructors, so the trusted path builds only what they accept;
@@ -38,6 +39,9 @@ from compass.constructions import (
 from compass.errors import CompassError
 from compass.geom import Point
 from compass.program import (
+    OP_CIRCLE,
+    OP_LEFT,
+    OP_RIGHT,
     Builder,
     Program,
     Selector,
@@ -133,6 +137,32 @@ class BuilderMachine(RuleBasedStateMachine):
         before = self.state()
         assert b.circle(b.first[circle], node) == circle
         assert self.state() == before
+
+    @rule(data=st.data(), last=st.sampled_from(["inline", "pick", "both", "meet"]))
+    def reflect_twice(self, data, last):
+        """``extend``'s rows on (z, y), then on (their output x, y), by
+        ``inline`` or by hand with ``last`` for their last pick. Where the
+        first run drew its circles C(y; z) and C(z; y) and the second C(x;
+        y), each by its own row, the second run gives z and draws no pick
+        of circle(u, v) with K = C(y; z) for it."""
+        b = self.b
+        points = self.nodes(False)
+        z, y = (points[data.draw(INDEX) % len(points)] for _ in range(2))
+        run = extend_inline if last == "inline" else extend_by_hand
+        try:
+            x = run(b, z, y, last)
+        except CompassError:  # z and y at one point: the invariants check what is kept
+            return
+        n = len(b)
+        out = run(b, x, y, last)
+        table = b.table
+        k = table.get((OP_CIRCLE, y, z))
+        if None in (k, table.get((OP_CIRCLE, z, y)), table.get((OP_CIRCLE, x, y))):
+            return  # a circle the circle rule took for another: other rows
+        around = table[OP_CIRCLE, x, y]
+        c = table[OP_CIRCLE, table[OP_LEFT, around, k], table[OP_RIGHT, around, k]]
+        assert out == z
+        assert (OP_LEFT, c, k) not in zip(b.ops[n:], b.first[n:], b.second[n:])
 
     @rule(data=st.data(), which=st.sampled_from([Selector.LEFT, Selector.RIGHT, "left"]))
     def pick(self, data, which):
@@ -245,6 +275,21 @@ class BuilderMachine(RuleBasedStateMachine):
         assert trace_columns(execute(compiled, self.seeds)) == trace_columns(trace)
         for node in range(len(self.b)):
             self.check_witness(node)
+
+
+def extend_inline(b, x, y, _):
+    return b.inline(extend_program(), (x, y))[0]
+
+
+def extend_by_hand(b, x, y, last):
+    """``extend_program``'s rows on (x, y), drawn by ``circle``, ``both``
+    and, for the last pick, ``last``: ``pick``, ``both`` or ``meet``."""
+    base = b.circle(y, x)
+    u, v = b.both(b.circle(x, y), base)
+    wide = b.circle(u, v)
+    if last == "pick":
+        return b.pick(wide, base, Selector.LEFT)
+    return getattr(b, last)(wide, base)[0]
 
 
 def go_on(b):

@@ -720,9 +720,10 @@ def test_line_circle_center_on_the_line():
 
 # |h|: the steps of the route a center h above or below line ab takes, for
 # the unit circle: the mirror route from r/64 up, the inversion route above
-# EPS (54 until it stopped redrawing a circle through a pick on it), and the
-# center on the line within EPS
-ROUTE_STEPS = {0.5: 14, 1 / 64 + 1e-9: 14, 1 / 64 - 1e-9: 53, 1e-6: 53, EPS / 2: 28, 0.0: 28}
+# EPS (54 until it stopped redrawing a circle through a pick on it, 53 until
+# the midpoint of c and p = 2c - o stopped reflecting p back through c to o),
+# and the center on the line within EPS
+ROUTE_STEPS = {0.5: 14, 1 / 64 + 1e-9: 14, 1 / 64 - 1e-9: 52, 1e-6: 52, EPS / 2: 28, 0.0: 28}
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["a-left", "a-right"])

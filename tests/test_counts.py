@@ -79,9 +79,10 @@ def test_demo_counts(name):
 # to r/2 takes line-line to 18.3, and invert from 11.6 to 7.6; taking the
 # circle about a pick's circle's center through that pick as that circle
 # takes line-line to 16.3, mul from 12.6 to 10.3, add from 17.6 to 14.8 and
-# conj from 8.2 to 6.4
+# conj from 8.2 to 6.4; taking a point reflected twice through one center as
+# that point takes mul to 8.55, add to 11.65 and conj to 5.42
 FUZZ_MEAN_CIRCLES = {"invert": 8.0, "line-circle-diameter": 12.0, "line-line": 16.5,
-                     "mul": 10.5, "add": 15.0, "conj": 6.5}
+                     "mul": 8.6, "add": 11.7, "conj": 5.5}
 
 
 @pytest.mark.parametrize("op", sorted(FUZZ_MEAN_CIRCLES))
@@ -263,11 +264,13 @@ def test_ledger_core_counts_stay_within_bounds(monkeypatch):
 # line's b side first: the same points, some bound in the other order. The
 # three read 947acfad... with 772 circles, c7b029f5... with 12658 and
 # 4f6820c5... with 3919 until a circle about a pick's circle's center
-# through that pick was taken as that circle.
+# through that pick was taken as that circle; oracle-fuzz read 561d84af...
+# with 11536 and deep-witness 3d331005... with 3687 until a point reflected
+# twice through one center was taken as that point.
 WORKLOAD_OUTPUTS = {
     "script-mix": ("c68b4089c613ab24af4e45d600d0cd6eeead9196c91b36efcebcaf33b249b9f3", 743),
-    "oracle-fuzz": ("561d84af57e00e09b104e13eff0d6b39d645325a7d5d8eeaf97c06f407998f4e", 11536),
-    "deep-witness": ("3d3310050ce509d55e0b7e2d96998afb7f0ae345db2ef279cc2b5ee238464b55", 3687),
+    "oracle-fuzz": ("cf2bfdfd8e5ba45daf6003a40d16b65fa215520723f35633355f0e1dd729086a", 10832),
+    "deep-witness": ("d2ff8aba59879284e74aed7ab314f71ff817dfd17bc8caf9d17068600f711c13", 3575),
 }
 
 

@@ -53,6 +53,27 @@ def test_neg_is_one_reflection():
           within=1e-9 * max(1.0, math.hypot(v.value.x, v.value.y)))
 
 
+def test_a_value_negated_twice_is_its_own_node():
+    """-(-a) reflects a through 0 and back about the one circle C(0; a):
+    the builder takes a's node, and the witness ends on a's own step."""
+    a = F.alpha()
+    b = Builder.resume(a.trace)
+    minus = F.build_neg(b, a.primary_output)
+    n = len(b)
+    assert F.build_neg(b, minus) == a.primary_output and len(b) == n + 4
+    back = F.neg(F.neg(a))
+    assert back.value == a.value and back.program.circle_count() == a.program.circle_count()
+
+
+@pytest.mark.parametrize("left, right", [(F.one, F.minus_one), (F.minus_one, F.one)],
+                         ids=["one-plus-minus-one", "minus-one-plus-one"])
+def test_one_and_minus_one_add_to_seed_zero(left, right):
+    """Both ways round, the double replay reflects 0 through 1 to 2 and
+    back, so the sum is seed 0 itself."""
+    total = F.add(left(), right())
+    assert total.primary_output == 0 and total.program.circle_count() == 0
+
+
 def test_neg_near_zero_is_seed_zero():
     # a + (-a) rounds to a point within EPS of 0, not onto seed 0; reflecting
     # it would draw a circle through its own center
@@ -83,11 +104,12 @@ def test_mul_examples():
 
 
 @pytest.mark.parametrize("left, at_seed", [(F.zero, True),
-                                           (lambda: F.add(F.one(), F.minus_one()), False)],
-                         ids=["seed-zero", "one-plus-minus-one"])
+                                           (lambda: F.add(F.alpha(), F.neg(F.alpha())), False)],
+                         ids=["seed-zero", "alpha-plus-minus-alpha"])
 def test_mul_zero_basis_short_circuits(left, at_seed):
     """A left factor at 0 makes the product seed 0 with no replay: a itself
-    when it is seed 0, else seed 0's witness."""
+    when it is seed 0, else seed 0's witness. alpha + (-alpha) rounds to a
+    point within EPS of 0 that is not seed 0 (1 + (-1) is seed 0 itself)."""
     a = left()
     product = F.mul(a, F.alpha())
     assert product.primary_output == 0  # the zero seed itself

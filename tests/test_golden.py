@@ -166,9 +166,9 @@ FUZZ_GOLDEN = {
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
         "ef158a5b5687c402ea6ac0e01ad6afef1ab982398864e3f69052f5c4e8e32fed",
-    "mul": "6b4279c7413a4b510ff7e87021a2cafb4c1af5cab027e6b45f000fd1f97da8c2",
-    "add": "8921a5c708c699982060e3e6b21cd0f509591156d020e1966dbf63f9d867a1cd",
-    "conj": "e754a6f46bda50ff31b8ad71a23d45df1cc1b3a3bc5299e0b409aa543a48ac87",
+    "mul": "0f0766286b32adbffdd0d0e63a77e5dda263dbfa974e9807595f8bef6ea38c1a",
+    "add": "155af1669a9dae01ae8bf35252a777af166baf2bd5727a91c44a7af1524921fa",
+    "conj": "417853ebeff8324da82f051055f0f0782771c2b50203d1bffd0daf731676bfd4",
 }
 
 
@@ -185,7 +185,7 @@ FUZZ_REPORTS = {
     "line-circle": (0, 90, "0x1.43f22bf3aa502p-43"),
     "line-circle-diameter": (0, 120, "0x1.b0f63e8f52274p-46"),
     "mul": (0, 120, "0x1.3ce4224eef4fbp-46"),
-    "add": (0, 120, "0x1.4789482c7ed63p-47"),
+    "add": (0, 120, "0x1.f3db2174e7468p-48"),
     "conj": (0, 120, "0x1.176d9090c79a8p-48"),
 }
 

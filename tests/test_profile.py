@@ -1,8 +1,11 @@
-"""A deterministic call profile of the script path (ROADMAP item 32).
+"""A deterministic call profile per layer (ROADMAP item 32).
 
-Every demo and good corpus script goes through ``tokenize``, ``parse``,
-``interpret``, ``dumps``, ``loads`` and ``render_trace`` under
-``sys.setprofile``, once the per-process caches are warm. The profile counts
+Each row runs once to warm the per-process caches, then again under
+``sys.setprofile``. The script-path row puts every demo and good corpus
+script through ``tokenize``, ``parse``, ``interpret``, ``dumps``, ``loads``
+and ``render_trace``; the ring-operation row runs ``fuzz.run_op(op, 40,
+42)`` for mul, add and conj, the operations whose witnesses the builder's
+hash-consing rules reshape. The profile counts
 the calls of each engine function (each code object), named by file and
 ``co_name`` (Python 3.10 has no ``co_qualname``); where a file has several
 called functions of one name, the name ends ``#k``, the k-th of them by first
@@ -26,7 +29,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from compass import dsl, geom, svg, tracedoc
+from compass import dsl, fuzz, geom, svg, tracedoc
 from compass.demos import DEMOS
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -35,6 +38,7 @@ ENGINE = Path(dsl.__file__).resolve().parent
 SCRIPTS = ([DEMOS[name] for name in sorted(DEMOS)]
            + [path.read_text(encoding="utf-8")
               for path in sorted((CORPUS / "good").glob("*.compass"))])
+RING_OPS = ("mul", "add", "conj")
 
 _SKIPPED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
 _KERNEL = {geom.cut.__code__: "geom.cut", geom.radius.__code__: "geom.radius"}
@@ -53,6 +57,12 @@ def run_scripts():
         svg.render_trace(result.trace, names)
 
 
+def run_ring_ops():
+    """The ring operations' fuzz cases, as ``compass fuzz`` runs them."""
+    for op in RING_OPS:
+        assert fuzz.run_op(op, 40, 42).failures == 0, op
+
+
 def _names(codes):
     """Each code object's name: "file:co_name", with "#k" after it for the
     k-th by first line where a file has several of that name."""
@@ -63,11 +73,11 @@ def _names(codes):
             for name, group in groups.items() for k, code in enumerate(group, 1)}
 
 
-def profile():
+def profile(run=run_scripts):
     """(calls per engine function as {"file:co_name": n}, or "file:co_name#k"
     for the k-th called function of that name in the file, and kernel calls as
-    {name: n}) over one warm run of ``run_scripts``."""
-    run_scripts()  # fills the per-process caches, whatever ran before
+    {name: n}) over one warm call of ``run``."""
+    run()  # fills the per-process caches, whatever ran before
     engine = str(ENGINE)
     calls, kernel = Counter(), Counter()
     generators = set()  # the frames of the generators started
@@ -91,7 +101,7 @@ def profile():
 
     sys.setprofile(hook)
     try:
-        run_scripts()
+        run()
     finally:
         sys.setprofile(None)
     names = _names(calls)
@@ -108,7 +118,11 @@ def moved(got, pinned):
 # a pick's circle's center through that pick was taken as that circle: the
 # scripts draw 10 fewer circles (the line-line, conjugate and half demos,
 # 08-linexline, 11-conjugate and 12-field), each a radius once as built and
-# once as loads reads it back; 6 of them were ``Builder.circle`` calls
+# once as loads reads it back; 6 of them were ``Builder.circle`` calls.
+# _reflected_back's 5 calls are the left picks whose first circle's center
+# is a pick on their second circle and whose x, the center of that pick's
+# first circle, is a left pick, as where an extend reflects a pick: the
+# scripts reflect no point back, so each reads a few rows and finds nothing
 KERNEL_CALLS = {"geom.cut": 136, "geom.radius": 398, "math.hypot": 627, "math.sqrt": 136}
 
 ENGINE_CALLS = {
@@ -172,6 +186,7 @@ ENGINE_CALLS = {
     "program.py:_mistyped": 161,
     "program.py:_node": 172,
     "program.py:_nonfinite": 69,
+    "program.py:_reflected_back": 5,
     "program.py:_resolve": 26,
     "program.py:_seed_columns": 23,
     "program.py:both": 13,
@@ -197,6 +212,75 @@ ENGINE_CALLS = {
 }
 
 
+# the same over ``run_ring_ops``. Until a point reflected twice through one
+# center was taken as that point, cut, radius, hypot and sqrt read 838, 880,
+# 2151 and 794: the witness replays of ``inline`` resolved 157 more cuts and
+# 134 more circles, where the rule now ends a replay on nodes already drawn
+RING_KERNEL_CALLS = {"geom.cut": 681, "geom.radius": 746, "math.hypot": 1854,
+                     "math.sqrt": 637}
+
+RING_ENGINE_CALLS = {
+    "constructions.py:build_extend": 76,
+    "constructions.py:build_midpoint": 3,
+    "field_ops.py:_at_zero": 86,
+    "field_ops.py:_grow": 254,
+    "field_ops.py:_size": 307,
+    "field_ops.py:add": 60,
+    "field_ops.py:build_add": 60,
+    "field_ops.py:build_conj": 108,
+    "field_ops.py:build_mul": 64,
+    "field_ops.py:build_neg": 22,
+    "field_ops.py:conj": 108,
+    "field_ops.py:mul": 64,
+    "field_ops.py:neg": 22,
+    "field_ops.py:primary_output": 508,
+    "field_ops.py:program": 184,
+    "field_ops.py:relative": 254,
+    "field_ops.py:value": 400,
+    "fuzz.py:__init__#1": 3,
+    "fuzz.py:__init__#2": 3,
+    "fuzz.py:__init__#3": 3,
+    "fuzz.py:_field_cases": 3,
+    "fuzz.py:_pair_err": 120,
+    "fuzz.py:draw": 601,
+    "fuzz.py:next64": 1002,
+    "fuzz.py:randint": 601,
+    "fuzz.py:record": 120,
+    "fuzz.py:rng_for": 3,
+    "fuzz.py:run_op": 3,
+    "fuzz.py:uniform": 401,
+    "geom.py:cut": 681,
+    "geom.py:radius": 746,
+    "oracle.py:oracle_complex_add": 40,
+    "oracle.py:oracle_complex_conj": 40,
+    "oracle.py:oracle_complex_mul": 40,
+    "program.py:__init__": 195,
+    "program.py:_append": 104,
+    "program.py:_at": 120,
+    "program.py:_built": 195,
+    "program.py:_check_outputs": 195,
+    "program.py:_cut": 86,
+    "program.py:_grown": 195,
+    "program.py:_keep": 60,
+    "program.py:_live": 195,
+    "program.py:_node": 812,
+    "program.py:_reflected_back": 189,
+    "program.py:_resolve": 239,
+    "program.py:circle": 160,
+    "program.py:circle_count": 175,
+    "program.py:finish": 126,
+    "program.py:inline": 239,
+    "program.py:output_points": 120,
+    "program.py:pick": 20,
+    "program.py:pick_other": 80,
+    "program.py:point": 254,
+    "program.py:purity_audit": 120,
+    "program.py:resume": 254,
+    "program.py:witness": 195,
+    "record.py:__init__": 3,
+}
+
+
 def test_kernel_calls_of_the_script_path():
     _, kernel = profile()
     assert kernel == KERNEL_CALLS, "moved: " + "; ".join(moved(kernel, KERNEL_CALLS))
@@ -208,7 +292,18 @@ def test_engine_calls_of_the_script_path():
 
 
 if __name__ == "__main__":
-    calls, kernel = profile()
-    print(kernel)
-    for name in sorted(calls):
-        print(f"{name} {calls[name]}")
+    for run in (run_scripts, run_ring_ops):
+        calls, kernel = profile(run)
+        print(run.__name__, kernel)
+        for name in sorted(calls):
+            print(f"{name} {calls[name]}")
+
+
+def test_kernel_calls_of_the_ring_operations():
+    _, kernel = profile(run_ring_ops)
+    assert kernel == RING_KERNEL_CALLS, "moved: " + "; ".join(moved(kernel, RING_KERNEL_CALLS))
+
+
+def test_engine_calls_of_the_ring_operations():
+    calls, _ = profile(run_ring_ops)
+    assert calls == RING_ENGINE_CALLS, "moved:\n" + "\n".join(moved(calls, RING_ENGINE_CALLS))

@@ -26,6 +26,7 @@ from compass.errors import (
     NonFiniteInput,
     NoSuchIntersection,
 )
+from compass.fuzz import SplitMix64
 from compass.geom import Point, ResolvedCircle, cut, radius
 from compass.program import (
     OP_CIRCLE,
@@ -877,11 +878,26 @@ def test_resolved_equals_and_hashes_by_its_columns():
 
 # --- the step loop against a reference that cuts afresh for every pick ------
 
+def reference_reflected_back(table, c, k, y, z):
+    """For circle ``k`` = C(y; z), z where the left pick of circles ``c``
+    and ``k`` ends ``extend``'s rows on (x, y) with base ``k``, and x is the
+    output of those rows on (z, y), else None: the rows looked up in
+    ``table`` forward, one by one, from k."""
+    def wide_circle(x):  # extend's circle(u, v) on (x, y) with base k
+        around = table.get((OP_CIRCLE, x, y))
+        return table.get((OP_CIRCLE, table.get((OP_LEFT, around, k)),
+                          table.get((OP_RIGHT, around, k))))
+
+    x = table.get((OP_LEFT, wide_circle(z), k))
+    return z if wide_circle(x) == c else None
+
+
 def reference_resolve(b, program, node, table):
     """``Builder._resolve`` without the cut reuse: each pick calls
     ``geom.cut`` on its own circles. Appends to ``b``'s columns. With a
     table, a circle about a pick's circle's center through that pick is
-    that circle."""
+    that circle, and a point reflected twice through one center is that
+    point."""
     xs, ys, rs = b.xs, b.ys, b.rs
     start = program.seed_count
     for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
@@ -891,6 +907,8 @@ def reference_resolve(b, program, node, table):
             hit = table.get(key)
             if hit is None and op == OP_CIRCLE and b.ops[nv] in (OP_LEFT, OP_RIGHT):
                 hit = next((k for k in (b.first[nv], b.second[nv]) if b.first[k] == nu), None)
+            if hit is None and op == OP_LEFT:
+                hit = reference_reflected_back(table, nu, nv, b.first[nv], b.second[nv])
             if hit is not None:
                 node.append(hit)
                 continue
@@ -1105,3 +1123,88 @@ def test_inline_finds_a_rewired_circle_through_a_pick_on_it(which):
     assert len(b) == 6 and b.inline(guest, (1 + which, 5, 0)) == (out,)
     assert len(b) == 8 and b.ops[6:] == [OP_CIRCLE, OP_LEFT]  # one new circle, one pick
     assert (b.first[out], b.second[out]) == (circle, 6)
+
+
+# --- the first point rule: a point reflected twice through one center is
+# that point, on a hash-cons miss, in ``pick``, ``_keep`` and ``inline`` only
+
+Z, Y = Point(0.3, -0.7), Point(-1.1, 0.4)
+
+# extend's rows on (z, y) = (0, 1) about K = C(1; 0), node 3, to x = 7 =
+# 2y - z, then on (x, y) about K again, to 12, the left pick of circle(u,
+# v), node 11, with K: 2y - (2y - z), drawn out
+TWICE = _program((OP_LEFT, 2, 3), (OP_RIGHT, 2, 3), (OP_CIRCLE, 4, 5), (OP_LEFT, 6, 3),
+                 (OP_CIRCLE, 7, 1), (OP_LEFT, 8, 3), (OP_RIGHT, 8, 3), (OP_CIRCLE, 9, 10),
+                 (OP_LEFT, 11, 3), outputs=(12,))
+
+
+def reflected_by_hand():
+    """Extend's rows on (z, y), seeds 0 and 1, by ``circle``, ``both`` and
+    ``pick``, then on (their output, y) up to circle(u, v): the builder,
+    K = C(y; z) and circle(u, v)."""
+    b = Builder([Z, Y])
+    k = b.circle(1, 0)
+    u, v = b.both(b.circle(0, 1), k)
+    x = b.pick(b.circle(u, v), k, Selector.LEFT)
+    assert b.circle(1, x) == k  # the circle rule: the second run's base is K
+    u, v = b.both(b.circle(x, 1), k)
+    return b, k, b.circle(u, v)
+
+
+def test_builder_pick_of_a_point_reflected_twice_is_that_point():
+    b, k, c = reflected_by_hand()
+    state = columns(b), dict(b.table)
+    assert b.pick(c, k, Selector.LEFT) == 0
+    assert (columns(b), b.table) == state  # nothing appended, nothing keyed
+    right = b.pick(c, k, Selector.RIGHT)  # the other cut is new
+    assert right == len(b) - 1 == 12 and b.ops[right] == OP_RIGHT
+
+
+def test_both_meet_and_pick_other_keep_the_point_reflected_twice():
+    b, k, c = reflected_by_hand()
+    assert b.both(c, k) == (0, 12) and len(b) == 13
+    b, k, c = reflected_by_hand()
+    assert b.meet(c, k) == (0, 12) and len(b) == 13
+    b, k, c = reflected_by_hand()
+    right = b.pick(c, k, Selector.RIGHT)
+    assert b.pick_other(c, k, avoid=right) == 0 and b.pick_other(c, k, avoid=0) == right
+    assert len(b) == 13 and (OP_LEFT, c, k) not in b.table
+
+
+@pytest.mark.parametrize("seed_map", [(0, 1), (1, 0)], ids=["z-first", "z-second"])
+def test_inline_finds_a_point_reflected_twice(seed_map):
+    """The rewired TWICE, and extend run twice through one center, end on
+    the node of z, with the four steps before the last pick new."""
+    (out,) = assert_inline_matches_reference(lambda: Builder([Z, Y]), TWICE, seed_map)
+    b = Builder([Z, Y])
+    assert b.inline(TWICE, seed_map) == (out,) == (seed_map[0],) and len(b) == 12
+    b = Builder([Z, Y])
+    z, y = seed_map
+    x = b.inline(extend_program(), (z, y))[0]
+    assert len(b) == 8 and b.inline(extend_program(), (x, y)) == (z,)
+    assert len(b) == 12 and b.ops[8:] == [OP_CIRCLE, OP_LEFT, OP_RIGHT, OP_CIRCLE]
+
+
+def test_execute_draws_the_point_a_builder_finds_reflected_twice():
+    for run in (copy.copy(TWICE), compiled(TWICE)):
+        trace = execute(run, (Z, Y))
+        assert len(trace.resolved) == 13 and trace.program.pick_count() == 6
+        assert trace.resolved[12] != Z and math.dist(trace.resolved[12], Z) <= 1e-15
+    b = Builder([Z, Y])
+    assert b.inline(TWICE, (0, 1)) == (0,) and len(b) == 12
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -20, 1.0, 2.0 ** 20], ids=["2^-20", "1", "2^20"])
+def test_a_point_reflected_twice_replays_within_ulps_on_seeded_draws(scale):
+    """Over 1,000 SplitMix64 draws of (z, y) at each scale, the unreduced
+    last pick of TWICE, which ``execute`` draws, lies within 32 ulps of the
+    largest seed coordinate of z (28.7 at most, measured), where a builder
+    takes z itself."""
+    rng = SplitMix64(33)
+    program = compiled(TWICE)
+    for _ in range(1000):
+        z = Point(scale * rng.uniform(-5, 5), scale * rng.uniform(-5, 5))
+        y = Point(scale * rng.uniform(-5, 5), scale * rng.uniform(-5, 5))
+        drawn = execute(program, (z, y)).resolved[12]
+        assert math.dist(drawn, z) <= 32 * math.ulp(max(map(abs, (*z, *y))))
+        assert Builder((z, y)).inline(TWICE, (0, 1)) == (0,)
