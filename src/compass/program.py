@@ -40,8 +40,10 @@ appends numbers only: a pick keeps the left or the right half of
 ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its other verdicts to
 errors. A pick on the circle pair of the loop's last cut reads that cut
 again instead of cutting twice, so ``geom.cut`` is still the only
-intersection arithmetic. ``execute`` runs a program ``replay.compile``
-compiled as the same calls unrolled: the same bits and errors.
+intersection arithmetic. A builder takes a step the rows already hold
+under another row as that node, by the rules of ``_drawn`` only.
+``execute`` runs a program ``replay.compile`` compiled as the same calls
+unrolled: the same bits and errors.
 ``Builder.witness`` is the one way to cut a point's ancestors out as a
 trace of their own. Value objects (``Point``, ``ResolvedCircle``) exist
 only at the API edge: ``Trace.resolved`` is the one view of them, equal by
@@ -379,13 +381,12 @@ def execute(program: Program, seeds: Iterable[Point]) -> Trace:
     """Run a program on concrete seed points, resolving every node in order.
 
     This is the step loop of ``Builder.inline`` run on a fresh builder with
-    every step kept as it is (no hash-consing, nor its circle rule, nor its
-    rule for a point reflected twice through one center), so the trace has
-    one resolved value per program step, and a builder's program replays
-    bit for bit. A compiled program (``replay``) runs its function instead,
-    after the same seed checks: the same bits, and the same error at the
-    same step. Execution is a pure function of its arguments; identical
-    inputs give bit-identical traces.
+    every step kept as it is (no hash-consing, nor ``_drawn``'s rules), so
+    the trace has one resolved value per program step, and a builder's
+    program replays bit for bit. A compiled program (``replay``) runs its
+    function instead, after the same seed checks: the same bits, and the
+    same error at the same step. Execution is a pure function of its
+    arguments; identical inputs give bit-identical traces.
     """
     seeds = tuple(seeds)
     if len(seeds) != program.seed_count:
@@ -424,38 +425,59 @@ def _no_point(got: str, at: int) -> CompassError:
     return NoSuchIntersection(f"step {at}: circles do not meet")
 
 
-def _reflected_back(ops: list, first: list, second: list, c: int, k: int) -> int | None:
-    """z, where the left pick of circles ``c`` and ``k`` is the last step
-    of ``extend``'s rows run twice through one center y: ``k`` is the
-    circle about y through z, x the left pick of circle(u', v') with ``k``,
-    where u' and v' are the left and right picks of circle(z, y) with
-    ``k``, and ``c`` is circle(u, v), where u and v are the left and right
-    picks of circle(x, y) with ``k``. The first run is 2y - z, whose own
-    circle about y is ``k``, so the second is 2y - (2y - z) = z. Else None.
+def _drawn(ops: list, first: list, second: list, op: int, u: int, v: int) -> int | None:
+    """The node the rows already hold for the row ``(op, u, v)``, which
+    missed the hash-cons table, or None: where ``u`` and ``v`` are valid
+    nodes of the kind ``op`` takes, a step already drawn by one of two rules.
 
-    The callers call it only where ``c``'s center is a pick on ``k`` and
-    x, ``first[first[first[c]]]``, is a left pick: two index reads on most
-    misses, and four more on an extend's last pick, where most extends,
-    which reflect a seed, stop. A node's ``second`` is read only after its
-    op (a seed's is not a node; its ``first`` is itself), so ``c`` need
-    only be a node: z is found only where ``c`` and ``k`` are circle nodes
-    (``c`` has a pick for its center, and ``k`` is a pick's)."""
-    u = first[c]
-    x = first[first[u]]
-    if ops[x] != OP_LEFT or second[x] != k or ops[u] != OP_LEFT or second[u] != k:
+    - *The circle rule.* The circle about u through v, where v is a pick
+      and its first or second circle K is about u, is K: K has that center
+      and passes through v.
+    - *A point reflected twice through one center is that point.* The left
+      pick of circles u and v is z where it is the last step of
+      ``extend``'s rows run twice through one center y: v is K, the circle
+      about y through z, x the left pick of circle(u', v') with K, where u'
+      and v' are the left and right picks of circle(z, y) with K, and u is
+      circle(a, b), where a and b are the left and right picks of
+      circle(x, y) with K. The first run is 2y - z, whose own circle about
+      y is K by the circle rule, so the second is 2y - (2y - z) = z. Two
+      index reads answer most left picks, and four more an extend's last
+      pick, where most extends, which reflect a seed, stop.
+
+    Both are exact in real arithmetic, so neither takes ``EPS``; selectors
+    read left and right off the centers, which are one node, so every pick
+    on K keeps its meaning. They read only earlier rows, so they are derived
+    on each miss and never stored in ``table``, which stays the one its rows
+    rebuild. A new rule is one more branch here."""
+    if op == OP_CIRCLE:
+        if ops[v] != OP_SEED:
+            k = first[v]
+            if first[k] == u:
+                return k
+            k = second[v]
+            if first[k] == u:
+                return k
         return None
-    v, c = second[c], first[u]
-    if ops[v] != OP_RIGHT or first[v] != c or second[v] != k:
+    if op != OP_LEFT:
+        return None
+    k, a = v, first[u]  # a seed's first is itself, and its second -1
+    if second[a] != k:
+        return None
+    x = first[first[a]]
+    if ops[x] != OP_LEFT or second[x] != k or ops[a] != OP_LEFT:
+        return None
+    b, c = second[u], first[a]
+    if ops[b] != OP_RIGHT or first[b] != c or second[b] != k:
         return None
     y = second[c]
     if first[k] != y:
         return None
     c = first[x]
-    u, v = first[c], second[c]
-    if ops[u] != OP_LEFT or ops[v] != OP_RIGHT or second[u] != k or second[v] != k:
+    a, b = first[c], second[c]
+    if ops[a] != OP_LEFT or ops[b] != OP_RIGHT or second[a] != k or second[b] != k:
         return None
-    c, z = first[u], second[k]
-    if first[v] != c or first[c] != z or second[c] != y:
+    c, z = first[a], second[k]
+    if first[b] != c or first[c] != z or second[c] != y:
         return None
     return z
 
@@ -570,25 +592,13 @@ class Builder:
 
     Steps are hash-consed in ``table``, keyed on their ``(op, first,
     second)`` rows: a step whose row is there is the existing node, looked
-    up before anything is resolved. A circle whose row is not there may
-    still be drawn: the circle about c through t, where t is a pick on a
-    circle K about c, is K, which has that center and passes through t.
-    So on a miss, ``circle`` (and ``inline``) returns K if ``through`` is a
-    pick and its first or second circle has center node ``center``, and
-    appends nothing. A pick whose row is not there may still be drawn too:
-    ``extend``'s rows run twice through one center y, the second time
-    about the circle K = C(y; z) of the first, end in the left pick of
-    circle(u, v) with K, which is 2y - (2y - z) = z. So on a miss, a left
-    pick in ``pick``, ``both``, ``meet``, ``pick_other`` (through
-    ``_keep``) and ``inline`` is z where ``_reflected_back`` finds those
-    rows, and appends nothing. Both rules are exact in real arithmetic, so
-    they take no tolerance; selectors read left and right off the centers,
-    which are one node, so every pick on K keeps its meaning. They are
-    derived from the rows on each miss, never stored in ``table``, so the
-    table stays the one its rows rebuild. ``Builder.resume`` takes over a
-    finished trace with a copy of the table its ``witness`` kept, or else a
-    table rebuilt from its rows, so growing a program never resolves its
-    steps again.
+    up before anything is resolved. On a miss, ``circle``, ``pick``,
+    ``_keep`` (so ``both``, ``meet`` and ``pick_other``) and ``inline`` ask
+    ``_drawn``, the one rulebook of steps the rows already hold under
+    another row, and take its node, appending nothing. ``Builder.resume``
+    takes over a finished trace with a copy of the table its ``witness``
+    kept, or else a table rebuilt from its rows, so growing a program never
+    resolves its steps again.
     """
 
     def __init__(self, seeds: Iterable[Point]):
@@ -642,14 +652,12 @@ class Builder:
         return ResolvedCircle(Point(self.xs[node], self.ys[node]), self.rs[node])
 
     def _keep(self, op: int, u: int, v: int, x: float, y: float) -> int:
-        """The pick hash-consed as step (op, u, v), appending it if new,
-        unless ``_reflected_back`` finds a left pick already drawn."""
+        """The pick hash-consed as step (op, u, v), appending it unless it
+        or ``_drawn``'s node for it is there."""
         key = op, u, v
         node = self.table.get(key)
-        if node is None and op == OP_LEFT:
-            ops, first, second = self.ops, self.first, self.second
-            if second[first[u]] == v and ops[first[first[first[u]]]] == OP_LEFT:
-                node = _reflected_back(ops, first, second, u, v)
+        if node is None:
+            node = _drawn(self.ops, self.first, self.second, op, u, v)
         return self._append(key, x, y) if node is None else node
 
     def _append(self, key: tuple, x: float, y: float, r: float | None = None) -> int:
@@ -664,27 +672,20 @@ class Builder:
         return node
 
     def circle(self, center: int, through: int) -> int:
-        if type(center) is not int or type(through) is not int:  # False == 0 would hit
-            self._node(center, False)
-            self._node(through, False)
-        key = OP_CIRCLE, center, through
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
         xs, ys, rs = self.xs, self.ys, self.rs
         count = len(rs)
-        if not (0 <= center < count and rs[center] is None):
+        if not (type(center) is int and 0 <= center < count and rs[center] is None):
             self._node(center, False)
-        if not (0 <= through < count and rs[through] is None):
+        if not (type(through) is int and 0 <= through < count and rs[through] is None):
             self._node(through, False)
-        if self.ops[through] != OP_SEED:  # a pick: is one of its circles about center?
-            first = self.first
-            if first[first[through]] == center:
-                return first[through]
-            if first[self.second[through]] == center:
-                return self.second[through]
-        x, y = xs[center], ys[center]
-        return self._append(key, x, y, radius(x, y, xs[through], ys[through]))
+        key = OP_CIRCLE, center, through
+        node = self.table.get(key)
+        if node is None:
+            node = _drawn(self.ops, self.first, self.second, OP_CIRCLE, center, through)
+            if node is None:
+                x, y = xs[center], ys[center]
+                return self._append(key, x, y, radius(x, y, xs[through], ys[through]))
+        return node
 
     def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
         """``geom.cut``'s points on two circle nodes; its other verdicts raise."""
@@ -703,24 +704,22 @@ class Builder:
         op = OP_LEFT if which is _LEFT else OP_RIGHT if which is _RIGHT else None
         if op is None:
             raise MalformedProgram(f"bad selector {which!r}")
-        if type(c1) is not int or type(c2) is not int:  # 2.0 == 2 would hit
+        rs = self.rs
+        count = len(rs)
+        if not (type(c1) is int and 0 <= c1 < count and rs[c1] is not None):
             self._node(c1, True)
+        if not (type(c2) is int and 0 <= c2 < count and rs[c2] is not None):
             self._node(c2, True)
         key = op, c1, c2
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        # c1 in range is enough: only circle nodes match, and ``_cut`` checks them
-        if op == OP_LEFT and 0 <= c1 < len(self.ops):
-            ops, first, second = self.ops, self.first, self.second
-            if second[first[c1]] == c2 and ops[first[first[first[c1]]]] == OP_LEFT:
-                back = _reflected_back(ops, first, second, c1, c2)
-                if back is not None:
-                    return back
-        got = self._cut(c1, c2)
-        if op == OP_LEFT:
-            return self._append(key, got[0], got[1])
-        return self._append(key, got[2], got[3])
+        node = self.table.get(key)
+        if node is None:
+            node = _drawn(self.ops, self.first, self.second, op, c1, c2)
+            if node is None:
+                got = self._cut(c1, c2)
+                if op == OP_LEFT:
+                    return self._append(key, got[0], got[1])
+                return self._append(key, got[2], got[3])
+        return node
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a touch yields the same point twice."""
@@ -768,16 +767,11 @@ class Builder:
         ``node`` holds the builder nodes of ``program``'s seeds and grows to
         map every program step to its node. Each non-seed step is rewired
         through it, resolved and appended; with a hash-cons ``table``, a
-        step whose rewired row is in it is that node instead, and so is a
-        rewired circle that ``circle``'s rule finds already drawn (the
-        circle about c through a pick on a circle K about c is K), and a
-        rewired left pick that ``pick``'s rule finds (``_reflected_back``:
-        a point reflected twice through one center is that point). A miss
-        pays a few index reads for them. Without
-        a table (``execute``) every step is appended as it is. A program is
-        well formed by construction, and ``node`` holds ints (``inline``
-        checks its seed map), so the loop only maps ``geom.cut``'s verdicts
-        to errors, which name their step.
+        step whose rewired row is in it, or that ``_drawn`` finds on a miss,
+        is that node instead. Without a table (``execute``) every step is
+        appended as it is. A program is well formed by construction, and
+        ``node`` holds ints (``inline`` checks its seed map), so the loop
+        only maps ``geom.cut``'s verdicts to errors, which name their step.
 
         A pick on the same rewired circle pair as the last cut, as the
         second pick of a ``both`` or ``meet`` pair is, reads that cut's
@@ -798,15 +792,7 @@ class Builder:
                 key = op, nu, nv
                 hit = table.get(key)
                 if hit is None:
-                    if op == OP_CIRCLE:
-                        if ops[nv] != OP_SEED:  # the circle rule, as in ``circle``
-                            if first[first[nv]] == nu:
-                                hit = first[nv]
-                            elif first[second[nv]] == nu:
-                                hit = second[nv]
-                    elif op == OP_LEFT and second[first[nu]] == nv:  # as in ``pick``
-                        if ops[first[first[first[nu]]]] == OP_LEFT:
-                            hit = _reflected_back(ops, first, second, nu, nv)
+                    hit = _drawn(ops, first, second, op, nu, nv)
                 if hit is not None:
                     mapped(hit)
                     continue

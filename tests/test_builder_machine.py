@@ -14,6 +14,8 @@ append no pick for it, and checks after each step that:
 - ``execute`` of that program on the builder's seeds gives its columns, bit
   for bit;
 - the hash-cons table equals the one rebuilt from the rows;
+- ``program._drawn``, the rules of steps already drawn, finds no node for
+  any row the builder holds;
 - a failing call appends nothing (a failing ``inline`` keeps the steps it
   completed, and changes none before them), and ``rollback`` restores the
   columns and table of its mark;
@@ -46,6 +48,7 @@ from compass.program import (
     Program,
     Selector,
     Trace,
+    _drawn,
     execute,
 )
 
@@ -242,6 +245,19 @@ class BuilderMachine(RuleBasedStateMachine):
         b = self.b
         assert b.table == rebuilt_table(b.ops, b.first, b.second, b.seed_count)
         assert len(b.table) == len(b) - b.seed_count  # no row twice
+
+    @invariant()
+    def no_row_is_one_already_drawn(self):
+        """``_drawn`` returns None for every non-seed row. ``circle``,
+        ``pick``, ``_keep`` and ``inline`` each ask it on a table miss and
+        append the row only where it finds nothing; its rules read only rows
+        earlier than the one asked about, and the columns are append-only
+        between rollbacks, so what it found for a row then it finds now. So
+        this checks every rule of ``_drawn`` across every entry point."""
+        b = self.b
+        ops, first, second = b.ops, b.first, b.second
+        for i in range(b.seed_count, len(b)):
+            assert _drawn(ops, first, second, ops[i], first[i], second[i]) is None, i
 
     @invariant()
     def new_witnesses_replay_and_resume(self):

@@ -5,7 +5,8 @@ Each row runs once to warm the per-process caches, then again under
 script through ``tokenize``, ``parse``, ``interpret``, ``dumps``, ``loads``
 and ``render_trace``; the ring-operation row runs ``fuzz.run_op(op, 40,
 42)`` for mul, add and conj, the operations whose witnesses the builder's
-hash-consing rules reshape. The profile counts
+hash-consing rules reshape; the construction-core row runs ``fuzz.run_op(op,
+10, 42)`` for the nine other ops. The profile counts
 the calls of each engine function (each code object), named by file and
 ``co_name`` (Python 3.10 has no ``co_qualname``); where a file has several
 called functions of one name, the name ends ``#k``, the k-th of them by first
@@ -39,6 +40,7 @@ SCRIPTS = ([DEMOS[name] for name in sorted(DEMOS)]
            + [path.read_text(encoding="utf-8")
               for path in sorted((CORPUS / "good").glob("*.compass"))])
 RING_OPS = ("mul", "add", "conj")
+CORE_OPS = tuple(op for op in fuzz.OPS if op not in RING_OPS)
 
 _SKIPPED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
 _KERNEL = {geom.cut.__code__: "geom.cut", geom.radius.__code__: "geom.radius"}
@@ -61,6 +63,12 @@ def run_ring_ops():
     """The ring operations' fuzz cases, as ``compass fuzz`` runs them."""
     for op in RING_OPS:
         assert fuzz.run_op(op, 40, 42).failures == 0, op
+
+
+def run_core_ops():
+    """The construction cores' fuzz cases, as ``compass fuzz`` runs them."""
+    for op in CORE_OPS:
+        assert fuzz.run_op(op, 10, 42).failures == 0, op
 
 
 def _names(codes):
@@ -119,10 +127,10 @@ def moved(got, pinned):
 # scripts draw 10 fewer circles (the line-line, conjugate and half demos,
 # 08-linexline, 11-conjugate and 12-field), each a radius once as built and
 # once as loads reads it back; 6 of them were ``Builder.circle`` calls.
-# _reflected_back's 5 calls are the left picks whose first circle's center
-# is a pick on their second circle and whose x, the center of that pick's
-# first circle, is a left pick, as where an extend reflects a pick: the
-# scripts reflect no point back, so each reads a few rows and finds nothing
+# _drawn's 395 calls are one per hash-cons miss of a builder that keeps a
+# table: 387 steps it then appends and 8 circles the circle rule finds drawn.
+# While each miss path kept its own inline copy of the rules, only the
+# point rule's tail was a call: 5 calls, and 3,092 engine calls in all
 KERNEL_CALLS = {"geom.cut": 136, "geom.radius": 398, "math.hypot": 627, "math.sqrt": 136}
 
 ENGINE_CALLS = {
@@ -180,13 +188,13 @@ ENGINE_CALLS = {
     "program.py:_built": 56,
     "program.py:_check_outputs": 56,
     "program.py:_cut": 57,
+    "program.py:_drawn": 395,
     "program.py:_grown": 33,
     "program.py:_keep": 60,
     "program.py:_live": 15,
     "program.py:_mistyped": 161,
     "program.py:_node": 172,
     "program.py:_nonfinite": 69,
-    "program.py:_reflected_back": 5,
     "program.py:_resolve": 26,
     "program.py:_seed_columns": 23,
     "program.py:both": 13,
@@ -215,7 +223,8 @@ ENGINE_CALLS = {
 # the same over ``run_ring_ops``. Until a point reflected twice through one
 # center was taken as that point, cut, radius, hypot and sqrt read 838, 880,
 # 2151 and 794: the witness replays of ``inline`` resolved 157 more cuts and
-# 134 more circles, where the rule now ends a replay on nodes already drawn
+# 134 more circles, where the rule now ends a replay on nodes already drawn.
+# _drawn is called once per hash-cons miss, as on the script path
 RING_KERNEL_CALLS = {"geom.cut": 681, "geom.radius": 746, "math.hypot": 1854,
                      "math.sqrt": 637}
 
@@ -260,11 +269,11 @@ RING_ENGINE_CALLS = {
     "program.py:_built": 195,
     "program.py:_check_outputs": 195,
     "program.py:_cut": 86,
+    "program.py:_drawn": 1910,
     "program.py:_grown": 195,
     "program.py:_keep": 60,
     "program.py:_live": 195,
     "program.py:_node": 812,
-    "program.py:_reflected_back": 189,
     "program.py:_resolve": 239,
     "program.py:circle": 160,
     "program.py:circle_count": 175,
@@ -291,14 +300,6 @@ def test_engine_calls_of_the_script_path():
     assert calls == ENGINE_CALLS, "moved:\n" + "\n".join(moved(calls, ENGINE_CALLS))
 
 
-if __name__ == "__main__":
-    for run in (run_scripts, run_ring_ops):
-        calls, kernel = profile(run)
-        print(run.__name__, kernel)
-        for name in sorted(calls):
-            print(f"{name} {calls[name]}")
-
-
 def test_kernel_calls_of_the_ring_operations():
     _, kernel = profile(run_ring_ops)
     assert kernel == RING_KERNEL_CALLS, "moved: " + "; ".join(moved(kernel, RING_KERNEL_CALLS))
@@ -307,3 +308,113 @@ def test_kernel_calls_of_the_ring_operations():
 def test_engine_calls_of_the_ring_operations():
     calls, _ = profile(run_ring_ops)
     assert calls == RING_ENGINE_CALLS, "moved:\n" + "\n".join(moved(calls, RING_ENGINE_CALLS))
+
+
+# the same over ``run_core_ops``: the line routines' cuts and circles, and the
+# canonical programs of apex, extend, nth and midpoint replayed compiled
+CORE_KERNEL_CALLS = {"geom.cut": 450, "geom.radius": 702, "math.hypot": 1546,
+                     "math.sqrt": 465}
+
+CORE_ENGINE_CALLS = {
+    "constructions.py:<lambda>#1": 24,
+    "constructions.py:<lambda>#2": 16,
+    "constructions.py:<lambda>#3": 16,
+    "constructions.py:_apex_xy": 69,
+    "constructions.py:_arc_bisection": 8,
+    "constructions.py:_clear_of_line": 10,
+    "constructions.py:_doublings": 103,
+    "constructions.py:_invert_core": 44,
+    "constructions.py:_mirror_cut": 10,
+    "constructions.py:_point_line_distance": 44,
+    "constructions.py:build_apex": 25,
+    "constructions.py:build_extend": 2,
+    "constructions.py:build_invert_general": 50,
+    "constructions.py:build_line_circle_center_on_line": 10,
+    "constructions.py:build_line_circle_off_center": 20,
+    "constructions.py:build_line_line": 10,
+    "constructions.py:build_midpoint": 9,
+    "constructions.py:build_nth_point": 10,
+    "constructions.py:build_perp_foot": 10,
+    "constructions.py:build_reflect": 92,
+    "constructions.py:doublings": 17,
+    "constructions.py:ranked": 10,
+    "constructions.py:slant": 24,
+    "fuzz.py:__init__#1": 9,
+    "fuzz.py:__init__#2": 9,
+    "fuzz.py:_apex_cases": 1,
+    "fuzz.py:_built": 40,
+    "fuzz.py:_direction": 48,
+    "fuzz.py:_extend_cases": 1,
+    "fuzz.py:_foot_cases": 1,
+    "fuzz.py:_invert_cases": 1,
+    "fuzz.py:_line_circle_cases": 1,
+    "fuzz.py:_line_circle_diameter_cases": 1,
+    "fuzz.py:_line_line_cases": 1,
+    "fuzz.py:_midpoint_cases": 1,
+    "fuzz.py:_nth_cases": 1,
+    "fuzz.py:_pair_err": 88,
+    "fuzz.py:_point": 189,
+    "fuzz.py:_point_away": 99,
+    "fuzz.py:_sample_line_at_distance": 10,
+    "fuzz.py:next64": 504,
+    "fuzz.py:randint": 10,
+    "fuzz.py:record": 88,
+    "fuzz.py:rng_for": 9,
+    "fuzz.py:run_op": 9,
+    "fuzz.py:uniform": 494,
+    "geom.py:cut": 450,
+    "geom.py:radius": 702,
+    "oracle.py:oracle_foot": 30,
+    "oracle.py:oracle_invert": 10,
+    "oracle.py:oracle_line_circle": 20,
+    "oracle.py:oracle_line_line": 10,
+    "oracle.py:oracle_midpoint": 10,
+    "program.py:__init__#1": 88,
+    "program.py:__init__#2": 50,
+    "program.py:_append": 713,
+    "program.py:_at": 106,
+    "program.py:_built": 88,
+    "program.py:_check_outputs": 48,
+    "program.py:_cut": 248,
+    "program.py:_drawn": 961,
+    "program.py:_grown": 48,
+    "program.py:_keep": 255,
+    "program.py:_no_point": 2,
+    "program.py:_node": 586,
+    "program.py:_nonfinite": 90,
+    "program.py:_resolve": 21,
+    "program.py:_seed_columns": 90,
+    "program.py:both": 60,
+    "program.py:circle": 454,
+    "program.py:circle_count": 88,
+    "program.py:execute": 40,
+    "program.py:finish": 48,
+    "program.py:inline": 21,
+    "program.py:mark": 102,
+    "program.py:meet": 10,
+    "program.py:output_points": 88,
+    "program.py:pick": 58,
+    "program.py:pick_other": 120,
+    "program.py:point": 424,
+    "program.py:purity_audit": 88,
+    "record.py:__init__": 9,
+    "replay.py:compile": 12,
+}
+
+
+def test_kernel_calls_of_the_construction_cores():
+    _, kernel = profile(run_core_ops)
+    assert kernel == CORE_KERNEL_CALLS, "moved: " + "; ".join(moved(kernel, CORE_KERNEL_CALLS))
+
+
+def test_engine_calls_of_the_construction_cores():
+    calls, _ = profile(run_core_ops)
+    assert calls == CORE_ENGINE_CALLS, "moved:\n" + "\n".join(moved(calls, CORE_ENGINE_CALLS))
+
+
+if __name__ == "__main__":
+    for run in (run_scripts, run_ring_ops, run_core_ops):
+        calls, kernel = profile(run)
+        print(run.__name__, kernel)
+        for name in sorted(calls):
+            print(f"{name} {calls[name]}")
