@@ -38,8 +38,8 @@ columns through ``Program._grown``, which checks only the outputs (a
 that is not an int). ``Builder._resolve``, the only step loop, reads and
 appends numbers only: a pick keeps the left or the right half of
 ``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its other verdicts to
-errors. A pick on the circle pair of the loop's last cut reads that cut
-again instead of cutting twice, so ``geom.cut`` is still the only
+errors. A builder reads its last cut again instead of cutting that circle
+pair twice (``Builder._cut``), so ``geom.cut`` is still the only
 intersection arithmetic. A builder takes a step the rows already hold
 under another row as that node, by the rules of ``_drawn`` only.
 ``execute`` runs a program ``replay.compile`` compiled as the same calls
@@ -98,6 +98,7 @@ _LEFT, _RIGHT = Selector.LEFT, Selector.RIGHT
 OP_SEED, OP_CIRCLE, OP_LEFT, OP_RIGHT = range(4)
 SELECTOR_NAMES = {OP_LEFT: _LEFT.value, OP_RIGHT: _RIGHT.value}  # as traces and SVG write them
 _INT, _NUMBER, _RADIUS = {int}, {int, float}, {int, float, type(None)}  # column types
+_NO_CUT = (-1, -1, None)  # ``Builder._last`` before any cut: no node is -1
 
 
 def _mistyped(column: Sequence, types: set) -> int | None:
@@ -448,7 +449,8 @@ def _drawn(ops: list, first: list, second: list, op: int, u: int, v: int) -> int
     read left and right off the centers, which are one node, so every pick
     on K keeps its meaning. They read only earlier rows, so they are derived
     on each miss and never stored in ``table``, which stays the one its rows
-    rebuild. A new rule is one more branch here."""
+    rebuild. A new rule is one more branch here. Its callers are ``Builder``'s
+    ``circle``, ``_keep`` (every pick, after ``_cut``: see there) and ``_resolve``."""
     if op == OP_CIRCLE:
         if ops[v] != OP_SEED:
             k = first[v]
@@ -495,6 +497,8 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
         raise InvalidNodeId(
             f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
     for ref in seed_map:
+        if type(ref) is not int:
+            raise InvalidNodeId(f"seed_map entry {ref!r} is not an integer")
         if not 0 <= ref < len(host.ops):
             raise InvalidNodeId(f"seed_map entry {ref} outside host program")
         if host.ops[ref] == OP_CIRCLE:
@@ -591,14 +595,13 @@ class Builder:
     ``inline`` keeps the steps it completed.
 
     Steps are hash-consed in ``table``, keyed on their ``(op, first,
-    second)`` rows: a step whose row is there is the existing node, looked
-    up before anything is resolved. On a miss, ``circle``, ``pick``,
-    ``_keep`` (so ``both``, ``meet`` and ``pick_other``) and ``inline`` ask
-    ``_drawn``, the one rulebook of steps the rows already hold under
-    another row, and take its node, appending nothing. ``Builder.resume``
-    takes over a finished trace with a copy of the table its ``witness``
-    kept, or else a table rebuilt from its rows, so growing a program never
-    resolves its steps again.
+    second)`` rows: a step whose row is there is the existing node. Every
+    pick method is ``_cut`` (see there), then ``_keep`` of its half. On a miss,
+    ``circle``, ``_keep`` and ``inline`` ask ``_drawn``, the one rulebook
+    of steps the rows already hold under another row, and take its node,
+    appending nothing. ``Builder.resume`` takes over a finished trace with
+    a copy of the table its ``witness`` kept, or else a table rebuilt from
+    its rows, so growing a program never resolves its steps again.
     """
 
     def __init__(self, seeds: Iterable[Point]):
@@ -608,6 +611,7 @@ class Builder:
         self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
         self.rs: list[float | None] = [None] * n
         self.table: dict[tuple, int] = {}
+        self._last = _NO_CUT  # (c1, c2, points) of the last cut: see ``_cut``
 
     @classmethod
     def resume(cls, trace: Trace) -> "Builder":
@@ -629,6 +633,7 @@ class Builder:
         else:
             rows = zip(reversed(p.ops), reversed(p.first), reversed(p.second))
             builder.table = dict(zip(rows, range(len(p.ops) - 1, p.seed_count - 1, -1)))
+        builder._last = _NO_CUT
         return builder
 
     def __len__(self) -> int:
@@ -652,8 +657,8 @@ class Builder:
         return ResolvedCircle(Point(self.xs[node], self.ys[node]), self.rs[node])
 
     def _keep(self, op: int, u: int, v: int, x: float, y: float) -> int:
-        """The pick hash-consed as step (op, u, v), appending it unless it
-        or ``_drawn``'s node for it is there."""
+        """The pick hash-consed as step (op, u, v) at (x, y), appending it
+        unless it or ``_drawn``'s node for it is there."""
         key = op, u, v
         node = self.table.get(key)
         if node is None:
@@ -688,38 +693,35 @@ class Builder:
         return node
 
     def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
-        """``geom.cut``'s points on two circle nodes; its other verdicts raise."""
+        """``geom.cut``'s points on two circle nodes; its other verdicts raise.
+        The builder keeps its last cut, the pair and its points, in ``_last``,
+        and reads it again for that pair: a node never changes, so it is the
+        same ``geom.cut`` of the same floats, and no method cuts a pair twice
+        in a row. ``_resolve``'s inlined loop shares the slot; ``rollback``,
+        which frees node ids, and ``resume`` start without one."""
         xs, ys, rs = self.xs, self.ys, self.rs
         at = len(rs)
         if not (type(c1) is int and 0 <= c1 < at and rs[c1] is not None):
             self._node(c1, True)
         if not (type(c2) is int and 0 <= c2 < at and rs[c2] is not None):
             self._node(c2, True)
+        last = self._last
+        if last[0] == c1 and last[1] == c2:
+            return last[2]
         got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])
         if type(got) is str:
             raise _no_point(got, at)
+        self._last = c1, c2, got
         return got
 
     def pick(self, c1: int, c2: int, which: Selector) -> int:
         op = OP_LEFT if which is _LEFT else OP_RIGHT if which is _RIGHT else None
         if op is None:
             raise MalformedProgram(f"bad selector {which!r}")
-        rs = self.rs
-        count = len(rs)
-        if not (type(c1) is int and 0 <= c1 < count and rs[c1] is not None):
-            self._node(c1, True)
-        if not (type(c2) is int and 0 <= c2 < count and rs[c2] is not None):
-            self._node(c2, True)
-        key = op, c1, c2
-        node = self.table.get(key)
-        if node is None:
-            node = _drawn(self.ops, self.first, self.second, op, c1, c2)
-            if node is None:
-                got = self._cut(c1, c2)
-                if op == OP_LEFT:
-                    return self._append(key, got[0], got[1])
-                return self._append(key, got[2], got[3])
-        return node
+        got = self._cut(c1, c2)
+        if op == OP_LEFT:
+            return self._keep(op, c1, c2, got[0], got[1])
+        return self._keep(op, c1, c2, got[2], got[3])
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a touch yields the same point twice."""
@@ -771,13 +773,8 @@ class Builder:
         is that node instead. Without a table (``execute``) every step is
         appended as it is. A program is well formed by construction, and
         ``node`` holds ints (``inline`` checks its seed map), so the loop
-        only maps ``geom.cut``'s verdicts to errors, which name their step.
-
-        A pick on the same rewired circle pair as the last cut, as the
-        second pick of a ``both`` or ``meet`` pair is, reads that cut's
-        floats again: every node is resolved once and never changes, so it
-        is the same ``geom.cut`` of the same six floats, and ``geom.cut``
-        stays the only intersection arithmetic.
+        only maps ``geom.cut``'s verdicts to errors, which name their step:
+        it is ``_cut`` inlined, the builder's last cut included (see there).
         """
         start = program.seed_count
         xs, ys, rs = self.xs, self.ys, self.rs
@@ -785,7 +782,7 @@ class Builder:
         ops, first, second = self.ops, self.first, self.second
         add_op, add_first, add_second = ops.append, first.append, second.append
         mapped = node.append
-        cut_u = cut_v = -1  # the circle pair ``got`` was cut from; none yet
+        cut_u, cut_v, got = self._last  # the circle pair ``got`` was cut from
         for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
             nu, nv = node[u], node[v]
             if table is not None:
@@ -820,6 +817,7 @@ class Builder:
             if table is not None:
                 table[key] = at
             mapped(at)
+        self._last = cut_u, cut_v, got
         return tuple(node[out] for out in program.outputs)
 
     def mark(self) -> tuple[int]:
@@ -833,6 +831,7 @@ class Builder:
         for column in (self.ops, self.first, self.second, self.xs, self.ys, self.rs):
             del column[n:]
         self.table = {k: v for k, v in self.table.items() if v < n}
+        self._last = _NO_CUT
 
     def pair_based(self, node: int) -> bool:
         """Whether point ``node`` depends on no seed but 0 and 1, as the

@@ -16,6 +16,9 @@ append no pick for it, and checks after each step that:
 - the hash-cons table equals the one rebuilt from the rows;
 - ``program._drawn``, the rules of steps already drawn, finds no node for
   any row the builder holds;
+- where the builder holds a last cut (``Builder._cut``), its pair are
+  circle nodes of the builder and its points ``geom.cut`` of their columns,
+  also on the builders a witness check resumes and grows;
 - a failing call appends nothing (a failing ``inline`` keeps the steps it
   completed, and changes none before them), and ``rollback`` restores the
   columns and table of its mark;
@@ -39,7 +42,7 @@ from compass.constructions import (
     nth_point_program,
 )
 from compass.errors import CompassError
-from compass.geom import Point
+from compass.geom import Point, cut
 from compass.program import (
     OP_CIRCLE,
     OP_LEFT,
@@ -74,6 +77,20 @@ def columns(b, end=None):
 def trace_columns(trace):
     p, r = trace.program, trace.resolved
     return tuple(map(bits, (r.xs, r.ys, r.rs, p.ops, p.first, p.second)))
+
+
+def check_last_cut(b):
+    """Where ``b`` holds a last cut, the one ``_cut`` and ``_resolve`` read
+    again instead of cutting that pair, its pair are circle nodes of ``b``
+    and its points ``geom.cut`` of their columns as they are now."""
+    c1, c2, got = b._last
+    if got is None:
+        assert (c1, c2) == (-1, -1)
+        return
+    xs, ys, rs = b.xs, b.ys, b.rs
+    assert 0 <= c1 < len(b) and 0 <= c2 < len(b), (c1, c2)
+    assert rs[c1] is not None and rs[c2] is not None, (c1, c2)
+    assert bits(got) == bits(cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])), (c1, c2)
 
 
 def rebuilt_table(ops, first, second, seed_count):
@@ -249,15 +266,20 @@ class BuilderMachine(RuleBasedStateMachine):
     @invariant()
     def no_row_is_one_already_drawn(self):
         """``_drawn`` returns None for every non-seed row. ``circle``,
-        ``pick``, ``_keep`` and ``inline`` each ask it on a table miss and
-        append the row only where it finds nothing; its rules read only rows
-        earlier than the one asked about, and the columns are append-only
-        between rollbacks, so what it found for a row then it finds now. So
-        this checks every rule of ``_drawn`` across every entry point."""
+        ``_keep`` (so every pick method) and ``inline`` each ask it on a
+        table miss and append the row only where it finds nothing; its rules
+        read only rows earlier than the one asked about, and the columns are
+        append-only between rollbacks, so what it found for a row then it
+        finds now. So this checks every rule of ``_drawn`` across every
+        entry point."""
         b = self.b
         ops, first, second = b.ops, b.first, b.second
         for i in range(b.seed_count, len(b)):
             assert _drawn(ops, first, second, ops[i], first[i], second[i]) is None, i
+
+    @invariant()
+    def last_cut_is_a_cut_of_its_circles(self):
+        check_last_cut(self.b)
 
     @invariant()
     def new_witnesses_replay_and_resume(self):
@@ -282,6 +304,8 @@ class BuilderMachine(RuleBasedStateMachine):
         grown.inline(p, (0, 1))
         assert outcome(lambda: go_on(resumed)) == outcome(lambda: go_on(grown))
         assert columns(resumed) == columns(grown) and resumed.table == grown.table
+        check_last_cut(resumed)
+        check_last_cut(grown)
 
     def teardown(self):
         program, trace = self.finished()

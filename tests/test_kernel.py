@@ -153,8 +153,10 @@ def test_inline_failure_leaves_completed_steps():
 
 
 def test_repeated_picks_make_no_new_cut(monkeypatch):
-    """A pick already in the hash-cons table is looked up before any cut;
-    ``both`` and ``pick_other`` cut again, but return the stored nodes."""
+    """Every method cuts through ``Builder._cut``, which reads the builder's
+    last cut again for the pair it cut last, whichever method cut it: after
+    ``pick``, ``both`` and ``pick_other`` make no cut, and return the stored
+    nodes. A pair cut again after another pair is cut anew."""
     calls = []
     real = program_module.cut
 
@@ -167,16 +169,20 @@ def test_repeated_picks_make_no_new_cut(monkeypatch):
     c1, c2 = b.circle(0, 1), b.circle(1, 0)
     left = b.pick(c1, c2, LEFT)
     pair = b.both(c1, c2)
-    assert pair[0] == left and len(calls) == 2
+    assert pair[0] == left and len(calls) == 1
     size = len(b)
     assert b.pick(c1, c2, LEFT) == left
     assert b.pick(c1, c2, RIGHT) == pair[1]
-    assert len(calls) == 2
+    assert len(calls) == 1
     # both picks are stored, so both and pick_other append nothing
     assert b.both(c1, c2) == pair
     assert b.pick_other(c1, c2, avoid=pair[0]) == pair[1]
     assert b.pick_other(c1, c2, avoid=pair[1]) == pair[0]
-    assert len(b) == size
+    assert len(b) == size and len(calls) == 1
+    # the reversed pair is another cut, after which c1, c2 is cut again
+    assert b.pick(c2, c1, LEFT) == b.pick(c2, c1, LEFT)
+    assert b.pick(c1, c2, RIGHT) == pair[1]
+    assert len(calls) == 3 and calls[2] == calls[0]
 
 
 # --- overflow -----------------------------------------------------------------

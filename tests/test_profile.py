@@ -21,7 +21,8 @@ seed, so they are pinned. A change that moves one re-pins it and says why; a
 count that should fall, falls here. The test imports nothing outside the
 standard library and ``compass``, so it also runs where pytest is not
 installed: ``PYTHONPATH=src python tests/test_profile.py`` prints the
-profile, one engine function a line, to re-pin from.
+profile to re-pin from: per row, its kernel counts and its total of engine
+calls on one line, then one engine function a line.
 """
 
 import inspect
@@ -130,8 +131,12 @@ def moved(got, pinned):
 # _drawn's 395 calls are one per hash-cons miss of a builder that keeps a
 # table: 387 steps it then appends and 8 circles the circle rule finds drawn.
 # While each miss path kept its own inline copy of the rules, only the
-# point rule's tail was a call: 5 calls, and 3,092 engine calls in all
-KERNEL_CALLS = {"geom.cut": 136, "geom.radius": 398, "math.hypot": 627, "math.sqrt": 136}
+# point rule's tail was a call: 5 calls, and 3,092 engine calls in all.
+# cut, hypot and sqrt read 136, 627 and 136, and _keep 60 (3,482 engine
+# calls), until the builder kept its last cut for every method: a ``pick``
+# is now ``_cut`` then ``_keep``, one cheap call more per pick (_keep +14),
+# and one cut of the pair just cut is read again (cut -1): 3,495 in all
+KERNEL_CALLS = {"geom.cut": 135, "geom.radius": 398, "math.hypot": 626, "math.sqrt": 135}
 
 ENGINE_CALLS = {
     "constructions.py:<lambda>#1": 6,
@@ -179,7 +184,7 @@ ENGINE_CALLS = {
     "field_ops.py:build_neg": 1,
     "field_ops.py:program": 2,
     "field_ops.py:relative": 13,
-    "geom.py:cut": 136,
+    "geom.py:cut": 135,
     "geom.py:radius": 398,
     "program.py:__init__#1": 56,
     "program.py:__init__#2": 23,
@@ -190,7 +195,7 @@ ENGINE_CALLS = {
     "program.py:_cut": 57,
     "program.py:_drawn": 395,
     "program.py:_grown": 33,
-    "program.py:_keep": 60,
+    "program.py:_keep": 74,
     "program.py:_live": 15,
     "program.py:_mistyped": 161,
     "program.py:_node": 172,
@@ -224,8 +229,13 @@ ENGINE_CALLS = {
 # center was taken as that point, cut, radius, hypot and sqrt read 838, 880,
 # 2151 and 794: the witness replays of ``inline`` resolved 157 more cuts and
 # 134 more circles, where the rule now ends a replay on nodes already drawn.
-# _drawn is called once per hash-cons miss, as on the script path
-RING_KERNEL_CALLS = {"geom.cut": 681, "geom.radius": 746, "math.hypot": 1854,
+# _drawn is called once per hash-cons miss, as on the script path. Until the
+# builder kept its last cut for every method, cut and hypot read 681 and
+# 1854, _cut 86 and _keep 60 (13,042 engine calls): each ``pick`` now calls
+# ``_cut`` and ``_keep`` (+14 and +20: no pick called ``_keep``, and one the
+# table or ``_drawn`` held called neither), and 6 cuts of the pair just cut
+# are read again
+RING_KERNEL_CALLS = {"geom.cut": 675, "geom.radius": 746, "math.hypot": 1848,
                      "math.sqrt": 637}
 
 RING_ENGINE_CALLS = {
@@ -258,7 +268,7 @@ RING_ENGINE_CALLS = {
     "fuzz.py:rng_for": 3,
     "fuzz.py:run_op": 3,
     "fuzz.py:uniform": 401,
-    "geom.py:cut": 681,
+    "geom.py:cut": 675,
     "geom.py:radius": 746,
     "oracle.py:oracle_complex_add": 40,
     "oracle.py:oracle_complex_conj": 40,
@@ -268,10 +278,10 @@ RING_ENGINE_CALLS = {
     "program.py:_at": 120,
     "program.py:_built": 195,
     "program.py:_check_outputs": 195,
-    "program.py:_cut": 86,
+    "program.py:_cut": 100,
     "program.py:_drawn": 1910,
     "program.py:_grown": 195,
-    "program.py:_keep": 60,
+    "program.py:_keep": 80,
     "program.py:_live": 195,
     "program.py:_node": 812,
     "program.py:_resolve": 239,
@@ -311,9 +321,12 @@ def test_engine_calls_of_the_ring_operations():
 
 
 # the same over ``run_core_ops``: the line routines' cuts and circles, and the
-# canonical programs of apex, extend, nth and midpoint replayed compiled
-CORE_KERNEL_CALLS = {"geom.cut": 450, "geom.radius": 702, "math.hypot": 1546,
-                     "math.sqrt": 465}
+# canonical programs of apex, extend, nth and midpoint replayed compiled.
+# Until the builder kept its last cut for every method, cut, hypot and sqrt
+# read 450, 1546 and 465, and _keep 255 (8,496 engine calls): each ``pick``
+# now calls ``_keep`` (+58), and 9 cuts of the pair just cut are read again
+CORE_KERNEL_CALLS = {"geom.cut": 441, "geom.radius": 702, "math.hypot": 1537,
+                     "math.sqrt": 457}
 
 CORE_ENGINE_CALLS = {
     "constructions.py:<lambda>#1": 24,
@@ -362,7 +375,7 @@ CORE_ENGINE_CALLS = {
     "fuzz.py:rng_for": 9,
     "fuzz.py:run_op": 9,
     "fuzz.py:uniform": 494,
-    "geom.py:cut": 450,
+    "geom.py:cut": 441,
     "geom.py:radius": 702,
     "oracle.py:oracle_foot": 30,
     "oracle.py:oracle_invert": 10,
@@ -378,7 +391,7 @@ CORE_ENGINE_CALLS = {
     "program.py:_cut": 248,
     "program.py:_drawn": 961,
     "program.py:_grown": 48,
-    "program.py:_keep": 255,
+    "program.py:_keep": 313,
     "program.py:_no_point": 2,
     "program.py:_node": 586,
     "program.py:_nonfinite": 90,
@@ -415,6 +428,6 @@ def test_engine_calls_of_the_construction_cores():
 if __name__ == "__main__":
     for run in (run_scripts, run_ring_ops, run_core_ops):
         calls, kernel = profile(run)
-        print(run.__name__, kernel)
+        print(run.__name__, kernel, "engine calls:", sum(calls.values()))
         for name in sorted(calls):
             print(f"{name} {calls[name]}")

@@ -587,6 +587,13 @@ def test_rebase_bad_seed_map():
         rebase(seeds_only((O, U)), extend_program(), (0, 99))
     with pytest.raises(InvalidNodeId):
         rebase(seeds_only((O, U)), extend_program(), (0,))
+    # an entry that is not an int (a bool is not one) is refused as
+    # ``Builder.inline`` refuses it, before any step is appended
+    for entry in (1.0, "a", True):
+        with pytest.raises(InvalidNodeId, match=rf"^seed_map entry {entry!r} is not an integer$"):
+            rebase(seeds_only((O, U)), extend_program(), (0, entry))
+        with pytest.raises(InvalidNodeId, match=r"is not an integer$"):
+            Builder([O, U]).inline(extend_program(), (0, entry))
 
 
 def test_rebase_refuses_a_circle_in_the_seed_map():
@@ -776,6 +783,44 @@ def test_builder_hash_conses_picks_and_rollback_forgets_them():
     again = b.pick(c1, c2, Selector.LEFT)
     assert again == right + 1
     assert b.point(again).y > 0 > b.point(right).y
+
+
+def test_rollback_and_resume_start_with_no_last_cut(monkeypatch):
+    """A rollback that frees the ids of the last cut's circles forgets that
+    cut: a different circle redrawn at one of those ids is cut anew, and its
+    pick is the new point. A resumed builder holds no last cut either."""
+    calls = []
+    real = program_module.cut
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(program_module, "cut", counting)
+    seeds = [O, U, Point(0.0, 1.0)]
+    b = Builder(seeds)
+    unit = b.circle(0, 1)
+    mark = b.mark()
+    c = b.circle(1, 0)
+    old = b.pick(unit, c, Selector.LEFT)
+    assert b._last[:2] == (unit, c) and len(calls) == 1
+    b.rollback(mark)
+    assert b._last == program_module._NO_CUT
+    assert b.circle(2, 0) == c  # circle(2, 0) at circle(1, 0)'s id
+    new = b.pick(unit, c, Selector.LEFT)
+    assert new == old and len(calls) == 2
+    fresh = Builder(seeds)
+    assert b.point(new) == fresh.point(fresh.pick(fresh.circle(0, 1), fresh.circle(2, 0),
+                                                  Selector.LEFT))
+    assert b.point(new) != Point(0.5, math.sqrt(3) / 2)
+    # resumed from the witness of a builder that holds one (with the table
+    # it kept), or from a trace with no table
+    b = Builder([O, U])
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    apex = b.pick(c1, c2, Selector.LEFT)
+    assert b._last[:2] == (c1, c2)
+    for trace in (b.witness(apex), execute(apex_program(Selector.LEFT), (O, U))):
+        assert Builder.resume(trace)._last == program_module._NO_CUT
 
 
 def test_builder_witness():
