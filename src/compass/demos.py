@@ -37,10 +37,19 @@ given Z = (0, 0)
 given U = (1, 0)
 let T = add(U, U)
 """,
+    # the paper's chase to 1/2: alpha, a cut of the circles centered -1 and 1
+    # with radii 2 and 1, has |alpha|^2 = 3/2, and 3/2 + (-1) = 1/2; half()
+    # draws the same point as the midpoint of Z and U, in 6 circles
     "half": """\
 given Z = (0, 0)
 given U = (1, 0)
-let H = half()
+let M = extend(U, Z)
+let big = circle(M, U)
+let small = circle(U, Z)
+let A = intersect(big, small, left)
+let C = conj(A)
+let P = mul(C, A)
+let H = add(P, M)
 """,
     # circle of radius 1.5 about the origin; P at (1.5, 1.5) inverts to (0.75, 0.75)
     "invert": """\

@@ -348,8 +348,10 @@ def _add(b: Builder, a: int, c: int) -> int:
 
 
 def _half(b: Builder) -> int:
-    """1/2 (``field_ops.demo_half``) on the first two givens."""
-    return b.inline(field_ops.demo_half().program, (0, 1))[0]
+    """1/2 in the frame of the first two givens: their midpoint, 6 circles
+    (``midpoint_program``). The ``half`` demo draws the paper's chase to the
+    same point, |alpha|^2 - 1, in script ops."""
+    return cons.build_midpoint(b, 0, 1)
 
 
 # op -> (parameter kinds, routine); the routine takes the builder and the

@@ -27,9 +27,9 @@ chains of additions, not exponentially. A witness that keeps every step of
 its builder also keeps a copy of the builder's hash-cons table, so
 resuming it copies that table instead of rebuilding it row by row.
 
-The atoms ``zero``, ``one``, ``minus_one``, ``alpha`` and ``demo_half`` are
-built once (``functools.lru_cache``) and the same object is handed to every
-caller. Sharing them is safe: a value is an immutable record (a named tuple
+The atoms ``zero``, ``one``, ``minus_one`` and ``alpha`` are built once
+(``functools.lru_cache``) and the same object is handed to every caller.
+Sharing them is safe: a value is an immutable record (a named tuple
 of a ``Trace``, whose columns are tuples), and ``Builder.resume`` copies
 those columns into the lists it grows, and the kept table into a dict of
 its own, so no operation changes an operand.
@@ -220,12 +220,3 @@ def add(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
 def conj(a: ConstructibleValue) -> ConstructibleValue:
     """The complex conjugate (``build_conj``)."""
     return _grow(a, build_conj)
-
-
-@lru_cache(maxsize=None)
-def demo_half() -> ConstructibleValue:
-    """1/2, the paper-chase: |alpha|^2 = 3/2 is constructible, so adding -1
-    lands on 1/2. Two independent compass routes to the segment midpoint.
-    Built once, like every atom."""
-    al = alpha()
-    return add(mul(al, conj(al)), neg(one()))

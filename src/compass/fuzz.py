@@ -232,12 +232,12 @@ def _invert_cases(run: OpReport, rng: SplitMix64):
         p = Point(o.x + dist * px, o.y + dist * py)
         builder = Builder([o, d, p])
         image = cons.build_invert_general(builder, 0, 1, 2)
+        trace = builder.finish([image])[1]  # taken before back's steps join
         back = cons.build_invert_general(builder, 0, 1, image)
 
         def detail():
             return f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}"
-        yield (builder.finish([image])[1], (oracle_invert(ResolvedCircle(o, r), p),),
-               detail)
+        yield trace, (oracle_invert(ResolvedCircle(o, r), p),), detail
         if math.dist(builder.point(back), p) > FUZZ_TOL:
             run.fail("involution " + detail())
 

@@ -826,7 +826,12 @@ class Builder:
         return (len(self.ops),)
 
     def rollback(self, mark: tuple[int]) -> None:
-        """Discard steps appended after ``mark``, table keys included."""
+        """Discard steps appended after ``mark``, table keys included. A mark
+        that is not a one-tuple of an int from ``seed_count`` to ``len(self)``
+        raises InvalidNodeId and discards nothing."""
+        if (type(mark) is not tuple or len(mark) != 1 or type(mark[0]) is not int
+                or not self.seed_count <= mark[0] <= len(self.ops)):
+            raise InvalidNodeId(f"mark {mark!r} is not a step count of this builder")
         n = mark[0]
         for column in (self.ops, self.first, self.second, self.xs, self.ys, self.rs):
             del column[n:]

@@ -47,7 +47,7 @@ DEMO_COUNTS = {
     "add": (8, 3, 3),
     "conjugate": (12, 5, 5),
     "extend": (12, 4, 6),
-    "half": (38, 18, 18),
+    "half": (37, 17, 18),
     "invert": (10, 4, 3),
     "line-circle": (14, 6, 4),
     "line-circle-diameter": (27, 13, 11),
@@ -80,8 +80,9 @@ def test_demo_counts(name):
 # circle about a pick's circle's center through that pick as that circle
 # takes line-line to 16.3, mul from 12.6 to 10.3, add from 17.6 to 14.8 and
 # conj from 8.2 to 6.4; taking a point reflected twice through one center as
-# that point takes mul to 8.55, add to 11.65 and conj to 5.42
-FUZZ_MEAN_CIRCLES = {"invert": 8.0, "line-circle-diameter": 12.0, "line-line": 16.5,
+# that point takes mul to 8.55, add to 11.65 and conj to 5.42; taking the
+# invert trace before the involution check's steps takes invert to 4.21
+FUZZ_MEAN_CIRCLES = {"invert": 4.3, "line-circle-diameter": 12.0, "line-line": 16.5,
                      "mul": 8.6, "add": 11.7, "conj": 5.5}
 
 
@@ -93,6 +94,27 @@ def test_fuzz_mean_circles(op, monkeypatch):
     assert fuzz.run_op(op, 600, 42).failures == 0
     assert len(circles) == 600
     assert sum(circles) / len(circles) <= FUZZ_MEAN_CIRCLES[op]
+
+
+@pytest.mark.parametrize("op", fuzz.OPS)
+def test_fuzz_traces_hold_no_dead_step(op, monkeypatch):
+    """Every step of every trace ``fuzz.run_op(op, 120, 42)`` audits is one
+    an output depends on, so the audit and the circle counts above measure
+    the construction and not a check run beside it."""
+    dead = []
+
+    def audit(trace):
+        p = trace.program
+        live = [False] * len(p.steps)
+        for out in p.outputs:
+            for i, flag in enumerate(program._live(p, out)):
+                live[i] = live[i] or flag
+        dead.append(live[p.seed_count:].count(False))
+
+    monkeypatch.setattr(fuzz, "purity_audit", audit)
+    report = fuzz.run_op(op, 120, 42)
+    assert report.failures == 0 and len(dead) == report.audited
+    assert sum(dead) == 0
 
 
 # op: ring-operation calls (field_ops add, mul, conj and neg) of one
@@ -268,10 +290,13 @@ def test_ledger_core_counts_stay_within_bounds(monkeypatch):
 # 4f6820c5... with 3919 until a circle about a pick's circle's center
 # through that pick was taken as that circle; oracle-fuzz read 561d84af...
 # with 11536 and deep-witness 3d331005... with 3687 until a point reflected
-# twice through one center was taken as that point.
+# twice through one center was taken as that point. script-mix read
+# c68b4089... with 743 until half() drew the 6-circle midpoint in place of
+# the paper's 18-circle chase, and oracle-fuzz read 10832 circles until the
+# invert cases took their trace before the involution check's steps.
 WORKLOAD_OUTPUTS = {
-    "script-mix": ("c68b4089c613ab24af4e45d600d0cd6eeead9196c91b36efcebcaf33b249b9f3", 743),
-    "oracle-fuzz": ("cf2bfdfd8e5ba45daf6003a40d16b65fa215520723f35633355f0e1dd729086a", 10832),
+    "script-mix": ("2018ee9011f8b4837a6aa61b921cf931d203e6b5a67c5f1b623c027be5348565", 647),
+    "oracle-fuzz": ("cf2bfdfd8e5ba45daf6003a40d16b65fa215520723f35633355f0e1dd729086a", 10412),
     "deep-witness": ("d2ff8aba59879284e74aed7ab314f71ff817dfd17bc8caf9d17068600f711c13", 3575),
 }
 

@@ -394,8 +394,10 @@ def test_field_op_needs_pair_basis():
         run_source("given A = (0, 0)\ngiven B = (1, 0)\ngiven C = (0, 1)\n"
                    "let W = extend(C, B)\nlet M = mul(W, B)\n")
     assert err.value.line == 5
-    with pytest.raises(ScriptTypeError):
-        run_source("given A = (0, 0)\nlet H = half()\n")
+    for givens in ("", "given A = (0, 0)\n"):  # half() too needs two givens
+        with pytest.raises(ScriptTypeError) as err:
+            run_source(givens + "let H = half()\n")
+        assert err.value.message.startswith("field operations need two given points")
 
 
 def test_nth_rejects_non_integer():
@@ -504,6 +506,18 @@ def test_field_identities_append_no_step(call, same_as):
     assert result.trace.program.ops == before.ops
     nodes = {"Z": 0, **dict(result.named_points)}  # Z is seed node 0
     assert nodes["W"] == nodes[same_as]
+
+
+def test_half_is_the_midpoint_of_the_first_two_givens():
+    """half() draws 1/2 as the 6-circle midpoint of the first two givens, the
+    node midpoint(Z, U) binds; a third given does not move it."""
+    result = run_source("given Z = (1, 2)\ngiven U = (4, 6)\ngiven C = (0, 5)\n"
+                        "let H = half()\nlet M = midpoint(Z, U)\n")
+    nodes = dict(result.named_points)
+    assert nodes["H"] == nodes["M"]
+    assert result.point("H") == pytest.approx(Point(2.5, 4.0), abs=1e-14)
+    program = run_source("given Z = (0, 0)\ngiven U = (1, 0)\nlet H = half()\n").trace.program
+    assert (len(program.steps), program.circle_count(), program.pick_count()) == (14, 6, 6)
 
 
 @pytest.mark.parametrize("call, replayed", [("neg(X)", 0), ("conj(X)", 0),

@@ -24,6 +24,13 @@ def close(p, x, y, within=1e-9):
     assert p.y == pytest.approx(y, abs=within), p
 
 
+def paper_half():
+    """1/2 by the paper's chase: |alpha|^2 = 3/2 is constructible, and
+    adding -1 lands on 1/2."""
+    al = F.alpha()
+    return F.add(F.mul(al, F.conj(al)), F.neg(F.one()))
+
+
 def test_seeds_and_minus_one():
     assert F.zero().value == Point(0.0, 0.0)
     assert F.one().value == Point(1.0, 0.0)
@@ -121,7 +128,7 @@ def test_mul_zero_basis_short_circuits(left, at_seed):
 def test_conj_examples():
     a = F.alpha()
     close(F.conj(a).value, 0.75, -SQRT15_4, within=1e-9)
-    h = F.demo_half()
+    h = paper_half()
     close(F.conj(h).value, 0.5, 0.0, within=1e-7)  # real axis is fixed, via tangency
     back = F.conj(F.conj(a))
     close(back.value, a.value.x, a.value.y, within=1e-8)
@@ -176,8 +183,8 @@ def test_ring_operations_check_their_operand(routine, operand):
     assert len(b) == before
 
 
-def test_demo_half():
-    h = F.demo_half()
+def test_paper_half():
+    h = paper_half()
     close(h.value, 0.5, 0.0, within=1e-7)
     # transported to arbitrary seeds it lands on their midpoint
     p, q = Point(1, 1), Point(3, 1)
@@ -187,12 +194,13 @@ def test_demo_half():
     assert report.circles == trace.circle_count
 
 
-def test_demo_half_agrees_with_midpoint_route():
-    # two independent compass routes to the same point
-    h = F.demo_half()
+def test_paper_half_agrees_with_midpoint_route():
+    # two independent compass routes to the same point: the chase's 17
+    # circles and the midpoint's 6, which the script op half() draws
+    h = paper_half()
     b = Builder([Point(0, 0), Point(1, 0)])
     m = b.point(build_midpoint(b, 0, 1))
-    assert math.hypot(h.value.x - m.x, h.value.y - m.y) <= 1e-7
+    assert math.hypot(h.value.x - m.x, h.value.y - m.y) <= 1e-12
 
 
 def _depth_tol(*values):
@@ -255,7 +263,7 @@ def _assert_live_only(v):
 
 def test_witnesses_hold_live_steps_only():
     a = F.alpha()
-    for v in (F.add(a, F.one()), F.mul(a, a), F.conj(a), F.neg(a), F.demo_half()):
+    for v in (F.add(a, F.one()), F.mul(a, a), F.conj(a), F.neg(a), paper_half()):
         _assert_live_only(v)
 
 

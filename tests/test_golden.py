@@ -34,8 +34,8 @@ GOLDEN = {
         "c73723b2ff14ab4d902e9c0cfa35e7171813e7b8c052a971a783b69fb49c987c",
         "29cef538e921561106ec0ac639c0b856617eafd10f38f4db2eed4044de73843f"),
     "half": (
-        "0ef6494653da1c3c8e1ee4fcd212ea72e8b299cefe117a731bd10bdd6d646275",
-        "8de144ee830e62647b052b701b289cff3be6588bfab20efdbd77f8a8e8ba2c02"),
+        "c5084fa1b3b198148b1fcf92764d90d02f7499edbe948bc4e8494cd6b00bced9",
+        "726c1bae623f155b462ea6ee091e84569e225feae5d61e1497d54f86cb73d626"),
     "invert": (
         "787eb87e4cbbb86e01d65ea48f04b8266bff606f0c95c7a9d1dbfd88c715afa7",
         "21336eaa1f567b2572bc4e044346a733a101e531bc05bdb26895bf07e1d15393"),
@@ -130,9 +130,9 @@ CORPUS_GOLDEN = {
         "b298316764090120b902206744009e3408dae85dcca9cf42af99934b8aa33f7c",
         "4d209b71d1952beee115b8b5b27605178613caf68dd5c1a360856936e25007a7"),
     "12-field.compass": (
-        "58bb011c797d59dbe118dd2e1bfcca469314c291da04a99e8cbcc46d7bc77620",
-        "beb4536cbc5daa26388a7a6b8d2c8aa1bd94fa9e6559133c59aa3b2c4c46078e",
-        "36d99a9d862298b8e968650007b72d495d7b55569caedfe2c17f3483c8d3ad0c"),
+        "96fe681e18b633bdaee7eeba58481429019dab28776f8132efc28b2fd55f36fe",
+        "7f9af980fcb207fea0494bb36d77c01bae146cb3c560ae2c3cfbd06ef8bea627",
+        "485c2585d4d8537a849b739e5bd88ae4f7bcbc38234686f6fb7bb2c3fe44da30"),
     "13-nth.compass": (
         "d60a2373623bdcaf3d4d85c2129d441c0a95f7683b925cc3ada0d4d17eaad99c",
         "6317f8d136ba5675427e45221c087fd2f2b916fb347ed5f6493f31e62030b655",
@@ -161,7 +161,7 @@ FUZZ_GOLDEN = {
     "nth": "bddc263049cdf499f3872e494b5b8dda99b2c7587c82988f8f7770eb9c6c1ca8",
     "midpoint": "77ef79a8cf42de986ae2a4b0ab369a3f1287b576e1d9d4790aa4d7b013ad43e2",
     "foot": "a9d6d5ae4b196a17b514ee29f188e5f3d4ec937a07bccf90201ec9ccd24fa400",
-    "invert": "cb393cd9ad57649aa83f51cb8490ad575ce3f1b40b720e75dfad16ad1ab8cf56",
+    "invert": "5f4562deaac72cc9840e6ca12e163863d8926a5695e23e49d6056a34f1ff1fe9",
     "line-line": "d34ef4d82488f4e78c323f32f0e284b9cc310c34b7d15c7b36b2e2c6a2898091",
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":

@@ -135,8 +135,13 @@ def moved(got, pinned):
 # cut, hypot and sqrt read 136, 627 and 136, and _keep 60 (3,482 engine
 # calls), until the builder kept its last cut for every method: a ``pick``
 # is now ``_cut`` then ``_keep``, one cheap call more per pick (_keep +14),
-# and one cut of the pair just cut is read again (cut -1): 3,495 in all
-KERNEL_CALLS = {"geom.cut": 135, "geom.radius": 398, "math.hypot": 626, "math.sqrt": 135}
+# and one cut of the pair just cut is read again (cut -1): 3,495 in all.
+# cut, radius, hypot and sqrt read 135, 398, 626 and 135 until half() drew
+# the 6-circle midpoint of the first two givens in place of the paper's
+# 18-circle chase, which the half demo now writes out in seven statements
+# (3,546 engine calls, from 3,495: each statement is a let, bind and
+# check_args, and each ring op a witness walk, where half() was one inline)
+KERNEL_CALLS = {"geom.cut": 126, "geom.radius": 372, "math.hypot": 598, "math.sqrt": 126}
 
 ENGINE_CALLS = {
     "constructions.py:<lambda>#1": 6,
@@ -151,71 +156,70 @@ ENGINE_CALLS = {
     "constructions.py:_point_line_distance": 8,
     "constructions.py:build_apex": 6,
     "constructions.py:build_diameter_circle": 1,
-    "constructions.py:build_extend": 11,
+    "constructions.py:build_extend": 13,
     "constructions.py:build_invert_general": 9,
     "constructions.py:build_line_circle_off_center": 4,
     "constructions.py:build_line_line": 2,
-    "constructions.py:build_midpoint": 4,
+    "constructions.py:build_midpoint": 6,
     "constructions.py:build_nth_point": 3,
     "constructions.py:build_perp_foot": 1,
     "constructions.py:build_reflect": 19,
     "constructions.py:doublings": 10,
     "constructions.py:ranked": 2,
     "constructions.py:slant": 6,
-    "dsl.py:<lambda>": 22,
+    "dsl.py:<lambda>": 24,
     "dsl.py:__init__": 23,
-    "dsl.py:_add": 4,
-    "dsl.py:_half": 2,
-    "dsl.py:_intersect": 2,
+    "dsl.py:_add": 5,
+    "dsl.py:_half": 1,
+    "dsl.py:_intersect": 3,
     "dsl.py:_invert": 3,
-    "dsl.py:_mul": 2,
-    "dsl.py:bind": 105,
-    "dsl.py:check_args": 38,
+    "dsl.py:_mul": 3,
+    "dsl.py:bind": 111,
+    "dsl.py:check_args": 44,
     "dsl.py:interpret": 23,
-    "dsl.py:let": 38,
+    "dsl.py:let": 44,
     "dsl.py:parse": 23,
     "dsl.py:run": 23,
     "dsl.py:tokenize": 23,
-    "field_ops.py:_at_zero": 3,
-    "field_ops.py:_size": 9,
-    "field_ops.py:build_add": 4,
-    "field_ops.py:build_conj": 2,
-    "field_ops.py:build_mul": 2,
+    "field_ops.py:_at_zero": 4,
+    "field_ops.py:_size": 14,
+    "field_ops.py:build_add": 5,
+    "field_ops.py:build_conj": 3,
+    "field_ops.py:build_mul": 3,
     "field_ops.py:build_neg": 1,
-    "field_ops.py:program": 2,
-    "field_ops.py:relative": 13,
-    "geom.py:cut": 135,
-    "geom.py:radius": 398,
-    "program.py:__init__#1": 56,
+    "field_ops.py:relative": 17,
+    "geom.py:cut": 126,
+    "geom.py:radius": 372,
+    "program.py:__init__#1": 59,
     "program.py:__init__#2": 23,
     "program.py:__init__#3": 23,
-    "program.py:_append": 167,
-    "program.py:_built": 56,
-    "program.py:_check_outputs": 56,
-    "program.py:_cut": 57,
-    "program.py:_drawn": 395,
-    "program.py:_grown": 33,
-    "program.py:_keep": 74,
-    "program.py:_live": 15,
+    "program.py:_append": 171,
+    "program.py:_built": 59,
+    "program.py:_check_outputs": 59,
+    "program.py:_cut": 59,
+    "program.py:_drawn": 372,
+    "program.py:_grown": 36,
+    "program.py:_keep": 76,
+    "program.py:_live": 20,
     "program.py:_mistyped": 161,
-    "program.py:_node": 172,
+    "program.py:_node": 185,
     "program.py:_nonfinite": 69,
-    "program.py:_resolve": 26,
+    "program.py:_resolve": 30,
     "program.py:_seed_columns": 23,
     "program.py:both": 13,
-    "program.py:circle": 104,
-    "program.py:circle_count": 2,
-    "program.py:finish": 30,
-    "program.py:inline": 26,
+    "program.py:circle": 108,
+    "program.py:circle_count": 4,
+    "program.py:finish": 31,
+    "program.py:inline": 30,
     "program.py:mark": 21,
     "program.py:meet": 4,
-    "program.py:pair_based": 5,
-    "program.py:pick": 14,
-    "program.py:pick_other": 26,
-    "program.py:point": 94,
-    "program.py:witness": 10,
+    "program.py:pair_based": 7,
+    "program.py:pick": 15,
+    "program.py:pick_other": 27,
+    "program.py:point": 98,
+    "program.py:witness": 13,
     "record.py:__init__": 46,
-    "svg.py:_n": 409,
+    "svg.py:_n": 417,
     "svg.py:render_trace": 23,
     "tracedoc.py:_coordinates": 46,
     "tracedoc.py:_ints": 69,

@@ -757,6 +757,24 @@ def test_builder_circle_cache_and_rollback():
     assert c2_again == c2  # same slot after rollback
 
 
+@pytest.mark.parametrize("mark", [(0,), (1,), (-1,), (6,), (1.0,), (2.0,), (True,),
+                                  (2, 3), (), [2], 2, 5, None],
+                         ids=repr)
+def test_rollback_refuses_a_bad_mark(mark):
+    """A mark before the seeds, past the end, or not a one-tuple of an int
+    is a typed error, and the builder keeps every row and table key."""
+    b = Builder([O, U])
+    c1, c2 = b.circle(0, 1), b.circle(1, 0)
+    b.pick(c1, c2, Selector.LEFT)
+    before = copy.deepcopy((b.ops, b.first, b.second, b.xs, b.ys, b.rs, b.table, b._last))
+    with pytest.raises(InvalidNodeId, match="^mark .* is not a step count of this builder$"):
+        b.rollback(mark)
+    assert (b.ops, b.first, b.second, b.xs, b.ys, b.rs, b.table, b._last) == before
+    b.rollback((5,))  # the two ends of the range are marks
+    b.rollback((2,))
+    assert len(b) == 2 and b.table == {}
+
+
 def test_resume_keys_each_row_on_its_first_step():
     # execute keeps a repeated row; the resumed builder's table finds the first
     twice = Program(2, (OP_SEED, OP_SEED, OP_CIRCLE, OP_CIRCLE), (0, 1, 0, 0),
