@@ -35,15 +35,15 @@ So no consumer checks a record again. The engine's own builds skip the
 passes they cannot fail: traces through ``_built``, and a ``Builder``'s
 columns through ``Program._grown``, which checks only the outputs (a
 ``Builder`` refuses a seed that is not a pair of ints or floats, and a node
-that is not an int). ``Builder._resolve``, the only step loop, reads and
-appends numbers only: a pick keeps the left or the right half of
-``geom.cut``'s ``(lx, ly, rx, ry)``, and only maps its other verdicts to
-errors. A builder reads its last cut again instead of cutting that circle
-pair twice (``Builder._cut``), so ``geom.cut`` is still the only
-intersection arithmetic. A builder takes a step the rows already hold
-under another row as that node, by the rules of ``_drawn`` only.
-``execute`` runs a program ``replay.compile`` compiled as the same calls
-unrolled: the same bits and errors.
+that is not an int). ``Builder._step``, the one code that resolves and
+appends a builder's step, and ``execute``'s loop read and append numbers
+only: a pick keeps the left or the right half of ``geom.cut``'s ``(lx, ly,
+rx, ry)``, and only maps its other verdicts to errors. Each reads its last
+cut again instead of cutting that circle pair twice in a row, so
+``geom.cut`` is still the only intersection arithmetic. A builder takes a
+step the rows already hold under another row as that node, by the rules of
+``_drawn`` only; ``execute`` takes every row as it is, and
+``replay.compile`` unrolls its loop: the same bits and errors.
 ``Builder.witness`` is the one way to cut a point's ancestors out as a
 trace of their own. Value objects (``Point``, ``ResolvedCircle``) exist
 only at the API edge: ``Trace.resolved`` is the one view of them, equal by
@@ -207,7 +207,7 @@ class Program(Record):
     """An executable compass construction over ``seed_count`` seed slots:
     the int columns ``ops``, ``first`` and ``second``, and the outputs.
     Valid by construction: the constructor is the one rulebook. Its private
-    ``_compiled``, kept as ``Trace._table`` is, is ``replay.compile``'s or None."""
+    ``_compiled``, kept as ``Trace._kept`` is, is ``replay.compile``'s or None."""
 
     _fields = ("seed_count", "ops", "first", "second", "outputs")
     __slots__ = (*_fields, "_compiled")
@@ -304,13 +304,13 @@ class Trace(Record):
     """A fully resolved execution record of a program on concrete seeds;
     a tuple given for ``resolved`` is encoded (``Resolved.of_values``).
     Valid by construction, as its program is: its numbers are finite, and
-    each circle is the one its row draws. The private ``_table``, outside
-    ``==``, ``hash``, ``repr``, copy and pickling, is the hash-cons table of
-    the builder whose ``witness`` handed its columns over, kept for
-    ``Builder.resume`` (None on any other trace)."""
+    each circle is the one its row draws. The private ``_kept``, outside
+    ``==``, ``hash``, ``repr``, copy and pickling, is the hash-cons table and
+    the last cut of the builder whose ``witness`` handed its columns over, as
+    a pair kept for ``Builder.resume`` (None on any other trace)."""
 
     _fields = ("program", "resolved")
-    __slots__ = (*_fields, "_table")
+    __slots__ = (*_fields, "_kept")
 
     def __init__(self, program: Program, resolved: Resolved):
         """Raise MalformedTrace unless ``program`` is a ``Program``, each
@@ -322,7 +322,7 @@ class Trace(Record):
         if type(resolved) is not Resolved:
             resolved = Resolved.of_values(resolved)
         Record.__init__(self, program, resolved)
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_kept", None)
         if not isinstance(program, Program):
             raise MalformedTrace("'program' must be a Program")
         ops = program.ops
@@ -374,30 +374,48 @@ def _built(program: Program, xs: tuple, ys: tuple, rs: tuple) -> Trace:
     init = object.__setattr__  # field by field: the engine builds traces often
     init(trace, "program", program)
     init(trace, "resolved", Resolved(xs, ys, rs))
-    init(trace, "_table", None)
+    init(trace, "_kept", None)
     return trace
 
 
 def execute(program: Program, seeds: Iterable[Point]) -> Trace:
     """Run a program on concrete seed points, resolving every node in order.
 
-    This is the step loop of ``Builder.inline`` run on a fresh builder with
-    every step kept as it is (no hash-consing, nor ``_drawn``'s rules), so
-    the trace has one resolved value per program step, and a builder's
-    program replays bit for bit. A compiled program (``replay``) runs its
-    function instead, after the same seed checks: the same bits, and the
-    same error at the same step. Execution is a pure function of its
-    arguments; identical inputs give bit-identical traces.
+    Each step is resolved as its row says, as ``Builder._step`` resolves
+    it, last cut included, but with no hash-consing nor ``_drawn``'s rules
+    (a circle the circle rule takes as K has its own radius, rounded from
+    other nodes), so the trace has one value per step, a pure function of
+    the arguments, and a builder's program replays bit for bit. A compiled
+    program (``replay``) runs this loop unrolled, after the same seed
+    checks: the same bits, and the same error at the same step.
     """
     seeds = tuple(seeds)
     if len(seeds) != program.seed_count:
         raise MalformedProgram(
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
+    xs, ys = _seed_columns(seeds)
     if program._compiled is not None:
-        return _built(program, *program._compiled(*_seed_columns(seeds)))
-    b = Builder(seeds)
-    b._resolve(program, list(range(b.seed_count)), None)
-    return _built(program, tuple(b.xs), tuple(b.ys), tuple(b.rs))
+        return _built(program, *program._compiled(xs, ys))
+    start = program.seed_count
+    rs = [None] * start
+    cut_u = cut_v = -1  # the circle pair ``got`` was cut from
+    for at, op, u, v in zip(range(start, len(program.ops)), program.ops[start:],
+                            program.first[start:], program.second[start:]):
+        if op == OP_CIRCLE:
+            x, y = xs[u], ys[u]
+            r = radius(x, y, xs[v], ys[v])
+        else:
+            if u != cut_u or v != cut_v:
+                got = cut(xs[u], ys[u], rs[u], xs[v], ys[v], rs[v])
+                if type(got) is str:
+                    raise _no_point(got, at)
+                cut_u, cut_v = u, v
+            half = 0 if op == OP_LEFT else 2
+            x, y, r = got[half], got[half + 1], None
+        xs.append(x)
+        ys.append(y)
+        rs.append(r)
+    return _built(program, tuple(xs), tuple(ys), tuple(rs))
 
 
 def _seed_columns(seeds: tuple) -> tuple[list, list]:
@@ -449,8 +467,8 @@ def _drawn(ops: list, first: list, second: list, op: int, u: int, v: int) -> int
     read left and right off the centers, which are one node, so every pick
     on K keeps its meaning. They read only earlier rows, so they are derived
     on each miss and never stored in ``table``, which stays the one its rows
-    rebuild. A new rule is one more branch here. Its callers are ``Builder``'s
-    ``circle``, ``_keep`` (every pick, after ``_cut``: see there) and ``_resolve``."""
+    rebuild. A new rule is one more branch here. Its one caller is
+    ``Builder._step``, which every way to grow a builder goes through."""
     if op == OP_CIRCLE:
         if ops[v] != OP_SEED:
             k = first[v]
@@ -585,7 +603,7 @@ class Builder:
     ``witness(0)`` or ``witness(1)`` a seed's witness (``field_ops.zero``
     and ``one``).
 
-    Every resolving method goes through ``geom.radius`` and ``geom.cut``,
+    Every step goes through ``_step``, which alone resolves and appends one,
     so a step gives the same bits however it is appended; a touch is the
     cut's two equal points, to ``meet`` and ``pick_other`` alike. A seed is
     read as ``x, y = seed``: a pair of ints or floats acts as the ``Point``
@@ -595,13 +613,15 @@ class Builder:
     ``inline`` keeps the steps it completed.
 
     Steps are hash-consed in ``table``, keyed on their ``(op, first,
-    second)`` rows: a step whose row is there is the existing node. Every
-    pick method is ``_cut`` (see there), then ``_keep`` of its half. On a miss,
-    ``circle``, ``_keep`` and ``inline`` ask ``_drawn``, the one rulebook
-    of steps the rows already hold under another row, and take its node,
-    appending nothing. ``Builder.resume`` takes over a finished trace with
-    a copy of the table its ``witness`` kept, or else a table rebuilt from
-    its rows, so growing a program never resolves its steps again.
+    second)`` rows: a step whose row is there is the existing node. On a
+    miss, ``_step`` asks ``_drawn``, the one rulebook of steps the rows
+    already hold under another row, and takes its node, appending nothing.
+    ``circle`` and ``inline`` check their nodes, then call ``_step``; every
+    pick method is ``_cut`` (see ``_cut_at``), to choose its points, then
+    ``_step`` of its pick or picks. ``Builder.resume`` takes over a finished
+    trace with a copy of the table and the last cut its ``witness`` kept, or
+    else a table rebuilt from its rows, so growing a program never resolves
+    its steps again.
     """
 
     def __init__(self, seeds: Iterable[Point]):
@@ -611,29 +631,31 @@ class Builder:
         self.ops, self.first, self.second = [OP_SEED] * n, list(range(n)), [-1] * n
         self.rs: list[float | None] = [None] * n
         self.table: dict[tuple, int] = {}
-        self._last = _NO_CUT  # (c1, c2, points) of the last cut: see ``_cut``
+        self._last = _NO_CUT  # (c1, c2, points) of the last cut: see ``_cut_at``
 
     @classmethod
     def resume(cls, trace: Trace) -> "Builder":
         """A builder holding ``trace``, with a copy of the hash-cons table
-        the trace kept (``witness``), or else one rebuilt from the rows last
-        to first, so that of two equal rows the first keeps the key. In a
-        hash-consed builder every row is unique, so the two tables are
-        equal. A trace is valid by construction, so the builder holds ints
-        and finite numbers only, and each circle its center and radius, as
-        ``finish`` and ``witness`` take for granted and as its cuts read."""
+        and the last cut the trace kept (``witness``), or else a table
+        rebuilt from the rows last to first, so that of two equal rows the
+        first keeps the key, and no last cut. In a hash-consed builder every
+        row is unique, so the two tables are equal. A trace is valid by
+        construction, so the builder holds ints and finite numbers only, and
+        each circle its center and radius, as ``finish`` and ``witness`` take
+        for granted and as its cuts read."""
         p, r = trace.program, trace.resolved
         builder = cls.__new__(cls)  # every attribute is set here
         builder.seed_count = p.seed_count
         builder.ops, builder.first, builder.second = list(p.ops), list(p.first), list(p.second)
         builder.xs, builder.ys, builder.rs = list(r.xs), list(r.ys), list(r.rs)
-        kept = trace._table
+        kept = trace._kept
         if kept is not None:
-            builder.table = kept.copy()
+            table, builder._last = kept
+            builder.table = table.copy()
         else:
             rows = zip(reversed(p.ops), reversed(p.first), reversed(p.second))
             builder.table = dict(zip(rows, range(len(p.ops) - 1, p.seed_count - 1, -1)))
-        builder._last = _NO_CUT
+            builder._last = _NO_CUT
         return builder
 
     def __len__(self) -> int:
@@ -656,61 +678,65 @@ class Builder:
         self._node(node, True)
         return ResolvedCircle(Point(self.xs[node], self.ys[node]), self.rs[node])
 
-    def _keep(self, op: int, u: int, v: int, x: float, y: float) -> int:
-        """The pick hash-consed as step (op, u, v) at (x, y), appending it
-        unless it or ``_drawn``'s node for it is there."""
+    def _step(self, op: int, u: int, v: int) -> int:
+        """The node of the well-formed row ``(op, u, v)``: the table's, else
+        ``_drawn``'s, else the step resolved and appended, a circle by
+        ``geom.radius`` and a pick by its half of the cut of ``u`` and ``v``
+        (``_cut_at``). The one code that resolves and appends a step."""
         key = op, u, v
         node = self.table.get(key)
         if node is None:
             node = _drawn(self.ops, self.first, self.second, op, u, v)
-        return self._append(key, x, y) if node is None else node
-
-    def _append(self, key: tuple, x: float, y: float, r: float | None = None) -> int:
-        """Append step ``key``, an (op, first, second) row not in ``table``."""
-        node = self.table[key] = len(self.ops)
-        self.ops.append(key[0])
-        self.first.append(key[1])
-        self.second.append(key[2])
-        self.xs.append(x)
-        self.ys.append(y)
-        self.rs.append(r)
+        if node is not None:
+            return node
+        xs, ys, rs = self.xs, self.ys, self.rs
+        if op == OP_CIRCLE:
+            x, y = xs[u], ys[u]
+            r = radius(x, y, xs[v], ys[v])
+        else:
+            got, half = self._cut_at(u, v), 0 if op == OP_LEFT else 2
+            x, y, r = got[half], got[half + 1], None
+        node = self.table[key] = len(rs)
+        self.ops.append(op)
+        self.first.append(u)
+        self.second.append(v)
+        xs.append(x)
+        ys.append(y)
+        rs.append(r)
         return node
 
     def circle(self, center: int, through: int) -> int:
-        xs, ys, rs = self.xs, self.ys, self.rs
+        rs = self.rs
         count = len(rs)
         if not (type(center) is int and 0 <= center < count and rs[center] is None):
             self._node(center, False)
         if not (type(through) is int and 0 <= through < count and rs[through] is None):
             self._node(through, False)
-        key = OP_CIRCLE, center, through
-        node = self.table.get(key)
-        if node is None:
-            node = _drawn(self.ops, self.first, self.second, OP_CIRCLE, center, through)
-            if node is None:
-                x, y = xs[center], ys[center]
-                return self._append(key, x, y, radius(x, y, xs[through], ys[through]))
-        return node
+        return self._step(OP_CIRCLE, center, through)
 
     def _cut(self, c1: int, c2: int) -> tuple[float, float, float, float]:
-        """``geom.cut``'s points on two circle nodes; its other verdicts raise.
-        The builder keeps its last cut, the pair and its points, in ``_last``,
-        and reads it again for that pair: a node never changes, so it is the
-        same ``geom.cut`` of the same floats, and no method cuts a pair twice
-        in a row. ``_resolve``'s inlined loop shares the slot; ``rollback``,
-        which frees node ids, and ``resume`` start without one."""
-        xs, ys, rs = self.xs, self.ys, self.rs
-        at = len(rs)
-        if not (type(c1) is int and 0 <= c1 < at and rs[c1] is not None):
+        """``_cut_at`` of two nodes, each checked to be a circle node."""
+        rs = self.rs
+        count = len(rs)
+        if not (type(c1) is int and 0 <= c1 < count and rs[c1] is not None):
             self._node(c1, True)
-        if not (type(c2) is int and 0 <= c2 < at and rs[c2] is not None):
+        if not (type(c2) is int and 0 <= c2 < count and rs[c2] is not None):
             self._node(c2, True)
+        return self._cut_at(c1, c2)
+
+    def _cut_at(self, c1: int, c2: int) -> tuple[float, float, float, float]:
+        """``geom.cut``'s points on circle nodes ``c1`` and ``c2``; its other
+        verdicts raise. The last cut, the pair and its points, is kept in
+        ``_last`` and read again for that pair: a node never changes, so it
+        is the same cut of the same floats. ``rollback``, which frees node
+        ids, forgets it; ``resume`` takes the one its ``witness`` kept."""
         last = self._last
         if last[0] == c1 and last[1] == c2:
             return last[2]
+        xs, ys, rs = self.xs, self.ys, self.rs
         got = cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2])
         if type(got) is str:
-            raise _no_point(got, at)
+            raise _no_point(got, len(rs))
         self._last = c1, c2, got
         return got
 
@@ -718,24 +744,22 @@ class Builder:
         op = OP_LEFT if which is _LEFT else OP_RIGHT if which is _RIGHT else None
         if op is None:
             raise MalformedProgram(f"bad selector {which!r}")
-        got = self._cut(c1, c2)
-        if op == OP_LEFT:
-            return self._keep(op, c1, c2, got[0], got[1])
-        return self._keep(op, c1, c2, got[2], got[3])
+        self._cut(c1, c2)
+        return self._step(op, c1, c2)
 
     def both(self, c1: int, c2: int) -> tuple[int, int]:
         """Left and right picks; a touch yields the same point twice."""
-        lx, ly, rx, ry = self._cut(c1, c2)
-        return self._keep(OP_LEFT, c1, c2, lx, ly), self._keep(OP_RIGHT, c1, c2, rx, ry)
+        self._cut(c1, c2)
+        return self._step(OP_LEFT, c1, c2), self._step(OP_RIGHT, c1, c2)
 
     def meet(self, c1: int, c2: int) -> tuple[int, ...]:
         """The points where two circle nodes meet: the left and right picks,
         or the left pick alone where they touch."""
         lx, ly, rx, ry = self._cut(c1, c2)
-        left = self._keep(OP_LEFT, c1, c2, lx, ly)
+        left = self._step(OP_LEFT, c1, c2)
         if lx == rx and ly == ry:
             return (left,)
-        return left, self._keep(OP_RIGHT, c1, c2, rx, ry)
+        return left, self._step(OP_RIGHT, c1, c2)
 
     def pick_other(self, c1: int, c2: int, avoid: int) -> int | None:
         """The intersection point that is not the point at node ``avoid``;
@@ -746,79 +770,24 @@ class Builder:
             return None
         ax, ay = self.xs[avoid], self.ys[avoid]
         if math.hypot(lx - ax, ly - ay) >= math.hypot(rx - ax, ry - ay):
-            return self._keep(OP_LEFT, c1, c2, lx, ly)
-        return self._keep(OP_RIGHT, c1, c2, rx, ry)
+            return self._step(OP_LEFT, c1, c2)
+        return self._step(OP_RIGHT, c1, c2)
 
     def inline(self, guest: Program, seed_map: Iterable[int]) -> tuple[int, ...]:
         """Append a program's non-seed steps, rewiring its seeds onto existing
         nodes, the seed map taken as a list before it is counted, as
         ``execute`` takes its seeds; returns the guest's outputs as nodes of
-        this builder."""
-        seed_map = list(seed_map)
-        if len(seed_map) != guest.seed_count:
+        this builder. Each guest row, rewired, is well formed: ``_step`` it."""
+        node = list(seed_map)
+        if len(node) != guest.seed_count:
             raise InvalidNodeId(
-                f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
-        for node in seed_map:
-            self._node(node, False)
-        return self._resolve(guest, seed_map, self.table)
-
-    def _resolve(self, program: Program, node: list[int],
-                 table: dict[tuple, int] | None) -> tuple[int, ...]:
-        """The step loop behind ``inline`` and ``execute``.
-
-        ``node`` holds the builder nodes of ``program``'s seeds and grows to
-        map every program step to its node. Each non-seed step is rewired
-        through it, resolved and appended; with a hash-cons ``table``, a
-        step whose rewired row is in it, or that ``_drawn`` finds on a miss,
-        is that node instead. Without a table (``execute``) every step is
-        appended as it is. A program is well formed by construction, and
-        ``node`` holds ints (``inline`` checks its seed map), so the loop
-        only maps ``geom.cut``'s verdicts to errors, which name their step:
-        it is ``_cut`` inlined, the builder's last cut included (see there).
-        """
-        start = program.seed_count
-        xs, ys, rs = self.xs, self.ys, self.rs
-        add_x, add_y, add_r = xs.append, ys.append, rs.append
-        ops, first, second = self.ops, self.first, self.second
-        add_op, add_first, add_second = ops.append, first.append, second.append
-        mapped = node.append
-        cut_u, cut_v, got = self._last  # the circle pair ``got`` was cut from
-        for op, u, v in zip(program.ops[start:], program.first[start:], program.second[start:]):
-            nu, nv = node[u], node[v]
-            if table is not None:
-                key = op, nu, nv
-                hit = table.get(key)
-                if hit is None:
-                    hit = _drawn(ops, first, second, op, nu, nv)
-                if hit is not None:
-                    mapped(hit)
-                    continue
-            at = len(rs)
-            if op == OP_CIRCLE:
-                x, y = xs[nu], ys[nu]
-                r = radius(x, y, xs[nv], ys[nv])
-            else:
-                if nu != cut_u or nv != cut_v:
-                    got = cut(xs[nu], ys[nu], rs[nu], xs[nv], ys[nv], rs[nv])
-                    if type(got) is str:
-                        raise _no_point(got, at)
-                    cut_u, cut_v = nu, nv
-                if op == OP_LEFT:
-                    x, y = got[0], got[1]
-                else:
-                    x, y = got[2], got[3]
-                r = None
-            add_x(x)
-            add_y(y)
-            add_r(r)
-            add_op(op)
-            add_first(nu)
-            add_second(nv)
-            if table is not None:
-                table[key] = at
-            mapped(at)
-        self._last = cut_u, cut_v, got
-        return tuple(node[out] for out in program.outputs)
+                f"seed_map has {len(node)} entries for {guest.seed_count} seeds")
+        for n in node:
+            self._node(n, False)
+        start, step, mapped = guest.seed_count, self._step, node.append
+        for op, u, v in zip(guest.ops[start:], guest.first[start:], guest.second[start:]):
+            mapped(step(op, node[u], node[v]))
+        return tuple(node[out] for out in guest.outputs)
 
     def mark(self) -> tuple[int]:
         """The step count, a checkpoint for ``rollback``; a one-tuple, as
@@ -850,8 +819,9 @@ class Builder:
         witness that the ring operations replay and that a value carries.
         Kept steps stay in order; where every step is kept the columns are
         handed over as ``finish`` does, and the trace keeps a copy of the
-        hash-cons table in its private ``_table`` for ``resume``. Raises
-        InvalidNodeId unless ``pair_based``."""
+        hash-cons table and the last cut in its private ``_kept`` for
+        ``resume``: node ids do not change there, so both still name the same
+        steps. Raises InvalidNodeId unless ``pair_based``."""
         keep = _live(self, node)
         if self.seed_count < 2 or any(keep[2:self.seed_count]):
             raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")
@@ -860,7 +830,7 @@ class Builder:
         # the remap is the identity, and skipping it pays on value chains
         if len(keep) == len(self.ops) and all(keep):
             trace = self.finish([node])[1]
-            object.__setattr__(trace, "_table", self.table.copy())
+            object.__setattr__(trace, "_kept", (self.table.copy(), self._last))
             return trace
         # rank[i] is the new index of kept step i, the count of kept steps
         # before it: seed 0 is kept, so the count of keep[1:i + 1]. The kept

@@ -5,10 +5,10 @@ int columns alone, each entry formatted with ``%d``: a ``Program`` is valid
 by construction, so only digits reach ``exec``. The function takes the seed
 x and y columns and returns the trace's columns ``(xs, ys, rs)``, every node
 a local: a circle step is ``rN = radius(...)``, and a pick keeps one half of
-``g = cut(...)``, which the next pick on the same circle pair reads again,
-as ``Builder._resolve`` does. It is bound to ``compass.program``'s globals,
-without adding a name there, so it calls that module's ``cut``, ``radius``
-and ``_no_point`` at call time (a patched ``program.cut`` sees its calls):
+``g = cut(...)``, which the next pick on the same circle pair reads again:
+``program.execute``'s loop, unrolled. It is bound to ``compass.program``'s
+globals, without adding a name there, so it calls that module's ``cut``,
+``radius`` and ``_no_point`` at call time (a patched ``program.cut`` sees its calls):
 ``program.execute`` gives the same trace bit for bit, and raises the same
 error class and message at the same step, compiled or not.
 

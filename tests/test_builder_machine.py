@@ -16,7 +16,7 @@ append no pick for it, and checks after each step that:
 - the hash-cons table equals the one rebuilt from the rows;
 - ``program._drawn``, the rules of steps already drawn, finds no node for
   any row the builder holds;
-- where the builder holds a last cut (``Builder._cut``), its pair are
+- where the builder holds a last cut (``Builder._cut_at``), its pair are
   circle nodes of the builder and its points ``geom.cut`` of their columns,
   also on the builders a witness check resumes and grows;
 - a failing call appends nothing (a failing ``inline`` keeps the steps it
@@ -80,8 +80,8 @@ def trace_columns(trace):
 
 
 def check_last_cut(b):
-    """Where ``b`` holds a last cut, the one ``_cut`` and ``_resolve`` read
-    again instead of cutting that pair, its pair are circle nodes of ``b``
+    """Where ``b`` holds a last cut, the one ``_cut_at`` reads again instead
+    of cutting that pair, its pair are circle nodes of ``b``
     and its points ``geom.cut`` of their columns as they are now."""
     c1, c2, got = b._last
     if got is None:
@@ -265,9 +265,10 @@ class BuilderMachine(RuleBasedStateMachine):
 
     @invariant()
     def no_row_is_one_already_drawn(self):
-        """``_drawn`` returns None for every non-seed row. ``circle``,
-        ``_keep`` (so every pick method) and ``inline`` each ask it on a
-        table miss and append the row only where it finds nothing; its rules
+        """``_drawn`` returns None for every non-seed row. ``_step``, which
+        every way to grow a builder goes through (``circle``, every pick
+        method and each row of ``inline``), asks it on a table miss and
+        appends the row only where it finds nothing; its rules
         read only rows earlier than the one asked about, and the columns are
         append-only between rollbacks, so what it found for a row then it
         finds now. So this checks every rule of ``_drawn`` across every

@@ -147,6 +147,37 @@ def test_fuzz_runs_every_op_by_default(capsys):
     assert lines[-1].startswith("result: PASS (12 construction(s), 0 failure(s)")
 
 
+@pytest.mark.parametrize("seed", [42, 1410])
+@pytest.mark.parametrize("op", fuzz.OPS)
+def test_a_shorter_fuzz_run_is_a_prefix_of_a_longer_one(op, seed, monkeypatch):
+    """``run_op(op, n, seed)`` audits the same traces, records the same
+    errors and fails the same cases as the first n cases of a longer run at
+    that seed, so its report line is the one of that prefix: a shorter run
+    fails only where the longer one fails, and CI's oracle fuzz runs only
+    2,000 cases at each seed."""
+    events = []
+    record, fail = fuzz.OpReport.record, fuzz.OpReport.fail
+
+    def logged_record(run, err, detail):
+        events.append(("record", err.hex()))
+        record(run, err, detail)
+
+    def logged_fail(run, detail):
+        events.append(("fail", detail))
+        fail(run, detail)
+
+    monkeypatch.setattr(fuzz, "purity_audit", lambda trace: events.append(repr(trace)))
+    monkeypatch.setattr(fuzz.OpReport, "record", logged_record)
+    monkeypatch.setattr(fuzz.OpReport, "fail", logged_fail)
+    runs = []
+    for cases in (20, 60):
+        del events[:]
+        report = fuzz.run_op(op, cases, seed)
+        runs.append((report.audited, list(events)))
+    (audited, short), (_, long) = runs
+    assert 0 < audited and len(short) < len(long) and short == long[:len(short)]
+
+
 def test_a_point_count_unlike_the_oracles_fails_the_case():
     one, two = (Point(0.0, 0.0),), [Point(0.0, 0.0), Point(1.0, 0.0)]
     assert fuzz._pair_err(one, two) == fuzz._pair_err((*two, *one), two) == math.inf

@@ -238,8 +238,8 @@ def test_fuzz_route_calls(op, monkeypatch):
 
 # op: (``program.cut`` calls, ``program.radius`` calls) of one warm
 # ``fuzz.run_op(op, 120, 42)``: the arithmetic of the ops that replay one
-# shared program per case, which must not change. Interpreted, each op's 120
-# ``execute`` calls made 120 ``Builder._resolve`` calls; compiled, none.
+# shared program per case, which must not change. Each op's 120 ``execute``
+# calls run a compiled program, never ``execute``'s own loop.
 FUZZ_REPLAY_CALLS = {
     "apex": (120, 240),
     "extend": (240, 360),
@@ -250,10 +250,17 @@ FUZZ_REPLAY_CALLS = {
 
 @pytest.mark.parametrize("op", sorted(FUZZ_REPLAY_CALLS))
 def test_fuzz_replay_calls(op, monkeypatch):
-    cuts, radii, resolves = warm_calls(op, monkeypatch, (program, "cut"),
-                                       (program, "radius"), (program.Builder, "_resolve"))
+    runs = []
+
+    def execute(program, seeds):
+        runs.append(program._compiled is not None)
+        return real(program, seeds)
+
+    real = fuzz.execute
+    monkeypatch.setattr(fuzz, "execute", execute)
+    cuts, radii = warm_calls(op, monkeypatch, (program, "cut"), (program, "radius"))
     assert (cuts, radii) == FUZZ_REPLAY_CALLS[op]
-    assert resolves == 0
+    assert len(runs) == 3 * 120 and all(runs)
 
 
 # core: (steps, circles, picks) bound of ``perfbench/ledger.py``'s

@@ -8,7 +8,7 @@ from compass import field_ops as F
 from compass.constructions import build_extend, build_midpoint
 from compass.errors import InvalidNodeId, MalformedProgram
 from compass.fuzz import SplitMix64, _ValuePool
-from compass.geom import Point
+from compass.geom import Point, cut
 from compass.oracle import (
     oracle_complex_add,
     oracle_complex_conj,
@@ -411,14 +411,26 @@ def test_value_reads_the_resolved_output():
         assert type(v.value) is Point
 
 
-# --- the kept hash-cons table ------------------------------------------------
+# --- the kept hash-cons table and last cut ----------------------------------
 
 def _rebuilt_table(trace):
     """The table ``Builder.resume`` rebuilds from the rows of a trace that
     kept none."""
     bare = Trace(trace.program, trace.resolved)
-    assert bare._table is None
+    assert bare._kept is None
     return Builder.resume(bare).table
+
+
+def _kept_table(trace):
+    """The table a trace kept, or None: the first of its ``_kept`` pair,
+    whose second is the last cut, a pair of its circle nodes and their cut."""
+    if trace._kept is None:
+        return None
+    table, (c1, c2, got) = trace._kept
+    if got is not None:
+        xs, ys, rs = trace.resolved.xs, trace.resolved.ys, trace.resolved.rs
+        assert got == cut(xs[c1], ys[c1], rs[c1], xs[c2], ys[c2], rs[c2]), (c1, c2)
+    return table
 
 
 def test_a_value_keeps_the_table_its_resume_would_rebuild():
@@ -428,32 +440,33 @@ def test_a_value_keeps_the_table_its_resume_would_rebuild():
     one, v, w = F.one(), F.alpha(), F.alpha()
     for _ in range(8):
         v, w = F.add(v, one), F.add(w, w)
-        assert w.trace._table is not None
+        assert _kept_table(w.trace) is not None
         for t in (v.trace, w.trace):
-            assert t._table is None or t._table == _rebuilt_table(t)
+            assert t._kept is None or _kept_table(t) == _rebuilt_table(t)
     for u in (F.mul(v, w), F.neg(v), F.conj(w)):
-        assert u.trace._table is not None
-        assert u.trace._table == _rebuilt_table(u.trace)
+        assert _kept_table(u.trace) is not None
+        assert _kept_table(u.trace) == _rebuilt_table(u.trace)
     pool = _ValuePool()
     rng = SplitMix64(41)
     kept = 0
     for _ in range(60):
         v = pool.draw(rng, 2)
-        if v.trace._table is not None:
+        if v.trace._kept is not None:
             kept += 1
-            assert v.trace._table == _rebuilt_table(v.trace)
+            assert _kept_table(v.trace) == _rebuilt_table(v.trace)
         assert Builder.resume(v.trace).table == _rebuilt_table(v.trace)
     assert kept >= 50
 
 
 def test_growing_a_resumed_builder_leaves_the_kept_table():
     v = F.add(F.alpha(), F.alpha())
-    before = dict(v.trace._table)
+    before = dict(_kept_table(v.trace))
     b = Builder.resume(v.trace)
-    assert b.table == before and b.table is not v.trace._table
+    assert b.table == before and b.table is not _kept_table(v.trace)
+    assert b._last == v.trace._kept[1]
     build_extend(b, build_midpoint(b, 0, v.primary_output), 1)
     assert len(b.table) > len(before)
-    assert v.trace._table == before
+    assert _kept_table(v.trace) == before
     assert Builder.resume(v.trace).table == before
 
 
@@ -462,19 +475,19 @@ def test_a_builder_growing_after_a_witness_leaves_the_witness_table():
     b = Builder(F.CANONICAL_SEEDS)
     c = build_extend(b, 0, 1)
     w = b.witness(c)
-    before = dict(w._table)
-    assert before == b.table and w._table is not b.table
+    before = dict(_kept_table(w))
+    assert before == b.table and _kept_table(w) is not b.table and w._kept[1] == b._last
     build_extend(b, c, build_midpoint(b, 0, c))
     b.witness(len(b) - 1)
-    assert w._table == before == _rebuilt_table(w)
+    assert _kept_table(w) == before == _rebuilt_table(w)
 
 
 def test_trace_identity_ignores_the_kept_table():
     kept = F.add(F.alpha(), F.alpha()).trace
     bare = Trace(kept.program, kept.resolved)
-    assert kept._table is not None
+    assert kept._kept is not None
     assert kept == bare and hash(kept) == hash(bare) and repr(kept) == repr(bare)
     assert pickle.dumps(kept) == pickle.dumps(bare)
     for copied in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
         assert copied == kept
-        assert Builder.resume(copied).table == kept._table
+        assert Builder.resume(copied).table == _kept_table(kept)

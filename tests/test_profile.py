@@ -134,13 +134,19 @@ def moved(got, pinned):
 # point rule's tail was a call: 5 calls, and 3,092 engine calls in all.
 # cut, hypot and sqrt read 136, 627 and 136, and _keep 60 (3,482 engine
 # calls), until the builder kept its last cut for every method: a ``pick``
-# is now ``_cut`` then ``_keep``, one cheap call more per pick (_keep +14),
+# became ``_cut`` then ``_keep``, one cheap call more per pick (_keep +14),
 # and one cut of the pair just cut is read again (cut -1): 3,495 in all.
 # cut, radius, hypot and sqrt read 135, 398, 626 and 135 until half() drew
 # the 6-circle midpoint of the first two givens in place of the paper's
 # 18-circle chase, which the half demo now writes out in seven statements
 # (3,546 engine calls, from 3,495: each statement is a let, bind and
-# check_args, and each ring op a witness walk, where half() was one inline)
+# check_args, and each ring op a witness walk, where half() was one inline).
+# _append, _keep and _resolve read 171, 76 and 30 (3,546 engine calls) until
+# two duplicate step paths were merged into ``_step``, the one code that
+# resolves and appends a step: one call per circle (108), per pick a method
+# takes (76) and per inlined row (221), and ``_cut_at``, the last-cut read,
+# once per ``_cut`` (59) and once per pick that misses the table (176):
+# 3,909 in all, and no kernel count moved
 KERNEL_CALLS = {"geom.cut": 126, "geom.radius": 372, "math.hypot": 598, "math.sqrt": 126}
 
 ENGINE_CALLS = {
@@ -193,19 +199,18 @@ ENGINE_CALLS = {
     "program.py:__init__#1": 59,
     "program.py:__init__#2": 23,
     "program.py:__init__#3": 23,
-    "program.py:_append": 171,
     "program.py:_built": 59,
     "program.py:_check_outputs": 59,
     "program.py:_cut": 59,
+    "program.py:_cut_at": 235,
     "program.py:_drawn": 372,
     "program.py:_grown": 36,
-    "program.py:_keep": 76,
     "program.py:_live": 20,
     "program.py:_mistyped": 161,
     "program.py:_node": 185,
     "program.py:_nonfinite": 69,
-    "program.py:_resolve": 30,
     "program.py:_seed_columns": 23,
+    "program.py:_step": 405,
     "program.py:both": 13,
     "program.py:circle": 108,
     "program.py:circle_count": 4,
@@ -235,12 +240,18 @@ ENGINE_CALLS = {
 # 134 more circles, where the rule now ends a replay on nodes already drawn.
 # _drawn is called once per hash-cons miss, as on the script path. Until the
 # builder kept its last cut for every method, cut and hypot read 681 and
-# 1854, _cut 86 and _keep 60 (13,042 engine calls): each ``pick`` now calls
+# 1854, _cut 86 and _keep 60 (13,042 engine calls): each ``pick`` then called
 # ``_cut`` and ``_keep`` (+14 and +20: no pick called ``_keep``, and one the
 # table or ``_drawn`` held called neither), and 6 cuts of the pair just cut
-# are read again
-RING_KERNEL_CALLS = {"geom.cut": 675, "geom.radius": 746, "math.hypot": 1848,
-                     "math.sqrt": 637}
+# are read again. _append, _keep and _resolve read 104, 80 and 239 (13,070
+# engine calls) until the step paths were merged into ``_step`` (2,093 calls,
+# nearly all inlined witness rows) and ``_cut_at`` (999): 15,739. cut, hypot
+# and sqrt read 675, 1848 and 637 until a witness that hands its builder's
+# columns over kept the builder's last cut with its table: a builder resumed
+# from it reads that cut again, mostly in conj's involution check, which cut
+# its result's own two circles anew (41 cuts fewer, 15,698 engine calls)
+RING_KERNEL_CALLS = {"geom.cut": 634, "geom.radius": 746, "math.hypot": 1807,
+                     "math.sqrt": 610}
 
 RING_ENGINE_CALLS = {
     "constructions.py:build_extend": 76,
@@ -272,23 +283,22 @@ RING_ENGINE_CALLS = {
     "fuzz.py:rng_for": 3,
     "fuzz.py:run_op": 3,
     "fuzz.py:uniform": 401,
-    "geom.py:cut": 675,
+    "geom.py:cut": 634,
     "geom.py:radius": 746,
     "oracle.py:oracle_complex_add": 40,
     "oracle.py:oracle_complex_conj": 40,
     "oracle.py:oracle_complex_mul": 40,
     "program.py:__init__": 195,
-    "program.py:_append": 104,
     "program.py:_at": 120,
     "program.py:_built": 195,
     "program.py:_check_outputs": 195,
     "program.py:_cut": 100,
+    "program.py:_cut_at": 999,
     "program.py:_drawn": 1910,
     "program.py:_grown": 195,
-    "program.py:_keep": 80,
     "program.py:_live": 195,
     "program.py:_node": 812,
-    "program.py:_resolve": 239,
+    "program.py:_step": 2093,
     "program.py:circle": 160,
     "program.py:circle_count": 175,
     "program.py:finish": 126,
@@ -328,7 +338,10 @@ def test_engine_calls_of_the_ring_operations():
 # canonical programs of apex, extend, nth and midpoint replayed compiled.
 # Until the builder kept its last cut for every method, cut, hypot and sqrt
 # read 450, 1546 and 465, and _keep 255 (8,496 engine calls): each ``pick``
-# now calls ``_keep`` (+58), and 9 cuts of the pair just cut are read again
+# then called ``_keep`` (+58), and 9 cuts of the pair just cut are read again.
+# _append, _keep and _resolve read 713, 313 and 21 (8,545 engine calls) until
+# the step paths were merged into ``_step`` (995 calls) and ``_cut_at`` (675):
+# 9,168, and no kernel count moved
 CORE_KERNEL_CALLS = {"geom.cut": 441, "geom.radius": 702, "math.hypot": 1537,
                      "math.sqrt": 457}
 
@@ -388,19 +401,18 @@ CORE_ENGINE_CALLS = {
     "oracle.py:oracle_midpoint": 10,
     "program.py:__init__#1": 88,
     "program.py:__init__#2": 50,
-    "program.py:_append": 713,
     "program.py:_at": 106,
     "program.py:_built": 88,
     "program.py:_check_outputs": 48,
     "program.py:_cut": 248,
+    "program.py:_cut_at": 675,
     "program.py:_drawn": 961,
     "program.py:_grown": 48,
-    "program.py:_keep": 313,
     "program.py:_no_point": 2,
     "program.py:_node": 586,
     "program.py:_nonfinite": 90,
-    "program.py:_resolve": 21,
     "program.py:_seed_columns": 90,
+    "program.py:_step": 995,
     "program.py:both": 60,
     "program.py:circle": 454,
     "program.py:circle_count": 88,

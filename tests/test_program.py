@@ -424,8 +424,8 @@ def _consume(trace):
 def test_engine_traces_are_checked_by_construction(column_passes):
     traces = _engine_traces()
     # the full witness keeps its builder's table, the cut one does not
-    assert traces["witness, every step kept"]._table is not None
-    assert traces["witness, some steps cut"]._table is None
+    assert traces["witness, every step kept"]._kept is not None
+    assert traces["witness, some steps cut"]._kept is None
     assert len(traces["witness, some steps cut"].program.ops) < len(traces["finish"].program.ops)
     column_passes.clear()
     for name, trace in traces.items():
@@ -806,7 +806,9 @@ def test_builder_hash_conses_picks_and_rollback_forgets_them():
 def test_rollback_and_resume_start_with_no_last_cut(monkeypatch):
     """A rollback that frees the ids of the last cut's circles forgets that
     cut: a different circle redrawn at one of those ids is cut anew, and its
-    pick is the new point. A resumed builder holds no last cut either."""
+    pick is the new point. A builder resumed from a trace that kept no table
+    holds no last cut either; one resumed from a witness that kept its
+    builder's table holds that builder's last cut, and reads it again."""
     calls = []
     real = program_module.cut
 
@@ -831,14 +833,19 @@ def test_rollback_and_resume_start_with_no_last_cut(monkeypatch):
     assert b.point(new) == fresh.point(fresh.pick(fresh.circle(0, 1), fresh.circle(2, 0),
                                                   Selector.LEFT))
     assert b.point(new) != Point(0.5, math.sqrt(3) / 2)
-    # resumed from the witness of a builder that holds one (with the table
-    # it kept), or from a trace with no table
+    # resumed from a trace with no table, or from the witness of a builder
+    # that holds a last cut, handed over with the table it kept
     b = Builder([O, U])
     c1, c2 = b.circle(0, 1), b.circle(1, 0)
     apex = b.pick(c1, c2, Selector.LEFT)
     assert b._last[:2] == (c1, c2)
-    for trace in (b.witness(apex), execute(apex_program(Selector.LEFT), (O, U))):
+    for trace in (execute(apex_program(Selector.LEFT), (O, U)), copy.copy(b.witness(apex))):
         assert Builder.resume(trace)._last == program_module._NO_CUT
+    resumed = Builder.resume(b.witness(apex))
+    assert resumed._last == b._last
+    del calls[:]
+    assert resumed.pick(c1, c2, Selector.RIGHT) == apex + 1 and not calls
+    assert resumed.point(apex + 1) == b.point(b.pick(c1, c2, Selector.RIGHT))
 
 
 def test_builder_witness():
@@ -956,7 +963,8 @@ def reference_reflected_back(table, c, k, y, z):
 
 
 def reference_resolve(b, program, node, table):
-    """``Builder._resolve`` without the cut reuse: each pick calls
+    """The step loop of ``Builder.inline`` (with ``b``'s table) and of
+    ``execute`` (with None), without the last-cut reuse: each pick calls
     ``geom.cut`` on its own circles. Appends to ``b``'s columns. With a
     table, a circle about a pick's circle's center through that pick is
     that circle, and a point reflected twice through one center is that
@@ -1144,7 +1152,7 @@ def test_a_pair_whose_first_pick_is_a_hash_cons_hit_resolves_as_the_reference_lo
 
 
 # --- the circle rule: a circle about a pick's circle's center through that
-# pick is that circle, on a hash-cons miss, in ``circle`` and ``inline`` only
+# pick is that circle, on a hash-cons miss of ``Builder._step`` only
 
 # circle 2 = C(0; 1) drawn again, about 0 through the left pick 4 on it
 REDRAWN = _program((OP_LEFT, 2, 3), (OP_CIRCLE, 0, 4), outputs=(4,))
@@ -1189,7 +1197,7 @@ def test_inline_finds_a_rewired_circle_through_a_pick_on_it(which):
 
 
 # --- the first point rule: a point reflected twice through one center is
-# that point, on a hash-cons miss, in ``pick``, ``_keep`` and ``inline`` only
+# that point, on a hash-cons miss of ``Builder._step`` only
 
 Z, Y = Point(0.3, -0.7), Point(-1.1, 0.4)
 
