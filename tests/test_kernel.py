@@ -153,7 +153,7 @@ def test_inline_failure_leaves_completed_steps():
 
 
 def test_repeated_picks_make_no_new_cut(monkeypatch):
-    """Every method cuts through ``Builder._cut``, which reads the builder's
+    """Every method cuts through ``Builder._cut_at``, which reads the builder's
     last cut again for the pair it cut last, whichever method cut it: after
     ``pick``, ``both`` and ``pick_other`` make no cut, and return the stored
     nodes. A pair cut again after another pair is cut anew."""
