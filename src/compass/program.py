@@ -777,7 +777,7 @@ class Builder:
         """Append a program's non-seed steps, rewiring its seeds onto existing
         nodes, the seed map taken as a list before it is counted, as
         ``execute`` takes its seeds; returns the guest's outputs as nodes of
-        this builder. Each guest row, rewired, is well formed: ``_step`` it."""
+        this builder. Each rewired guest row is well formed and goes to ``_step``."""
         node = list(seed_map)
         if len(node) != guest.seed_count:
             raise InvalidNodeId(
