@@ -15,9 +15,13 @@ records the error on its ``OpReport``. A check that follows the comparison
 (an involution, a missed intersection) stays in its generator and calls
 ``run.fail`` when the generator resumes, so failure details keep their order.
 
-Apex, extend, nth and midpoint replay one shared canonical program per
-case: each compiles its programs once (``replay.compile``) and still calls
-``execute``, which runs the compiled function with the same bits.
+One generator serves the ops whose cases differ only by a row of its table.
+``_replayed_cases`` replays one shared canonical program per case for apex,
+extend, nth and midpoint: a ``_REPLAYED`` row maps the case index, the
+stream and the two points drawn to the program, the oracle's point and the
+detail's tail. A program is compiled (``replay.compile``) the first time it
+is drawn, and ``execute`` runs the compiled function with the same bits.
+``_field_cases`` serves mul, add and conj, one ``_RING_ROWS`` row each.
 
 The ring operations (mul, add, conj) draw their operands from a
 ``_ValuePool``: values at most two operations deep over five atoms.
@@ -32,8 +36,8 @@ one.
 ``perfbench/`` and the tests patch module names that are read at call time:
 ``purity_audit`` (called once per audited case), ``execute`` (apex, extend,
 nth and midpoint), the ``oracle_*`` names, ``_fmt_pt``, ``FUZZ_TOL``, the
-``cons.build_*`` routines and ``field_ops.add``, ``mul``, ``conj`` and
-``neg``.
+``cons`` program getters and ``build_*`` routines, and ``field_ops.add``,
+``mul``, ``conj`` and ``neg``: a row reads each of them when it runs.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BOX = 5.0  # points are drawn in [-_BOX, _BOX]^2
 _MARGIN = 0.1  # least distance of a point drawn away from others
+_TURN = complex(0.5, math.sqrt(3.0) / 2.0)  # apex's turn by 60 degrees to the left
 
 
 class SplitMix64:
@@ -155,50 +160,38 @@ def _built(build: Callable, seeds: list[Point]) -> Trace:
     return b.finish((nodes,) if isinstance(nodes, int) else nodes)[1]
 
 
-def _apex_cases(run: OpReport, rng: SplitMix64):
-    w = complex(0.5, math.sqrt(3.0) / 2.0)
-    for side in Selector:
-        replay.compile(cons.apex_program(side))
+def _apex_row(i: int, rng: SplitMix64, a: Point, b: Point):
+    side, factor = (Selector.LEFT, _TURN) if i % 2 == 0 else (Selector.RIGHT, _TURN.conjugate())
+    z = complex(a.x, a.y) + (complex(b.x, b.y) - complex(a.x, a.y)) * factor
+    return cons.apex_program(side), Point(z.real, z.imag), f" {side.value}"
+
+
+def _nth_row(i: int, rng: SplitMix64, o: Point, p: Point):
+    n = rng.randint(1, 8)
+    return (cons.nth_point_program(n), Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y)),
+            f" n={n}")
+
+
+# op -> its row: (case index, stream, a, b) -> (canonical program, oracle
+# point, detail tail), every engine and oracle name read at call time
+_REPLAYED = {
+    "apex": _apex_row,
+    "extend": lambda i, rng, x, y: (cons.extend_program(),
+                                    Point(2 * y.x - x.x, 2 * y.y - x.y), ""),
+    "nth": _nth_row,
+    "midpoint": lambda i, rng, a, b: (cons.midpoint_program(), oracle_midpoint(a, b), ""),
+}
+
+
+def _replayed_cases(run: OpReport, rng: SplitMix64, op: str):
+    row = _REPLAYED[op]
     for i in range(run.cases):
         a = _point(rng)
         b = _point_away(rng, [a])
-        side = Selector.LEFT if i % 2 == 0 else Selector.RIGHT
-        factor = w if side is Selector.LEFT else w.conjugate()
-        z = complex(a.x, a.y) + (complex(b.x, b.y) - complex(a.x, a.y)) * factor
-        yield (execute(cons.apex_program(side), (a, b)), (Point(z.real, z.imag),),
-               lambda: f"apex{_fmt_pt(a)}{_fmt_pt(b)} {side.value}")
-
-
-def _extend_cases(run: OpReport, rng: SplitMix64):
-    program = cons.extend_program()
-    replay.compile(program)
-    for _ in range(run.cases):
-        x = _point(rng)
-        y = _point_away(rng, [x])
-        yield (execute(program, (x, y)), (Point(2 * y.x - x.x, 2 * y.y - x.y),),
-               lambda: f"extend{_fmt_pt(x)}{_fmt_pt(y)}")
-
-
-def _nth_cases(run: OpReport, rng: SplitMix64):
-    for n in range(1, 9):  # the ratios drawn below
-        replay.compile(cons.nth_point_program(n))
-    for _ in range(run.cases):
-        o = _point(rng)
-        p = _point_away(rng, [o])
-        n = rng.randint(1, 8)
-        yield (execute(cons.nth_point_program(n), (o, p)),
-               (Point(o.x + n * (p.x - o.x), o.y + n * (p.y - o.y)),),
-               lambda: f"nth{_fmt_pt(o)}{_fmt_pt(p)} n={n}")
-
-
-def _midpoint_cases(run: OpReport, rng: SplitMix64):
-    program = cons.midpoint_program()
-    replay.compile(program)
-    for _ in range(run.cases):
-        a = _point(rng)
-        b = _point_away(rng, [a])
-        yield (execute(program, (a, b)), (oracle_midpoint(a, b),),
-               lambda: f"midpoint{_fmt_pt(a)}{_fmt_pt(b)}")
+        program, want, tail = row(i, rng, a, b)
+        replay.compile(program)
+        yield (execute(program, (a, b)), (want,),
+               lambda: f"{op}{_fmt_pt(a)}{_fmt_pt(b)}{tail}")
 
 
 def _foot_cases(run: OpReport, rng: SplitMix64):
@@ -365,45 +358,38 @@ class _ValuePool:
         return value
 
 
+# op -> (operand count, operands -> (value built, oracle point))
+_RING_ROWS = {
+    "mul": (2, lambda a, b: (field_ops.mul(a, b), oracle_complex_mul(a.value, b.value))),
+    "add": (2, lambda a, b: (field_ops.add(a, b), oracle_complex_add(a.value, b.value))),
+    "conj": (1, lambda a: (field_ops.conj(a), oracle_complex_conj(a.value))),
+}
+
+
 def _field_cases(run: OpReport, rng: SplitMix64, op: str):
+    arity, row = _RING_ROWS[op]
     pool = _ValuePool()
     for _ in range(run.cases):
-        a = pool.draw(rng, 2)
-        b = None
-        if op == "conj":
-            result = field_ops.conj(a)
-            want = oracle_complex_conj(a.value)
-        else:
-            b = pool.draw(rng, 2)
-            if op == "mul":
-                result = field_ops.mul(a, b)
-                want = oracle_complex_mul(a.value, b.value)
-            else:
-                result = field_ops.add(a, b)
-                want = oracle_complex_add(a.value, b.value)
+        operands = [pool.draw(rng, 2) for _ in range(arity)]
+        result, want = row(*operands)
 
         def detail():
-            if b is None:
-                return f"conj a={_fmt_pt(a.value)}"
-            return f"{op} a={_fmt_pt(a.value)} b={_fmt_pt(b.value)}"
+            return f"{op} " + " ".join(f"{name}={_fmt_pt(v.value)}"
+                                       for name, v in zip("ab", operands))
         yield result.trace, (want,), detail
-        if op == "conj" and math.dist(field_ops.conj(result).value, a.value) > FUZZ_TOL:
+        if op == "conj" and math.dist(field_ops.conj(result).value,
+                                      operands[0].value) > FUZZ_TOL:
             run.fail("involution " + detail())
 
 
 _CASES = {
-    "apex": _apex_cases,
-    "extend": _extend_cases,
-    "nth": _nth_cases,
-    "midpoint": _midpoint_cases,
+    **{op: partial(_replayed_cases, op=op) for op in _REPLAYED},
     "foot": _foot_cases,
     "invert": _invert_cases,
     "line-line": _line_line_cases,
     "line-circle": _line_circle_cases,
     "line-circle-diameter": _line_circle_diameter_cases,
-    "mul": partial(_field_cases, op="mul"),
-    "add": partial(_field_cases, op="add"),
-    "conj": partial(_field_cases, op="conj"),
+    **{op: partial(_field_cases, op=op) for op in _RING_ROWS},
 }
 OPS = tuple(_CASES)  # in this order: rng_for streams and the golden pins depend on it
 
@@ -412,6 +398,8 @@ def run_op(name: str, cases: int, seed: int) -> OpReport:
     """Audit, check and record every case the op's generator yields."""
     if name not in OPS:
         raise ValueError(f"unknown construction {name!r}")
+    if cases < 0:
+        raise ValueError(f"cases must be nonnegative, got {cases}")
     run = OpReport(name, cases)
     for trace, want, detail in _CASES[name](run, rng_for(seed, name)):
         purity_audit(trace)

@@ -502,19 +502,21 @@ def _drawn(ops: list, first: list, second: list, op: int, u: int, v: int) -> int
     return z
 
 
-def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
+def rebase(host: Program, guest: Program, seed_map: Iterable[int]) -> Program:
     """Inline ``guest`` into ``host``, feeding the guest's seeds from the host
-    nodes named in ``seed_map``.
+    nodes named in ``seed_map``, taken as a list before it is counted, as
+    ``Builder.inline`` takes it.
 
     The guest's non-seed steps are appended with references rewired; the
     result's outputs are the guest's outputs, remapped. Executing the result
     replays the guest construction "as if" the mapped host points were its
     starting points.
     """
-    if len(seed_map) != guest.seed_count:
+    mapping = list(seed_map)
+    if len(mapping) != guest.seed_count:
         raise InvalidNodeId(
-            f"seed_map has {len(seed_map)} entries for {guest.seed_count} seeds")
-    for ref in seed_map:
+            f"seed_map has {len(mapping)} entries for {guest.seed_count} seeds")
+    for ref in mapping:
         if type(ref) is not int:
             raise InvalidNodeId(f"seed_map entry {ref!r} is not an integer")
         if not 0 <= ref < len(host.ops):
@@ -523,7 +525,6 @@ def rebase(host: Program, guest: Program, seed_map: Sequence[int]) -> Program:
             raise InvalidNodeId(f"seed_map entry {ref} is not a point node")
 
     ops, first, second = list(host.ops), list(host.first), list(host.second)
-    mapping = list(seed_map)
     start = guest.seed_count
     for op, u, v in zip(guest.ops[start:], guest.first[start:], guest.second[start:]):
         mapping.append(len(ops))
@@ -808,8 +809,10 @@ class Builder:
         self._last = _NO_CUT
 
     def pair_based(self, node: int) -> bool:
-        """Whether point ``node`` depends on no seed but 0 and 1, as the
-        operands of the ring operations must."""
+        """Whether point ``node`` (checked as ``point`` checks it) depends on
+        no seed but 0 and 1, as the operands of the ring operations must."""
+        if not (type(node) is int and 0 <= node < len(self.rs) and self.rs[node] is None):
+            self._node(node, False)
         keep = _live(self, node)
         return self.seed_count >= 2 and not any(keep[2:self.seed_count])
 
@@ -821,7 +824,10 @@ class Builder:
         handed over as ``finish`` does, and the trace keeps a copy of the
         hash-cons table and the last cut in its private ``_kept`` for
         ``resume``: node ids do not change there, so both still name the same
-        steps. Raises InvalidNodeId unless ``pair_based``."""
+        steps. ``node`` is checked as ``point`` checks it, then raises
+        InvalidNodeId unless ``pair_based``."""
+        if not (type(node) is int and 0 <= node < len(self.rs) and self.rs[node] is None):
+            self._node(node, False)
         keep = _live(self, node)
         if self.seed_count < 2 or any(keep[2:self.seed_count]):
             raise InvalidNodeId(f"node {node} is not built from seeds 0 and 1 alone")

@@ -17,8 +17,9 @@ On CPython 3.11.7 (x86-64) a compile costs about 40 µs per step (32 to
 ``fuzz.run_op(op, 20, 42)``), and saves about 0.4 µs per step of each draw
 (midpoint's 14 steps execute in 11 µs against 17 µs), so it pays after
 some 100 draws: compile only a program replayed over many draws, as
-``fuzz`` replays its canonical programs. ``compass.constructions`` does
-not import this module, so importing the engine compiles nothing.
+``fuzz`` compiles each canonical program the first time a case draws it
+(a compiled program returns at once). ``compass.constructions`` does not
+import this module, so importing the engine compiles nothing.
 """
 
 from . import program as _program

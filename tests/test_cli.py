@@ -215,6 +215,12 @@ def test_run_op_refuses_an_unknown_op():
         fuzz.run_op("nope", 1, 42)
 
 
+def test_run_op_refuses_a_negative_case_count():
+    # it once returned a report of -3 cases, which format_reports printed as a PASS
+    with pytest.raises(ValueError, match="^cases must be nonnegative, got -3$"):
+        fuzz.run_op("apex", -3, 42)
+
+
 def test_fuzz_warns_on_zero_cases(capsys):
     assert main(["fuzz", "--op", "apex", "--cases", "0"]) == 0
     assert "warning: 0 cases requested; vacuous pass" in capsys.readouterr().out

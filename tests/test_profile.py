@@ -249,7 +249,11 @@ ENGINE_CALLS = {
 # and sqrt read 675, 1848 and 637 until a witness that hands its builder's
 # columns over kept the builder's last cut with its table: a builder resumed
 # from it reads that cut again, mostly in conj's involution check, which cut
-# its result's own two circles anew (41 cuts fewer, 15,698 engine calls)
+# its result's own two circles anew (41 cuts fewer, 15,698 engine calls).
+# The three fuzz.py lambdas are the rows of ``fuzz._RING_ROWS`` (mul, add and
+# conj by first line), one call per case since ``_field_cases`` took each
+# operation from its row in place of its own op-name branches: 15,818, a
+# rise from merging duplicate paths, and no kernel count moved
 RING_KERNEL_CALLS = {"geom.cut": 634, "geom.radius": 746, "math.hypot": 1807,
                      "math.sqrt": 610}
 
@@ -271,6 +275,9 @@ RING_ENGINE_CALLS = {
     "field_ops.py:program": 184,
     "field_ops.py:relative": 254,
     "field_ops.py:value": 400,
+    "fuzz.py:<lambda>#1": 40,
+    "fuzz.py:<lambda>#2": 40,
+    "fuzz.py:<lambda>#3": 40,
     "fuzz.py:__init__#1": 3,
     "fuzz.py:__init__#2": 3,
     "fuzz.py:__init__#3": 3,
@@ -341,9 +348,16 @@ def test_engine_calls_of_the_ring_operations():
 # then called ``_keep`` (+58), and 9 cuts of the pair just cut are read again.
 # _append, _keep and _resolve read 713, 313 and 21 (8,545 engine calls) until
 # the step paths were merged into ``_step`` (995 calls) and ``_cut_at`` (675):
-# 9,168, and no kernel count moved
+# 9,168, and no kernel count moved. math.sqrt read 457, and the engine calls
+# 9,168, until apex, extend, nth and midpoint became rows of one generator,
+# ``_replayed_cases``: apex's 60-degree turn is computed once per process, no
+# longer once per call (sqrt -1); each replayed case makes one row call
+# (``_apex_row``, ``_nth_row`` and the fuzz.py lambdas, extend's and
+# midpoint's rows by first line) and one ``replay.compile`` call, which
+# returns at once for a compiled program, in place of 12 compiles up front:
+# 9,236, a rise from merging duplicate paths
 CORE_KERNEL_CALLS = {"geom.cut": 441, "geom.radius": 702, "math.hypot": 1537,
-                     "math.sqrt": 457}
+                     "math.sqrt": 456}
 
 CORE_ENGINE_CALLS = {
     "constructions.py:<lambda>#1": 24,
@@ -369,22 +383,23 @@ CORE_ENGINE_CALLS = {
     "constructions.py:doublings": 17,
     "constructions.py:ranked": 10,
     "constructions.py:slant": 24,
+    "fuzz.py:<lambda>#1": 10,
+    "fuzz.py:<lambda>#2": 10,
     "fuzz.py:__init__#1": 9,
     "fuzz.py:__init__#2": 9,
-    "fuzz.py:_apex_cases": 1,
+    "fuzz.py:_apex_row": 10,
     "fuzz.py:_built": 40,
     "fuzz.py:_direction": 48,
-    "fuzz.py:_extend_cases": 1,
     "fuzz.py:_foot_cases": 1,
     "fuzz.py:_invert_cases": 1,
     "fuzz.py:_line_circle_cases": 1,
     "fuzz.py:_line_circle_diameter_cases": 1,
     "fuzz.py:_line_line_cases": 1,
-    "fuzz.py:_midpoint_cases": 1,
-    "fuzz.py:_nth_cases": 1,
+    "fuzz.py:_nth_row": 10,
     "fuzz.py:_pair_err": 88,
     "fuzz.py:_point": 189,
     "fuzz.py:_point_away": 99,
+    "fuzz.py:_replayed_cases": 4,
     "fuzz.py:_sample_line_at_distance": 10,
     "fuzz.py:next64": 504,
     "fuzz.py:randint": 10,
@@ -427,7 +442,7 @@ CORE_ENGINE_CALLS = {
     "program.py:point": 424,
     "program.py:purity_audit": 88,
     "record.py:__init__": 9,
-    "replay.py:compile": 12,
+    "replay.py:compile": 40,
 }
 
 

@@ -208,6 +208,21 @@ def test_node_readers_refuse_a_node_that_is_not_an_int(call):
     assert len(b) == 3
 
 
+@pytest.mark.parametrize("node", [99, 2, True], ids=["outside", "circle", "bool"])
+@pytest.mark.parametrize("reader", ["point", "witness", "pair_based"])
+def test_point_readers_check_their_node_as_point_does(reader, node):
+    # pair_based once answered True for a circle node, and witness named an
+    # output its caller never passed; both said "outside program" for 99
+    b = Builder([O, U])
+    b.circle(0, 1)
+    with pytest.raises(CompassError) as want:
+        b.point(node)
+    with pytest.raises(CompassError) as got:
+        getattr(b, reader)(node)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert len(b) == 3
+
+
 def test_a_bool_node_appends_nothing():
     # circle(False, True) once appended the row (OP_CIRCLE, False, True),
     # and finish handed over a 'first' column the constructor refuses
@@ -594,6 +609,26 @@ def test_rebase_bad_seed_map():
             rebase(seeds_only((O, U)), extend_program(), (0, entry))
         with pytest.raises(InvalidNodeId, match=r"is not an integer$"):
             Builder([O, U]).inline(extend_program(), (0, entry))
+
+
+@pytest.mark.parametrize("seed_map, error", [
+    ((0, 1), None),
+    ((0, 99), "seed_map entry 99 outside host program"),
+    ((0,), "seed_map has 1 entries for 2 seeds"),
+    ((0, 1.0), "seed_map entry 1.0 is not an integer"),
+    ((0, 2), "seed_map entry 2 is not a point node"),
+], ids=["good", "outside", "short", "float", "circle"])
+def test_rebase_takes_any_iterable_seed_map(seed_map, error):
+    # as Builder.inline takes it: read once as a list, then counted and checked
+    host = rebase(seeds_only((O, U)), extend_program(), (0, 1))
+    if error is None:
+        assert rebase(host, extend_program(), iter(seed_map)) == rebase(
+            host, extend_program(), seed_map)
+        return
+    for given in (seed_map, iter(seed_map)):
+        with pytest.raises(CompassError) as caught:
+            rebase(host, extend_program(), given)
+        assert type(caught.value) is InvalidNodeId and str(caught.value) == error
 
 
 def test_rebase_refuses_a_circle_in_the_seed_map():
