@@ -7,21 +7,24 @@ cases it would see inside a full run. Inputs are sampled in [-5, 5]^2 with
 non-degeneracy margins: pairwise distances >= 0.1, line angles >= 0.1 rad,
 and |center-to-line distance - r| >= 0.05 where classification matters.
 
-Each op is a case generator ``(run, rng)`` that yields one ``(trace, want,
-detail)`` per case: the trace to audit, whose outputs are the answer; the
-oracle's points; and a callable that formats the case, called only when it
-fails. ``run_op`` alone audits each trace, compares it with ``want`` and
-records the error on its ``OpReport``. A check that follows the comparison
-(an involution, a missed intersection) stays in its generator and calls
+Each op is a row of one of three tables, and each table's generator ``(run,
+rng, op)`` yields one ``(trace, want, detail)`` per case: the trace to audit,
+whose outputs are the answer; the oracle's points; and a callable that
+formats the case, called only when it fails. ``run_op`` alone audits each
+trace, compares it with ``want`` and records the error on its ``OpReport``.
+An involution check follows the comparison in its generator and calls
 ``run.fail`` when the generator resumes, so failure details keep their order.
 
-One generator serves the ops whose cases differ only by a row of its table.
 ``_replayed_cases`` replays one shared canonical program per case for apex,
-extend, nth and midpoint: a ``_REPLAYED`` row maps the case index, the
-stream and the two points drawn to the program, the oracle's point and the
-detail's tail. A program is compiled (``replay.compile``) the first time it
-is drawn, and ``execute`` runs the compiled function with the same bits.
-``_field_cases`` serves mul, add and conj, one ``_RING_ROWS`` row each.
+extend, nth and midpoint (``_REPLAYED``: case index, stream and the two
+points drawn -> program, oracle point, detail tail); ``replay.compile``
+compiles a program the first time it is drawn. ``_built_cases`` runs a
+``build_*`` routine on a fresh ``Builder`` for foot, invert and the three
+line ops (``_BUILT``: case index and stream -> routine, seeds, oracle points,
+detail). A ``CompassError`` from a build fails its case as ``"<error class>:
+<case>"``, except a ``NoSuchIntersection`` where the oracle wants no point,
+which is the right answer. ``_field_cases`` serves mul, add and conj, one
+``_RING_ROWS`` row each.
 
 The ring operations (mul, add, conj) draw their operands from a
 ``_ValuePool``: values at most two operations deep over five atoms.
@@ -49,7 +52,7 @@ from itertools import product
 
 from . import constructions as cons
 from . import field_ops, replay
-from .errors import NoSuchIntersection
+from .errors import CompassError, NoSuchIntersection
 from .geom import Point, ResolvedCircle
 from .oracle import (
     oracle_complex_add,
@@ -61,7 +64,7 @@ from .oracle import (
     oracle_line_line,
     oracle_midpoint,
 )
-from .program import Builder, Selector, Trace, execute, purity_audit
+from .program import Builder, Selector, execute, purity_audit
 from .record import MutableRecord
 
 FUZZ_TOL = 1e-6
@@ -71,6 +74,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BOX = 5.0  # points are drawn in [-_BOX, _BOX]^2
 _MARGIN = 0.1  # least distance of a point drawn away from others
 _TURN = complex(0.5, math.sqrt(3.0) / 2.0)  # apex's turn by 60 degrees to the left
+_MIN_SIN = math.sin(0.1)  # least sine of the angle between two lines drawn
 
 
 class SplitMix64:
@@ -152,14 +156,6 @@ def _direction(rng: SplitMix64) -> tuple[float, float]:
     return math.cos(t), math.sin(t)
 
 
-def _built(build: Callable, seeds: list[Point]) -> Trace:
-    """``build(b, 0, 1, ...)`` on a fresh builder over ``seeds``, finished
-    with the node or nodes it returns as the outputs."""
-    b = Builder(seeds)
-    nodes = build(b, *range(len(seeds)))
-    return b.finish((nodes,) if isinstance(nodes, int) else nodes)[1]
-
-
 def _apex_row(i: int, rng: SplitMix64, a: Point, b: Point):
     side, factor = (Selector.LEFT, _TURN) if i % 2 == 0 else (Selector.RIGHT, _TURN.conjugate())
     z = complex(a.x, a.y) + (complex(b.x, b.y) - complex(a.x, a.y)) * factor
@@ -194,67 +190,51 @@ def _replayed_cases(run: OpReport, rng: SplitMix64, op: str):
                lambda: f"{op}{_fmt_pt(a)}{_fmt_pt(b)}{tail}")
 
 
-def _foot_cases(run: OpReport, rng: SplitMix64):
-    for i in range(run.cases):
+def _foot_row(i: int, rng: SplitMix64):
+    a = _point(rng)
+    b = _point_away(rng, [a])
+    if i % 8 == 7:
+        # exercise the tangency path: c on the line, beyond b
+        t = rng.uniform(1.2, 2.0)
+        c = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    else:
+        c = _point_away(rng, [a, b])
+    return (cons.build_perp_foot, [a, b, c], (oracle_foot(a, b, c),),
+            lambda: f"foot{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}")
+
+
+def _invert_row(i: int, rng: SplitMix64):
+    o = _point(rng)
+    r = rng.uniform(0.5, 3.0)
+    dx, dy = _direction(rng)
+    d = Point(o.x + r * dx, o.y + r * dy)
+    px, py = _direction(rng)
+    if i % 3 == 0:
+        dist = r + rng.uniform(0.05, 4.0)
+    elif i % 3 == 1:
+        dist = r
+    else:
+        dist = rng.uniform(0.05 * r, 0.95 * r)
+    p = Point(o.x + dist * px, o.y + dist * py)
+    return (cons.build_invert_general, [o, d, p], (oracle_invert(ResolvedCircle(o, r), p),),
+            lambda: f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}")
+
+
+def _line_line_row(i: int, rng: SplitMix64):
+    while True:
         a = _point(rng)
         b = _point_away(rng, [a])
-        if i % 8 == 7:
-            # exercise the tangency path: c on the line, beyond b
-            t = rng.uniform(1.2, 2.0)
-            c = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-        else:
-            c = _point_away(rng, [a, b])
-        yield (_built(cons.build_perp_foot, [a, b, c]), (oracle_foot(a, b, c),),
-               lambda: f"foot{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}")
+        c = _point_away(rng, [a, b])
+        d = _point_away(rng, [a, b, c])
+        ux, uy = b.x - a.x, b.y - a.y
+        vx, vy = d.x - c.x, d.y - c.y
+        if abs(ux * vy - uy * vx) / (math.dist(a, b) * math.dist(c, d)) >= _MIN_SIN:
+            break
+    return (cons.build_line_line, [a, b, c, d], (oracle_line_line(a, b, c, d),),
+            lambda: f"linexline{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}{_fmt_pt(d)}")
 
 
-def _invert_cases(run: OpReport, rng: SplitMix64):
-    for i in range(run.cases):
-        o = _point(rng)
-        r = rng.uniform(0.5, 3.0)
-        dx, dy = _direction(rng)
-        d = Point(o.x + r * dx, o.y + r * dy)
-        px, py = _direction(rng)
-        stratum = i % 3
-        if stratum == 0:
-            dist = r + rng.uniform(0.05, 4.0)
-        elif stratum == 1:
-            dist = r
-        else:
-            dist = rng.uniform(0.05 * r, 0.95 * r)
-        p = Point(o.x + dist * px, o.y + dist * py)
-        builder = Builder([o, d, p])
-        image = cons.build_invert_general(builder, 0, 1, 2)
-        trace = builder.finish([image])[1]  # taken before back's steps join
-        back = cons.build_invert_general(builder, 0, 1, image)
-
-        def detail():
-            return f"invert o={_fmt_pt(o)} r={r:.17g} p={_fmt_pt(p)}"
-        yield trace, (oracle_invert(ResolvedCircle(o, r), p),), detail
-        if math.dist(builder.point(back), p) > FUZZ_TOL:
-            run.fail("involution " + detail())
-
-
-def _line_line_cases(run: OpReport, rng: SplitMix64):
-    min_sin = math.sin(0.1)
-    for _ in range(run.cases):
-        while True:
-            a = _point(rng)
-            b = _point_away(rng, [a])
-            c = _point_away(rng, [a, b])
-            d = _point_away(rng, [a, b, c])
-            ux, uy = b.x - a.x, b.y - a.y
-            vx, vy = d.x - c.x, d.y - c.y
-            sin = abs(ux * vy - uy * vx) / (math.dist(a, b) * math.dist(c, d))
-            if sin >= min_sin:
-                break
-        yield (_built(cons.build_line_line, [a, b, c, d]),
-               (oracle_line_line(a, b, c, d),),
-               lambda: f"linexline{_fmt_pt(a)}{_fmt_pt(b)}{_fmt_pt(c)}{_fmt_pt(d)}")
-
-
-def _sample_line_at_distance(rng: SplitMix64, o: Point,
-                             dist: float) -> tuple[Point, Point]:
+def _sample_line_at_distance(rng: SplitMix64, o: Point, dist: float) -> tuple[Point, Point]:
     nx, ny = _direction(rng)
     foot = Point(o.x + dist * nx, o.y + dist * ny)
     t1 = rng.uniform(-3.0, -0.5)
@@ -263,49 +243,68 @@ def _sample_line_at_distance(rng: SplitMix64, o: Point,
             Point(foot.x - ny * t2, foot.y + nx * t2))
 
 
-def _line_circle_cases(run: OpReport, rng: SplitMix64):
-    for i in range(run.cases):
-        o = _point(rng)
-        r = rng.uniform(0.5, 3.0)
-        dx, dy = _direction(rng)
+def _line_circle_row(i: int, rng: SplitMix64):
+    o = _point(rng)
+    r = rng.uniform(0.5, 3.0)
+    dx, dy = _direction(rng)
+    d = Point(o.x + r * dx, o.y + r * dy)
+    if i % 4 == 3:
+        dist = r + rng.uniform(0.05, 2.0)  # the line misses: the oracle wants no point
+    else:
+        dist = rng.uniform(0.05, r - 0.05)
+    a, b = _sample_line_at_distance(rng, o, dist)
+    return (cons.build_line_circle_off_center, [a, b, o, d],
+            oracle_line_circle(a, b, ResolvedCircle(o, r)),
+            lambda: f"linexcircle{_fmt_pt(a)}{_fmt_pt(b)} o={_fmt_pt(o)} r={r:.17g}")
+
+
+def _diameter_row(i: int, rng: SplitMix64):
+    o = _point(rng)
+    a = _point_away(rng, [o])
+    r = rng.uniform(0.5, 3.0)
+    norm = math.dist(a, o)
+    ux, uy = (a.x - o.x) / norm, (a.y - o.y) / norm
+    if i % 5 == 0:
+        sign = 1.0 if i % 10 == 0 else -1.0
+        d = Point(o.x + sign * r * ux, o.y + sign * r * uy)  # on the line
+    else:
+        while True:
+            dx, dy = _direction(rng)
+            if abs(dx * uy - dy * ux) * r >= 0.05:
+                break
         d = Point(o.x + r * dx, o.y + r * dy)
-        if i % 4 == 3:
-            dist = r + rng.uniform(0.05, 2.0)
-        else:
-            dist = rng.uniform(0.05, r - 0.05)
-        a, b = _sample_line_at_distance(rng, o, dist)
-
-        def detail():
-            return f"linexcircle{_fmt_pt(a)}{_fmt_pt(b)} o={_fmt_pt(o)} r={r:.17g}"
-        want = oracle_line_circle(a, b, ResolvedCircle(o, r))
-        try:
-            trace = _built(cons.build_line_circle_off_center, [a, b, o, d])
-        except NoSuchIntersection:
-            if want:
-                run.fail("missed existing intersection: " + detail())
-            continue
-        yield trace, want, detail
+    return (cons.build_line_circle_center_on_line, [o, a, d],
+            oracle_line_circle(o, a, ResolvedCircle(o, r)),
+            lambda: f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
 
 
-def _line_circle_diameter_cases(run: OpReport, rng: SplitMix64):
+# op -> its row: (case index, stream) -> (build routine, seeds, oracle points,
+# detail), every engine and oracle name read at call time
+_BUILT = {
+    "foot": _foot_row,
+    "invert": _invert_row,
+    "line-line": _line_line_row,
+    "line-circle": _line_circle_row,
+    "line-circle-diameter": _diameter_row,
+}
+
+
+def _built_cases(run: OpReport, rng: SplitMix64, op: str):
+    """Each case's ``build(b, 0, 1, ...)`` on a fresh builder over its
+    seeds, finished with the node or nodes it returns as the outputs."""
+    row = _BUILT[op]
     for i in range(run.cases):
-        o = _point(rng)
-        a = _point_away(rng, [o])
-        r = rng.uniform(0.5, 3.0)
-        norm = math.dist(a, o)
-        ux, uy = (a.x - o.x) / norm, (a.y - o.y) / norm
-        if i % 5 == 0:
-            sign = 1.0 if i % 10 == 0 else -1.0
-            d = Point(o.x + sign * r * ux, o.y + sign * r * uy)  # on the line
-        else:
-            while True:
-                dx, dy = _direction(rng)
-                if abs(dx * uy - dy * ux) * r >= 0.05:
-                    break
-            d = Point(o.x + r * dx, o.y + r * dy)
-        yield (_built(cons.build_line_circle_center_on_line, [o, a, d]),
-               oracle_line_circle(o, a, ResolvedCircle(o, r)),
-               lambda: f"diameter o={_fmt_pt(o)} a={_fmt_pt(a)} d={_fmt_pt(d)}")
+        build, seeds, want, detail = row(i, rng)
+        b = Builder(seeds)
+        try:  # the involution check's build, after the yield, too
+            nodes = build(b, *range(len(seeds)))
+            yield b.finish((nodes,) if isinstance(nodes, int) else nodes)[1], want, detail
+            if op == "invert" and math.dist(
+                    b.point(cons.build_invert_general(b, 0, 1, nodes)), seeds[2]) > FUZZ_TOL:
+                run.fail("involution " + detail())
+        except CompassError as err:
+            if want or not isinstance(err, NoSuchIntersection):
+                run.fail(f"{type(err).__name__}: {detail()}")
 
 
 @lru_cache(maxsize=None)
@@ -384,11 +383,7 @@ def _field_cases(run: OpReport, rng: SplitMix64, op: str):
 
 _CASES = {
     **{op: partial(_replayed_cases, op=op) for op in _REPLAYED},
-    "foot": _foot_cases,
-    "invert": _invert_cases,
-    "line-line": _line_line_cases,
-    "line-circle": _line_circle_cases,
-    "line-circle-diameter": _line_circle_diameter_cases,
+    **{op: partial(_built_cases, op=op) for op in _BUILT},
     **{op: partial(_field_cases, op=op) for op in _RING_ROWS},
 }
 OPS = tuple(_CASES)  # in this order: rng_for streams and the golden pins depend on it
@@ -398,6 +393,8 @@ def run_op(name: str, cases: int, seed: int) -> OpReport:
     """Audit, check and record every case the op's generator yields."""
     if name not in OPS:
         raise ValueError(f"unknown construction {name!r}")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (cases, seed)):
+        raise ValueError(f"cases and seed must be ints, got {cases!r} and {seed!r}")
     if cases < 0:
         raise ValueError(f"cases must be nonnegative, got {cases}")
     run = OpReport(name, cases)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from compass import constructions as cons
 from compass import fuzz, tracedoc
 from compass.cli import main
 from compass.demos import DEMOS
-from compass.errors import NoSuchIntersection
+from compass.errors import DegenerateCircle, NoSuchIntersection
 from compass.geom import Point
 
 
@@ -221,6 +222,18 @@ def test_run_op_refuses_a_negative_case_count():
         fuzz.run_op("apex", -3, 42)
 
 
+@pytest.mark.parametrize("op, cases, seed", [
+    ("apex", 2.5, 42),  # once a bare TypeError from range
+    ("mul", True, 42),  # once a report of True cases
+    ("apex", 1, 1.5),  # once a bare TypeError from SplitMix64
+    ("apex", 1, False),
+])
+def test_run_op_refuses_a_case_count_or_seed_that_is_not_an_int(op, cases, seed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"cases and seed must be ints, got {cases!r} and {seed!r}")):
+        fuzz.run_op(op, cases, seed)
+
+
 def test_fuzz_warns_on_zero_cases(capsys):
     assert main(["fuzz", "--op", "apex", "--cases", "0"]) == 0
     assert "warning: 0 cases requested; vacuous pass" in capsys.readouterr().out
@@ -233,18 +246,56 @@ def test_fuzz_mismatch_exits_3(monkeypatch, capsys):
     assert "  FAIL " in out and "result: FAIL (1 construction(s), 2 failure(s)" in out
 
 
-def test_a_missed_line_circle_intersection_fails_the_case(monkeypatch, capsys):
-    """A line-circle case that raises NoSuchIntersection where the oracle
-    finds points fails without a trace; where the line misses, it passes."""
-    def miss(*args):
-        raise NoSuchIntersection("the line misses the circle")
+# each op of ``fuzz._BUILT``: the routine its row builds with, and the start
+# of its case's detail
+BUILT_OPS = {
+    "foot": ("build_perp_foot", "foot("),
+    "invert": ("build_invert_general", "invert o=("),
+    "line-line": ("build_line_line", "linexline("),
+    "line-circle": ("build_line_circle_off_center", "linexcircle("),
+    "line-circle-diameter": ("build_line_circle_center_on_line", "diameter o=("),
+}
 
-    monkeypatch.setattr(cons, "build_line_circle_off_center", miss)
-    report = fuzz.run_op("line-circle", 40, 42)
-    assert (report.failures, report.audited) == (30, 0)
+
+@pytest.mark.parametrize("error", [NoSuchIntersection, DegenerateCircle],
+                         ids=lambda error: error.__name__)
+@pytest.mark.parametrize("op", BUILT_OPS)
+def test_a_typed_error_from_a_build_fails_its_case(op, error, monkeypatch, capsys):
+    """A build that raises a CompassError fails its case without a trace, and
+    the run goes on. Only a NoSuchIntersection where the oracle wants no point
+    (line-circle's cases where the line misses) passes: the right answer."""
+    routine, prefix = BUILT_OPS[op]
+
+    def fail(*args):
+        raise error("the build fails")
+
+    monkeypatch.setattr(cons, routine, fail)
+    report = fuzz.run_op(op, 40, 42)
+    failures = 30 if (op, error) == ("line-circle", NoSuchIntersection) else 40
+    assert (report.failures, report.audited) == (failures, 0)
     assert len(report.details) == 5
-    assert all(detail.startswith("missed existing intersection: linexcircle(")
-               for detail in report.details)
-    assert main(["fuzz", "--op", "line-circle", "--cases", "40", "--seed", "42"]) == 3
-    assert "result: FAIL (1 construction(s), 30 failure(s), 0 trace(s) audited)" in (
-        capsys.readouterr().out)
+    assert all(detail.startswith(f"{error.__name__}: {prefix}") for detail in report.details)
+    assert main(["fuzz", "--op", "all", "--cases", "40", "--seed", "42"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:-1] if not line.startswith("  FAIL ")]
+    assert [row[0] for row in rows] == list(fuzz.OPS)  # the ops after it ran too
+    assert {row[0]: int(row[2]) for row in rows}[op] == failures
+    assert lines[-1].startswith("result: FAIL (12 construction(s), ")
+
+
+def test_an_error_in_the_involution_check_fails_its_case(monkeypatch):
+    """invert's check builds the image back on the case's builder after the
+    case is audited; a typed error there fails the case too, and the run
+    goes on."""
+    invert, calls = cons.build_invert_general, []
+
+    def back_fails(b, o, d, p):
+        calls.append(p)
+        if len(calls) % 2 == 0:
+            raise NoSuchIntersection("the way back fails")
+        return invert(b, o, d, p)
+
+    monkeypatch.setattr(cons, "build_invert_general", back_fails)
+    report = fuzz.run_op("invert", 6, 42)
+    assert (report.failures, report.audited, report.max_err < 1e-9, len(calls)) == (6, 6, True, 12)
+    assert all(detail.startswith("NoSuchIntersection: invert o=(") for detail in report.details)
