@@ -30,9 +30,10 @@ def _points_text(result: dsl.ScriptResult) -> str:
 
 
 def _svg_text(result: dsl.ScriptResult) -> str:
-    names = {node: name
-             for node, name in enumerate(result.seed_names)}
-    names.update({node: name for name, node in result.named_points})
+    """Label each node with every name bound to it, seed name first."""
+    names = dict(enumerate(result.seed_names))
+    for name, node in result.named_points:
+        names[node] = f"{names[node]}, {name}" if node in names else name
     return svg.render_trace(result.trace, names)
 
 

@@ -18,9 +18,9 @@ their original outputs.
 Storage is columnar. A step is its row ``(op, first, second)``: the op is
 ``OP_SEED`` (first is the slot, second -1), ``OP_CIRCLE`` (center, through)
 or ``OP_LEFT``/``OP_RIGHT`` (the two circles: the selector is part of the
-op). A ``Program`` is those three int columns plus the outputs, and
-``Program.steps`` is a view of its rows over those columns: equal to the
-tuple of the rows, it builds a row only when one is read. A ``Trace`` is
+op). A ``Program`` is those three int columns plus the outputs, and has
+no other view of its rows: ``Program.steps`` is the range of its step ids,
+and step ``i`` is ``(ops[i], first[i], second[i])``. A ``Trace`` is
 its program plus float columns x, y and radius (``None`` for a point); its
 seed values and circle count are derived.
 
@@ -167,42 +167,6 @@ class Resolved(Record, Sequence):
         return repr(tuple(self))
 
 
-class _Steps(Sequence):
-    """The rows ``(op, first, second)`` of a program, over its int columns
-    ``ops``, ``first`` and ``second``: ``len`` is ``len(ops)`` and builds
-    nothing, an index builds one row, a slice or iteration builds only the
-    rows it gives. Equal to the tuple of its rows, and hashes as it does."""
-
-    __slots__ = ("ops", "first", "second")
-
-    def __init__(self, ops: tuple, first: tuple, second: tuple):
-        self.ops, self.first, self.second = ops, first, second
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(zip(self.ops[i], self.first[i], self.second[i]))
-        return self.ops[i], self.first[i], self.second[i]
-
-    def __iter__(self):
-        return zip(self.ops, self.first, self.second)
-
-    def __eq__(self, other):
-        if type(other) is _Steps:
-            other = tuple(other)
-        elif not isinstance(other, tuple):
-            return NotImplemented
-        return tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 class Program(Record):
     """An executable compass construction over ``seed_count`` seed slots:
     the int columns ``ops``, ``first`` and ``second``, and the outputs.
@@ -288,10 +252,10 @@ class Program(Record):
                 raise MalformedProgram(f"output {k}: id {out} is not a point node")
 
     @property
-    def steps(self) -> Sequence[tuple[int, int, int]]:
-        """The rows ``(op, first, second)``, as a read-only view over the
-        three int columns: counting them builds no row."""
-        return _Steps(self.ops, self.first, self.second)
+    def steps(self) -> range:
+        """The step ids: step ``i`` is the row ``(ops[i], first[i],
+        second[i])``. Kept for perfbench, which counts steps as ``len(p.steps)``."""
+        return range(len(self.ops))
 
     def circle_count(self) -> int:
         return self.ops.count(OP_CIRCLE)

@@ -77,6 +77,17 @@ def test_script_without_given_writes_a_trace_that_loads(tmp_path, capsys):
     assert "<svg" in svg_path.read_text()
 
 
+def test_svg_labels_a_node_with_every_name_bound_to_it(tmp_path, capsys):
+    # nth(Z, U, 1) is U itself, and both extends are one node
+    script, svg_path = tmp_path / "aliases.compass", tmp_path / "aliases.svg"
+    script.write_text("given Z = (0, 0)\ngiven U = (1, 0)\nlet X = nth(Z, U, 1)\n"
+                      "let P = extend(Z, U)\nlet Q = extend(Z, U)\n")
+    assert main(["run", str(script), "--svg", str(svg_path)]) == 0
+    labels = re.findall(r"<text [^>]*>([^<]*)</text>", svg_path.read_text())
+    assert labels == ["Z", "U, X", "P, Q"]
+    capsys.readouterr()
+
+
 def test_emit_request_writes_its_file(tmp_path, capsys):
     script = tmp_path / "emit.compass"
     script.write_text(MIDPOINT + f'emit points "{tmp_path / "points.txt"}"\n')

@@ -451,7 +451,8 @@ def test_linexcircle_with_the_center_near_the_line(height):
     for p, w in zip(got, sorted(want, key=lambda p: p.x)):
         assert math.hypot(p.x - w.x, p.y - w.y) <= 1e-12, (p, w)
     through_o = run_source(given + "let X, Y = linexcircle(O, A, O, D)\n")
-    assert result.trace.program.steps != through_o.trace.program.steps
+    a, b = result.trace.program, through_o.trace.program
+    assert (a.ops, a.first, a.second) != (b.ops, b.first, b.second)
 
 
 def test_linexcircle_tangency_binds_both_names_to_the_touch_point():

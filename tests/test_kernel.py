@@ -133,8 +133,9 @@ def test_builder_rejects_nodes_outside_it():
             b.inline(extend_program(), (0, bad))
     # nothing was appended by the failed calls
     assert len(b) == 4
-    assert b.finish([])[0].steps == ((OP_SEED, 0, -1), (OP_SEED, 1, -1),
-                                     (OP_CIRCLE, 0, 1), (OP_CIRCLE, 1, 0))
+    program = b.finish([])[0]
+    assert tuple(zip(program.ops, program.first, program.second)) == (
+        (OP_SEED, 0, -1), (OP_SEED, 1, -1), (OP_CIRCLE, 0, 1), (OP_CIRCLE, 1, 0))
 
 
 def test_inline_failure_leaves_completed_steps():

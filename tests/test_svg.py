@@ -80,9 +80,9 @@ PICK, CIRCLE = (OP_LEFT, OP_RIGHT), (OP_CIRCLE,)
 def test_resolved_kind_mismatch_raises(kind, stand_in):
     """A value of the wrong kind is a MalformedTrace, also under -O."""
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
-    steps = trace.program.steps
-    at = next(i for i, (op, _, _) in enumerate(steps) if op in kind)
-    source = next(i for i, (op, _, _) in enumerate(steps) if op in stand_in)
+    ops = trace.program.ops
+    at = next(i for i, op in enumerate(ops) if op in kind)
+    source = next(i for i, op in enumerate(ops) if op in stand_in)
     resolved = list(trace.resolved)
     resolved[at] = resolved[source]
     with pytest.raises(MalformedTrace, match=rf"^step {at}:"):

@@ -149,8 +149,7 @@ def _entry(field, index, edit):
 
 def test_document_rejects_resolved_kind_mismatch():
     trace = execute(midpoint_program(), (Point(0, 0), Point(1, 0)))
-    pick = next(i for i, (op, _, _) in enumerate(trace.program.steps)
-                if op in (OP_LEFT, OP_RIGHT))
+    pick = next(i for i, op in enumerate(trace.program.ops) if op in (OP_LEFT, OP_RIGHT))
     resolved = list(trace.resolved)
     resolved[pick] = resolved[pick - 1]  # a circle where a point belongs
     with pytest.raises(MalformedTrace, match=rf"^step {pick}:"):
