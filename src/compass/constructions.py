@@ -18,6 +18,7 @@ import math
 from functools import lru_cache
 
 from .errors import (
+    BelowResolution,
     CenterInversion,
     CompassError,
     DegenerateCircle,
@@ -28,7 +29,7 @@ from .errors import (
     ParallelLines,
     ScaleOverflow,
 )
-from .geom import EPS, Point
+from .geom import BAND_RESOLUTION, EPS, Point
 from .program import Builder, Program, Selector
 
 MAX_SCALE = 2 ** 20  # cap for integer-ratio chains
@@ -247,7 +248,9 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     circles, with k the fewest doublings that clear r/2 by r/32, or by d/2
     where that is less (``_doublings``): from 17r/32 out k = 0, and it is
     the core alone, 4 circles, with no inline. Raises ``ScaleOverflow``
-    where the paper ratio floor(r/d) + 2 exceeds ``MAX_SCALE``.
+    where the paper ratio floor(r/d) + 2 exceeds ``MAX_SCALE``, and
+    ``BelowResolution`` for a p within ``EPS`` of the circle but more than
+    ``BAND_RESOLUTION`` of the radius off it.
     """
     po, pd, pp = b.point(o), b.point(d), b.point(p)
     r = math.dist(po, pd)
@@ -255,6 +258,9 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
     if dist <= EPS:
         raise CenterInversion("inversion is undefined at the center")
     if abs(dist - r) <= EPS:
+        if abs(dist - r) > BAND_RESOLUTION * r:
+            raise BelowResolution(f"node {p}: on the circle only within the band, "
+                                  f"{abs(dist - r) / r:.3g} of the radius off")
         return p
     if r / dist >= MAX_SCALE - 1:  # floor(r/d) + 2 > MAX_SCALE, or r/d overflows
         raise ScaleOverflow(
@@ -267,30 +273,49 @@ def build_invert_general(b: Builder, o: int, d: int, p: int) -> int:
 
 # --- intersections through inversion -----------------------------------------
 
+def _ranked(specs: list, score):
+    """``specs`` sorted stably by ``score``, each scored once and lazily: in
+    order only until one scores 0, the least a score can be; that one heads
+    the order and is yielded at once, and the rest are scored and ranked
+    only if the caller asks for more."""
+    scores = []
+    for spec in specs:
+        scores.append(score(spec))
+        if not scores[-1]:  # no score is less: this spec heads the sort
+            yield spec
+            break
+    scores += map(score, specs[len(scores):])
+    order = sorted(range(len(specs)), key=scores.__getitem__)
+    yield from (specs[i] for i in order[0 in scores:])  # after the head, if tried
+
+
 def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
-    """Intersection of lines ab and cd.
+    """Intersection of lines ab and cd, by inversion on one of two families
+    of routes, each route rolled back where it fails and the next tried.
 
-    Pick a pole off both lines (an apex of a segment between the four
-    points) and invert in the circle around it through a. Each line
-    inverts to the circle through the pole centered on the inverse of the
-    pole's mirror image in the line; those two circles meet again at the
-    inverse of the sought point, which is inverted back. That is 18
-    circles (fewer where steps coincide) when both mirror images and the
-    cut point lie 17/32 of the pole radius or more from the pole, and 6
-    more for each doubling a nearer one takes.
+    *About a seed* (first). Invert in omega, the circle about a seed o of
+    one line through another seed e. Line oq maps to itself, and the other
+    line to the circle Gamma through o about g, the inverse of o's mirror
+    image in that line. Gamma cuts its own mirror image in line oq at o and
+    at X', the inverse of the crossing X, which is inverted back: 13 circles
+    and 9 picks. For perpendicular lines g lies on line oq and the mirror
+    circles only touch, so this family is tried only where
+    |cos theta| >= 1/16, theta the angle between the lines.
 
-    The twelve apexes are ranked by the doublings their three inversions
-    are predicted to take, on plain floats from the four points, ties kept
-    in the order below, and tried in one pass, rolling back each that
-    fails where its failure arises: ``build_reflect`` raises ``OnMirrorLine``
-    for a pole within the tangency band of a line, the kernel for a circle
-    that is degenerate (a pole at a) or not finite, and the pick of ``k``
-    for inverted lines that only touch at the pole. A pole near a line
-    ranks late, its mirror image deep inside the pole circle. The apexes
-    are scored in the order below until one predicts no doubling: it heads
-    the ranking and is tried at once, and the rest are ranked only if it
-    fails. Over 600 fuzz draws at seed 42 the mean is 18.34 circles,
-    gated at 18.5 in ``tests/test_counts.py``.
+    *About an apex pole* (the fallback). Invert in the circle about an apex
+    of a segment between the four points, through a. Both lines map to
+    circles through the pole, which meet again at X': 18 circles.
+
+    Each inversion of a point within 17/32 of the radius of the center
+    takes 6 circles more per doubling (``_doublings``). The 12 choices of
+    (o, e), o over a, bn, c, d and e over the other seeds, and the 12
+    apexes are each ranked by their doublings, predicted on floats, ties in
+    that order (``_ranked``). A route fails on ``build_reflect``'s
+    ``OnMirrorLine`` for a point within the tangency band of a line, on the
+    kernel's error for a circle that is degenerate or not finite, or where
+    two circles only touch at the center; the last error is raised when
+    every route fails. Over 600 fuzz draws at seed 42 the mean is 13.64
+    circles, gated at 13.7 in ``tests/test_counts.py``.
     """
     pa, pb, pc, pd = b.point(a), b.point(bn), b.point(c), b.point(d)
     if math.dist(pa, pb) <= EPS or math.dist(pc, pd) <= EPS:
@@ -298,24 +323,39 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
     ux, uy = pb.x - pa.x, pb.y - pa.y
     vx, vy = pd.x - pc.x, pd.y - pc.y
     nu, nv, cross = math.hypot(ux, uy), math.hypot(vx, vy), ux * vy - uy * vx
-    # the sine of the unit directions: ``cross`` itself overflows at large scale
-    if abs(ux / nu * (vy / nv) - uy / nu * (vx / nv)) <= EPS:
+    # on unit directions: ``cross`` itself overflows at large scale
+    ex, ey, fx, fy = ux / nu, uy / nu, vx / nv, vy / nv
+    if abs(ex * fy - ey * fx) <= EPS:
         raise ParallelLines("line directions agree within tolerance")
+
+    seeds = {a: pa, bn: pb, c: pc, d: pd}
+    t = ((pc.x - pa.x) * vy - (pc.y - pa.y) * vx) / cross
+    sx, sy = pa.x + t * ux, pa.y + t * uy  # the sought point s, on floats
+    # o, q on one line, e the circle's through point, and the other line
+    options = [(o, q, e, *line) for o, q, line in ((a, bn, (c, d)), (bn, a, (c, d)),
+                                                  (c, d, (a, bn)), (d, c, (a, bn)))
+               for e in seeds if e != o]
+
+    def seed_doublings(spec: tuple[int, int, int, int, int]) -> int:
+        # m lies 2h from o, h o's distance from the other line, and X'
+        # r^2 / |s - o| from it
+        o, _, e, c1, c2 = (seeds[n] for n in spec)
+        r = math.hypot(e.x - o.x, e.y - o.y)
+        wx, wy = c2.x - c1.x, c2.y - c1.y
+        h = abs(wx * (o.y - c1.y) - wy * (o.x - c1.x)) / math.hypot(wx, wy)
+        return (_doublings(2.0 * h, r)
+                + _doublings(r * r / max(math.hypot(sx - o.x, sy - o.y), EPS), r))
 
     # Where the ranking ties: apexes of ab and cd first, per the
     # deterministic rule; apexes of the cross pairs afterwards, because for
     # symmetric inputs (e.g. two perpendicular axes) every apex of ab and cd
     # lands exactly on the other line.
     pairs = ((a, bn), (c, d), (a, c), (bn, d), (a, d), (bn, c))
-    pole_specs = [(e1, e2, side) for e1, e2 in pairs for side in _SIDES]
-    # The pole's mirror image in each line lies twice the pole's distance
-    # from that line away, and the cut point, the inverse of the sought
-    # point s, r^2 / |s - pole| away.
-    seeds = {a: pa, bn: pb, c: pc, d: pd}
-    t = ((pc.x - pa.x) * vy - (pc.y - pa.y) * vx) / cross
-    sx, sy = pa.x + t * ux, pa.y + t * uy
+    poles = [(e1, e2, side) for e1, e2 in pairs for side in _SIDES]
 
-    def doublings(spec: tuple[int, int, Selector]) -> int:
+    def pole_doublings(spec: tuple[int, int, Selector]) -> int:
+        # The pole's mirror image in each line lies twice the pole's
+        # distance from that line away, and X' r^2 / |s - pole| away.
         px, py = _apex_xy(seeds[spec[0]], seeds[spec[1]], spec[2])
         r = math.hypot(px - pa.x, py - pa.y)
         to_ab = 2.0 * abs(ux * (py - pa.y) - uy * (px - pa.x)) / nu
@@ -323,32 +363,30 @@ def build_line_line(b: Builder, a: int, bn: int, c: int, d: int) -> int:
         to_cut = r * r / max(math.hypot(sx - px, sy - py), EPS)
         return sum(_doublings(dist, r) for dist in (to_ab, to_cd, to_cut))
 
-    def ranked():  # pole_specs sorted stably by doublings, each scored once
-        scores = []
-        for spec in pole_specs:
-            scores.append(doublings(spec))
-            if not scores[-1]:  # no score is less: this spec heads the sort
-                yield spec
-                break
-        scores += map(doublings, pole_specs[len(scores):])
-        order = sorted(range(len(pole_specs)), key=scores.__getitem__)
-        yield from (pole_specs[i] for i in order[0 in scores:])  # after the head, if tried
-
+    families = ((True, options, seed_doublings), (False, poles, pole_doublings))
     last_error: CompassError | None = None
-    for e1, e2, side in ranked():
-        mark = b.mark()
-        try:
-            pole = build_apex(b, e1, e2, side)
-            images = [b.circle(build_invert_general(
-                b, pole, a, build_reflect(b, e, f, pole)), pole)
-                for e, f in ((a, bn), (c, d))]
-            k = b.pick_other(*images, avoid=pole)
-            if k is None:
-                raise DegenerateCircle("the inverted lines only touch at the pole")
-            return build_invert_general(b, pole, a, k)
-        except CompassError as err:
-            last_error = err
-            b.rollback(mark)
+    for seeded, specs, score in families[16.0 * abs(ex * fx + ey * fy) < 1.0:]:
+        for spec in _ranked(specs, score):
+            mark = b.mark()
+            try:
+                if seeded:  # line oq maps to itself: cut Gamma with its mirror image in it
+                    center, q, through, c1, c2 = spec
+                    g = build_invert_general(b, center, through,
+                                             build_reflect(b, c1, c2, center))
+                    images = (b.circle(g, center),
+                              b.circle(build_reflect(b, center, q, g), center))
+                else:  # both lines map to circles through the pole
+                    center, through = build_apex(b, *spec), a
+                    images = [b.circle(build_invert_general(
+                        b, center, a, build_reflect(b, e, f, center)), center)
+                        for e, f in ((a, bn), (c, d))]
+                image = b.pick_other(*images, avoid=center)
+                if image is None:
+                    raise DegenerateCircle("the images only touch at the center of inversion")
+                return build_invert_general(b, center, through, image)
+            except CompassError as err:
+                last_error = err
+                b.rollback(mark)
     raise last_error
 
 

@@ -61,3 +61,9 @@ class OnMirrorLine(CompassError):
     """A point to be reflected in a line lies on it: the circles about two
     points of the line through it only touch."""
 
+
+class BelowResolution(CompassError):
+    """A touch, or a point on a circle, that only the absolute band
+    ``geom.EPS`` makes: the circles, or the point and the circle, miss by
+    more than ``geom.BAND_RESOLUTION`` of the radius. The message names the
+    step and that margin."""

@@ -14,7 +14,11 @@ the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
 In -1 + 1 and 1 + (-1) that replay reflects 0 through 1 to 2 and back,
 which the builder takes as 0 itself (a point reflected twice through one
 center is that point), so the sum is seed 0, where it was a point within
-an ulp or so of it; likewise -(-a) is a's own node.
+an ulp or so of it. Likewise -(-a) is a's own node, unless a is a pick of a
+circle K about seed 0 through another point, as the apex of 0 and 1 is of
+C(0; 1): the circle rule takes K for C(0; a), the double-reflection rule
+finds no circle about 0 drawn through a, and -(-a) is a new node within an
+ulp or so of a.
 
 ``ConstructibleValue`` and its functions are the API edge: a value is its
 witness resolved on the canonical seeds, the ``Builder.witness`` of a node

@@ -13,7 +13,8 @@ in ``program`` calls ``radius`` and ``cut`` directly and builds no object.
 ``cut`` alone knows which point is left and what a touch is: it returns
 both points, left first, and a touch is two equal points. The two give
 every numeric verdict of a step, each testing what it computed: degenerate
-or non-finite from ``radius``; none, coincident or overflow from ``cut``.
+or non-finite from ``radius``; none, coincident, overflow or unresolved from
+``cut``.
 
 The value records ``Point``, ``ResolvedCircle``, ``TwoPoints`` and
 ``Tangent`` are named tuples: a ``Point`` equals, hashes and unpacks like
@@ -26,7 +27,10 @@ only to their own kind.
 ``EPS`` is the one degeneracy band: a circle no larger, two centers no
 farther apart, or a tangency gap no wider is taken as collapsed. Every
 pre-check, the oracles and trace loading read it. Constructions commute with
-similarities, so the band is the kernel's, not a caller's setting.
+similarities, so the band is the kernel's, not a caller's setting. Being
+absolute, it would call circles tangent that cross by a wide margin at a
+small scale: ``cut`` refuses a touch whose gap exceeds ``BAND_RESOLUTION``
+of the radius, and ``build_invert_general`` an "on the circle" likewise.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 from collections import namedtuple
 from math import isfinite
 
-from .errors import DegenerateCircle, NonFiniteInput
+from .errors import BelowResolution, DegenerateCircle, NonFiniteInput
 from .record import Record
 
 Point = namedtuple("Point", "x y")
@@ -47,6 +51,7 @@ points: its center, a ``Point``, and its radius, a float."""
 
 
 EPS = 1e-12
+BAND_RESOLUTION = 2.0 ** -20  # the least gap, relative to the radius, the band may not close
 
 
 # --- intersection outcomes -------------------------------------------------
@@ -88,6 +93,7 @@ def circle_from(center: Point, through: Point) -> ResolvedCircle:
 CUT_NONE = "none"
 CUT_COINCIDENT = "coincident"
 CUT_OVERFLOW = "overflow"
+CUT_UNRESOLVED = "a touch below the band's resolution"  # the verdict goes on with its gap
 
 
 def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
@@ -95,8 +101,10 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
 
     Returns ``CUT_NONE`` when the circles do not meet (concentric circles
     included), ``CUT_COINCIDENT`` for two copies of one circle,
-    ``CUT_OVERFLOW`` when a point it computed is not finite, and otherwise
-    the two points ``(lx, ly, rx, ry)``: ``left`` is the point p with
+    ``CUT_OVERFLOW`` when a point it computed is not finite, ``CUT_UNRESOLVED``
+    and the gap for a touch that misses tangency by more than
+    ``BAND_RESOLUTION`` of the larger radius, and otherwise the two points
+    ``(lx, ly, rx, ry)``: ``left`` is the point p with
     cross(c2 - c1, p - c1) > 0, ``right`` the other. A touch is two equal
     points: where the circles are tangent, its one point twice.
 
@@ -120,6 +128,9 @@ def cut(x1: float, y1: float, r1: float, x2: float, y2: float, r2: float):
     outer = d - (r1 + r2)
     inner = d - abs(r1 - r2)
     if abs(outer) <= EPS or abs(inner) <= EPS:
+        gap = min(abs(outer), abs(inner)) / max(r1, r2)
+        if gap > BAND_RESOLUTION:
+            return f"{CUT_UNRESOLVED}: the circles miss tangency by {gap:.3g} of the radius"
         # Tangent: the touch point lies on the center axis.
         a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
         x, y = x1 + a * dx / d, y1 + a * dy / d
@@ -147,7 +158,8 @@ def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle
 
     Checks what ``cut`` takes for granted, finite centers and finite radii
     above ``EPS``, and raises NonFiniteInput where ``cut`` reports an
-    overflow. A touch, two equal points, is reported once as ``Tangent``.
+    overflow, BelowResolution where it refuses a touch. A touch, two equal
+    points, is reported once as ``Tangent``.
     """
     o1, o2 = c1.center, c2.center
     if not all(map(isfinite, (*o1, *o2, c1.radius, c2.radius))):
@@ -161,5 +173,7 @@ def circle_circle_intersect(c1: ResolvedCircle, c2: ResolvedCircle
         return Coincident()
     if got == CUT_OVERFLOW:
         raise NonFiniteInput("an intersection point is not finite")
+    if type(got) is str:
+        raise BelowResolution(got)
     left, right = Point(*got[:2]), Point(*got[2:])
     return Tangent(left) if left == right else TwoPoints(left, right)

@@ -62,6 +62,7 @@ from itertools import accumulate, compress, islice
 from operator import itemgetter
 
 from .errors import (
+    BelowResolution,
     CoincidentCircles,
     CompassError,
     DegenerateCircle,
@@ -75,6 +76,7 @@ from .errors import (
 # perfbench's tracer wraps them here.
 from .geom import (  # noqa: F401
     CUT_COINCIDENT,
+    CUT_NONE,
     CUT_OVERFLOW,
     Point,
     ResolvedCircle,
@@ -405,7 +407,9 @@ def _no_point(got: str, at: int) -> CompassError:
         return CoincidentCircles(f"step {at}: pick on coincident circles")
     if got == CUT_OVERFLOW:
         return NonFiniteInput(f"step {at}: an intersection point is not finite")
-    return NoSuchIntersection(f"step {at}: circles do not meet")
+    if got == CUT_NONE:
+        return NoSuchIntersection(f"step {at}: circles do not meet")
+    return BelowResolution(f"step {at}: {got}")  # ``CUT_UNRESOLVED``, with its gap
 
 
 def _drawn(ops: list, first: list, second: list, op: int, u: int, v: int) -> int | None:

@@ -5,7 +5,8 @@ run, which the default benchmark run never installs. Installing it here, and
 running every demo and one case of every fuzz op under it, fails as soon as
 one of those names is renamed or dropped. Each fuzz op must also reach its
 names through its module's attributes when it runs, so that a patch of one
-is seen by the op's cases.
+is seen by the op's cases. The same run loads one written trace, and pins
+the set of traced names that it never calls.
 """
 
 import importlib
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from compass import constructions as cons
-from compass import field_ops, fuzz
+from compass import field_ops, fuzz, tracedoc
 from compass.cli import main
 from compass.demos import DEMOS
 
@@ -32,11 +33,27 @@ def test_traced_demos_and_fuzz_ops_run(tmp_path, capsys, monkeypatch):
                          "--trace", str(tmp_path / "trace.json")]) == 0
         for op in fuzz.OPS:
             assert fuzz.run_op(op, 1, 42).failures == 0
+        tracedoc.loads((tmp_path / "trace.json").read_text(encoding="utf-8"))
         tracer.end_item()
     capsys.readouterr()
     assert tracer.calls("dsl.interpret") == len(DEMOS)
     assert all(tracer.calls(f"fuzz.{op}") == 1 for op in fuzz.OPS)
     assert tracer.calls("constructions.midpoint") > 0
+    assert {name for name in tracer.stats if not tracer.calls(name)} == UNCALLED
+
+
+# The tracer's stat names that no call reaches in the run above; each is a
+# benchmark metric that reads 0. A change that takes another name off the
+# hot path fails here: it keeps the name on the path, or adds it below and
+# says so. A name that comes back leaves the set.
+UNCALLED = {
+    "constructions.diameter_circle",
+    "constructions.invert_exterior",
+    "geom.circle_from",
+    "geom.intersect",
+    "program.rebase",
+    "program.rollback",
+}
 
 
 # op -> the names its cases must reach, each as an attribute of its module

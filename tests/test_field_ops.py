@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from compass import field_ops as F
-from compass.constructions import build_extend, build_midpoint
+from compass.constructions import CANONICAL_SEEDS, build_apex, build_extend, build_midpoint
 from compass.errors import InvalidNodeId, MalformedProgram
 from compass.fuzz import SplitMix64, _ValuePool
 from compass.geom import Point, cut
@@ -60,16 +60,37 @@ def test_neg_is_one_reflection():
           within=1e-9 * max(1.0, math.hypot(v.value.x, v.value.y)))
 
 
-def test_a_value_negated_twice_is_its_own_node():
-    """-(-a) reflects a through 0 and back about the one circle C(0; a):
-    the builder takes a's node, and the witness ends on a's own step."""
+def _alpha():
     a = F.alpha()
-    b = Builder.resume(a.trace)
-    minus = F.build_neg(b, a.primary_output)
+    return Builder.resume(a.trace), a.primary_output
+
+
+def _apex():
+    b = Builder(CANONICAL_SEEDS)
+    return b, build_apex(b, 0, 1)
+
+
+@pytest.mark.parametrize("make", [_alpha, _apex], ids=["alpha", "apex"])
+def test_a_value_negated_twice_is_its_own_node(make):
+    """-(-a) reflects a through 0 and back about the one circle C(0; a):
+    for alpha the builder takes a's node, and the witness ends on a's own
+    step. The apex is a pick of C(0; 1), which the circle rule takes for
+    C(0; a), so no rule finds the second reflection drawn: it is a new node
+    within 1e-15 of a, until a ``_drawn`` rule reads a's circles by their
+    rows."""
+    b, a = make()
+    minus = F.build_neg(b, a)
     n = len(b)
-    assert F.build_neg(b, minus) == a.primary_output and len(b) == n + 4
-    back = F.neg(F.neg(a))
-    assert back.value == a.value and back.program.circle_count() == a.program.circle_count()
+    twice = F.build_neg(b, minus)
+    if make is _apex:
+        assert twice != a and len(b) == n + 5
+        assert math.dist(b.point(twice), b.point(a)) <= 1e-15
+        return
+    assert twice == a and len(b) == n + 4
+    value = F.alpha()
+    back = F.neg(F.neg(value))
+    assert (back.value == value.value
+            and back.program.circle_count() == value.program.circle_count())
 
 
 @pytest.mark.parametrize("left, right", [(F.one, F.minus_one), (F.minus_one, F.one)],

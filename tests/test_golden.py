@@ -154,7 +154,8 @@ def test_corpus_bytes_are_pinned(name):
 
 
 # op: sha256 over the traces ``fuzz.run_op(op, 120, seed=1)`` audits; 120
-# cases reach every sampler stratum
+# cases reach every sampler stratum. line-line read d34ef4d8... until it
+# inverted about a seed of one line before any apex pole.
 FUZZ_GOLDEN = {
     "apex": "41e7c495973d73914706383531d0fd10c2813aa74ee1204376fb57c4f14fab7e",
     "extend": "b8fa886db3aa0743af40f7d6fcdcad81536bd30d440f9c96d2728be7d632ddc0",
@@ -162,7 +163,7 @@ FUZZ_GOLDEN = {
     "midpoint": "77ef79a8cf42de986ae2a4b0ab369a3f1287b576e1d9d4790aa4d7b013ad43e2",
     "foot": "a9d6d5ae4b196a17b514ee29f188e5f3d4ec937a07bccf90201ec9ccd24fa400",
     "invert": "5f4562deaac72cc9840e6ca12e163863d8926a5695e23e49d6056a34f1ff1fe9",
-    "line-line": "d34ef4d82488f4e78c323f32f0e284b9cc310c34b7d15c7b36b2e2c6a2898091",
+    "line-line": "b6242029213470cd6f8a644508c61d151a7bd9e88ed750198c96d5065fa4661f",
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
         "ef158a5b5687c402ea6ac0e01ad6afef1ab982398864e3f69052f5c4e8e32fed",
@@ -173,7 +174,10 @@ FUZZ_GOLDEN = {
 
 
 # op: (failures, audited, max_err.hex()) of ``fuzz.run_op(op, 120, seed=1)``;
-# line-circle audits only its hits
+# line-circle audits only its hits. line-line read 0x1.57a824688fe44p-43
+# (1.5e-13) until it inverted about a seed of one line before any apex pole:
+# 2.3e-13 on these 120 cases, while its max over 2,000 cases fell at seeds
+# 42, 1410 and 7.
 FUZZ_REPORTS = {
     "apex": (0, 120, "0x1.8000000000000p-49"),
     "extend": (0, 120, "0x1.ad5336963eefcp-47"),
@@ -181,7 +185,7 @@ FUZZ_REPORTS = {
     "midpoint": (0, 120, "0x1.8154be2773526p-47"),
     "foot": (0, 120, "0x1.8bc708d4fcf15p-43"),
     "invert": (0, 120, "0x1.0a1c063916ca4p-42"),
-    "line-line": (0, 120, "0x1.57a824688fe44p-43"),
+    "line-line": (0, 120, "0x1.fd3e1961ff804p-43"),
     "line-circle": (0, 90, "0x1.43f22bf3aa502p-43"),
     "line-circle-diameter": (0, 120, "0x1.b0f63e8f52274p-46"),
     "mul": (0, 120, "0x1.3ce4224eef4fbp-46"),

@@ -146,7 +146,10 @@ def moved(got, pinned):
 # resolves and appends a step: one call per circle (108), per pick a method
 # takes (76) and per inlined row (221), and ``_cut_at``, the last-cut read,
 # once per ``_cut`` (59) and once per pick that misses the table (176):
-# 3,909 in all, and no kernel count moved
+# 3,909 in all, and no kernel count moved. Line-line's pole ranking was
+# ``ranked`` and its score ``doublings`` until the ranking became the
+# module's ``_ranked``, shared with the routes about a seed of one line: the
+# scripts' crossings are of perpendicular lines, which take a pole as before
 KERNEL_CALLS = {"geom.cut": 126, "geom.radius": 372, "math.hypot": 598, "math.sqrt": 126}
 
 ENGINE_CALLS = {
@@ -160,6 +163,7 @@ ENGINE_CALLS = {
     "constructions.py:_invert_core": 9,
     "constructions.py:_mirror_cut": 2,
     "constructions.py:_point_line_distance": 8,
+    "constructions.py:_ranked": 2,
     "constructions.py:build_apex": 6,
     "constructions.py:build_diameter_circle": 1,
     "constructions.py:build_extend": 13,
@@ -170,8 +174,7 @@ ENGINE_CALLS = {
     "constructions.py:build_nth_point": 3,
     "constructions.py:build_perp_foot": 1,
     "constructions.py:build_reflect": 19,
-    "constructions.py:doublings": 10,
-    "constructions.py:ranked": 2,
+    "constructions.py:pole_doublings": 10,
     "constructions.py:slant": 6,
     "dsl.py:<lambda>": 24,
     "dsl.py:__init__": 23,
@@ -360,33 +363,39 @@ def test_engine_calls_of_the_ring_operations():
 # calls), in place of ``_built`` (40) and five per-op generators (1 each):
 # each case makes one row call (``_foot_row``, ``_invert_row``, ...), and
 # invert, which built on its own builder and called no helper, now makes one
-# too: 9,246, and no kernel count moved
-CORE_KERNEL_CALLS = {"geom.cut": 441, "geom.radius": 702, "math.hypot": 1537,
-                     "math.sqrt": 456}
+# too: 9,246, and no kernel count moved. cut, radius, hypot and sqrt read
+# 441, 702, 1537 and 456 (9,246 engine calls) until line-line inverted about
+# a seed of one line before any apex pole: 13 circles where a pole takes 18,
+# so 9 fewer reflections and inversions over its 10 cases, and ``_ranked``
+# (10) scoring options by ``seed_doublings`` (23) before poles by
+# ``pole_doublings`` (5): 8,750
+CORE_KERNEL_CALLS = {"geom.cut": 422, "geom.radius": 675, "math.hypot": 1518,
+                     "math.sqrt": 437}
 
 CORE_ENGINE_CALLS = {
     "constructions.py:<lambda>#1": 24,
     "constructions.py:<lambda>#2": 16,
     "constructions.py:<lambda>#3": 16,
-    "constructions.py:_apex_xy": 69,
+    "constructions.py:_apex_xy": 57,
     "constructions.py:_arc_bisection": 8,
     "constructions.py:_clear_of_line": 10,
-    "constructions.py:_doublings": 103,
-    "constructions.py:_invert_core": 44,
+    "constructions.py:_doublings": 104,
+    "constructions.py:_invert_core": 35,
     "constructions.py:_mirror_cut": 10,
     "constructions.py:_point_line_distance": 44,
-    "constructions.py:build_apex": 25,
+    "constructions.py:_ranked": 10,
+    "constructions.py:build_apex": 16,
     "constructions.py:build_extend": 2,
-    "constructions.py:build_invert_general": 50,
+    "constructions.py:build_invert_general": 41,
     "constructions.py:build_line_circle_center_on_line": 10,
     "constructions.py:build_line_circle_off_center": 20,
     "constructions.py:build_line_line": 10,
     "constructions.py:build_midpoint": 9,
     "constructions.py:build_nth_point": 10,
     "constructions.py:build_perp_foot": 10,
-    "constructions.py:build_reflect": 92,
-    "constructions.py:doublings": 17,
-    "constructions.py:ranked": 10,
+    "constructions.py:build_reflect": 83,
+    "constructions.py:pole_doublings": 5,
+    "constructions.py:seed_doublings": 23,
     "constructions.py:slant": 24,
     "fuzz.py:<lambda>#1": 10,
     "fuzz.py:<lambda>#2": 10,
@@ -412,8 +421,8 @@ CORE_ENGINE_CALLS = {
     "fuzz.py:rng_for": 9,
     "fuzz.py:run_op": 9,
     "fuzz.py:uniform": 494,
-    "geom.py:cut": 441,
-    "geom.py:radius": 702,
+    "geom.py:cut": 422,
+    "geom.py:radius": 675,
     "oracle.py:oracle_foot": 30,
     "oracle.py:oracle_invert": 10,
     "oracle.py:oracle_line_circle": 20,
@@ -424,27 +433,27 @@ CORE_ENGINE_CALLS = {
     "program.py:_at": 106,
     "program.py:_built": 88,
     "program.py:_check_outputs": 48,
-    "program.py:_cut": 248,
-    "program.py:_cut_at": 675,
-    "program.py:_drawn": 961,
+    "program.py:_cut": 221,
+    "program.py:_cut_at": 612,
+    "program.py:_drawn": 880,
     "program.py:_grown": 48,
     "program.py:_no_point": 2,
-    "program.py:_node": 586,
+    "program.py:_node": 550,
     "program.py:_nonfinite": 90,
     "program.py:_seed_columns": 90,
-    "program.py:_step": 995,
-    "program.py:both": 60,
-    "program.py:circle": 454,
+    "program.py:_step": 905,
+    "program.py:both": 51,
+    "program.py:circle": 400,
     "program.py:circle_count": 88,
     "program.py:execute": 40,
     "program.py:finish": 48,
     "program.py:inline": 21,
-    "program.py:mark": 102,
+    "program.py:mark": 93,
     "program.py:meet": 10,
     "program.py:output_points": 88,
-    "program.py:pick": 58,
-    "program.py:pick_other": 120,
-    "program.py:point": 424,
+    "program.py:pick": 49,
+    "program.py:pick_other": 111,
+    "program.py:point": 397,
     "program.py:purity_audit": 88,
     "record.py:__init__": 9,
     "replay.py:compile": 40,

@@ -16,6 +16,10 @@ have none.
   script with its ``given`` points rotated by 90 or 180 degrees, or scaled
   by 2^20, gives the mapped points with the same circle count. A mirror is
   not exact here, as a route picks an apex by side.
+- Tiny scales, script level: every demo and good corpus script with its
+  ``given`` points scaled by 2^-36 or 2^-40, where the absolute band is far
+  coarser than the figure, gives the scaled points to within 1e-6 relative
+  to the scale, or refuses with a typed error (ROADMAP item 39).
 - Powers of two, program level: the seeds scaled by 2^-10 or 2^-20 give the
   scaled outputs exactly. At 2^10, 2^20, 2^30 and 2^-30 some traces raise
   or come out inexact today, because the tangency band does not scale with
@@ -23,6 +27,7 @@ have none.
   it lands.
 """
 
+import math
 from pathlib import Path
 
 import pytest
@@ -139,3 +144,27 @@ def test_scripts_commute_with_rotations_and_scaling(name):
             assert moved.point(point) == Point(*f(*base.point(point))), (script, point)
         assert (moved.trace.program.circle_count()
                 == base.trace.program.circle_count()), script
+
+
+@pytest.mark.parametrize("k", [-36, -40])
+def test_scripts_at_tiny_scales_agree_or_raise_a_typed_error(k):
+    """No wrong point without an error: at 2^-36 six scripts raise and the
+    rest agree, at 2^-40 all 23 raise. Until a decision that only the band
+    makes was refused (``geom.BAND_RESOLUTION``), four scripts at each scale
+    returned points 17% to 131% off with no error: the band called circles
+    tangent that cross, or a point on a circle that misses it, by a wide
+    margin."""
+    f, scale = _scaled(k), 2.0 ** k
+    for script, source in SCRIPTS.items():
+        statements = dsl.parse_source(source)
+        base = dsl.interpret(statements)
+        try:
+            moved = dsl.interpret([_moved(s, f) if isinstance(s, dsl.Given) else s
+                                   for s in statements])
+        except dsl.ScriptRuntimeError as err:
+            assert isinstance(err.__cause__, CompassError), script
+            continue
+        for point, _ in base.named_points:
+            want = base.point(point)
+            assert (math.dist(moved.point(point), f(*want))
+                    <= 1e-6 * scale * max(1.0, math.hypot(*want))), (script, point)
