@@ -429,7 +429,9 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     A center on the line (to within ``EPS``) has no mirror image:
     the answer is d and its antipode, or where d is off the line
     Mascheroni's arc bisection (``_arc_bisection``, 13 or 14 circles, more
-    where both points lie within about r/480 of the center).
+    where both points lie within about r/480 of the center). A center, or
+    a d, on the line only within the band, more than ``BAND_RESOLUTION``
+    of r off it, raises ``BelowResolution``.
 
     On every route the two points come ordered along a -> bn, bn's side
     first, as ``oracle_line_circle`` orders them: the order depends on
@@ -440,7 +442,12 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
         raise DegenerateCircle("line-circle needs a proper line")
     h, r = _point_line_distance(po, pa, pb), math.dist(po, pd)
     if h <= EPS:
-        if _point_line_distance(pd, pa, pb) <= EPS:
+        if h > BAND_RESOLUTION * r:
+            raise _off_the_line(o, h, r)
+        gap = _point_line_distance(pd, pa, pb)
+        if gap <= EPS:
+            if gap > BAND_RESOLUTION * r:
+                raise _off_the_line(d, gap, r)
             got = d, build_extend(b, d, o)
         else:
             got = _arc_bisection(b, a, bn, o, d)
@@ -461,6 +468,14 @@ def build_line_circle_off_center(b: Builder, a: int, bn: int,
     xs, ys = b.xs, b.ys
     ahead = (xs[x1] - xs[x2]) * (pb.x - pa.x) + (ys[x1] - ys[x2]) * (pb.y - pa.y) >= 0
     return got if ahead else (x2, x1)
+
+
+def _off_the_line(node: int, gap: float, r: float) -> BelowResolution:
+    """The error for a node on the line only within the band: ``gap`` from
+    it, within ``EPS`` but more than ``BAND_RESOLUTION`` of the radius
+    ``r``, as ``build_invert_general`` refuses a point on its circle."""
+    return BelowResolution(f"node {node}: on the line only within the band, "
+                           f"{gap / r:.3g} of the radius off")
 
 
 def _mirror_cut(b: Builder, a: int, bn: int, o: int, d: int,

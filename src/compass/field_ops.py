@@ -7,10 +7,13 @@ seeds 0 and 1 as the numbers 0 and 1, so a point's value is ``relative``,
 ``DegenerateCircle``. Multiplying by a replays b's witness
 (``Builder.witness``) on (0, a); the orientation-based pick selectors make
 that replay land on exactly the similarity image needed. Negating and
-conjugating replay nothing: -a is a reflected through 0.
-``build_add`` doubles, reflects 0 through the midpoint of a and b, or runs
-the paper's double replay (a's witness on (1, 2) gives a + 1, b's on
-(a, a + 1) a + b), by a rule on the operands' values and witness sizes.
+conjugating replay nothing: -a is a reflected through 0, and conj(a) a's
+mirror image in line 01, or a itself, drawing nothing, for a point of that
+line. ``build_add`` doubles, reflects 0 through the midpoint of a and b,
+or runs the paper's double replay (a's witness on (1, 2) gives a + 1, b's
+on (a, a + 1) a + b), by a rule on the operands' values and witness sizes.
+The double replay holds a's witness twice, so ``add`` takes for a the
+operand whose witness has fewer circles.
 In -1 + 1 and 1 + (-1) that replay reflects 0 through 1 to 2 and back,
 which the builder takes as 0 itself (a point reflected twice through one
 center is that point), so the sum is seed 0, where it was a point within
@@ -24,8 +27,9 @@ ulp or so of a.
 witness resolved on the canonical seeds, the ``Builder.witness`` of a node
 grown on a ``Builder(CANONICAL_SEEDS)`` (defined in ``constructions``, whose
 canonical programs start from them); ``zero`` and ``one`` are those of its
-seeds. Each operation resumes a ``Builder`` on its left operand's rows,
-calls the ``build_*`` routine and carries the result's witness as the new
+seeds. Each operation resumes a ``Builder`` on one operand's rows (the
+left factor of a product, the operand of fewer circles of a sum), calls
+the ``build_*`` routine and carries the result's witness as the new
 value. Sharing the steps already there, witnesses grow linearly along
 chains of additions, not exponentially. A witness that keeps every step of
 its builder also keeps a copy of the builder's hash-cons table, so
@@ -52,6 +56,7 @@ from .geom import EPS, Point
 # execute and rebase are unused here but stay importable: perfbench's tracer
 # wraps them here.
 from .program import (  # noqa: F401
+    OP_CIRCLE,
     Builder,
     Program,
     Selector,
@@ -103,7 +108,9 @@ def build_neg(b: Builder, a: int) -> int:
 
 def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
     """a + b, from a's node and witness ``wa`` and b's witness ``wb`` and
-    value ``vb``, by one of three routes, with C a witness's circle count:
+    value ``vb``, by one of three routes, with C a witness's circle count
+    (``add`` passes the operand of fewer circles as a, unless that is a
+    bare seed):
 
     - a == b, farther than EPS from 0: reflect 0 through a (3 circles);
     - |a - b| and |a + b| above EPS, C(a) > 7 and C(b) >= 1: place b's
@@ -134,10 +141,12 @@ def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
 def build_conj(b: Builder, a: int) -> int:
     """Complex conjugate: a's mirror image in line 01, where the circles
     centered 0 and 1 through a meet again (``build_reflect`` without its
-    mark and rollback). On that line they touch, at a's own conjugate; at 0
-    and 1 they would degenerate, and those fixed points return a itself."""
-    v = relative(b, a)
-    if _size(v) <= EPS or _size(v - 1.0) <= EPS:
+    mark and rollback). A point of line 01, its value within EPS of the
+    real axis in the seeds' frame, is its own conjugate: a itself, with
+    nothing drawn. On seeds less than 1 apart a point farther than that
+    from the line can still lie within the absolute band of it, where the
+    two circles touch: the touch is the pick."""
+    if abs(relative(b, a).imag) <= EPS:
         return a
     around_0, around_1 = b.circle(0, a), b.circle(1, a)
     image = b.pick_other(around_0, around_1, avoid=a)
@@ -216,9 +225,33 @@ def neg(a: ConstructibleValue) -> ConstructibleValue:
     return _grow(a, build_neg)
 
 
+def _tie_key(v: ConstructibleValue) -> tuple:
+    """How ``add`` orders operands of equal circle counts: by value (x,
+    then y), then by witness rows, which tell apart two witnesses of one
+    value."""
+    w = v.program
+    return v.value, w.ops, w.first, w.second
+
+
 def add(a: ConstructibleValue, b: ConstructibleValue) -> ConstructibleValue:
-    """a + b (``build_add``): b's witness joins a's builder only if replayed."""
-    return _grow(a, build_add, a.program, b.program, complex(b.value.x, b.value.y))
+    """a + b (``build_add``), grown on the builder of the operand whose
+    witness has fewer circles, as the double replay runs that witness
+    twice; the other's witness joins it only if replayed. A bare seed stays
+    on the right, where it is the identity or replays in no circle, and
+    equal counts go by ``_tie_key``, so the order is a function of the
+    unordered pair: ``add(a, b) == add(b, a)``."""
+    wa, wb = a.program, b.program
+    if a is not b:
+        cb = wb.circle_count()
+        if cb:
+            ca = wa.circle_count()
+            swap = ca == 0 or cb < ca or (ca == cb and _tie_key(b) < _tie_key(a))
+        else:  # b is a bare seed: only whether a is one too matters, and
+            # a + 1 reads a's rows up to its first circle, not all of them
+            swap = OP_CIRCLE not in wa.ops and _tie_key(b) < _tie_key(a)
+        if swap:
+            a, b, wa, wb = b, a, wb, wa
+    return _grow(a, build_add, wa, wb, complex(*b.value))
 
 
 def conj(a: ConstructibleValue) -> ConstructibleValue:

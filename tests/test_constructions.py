@@ -945,6 +945,25 @@ def test_line_circle_center_on_line_at_a_tiny_scale_raises_a_typed_error():
     assert len(b) == 14  # nothing is appended at the refused cut
 
 
+@pytest.mark.parametrize("h, d_off, node, gap", [
+    (5e-13, None, 2, "0.05"),   # the arc bisection's cuts 6.5% and 3.5% of s off
+    (9e-13, None, 2, "0.09"),   # 11.7% and 6.3%
+    (0.0, 5e-13, 3, "0.0499"),  # d and its antipode, 5% off
+])
+def test_line_circle_on_the_line_only_within_the_band_raises(h, d_off, node, gap):
+    """At s = 1e-11, a center within EPS of the line but h/r off it, or a d
+    within EPS of the line as a center on it, is refused: the band's
+    routes returned points several % of s off the true cuts, with no error."""
+    s = 1e-11
+    o = Point(0.3 * s, h)
+    d = Point(o.x + 0.6 * s, o.y + 0.8 * s) if d_off is None else Point(o.x + s, d_off)
+    b = Builder([Point(-3 * s, 0.0), Point(2 * s, 0.0), o, d])
+    with pytest.raises(BelowResolution,
+                       match=rf"^node {node}: on the line only within the band, {gap} of"):
+        cons.build_line_circle_off_center(b, 0, 1, 2, 3)
+    assert len(b) == 4
+
+
 def test_line_circle_inversion_route_sweep(monkeypatch):
     """Centers more than EPS and less than r/64 from the line, which no
     fuzz case reaches, all take the inversion route: within 1e-12 of the

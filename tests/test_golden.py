@@ -155,7 +155,9 @@ def test_corpus_bytes_are_pinned(name):
 
 # op: sha256 over the traces ``fuzz.run_op(op, 120, seed=1)`` audits; 120
 # cases reach every sampler stratum. line-line read d34ef4d8... until it
-# inverted about a seed of one line before any apex pole.
+# inverted about a seed of one line before any apex pole. mul, add and conj
+# read 0f076628..., 155af166... and 417853eb... until add grew the operand
+# of fewer circles and conj handed a point of line 01 back.
 FUZZ_GOLDEN = {
     "apex": "41e7c495973d73914706383531d0fd10c2813aa74ee1204376fb57c4f14fab7e",
     "extend": "b8fa886db3aa0743af40f7d6fcdcad81536bd30d440f9c96d2728be7d632ddc0",
@@ -167,9 +169,9 @@ FUZZ_GOLDEN = {
     "line-circle": "23b86b74ddbba0c6600e103bd1ed604e604bdd8a39588803553929892b7c3ce7",
     "line-circle-diameter":
         "ef158a5b5687c402ea6ac0e01ad6afef1ab982398864e3f69052f5c4e8e32fed",
-    "mul": "0f0766286b32adbffdd0d0e63a77e5dda263dbfa974e9807595f8bef6ea38c1a",
-    "add": "155af1669a9dae01ae8bf35252a777af166baf2bd5727a91c44a7af1524921fa",
-    "conj": "417853ebeff8324da82f051055f0f0782771c2b50203d1bffd0daf731676bfd4",
+    "mul": "2e17ec150b337a03187d92c3afae08299dc6eb8bc267532e9c66297a0a12ba1e",
+    "add": "d096016ce0d630811b943a0a911be78c20ef3a5906764914f0bfe6a1e01bee82",
+    "conj": "cc4890f11aac43de3d67f4ee201ceab1ee212565e4e6e8f17ceceea1b021c3e0",
 }
 
 
@@ -177,7 +179,8 @@ FUZZ_GOLDEN = {
 # line-circle audits only its hits. line-line read 0x1.57a824688fe44p-43
 # (1.5e-13) until it inverted about a seed of one line before any apex pole:
 # 2.3e-13 on these 120 cases, while its max over 2,000 cases fell at seeds
-# 42, 1410 and 7.
+# 42, 1410 and 7. mul read 0x1.3ce4224eef4fbp-46 (1.8e-14) until add grew
+# the operand of fewer circles: 4.9e-15 on its operands' sums.
 FUZZ_REPORTS = {
     "apex": (0, 120, "0x1.8000000000000p-49"),
     "extend": (0, 120, "0x1.ad5336963eefcp-47"),
@@ -188,7 +191,7 @@ FUZZ_REPORTS = {
     "line-line": (0, 120, "0x1.fd3e1961ff804p-43"),
     "line-circle": (0, 90, "0x1.43f22bf3aa502p-43"),
     "line-circle-diameter": (0, 120, "0x1.b0f63e8f52274p-46"),
-    "mul": (0, 120, "0x1.3ce4224eef4fbp-46"),
+    "mul": (0, 120, "0x1.60d13630e6115p-48"),
     "add": (0, 120, "0x1.f3db2174e7468p-48"),
     "conj": (0, 120, "0x1.176d9090c79a8p-48"),
 }

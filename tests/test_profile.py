@@ -149,8 +149,11 @@ def moved(got, pinned):
 # 3,909 in all, and no kernel count moved. Line-line's pole ranking was
 # ``ranked`` and its score ``doublings`` until the ranking became the
 # module's ``_ranked``, shared with the routes about a seed of one line: the
-# scripts' crossings are of perpendicular lines, which take a pole as before
-KERNEL_CALLS = {"geom.cut": 126, "geom.radius": 372, "math.hypot": 598, "math.sqrt": 126}
+# scripts' crossings are of perpendicular lines, which take a pole as before.
+# hypot read 598 and _size 14 (3,909 engine calls) until conj tested only its
+# value's imaginary part for a point of line 01, where it measured |a| and
+# |a - 1|: two hypot calls fewer on each of the 3 conj calls, 3,903 in all
+KERNEL_CALLS = {"geom.cut": 126, "geom.radius": 372, "math.hypot": 592, "math.sqrt": 126}
 
 ENGINE_CALLS = {
     "constructions.py:<lambda>#1": 6,
@@ -191,7 +194,7 @@ ENGINE_CALLS = {
     "dsl.py:run": 23,
     "dsl.py:tokenize": 23,
     "field_ops.py:_at_zero": 4,
-    "field_ops.py:_size": 14,
+    "field_ops.py:_size": 8,
     "field_ops.py:build_add": 5,
     "field_ops.py:build_conj": 3,
     "field_ops.py:build_mul": 3,
@@ -256,28 +259,37 @@ ENGINE_CALLS = {
 # The three fuzz.py lambdas are the rows of ``fuzz._RING_ROWS`` (mul, add and
 # conj by first line), one call per case since ``_field_cases`` took each
 # operation from its row in place of its own op-name branches: 15,818, a
-# rise from merging duplicate paths, and no kernel count moved
-RING_KERNEL_CALLS = {"geom.cut": 634, "geom.radius": 746, "math.hypot": 1807,
-                     "math.sqrt": 610}
+# rise from merging duplicate paths, and no kernel count moved. cut, radius,
+# hypot and sqrt read 634, 746, 1807 and 610 (15,818 engine calls) until add
+# grew the operand of fewer circles and conj handed a point of line 01 back:
+# conj draws and picks nothing for 20 real values (circle -40, pick_other
+# and pick -20 each) and no longer measures |a| and |a - 1| (_size 307 ->
+# 92); add counts its operands' circles where they are two values
+# (circle_count 175 -> 276), reads ``_tie_key`` of both on 5 equal counts,
+# inlines 93 rows fewer, takes no midpoint route and reads b's value once;
+# and three values a pool drew were ones it held, whose conj it did not
+# build again (conj 108 -> 105): 15,054
+RING_KERNEL_CALLS = {"geom.cut": 595, "geom.radius": 681, "math.hypot": 1488,
+                     "math.sqrt": 595}
 
 RING_ENGINE_CALLS = {
     "constructions.py:build_extend": 76,
-    "constructions.py:build_midpoint": 3,
     "field_ops.py:_at_zero": 86,
-    "field_ops.py:_grow": 254,
-    "field_ops.py:_size": 307,
+    "field_ops.py:_grow": 251,
+    "field_ops.py:_size": 92,
+    "field_ops.py:_tie_key": 10,
     "field_ops.py:add": 60,
     "field_ops.py:build_add": 60,
-    "field_ops.py:build_conj": 108,
+    "field_ops.py:build_conj": 105,
     "field_ops.py:build_mul": 64,
     "field_ops.py:build_neg": 22,
-    "field_ops.py:conj": 108,
+    "field_ops.py:conj": 105,
     "field_ops.py:mul": 64,
     "field_ops.py:neg": 22,
-    "field_ops.py:primary_output": 508,
-    "field_ops.py:program": 184,
-    "field_ops.py:relative": 254,
-    "field_ops.py:value": 400,
+    "field_ops.py:primary_output": 502,
+    "field_ops.py:program": 194,
+    "field_ops.py:relative": 251,
+    "field_ops.py:value": 350,
     "fuzz.py:<lambda>#1": 40,
     "fuzz.py:<lambda>#2": 40,
     "fuzz.py:<lambda>#3": 40,
@@ -293,33 +305,32 @@ RING_ENGINE_CALLS = {
     "fuzz.py:rng_for": 3,
     "fuzz.py:run_op": 3,
     "fuzz.py:uniform": 401,
-    "geom.py:cut": 634,
-    "geom.py:radius": 746,
+    "geom.py:cut": 595,
+    "geom.py:radius": 681,
     "oracle.py:oracle_complex_add": 40,
     "oracle.py:oracle_complex_conj": 40,
     "oracle.py:oracle_complex_mul": 40,
-    "program.py:__init__": 195,
+    "program.py:__init__": 189,
     "program.py:_at": 120,
-    "program.py:_built": 195,
-    "program.py:_check_outputs": 195,
-    "program.py:_cut": 100,
-    "program.py:_cut_at": 999,
-    "program.py:_drawn": 1910,
-    "program.py:_grown": 195,
-    "program.py:_live": 195,
-    "program.py:_node": 812,
-    "program.py:_step": 2093,
-    "program.py:circle": 160,
-    "program.py:circle_count": 175,
-    "program.py:finish": 126,
+    "program.py:_built": 189,
+    "program.py:_check_outputs": 189,
+    "program.py:_cut": 60,
+    "program.py:_cut_at": 918,
+    "program.py:_drawn": 1789,
+    "program.py:_grown": 189,
+    "program.py:_live": 189,
+    "program.py:_node": 789,
+    "program.py:_step": 2000,
+    "program.py:circle": 120,
+    "program.py:circle_count": 276,
+    "program.py:finish": 111,
     "program.py:inline": 239,
     "program.py:output_points": 120,
-    "program.py:pick": 20,
-    "program.py:pick_other": 80,
-    "program.py:point": 254,
+    "program.py:pick_other": 60,
+    "program.py:point": 251,
     "program.py:purity_audit": 120,
-    "program.py:resume": 254,
-    "program.py:witness": 195,
+    "program.py:resume": 251,
+    "program.py:witness": 189,
     "record.py:__init__": 3,
 }
 
