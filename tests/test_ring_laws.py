@@ -29,23 +29,16 @@ def _cx(v):
 
 
 def _laws(a, b, c):
-    """{law: (left side, right side, the values the law computes)}."""
-    ab, ba = mul(a, b), mul(b, a)
-    a_b, b_a = add(a, b), add(b, a)
-    ab_c, a_bc = add(a_b, c), add(a, add(b, c))
-    abc, a_bc_mul = mul(ab, c), mul(a, mul(b, c))
-    b_plus_c = add(b, c)
-    ac = mul(a, c)
-    distrib = mul(a, b_plus_c), add(ab, ac)
-    conj_ab, conj_prod = conj(ab), mul(conj(a), conj(b))
-    minus_a = neg(a)
+    """{law: (left side, right side, the other values the law computes)}."""
+    ab, ac, bc = mul(a, b), mul(a, c), mul(b, c)
+    a_b, b_c, minus_a = add(a, b), add(b, c), neg(a)
     return {
-        "a*b = b*a": (ab, ba, ()),
-        "a+b = b+a": (a_b, b_a, ()),
-        "(a+b)+c = a+(b+c)": (ab_c, a_bc, (a_b, b_plus_c)),
-        "(ab)c = a(bc)": (abc, a_bc_mul, (ab, mul(b, c))),
-        "a(b+c) = ab+ac": (*distrib, (b_plus_c, ab, ac)),
-        "conj(ab) = conj(a)conj(b)": (conj_ab, conj_prod, (ab,)),
+        "a*b = b*a": (ab, mul(b, a), ()),
+        "a+b = b+a": (a_b, add(b, a), ()),
+        "(a+b)+c = a+(b+c)": (add(a_b, c), add(a, b_c), (a_b, b_c)),
+        "(ab)c = a(bc)": (mul(ab, c), mul(a, bc), (ab, bc)),
+        "a(b+c) = ab+ac": (mul(a, b_c), add(ab, ac), (b_c, ab, ac)),
+        "conj(ab) = conj(a)conj(b)": (conj(ab), mul(conj(a), conj(b)), (ab,)),
         "a+(-a) = 0": (add(a, minus_a), field_ops.zero(), (minus_a,)),
     }
 
