@@ -9,9 +9,10 @@ seeds 0 and 1 as the numbers 0 and 1, so a point's value is ``relative``,
 that replay land on exactly the similarity image needed. Negating and
 conjugating replay nothing: -a is a reflected through 0, and conj(a) a's
 mirror image in line 01, or a itself, drawing nothing, for a point of that
-line. ``build_add`` doubles, reflects 0 through the midpoint of a and b,
-or runs the paper's double replay (a's witness on (1, 2) gives a + 1, b's
-on (a, a + 1) a + b), by a rule on the operands' values and witness sizes.
+line; a point whose mirror circles only touch raises ``OnMirrorLine``.
+``build_add`` doubles, reflects 0 through the midpoint of a and b, or runs
+the paper's double replay (a's witness on (1, 2) gives a + 1, b's on (a,
+a + 1) a + b), by a rule on the operands' values and witness sizes.
 The double replay holds a's witness twice, so ``add`` takes for a the
 operand whose witness has fewer circles.
 In -1 + 1 and 1 + (-1) that replay reflects 0 through 1 to 2 and back,
@@ -139,18 +140,17 @@ def build_add(b: Builder, a: int, wa: Program, wb: Program, vb: complex) -> int:
 
 
 def build_conj(b: Builder, a: int) -> int:
-    """Complex conjugate: a's mirror image in line 01, where the circles
-    centered 0 and 1 through a meet again (``build_reflect`` without its
-    mark and rollback). A point of line 01, its value within EPS of the
-    real axis in the seeds' frame, is its own conjugate: a itself, with
-    nothing drawn. On seeds less than 1 apart a point farther than that
-    from the line can still lie within the absolute band of it, where the
-    two circles touch: the touch is the pick."""
+    """Complex conjugate: a's mirror image in line 01, ``build_reflect`` of
+    a in the line through seeds 0 and 1. A point of line 01, its value
+    within EPS of the real axis in the seeds' frame, is its own conjugate:
+    a itself, with nothing drawn. The mirror circles' tangency gap is
+    second order in a's distance h from the line, so they can touch for an
+    h far above EPS, on seeds 1 apart too (a = 0.5 + 3e-7i): there is no
+    mirror image to pick, and ``build_reflect`` raises ``OnMirrorLine``,
+    appending nothing."""
     if abs(relative(b, a).imag) <= EPS:
         return a
-    around_0, around_1 = b.circle(0, a), b.circle(1, a)
-    image = b.pick_other(around_0, around_1, avoid=a)
-    return b.pick(around_0, around_1, Selector.LEFT) if image is None else image
+    return cons.build_reflect(b, 0, 1, a)
 
 
 # --- values: the API edge ----------------------------------------------------

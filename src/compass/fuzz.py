@@ -15,15 +15,14 @@ trace, compares it with ``want`` and records the error on its ``OpReport``.
 An involution check follows the comparison in its generator and calls
 ``run.fail`` when the generator resumes, so failure details keep their order.
 
-``_replayed_cases`` replays one shared canonical program per case for apex,
-extend, nth and midpoint (``_REPLAYED``: case index, stream and the two
-points drawn -> program, oracle point, detail tail); ``replay.compile``
-compiles a program the first time it is drawn. ``_built_cases`` runs a
-``build_*`` routine on a fresh ``Builder`` for foot, invert and the three
-line ops (``_BUILT``: case index and stream -> routine, seeds, oracle points,
-detail). A ``CompassError`` from a build fails its case as ``"<error class>:
-<case>"``, except a ``NoSuchIntersection`` where the oracle wants no point,
-which is the right answer. ``_field_cases`` serves mul, add and conj, one
+``_replayed_cases`` executes one shared canonical program per case for
+apex, extend, nth and midpoint (``_REPLAYED``: case index, stream and the
+two points drawn -> program, oracle point, detail tail). ``_built_cases``
+runs a ``build_*`` routine on a fresh ``Builder`` for foot, invert and the
+three line ops (``_BUILT``: case index and stream -> routine, seeds, oracle
+points, detail). A ``CompassError`` from a build fails its case as
+``"<error class>: <case>"``, except a ``NoSuchIntersection`` where the
+oracle wants no point, which is the right answer. ``_field_cases`` serves mul, add and conj, one
 ``_RING_ROWS`` row each.
 
 The ring operations (mul, add, conj) draw their operands from a
@@ -51,7 +50,7 @@ from functools import lru_cache, partial
 from itertools import product
 
 from . import constructions as cons
-from . import field_ops, replay
+from . import field_ops
 from .errors import CompassError, NoSuchIntersection
 from .geom import Point, ResolvedCircle
 from .oracle import (
@@ -185,7 +184,6 @@ def _replayed_cases(run: OpReport, rng: SplitMix64, op: str):
         a = _point(rng)
         b = _point_away(rng, [a])
         program, want, tail = row(i, rng, a, b)
-        replay.compile(program)
         yield (execute(program, (a, b)), (want,),
                lambda: f"{op}{_fmt_pt(a)}{_fmt_pt(b)}{tail}")
 

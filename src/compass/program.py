@@ -42,8 +42,8 @@ rx, ry)``, and only maps its other verdicts to errors. Each reads its last
 cut again instead of cutting that circle pair twice in a row, so
 ``geom.cut`` is still the only intersection arithmetic. A builder takes a
 step the rows already hold under another row as that node, by the rules of
-``_drawn`` only; ``execute`` takes every row as it is, and
-``replay.compile`` unrolls its loop: the same bits and errors.
+``_drawn`` only; ``execute`` takes every row as it is, and its loop is
+the one code that replays a program.
 ``Builder.witness`` is the one way to cut a point's ancestors out as a
 trace of their own. Value objects (``Point``, ``ResolvedCircle``) exist
 only at the API edge: ``Trace.resolved`` is the one view of them, equal by
@@ -172,11 +172,10 @@ class Resolved(Record, Sequence):
 class Program(Record):
     """An executable compass construction over ``seed_count`` seed slots:
     the int columns ``ops``, ``first`` and ``second``, and the outputs.
-    Valid by construction: the constructor is the one rulebook. Its private
-    ``_compiled``, kept as ``Trace._kept`` is, is ``replay.compile``'s or None."""
+    Valid by construction: the constructor is the one rulebook."""
 
     _fields = ("seed_count", "ops", "first", "second", "outputs")
-    __slots__ = (*_fields, "_compiled")
+    __slots__ = _fields
 
     def __init__(self, seed_count: int, ops: tuple[int, ...], first: tuple[int, ...],
                  second: tuple[int, ...], outputs: tuple[int, ...]):
@@ -188,7 +187,6 @@ class Program(Record):
         steps or a pick of two distinct earlier circle steps, and every output a
         point step."""
         Record.__init__(self, seed_count, ops, first, second, outputs)
-        object.__setattr__(self, "_compiled", None)
         for key in ("ops", "first", "second", "outputs"):
             if not isinstance(getattr(self, key), Sequence):
                 raise MalformedProgram(f"{key!r} must be a sequence")
@@ -238,7 +236,6 @@ class Program(Record):
         init(program, "first", first)
         init(program, "second", second)
         init(program, "outputs", outputs)
-        init(program, "_compiled", None)
         program._check_outputs()
         return program
 
@@ -351,17 +348,14 @@ def execute(program: Program, seeds: Iterable[Point]) -> Trace:
     it, last cut included, but with no hash-consing nor ``_drawn``'s rules
     (a circle the circle rule takes as K has its own radius, rounded from
     other nodes), so the trace has one value per step, a pure function of
-    the arguments, and a builder's program replays bit for bit. A compiled
-    program (``replay``) runs this loop unrolled, after the same seed
-    checks: the same bits, and the same error at the same step.
+    the arguments, and a builder's program replays bit for bit. This loop
+    is the one code that replays a program on new seeds.
     """
     seeds = tuple(seeds)
     if len(seeds) != program.seed_count:
         raise MalformedProgram(
             f"program wants {program.seed_count} seeds, got {len(seeds)}")
     xs, ys = _seed_columns(seeds)
-    if program._compiled is not None:
-        return _built(program, *program._compiled(xs, ys))
     start = program.seed_count
     rs = [None] * start
     cut_u = cut_v = -1  # the circle pair ``got`` was cut from

@@ -244,8 +244,8 @@ def test_fuzz_route_calls(op, monkeypatch):
 
 # op: (``program.cut`` calls, ``program.radius`` calls) of one warm
 # ``fuzz.run_op(op, 120, 42)``: the arithmetic of the ops that replay one
-# shared program per case, which must not change. Each op's 120 ``execute``
-# calls run a compiled program, never ``execute``'s own loop.
+# shared program per case, which must not change. Each of ``warm_calls``'s
+# three runs executes that program once per case, in ``execute``'s loop.
 FUZZ_REPLAY_CALLS = {
     "apex": (120, 240),
     "extend": (240, 360),
@@ -259,14 +259,14 @@ def test_fuzz_replay_calls(op, monkeypatch):
     runs = []
 
     def execute(program, seeds):
-        runs.append(program._compiled is not None)
+        runs.append(program)
         return real(program, seeds)
 
     real = fuzz.execute
     monkeypatch.setattr(fuzz, "execute", execute)
     cuts, radii = warm_calls(op, monkeypatch, (program, "cut"), (program, "radius"))
     assert (cuts, radii) == FUZZ_REPLAY_CALLS[op]
-    assert len(runs) == 3 * 120 and all(runs)
+    assert len(runs) == 3 * 120
 
 
 # core: (steps, circles, picks) bound of ``perfbench/ledger.py``'s

@@ -6,7 +6,7 @@ import pytest
 
 from compass import field_ops as F
 from compass.constructions import CANONICAL_SEEDS, build_apex, build_extend, build_midpoint
-from compass.errors import InvalidNodeId, MalformedProgram
+from compass.errors import InvalidNodeId, MalformedProgram, OnMirrorLine
 from compass.fuzz import SplitMix64, _ValuePool
 from compass.geom import Point, cut
 from compass.oracle import (
@@ -150,9 +150,28 @@ def test_conj_examples():
     a = F.alpha()
     close(F.conj(a).value, 0.75, -SQRT15_4, within=1e-9)
     h = paper_half()
-    close(F.conj(h).value, 0.5, 0.0, within=1e-7)  # real axis is fixed, via tangency
+    close(F.conj(h).value, 0.5, 0.0, within=1e-7)  # a point of line 01 is its own conjugate
     back = F.conj(F.conj(a))
     close(back.value, a.value.x, a.value.y, within=1e-8)
+
+
+@pytest.mark.parametrize("a", [Point(0.5, 3e-7), Point(1e4, 0.01)], ids=["unit", "far"])
+def test_conj_refuses_a_point_its_mirror_circles_only_touch(a):
+    """Off line 01 by far more than EPS, a's mirror circles about seeds 0
+    and 1 still touch within the band: no mirror image, and nothing drawn,
+    where conj picked the touch on the line (an error of a.y)."""
+    b = Builder([Point(0, 0), Point(1, 0), a])
+    with pytest.raises(OnMirrorLine):
+        F.build_conj(b, 2)
+    assert len(b) == 3
+
+
+def test_conj_keeps_a_point_of_line_01_and_mirrors_one_off_it():
+    b = Builder([Point(0, 0), Point(1, 0), Point(0.5, 1e-13), Point(0.5, 1e-5)])
+    assert F.build_conj(b, 2) == 2 and len(b) == 4
+    image = b.point(F.build_conj(b, 3))
+    close(image, 0.5, -1e-5, within=1e-12)
+    assert image.y < 0
 
 
 def test_conj_near_seeds_short_circuits():

@@ -2,13 +2,12 @@
 agree bit for bit with ``circle_circle_intersect`` and with each other, and
 must reject bad node references with typed errors."""
 
-import copy
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl, fuzz, program as program_module, replay
+from compass import dsl, fuzz, program as program_module
 from compass.constructions import (
     apex_program,
     build_apex,
@@ -382,7 +381,7 @@ def test_execute_equals_builder_trace_demos(demo):
     assert execute(trace.program, trace.seed_values) == trace
 
 
-# --- a compiled program fails as execute does ------------------------------------
+# --- execute fails with typed errors, and replays bit for bit -------------------
 
 # the left and right picks of the circles (0; 1) and (2; 3)
 CUT_PAIR = program_of(4, ((S, 0, -1), (S, 1, -1), (S, 2, -1), (S, 3, -1),
@@ -403,65 +402,35 @@ FAILING_DRAWS = {
 }
 
 
-def outcome(program, seeds):
-    """``execute(program, seeds)``, or the error's class and message."""
-    try:
-        return execute(program, seeds)
-    except CompassError as err:
-        return type(err), str(err)
-
-
-def executed(program, seeds, compiling):
-    """``execute`` on a copy of ``program``, compiled or not: the trace, or
-    the error's class and message."""
-    program = copy.copy(program)
-    if compiling:
-        replay.compile(program)
-    return outcome(program, seeds)
-
-
 @pytest.mark.parametrize("name", sorted(FAILING_DRAWS))
-def test_a_compiled_program_fails_as_execute_does(name):
+def test_a_failing_draw_raises_its_error_from_execute(name):
     program, seeds, error = FAILING_DRAWS[name]
-    got = executed(program, seeds, compiling=True)
-    assert got == executed(program, seeds, compiling=False)
-    assert got[0] is error
+    with pytest.raises(CompassError) as raised:
+        execute(program, seeds)
+    assert type(raised.value) is error
 
 
-def test_compiled_fuzz_programs_replay_similarity_images_as_execute_does():
-    """Every program ``fuzz.run_op(op, 20, 42)`` audits, over every op,
-    compiled and interpreted on seeded similarity images of its seeds,
-    z -> p + s e^(it) z with s from 2^-30 to 2^30: the same columns, or the
-    same error class and message."""
+def reprs(trace):
+    """The trace's columns as reprs: the sign of a zero and an int's type count."""
+    r = trace.resolved
+    return [tuple(map(repr, column)) for column in (r.xs, r.ys, r.rs)]
+
+
+def test_fuzz_traces_replay_under_execute_bit_for_bit():
+    """Every trace ``fuzz.run_op(op, 20, 42)`` audits, over every op, built
+    or replayed, gives its own columns under ``execute`` on its seeds."""
     audited = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fuzz, "purity_audit", audited.append)
         for op in fuzz.OPS:
             fuzz.run_op(op, 20, 42)
     assert len(audited) == 235
-    rng, failed = fuzz.SplitMix64(21), 0
     for trace in audited:
-        interpreted, compiled = copy.copy(trace.program), copy.copy(trace.program)
-        replay.compile(compiled)  # a copy holds no compiled function until then
-        for _ in range(3):
-            t, s = rng.uniform(0.0, 2.0 * math.pi), 2.0 ** rng.uniform(-30.0, 30.0)
-            wx, wy = s * math.cos(t), s * math.sin(t)
-            px, py = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
-            seeds = [Point(px + wx * x - wy * y, py + wx * y + wy * x)
-                     for x, y in trace.seed_values]
-            want = outcome(interpreted, seeds)
-            failed += type(want) is tuple
-            assert outcome(compiled, seeds) == want
-    assert 0 < failed < len(audited)  # images that fail are compared too
+        assert reprs(execute(trace.program, trace.seed_values)) == reprs(trace)
 
 
-def test_a_compiled_program_keeps_int_seeds_as_ints():
-    def reprs(trace):  # the sign of a zero and an int's type count
-        r = trace.resolved
-        return [tuple(map(repr, column)) for column in (r.xs, r.ys, r.rs)]
-
-    got, want = (executed(apex_program(LEFT), [(0, 0), (1, 0)], compiling)
-                 for compiling in (True, False))
-    assert reprs(got) == reprs(want)
+def test_execute_keeps_int_seeds_as_ints():
+    got = execute(apex_program(LEFT), [(0, 0), (1, 0)])
     # the seeds and the circles' centers are the int seeds; the pick is floats
-    assert [type(x) for x in got.resolved.xs] == [int] * 4 + [float]
+    for column in (got.resolved.xs, got.resolved.ys):
+        assert [type(x) for x in column] == [int] * 4 + [float]

@@ -152,7 +152,11 @@ def moved(got, pinned):
 # scripts' crossings are of perpendicular lines, which take a pole as before.
 # hypot read 598 and _size 14 (3,909 engine calls) until conj tested only its
 # value's imaginary part for a point of line 01, where it measured |a| and
-# |a - 1|: two hypot calls fewer on each of the 3 conj calls, 3,903 in all
+# |a - 1|: two hypot calls fewer on each of the 3 conj calls, 3,903 in all.
+# build_reflect and mark read 19 and 21 (3,903 engine calls) until conj
+# became ``build_reflect`` in line 01, which refuses a touch where conj
+# picked it: one build_reflect and one mark more on each of the 3 conj
+# calls that draw circles, 3,909, and no kernel count moved.
 KERNEL_CALLS = {"geom.cut": 126, "geom.radius": 372, "math.hypot": 592, "math.sqrt": 126}
 
 ENGINE_CALLS = {
@@ -176,7 +180,7 @@ ENGINE_CALLS = {
     "constructions.py:build_midpoint": 6,
     "constructions.py:build_nth_point": 3,
     "constructions.py:build_perp_foot": 1,
-    "constructions.py:build_reflect": 19,
+    "constructions.py:build_reflect": 22,
     "constructions.py:pole_doublings": 10,
     "constructions.py:slant": 6,
     "dsl.py:<lambda>": 24,
@@ -222,7 +226,7 @@ ENGINE_CALLS = {
     "program.py:circle_count": 4,
     "program.py:finish": 31,
     "program.py:inline": 30,
-    "program.py:mark": 21,
+    "program.py:mark": 24,
     "program.py:meet": 4,
     "program.py:pair_based": 7,
     "program.py:pick": 15,
@@ -268,12 +272,16 @@ ENGINE_CALLS = {
 # (circle_count 175 -> 276), reads ``_tie_key`` of both on 5 equal counts,
 # inlines 93 rows fewer, takes no midpoint route and reads b's value once;
 # and three values a pool drew were ones it held, whose conj it did not
-# build again (conj 108 -> 105): 15,054
+# build again (conj 108 -> 105): 15,054. build_reflect and mark read 0
+# (15,054 engine calls) until conj became ``build_reflect`` in line 01: one
+# of each on the 60 conj calls that draw circles, 15,174, and no kernel
+# count moved.
 RING_KERNEL_CALLS = {"geom.cut": 595, "geom.radius": 681, "math.hypot": 1488,
                      "math.sqrt": 595}
 
 RING_ENGINE_CALLS = {
     "constructions.py:build_extend": 76,
+    "constructions.py:build_reflect": 60,
     "field_ops.py:_at_zero": 86,
     "field_ops.py:_grow": 251,
     "field_ops.py:_size": 92,
@@ -325,6 +333,7 @@ RING_ENGINE_CALLS = {
     "program.py:circle_count": 276,
     "program.py:finish": 111,
     "program.py:inline": 239,
+    "program.py:mark": 60,
     "program.py:output_points": 120,
     "program.py:pick_other": 60,
     "program.py:point": 251,
@@ -356,7 +365,7 @@ def test_engine_calls_of_the_ring_operations():
 
 
 # the same over ``run_core_ops``: the line routines' cuts and circles, and the
-# canonical programs of apex, extend, nth and midpoint replayed compiled.
+# canonical programs of apex, extend, nth and midpoint replayed by ``execute``.
 # Until the builder kept its last cut for every method, cut, hypot and sqrt
 # read 450, 1546 and 465, and _keep 255 (8,496 engine calls): each ``pick``
 # then called ``_keep`` (+58), and 9 cuts of the pair just cut are read again.
@@ -379,7 +388,9 @@ def test_engine_calls_of_the_ring_operations():
 # a seed of one line before any apex pole: 13 circles where a pole takes 18,
 # so 9 fewer reflections and inversions over its 10 cases, and ``_ranked``
 # (10) scoring options by ``seed_doublings`` (23) before poles by
-# ``pole_doublings`` (5): 8,750
+# ``pole_doublings`` (5): 8,750. replay.py:compile read 40 (8,750 engine
+# calls) until the compiled replay path was deleted: ``execute``'s loop
+# replays the four ops' programs, 8,710, and no kernel count moved.
 CORE_KERNEL_CALLS = {"geom.cut": 422, "geom.radius": 675, "math.hypot": 1518,
                      "math.sqrt": 437}
 
@@ -467,7 +478,6 @@ CORE_ENGINE_CALLS = {
     "program.py:point": 397,
     "program.py:purity_audit": 88,
     "record.py:__init__": 9,
-    "replay.py:compile": 40,
 }
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compass import dsl, program as program_module, replay, tracedoc
+from compass import dsl, program as program_module, tracedoc
 from compass.constructions import (
     apex_program,
     extend_program,
@@ -1037,30 +1037,11 @@ def outcome(call):
         return type(err), str(err)
 
 
-def compiled(program):
-    """A copy of ``program``, which holds no compiled function, compiled."""
-    twin = copy.copy(program)
-    replay.compile(twin)
-    return twin
-
-
 def assert_execute_matches_reference(program, seeds):
-    """``execute`` of ``program`` interpreted and compiled against the reference."""
+    """``execute`` of ``program`` against the reference."""
     ref = Builder(seeds)
     reference_resolve(ref, program, list(range(program.seed_count)), None)
-    for run in (copy.copy(program), compiled(program)):
-        assert columns(Builder.resume(execute(run, seeds))) == columns(ref)
-
-
-@given(valid_programs())
-@settings(max_examples=80, deadline=None)
-def test_compiled_programs_execute_as_interpreted(program):
-    seeds = SEEDS[:program.seed_count]
-
-    def run(p):
-        return outcome(lambda: columns(Builder.resume(execute(p, seeds))))
-    assert program._compiled is None
-    assert run(compiled(program)) == run(program)
+    assert columns(Builder.resume(execute(program, seeds))) == columns(ref)
 
 
 def assert_inline_matches_reference(host, program, seed_map):
@@ -1190,10 +1171,9 @@ def test_builder_circle_through_a_pick_on_it_is_that_circle():
 
 
 def test_execute_draws_every_circle_the_rule_would_find():
-    for run in (copy.copy(REDRAWN), compiled(REDRAWN)):
-        trace = execute(run, (O, U))
-        assert trace.program.circle_count() == 3 and len(trace.resolved) == 6
-        assert trace.resolved[5].center == trace.resolved[2].center
+    trace = execute(REDRAWN, (O, U))
+    assert trace.program.circle_count() == 3 and len(trace.resolved) == 6
+    assert trace.resolved[5].center == trace.resolved[2].center
     b = Builder([O, U])
     assert b.inline(REDRAWN, (0, 1)) == (4,) and len(b) == 5
 
@@ -1278,10 +1258,9 @@ def test_inline_finds_a_point_reflected_twice(seed_map):
 
 
 def test_execute_draws_the_point_a_builder_finds_reflected_twice():
-    for run in (copy.copy(TWICE), compiled(TWICE)):
-        trace = execute(run, (Z, Y))
-        assert len(trace.resolved) == 13 and trace.program.pick_count() == 6
-        assert trace.resolved[12] != Z and math.dist(trace.resolved[12], Z) <= 1e-15
+    trace = execute(TWICE, (Z, Y))
+    assert len(trace.resolved) == 13 and trace.program.pick_count() == 6
+    assert trace.resolved[12] != Z and math.dist(trace.resolved[12], Z) <= 1e-15
     b = Builder([Z, Y])
     assert b.inline(TWICE, (0, 1)) == (0,) and len(b) == 12
 
@@ -1293,10 +1272,9 @@ def test_a_point_reflected_twice_replays_within_ulps_on_seeded_draws(scale):
     largest seed coordinate of z (28.7 at most, measured), where a builder
     takes z itself."""
     rng = SplitMix64(33)
-    program = compiled(TWICE)
     for _ in range(1000):
         z = Point(scale * rng.uniform(-5, 5), scale * rng.uniform(-5, 5))
         y = Point(scale * rng.uniform(-5, 5), scale * rng.uniform(-5, 5))
-        drawn = execute(program, (z, y)).resolved[12]
+        drawn = execute(TWICE, (z, y)).resolved[12]
         assert math.dist(drawn, z) <= 32 * math.ulp(max(map(abs, (*z, *y))))
         assert Builder((z, y)).inline(TWICE, (0, 1)) == (0,)
